@@ -3,7 +3,7 @@
 The solver enumerates five candidates: three boundary ones (a pure pair
 carries the measurement, the third element is zero) and the two roots of an
 interior quadratic (all three conjugates pure). Every candidate is pushed
-through the full certificate gate; the smallest ratio that survives is the
+through the certificate gate; the smallest ratio that survives is the
 answer. No regime inequality is ever trusted directly.
 """
 

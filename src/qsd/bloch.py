@@ -5,7 +5,7 @@ represented by its Bloch vector b, rho = (I + b.sigma)/2 with |b| <= 1, and
 a POVM element by a pair (a, v), Pi = a*I + v.sigma, which is positive
 semidefinite exactly when a >= |v|. Complex 2x2 matrices appear nowhere in
 the data model; the test suite builds them only as an independent check of
-the trace identity tr(rho Pi) = a + b.v.
+the trace identity tr(rho Pi) = a + b.v and of the dual certificate.
 
 Shared tolerance constants are pinned here so that every module, the tests
 and the CLI report all quote the same numbers.
@@ -13,8 +13,9 @@ and the CLI report all quote the same numbers.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -265,11 +266,13 @@ class Povm:
 class HelstromCertificate:
     """The data certifying a claimed optimum: ratio p, common point, conjugates, multipliers.
 
-    Constructor checks are structural (shapes, ranges, purity bookkeeping).
-    Whether the certificate actually certifies an optimum is judged by the
-    verification functions and the KKT report, which must be able to receive
-    deliberately broken certificates and grade them, so optimality itself is
-    not a construction invariant here.
+    (p, common_point) is the dual point Y = (p I + r.sigma)/2 of the
+    weak-duality gate in family.assemble_result. Constructor checks are
+    structural (shapes, ranges, purity bookkeeping). Whether the certificate
+    actually certifies an optimum is judged by that gate and, as a
+    diagnostic, by the KKT report, which must be able to receive deliberately
+    broken certificates and grade them, so optimality itself is not a
+    construction invariant here.
 
     degenerate marks the guess regime p = max prior, where the measurement
     has a single identity element, every multiplier vanishes and no
@@ -326,13 +329,13 @@ class HelstromCertificate:
 
 @dataclass(frozen=True)
 class DiscriminationResult:
-    """Everything a solve returns: the value, the measurement, the certificate, the grade."""
+    """Everything a solve returns; `kkt` grades the certificate on first access."""
 
     p_opt: float
     povm: Povm
     certificate: HelstromCertificate
-    kkt: "KktReport"
     method: str
+    ensemble: WeightedEnsemble = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_opt", float(self.p_opt))
@@ -344,3 +347,8 @@ class DiscriminationResult:
             )
         if self.povm.n != self.certificate.n:
             raise ValueError("POVM and certificate cover different numbers of states")
+
+    @functools.cached_property
+    def kkt(self) -> "KktReport":
+        from .kkt import kkt_residuals  # kkt imports this module
+        return kkt_residuals(self.ensemble, self.certificate, self.povm)

@@ -21,6 +21,7 @@ from .bloch import (
     FAMILY_TOL,
     KKT_TOL,
     ORTHOGONALITY_TOL,
+    PURITY_TOL,
     SUCCESS_TOL,
     BlochVector,
     DiscriminationResult,
@@ -30,18 +31,17 @@ from .bloch import (
     validate_ensemble,
 )
 from .closed_form import (
-    _cone_structure,
-    _solve_cone_assembled,
+    SOLVE_METHODS,
     cone_ensemble,
     mirror_ensemble,
     mirror_regime,
-    solve_auto,
+    solve_auto,  # unused here; bench/tests/test_bench.py reads qsd.cli.solve_auto
     solve_cone,
     solve_diagonal,
     solve_mirror_symmetric,
     solve_symmetric_shell,
     solve_three_state,
-    solve_two_state,
+    solve_with_method as _solve_with_method,  # tests patch this name
 )
 from .errors import DiscriminationError
 from .family import success_probability
@@ -114,43 +114,13 @@ def parse_povm_file(path: str, expected_n: int) -> Povm:
 
 
 # ---------------------------------------------------------------------------
-# solver selection
-
-
-def _solve_with_method(
-    ensemble: WeightedEnsemble, method: str, tol: float, seed: int
-) -> DiscriminationResult:
-    if method == "auto":
-        return solve_auto(ensemble, tol=tol, seed=seed)
-    if method == "two-state":
-        return solve_two_state(ensemble)
-    if method == "three-state":
-        return solve_three_state(ensemble)
-    if method == "diagonal":
-        return solve_diagonal(ensemble)
-    if method == "symmetric-shell":
-        return solve_symmetric_shell(ensemble)
-    if method == "cone":
-        structure = _cone_structure(ensemble)
-        if structure is None:
-            raise ValueError(
-                "ensemble lacks cone structure"
-                " (equiprobable priors, common Bloch norm and polar angle)"
-            )
-        return _solve_cone_assembled(ensemble, *structure)
-    if method == "oracle":
-        return solve_oracle(ensemble, tol=tol, seed=seed)
-    raise ValueError(f"unknown method {method!r}")
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 
 def _effective_tolerances(tol: float) -> dict:
     return {
         "oracle": tol,
-        "purity_classification": tol,
+        "purity_classification": PURITY_TOL,
         "kkt_pass": KKT_TOL,
         "family_residual": FAMILY_TOL,
         "success_match": SUCCESS_TOL,
@@ -181,7 +151,7 @@ def build_report(
                 "bloch": list(state.bloch),
                 "conjugate": list(conj),
                 "conjugate_norm": conj.norm(),
-                "pure": bool(conj.norm() >= 1.0 - tol),
+                "pure": cert.pure_mask[i],
                 "povm_a": element.a,
                 "povm_v": list(element.v),
                 "lambda": cert.lambdas[i],
@@ -439,18 +409,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-9,
-        help="oracle convergence and purity-classification tolerance",
+        help="oracle convergence tolerance",
     )
     common.add_argument("--seed", type=int, default=0, help="oracle start-point seed")
 
     parser = _Parser(prog="qsd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    methods = ("auto", "two-state", "three-state", "diagonal", "symmetric-shell", "cone", "oracle")
-
     p_solve = sub.add_parser("solve", parents=[common], help="solve an ensemble file")
     p_solve.add_argument("path", help="ensemble file: lines `<prior> <bx> <by> <bz>`")
-    p_solve.add_argument("--method", choices=methods, default="auto")
+    p_solve.add_argument("--method", choices=SOLVE_METHODS, default="auto")
     p_solve.add_argument("--cross-check", action="store_true", help="also run the oracle")
     p_solve.add_argument(
         "--renormalize", action="store_true", help="rescale priors to sum to 1"
@@ -461,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("path", help="ensemble file")
     p_verify.add_argument("povm_path", help="POVM file: lines `<a> <vx> <vy> <vz>`")
-    p_verify.add_argument("--method", choices=methods, default="auto")
+    p_verify.add_argument("--method", choices=SOLVE_METHODS, default="auto")
     p_verify.add_argument("--renormalize", action="store_true")
 
     p_demo = sub.add_parser("demo", parents=[common], help="run a built-in example")

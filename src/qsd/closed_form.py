@@ -3,11 +3,11 @@
 Every solver here reduces its case to a ratio p, a common point r, and a
 nonnegative weight system over pure conjugate directions, then hands the
 pieces to family.assemble_result, which refuses anything that fails the
-certificate suite. Where a case has several closed-form candidates (three
-states: three boundary pairs and an interior quadratic), all candidates are
-built, each is validated independently, and selection is by the total order
-(validity, p, candidate index); if nothing validates, the minimax oracle
-takes over and the result is tagged accordingly.
+weak-duality certificate. Where a case has several closed-form candidates
+(three states: three boundary pairs and an interior quadratic), all
+candidates are built, each is validated independently, and selection is by
+the total order (validity, p, candidate index); if nothing validates, the
+minimax oracle takes over and the result is tagged accordingly.
 
 The guess regime is handled explicitly everywhere: whenever the best
 formula value does not exceed the largest prior, the optimum is to always
@@ -61,6 +61,8 @@ __all__ = [
     "mirror_regime",
     "solve_mirror_symmetric",
     "solve_auto",
+    "SOLVE_METHODS",
+    "solve_with_method",
 ]
 
 
@@ -336,7 +338,7 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Enumerate three boundary candidates and two interior roots; validate all.
 
     Selection is by (p, candidate index); any candidate that survives the
-    full certificate suite is a verified optimum of its own branch, and the
+    weak-duality certificate is a verified optimum of its own branch, and the
     smallest valid ratio is the answer. When nothing validates (e.g. the
     guess regime, where no formula candidate exists), the minimax oracle
     solves the instance and the result is tagged method="oracle".
@@ -409,10 +411,7 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
             continue
         gap = p - pr[k]
         if gap <= 1e-15:
-            # a tied prior can only be covered if its point already sits at r
-            if float(np.linalg.norm(r - q[k])) > 1e-9:
-                raise CertificateError(f"diagonal tie at index {k} cannot be certified")
-            continue
+            continue  # covered only if q_k sits at r, which the gate checks
         conj[k] = (r - q[k]) / gap
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
@@ -654,3 +653,33 @@ def solve_auto(ensemble: WeightedEnsemble, tol: float = 1e-10, seed: int = 0) ->
     except (ValueError, WeightSystemInfeasible, CertificateError, DegenerateRatioError):
         pass
     return solve_oracle(ensemble, tol=tol, seed=seed)
+
+
+SOLVE_METHODS = ("auto", "two-state", "three-state", "diagonal", "symmetric-shell", "cone", "oracle")
+
+
+def solve_with_method(
+    ensemble: WeightedEnsemble, method: str, tol: float, seed: int
+) -> DiscriminationResult:
+    """Run the solver named in SOLVE_METHODS; tol and seed reach only the oracle."""
+    if method == "auto":
+        return solve_auto(ensemble, tol=tol, seed=seed)
+    if method == "two-state":
+        return solve_two_state(ensemble)
+    if method == "three-state":
+        return solve_three_state(ensemble)
+    if method == "diagonal":
+        return solve_diagonal(ensemble)
+    if method == "symmetric-shell":
+        return solve_symmetric_shell(ensemble)
+    if method == "cone":
+        structure = _cone_structure(ensemble)
+        if structure is None:
+            raise ValueError(
+                "ensemble lacks cone structure"
+                " (equiprobable priors, common Bloch norm and polar angle)"
+            )
+        return _solve_cone_assembled(ensemble, *structure)
+    if method == "oracle":
+        return solve_oracle(ensemble, tol=tol, seed=seed)
+    raise ValueError(f"unknown method {method!r}")

@@ -1,5 +1,8 @@
 """Residual grading of candidate solutions against the full first-order system.
 
+A diagnostic, not the gate (that is weak duality, in family.assemble_result):
+DiscriminationResult.kkt calls kkt_residuals when the report is first read.
+
 The optimum of the family program satisfies, with multipliers lambda_i for
 the purity inequalities and vector multipliers nu_i for the common-point
 equalities (state 1 distinguished as the pivot):

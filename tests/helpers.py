@@ -51,6 +51,22 @@ def random_diagonal_ensemble(rng, count, min_prior=1e-3):
     )
 
 
+def assert_dual_certificate(ensemble, result):
+    """Weak duality in 2x2 complex matrices, independent of the Bloch algebra:
+    Y = (p I + r.sigma)/2 dominates every p_i rho_i, every element is PSD, and
+    tr Y equals the success sum_i p_i tr(rho_i Pi_i)."""
+    p = result.p_opt
+    y = operator_matrix(0.5 * p, 0.5 * result.certificate.common_point.as_array())
+    success = 0.0
+    for (prior, state), element in zip(ensemble.entries, result.povm.elements):
+        rho = density_matrix(state.bloch.as_array())
+        pi = operator_matrix(element.a, element.v.as_array())
+        assert np.linalg.eigvalsh(y - prior * rho).min() >= -1e-8, "Y - p_i rho_i not PSD"
+        assert np.linalg.eigvalsh(pi).min() >= -1e-12, "POVM element not PSD"
+        success += prior * float(np.trace(rho @ pi).real)
+    assert abs(float(np.trace(y).real) - success) <= 1e-8, "duality gap"
+
+
 def assert_result_valid(ensemble, result):
     """The full certificate suite; degenerate (guessing) results get the
     reduced treatment: feasibility checks still apply, the optimality
@@ -75,6 +91,7 @@ def assert_result_valid(ensemble, result):
     assert all(c.norm() <= 1.0 + 1e-9 for c in cert.conjugates)
     assert abs(cert.p - result.p_opt) <= 1e-10
     assert all(lam >= -1e-15 for lam in cert.lambdas)
+    assert_dual_certificate(ensemble, result)
 
     report = kkt_residuals(ensemble, cert, povm)
     if cert.degenerate:

@@ -68,6 +68,17 @@ def test_solve_trine_json(tmp_path, capsys):
     }
 
 
+def test_solve_pure_flag_ignores_tol(tmp_path, capsys):
+    path = write(tmp_path, "triple.txt", "0.9 0 0 1\n0.05 0 0 -1\n0.05 1 0 0\n")
+    code, out, _ = run(capsys, ["solve", path, "--tol", "0.95", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    third = report["states"][2]
+    assert third["conjugate_norm"] == pytest.approx(math.sqrt(290.0) / 18.0, abs=1e-12)
+    assert third["pure"] is False
+    assert report["tolerances"]["purity_classification"] == 1e-9
+
+
 def test_solve_cross_check(tmp_path, capsys):
     path = write(tmp_path, "trine.txt", TRINE)
     code, out, _ = run(capsys, ["solve", path, "--format", "json", "--cross-check"])

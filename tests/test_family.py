@@ -218,6 +218,22 @@ def test_assemble_result_rejects_fat_conjugate():
         )
 
 
+def test_assemble_result_rejects_wrong_common_point():
+    # every pairwise mixture still agrees, but r is far from all of them:
+    # f(r) = 2.28 while p = 0.88, so Y is not dual feasible
+    ens = skewed_pair()
+    result = qsd.solve_two_state(ens)
+    with pytest.raises(CertificateError):
+        assemble_result(
+            ens,
+            result.p_opt,
+            BlochVector(0.5, -0.5, 0.9),
+            result.certificate.conjugates,
+            result.povm,
+            "two-state",
+        )
+
+
 def test_guess_result_dominant_prior():
     ens = qsd.validate_ensemble([(0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))])
     result = guess_result(ens, 0, "two-state")

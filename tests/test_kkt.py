@@ -121,6 +121,19 @@ def test_worst_names_largest_residual():
     assert value == max(result.kkt.residuals().values())
 
 
+def test_result_kkt_is_the_direct_report():
+    rng = np.random.default_rng(11)
+    ensembles = [skewed_pair(), boundary_triple(), qsd.cone_ensemble(3, 1.0, 0.5 * math.pi)]
+    ensembles += [random_ensemble(rng, n) for n in (2, 3, 3, 4, 5)]
+    ensembles.append(
+        qsd.validate_ensemble([(0.98, (0, 0, 0.1)), (0.01, (0, 0, 0.2)), (0.01, (0, 0, -0.1))])
+    )
+    for ens in ensembles:
+        result = qsd.solve_auto(ens)
+        assert result.kkt == kkt_residuals(ens, result.certificate, result.povm)
+        assert result.kkt is result.kkt
+
+
 def test_stationarity_implies_aggregates():
     """Whenever the stationarity rows are satisfied to 1e-10, the two
     aggregate identities must hold to 1e-8 (they are algebraic consequences)."""
