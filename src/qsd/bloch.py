@@ -120,6 +120,11 @@ class QubitState:
         return self.bloch.norm() >= 1.0 - PURITY_TOL
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class WeightedEnsemble:
     """An ordered tuple of (prior, state) pairs with priors summing to one.
@@ -128,6 +133,10 @@ class WeightedEnsemble:
     information and a unit-prior state makes discrimination trivial, and
     several downstream ratios divide by quantities that vanish exactly
     there.
+
+    priors, bloch_matrix and weighted_points are computed on first access
+    and shared from then on as read-only arrays; they take no part in
+    ==, hash or repr.
     """
 
     entries: tuple
@@ -155,19 +164,19 @@ class WeightedEnsemble:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
+    @functools.cached_property
     def priors(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries], dtype=float)
+        return _read_only(np.array([p for p, _ in self.entries], dtype=float))
 
-    @property
+    @functools.cached_property
     def bloch_matrix(self) -> np.ndarray:
         """Row i is the Bloch vector of state i, shape (n, 3)."""
-        return np.array([list(s.bloch) for _, s in self.entries], dtype=float)
+        return _read_only(np.array([list(s.bloch) for _, s in self.entries], dtype=float))
 
-    @property
+    @functools.cached_property
     def weighted_points(self) -> np.ndarray:
         """Row i is prior_i * bloch_i, the points the geometry runs on."""
-        return self.priors[:, None] * self.bloch_matrix
+        return _read_only(self.priors[:, None] * self.bloch_matrix)
 
     def states(self) -> tuple:
         return tuple(s for _, s in self.entries)

@@ -411,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-9,
         help="oracle convergence tolerance",
     )
-    common.add_argument("--seed", type=int, default=0, help="oracle start-point seed")
+    common.add_argument("--seed", type=int, default=0, help="accepted but unused")
 
     parser = _Parser(prog="qsd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,21 +5,24 @@ geometry problem: with weighted points q_i = p_i b_i, the optimal ratio is
 
     p* = min over r in R^3 of f(r),   f(r) = max_i (p_i + |r - q_i|),
 
-a weighted smallest-enclosing-ball value. f is convex and piecewise smooth,
-the minimizer's support has at most 4 points, and optimality of a point r
-is certified by 0 lying in the convex hull of the active unit directions
-(r - q_i)/|r - q_i| (a point coinciding with some q_i certifies by itself,
-since the subdifferential there contains the whole unit ball).
+the radius of the smallest ball enclosing the balls B(q_i, p_i). That is an
+LP-type problem of combinatorial dimension at most 4: the minimizer is
+unique, and it is already the minimizer over a support of at most 4
+indices, at which 0 lies in the convex hull of the unit directions
+(r - q_i)/|r - q_i|, or equivalently r lies in the convex hull of the q_i
+(a point coinciding with some q_i certifies by itself, since the
+subdifferential there contains the whole unit ball).
 
-The solver runs a seeded multistart subgradient phase with Polyak steps
-against the pairwise lower bound, purely to localize the optimum, then
-polishes exactly: every support subset of size 1 to 4 (ordered by how close
-each index is to active at the localized point) is solved algebraically for
-the equal-slack point, and the first candidate passing the global
-feasibility + hull-stationarity certificate wins. Because f(r_hat) is an
-upper bound at any r_hat and the certificate bounds the gap, a converged
-answer is within the requested tolerance one-sidedly. No step depends on
-any closed-form solver, which is what keeps the arbitration honest.
+The solver pivots over bases, starting from {argmax p_i}, whose optimum
+r = q_i is already the answer in the guess regime. While some index j has
+p_j + |r - q_j| above the basis value, j joins the basis, which is solved
+again exactly over the equal-slack points of the subsets containing j; the
+members active at the best one form the next basis. The basis value rises
+strictly, so the loop ends (it is capped at a fixed multiple of n all the
+same). The exit test is global feasibility plus hull stationarity on the
+final basis alone: f(r) is an upper bound at any r and the basis value a
+lower bound. No step depends on any closed-form solver, which is what keeps
+the arbitration honest.
 """
 
 from __future__ import annotations
@@ -56,7 +59,22 @@ __all__ = [
 ]
 
 ACTIVATION_TOL = 1e-7  # relative width of the reported active set
-_N_STARTS = 8
+
+# Equal-slack geometry.
+_SEPARATION_TOL = 1e-15   # points, slacks and gaps below this count as zero
+_CONSISTENCY_TOL = 1e-9   # residual of the affine system for r on a support
+_QUADRATIC_TOL = 1e-14    # |coefficient| below this makes the quadratic in p degenerate
+_ROOT_TOL = 1e-12         # the discriminant, and p - max prior, may dip below zero by this
+
+# Pivoting.
+_WINDOW_FLOOR = 1e-12     # a pivot needs a violation of the basis value above max(tol, this)
+_PIVOTS_PER_STATE = 4     # pivot cap as a multiple of n
+
+# POVM recovery and the samplers.
+_GUESS_PRIOR_TOL = 1e-9   # priors this close to p compete for the guessed state
+_AXIS_TOL = 1e-12         # off-axis Bloch components that still count as diagonal
+_NORM_FLOOR = 1e-12       # sampled directions shorter than this stay unnormalized
+_SHRINK_MARGIN = 1e-12    # sampled elements stay this far inside the PSD cone
 
 
 @dataclass(frozen=True)
@@ -71,19 +89,13 @@ class MinimaxSolution:
 def minimax_objective(ensemble: WeightedEnsemble, r) -> float:
     """f(r) = max_i (p_i + |r - p_i b_i|)."""
     r_arr = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float).reshape(3)
-    return _objective(ensemble.priors, ensemble.weighted_points, r_arr)
-
-
-def _objective(pr: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
-    return float((pr + np.linalg.norm(r - q, axis=1)).max())
+    return float((ensemble.priors + np.linalg.norm(r_arr - ensemble.weighted_points, axis=1)).max())
 
 
 def pair_lower_bound(ensemble: WeightedEnsemble) -> float:
     """max over singletons and pairs of the triangle-inequality bound on p*."""
-    return _pair_lower_bound(ensemble.priors, ensemble.weighted_points)
-
-
-def _pair_lower_bound(pr: np.ndarray, q: np.ndarray) -> float:
+    pr = ensemble.priors
+    q = ensemble.weighted_points
     best = float(pr.max())
     n = len(pr)
     for i in range(n):
@@ -108,10 +120,10 @@ def _support_points(pr: np.ndarray, q: np.ndarray, subset) -> list:
         i, j = s
         d = q[j] - q[i]
         dn = float(np.linalg.norm(d))
-        if dn <= 1e-15:
+        if dn <= _SEPARATION_TOL:
             return []
         p = 0.5 * (pr[i] + pr[j] + dn)
-        if p < pr[i] - 1e-15 or p < pr[j] - 1e-15:
+        if p < pr[i] - _SEPARATION_TOL or p < pr[j] - _SEPARATION_TOL:
             return []
         return [q[i] + ((p - pr[i]) / dn) * d]
 
@@ -119,59 +131,75 @@ def _support_points(pr: np.ndarray, q: np.ndarray, subset) -> list:
     rest = s[1:]
     e = q[rest] - q[i0]
     # 2 rt.e_m = |e_m|^2 + (p_m - p_0)(2p - p_0 - p_m): affine in p
-    h0 = np.einsum("ij,ij->i", e, e) - (pr[rest] - pr[i0]) * (pr[rest] + pr[i0])
-    h1 = 2.0 * (pr[rest] - pr[i0])
-    u0, _, rank, _ = np.linalg.lstsq(2.0 * e, h0, rcond=None)
-    u1, _, _, _ = np.linalg.lstsq(2.0 * e, h1, rcond=None)
+    h = np.column_stack([
+        np.einsum("ij,ij->i", e, e) - (pr[rest] - pr[i0]) * (pr[rest] + pr[i0]),
+        2.0 * (pr[rest] - pr[i0]),
+    ])
+    u, _, rank, _ = np.linalg.lstsq(2.0 * e, h, rcond=None)
     if rank < len(rest):
         return []
-    if (
-        np.linalg.norm(2.0 * e @ u0 - h0) > 1e-9
-        or np.linalg.norm(2.0 * e @ u1 - h1) > 1e-9
-    ):
+    if (np.linalg.norm(2.0 * e @ u - h, axis=0) > _CONSISTENCY_TOL).any():
         return []
+    u0, u1 = u.T
     # |rt(p)|^2 = (p - p_0)^2 with rt(p) = u0 + u1 p
     alpha = float(u1 @ u1) - 1.0
     beta = 2.0 * float(u0 @ u1) + 2.0 * pr[i0]
     gamma = float(u0 @ u0) - pr[i0] ** 2
     roots = []
-    if abs(alpha) <= 1e-14:
-        if abs(beta) > 1e-14:
+    if abs(alpha) <= _QUADRATIC_TOL:
+        if abs(beta) > _QUADRATIC_TOL:
             roots.append(-gamma / beta)
     else:
         disc = beta * beta - 4.0 * alpha * gamma
-        if disc >= -1e-12:
+        if disc >= -_ROOT_TOL:
             sq = float(np.sqrt(max(disc, 0.0)))
             roots.extend([(-beta + sq) / (2.0 * alpha), (-beta - sq) / (2.0 * alpha)])
     out = []
     for p in roots:
         if not np.isfinite(p):
             continue
-        if p < pr[s].max() - 1e-12:
+        if p < pr[s].max() - _ROOT_TOL:
             continue
         out.append(q[i0] + u0 + u1 * p)
     return out
 
 
-def _certify(pr: np.ndarray, q: np.ndarray, r: np.ndarray, windows) -> tuple | None:
-    """Global-optimality certificate at r: (f(r), window-active indices) or None.
+def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int, window: float) -> tuple:
+    """(basis, r, value): the optimum of f over basis + (j,), whose old optimum j violates.
 
-    Feasibility is free (p_hat is recomputed as f(r)); what is checked is
-    stationarity, 0 in the convex hull of active unit directions, with the
-    coincident-point rule as the degenerate case.
+    j is in the new optimum's support, so only the equal-slack points of
+    subsets holding j and at most 3 basis indices are solved; the one with
+    the smallest f over the members is that optimum. The members within
+    window of its value form the next basis.
     """
-    dist = np.linalg.norm(r - q, axis=1)
-    f_vals = pr + dist
-    p_hat = float(f_vals.max())
-    for w in windows:
-        active = np.flatnonzero(f_vals >= p_hat - w)
-        if dist[active].min() <= 1e-12:
-            return p_hat, tuple(int(i) for i in active)
-        dirs = (r - q[active]) / dist[active][:, None]
-        mu, _ = subset_support_weights(dirs, total=1.0)
-        if mu is not None:
-            return p_hat, tuple(int(i) for i in active)
-    return None
+    members = list(basis) + [j]
+    best_r, best = None, np.inf
+    for size in range(min(len(basis), 3) + 1):
+        for rest in combinations(basis, size):
+            for r in _support_points(pr, q, rest + (j,)):
+                value = float((pr[members] + np.linalg.norm(r - q[members], axis=1)).max())
+                if value < best:
+                    best_r, best = r, value
+    f_members = pr[members] + np.linalg.norm(best_r - q[members], axis=1)
+    active = tuple(i for i, f in zip(members, f_members) if f >= best - window)
+    return active, best_r, best
+
+
+def _stationary(q: np.ndarray, r: np.ndarray, basis: tuple) -> bool:
+    """r in the convex hull of the basis points.
+
+    With every basis point at equal slack, that is 0 in the hull of the unit
+    directions (r - q_i)/|r - q_i| (rescale each by |r - q_i|), so r
+    minimizes f over the basis; a basis point at r certifies by itself.
+    Scaling the rows by the largest instead of their own length keeps a
+    nearly coincident point from blowing up its direction's rounding error.
+    """
+    rows = q[list(basis)] - r
+    scale = float(np.linalg.norm(rows, axis=1).max())
+    if scale == 0.0:
+        return True
+    mu, _ = subset_support_weights(rows / scale, total=1.0)
+    return mu is not None
 
 
 def minimax_common_point(
@@ -182,85 +210,40 @@ def minimax_common_point(
 ) -> MinimaxSolution:
     """Minimize f over R^3; certified global within tol when converged=True.
 
-    Deterministic for fixed (ensemble, tol, seed): the multistart spread,
-    subset enumeration order and tie-breaks are all fixed functions of the
-    inputs.
+    Pivots over bases (module docstring). iterations
+    counts the passes over all n points, one per basis; a pass that finds
+    no violation beyond max(tol, 1e-12) ends the loop, and the hull test on
+    that basis decides convergence. Reaching the cap of a fixed multiple of
+    n passes returns converged=False. Deterministic: ties break by index.
+    max_iters and seed are accepted for compatibility and ignored.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     pr = ensemble.priors
     q = ensemble.weighted_points
-    n = ensemble.n
-    lower = _pair_lower_bound(pr, q)
+    window = max(tol, _WINDOW_FLOOR)
 
-    r0 = pr @ q
-    rng = np.random.default_rng(seed)
-    spread = max(float(np.linalg.norm(q - r0, axis=1).max()), 1e-3)
-    starts = np.vstack([r0, r0 + spread * rng.standard_normal((_N_STARTS - 1, 3))])
-
-    R = starts.copy()
-    best_f = np.full(_N_STARTS, np.inf)
-    best_r = starts.copy()
-    arange = np.arange(_N_STARTS)
-    iterations = 0
-    stall = 0
-    for k in range(max_iters):
-        diff = R[:, None, :] - q[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        f_all = pr[None, :] + dist
-        idx = f_all.argmax(axis=1)
-        f = f_all[arange, idx]
-        improved = f < best_f - 1e-15
-        best_r[improved] = R[improved]
-        best_f[improved] = f[improved]
-        iterations = k + 1
-        if best_f.min() <= lower + max(tol, 1e-12):
+    k = int(np.argmax(pr))
+    basis, r, value = (k,), q[k], float(pr[k])
+    converged = False
+    for iterations in range(1, _PIVOTS_PER_STATE * ensemble.n + 1):
+        f_vals = pr + np.linalg.norm(r - q, axis=1)
+        j = int(np.argmax(f_vals))
+        if f_vals[j] <= value + window:
+            converged = _stationary(q, r, basis)
             break
-        stall = 0 if improved.any() else stall + 1
-        if stall >= 40 and k >= 80:
-            break
-        d_star = dist[arange, idx]
-        g = np.zeros((_N_STARTS, 3))
-        moving = d_star > 1e-15
-        g[moving] = diff[arange, idx][moving] / d_star[moving, None]
-        step = (f - lower) / (1.0 + 0.05 * k)
-        R = R - step[:, None] * g
+        basis, r, value = _pivot(pr, q, basis, j, window)
+    else:
+        f_vals = pr + np.linalg.norm(r - q, axis=1)
 
-    best = int(np.argmin(best_f))
-    r_loc = best_r[best]
-
-    # polish: exact subset solves ordered by activity at the localized point
-    closeness = pr + np.linalg.norm(r_loc - q, axis=1)
-    order = [int(i) for i in np.argsort(-closeness, kind="stable")]
-    windows = sorted({1e-12, max(tol, 1e-12)})
-    for size in range(1, min(4, n) + 1):
-        for subset in combinations(order, size):
-            for r_cand in _support_points(pr, q, subset):
-                hit = _certify(pr, q, r_cand, windows)
-                if hit is None:
-                    continue
-                p_hat, _ = hit
-                f_vals = pr + np.linalg.norm(r_cand - q, axis=1)
-                active = tuple(
-                    int(i) for i in np.flatnonzero(f_vals >= p_hat * (1.0 - ACTIVATION_TOL))
-                )
-                return MinimaxSolution(
-                    p_star=p_hat,
-                    r_star=BlochVector.from_array(r_cand),
-                    active_set=active,
-                    iterations=iterations,
-                    converged=True,
-                )
-
-    f_loc = _objective(pr, q, r_loc)
-    f_vals = pr + np.linalg.norm(r_loc - q, axis=1)
-    active = tuple(int(i) for i in np.flatnonzero(f_vals >= f_loc * (1.0 - ACTIVATION_TOL)))
+    p_hat = float(f_vals.max())
+    active = tuple(int(i) for i in np.flatnonzero(f_vals >= p_hat * (1.0 - ACTIVATION_TOL)))
     return MinimaxSolution(
-        p_star=f_loc,
-        r_star=BlochVector.from_array(r_loc),
+        p_star=p_hat,
+        r_star=BlochVector.from_array(r),
         active_set=active,
         iterations=iterations,
-        converged=False,
+        converged=converged,
     )
 
 
@@ -281,13 +264,13 @@ def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple
     r = solution.r_star.as_array()
 
     if p <= pr.max() + DEGENERACY_TOL:
-        near = np.flatnonzero(pr >= p - 1e-9)
+        near = np.flatnonzero(pr >= p - _GUESS_PRIOR_TOL)
         k = int(near[np.argmin(np.linalg.norm(r - q[near], axis=1))])
         p = float(max(p, pr[k]))
         conj = []
         for i in range(n):
             gap = p - pr[i]
-            if i == k or gap <= 1e-15:
+            if i == k or gap <= _SEPARATION_TOL:
                 conj.append(ZERO_VECTOR)
             else:
                 conj.append(BlochVector.from_array((r - q[i]) / gap))
@@ -313,6 +296,10 @@ def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple
         raise WeightSystemInfeasible(
             "no pure conjugates at the recovered optimum", directions=c
         )
+    # a pure conjugate is a unit vector; rounding in r and p leaves |c| off 1
+    # by up to about 1e-16 p / (p - p_i), which near the guess regime exceeds
+    # the PSD tolerance of the elements built from it
+    c[pure] /= norms[pure][:, None]
     w_pure, unique = subset_support_weights(c[pure], total=2.0)
     if w_pure is None:
         raise WeightSystemInfeasible(
@@ -371,7 +358,7 @@ def classical_diagonal_oracle(ensemble: WeightedEnsemble) -> float:
     strategy).
     """
     b = ensemble.bloch_matrix
-    if np.abs(b[:, :2]).max() > 1e-12:
+    if np.abs(b[:, :2]).max() > _AXIS_TOL:
         raise ValueError("classical_diagonal_oracle needs all states on the z axis")
     pr = ensemble.priors
     up = pr * (1.0 + b[:, 2]) / 2.0
@@ -396,13 +383,13 @@ def random_povm_sample(ensemble: WeightedEnsemble, count: int, seed: int = 0) ->
     a /= a.sum(axis=1, keepdims=True)
     dirs = rng.standard_normal((count, n, 3))
     dn = np.linalg.norm(dirs, axis=2, keepdims=True)
-    dirs /= np.where(dn > 1e-12, dn, 1.0)
+    dirs /= np.where(dn > _NORM_FLOOR, dn, 1.0)
     v = a[:, :, None] * rng.uniform(size=(count, n, 1)) * dirs
     v -= a[:, :, None] * v.sum(axis=1, keepdims=True)
     vn = np.linalg.norm(v, axis=2)
     with np.errstate(divide="ignore"):
         ratio = np.where(vn > 0.0, a / np.where(vn > 0.0, vn, 1.0), np.inf)
-    shrink = np.minimum(1.0, ratio.min(axis=1)) * (1.0 - 1e-12)
+    shrink = np.minimum(1.0, ratio.min(axis=1)) * (1.0 - _SHRINK_MARGIN)
     v *= shrink[:, None, None]
     pr = ensemble.priors
     b = ensemble.bloch_matrix

@@ -1,12 +1,14 @@
 """Shared test utilities: random ensemble builders and the certificate suite."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 import qsd
 from qsd.family import family_residual, success_probability, verify_optimality
 from qsd.kkt import kkt_residuals
+from qsd.oracle import _support_points
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,6 +51,21 @@ def random_diagonal_ensemble(rng, count, min_prior=1e-3):
     return qsd.validate_ensemble(
         [(float(p), (0.0, 0.0, float(zz))) for p, zz in zip(priors, z)]
     )
+
+
+def brute_force_minimax(ensemble):
+    """min f(r) over the equal-slack points of every support of size 1 to 4.
+
+    The exhaustive reference for the pivoting oracle: the optimum's support
+    has at most 4 indices, so the smallest f among all these points is p*.
+    """
+    pr, q = ensemble.priors, ensemble.weighted_points
+    best = math.inf
+    for size in range(1, min(4, ensemble.n) + 1):
+        for subset in combinations(range(ensemble.n), size):
+            for r in _support_points(pr, q, subset):
+                best = min(best, float((pr + np.linalg.norm(r - q, axis=1)).max()))
+    return best
 
 
 def assert_dual_certificate(ensemble, result):

@@ -89,6 +89,18 @@ def test_ensemble_weighted_points():
     assert np.allclose(q[1], [0.0, 0.0, -0.7])
 
 
+def test_ensemble_arrays_are_cached_and_read_only():
+    ens = qsd.validate_ensemble([(0.3, (1, 0, 0)), (0.7, (0, 0, -1))])
+    same = qsd.validate_ensemble([(0.3, (1, 0, 0)), (0.7, (0, 0, -1))])
+    for name in ("priors", "bloch_matrix", "weighted_points"):
+        arr = getattr(ens, name)
+        assert getattr(ens, name) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert ens == same and hash(ens) == hash(same) and repr(ens) == repr(same)
+
+
 finite3 = st.tuples(
     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
 )

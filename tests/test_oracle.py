@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsd
+import qsd.oracle
 from qsd import BlochVector, ConvergenceError, MinimaxSolution
 from qsd.oracle import (
     classical_diagonal_oracle,
@@ -16,7 +19,7 @@ from qsd.oracle import (
     recover_povm,
     solve_oracle,
 )
-from helpers import assert_result_valid, random_ensemble
+from helpers import assert_result_valid, ball_points, brute_force_minimax, random_ensemble
 
 
 def antipodal():
@@ -167,3 +170,102 @@ def test_random_povm_sample_bound_and_determinism():
 def test_random_povm_sample_count_validation():
     with pytest.raises(ValueError):
         random_povm_sample(trine(), 0)
+
+
+def sphere_points(rng, count):
+    v = rng.normal(size=(count, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def test_guess_regime_is_the_first_basis():
+    for ens in (
+        qsd.validate_ensemble([(0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))]),
+        qsd.validate_ensemble([(0.9, (0, 0, 0.5)), (0.05, (0, 0, 0.4)), (0.05, (0.3, 0, 0))]),
+    ):
+        sol = minimax_common_point(ens)
+        assert sol.converged
+        assert sol.iterations == 1
+        assert sol.p_star == float(ens.priors.max())
+
+
+def test_all_active_equal_priors_certify_on_the_basis_alone(monkeypatch):
+    # with exactly equal priors every pure state is active at r = 0, so a
+    # stationarity test over the active set would enumerate all 32 of them
+    rng = np.random.default_rng(21)
+    n = 32
+    ens = qsd.validate_ensemble(
+        [(1.0 / n, tuple(row)) for row in sphere_points(rng, n)]
+    )
+    rows = []
+    real = qsd.oracle.subset_support_weights
+
+    def spy(directions, total=2.0):
+        rows.append(len(directions))
+        return real(directions, total)
+
+    monkeypatch.setattr(qsd.oracle, "subset_support_weights", spy)
+    sol = minimax_common_point(ens)
+    assert sol.converged
+    assert len(sol.active_set) == n
+    assert sol.p_star == pytest.approx(2.0 / n, abs=1e-12)
+    assert len(rows) <= 1 and all(m <= 5 for m in rows)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_large_ensembles_need_few_pivots(n):
+    rng = np.random.default_rng(n)
+    priors = rng.dirichlet(np.ones(n))
+    mixed = qsd.validate_ensemble(
+        [(float(p), tuple(row)) for p, row in zip(priors, ball_points(rng, n))]
+    )
+    jitter = 1.0 + rng.uniform(-0.05, 0.05, size=n)
+    pure = qsd.validate_ensemble(
+        [(float(p), tuple(row)) for p, row in zip(jitter / jitter.sum(), sphere_points(rng, n))]
+    )
+    for ens in (mixed, pure):
+        sol = minimax_common_point(ens)
+        assert sol.converged
+        assert sol.iterations <= 20
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(2, 10),
+    tied=st.integers(0, 10),
+    duplicated=st.integers(0, 10),
+    pure=st.booleans(),
+)
+def test_pivoting_matches_exhaustive_supports(seed, n, tied, duplicated, pure):
+    # the first `tied` priors share one value and the last `duplicated`
+    # states repeat earlier ones, so ties and coincident points both occur
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 1.0, size=n)
+    weights[: min(tied, n)] = weights[0]
+    points = sphere_points(rng, n) if pure else ball_points(rng, n)
+    for k in range(max(n - duplicated, 1), n):
+        points[k] = points[int(rng.integers(0, k))]
+    ens = qsd.validate_ensemble(
+        [(float(w), tuple(row)) for w, row in zip(weights, points)], renormalize=True
+    )
+    sol = minimax_common_point(ens)
+    assert sol.converged
+    assert pair_lower_bound(ens) - 1e-12 <= sol.p_star
+    for r in rng.uniform(-1.0, 1.0, size=(5, 3)):
+        assert sol.p_star <= minimax_objective(ens, r) + 1e-12
+    assert sol.p_star == pytest.approx(brute_force_minimax(ens), abs=1e-12)
+
+
+def test_near_guess_regime_recovers_a_valid_povm():
+    # p* exceeds the largest prior by about 1e-6, so the conjugate of that
+    # state comes from a difference of nearly equal numbers and |c| misses 1
+    # by more than the PSD tolerance of its element unless it is normalized
+    ens = qsd.validate_ensemble([
+        (0.034049794533563396, (-0.032983604940599806, -0.9133812712418539, 0.2446082323619201)),
+        (0.027568159143459205, (-0.15294349839887186, 0.11982028482815275, -0.5486620904157652)),
+        (0.4840149347107606, (0.8450611570277906, 0.28579419601898653, -0.00704823428696028)),
+        (0.4543671116122169, (0.859596781274704, 0.3519998602741685, 0.011141761174825356)),
+    ])
+    result = solve_oracle(ens)
+    assert 0.0 < result.p_opt - float(ens.priors.max()) < 1e-5
+    assert_result_valid(ens, result)
