@@ -283,8 +283,10 @@ class HelstromCertificate:
     broken certificates and grade them, so optimality itself is not a
     construction invariant here.
 
-    degenerate marks the guess regime p = max prior, where the measurement
-    has a single identity element, every multiplier vanishes and no
+    degenerate marks a measurement that does no better than guessing,
+    success <= max prior + DEGENERACY_TOL: the guess regime, where the
+    measurement has a single identity element, the multipliers vanish (up
+    to the oracle's tol, by which its p may exceed the guess value) and no
     orthogonality witness exists.
     """
 
@@ -295,7 +297,6 @@ class HelstromCertificate:
     lambdas: tuple
     pure_mask: tuple
     degenerate: bool = False
-    weights_unique: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", float(self.p))

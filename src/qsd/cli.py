@@ -261,10 +261,8 @@ def _emit(report: dict, fmt: str, render_text) -> None:
 
 def cmd_solve(args) -> int:
     ensemble = parse_ensemble_file(args.path, renormalize=args.renormalize)
-    result = _solve_with_method(ensemble, args.method, args.tol, args.seed)
-    cross = (
-        solve_oracle(ensemble, tol=args.tol, seed=args.seed) if args.cross_check else None
-    )
+    result = _solve_with_method(ensemble, args.method, args.tol)
+    cross = solve_oracle(ensemble, tol=args.tol) if args.cross_check else None
     report = build_report(ensemble, result, args.tol, cross_check=cross)
     report["input"] = args.path
     _emit(report, args.format, _render_solve_text)
@@ -275,7 +273,7 @@ def cmd_verify(args) -> int:
     ensemble = parse_ensemble_file(args.path, renormalize=args.renormalize)
     povm = parse_povm_file(args.povm_path, ensemble.n)
     success = success_probability(ensemble, povm)
-    result = _solve_with_method(ensemble, args.method, args.tol, args.seed)
+    result = _solve_with_method(ensemble, args.method, args.tol)
     satisfied = success <= result.p_opt + BOUND_SLACK
 
     a_sum = math.fsum(e.a for e in povm.elements)
@@ -303,7 +301,6 @@ def cmd_verify(args) -> int:
 def _demo_spec(args):
     """Build (ensemble, result, reference_p, reference_note, extra_lines)."""
     name = args.name
-    seed, tol = args.seed, args.tol
     if name == "trine":
         ensemble = cone_ensemble(3, 1.0, 0.5 * math.pi)
         result = solve_three_state(ensemble)
@@ -367,7 +364,7 @@ def _demo_spec(args):
 
 def cmd_demo(args) -> int:
     ensemble, result, reference_p, reference_note, extra = _demo_spec(args)
-    cross = solve_oracle(ensemble, tol=args.tol, seed=args.seed)
+    cross = solve_oracle(ensemble, tol=args.tol)
     report = build_report(ensemble, result, args.tol, cross_check=cross)
     report["command"] = "demo"
     report["demo"] = args.name
@@ -411,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-9,
         help="oracle convergence tolerance",
     )
-    common.add_argument("--seed", type=int, default=0, help="accepted but unused")
 
     parser = _Parser(prog="qsd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -381,22 +381,18 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     down = pr * (1.0 - z) / 2.0
 
     # same candidate grid as the classical two-outcome maximum, so the
-    # winning value is bit-identical to max_i up_i + max_j down_j
-    best_val = -np.inf
-    best = None
-    for u in range(n):
-        for d in range(n):
-            if u == d:
-                continue
-            val = up[u] + down[d]
-            if val > best_val:
-                best_val, best = val, (u, d)
-    for k in range(n):
-        val = up[k] + down[k]
-        if val > best_val:
-            best_val, best = val, (k, k)
-
-    u, d = best
+    # winning value is bit-identical to max_i up_i + max_j down_j; argmax
+    # keeps the first pair in row-major order, and the diagonal (the guess)
+    # wins only when strictly larger
+    pairs = up[:, None] + down[None, :]
+    np.fill_diagonal(pairs, -np.inf)
+    u, d = divmod(int(np.argmax(pairs)), n)
+    best_val = pairs[u, d]
+    guesses = up + down
+    k = int(np.argmax(guesses))
+    if guesses[k] > best_val:
+        u = d = k
+        best_val = guesses[k]
     if u == d:
         return guess_result(ensemble, u, "diagonal", value=best_val)
 
@@ -627,7 +623,7 @@ def solve_mirror_symmetric(theta: float, p1: float) -> DiscriminationResult:
 # dispatch
 
 
-def solve_auto(ensemble: WeightedEnsemble, tol: float = 1e-10, seed: int = 0) -> DiscriminationResult:
+def solve_auto(ensemble: WeightedEnsemble, tol: float = 1e-10) -> DiscriminationResult:
     """Route an ensemble to the most specific applicable solver.
 
     Order: two states; diagonal (N >= 3 on the z axis); general three
@@ -652,18 +648,16 @@ def solve_auto(ensemble: WeightedEnsemble, tol: float = 1e-10, seed: int = 0) ->
         return solve_symmetric_shell(ensemble)
     except (ValueError, WeightSystemInfeasible, CertificateError, DegenerateRatioError):
         pass
-    return solve_oracle(ensemble, tol=tol, seed=seed)
+    return solve_oracle(ensemble, tol=tol)
 
 
 SOLVE_METHODS = ("auto", "two-state", "three-state", "diagonal", "symmetric-shell", "cone", "oracle")
 
 
-def solve_with_method(
-    ensemble: WeightedEnsemble, method: str, tol: float, seed: int
-) -> DiscriminationResult:
-    """Run the solver named in SOLVE_METHODS; tol and seed reach only the oracle."""
+def solve_with_method(ensemble: WeightedEnsemble, method: str, tol: float) -> DiscriminationResult:
+    """Run the solver named in SOLVE_METHODS; tol reaches only the oracle."""
     if method == "auto":
-        return solve_auto(ensemble, tol=tol, seed=seed)
+        return solve_auto(ensemble, tol=tol)
     if method == "two-state":
         return solve_two_state(ensemble)
     if method == "three-state":
@@ -681,5 +675,5 @@ def solve_with_method(
             )
         return _solve_cone_assembled(ensemble, *structure)
     if method == "oracle":
-        return solve_oracle(ensemble, tol=tol, seed=seed)
+        return solve_oracle(ensemble, tol=tol)
     raise ValueError(f"unknown method {method!r}")

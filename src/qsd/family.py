@@ -150,11 +150,9 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
     w = np.where(np.abs(w) <= 1e-12, 0.0, w)
     if w.min() < 0.0:
         raise ValueError(f"negative weight {w.min()!r}")
-    elements = tuple(
-        PovmElement(w[k] / 2.0, BlochVector.from_array(-(w[k] / 2.0) * c[k]))
-        for k in range(len(w))
-    )
-    return Povm(elements)
+    a = w / 2.0
+    v = -a[:, None] * c
+    return Povm(tuple(PovmElement(ak, BlochVector(*vk)) for ak, vk in zip(a.tolist(), v.tolist())))
 
 
 def _default_lambdas(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
@@ -171,7 +169,6 @@ def assemble_result(
     povm: Povm,
     method: str,
     lambdas: Sequence | None = None,
-    weights_unique: bool = True,
 ) -> DiscriminationResult:
     """Certify and package a solver's output by weak duality; raise CertificateError on failure.
 
@@ -189,7 +186,6 @@ def assemble_result(
     conj = [c if isinstance(c, BlochVector) else BlochVector.from_array(c) for c in conjugates]
     c_rows = _conjugate_rows(conj)
     c_norms = np.array([c.norm() for c in conj])
-    degenerate = p <= priors.max() + DEGENERACY_TOL
 
     if p < priors.max() - 1e-12:
         raise CertificateError(f"ratio p = {p!r} below max prior {priors.max()!r}")
@@ -203,6 +199,7 @@ def assemble_result(
     success = success_probability(ensemble, povm)
     if abs(success - p) > SUCCESS_TOL:
         raise CertificateError(f"POVM success {success!r} differs from p = {p!r}")
+    degenerate = success <= priors.max() + DEGENERACY_TOL
 
     traced = _default_lambdas(ensemble, p, povm)
     lam = traced if lambdas is None else np.asarray([float(l) for l in lambdas], dtype=float)
@@ -218,7 +215,6 @@ def assemble_result(
         lambdas=tuple(lam),
         pure_mask=tuple(bool(m) for m in c_norms >= 1.0 - PURITY_TOL),
         degenerate=bool(degenerate),
-        weights_unique=bool(weights_unique),
     )
     return DiscriminationResult(
         p_opt=p, povm=povm, certificate=certificate, method=method, ensemble=ensemble

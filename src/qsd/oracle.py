@@ -23,6 +23,12 @@ same). The exit test is global feasibility plus hull stationarity on the
 final basis alone: f(r) is an upper bound at any r and the basis value a
 lower bound. No step depends on any closed-form solver, which is what keeps
 the arbitration honest.
+
+The measurement comes from that same basis. At equal slack
+q_i - r = -(p - p_i) c_i, so the hull weights mu_i of the exit test, scaled
+by |r - q_i|, are the weights of the pure-conjugate POVM: recover_povm
+solves no second weight system, and a size-1 basis (the guess regime)
+yields the identity on its state.
 """
 
 from __future__ import annotations
@@ -37,12 +43,9 @@ from .bloch import (
     PURITY_TOL,
     BlochVector,
     HelstromCertificate,
-    Povm,
-    PovmElement,
     WeightedEnsemble,
-    ZERO_VECTOR,
 )
-from .errors import ConvergenceError, WeightSystemInfeasible
+from .errors import ConvergenceError
 from .family import assemble_result, povm_from_weights
 from .weights import subset_support_weights
 
@@ -71,7 +74,6 @@ _WINDOW_FLOOR = 1e-12     # a pivot needs a violation of the basis value above m
 _PIVOTS_PER_STATE = 4     # pivot cap as a multiple of n
 
 # POVM recovery and the samplers.
-_GUESS_PRIOR_TOL = 1e-9   # priors this close to p compete for the guessed state
 _AXIS_TOL = 1e-12         # off-axis Bloch components that still count as diagonal
 _NORM_FLOOR = 1e-12       # sampled directions shorter than this stay unnormalized
 _SHRINK_MARGIN = 1e-12    # sampled elements stay this far inside the PSD cone
@@ -84,6 +86,8 @@ class MinimaxSolution:
     active_set: tuple
     iterations: int
     converged: bool
+    basis: tuple = ()
+    basis_weights: tuple = ()
 
 
 def minimax_objective(ensemble: WeightedEnsemble, r) -> float:
@@ -185,37 +189,33 @@ def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int, window: float) -
     return active, best_r, best
 
 
-def _stationary(q: np.ndarray, r: np.ndarray, basis: tuple) -> bool:
-    """r in the convex hull of the basis points.
+def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
+    """Convex weights mu with sum_i mu_i (q_i - r) = 0 over the basis, or None.
 
-    With every basis point at equal slack, that is 0 in the hull of the unit
-    directions (r - q_i)/|r - q_i| (rescale each by |r - q_i|), so r
-    minimizes f over the basis; a basis point at r certifies by itself.
-    Scaling the rows by the largest instead of their own length keeps a
-    nearly coincident point from blowing up its direction's rounding error.
+    With every basis point at equal slack, r in the convex hull of the basis
+    points is 0 in the hull of the unit directions (r - q_i)/|r - q_i|
+    (rescale each by |r - q_i|), so r minimizes f over the basis; a basis
+    point at r certifies by itself, as a size-1 support. Scaling the rows by
+    the largest instead of their own length keeps a nearly coincident
+    point from blowing up its direction's rounding error.
     """
     rows = q[list(basis)] - r
     scale = float(np.linalg.norm(rows, axis=1).max())
     if scale == 0.0:
-        return True
+        return (1.0,) + (0.0,) * (len(basis) - 1)
     mu, _ = subset_support_weights(rows / scale, total=1.0)
-    return mu is not None
+    return None if mu is None else tuple(float(m) for m in mu)
 
 
-def minimax_common_point(
-    ensemble: WeightedEnsemble,
-    tol: float = 1e-10,
-    max_iters: int = 400,
-    seed: int = 0,
-) -> MinimaxSolution:
+def minimax_common_point(ensemble: WeightedEnsemble, tol: float = 1e-10) -> MinimaxSolution:
     """Minimize f over R^3; certified global within tol when converged=True.
 
     Pivots over bases (module docstring). iterations
     counts the passes over all n points, one per basis; a pass that finds
     no violation beyond max(tol, 1e-12) ends the loop, and the hull test on
-    that basis decides convergence. Reaching the cap of a fixed multiple of
+    that basis decides convergence. The final basis and its hull weights
+    are returned for recover_povm. Reaching the cap of a fixed multiple of
     n passes returns converged=False. Deterministic: ties break by index.
-    max_iters and seed are accepted for compatibility and ignored.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -225,12 +225,12 @@ def minimax_common_point(
 
     k = int(np.argmax(pr))
     basis, r, value = (k,), q[k], float(pr[k])
-    converged = False
+    mu = None
     for iterations in range(1, _PIVOTS_PER_STATE * ensemble.n + 1):
         f_vals = pr + np.linalg.norm(r - q, axis=1)
         j = int(np.argmax(f_vals))
         if f_vals[j] <= value + window:
-            converged = _stationary(q, r, basis)
+            mu = _hull_weights(q, r, basis)
             break
         basis, r, value = _pivot(pr, q, basis, j, window)
     else:
@@ -243,94 +243,79 @@ def minimax_common_point(
         r_star=BlochVector.from_array(r),
         active_set=active,
         iterations=iterations,
-        converged=converged,
+        converged=mu is not None,
+        basis=tuple(int(i) for i in basis),
+        basis_weights=mu or (),
     )
 
 
 def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple:
-    """(Povm, HelstromCertificate) realized at the minimax optimum.
+    """(Povm, HelstromCertificate) read off the final basis of the minimax optimum.
 
-    Pure conjugates get weights from the exact support enumeration; mixed
-    ones get zero elements. At p* = max p_i (guess regime) the measurement
-    collapses to the identity on the most likely state and the certificate
-    is flagged degenerate.
+    Conjugates are c_i = (r - q_i)/(p - p_i), zero where that gap vanishes.
+    At equal slack q_i - r = -(p - p_i) c_i, so the hull weights mu of the
+    basis already solve the completeness system: member i gets weight
+    w_i ~ mu_i |r - q_i| along the unit direction (r - q_i)/|r - q_i|, and
+    a basis point at r (the guess regime, a size-1 basis) gets the
+    identity. The member with the smallest gap p - p_i is nearly free in
+    the family equation, while its direction carries the most rounding
+    error; it takes the direction (reported as its conjugate) and weight
+    that close sum w_i c_i = 0 exactly, and the weights are then scaled to
+    sum to 2.
     """
-    if not solution.converged:
-        raise ConvergenceError("cannot recover a POVM from a non-converged solution")
+    if not solution.converged or not solution.basis_weights:
+        raise ConvergenceError("cannot recover a POVM without a converged basis")
     pr = ensemble.priors
     q = ensemble.weighted_points
     n = ensemble.n
     p = float(solution.p_star)
     r = solution.r_star.as_array()
 
-    if p <= pr.max() + DEGENERACY_TOL:
-        near = np.flatnonzero(pr >= p - _GUESS_PRIOR_TOL)
-        k = int(near[np.argmin(np.linalg.norm(r - q[near], axis=1))])
-        p = float(max(p, pr[k]))
-        conj = []
-        for i in range(n):
-            gap = p - pr[i]
-            if i == k or gap <= _SEPARATION_TOL:
-                conj.append(ZERO_VECTOR)
-            else:
-                conj.append(BlochVector.from_array((r - q[i]) / gap))
-        povm = Povm(
-            tuple(PovmElement(1.0 if i == k else 0.0, ZERO_VECTOR) for i in range(n))
-        )
-        certificate = HelstromCertificate(
-            p=p,
-            common_point=BlochVector.from_array(r),
-            conjugates=tuple(conj),
-            scaled_priors=tuple(np.minimum(pr / p, 1.0)),
-            lambdas=(0.0,) * n,
-            pure_mask=tuple(c.norm() >= 1.0 - PURITY_TOL for c in conj),
-            degenerate=True,
-            weights_unique=True,
-        )
-        return povm, certificate
+    gap = p - pr
+    c = np.zeros((n, 3))
+    free = gap > _SEPARATION_TOL
+    c[free] = (r - q[free]) / gap[free][:, None]
 
-    c = (r - q) / (p - pr)[:, None]
-    norms = np.linalg.norm(c, axis=1)
-    pure = norms >= 1.0 - PURITY_TOL
-    if not pure.any():
-        raise WeightSystemInfeasible(
-            "no pure conjugates at the recovered optimum", directions=c
-        )
-    # a pure conjugate is a unit vector; rounding in r and p leaves |c| off 1
-    # by up to about 1e-16 p / (p - p_i), which near the guess regime exceeds
-    # the PSD tolerance of the elements built from it
-    c[pure] /= norms[pure][:, None]
-    w_pure, unique = subset_support_weights(c[pure], total=2.0)
-    if w_pure is None:
-        raise WeightSystemInfeasible(
-            f"weight system infeasible on active set {tuple(np.flatnonzero(pure))}",
-            directions=c[pure],
-        )
+    mu = np.array(solution.basis_weights)
+    support = np.array(solution.basis)[mu > 0.0]
+    mu = mu[mu > 0.0]
+    k = int(np.argmin(gap[support]))
+    if len(support) == 1:  # r is that basis point: guess its state
+        weights, dirs = np.array([2.0]), np.zeros((1, 3))
+    else:
+        offsets = r - q[support]
+        dist = np.linalg.norm(offsets, axis=1)
+        dirs = offsets / dist[:, None]
+        weights = mu * dist
+        closing = -(np.delete(weights, k)[:, None] * np.delete(dirs, k, axis=0)).sum(axis=0)
+        weights[k] = np.linalg.norm(closing)
+        dirs[k] = closing / weights[k]
+        weights *= 2.0 / weights.sum()
+    c[support[k]] = dirs[k]
     w = np.zeros(n)
-    w[pure] = w_pure
-    povm = povm_from_weights(w, c)
-    lambdas = w * (p - pr) / (4.0 * p)
+    w[support] = weights
+    elements = np.zeros((n, 3))
+    elements[support] = dirs
+    povm = povm_from_weights(w, elements)
+    norms = np.linalg.norm(c, axis=1)
     certificate = HelstromCertificate(
         p=p,
         common_point=BlochVector.from_array(r),
-        conjugates=tuple(BlochVector.from_array(row) for row in c),
-        scaled_priors=tuple(pr / p),
-        lambdas=tuple(lambdas),
-        pure_mask=tuple(bool(m) for m in pure),
-        degenerate=False,
-        weights_unique=unique,
+        conjugates=tuple(BlochVector(*row) for row in c.tolist()),
+        scaled_priors=tuple((pr / p).tolist()),
+        # w_i (1 - p~_i)/4 rounds 1 - p~_i the way the KKT report does
+        lambdas=tuple((w * (1.0 - pr / p) / 4.0).tolist()),
+        pure_mask=tuple((norms >= 1.0 - PURITY_TOL).tolist()),
+        # the gate's test, success <= max prior + DEGENERACY_TOL: the identity
+        # succeeds with the guess value, any other POVM here with p
+        degenerate=bool(len(support) == 1 or p <= pr.max() + DEGENERACY_TOL),
     )
     return povm, certificate
 
 
-def solve_oracle(
-    ensemble: WeightedEnsemble,
-    tol: float = 1e-10,
-    max_iters: int = 400,
-    seed: int = 0,
-):
+def solve_oracle(ensemble: WeightedEnsemble, tol: float = 1e-10):
     """Full oracle pipeline returning a graded DiscriminationResult."""
-    solution = minimax_common_point(ensemble, tol=tol, max_iters=max_iters, seed=seed)
+    solution = minimax_common_point(ensemble, tol=tol)
     if not solution.converged:
         raise ConvergenceError(
             f"minimax did not certify an optimum within {solution.iterations} iterations"
@@ -344,7 +329,6 @@ def solve_oracle(
         povm,
         "oracle",
         lambdas=certificate.lambdas,
-        weights_unique=certificate.weights_unique,
     )
 
 

@@ -10,8 +10,10 @@ Two solvers, used by different callers:
                             come out symmetric)
   subset_support_weights    exact support enumeration in increasing size,
                             first nonnegative solution wins, with a
-                            non-uniqueness flag (the oracle's choice:
-                            supports of size <= dim + 1 always suffice)
+                            non-uniqueness flag (supports of size <= dim + 1
+                            always suffice); the oracle's hull test runs it
+                            on at most 5 rows, and its POVM comes from
+                            those hull weights, not from a second solve
 
 Directions may be rows of any dimension; callers pass 2 for planar systems
 and 3 otherwise.

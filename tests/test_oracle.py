@@ -82,8 +82,8 @@ def test_pair_lower_bound():
 def test_determinism():
     rng = np.random.default_rng(3)
     ens = random_ensemble(rng, 5)
-    a = minimax_common_point(ens, tol=1e-10, seed=42)
-    b = minimax_common_point(ens, tol=1e-10, seed=42)
+    a = minimax_common_point(ens, tol=1e-10)
+    b = minimax_common_point(ens, tol=1e-10)
     assert a.p_star == b.p_star
     assert a.r_star == b.r_star
     assert a.active_set == b.active_set
@@ -269,3 +269,53 @@ def test_near_guess_regime_recovers_a_valid_povm():
     result = solve_oracle(ens)
     assert 0.0 < result.p_opt - float(ens.priors.max()) < 1e-5
     assert_result_valid(ens, result)
+
+
+def test_all_active_equal_priors_recover_from_the_basis(monkeypatch):
+    # all 48 states are active at r = 0; the measurement comes from the final
+    # basis, so the only weight solve is the hull test on at most 5 rows
+    rng = np.random.default_rng(48)
+    n = 48
+    ens = qsd.validate_ensemble(
+        [(1.0 / n, tuple(row)) for row in sphere_points(rng, n)]
+    )
+    rows = []
+    real = qsd.oracle.subset_support_weights
+
+    def spy(directions, total=2.0):
+        rows.append(len(directions))
+        return real(directions, total)
+
+    monkeypatch.setattr(qsd.oracle, "subset_support_weights", spy)
+    result = solve_oracle(ens)
+    assert len(rows) <= 1 and all(m <= 5 for m in rows)
+    assert result.p_opt == pytest.approx(2.0 / n, abs=1e-12)
+    assert_result_valid(ens, result)
+
+
+def near_guess_ensemble(rng):
+    """Two heavy states with |q_1 - q_2| = (p_1 - p_2)(1 + 10^-u), u in [4, 9],
+    plus light states inside the ball B(q_1, p_1): p* exceeds p_1 by about
+    (p_1 - p_2) 10^-u / 2."""
+    while True:
+        p1 = rng.uniform(0.35, 0.5)
+        delta = rng.uniform(0.01, 0.2)
+        light = rng.dirichlet(np.ones(int(rng.integers(1, 5)))) * (1.0 - 2.0 * p1 + delta)
+        b1 = ball_points(rng, 1)[0]
+        q2 = p1 * b1 + delta * (1.0 + 10.0 ** -rng.uniform(4.0, 9.0)) * sphere_points(rng, 1)[0]
+        points = ball_points(rng, len(light))
+        inside = p1 >= light + np.linalg.norm(light[:, None] * points - p1 * b1, axis=1)
+        if np.linalg.norm(q2) <= p1 - delta and inside.all():
+            entries = [(p1, b1), (p1 - delta, q2 / (p1 - delta))] + list(zip(light, points))
+            return qsd.validate_ensemble(
+                [(float(p), tuple(float(x) for x in b)) for p, b in entries]
+            )
+
+
+def test_near_guess_ensembles_all_solve():
+    rng = np.random.default_rng(1019)
+    for _ in range(100):
+        ens = near_guess_ensemble(rng)
+        result = solve_oracle(ens)
+        assert 0.0 <= result.p_opt - float(ens.priors.max()) < 1e-5
+        assert_result_valid(ens, result)
