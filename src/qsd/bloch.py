@@ -95,13 +95,6 @@ class BlochVector:
 ZERO_VECTOR = BlochVector(0.0, 0.0, 0.0)
 
 
-def norm(v: BlochVector | Sequence[float]) -> float:
-    """Euclidean length of a Bloch vector or any length-3 sequence."""
-    if isinstance(v, BlochVector):
-        return v.norm()
-    return float(np.linalg.norm(np.asarray(v, dtype=float).reshape(3)))
-
-
 @dataclass(frozen=True)
 class QubitState:
     """A qubit density operator rho = (I + bloch.sigma)/2, so |bloch| <= 1."""

@@ -63,9 +63,8 @@ _DEMO_NAMES = ("diagonal", "cone", "mirror", "trine") + PLATONIC_KINDS
 # input files
 
 
-def parse_ensemble_file(path: str, renormalize: bool = False) -> WeightedEnsemble:
-    """Lines `<prior> <bx> <by> <bz>`; `#` comment lines and blank lines skipped."""
-    entries = []
+def _read_rows(path: str, layout: str):
+    """Yield four floats per line, `#` comment lines and blank lines skipped."""
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -74,14 +73,18 @@ def parse_ensemble_file(path: str, renormalize: bool = False) -> WeightedEnsembl
             fields = line.split()
             if len(fields) != 4:
                 raise ValueError(
-                    f"{path}:{lineno}: expected 4 fields `<prior> <bx> <by> <bz>`,"
-                    f" got {len(fields)}"
+                    f"{path}:{lineno}: expected 4 fields `{layout}`, got {len(fields)}"
                 )
             try:
-                prior, bx, by, bz = (float(f) for f in fields)
+                row = tuple(float(f) for f in fields)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-            entries.append((prior, (bx, by, bz)))
+            yield row
+
+
+def parse_ensemble_file(path: str, renormalize: bool = False) -> WeightedEnsemble:
+    """Lines `<prior> <bx> <by> <bz>`; `#` comment lines and blank lines skipped."""
+    entries = [(prior, b) for prior, *b in _read_rows(path, "<prior> <bx> <by> <bz>")]
     if len(entries) < 2:
         raise ValueError(f"{path}: need at least 2 state lines, got {len(entries)}")
     return validate_ensemble(entries, renormalize=renormalize)
@@ -89,28 +92,12 @@ def parse_ensemble_file(path: str, renormalize: bool = False) -> WeightedEnsembl
 
 def parse_povm_file(path: str, expected_n: int) -> Povm:
     """Lines `<a> <vx> <vy> <vz>`, one per ensemble state, same order."""
-    elements = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 4 fields `<a> <vx> <vy> <vz>`,"
-                    f" got {len(fields)}"
-                )
-            try:
-                a, vx, vy, vz = (float(f) for f in fields)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-            elements.append(PovmElement(a, BlochVector(vx, vy, vz)))
+    elements = tuple(
+        PovmElement(a, BlochVector(*v)) for a, *v in _read_rows(path, "<a> <vx> <vy> <vz>")
+    )
     if len(elements) != expected_n:
-        raise ValueError(
-            f"{path}: got {len(elements)} POVM elements for {expected_n} states"
-        )
-    return Povm(tuple(elements))
+        raise ValueError(f"{path}: got {len(elements)} POVM elements for {expected_n} states")
+    return Povm(elements)
 
 
 # ---------------------------------------------------------------------------

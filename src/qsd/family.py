@@ -156,9 +156,10 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
 
 
 def _default_lambdas(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
-    # lambda_j = tr(Pi_j) (p - p_j) / (4p), inverted from the pure-element form
+    # lambda_j = tr(Pi_j) (1 - p_j/p) / 4, inverted from the pure-element form;
+    # 1 - p_j/p is what the KKT report divides by, so near-guess nu stay exact
     traces = 2.0 * povm.a_values()
-    return traces * (p - ensemble.priors) / (4.0 * p)
+    return traces * (1.0 - ensemble.priors / p) / 4.0
 
 
 def assemble_result(

@@ -19,12 +19,16 @@ plus two aggregates implied by the stationarity rows:
 sum_i lambda_i c_i / (1 - p~_i) = 0 and
 sum_i lambda_i |c_i|^2 / (1 - p~_i) = 1/2.
 
-The pivot choice is a bookkeeping artifact, so the stationarity residuals
-are evaluated for every choice of pivot and the worst is reported. nu is
-recovered from the i >= 2 stationarity rows; when some p~_i = 1 (ratio equal
-to a prior, the guess regime) that recovery divides by zero, lambda_i is
-zero there as well, and the report flags itself degenerate instead of
-pretending the system applies.
+The pivot choice is a bookkeeping artifact, so the worst residual over
+every choice of pivot is reported, in one pass. With nu_i = 2 lambda_i c_i /
+(1 - p~_i) for every i, S = sum_i nu_i and T = sum_i nu_i . c_i, pivot k
+gives sum_{i!=k} nu_i . (c_k - c_i) = c_k . S - T, so the stationarity in p
+is max_k |1 + c_k . S - T|; the pivot's own c-row is 2 lambda_k c_k +
+(1 - p~_k)(S - nu_k), and the other c-rows are the nu definition itself, the
+same set for every pivot. The aggregates are |S|/2 and |T/2 - 1/2|. When some
+p~_i = 1 (ratio equal to a prior, the guess regime) the nu recovery divides by
+zero, lambda_i is zero there as well, and the report flags itself degenerate
+instead of pretending the system applies.
 
 This module never throws on finite inputs: broken certificates come out as
 large residuals, which is the point.
@@ -47,6 +51,10 @@ from .bloch import (
 from .errors import DegenerateRatioError
 
 __all__ = ["KktReport", "recover_multipliers", "kkt_residuals"]
+
+_DEGENERATE_RATIO_TOL = 1e-12    # 1 - p~_i at or below this makes nu_i a division by zero
+_ZERO_MULTIPLIER_TOL = 1e-15     # |lambda_i| at or below this counts as a vanished multiplier
+_OVERFLOW_DENOMINATOR = 1e-300   # stands in for a vanished 1 - p~_i under a nonzero lambda_i
 
 _RESIDUAL_FIELDS = (
     "primal_ineq",
@@ -91,7 +99,7 @@ def recover_multipliers(
 ) -> tuple:
     """(lambdas, nus) from the measurement traces and the stationarity rows.
 
-    lambda_j = tr(Pi_j) (p - p_j) / (4p); nu_i = 2 lambda_i c_i / (1 - p~_i)
+    lambda_j = tr(Pi_j) (1 - p_j/p) / 4; nu_i = 2 lambda_i c_i / (1 - p~_i)
     for i = 2..N with state 1 as pivot. Needs p strictly above every prior,
     otherwise the nu recovery divides by zero.
     """
@@ -103,9 +111,9 @@ def recover_multipliers(
         )
     c = np.array([list(ci) for ci in conjugates], dtype=float)
     traces = 2.0 * povm.a_values()
-    lambdas = traces * (p - priors) / (4.0 * p)
-    scaled = priors / p
-    nus = 2.0 * lambdas[1:, None] * c[1:] / (1.0 - scaled[1:, None])
+    one_minus = 1.0 - priors / p
+    lambdas = traces * one_minus / 4.0
+    nus = 2.0 * lambdas[1:, None] * c[1:] / one_minus[1:, None]
     return (
         tuple(float(l) for l in lambdas),
         tuple(BlochVector.from_array(row) for row in nus),
@@ -116,21 +124,22 @@ def _nu_rows(lambdas: np.ndarray, c: np.ndarray, one_minus: np.ndarray) -> np.nd
     # 0/0 convention: a vanished multiplier contributes nothing even when the
     # denominator also vanishes; a genuinely nonzero lambda over a zero
     # denominator blows up the residual rather than raising.
-    denom = np.where(one_minus > 1e-12, one_minus, 1.0)
+    vanished = one_minus <= _DEGENERATE_RATIO_TOL
+    denom = np.where(vanished, _OVERFLOW_DENOMINATOR, one_minus)
     nus = 2.0 * lambdas[:, None] * c / denom[:, None]
-    bad = (one_minus <= 1e-12) & (np.abs(lambdas) > 1e-15)
-    if bad.any():
-        nus[bad] = 2.0 * lambdas[bad, None] * c[bad] / 1e-300
-    zero = np.abs(lambdas) <= 1e-15
-    nus[zero & (one_minus <= 1e-12)] = 0.0
+    nus[vanished & (np.abs(lambdas) <= _ZERO_MULTIPLIER_TOL)] = 0.0
     return nus
+
+
+def _finite_or_inf(value) -> float:
+    value = float(value)
+    return value if math.isfinite(value) else math.inf
 
 
 def kkt_residuals(
     ensemble: WeightedEnsemble, certificate: HelstromCertificate, povm: Povm
 ) -> KktReport:
     """Grade a candidate (certificate, povm) pair; see the module docstring."""
-    n = ensemble.n
     b = ensemble.bloch_matrix
     c = certificate.conjugate_matrix()
     lam = np.asarray(certificate.lambdas, dtype=float)
@@ -145,41 +154,27 @@ def kkt_residuals(
     dual_feas = float(np.maximum(-lam, 0.0).max())
     slackness = float(np.abs(lam * (c_sq - 1.0)).max())
 
-    degenerate = bool(one_minus.min() <= 1e-12)
-    nus = _nu_rows(lam, c, one_minus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nus = _nu_rows(lam, c, one_minus)
+        s = nus.sum(axis=0)
+        t = float(np.einsum("ij,ij->", nus, c))
+        stat_p = np.abs(1.0 + (c @ s - t)).max()
+        # each pivot's own c-row, then the others' rows (the same set for every pivot)
+        pivot_rows = 2.0 * lam[:, None] * c + one_minus[:, None] * (s - nus)
+        nu_rows = 2.0 * lam[:, None] * c - one_minus[:, None] * nus
+        stat_c = np.linalg.norm(np.concatenate([pivot_rows, nu_rows]), axis=1).max()
+        aggregate_sum = np.linalg.norm(s / 2.0)
+        aggregate_half = abs(t / 2.0 - 0.5)
 
-    stat_p = 0.0
-    stat_c = 0.0
-    for k in range(n):
-        others = [i for i in range(n) if i != k]
-        rel = c[k][None, :] - c[others]
-        stat_p = max(stat_p, abs(1.0 + float(np.einsum("ij,ij->", nus[others], rel))))
-        row14 = 2.0 * lam[k] * c[k] + one_minus[k] * nus[others].sum(axis=0)
-        stat_c = max(stat_c, float(np.linalg.norm(row14)))
-        # the i != k rows are the nu definition; re-evaluate them literally
-        row15 = 2.0 * lam[others, None] * c[others] - one_minus[others, None] * nus[others]
-        stat_c = max(stat_c, float(np.linalg.norm(row15, axis=1).max()))
-
-    agg_terms = _nu_rows(lam, c, one_minus) / 2.0  # lambda_i c_i / (1 - p~_i)
-    aggregate_sum = float(np.linalg.norm(agg_terms.sum(axis=0)))
-    half_terms = np.where(
-        (one_minus > 1e-12),
-        lam * c_sq / np.where(one_minus > 1e-12, one_minus, 1.0),
-        np.where(np.abs(lam) <= 1e-15, 0.0, lam * c_sq / 1e-300),
-    )
-    aggregate_half = abs(float(half_terms.sum()) - 0.5)
-
-    if not math.isfinite(stat_p):
-        stat_p = float("inf")
     return KktReport(
         primal_ineq=primal_ineq,
         primal_eq=primal_eq,
         dual_feas=dual_feas,
-        stationarity_p=float(stat_p),
-        stationarity_c=float(stat_c),
+        stationarity_p=_finite_or_inf(stat_p),
+        stationarity_c=_finite_or_inf(stat_c),
         slackness=slackness,
-        aggregate_sum=aggregate_sum,
-        aggregate_half=aggregate_half,
+        aggregate_sum=_finite_or_inf(aggregate_sum),
+        aggregate_half=_finite_or_inf(aggregate_half),
         nu=tuple(BlochVector.from_array(row) for row in nus[1:]),
-        degenerate=degenerate,
+        degenerate=bool(one_minus.min() <= _DEGENERATE_RATIO_TOL),
     )

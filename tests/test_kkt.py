@@ -8,6 +8,7 @@ import pytest
 
 import qsd
 from qsd import DegenerateRatioError
+from qsd.bloch import KKT_TOL
 from qsd.kkt import kkt_residuals, recover_multipliers
 from helpers import random_ensemble
 
@@ -159,3 +160,75 @@ def test_report_never_throws_on_broken_input():
     report = kkt_residuals(ens, bad, result.povm)
     assert report.dual_feas == pytest.approx(3.0)
     assert not report.passes
+
+
+def per_pivot_residuals(cert):
+    """Stationarity rows and aggregates evaluated literally for every pivot k."""
+    c = cert.conjugate_matrix()
+    lam = np.asarray(cert.lambdas, dtype=float)
+    one_minus = 1.0 - np.asarray(cert.scaled_priors, dtype=float)
+    nus = []
+    for lam_i, c_i, om_i in zip(lam, c, one_minus):
+        if om_i > 1e-12:
+            nus.append(2.0 * lam_i * c_i / om_i)
+        elif abs(lam_i) <= 1e-15:
+            nus.append(np.zeros(3))
+        else:
+            nus.append(2.0 * lam_i * c_i / 1e-300)
+    stat_p = stat_c = 0.0
+    n = len(lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            others = [i for i in range(n) if i != k]
+            stat_p = max(stat_p, abs(1.0 + sum(float(nus[i] @ (c[k] - c[i])) for i in others)))
+            row = 2.0 * lam[k] * c[k] + one_minus[k] * sum(nus[i] for i in others)
+            stat_c = max(stat_c, float(np.linalg.norm(row)))
+            for i in others:
+                row = 2.0 * lam[i] * c[i] - one_minus[i] * nus[i]
+                stat_c = max(stat_c, float(np.linalg.norm(row)))
+        aggregate_sum = float(np.linalg.norm(sum(nus) / 2.0))
+        aggregate_half = abs(sum(float(nu @ c_i) for nu, c_i in zip(nus, c)) / 2.0 - 0.5)
+    values = {
+        "stationarity_p": stat_p,
+        "stationarity_c": stat_c,
+        "aggregate_sum": aggregate_sum,
+        "aggregate_half": aggregate_half,
+    }
+    return {f: v if math.isfinite(v) else math.inf for f, v in values.items()}
+
+
+def test_one_pass_report_matches_every_pivot():
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in range(2, 9):
+        for _ in range(4):
+            ens = random_ensemble(rng, n)
+            result = qsd.solve_auto(ens)
+            cases.append((ens, result.certificate, result.povm))
+    ens = skewed_pair()
+    result = qsd.solve_two_state(ens)
+    cert = result.certificate
+    p_bad = cert.p + 0.01
+    perturbed = replace(cert, p=p_bad, scaled_priors=tuple(ens.priors / p_bad))
+    cases.append((ens, perturbed, result.povm))
+    cases.append((ens, replace(cert, lambdas=(5.0, -3.0)), result.povm))
+    # a degenerate state (p~ = 1) that still carries a multiplier and a conjugate
+    degenerate = replace(cert, scaled_priors=(cert.scaled_priors[0], 1.0))
+    assert degenerate.lambdas[1] > 0.0 and degenerate.conjugates[1].norm() > 0.5
+    cases.append((ens, degenerate, result.povm))
+    # its nu overflows the squared norms of the c-rows
+    assert kkt_residuals(ens, degenerate, result.povm).stationarity_c == math.inf
+    ens = boundary_triple()
+    result = qsd.solve_three_state(ens)
+    cert = result.certificate
+    cases.append((ens, replace(cert, scaled_priors=(1.0,) + cert.scaled_priors[1:]), result.povm))
+
+    for ens, cert, povm in cases:
+        report = kkt_residuals(ens, cert, povm)
+        literal = per_pivot_residuals(cert)
+        for name, expected in literal.items():
+            got = getattr(report, name)
+            close = math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
+            assert got == expected or close, (name, got, expected)
+        others = [v for f, v in report.residuals().items() if f not in literal]
+        assert report.passes == all(v <= KKT_TOL for v in others + list(literal.values()))

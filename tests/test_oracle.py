@@ -312,10 +312,11 @@ def near_guess_ensemble(rng):
             )
 
 
-def test_near_guess_ensembles_all_solve():
+@pytest.mark.parametrize("solve", [solve_oracle, qsd.solve_auto], ids=lambda f: f.__name__)
+def test_near_guess_ensembles_all_solve(solve):
     rng = np.random.default_rng(1019)
     for _ in range(100):
         ens = near_guess_ensemble(rng)
-        result = solve_oracle(ens)
+        result = solve(ens)
         assert 0.0 <= result.p_opt - float(ens.priors.max()) < 1e-5
         assert_result_valid(ens, result)
