@@ -1,14 +1,17 @@
 """Command-line front end: solve ensemble files, verify POVMs, run demos.
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure, 3 bound
-violation detected by verify. Output is text by default, JSON with
---format json; JSON floats go through repr so a report re-imported from
-JSON reproduces the original values exactly.
+violation detected by verify. Output is text by default; --format json
+prints one JSON object on one line, its floats through repr so a report
+re-imported from JSON reproduces the original values exactly. main() can
+be called repeatedly in one process: the argument parser is built on the
+first call and reused, and no other state carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -124,27 +127,30 @@ def build_report(
     cross_check: DiscriminationResult | None = None,
 ) -> dict:
     cert = result.certificate
-    states = []
-    contributions = []
-    for i, (prior, state) in enumerate(ensemble.entries):
-        element = result.povm.elements[i]
-        conj = cert.conjugates[i]
-        contribution = prior * (element.a + state.bloch.dot(element.v))
-        contributions.append(contribution)
-        states.append(
-            {
-                "index": i,
-                "prior": prior,
-                "bloch": list(state.bloch),
-                "conjugate": list(conj),
-                "conjugate_norm": conj.norm(),
-                "pure": cert.pure_mask[i],
-                "povm_a": element.a,
-                "povm_v": list(element.v),
-                "lambda": cert.lambdas[i],
-                "contribution": contribution,
-            }
-        )
+    priors = ensemble.priors.tolist()
+    bloch = ensemble.bloch_matrix.tolist()
+    a_values = result.povm.a_values().tolist()
+    v_rows = result.povm.v_matrix().tolist()
+    # summed in BlochVector.dot's order, so each float matches it bit for bit
+    contributions = [
+        prior * (a + (bx * vx + by * vy + bz * vz))
+        for prior, a, (bx, by, bz), (vx, vy, vz) in zip(priors, a_values, bloch, v_rows)
+    ]
+    states = [
+        {
+            "index": i,
+            "prior": priors[i],
+            "bloch": bloch[i],
+            "conjugate": conj,
+            "conjugate_norm": math.hypot(*conj),
+            "pure": cert.pure_mask[i],
+            "povm_a": a_values[i],
+            "povm_v": v_rows[i],
+            "lambda": cert.lambdas[i],
+            "contribution": contributions[i],
+        }
+        for i, conj in enumerate(cert.conjugate_matrix().tolist())
+    ]
     kkt = result.kkt
     report = {
         "command": "solve",
@@ -237,7 +243,7 @@ def _render_verify_text(report: dict) -> str:
 
 def _emit(report: dict, fmt: str, render_text) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         print(render_text(report))
 
@@ -386,7 +392,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first main() call and reused after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument(

@@ -283,14 +283,13 @@ def _boundary_candidate(ensemble: WeightedEnsemble, i: int, j: int):
         return None
 
 
-def _interior_candidate(ensemble: WeightedEnsemble, p: float):
-    """All three conjugates pure at ratio p (a root of the quadratic)."""
+def _interior_candidate(ensemble: WeightedEnsemble, coeffs: ThreeStateCoefficients, p: float):
+    """All three conjugates pure at ratio p, a root of coeffs' quadratic."""
     pr = ensemble.priors
     q = ensemble.weighted_points
     s = p - pr
     if not np.isfinite(p) or p > 1.0 + 1e-12 or s.min() <= 1e-12:
         return None
-    coeffs = ThreeStateCoefficients.from_ensemble(ensemble)
     gaps = (coeffs.dist12_sq, coeffs.dist13_sq, coeffs.dist23_sq)
     pairs = ((0, 1), (0, 2), (1, 2))
     dots = []
@@ -350,8 +349,9 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
         built = _boundary_candidate(ensemble, i, j)
         if built is not None:
             candidates.append((built.p_opt, idx, built))
-    for offset, root in enumerate(ThreeStateCoefficients.from_ensemble(ensemble).roots()):
-        built = _interior_candidate(ensemble, float(root))
+    coeffs = ThreeStateCoefficients.from_ensemble(ensemble)
+    for offset, root in enumerate(coeffs.roots()):
+        built = _interior_candidate(ensemble, coeffs, float(root))
         if built is not None:
             candidates.append((built.p_opt, 3 + offset, built))
     if not candidates:
@@ -402,13 +402,12 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     conj[u, 2] = -1.0
     conj[d, 2] = 1.0
     r = q[d] + (p - pr[d]) * np.array([0.0, 0.0, 1.0])
-    for k in range(n):
-        if k in (u, d):
-            continue
-        gap = p - pr[k]
-        if gap <= 1e-15:
-            continue  # covered only if q_k sits at r, which the gate checks
-        conj[k] = (r - q[k]) / gap
+    # a state with no gap keeps a zero conjugate: covered only if q_k sits
+    # at r, which the gate checks
+    gap = p - pr
+    rest = gap > 1e-15
+    rest[[u, d]] = False
+    conj[rest] = (r - q[rest]) / gap[rest, None]
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
     return assemble_result(

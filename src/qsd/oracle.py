@@ -97,15 +97,16 @@ def minimax_objective(ensemble: WeightedEnsemble, r) -> float:
 
 
 def pair_lower_bound(ensemble: WeightedEnsemble) -> float:
-    """max over singletons and pairs of the triangle-inequality bound on p*."""
+    """max over singletons and pairs of the triangle-inequality bound on p*.
+
+    One vectorized pass per row of the pair table, so memory stays O(n).
+    """
     pr = ensemble.priors
     q = ensemble.weighted_points
     best = float(pr.max())
-    n = len(pr)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(q[i] - q[j]))
-            best = max(best, 0.5 * (pr[i] + pr[j] + d))
+    for i in range(len(pr) - 1):
+        d = np.linalg.norm(q[i + 1:] - q[i], axis=1)
+        best = max(best, float((0.5 * (pr[i] + pr[i + 1:] + d)).max()))
     return best
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +36,24 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports qsd from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +293,60 @@ def test_demo_cone_defaults(capsys):
     assert report["reference_p"] == pytest.approx(expected, abs=1e-12)
     assert report["p_opt"] == pytest.approx(expected, abs=1e-9)
     assert report["cross_check"]["delta_p"] < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# repeated in-process calls
+
+
+def test_in_process_calls_share_no_state(tmp_path, capsys):
+    """A usage error, a JSON solve, a text solve and a demo made one after
+    another in one process print exactly what each prints on its own in a
+    fresh interpreter."""
+    path = write(tmp_path, "trine.txt", TRINE)
+    calls = [
+        ["solve", path, "--no-such-flag"],
+        ["solve", path, "--format", "json"],
+        ["solve", path],
+        ["demo", "trine"],
+    ]
+    together = [run(capsys, argv) for argv in calls]
+    for argv, got in zip(calls, together):
+        alone = run_python("import sys, qsd.cli; sys.exit(qsd.cli.main(sys.argv[1:]))", *argv)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert together[0][0] == 1 and "unrecognized arguments" in together[0][2]
+
+    code, out, _ = together[1]
+    assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
+    ensemble = cli.parse_ensemble_file(path)
+    expected = cli.build_report(ensemble, cli._solve_with_method(ensemble, "auto", 1e-9), 1e-9)
+    expected["input"] = path
+    assert json.loads(out) == expected
+
+
+def test_import_builds_no_parser():
+    """Importing qsd.cli constructs no ArgumentParser; the first main() call
+    builds the tree and later calls reuse it."""
+    probe = """
+import argparse, io, contextlib
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import qsd.cli
+counts = [built]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        qsd.cli.main(["demo", "trine", "--format", "json"])
+    counts.append(built)
+print(counts)
+"""
+    done = run_python(probe)
+    assert done.returncode == 0, done.stderr[-2000:]
+    at_import, after_first, after_second = json.loads(done.stdout)
+    assert at_import == 0
+    assert after_first > 0
+    assert after_second == after_first

@@ -164,6 +164,30 @@ def test_diagonal_matches_classical_on_random_draws():
         assert result.p_opt == classical_diagonal_oracle(ens)
 
 
+def test_diagonal_conjugates_match_per_state_formula():
+    """Each conjugate off the winning pair is (r - q_k)/(p - p_k), computed
+    state by state as the reference, bit for bit; a state with no gap keeps 0."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    for n in (3, 4, 7, 16, 33, 64):
+        for _ in range(5):
+            ens = random_diagonal_ensemble(rng, n, min_prior=1e-9)
+            result = solve_diagonal(ens)
+            if result.certificate.degenerate:
+                continue
+            conj = result.certificate.conjugate_matrix()
+            u, d = np.flatnonzero(result.povm.a_values() > 0.0)
+            r = result.certificate.common_point.as_array()
+            for k in range(n):
+                if k in (u, d):
+                    continue
+                gap = result.p_opt - ens.priors[k]
+                expected = (r - ens.weighted_points[k]) / gap if gap > 1e-15 else np.zeros(3)
+                assert np.array_equal(conj[k], expected)
+            checked += 1
+    assert checked >= 20
+
+
 def test_diagonal_rejects_offaxis():
     with pytest.raises(ValueError):
         solve_diagonal(qsd.cone_ensemble(3, 1.0, 0.5 * math.pi))

@@ -79,6 +79,23 @@ def test_pair_lower_bound():
         assert pair_lower_bound(ens) <= solve_oracle(ens).p_opt + 1e-9
 
 
+def test_pair_lower_bound_matches_pair_loop():
+    """The row-vectorized bound equals the pair-by-pair loop up to norm rounding."""
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 5, 12, 40, 200):
+        ens = random_ensemble(rng, n, min_prior=1e-9)
+        pr, q = ens.priors, ens.weighted_points
+        expected = max(
+            [float(pr.max())]
+            + [
+                0.5 * (pr[i] + pr[j] + float(np.linalg.norm(q[i] - q[j])))
+                for i in range(n)
+                for j in range(i + 1, n)
+            ]
+        )
+        assert pair_lower_bound(ens) == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     ens = random_ensemble(rng, 5)
