@@ -138,3 +138,87 @@ def test_tolerance_constants_pinned():
     assert COMPLETENESS_TOL == 1e-10
     assert PURITY_TOL == 1e-9
     assert KKT_TOL == 1e-8
+
+
+def _certificate(**changes):
+    fields = dict(
+        p=0.8,
+        common_point=(0.0, 0.0, 0.0),
+        conjugates=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
+        scaled_priors=(0.5, 0.5),
+        lambdas=(0.1, 0.1),
+        pure_mask=(True, True),
+    )
+    fields.update(changes)
+    return qsd.HelstromCertificate(**fields)
+
+
+_NAN = float("nan")
+_UP, _DOWN, _X = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)
+
+# (id, call, exact message); every one raises ValueError
+ERROR_TABLE = [
+    ("ensemble-non-pair",
+     lambda: qsd.validate_ensemble([(0.5, _UP), (0.5, _DOWN, 7)]),
+     "entry 1 is not a (prior, state) pair"),
+    ("ensemble-nan-component",
+     lambda: qsd.validate_ensemble([(0.0, _UP), (0.5, (0.0, _NAN, 0.0)), (0.5, _DOWN)]),
+     "Bloch vector components must be finite, got BlochVector(x=0.0, y=nan, z=0.0)"),
+    ("ensemble-norm-at-index-2-before-prior-0",
+     lambda: qsd.validate_ensemble([(0.0, _UP), (0.3, _DOWN), (0.4, (1.0 + 1e-11, 0.0, 0.0))]),
+     "Bloch norm 1.00000000001 exceeds 1 beyond tolerance 1e-12"),
+    ("ensemble-state-before-renormalize",
+     lambda: qsd.validate_ensemble([(0.0, _UP), (0.0, (2.0, 0.0, 0.0))], renormalize=True),
+     "Bloch norm 2.0 exceeds 1 beyond tolerance 1e-12"),
+    ("ensemble-single-state",
+     lambda: qsd.validate_ensemble([(1.0, _UP)]),
+     "an ensemble needs at least two states"),
+    ("ensemble-prior-zero",
+     lambda: qsd.validate_ensemble([(0.5, _UP), (0.0, _DOWN), (0.5, _X)]),
+     "entry 1: prior 0.0 outside the open interval (0, 1)"),
+    ("ensemble-nan-prior",
+     lambda: qsd.validate_ensemble([(0.5, _UP), (_NAN, _DOWN)]),
+     "entry 1: prior nan outside the open interval (0, 1)"),
+    ("ensemble-sum-off",
+     lambda: qsd.validate_ensemble([(0.6, _UP), (0.5, _DOWN)]),
+     "priors sum to 1.1, not 1 within 1e-12"),
+    ("ensemble-renormalize-zero-sum",
+     lambda: qsd.validate_ensemble([(0.0, _UP), (0.0, _DOWN)], renormalize=True),
+     "cannot renormalize priors with sum 0.0"),
+    ("povm-non-psd-at-index-1",
+     lambda: qsd.povm_from_weights((1.0, 1.0), (_UP, (0.0, 0.0, -1.1))),
+     "POVM element not PSD: a = 0.5 < |v| = 0.55 beyond 1e-12"),
+    ("povm-non-psd-before-completeness",
+     lambda: qsd.povm_from_weights((1.0, 1.5), (_UP, (0.0, 0.0, -1.1))),
+     "POVM element not PSD: a = 0.75 < |v| = 0.8250000000000001 beyond 1e-12"),
+    ("povm-negative-a",
+     lambda: Povm((PovmElement(-0.25, ZERO_VECTOR), PovmElement(1.25, ZERO_VECTOR))),
+     "POVM element has negative trace part a = -0.25"),
+    ("povm-incomplete-a",
+     lambda: Povm((PovmElement(0.4, ZERO_VECTOR), PovmElement(0.5, ZERO_VECTOR))),
+     "POVM incomplete: sum of a is 0.9, not 1 within 1e-10"),
+    ("povm-incomplete-v",
+     lambda: Povm((PovmElement(0.5, BlochVector(0.0, 0.0, 0.5)),
+                   PovmElement(0.5, BlochVector(0.0, 0.0, -0.3)))),
+     f"POVM incomplete: vector parts sum to {tuple(np.array([0.0, 0.0, 0.2]))!r},"
+     " not 0 within 1e-10"),
+    ("certificate-length-mismatch",
+     lambda: _certificate(scaled_priors=(0.5, 0.5, 0.1)),
+     "certificate field lengths disagree"),
+    ("certificate-scaled-prior-above-1",
+     lambda: _certificate(scaled_priors=(0.5, 1.5)),
+     "scaled prior 1 is 1.5, outside (0, 1]"),
+    ("certificate-contradicting-pure-mask",
+     lambda: _certificate(conjugates=(_UP, (0.0, 0.0, -0.5))),
+     "pure_mask[1] = True contradicts |c_1| = 0.5 at tolerance 1e-09"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [case[1:] for case in ERROR_TABLE], ids=[case[0] for case in ERROR_TABLE]
+)
+def test_errors_keep_type_and_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
