@@ -16,9 +16,9 @@ def show(title, ensemble):
     print(title)
     print(f"  method     {result.method}")
     print(f"  p_opt      {result.p_opt:.15f}")
-    print(f"  pure mask  {cert.pure_mask}")
-    print(f"  lambdas    {tuple(round(l, 12) for l in cert.lambdas)}")
-    a_values = tuple(round(e.a, 12) for e in result.povm.elements)
+    print(f"  pure mask  {tuple(cert.pure_mask.tolist())}")
+    print(f"  lambdas    {tuple(round(l, 12) for l in cert.lambdas.tolist())}")
+    a_values = tuple(round(a, 12) for a in result.povm.a.tolist())
     print(f"  povm a_i   {a_values}")
     print()
     return result

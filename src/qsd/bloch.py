@@ -1,11 +1,21 @@
-"""Bloch-vector data model for qubit ensembles, POVMs and discrimination results.
+"""Array data model for qubit ensembles, POVMs and discrimination results.
 
-Every object the solvers exchange lives here. A qubit density operator is
-represented by its Bloch vector b, rho = (I + b.sigma)/2 with |b| <= 1, and
-a POVM element by a pair (a, v), Pi = a*I + v.sigma, which is positive
-semidefinite exactly when a >= |v|. Complex 2x2 matrices appear nowhere in
-the data model; the test suite builds them only as an independent check of
-the trace identity tr(rho Pi) = a + b.v and of the dual certificate.
+A qubit density operator is represented by its Bloch vector b, rho =
+(I + b.sigma)/2 with |b| <= 1, and a POVM element by a pair (a, v), Pi =
+a*I + v.sigma, which is positive semidefinite exactly when a >= |v|. Complex
+2x2 matrices appear nowhere in the data model; the test suite builds them
+only as an independent check of the trace identity tr(rho Pi) = a + b.v and
+of the dual certificate.
+
+The records (WeightedEnsemble, Povm, HelstromCertificate, kkt.KktReport)
+store read-only numpy arrays, which the solvers read and write end to end.
+from_arrays checks them in one vectorized pass; validate_ensemble,
+WeightedEnsemble(entries) and Povm(elements) convert and take that path,
+and the first bad state or element raises its per-state class's error.
+BlochVector, QubitState and PovmElement stay the per-state vocabulary:
+`entries`, `states()`, `Povm.elements`, `HelstromCertificate.conjugates` and
+`KktReport.nu` are tuples of them, built on first access. ==, hash and repr
+go by value.
 
 Shared tolerance constants are pinned here so that every module, the tests
 and the CLI report all quote the same numbers.
@@ -15,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -28,6 +38,7 @@ STATE_NORM_TOL = 1e-12    # |b| may exceed 1 by at most this
 PRIOR_SUM_TOL = 1e-12     # priors must sum to 1 within this
 PSD_TOL = 1e-12           # a - |v| >= -PSD_TOL for a POVM element
 COMPLETENESS_TOL = 1e-10  # |sum a - 1| and |sum v| within this
+ZERO_ELEMENT_TOL = 1e-14  # a POVM element with a at or below this counts as zero
 
 # Certificate classification and verification.
 PURITY_TOL = 1e-9         # |c| >= 1 - PURITY_TOL marks a conjugate as pure
@@ -38,6 +49,7 @@ SUCCESS_TOL = 1e-8        # |success(povm) - p_opt|
 CERT_P_TOL = 1e-10        # |p_opt - certificate.p|
 KKT_TOL = 1e-8            # every KKT residual at a reported optimum
 DEGENERACY_TOL = 1e-12    # p - max prior below this marks the guess regime
+_RATIO_SLACK = 1e-12      # a certificate's p and scaled priors may exceed 1 by this
 
 METHODS = frozenset({
     "two-state",
@@ -113,63 +125,189 @@ class QubitState:
         return self.bloch.norm() >= 1.0 - PURITY_TOL
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+# ---------------------------------------------------------------------------
+# array-backed records
 
 
-@dataclass(frozen=True)
-class WeightedEnsemble:
-    """An ordered tuple of (prior, state) pairs with priors summing to one.
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """|row| for each row of an (n, 3) array; every vectorized norm test uses this."""
+    return np.sqrt(np.add.reduce(rows * rows, 1))
 
+
+def _vector(v) -> BlochVector:
+    return v if isinstance(v, BlochVector) else BlochVector.from_array(v)
+
+
+def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
+    """vectors as a new (n, 3) float array.
+
+    An (n, 3) array, or a sequence of 3-sequences, for which the vectorized
+    test ok(rows) holds, as it does for every valid input, converts in one
+    call. Anything else goes through make, the per-state constructor, row by
+    row, so the first bad row raises that constructor's own error.
+    """
+    try:
+        rows = np.array(vectors, dtype=float, order="C")
+        if rows.ndim == 2 and rows.shape[1] == 3 and (ok is None or ok(rows)):
+            return rows
+    except (TypeError, ValueError):
+        pass
+    return np.array([tuple(make(v)) for v in vectors], dtype=float).reshape(-1, 3)
+
+
+def _all_finite(rows: np.ndarray) -> bool:
+    return math.isfinite(np.add.reduce(rows, None))
+
+
+def vector_matrix(vectors, finite: bool = False) -> np.ndarray:
+    """BlochVectors, 3-sequences or an (n, 3) array as a new (n, 3) float array.
+
+    finite=True raises BlochVector's error for the first non-finite row.
+    """
+    return _rows(vectors, _all_finite if finite else None)
+
+
+def _in_ball(rows: np.ndarray) -> bool:
+    # |b|^2 <= 1 + STATE_NORM_TOL keeps |b| well inside 1 + STATE_NORM_TOL
+    return np.maximum.reduce(np.add.reduce(rows * rows, 1), initial=0.0) <= 1.0 + STATE_NORM_TOL
+
+
+def _state_rows(vectors) -> np.ndarray:
+    return _rows(vectors, _in_ball, lambda v: QubitState(v).bloch)
+
+
+def check_povm_elements(a: np.ndarray, v: np.ndarray) -> None:
+    """Raise what PovmElement(a[k], v[k]) raises for the first bad k, if any.
+
+    One vectorized test passes every valid POVM; only when it fails are the
+    PovmElements built, so messages and bounds stay PovmElement's. Half of
+    PSD_TOL leaves room for the rounding of the vectorized norm.
+    """
+    slack = np.minimum.reduce(a - row_norms(v), initial=np.inf)
+    if not (slack >= -0.5 * PSD_TOL and np.maximum.reduce(a, initial=0.0) < np.inf):
+        for ak, vk in zip(a.tolist(), v.tolist()):
+            PovmElement(ak, BlochVector(*vk))
+
+
+def _plain(value):
+    return tuple(value.ravel().tolist()) if isinstance(value, np.ndarray) else value
+
+
+class ArrayRecord:
+    """Base of the array-backed records: frozen, compared and hashed by value.
+
+    _VALUES names the stored attributes; _store makes the arrays among them
+    read-only. Subclasses are dataclasses with init, eq and repr off, so that
+    dataclasses.fields and dataclasses.replace see the constructor's
+    arguments; repr shows those, arrays as tuples. The per-state views are
+    cached_property defaults of those fields.
+    """
+
+    _VALUES: tuple = ()
+
+    @classmethod
+    def from_arrays(cls, *arrays, **options):
+        """The record from its arrays, checked by _validate in one pass."""
+        record = cls.__new__(cls)
+        record._validate(*arrays, **options)
+        return record
+
+    def _store(self, **values) -> None:
+        for value in values.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._VALUES)
+
+    def __hash__(self):
+        return hash(tuple(_plain(getattr(self, f)) for f in self._VALUES))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={_plain(getattr(self, f.name))!r}" for f in fields(self))
+        return f"{type(self).__name__}({shown})"
+
+
+def _split_pairs(entries, qubit_states_only: bool = False) -> tuple:
+    """(priors, Bloch rows) of (prior, state) pairs, entry by entry."""
+    priors, rows = [], []
+    try:
+        for k, pair in enumerate(entries):
+            try:
+                prior, state = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"entry {k} is not a (prior, state) pair") from None
+            if isinstance(state, QubitState):
+                state = state.bloch
+            elif qubit_states_only:
+                raise ValueError(f"entry {k}: state must be a QubitState")
+            rows.append((state.x, state.y, state.z) if isinstance(state, BlochVector) else state)
+            priors.append(float(prior))
+    except (TypeError, ValueError):
+        _state_rows(rows)  # a bad state before the bad entry comes first,
+        if qubit_states_only:  # and so does a bad prior among QubitState entries
+            _check_priors(priors)
+        raise
+    return priors, rows
+
+
+def _check_priors(values: list) -> None:
+    for k, prior in enumerate(values):
+        if not 0.0 < prior < 1.0:
+            raise ValueError(f"entry {k}: prior {prior!r} outside the open interval (0, 1)")
+
+
+@dataclass(init=False, eq=False, repr=False)
+class WeightedEnsemble(ArrayRecord):
+    """Priors summing to one and the Bloch vectors of the states.
+
+    Stored as read-only arrays priors (n,), bloch_matrix (n, 3) and
+    weighted_points (n, 3), row i = p_i b_i, the points the geometry runs on.
     Priors must lie strictly inside (0, 1): a zero-prior state carries no
     information and a unit-prior state makes discrimination trivial, and
     several downstream ratios divide by quantities that vanish exactly
     there.
-
-    priors, bloch_matrix and weighted_points are computed on first access
-    and shared from then on as read-only arrays; they take no part in
-    ==, hash or repr.
     """
 
-    entries: tuple
+    entries: tuple = functools.cached_property(lambda self: tuple(zip(
+        self.priors.tolist(), (QubitState(BlochVector(*b)) for b in self.bloch_matrix.tolist()))))
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if len(entries) < 2:
+    _VALUES = ("priors", "bloch_matrix")
+
+    def __init__(self, entries) -> None:
+        entries = tuple(entries)  # too few entries fail on the count before anything else
+        self._validate(*_split_pairs(entries if len(entries) >= 2 else (), qubit_states_only=True))
+
+    def _validate(self, priors, bloch_matrix, renormalize: bool = False) -> None:
+        """Check, in order: each Bloch vector; with renormalize=True, divide the
+        priors by their sum; at least two states; each prior in (0, 1); sum 1."""
+        bloch = _state_rows(bloch_matrix)
+        priors = np.array(priors, dtype=float)
+        if priors.shape != (len(bloch),):
+            raise ValueError(f"{priors.size} priors for {len(bloch)} states")
+        if renormalize:
+            total = math.fsum(priors.tolist())
+            if total <= 0.0 or not math.isfinite(total):
+                raise ValueError(f"cannot renormalize priors with sum {total!r}")
+            priors = priors / total
+        if len(priors) < 2:
             raise ValueError("an ensemble needs at least two states")
-        for k, pair in enumerate(entries):
-            if len(pair) != 2:
-                raise ValueError(f"entry {k} is not a (prior, state) pair")
-            prior, state = pair
-            if not isinstance(state, QubitState):
-                raise ValueError(f"entry {k}: state must be a QubitState")
-            prior = float(prior)
-            if not math.isfinite(prior) or not (0.0 < prior < 1.0):
-                raise ValueError(f"entry {k}: prior {prior!r} outside the open interval (0, 1)")
-        entries = tuple((float(p), s) for p, s in entries)
-        total = math.fsum(p for p, _ in entries)
+        values = priors.tolist()
+        _check_priors(values)
+        total = math.fsum(values)
         if abs(total - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"priors sum to {total!r}, not 1 within {PRIOR_SUM_TOL}")
-        object.__setattr__(self, "entries", entries)
+        self._store(priors=priors, bloch_matrix=bloch, weighted_points=priors[:, None] * bloch)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
-
-    @functools.cached_property
-    def priors(self) -> np.ndarray:
-        return _read_only(np.array([p for p, _ in self.entries], dtype=float))
-
-    @functools.cached_property
-    def bloch_matrix(self) -> np.ndarray:
-        """Row i is the Bloch vector of state i, shape (n, 3)."""
-        return _read_only(np.array([list(s.bloch) for _, s in self.entries], dtype=float))
-
-    @functools.cached_property
-    def weighted_points(self) -> np.ndarray:
-        """Row i is prior_i * bloch_i, the points the geometry runs on."""
-        return _read_only(self.priors[:, None] * self.bloch_matrix)
+        return len(self.priors)
 
     def states(self) -> tuple:
         return tuple(s for _, s in self.entries)
@@ -183,23 +321,7 @@ def validate_ensemble(raw_entries: Iterable, renormalize: bool = False) -> Weigh
     the sum-to-one check (the individual range checks still apply), which is
     what the CLI flag of the same name feeds.
     """
-    pairs = []
-    for k, pair in enumerate(raw_entries):
-        try:
-            prior, state = pair
-        except (TypeError, ValueError):
-            raise ValueError(f"entry {k} is not a (prior, state) pair") from None
-        if not isinstance(state, QubitState):
-            if not isinstance(state, BlochVector):
-                state = BlochVector.from_array(state)
-            state = QubitState(state)
-        pairs.append((float(prior), state))
-    if renormalize:
-        total = math.fsum(p for p, _ in pairs)
-        if total <= 0.0 or not math.isfinite(total):
-            raise ValueError(f"cannot renormalize priors with sum {total!r}")
-        pairs = [(p / total, s) for p, s in pairs]
-    return WeightedEnsemble(tuple(pairs))
+    return WeightedEnsemble.from_arrays(*_split_pairs(raw_entries), renormalize=renormalize)
 
 
 @dataclass(frozen=True)
@@ -226,46 +348,62 @@ class PovmElement:
     def trace(self) -> float:
         return 2.0 * self.a
 
-    def is_zero(self, tol: float = 1e-14) -> bool:
+    def is_zero(self, tol: float = ZERO_ELEMENT_TOL) -> bool:
         return self.a <= tol
 
 
-@dataclass(frozen=True)
-class Povm:
-    """A complete measurement: elements sum to the identity within COMPLETENESS_TOL."""
+@dataclass(init=False, eq=False, repr=False)
+class Povm(ArrayRecord):
+    """A complete measurement: elements sum to the identity within COMPLETENESS_TOL.
 
-    elements: tuple
+    Stored as read-only arrays a (n,) and v (n, 3), Pi_i = a_i I + v_i.sigma.
+    """
 
-    def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("a POVM needs at least one element")
+    elements: tuple = functools.cached_property(lambda self: tuple(
+        PovmElement(a, BlochVector(*v)) for a, v in zip(self.a.tolist(), self.v.tolist())))
+
+    _VALUES = ("a", "v")
+
+    def __init__(self, elements) -> None:
+        elements = tuple(elements)
         for k, el in enumerate(elements):
             if not isinstance(el, PovmElement):
                 raise ValueError(f"element {k} is not a PovmElement")
-        a_sum = math.fsum(el.a for el in elements)
-        v_sum = np.sum([el.v.as_array() for el in elements], axis=0)
+        self._validate([el.a for el in elements], [tuple(el.v) for el in elements])
+        self.__dict__["elements"] = elements
+
+    def _validate(self, a, v) -> None:
+        """Check every element (a_k >= |v_k|), then completeness."""
+        a = np.array(a, dtype=float)
+        v = _rows(v)
+        if not len(v):
+            raise ValueError("a POVM needs at least one element")
+        if a.shape != (len(v),):
+            raise ValueError(f"{a.size} trace parts for {len(v)} vector parts")
+        check_povm_elements(a, v)
+        a_sum = math.fsum(a.tolist())
         if abs(a_sum - 1.0) > COMPLETENESS_TOL:
             raise ValueError(f"POVM incomplete: sum of a is {a_sum!r}, not 1 within {COMPLETENESS_TOL}")
-        if float(np.linalg.norm(v_sum)) > COMPLETENESS_TOL:
+        v_sum = np.add.reduce(v, 0)
+        if math.sqrt(v_sum @ v_sum) > COMPLETENESS_TOL:
             raise ValueError(
                 f"POVM incomplete: vector parts sum to {tuple(v_sum)!r}, not 0 within {COMPLETENESS_TOL}"
             )
-        object.__setattr__(self, "elements", elements)
+        self._store(a=a, v=v)
 
     @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self.a)
 
     def a_values(self) -> np.ndarray:
-        return np.array([el.a for el in self.elements], dtype=float)
+        return self.a
 
     def v_matrix(self) -> np.ndarray:
-        return np.array([list(el.v) for el in self.elements], dtype=float)
+        return self.v
 
 
-@dataclass(frozen=True)
-class HelstromCertificate:
+@dataclass(init=False, eq=False, repr=False)
+class HelstromCertificate(ArrayRecord):
     """The data certifying a claimed optimum: ratio p, common point, conjugates, multipliers.
 
     (p, common_point) is the dual point Y = (p I + r.sigma)/2 of the
@@ -274,7 +412,9 @@ class HelstromCertificate:
     actually certifies an optimum is judged by that gate and, as a
     diagnostic, by the KKT report, which must be able to receive deliberately
     broken certificates and grade them, so optimality itself is not a
-    construction invariant here.
+    construction invariant here. The conjugates are stored as a read-only
+    (n, 3) array, conjugate_matrix(); scaled_priors, lambdas and pure_mask
+    are read-only (n,) arrays.
 
     degenerate marks a measurement that does no better than guessing,
     success <= max prior + DEGENERACY_TOL: the guess regime, where the
@@ -285,49 +425,52 @@ class HelstromCertificate:
 
     p: float
     common_point: BlochVector
-    conjugates: tuple
-    scaled_priors: tuple
-    lambdas: tuple
-    pure_mask: tuple
+    conjugates: tuple = functools.cached_property(
+        lambda self: tuple(BlochVector(*row) for row in self._conjugates.tolist()))
+    scaled_priors: np.ndarray
+    lambdas: np.ndarray
+    pure_mask: np.ndarray
     degenerate: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", float(self.p))
-        if not isinstance(self.common_point, BlochVector):
-            object.__setattr__(self, "common_point", BlochVector.from_array(self.common_point))
-        conj = tuple(
-            c if isinstance(c, BlochVector) else BlochVector.from_array(c) for c in self.conjugates
-        )
-        scaled = tuple(float(t) for t in self.scaled_priors)
-        lams = tuple(float(l) for l in self.lambdas)
-        mask = tuple(bool(m) for m in self.pure_mask)
+    _VALUES = ("p", "common_point", "_conjugates", "scaled_priors", "lambdas", "pure_mask", "degenerate")
+
+    def __init__(self, p, common_point, conjugates, scaled_priors, lambdas, pure_mask,
+                 degenerate: bool = False) -> None:
+        p = float(p)
+        if not isinstance(common_point, BlochVector):
+            common_point = BlochVector.from_array(common_point)
+        conj = vector_matrix(conjugates, finite=True)
+        scaled = np.array(scaled_priors, dtype=float)
+        lams = np.array(lambdas, dtype=float)
+        mask = np.array(pure_mask, dtype=bool)
         if not (len(conj) == len(scaled) == len(lams) == len(mask)):
             raise ValueError("certificate field lengths disagree")
         if len(conj) < 2:
             raise ValueError("a certificate covers at least two states")
-        if not math.isfinite(self.p) or not (0.0 < self.p <= 1.0 + 1e-12):
-            raise ValueError(f"ratio p = {self.p!r} outside (0, 1]")
-        for k, t in enumerate(scaled):
-            if not math.isfinite(t) or not (0.0 < t <= 1.0 + 1e-12):
-                raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
-        if not _finite(*lams):
+        if not math.isfinite(p) or not (0.0 < p <= 1.0 + _RATIO_SLACK):
+            raise ValueError(f"ratio p = {p!r} outside (0, 1]")
+        if not (np.minimum.reduce(scaled) > 0.0 and np.maximum.reduce(scaled) <= 1.0 + _RATIO_SLACK):
+            for k, t in enumerate(scaled.tolist()):  # min and max pass NaN on
+                if not 0.0 < t <= 1.0 + _RATIO_SLACK:
+                    raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
+        if not np.isfinite(lams).all():
             raise ValueError("multipliers must be finite")
-        for k, (c, m) in enumerate(zip(conj, mask)):
-            if (c.norm() >= 1.0 - PURITY_TOL) != m:
-                raise ValueError(
-                    f"pure_mask[{k}] = {m} contradicts |c_{k}| = {c.norm()!r} at tolerance {PURITY_TOL}"
-                )
-        object.__setattr__(self, "conjugates", conj)
-        object.__setattr__(self, "scaled_priors", scaled)
-        object.__setattr__(self, "lambdas", lams)
-        object.__setattr__(self, "pure_mask", mask)
+        wrong = (row_norms(conj) >= 1.0 - PURITY_TOL) != mask
+        if wrong.any():
+            k = int(np.argmax(wrong))
+            raise ValueError(
+                f"pure_mask[{k}] = {mask[k].item()} contradicts"
+                f" |c_{k}| = {math.hypot(*conj[k].tolist())!r} at tolerance {PURITY_TOL}"
+            )
+        self._store(p=p, common_point=common_point, _conjugates=conj, scaled_priors=scaled,
+                    lambdas=lams, pure_mask=mask, degenerate=bool(degenerate))
 
     @property
     def n(self) -> int:
-        return len(self.conjugates)
+        return len(self._conjugates)
 
     def conjugate_matrix(self) -> np.ndarray:
-        return np.array([list(c) for c in self.conjugates], dtype=float)
+        return self._conjugates
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,10 @@ from .bloch import (
     ORTHOGONALITY_TOL,
     PURITY_TOL,
     SUCCESS_TOL,
-    BlochVector,
     DiscriminationResult,
     Povm,
-    PovmElement,
     WeightedEnsemble,
+    check_povm_elements,
     validate_ensemble,
 )
 from .closed_form import (
@@ -95,12 +94,15 @@ def parse_ensemble_file(path: str, renormalize: bool = False) -> WeightedEnsembl
 
 def parse_povm_file(path: str, expected_n: int) -> Povm:
     """Lines `<a> <vx> <vy> <vz>`, one per ensemble state, same order."""
-    elements = tuple(
-        PovmElement(a, BlochVector(*v)) for a, *v in _read_rows(path, "<a> <vx> <vy> <vz>")
-    )
-    if len(elements) != expected_n:
-        raise ValueError(f"{path}: got {len(elements)} POVM elements for {expected_n} states")
-    return Povm(elements)
+    rows = []
+    try:
+        rows.extend(_read_rows(path, "<a> <vx> <vy> <vz>"))
+    finally:  # a bad element is reported before a later malformed line or the count
+        table = np.array(rows).reshape(-1, 4)
+        check_povm_elements(table[:, 0], table[:, 1:])
+    if len(table) != expected_n:
+        raise ValueError(f"{path}: got {len(table)} POVM elements for {expected_n} states")
+    return Povm.from_arrays(table[:, 0], table[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +131,10 @@ def build_report(
     cert = result.certificate
     priors = ensemble.priors.tolist()
     bloch = ensemble.bloch_matrix.tolist()
-    a_values = result.povm.a_values().tolist()
-    v_rows = result.povm.v_matrix().tolist()
+    a_values = result.povm.a.tolist()
+    v_rows = result.povm.v.tolist()
+    pure = cert.pure_mask.tolist()
+    lambdas = cert.lambdas.tolist()
     # summed in BlochVector.dot's order, so each float matches it bit for bit
     contributions = [
         prior * (a + (bx * vx + by * vy + bz * vz))
@@ -143,10 +147,10 @@ def build_report(
             "bloch": bloch[i],
             "conjugate": conj,
             "conjugate_norm": math.hypot(*conj),
-            "pure": cert.pure_mask[i],
+            "pure": pure[i],
             "povm_a": a_values[i],
             "povm_v": v_rows[i],
-            "lambda": cert.lambdas[i],
+            "lambda": lambdas[i],
             "contribution": contributions[i],
         }
         for i, conj in enumerate(cert.conjugate_matrix().tolist())
@@ -269,10 +273,10 @@ def cmd_verify(args) -> int:
     result = _solve_with_method(ensemble, args.method, args.tol)
     satisfied = success <= result.p_opt + BOUND_SLACK
 
-    a_sum = math.fsum(e.a for e in povm.elements)
-    v_sum = np.sum(povm.v_matrix(), axis=0)
-    completeness = max(abs(a_sum - 1.0), float(np.linalg.norm(v_sum)))
-    psd_slack = min(e.a - e.v.norm() for e in povm.elements)
+    a_values = povm.a.tolist()
+    v_sum = np.sum(povm.v, axis=0)
+    completeness = max(abs(math.fsum(a_values) - 1.0), float(np.linalg.norm(v_sum)))
+    psd_slack = min(a - math.hypot(*v) for a, v in zip(a_values, povm.v.tolist()))
 
     report = {
         "command": "verify",

@@ -24,15 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
-    DEGENERACY_TOL,
     PURITY_TOL,
-    BlochVector,
     DiscriminationResult,
     Povm,
-    PovmElement,
-    QubitState,
     WeightedEnsemble,
-    ZERO_VECTOR,
 )
 from .errors import (
     CertificateError,
@@ -88,17 +83,9 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
     if dn <= 1e-15:
         if abs(pr[0] - pr[1]) <= 1e-15:
-            povm = Povm((PovmElement(0.5, ZERO_VECTOR), PovmElement(0.5, ZERO_VECTOR)))
-            conj = (BlochVector(0.0, 0.0, 1.0), BlochVector(0.0, 0.0, -1.0))
-            return assemble_result(
-                ensemble,
-                float(pr.max()),
-                BlochVector.from_array(q[0]),
-                conj,
-                povm,
-                "two-state",
-                lambdas=(0.0, 0.0),
-            )
+            povm = Povm.from_arrays((0.5, 0.5), np.zeros((2, 3)))
+            conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+            return assemble_result(ensemble, float(pr.max()), q[0], conj, povm, "two-state")
         return guess_result(ensemble, int(np.argmax(pr)), "two-state")
     if p < pr.max():
         return guess_result(ensemble, int(np.argmax(pr)), "two-state")
@@ -107,10 +94,7 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     c2 = -c1
     r = q[0] + (p - pr[0]) * c1
     povm = povm_from_weights((1.0, 1.0), (c1, c2))
-    lambdas = ((1.0 - pr[0] / p) / 4.0, (1.0 - pr[1] / p) / 4.0)
-    return assemble_result(
-        ensemble, p, BlochVector.from_array(r), (c1, c2), povm, "two-state", lambdas=lambdas
-    )
+    return assemble_result(ensemble, p, r, (c1, c2), povm, "two-state")
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +256,7 @@ def _boundary_candidate(ensemble: WeightedEnsemble, i: int, j: int):
     weights[i] = weights[j] = 1.0
     try:
         return assemble_result(
-            ensemble,
-            p,
-            BlochVector.from_array(r),
-            [BlochVector.from_array(row) for row in conj],
-            povm_from_weights(weights, conj),
-            "three-state-boundary",
+            ensemble, p, r, conj, povm_from_weights(weights, conj), "three-state-boundary"
         )
     except (CertificateError, ValueError):
         return None
@@ -323,8 +302,8 @@ def _interior_candidate(ensemble: WeightedEnsemble, coeffs: ThreeStateCoefficien
         return assemble_result(
             ensemble,
             p,
-            BlochVector.from_array(r),
-            [BlochVector.from_array(row) for row in conj],
+            r,
+            conj,
             povm_from_weights(np.clip(weights, 0.0, None), conj),
             "three-state-interior",
             lambdas=lam,
@@ -410,14 +389,7 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     conj[rest] = (r - q[rest]) / gap[rest, None]
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
-    return assemble_result(
-        ensemble,
-        p,
-        BlochVector.from_array(r),
-        [BlochVector.from_array(row) for row in conj],
-        povm_from_weights(weights, conj),
-        "diagonal",
-    )
+    return assemble_result(ensemble, p, r, conj, povm_from_weights(weights, conj), "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +425,11 @@ def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
     w = min_norm_nonneg_weights(conj, total=2.0)
     q = ensemble.weighted_points
     r = q[0] + (p - pr[0]) * conj[0]
-    return assemble_result(
-        ensemble,
-        p,
-        BlochVector.from_array(r),
-        [BlochVector.from_array(row) for row in conj],
-        povm_from_weights(w, conj),
-        "symmetric-shell",
-    )
+    return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), "symmetric-shell")
+
+
+def _azimuths(n: int, phis) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(n) / n if phis is None else np.asarray([float(x) for x in phis])
 
 
 def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble:
@@ -471,19 +440,12 @@ def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble
         raise ValueError(f"Bloch norm b = {b!r} outside [0, 1]")
     if not (0.0 <= theta <= np.pi):
         raise ValueError(f"polar angle theta = {theta!r} outside [0, pi]")
-    phis = (
-        2.0 * np.pi * np.arange(n) / n
-        if phis is None
-        else np.asarray([float(x) for x in phis])
-    )
+    phis = _azimuths(n, phis)
     if phis.shape != (n,):
         raise ValueError(f"expected {n} azimuths, got {phis.shape}")
     st, ct = math.sin(theta), math.cos(theta)
-    entries = tuple(
-        (1.0 / n, QubitState(BlochVector(b * st * math.cos(f), b * st * math.sin(f), b * ct)))
-        for f in phis
-    )
-    return WeightedEnsemble(entries)
+    rows = [(b * st * math.cos(f), b * st * math.sin(f), b * ct) for f in phis]
+    return WeightedEnsemble.from_arrays([1.0 / n] * n, rows)
 
 
 def _solve_cone_assembled(
@@ -496,14 +458,7 @@ def _solve_cone_assembled(
     conj = np.column_stack([-np.cos(phis), -np.sin(phis), np.zeros(n)])
     q = ensemble.weighted_points
     r = q[0] + (p - ensemble.priors[0]) * conj[0]
-    return assemble_result(
-        ensemble,
-        p,
-        BlochVector.from_array(r),
-        [BlochVector.from_array(row) for row in conj],
-        povm_from_weights(w, conj),
-        "cone",
-    )
+    return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), "cone")
 
 
 def solve_cone(n: int, b: float, theta: float, phis=None) -> DiscriminationResult:
@@ -514,13 +469,7 @@ def solve_cone(n: int, b: float, theta: float, phis=None) -> DiscriminationResul
     directions) is required; otherwise WeightSystemInfeasible propagates so
     the caller can fall back to the oracle.
     """
-    ensemble = cone_ensemble(n, b, theta, phis)
-    used = (
-        2.0 * np.pi * np.arange(n) / n
-        if phis is None
-        else np.asarray([float(x) for x in phis])
-    )
-    return _solve_cone_assembled(ensemble, b, theta, used)
+    return _solve_cone_assembled(cone_ensemble(n, b, theta, phis), b, theta, _azimuths(n, phis))
 
 
 def _cone_structure(ensemble: WeightedEnsemble):
@@ -559,12 +508,8 @@ def mirror_ensemble(theta: float, p1: float) -> WeightedEnsemble:
     if not (0.0 < p1 < 0.5):
         raise ValueError(f"p1 = {p1!r} outside (0, 1/2)")
     s, c = math.sin(2.0 * theta), math.cos(2.0 * theta)
-    return WeightedEnsemble(
-        (
-            (p1, QubitState(BlochVector(s, 0.0, c))),
-            (p1, QubitState(BlochVector(-s, 0.0, c))),
-            (1.0 - 2.0 * p1, QubitState(BlochVector(0.0, 0.0, 1.0))),
-        )
+    return WeightedEnsemble.from_arrays(
+        (p1, p1, 1.0 - 2.0 * p1), ((s, 0.0, c), (-s, 0.0, c), (0.0, 0.0, 1.0))
     )
 
 

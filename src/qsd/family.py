@@ -16,6 +16,7 @@ is computed only when result.kkt is read.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +29,14 @@ from .bloch import (
     ORTHOGONALITY_TOL,
     PURITY_TOL,
     SUCCESS_TOL,
+    ZERO_ELEMENT_TOL,
     BlochVector,
     DiscriminationResult,
     HelstromCertificate,
     Povm,
-    PovmElement,
     WeightedEnsemble,
-    ZERO_VECTOR,
+    row_norms,
+    vector_matrix,
 )
 from .errors import CertificateError, DegenerateRatioError
 
@@ -48,12 +50,29 @@ __all__ = [
     "povm_from_weights",
     "assemble_result",
     "guess_result",
+    "max_pairwise_distance",
 ]
 
+_RATIO_SLACK = 1e-12       # p may exceed 1, or fall below the largest prior, by this
+_WEIGHT_DUST = 1e-12       # weights this close to zero are clamped to it
+_ZERO_MULTIPLIER = 1e-15   # multipliers at or below this in size are reported as 0
+_TIED_GAP = 1e-15          # p - p_i at or below this ties state i with the guessed one
+_COINCIDENT_TOL = 1e-12    # a tied state must sit this close to the common point
+_PAIR_BLOCK = 256          # rows per block of the pairwise distance table
 
-def _conjugate_rows(conjugates: Sequence) -> np.ndarray:
-    rows = [list(c) if isinstance(c, BlochVector) else np.asarray(c, dtype=float).reshape(3) for c in conjugates]
-    return np.array(rows, dtype=float)
+
+def max_pairwise_distance(points: np.ndarray) -> float:
+    """max_{i,j} |x_i - x_j| over the rows of an (n, 3) array.
+
+    The n x n table is built _PAIR_BLOCK rows at a time, so memory stays
+    O(n * _PAIR_BLOCK); each pair's distance is computed exactly as in the
+    one-shot table, so the maximum is bit-identical to it.
+    """
+    best = -np.inf
+    for start in range(0, len(points), _PAIR_BLOCK):
+        diffs = points[start:start + _PAIR_BLOCK, None, :] - points[None, :, :]
+        best = np.maximum(best, np.sqrt((diffs ** 2).sum(axis=2)).max())
+    return float(best)
 
 
 def conjugates_from_common_point(
@@ -77,10 +96,8 @@ def conjugates_from_common_point(
 
 def family_residual(ensemble: WeightedEnsemble, p: float, conjugates: Sequence) -> float:
     """Max pairwise distance between the mixtures p_i b_i + (p - p_i) c_i."""
-    c = _conjugate_rows(conjugates)
-    mixtures = ensemble.weighted_points + (p - ensemble.priors)[:, None] * c
-    diffs = mixtures[:, None, :] - mixtures[None, :, :]
-    return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+    c = vector_matrix(conjugates)
+    return max_pairwise_distance(ensemble.weighted_points + (p - ensemble.priors)[:, None] * c)
 
 
 def verify_weak_family(
@@ -96,12 +113,12 @@ def verify_weak_family(
     if len(conjugates) != ensemble.n:
         return False, float("inf")
     residual = family_residual(ensemble, p, conjugates)
-    norms = np.linalg.norm(_conjugate_rows(conjugates), axis=1)
+    norms = np.linalg.norm(vector_matrix(conjugates), axis=1)
     ok = (
         residual <= FAMILY_TOL
         and bool(np.all(norms <= 1.0 + PURITY_TOL))
-        and 0.0 < p <= 1.0 + 1e-12
-        and p >= ensemble.priors.max() - 1e-12
+        and 0.0 < p <= 1.0 + _RATIO_SLACK
+        and p >= ensemble.priors.max() - _RATIO_SLACK
     )
     return ok, residual
 
@@ -122,12 +139,8 @@ def verify_optimality(povm: Povm, conjugates: Sequence) -> tuple:
     """
     if povm.n != len(conjugates):
         raise ValueError("POVM and conjugate list lengths differ")
-    c = _conjugate_rows(conjugates)
-    residual = 0.0
-    for k, el in enumerate(povm.elements):
-        if el.is_zero():
-            continue
-        residual = max(residual, abs(el.a + float(c[k] @ el.v.as_array())))
+    overlaps = np.abs(povm.a + np.einsum("ij,ij->i", vector_matrix(conjugates), povm.v))
+    residual = float(overlaps[povm.a > ZERO_ELEMENT_TOL].max(initial=0.0))
     return residual <= ORTHOGONALITY_TOL, residual
 
 
@@ -139,20 +152,19 @@ def helstrom_upper_bound_check(ensemble: WeightedEnsemble, candidate_povm: Povm,
 def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
     """Build Pi_i = w_i * (I - c_i.sigma)/2 from a weight system.
 
-    Weights within 1e-12 of zero are clamped so float dust cannot fail the
-    PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified by the
-    Povm constructor, not assumed.
+    Weights within _WEIGHT_DUST of zero are clamped so float dust cannot
+    fail the PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified
+    by Povm.from_arrays, not assumed.
     """
     w = np.asarray(weights, dtype=float)
-    c = _conjugate_rows(conjugates)
+    c = vector_matrix(conjugates)
     if w.shape[0] != c.shape[0]:
         raise ValueError("weights and conjugates lengths differ")
-    w = np.where(np.abs(w) <= 1e-12, 0.0, w)
+    w = np.where(np.abs(w) <= _WEIGHT_DUST, 0.0, w)
     if w.min() < 0.0:
         raise ValueError(f"negative weight {w.min()!r}")
     a = w / 2.0
-    v = -a[:, None] * c
-    return Povm(tuple(PovmElement(ak, BlochVector(*vk)) for ak, vk in zip(a.tolist(), v.tolist())))
+    return Povm.from_arrays(a, -a[:, None] * c)
 
 
 def _default_lambdas(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
@@ -184,14 +196,15 @@ def assemble_result(
     p = float(p)
     if not isinstance(common_point, BlochVector):
         common_point = BlochVector.from_array(common_point)
-    conj = [c if isinstance(c, BlochVector) else BlochVector.from_array(c) for c in conjugates]
-    c_rows = _conjugate_rows(conj)
-    c_norms = np.array([c.norm() for c in conj])
+    c_rows = vector_matrix(conjugates, finite=True)
+    c_norms = row_norms(c_rows)
+    top = priors.max()
 
-    if p < priors.max() - 1e-12:
-        raise CertificateError(f"ratio p = {p!r} below max prior {priors.max()!r}")
+    if p < top - _RATIO_SLACK:
+        raise CertificateError(f"ratio p = {p!r} below max prior {top!r}")
     if c_norms.max() > 1.0 + PURITY_TOL:
-        raise CertificateError(f"conjugate norm {c_norms.max()!r} exceeds 1")
+        worst = np.array([math.hypot(*c) for c in c_rows.tolist()]).max()
+        raise CertificateError(f"conjugate norm {worst!r} exceeds 1")
     mixtures = ensemble.weighted_points + (p - priors)[:, None] * c_rows
     residual = float(np.linalg.norm(mixtures - common_point.as_array(), axis=1).max())
     if residual > FAMILY_TOL:
@@ -200,21 +213,21 @@ def assemble_result(
     success = success_probability(ensemble, povm)
     if abs(success - p) > SUCCESS_TOL:
         raise CertificateError(f"POVM success {success!r} differs from p = {p!r}")
-    degenerate = success <= priors.max() + DEGENERACY_TOL
+    degenerate = success <= top + DEGENERACY_TOL
 
     traced = _default_lambdas(ensemble, p, povm)
-    lam = traced if lambdas is None else np.asarray([float(l) for l in lambdas], dtype=float)
+    lam = traced if lambdas is None else np.asarray(lambdas, dtype=float)
     if np.abs(lam - traced).max() > KKT_TOL:
         raise CertificateError("multipliers disagree with the measurement traces")
-    lam = np.where(np.abs(lam) <= 1e-15, 0.0, lam)
+    lam = np.where(np.abs(lam) <= _ZERO_MULTIPLIER, 0.0, lam)
 
     certificate = HelstromCertificate(
         p=p,
         common_point=common_point,
-        conjugates=tuple(conj),
-        scaled_priors=tuple(priors / p),
-        lambdas=tuple(lam),
-        pure_mask=tuple(bool(m) for m in c_norms >= 1.0 - PURITY_TOL),
+        conjugates=c_rows,
+        scaled_priors=priors / p,
+        lambdas=lam,
+        pure_mask=c_norms >= 1.0 - PURITY_TOL,
         degenerate=bool(degenerate),
     )
     return DiscriminationResult(
@@ -236,40 +249,31 @@ def guess_result(
     """
     priors = ensemble.priors
     q = ensemble.weighted_points
+    n = ensemble.n
     k = int(index)
     p = float(priors[k]) if value is None else float(value)
     r = q[k]
-    conj = []
-    for i in range(ensemble.n):
-        if i == k:
-            conj.append(ZERO_VECTOR)
-            continue
-        gap = p - priors[i]
-        offset = r - q[i]
-        if gap <= 1e-15:
-            # tied prior: the family equation forces q_i = r, conjugate free
-            if float(np.linalg.norm(offset)) > 1e-12:
-                raise DegenerateRatioError(
-                    f"guess at index {k} cannot cover state {i}: tied prior, distinct point"
-                )
-            conj.append(ZERO_VECTOR)
-            continue
-        c = offset / gap
-        if float(np.linalg.norm(c)) > 1.0 + PURITY_TOL:
+    gap = p - priors
+    offset = r - q
+    # a tied prior forces q_i = r and leaves the conjugate free: reported as 0
+    tied = gap <= _TIED_GAP
+    tied[k] = True
+    free = ~tied
+    conj = np.zeros((n, 3))
+    conj[free] = offset[free] / gap[free][:, None]
+    stray = tied & (row_norms(offset) > _COINCIDENT_TOL)
+    bad = stray | (row_norms(conj) > 1.0 + PURITY_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if stray[i]:
             raise DegenerateRatioError(
-                f"guess at index {k} is not optimal: state {i} violates the family"
+                f"guess at index {k} cannot cover state {i}: tied prior, distinct point"
             )
-        conj.append(BlochVector.from_array(c))
-    elements = tuple(
-        PovmElement(1.0, ZERO_VECTOR) if i == k else PovmElement(0.0, ZERO_VECTOR)
-        for i in range(ensemble.n)
-    )
+        raise DegenerateRatioError(
+            f"guess at index {k} is not optimal: state {i} violates the family"
+        )
+    a = np.zeros(n)
+    a[k] = 1.0
     return assemble_result(
-        ensemble,
-        p,
-        BlochVector.from_array(r),
-        conj,
-        Povm(elements),
-        method,
-        lambdas=np.zeros(ensemble.n),
+        ensemble, p, r, conj, Povm.from_arrays(a, np.zeros((n, 3))), method, lambdas=np.zeros(n)
     )

@@ -36,6 +36,7 @@ large residuals, which is the point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,12 +44,15 @@ import numpy as np
 
 from .bloch import (
     KKT_TOL,
+    ArrayRecord,
     BlochVector,
     HelstromCertificate,
     Povm,
     WeightedEnsemble,
+    vector_matrix,
 )
 from .errors import DegenerateRatioError
+from .family import max_pairwise_distance
 
 __all__ = ["KktReport", "recover_multipliers", "kkt_residuals"]
 
@@ -68,8 +72,14 @@ _RESIDUAL_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class KktReport:
+@dataclass(init=False, eq=False, repr=False)
+class KktReport(ArrayRecord):
+    """The residuals of the module docstring, and nu_i for i >= 2 (pivot 1).
+
+    nu is stored as a read-only (n - 1, 3) array, returned by nu_matrix();
+    `nu`, a tuple of BlochVector, is built on first access.
+    """
+
     primal_ineq: float
     primal_eq: float
     dual_feas: float
@@ -78,8 +88,19 @@ class KktReport:
     slackness: float
     aggregate_sum: float
     aggregate_half: float
-    nu: tuple
+    nu: tuple = functools.cached_property(
+        lambda self: tuple(BlochVector(*row) for row in self._nu.tolist()))
     degenerate: bool = False
+
+    _VALUES = _RESIDUAL_FIELDS + ("_nu", "degenerate")
+
+    def __init__(self, nu, degenerate: bool = False, **residuals: float) -> None:
+        """Keyword arguments, one per residual field."""
+        self._store(**{f: float(residuals[f]) for f in _RESIDUAL_FIELDS},
+                    _nu=vector_matrix(nu), degenerate=bool(degenerate))
+
+    def nu_matrix(self) -> np.ndarray:
+        return self._nu
 
     @property
     def passes(self) -> bool:
@@ -99,9 +120,10 @@ def recover_multipliers(
 ) -> tuple:
     """(lambdas, nus) from the measurement traces and the stationarity rows.
 
-    lambda_j = tr(Pi_j) (1 - p_j/p) / 4; nu_i = 2 lambda_i c_i / (1 - p~_i)
-    for i = 2..N with state 1 as pivot. Needs p strictly above every prior,
-    otherwise the nu recovery divides by zero.
+    lambda_j = tr(Pi_j) (1 - p_j/p) / 4, an (n,) array; nu_i = 2 lambda_i
+    c_i / (1 - p~_i) for i = 2..N with state 1 as pivot, an (n - 1, 3)
+    array. Needs p strictly above every prior, otherwise the nu recovery
+    divides by zero.
     """
     priors = ensemble.priors
     p = float(p)
@@ -109,15 +131,10 @@ def recover_multipliers(
         raise DegenerateRatioError(
             f"p = {p!r} does not exceed max prior {priors.max()!r}; multipliers undefined"
         )
-    c = np.array([list(ci) for ci in conjugates], dtype=float)
-    traces = 2.0 * povm.a_values()
+    c = vector_matrix(conjugates)
     one_minus = 1.0 - priors / p
-    lambdas = traces * one_minus / 4.0
-    nus = 2.0 * lambdas[1:, None] * c[1:] / one_minus[1:, None]
-    return (
-        tuple(float(l) for l in lambdas),
-        tuple(BlochVector.from_array(row) for row in nus),
-    )
+    lambdas = 2.0 * povm.a * one_minus / 4.0
+    return lambdas, 2.0 * lambdas[1:, None] * c[1:] / one_minus[1:, None]
 
 
 def _nu_rows(lambdas: np.ndarray, c: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
@@ -142,15 +159,13 @@ def kkt_residuals(
     """Grade a candidate (certificate, povm) pair; see the module docstring."""
     b = ensemble.bloch_matrix
     c = certificate.conjugate_matrix()
-    lam = np.asarray(certificate.lambdas, dtype=float)
-    scaled = np.asarray(certificate.scaled_priors, dtype=float)
+    lam = certificate.lambdas
+    scaled = certificate.scaled_priors
     one_minus = 1.0 - scaled
     c_sq = np.einsum("ij,ij->i", c, c)
 
     primal_ineq = float(np.maximum(c_sq - 1.0, 0.0).max())
-    mixtures = scaled[:, None] * b + one_minus[:, None] * c
-    diffs = mixtures[:, None, :] - mixtures[None, :, :]
-    primal_eq = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+    primal_eq = max_pairwise_distance(scaled[:, None] * b + one_minus[:, None] * c)
     dual_feas = float(np.maximum(-lam, 0.0).max())
     slackness = float(np.abs(lam * (c_sq - 1.0)).max())
 
@@ -175,6 +190,6 @@ def kkt_residuals(
         slackness=slackness,
         aggregate_sum=_finite_or_inf(aggregate_sum),
         aggregate_half=_finite_or_inf(aggregate_half),
-        nu=tuple(BlochVector.from_array(row) for row in nus[1:]),
+        nu=nus[1:],
         degenerate=bool(one_minus.min() <= _DEGENERATE_RATIO_TOL),
     )

@@ -44,6 +44,7 @@ from .bloch import (
     BlochVector,
     HelstromCertificate,
     WeightedEnsemble,
+    row_norms,
 )
 from .errors import ConvergenceError
 from .family import assemble_result, povm_from_weights
@@ -298,15 +299,14 @@ def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple
     elements = np.zeros((n, 3))
     elements[support] = dirs
     povm = povm_from_weights(w, elements)
-    norms = np.linalg.norm(c, axis=1)
     certificate = HelstromCertificate(
         p=p,
-        common_point=BlochVector.from_array(r),
-        conjugates=tuple(BlochVector(*row) for row in c.tolist()),
-        scaled_priors=tuple((pr / p).tolist()),
+        common_point=solution.r_star,
+        conjugates=c,
+        scaled_priors=pr / p,
         # w_i (1 - p~_i)/4 rounds 1 - p~_i the way the KKT report does
-        lambdas=tuple((w * (1.0 - pr / p) / 4.0).tolist()),
-        pure_mask=tuple((norms >= 1.0 - PURITY_TOL).tolist()),
+        lambdas=w * (1.0 - pr / p) / 4.0,
+        pure_mask=row_norms(c) >= 1.0 - PURITY_TOL,
         # the gate's test, success <= max prior + DEGENERACY_TOL: the identity
         # succeeds with the guess value, any other POVM here with p
         degenerate=bool(len(support) == 1 or p <= pr.max() + DEGENERACY_TOL),
@@ -326,7 +326,7 @@ def solve_oracle(ensemble: WeightedEnsemble, tol: float = 1e-10):
         ensemble,
         certificate.p,
         certificate.common_point,
-        certificate.conjugates,
+        certificate.conjugate_matrix(),
         povm,
         "oracle",
         lambdas=certificate.lambdas,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, QubitState, WeightedEnsemble
+from .bloch import WeightedEnsemble
 
 __all__ = [
     "PLATONIC_KINDS",
@@ -126,9 +126,7 @@ def platonic_ensemble(solid: PlatonicSolid):
     """Equiprobable ensemble on the solid's vertices, plus both reference values."""
     verts = solid.vertices()
     n = len(verts)
-    ensemble = WeightedEnsemble(
-        tuple((1.0 / n, QubitState(BlochVector.from_array(v))) for v in verts)
-    )
+    ensemble = WeightedEnsemble.from_arrays([1.0 / n] * n, verts)
     reference = PlatonicReference(
         edge_formula_p=(1.0 + PRINTED_EDGE_COEFFICIENTS[solid.kind] * solid.edge()) / n,
         shell_formula_p=(1.0 + solid.scale) / n,

@@ -1,6 +1,7 @@
 """Core types: vectors, states, POVM elements, ensemble validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsd
+from qsd import cli
 from qsd.bloch import (
     COMPLETENESS_TOL,
     KKT_TOL,
@@ -173,6 +175,9 @@ ERROR_TABLE = [
     ("ensemble-single-state",
      lambda: qsd.validate_ensemble([(1.0, _UP)]),
      "an ensemble needs at least two states"),
+    ("ensemble-single-state-after-its-norm",
+     lambda: qsd.validate_ensemble([(1.0, (2.0, 0.0, 0.0))]),
+     "Bloch norm 2.0 exceeds 1 beyond tolerance 1e-12"),
     ("ensemble-prior-zero",
      lambda: qsd.validate_ensemble([(0.5, _UP), (0.0, _DOWN), (0.5, _X)]),
      "entry 1: prior 0.0 outside the open interval (0, 1)"),
@@ -222,3 +227,108 @@ def test_errors_keep_type_and_message(call, message):
         call()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+def _solved(entries):
+    ens = qsd.validate_ensemble(entries)
+    result = qsd.solve_auto(ens)
+    return ens, result, result.kkt
+
+
+TRIPLE = [(0.5, (0.0, 0.0, 1.0)), (0.3, (0.6, 0.0, -0.2)), (0.2, (0.0, -0.7, 0.1))]
+
+
+def test_stored_arrays_are_read_only():
+    ens, result, kkt = _solved(TRIPLE)
+    povm, cert = result.povm, result.certificate
+    stored = [ens.priors, ens.bloch_matrix, ens.weighted_points, povm.a, povm.v,
+              povm.a_values(), povm.v_matrix(), cert.conjugate_matrix(), cert.scaled_priors,
+              cert.lambdas, cert.pure_mask, kkt.nu_matrix()]
+    for arr in stored:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    with pytest.raises(AttributeError):
+        cert.p = 0.5
+
+
+def test_records_compare_hash_and_print_by_value():
+    first, second = _solved(TRIPLE), _solved(list(TRIPLE))
+    for a, b in zip(first, second):
+        assert a is not b
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "array" not in repr(first[1]) and "np." not in repr(first[1])
+
+
+def _one_ulp(arr, index=0):
+    moved = np.array(arr, dtype=float)
+    moved.flat[index] = np.nextafter(moved.flat[index], np.inf)
+    return moved
+
+
+def test_one_ulp_makes_records_unequal():
+    ens, result, kkt = _solved(TRIPLE)
+    povm, cert = result.povm, result.certificate
+    other_ens = qsd.WeightedEnsemble.from_arrays(ens.priors, _one_ulp(ens.bloch_matrix, 4))
+    assert other_ens != ens
+    other_povm = Povm.from_arrays(povm.a, _one_ulp(povm.v, povm.v.argmax()))
+    assert other_povm != povm and other_povm.n == povm.n
+    assert replace(cert, lambdas=_one_ulp(cert.lambdas, 1)) != cert
+    assert replace(cert, lambdas=cert.lambdas) == cert
+    fields = {name: getattr(kkt, name) for name in kkt.residuals()}
+    same = type(kkt)(nu=kkt.nu_matrix(), degenerate=kkt.degenerate, **fields)
+    assert same == kkt and hash(same) == hash(kkt)
+    assert type(kkt)(nu=_one_ulp(kkt.nu_matrix()), degenerate=kkt.degenerate, **fields) != kkt
+
+
+def test_views_round_trip():
+    ens, result, kkt = _solved(TRIPLE)
+    elements = result.povm.elements
+    assert all(isinstance(el, PovmElement) for el in elements)
+    assert Povm(elements).elements == elements
+    assert Povm(elements) == result.povm
+    assert qsd.validate_ensemble(ens.entries) == ens
+    assert qsd.WeightedEnsemble(ens.entries) == ens
+    assert all(isinstance(s, QubitState) for s in ens.states())
+    assert result.certificate.conjugates == tuple(
+        BlochVector(*row) for row in result.certificate.conjugate_matrix().tolist()
+    )
+    assert kkt.nu == tuple(BlochVector(*row) for row in kkt.nu_matrix().tolist())
+
+
+def _jittered_pure(rng, n):
+    points = rng.normal(size=(n, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    priors = rng.uniform(1.0, 1.1, size=n)
+    return list(zip((priors / priors.sum()).tolist(), points.tolist()))
+
+
+def _diagonal(rng, n):
+    priors = rng.uniform(1.0, 2.0, size=n)
+    z = rng.uniform(-1.0, 1.0, size=n)
+    return [(p, (0.0, 0.0, zz)) for p, zz in zip((priors / priors.sum()).tolist(), z.tolist())]
+
+
+@pytest.mark.parametrize("build, method", [(_diagonal, "diagonal"), (_jittered_pure, "oracle")],
+                         ids=["diagonal", "jittered-pure"])
+def test_no_per_state_objects_on_the_solve_path(monkeypatch, build, method):
+    """validate_ensemble, solve_auto, the CLI report and result.kkt build a
+    fixed handful of BlochVector/PovmElement objects, whatever n is."""
+    counts = {}
+    for cls in (BlochVector, PovmElement):
+        def spy(self, _init=cls.__post_init__, _name=cls.__name__):
+            counts[_name] = counts.get(_name, 0) + 1
+            _init(self)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+
+    seen = []
+    for n in (16, 256):
+        entries = build(np.random.default_rng(n), n)
+        counts.clear()
+        ens = qsd.validate_ensemble(entries)
+        result = qsd.solve_auto(ens)
+        cli.build_report(ens, result, 1e-9)
+        result.kkt
+        assert result.method == method
+        seen.append(sum(counts.values()))
+    assert seen[0] == seen[1] <= 4

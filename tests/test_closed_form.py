@@ -48,7 +48,7 @@ def test_two_state_identical_states_canonical():
     conj = result.certificate.conjugates
     np.testing.assert_allclose(conj[0].as_array(), [0, 0, 1])
     np.testing.assert_allclose(conj[1].as_array(), [0, 0, -1])
-    assert result.certificate.lambdas == (0.0, 0.0)
+    assert result.certificate.lambdas.tolist() == [0.0, 0.0]
 
 
 def test_two_state_skewed_formula():

@@ -8,7 +8,8 @@ import pytest
 
 import qsd
 from qsd import DegenerateRatioError
-from qsd.bloch import KKT_TOL
+from qsd.bloch import KKT_TOL, PURITY_TOL, row_norms
+from qsd.family import family_residual
 from qsd.kkt import kkt_residuals, recover_multipliers
 from helpers import random_ensemble
 
@@ -52,7 +53,7 @@ def test_mixed_conjugate_with_multiplier_breaks_slackness():
     ens = boundary_triple()
     result = qsd.solve_three_state(ens)
     cert = result.certificate
-    assert cert.pure_mask == (True, True, False)
+    assert cert.pure_mask.tolist() == [True, True, False]
     c3_sq = cert.conjugates[2].norm() ** 2
     assert c3_sq == pytest.approx(290.0 / 324.0, abs=1e-12)
     bad = replace(cert, lambdas=(cert.lambdas[0], cert.lambdas[1], 0.1))
@@ -221,7 +222,7 @@ def test_one_pass_report_matches_every_pivot():
     ens = boundary_triple()
     result = qsd.solve_three_state(ens)
     cert = result.certificate
-    cases.append((ens, replace(cert, scaled_priors=(1.0,) + cert.scaled_priors[1:]), result.povm))
+    cases.append((ens, replace(cert, scaled_priors=(1.0, *cert.scaled_priors[1:])), result.povm))
 
     for ens, cert, povm in cases:
         report = kkt_residuals(ens, cert, povm)
@@ -232,3 +233,32 @@ def test_one_pass_report_matches_every_pivot():
             assert got == expected or close, (name, got, expected)
         others = [v for f, v in report.residuals().items() if f not in literal]
         assert report.passes == all(v <= KKT_TOL for v in others + list(literal.values()))
+
+
+def _one_shot_max_distance(points):
+    diffs = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+
+
+def test_pairwise_maxima_match_the_one_shot_table_exactly():
+    """primal_eq and family_residual walk row blocks; at n = 600 (three blocks)
+    both equal the one-shot n x n x 3 formula bit for bit, at the optimum and
+    with conjugates scrambled so the largest pair sits in the last block."""
+    rng = np.random.default_rng(600)
+    priors = rng.uniform(1.0, 2.0, size=600)
+    points = rng.normal(size=(600, 3))
+    points *= rng.uniform(0.0, 1.0, size=600)[:, None] / np.linalg.norm(points, axis=1)[:, None]
+    ens = qsd.validate_ensemble(list(zip((priors / priors.sum()).tolist(), points.tolist())))
+    result = qsd.solve_oracle(ens)
+    cert = result.certificate
+    scrambled = rng.normal(size=(600, 3))
+    scrambled[-1] = 50.0
+    for conj in (cert.conjugate_matrix(), scrambled):
+        scaled = cert.scaled_priors
+        mixtures = scaled[:, None] * ens.bloch_matrix + (1.0 - scaled)[:, None] * conj
+        pure = row_norms(conj) >= 1.0 - PURITY_TOL
+        report = kkt_residuals(ens, replace(cert, conjugates=conj, pure_mask=pure), result.povm)
+        assert report.primal_eq == _one_shot_max_distance(mixtures)
+        family = ens.weighted_points + (cert.p - ens.priors)[:, None] * conj
+        assert family_residual(ens, cert.p, conj) == _one_shot_max_distance(family)
+    assert report.primal_eq > 10.0

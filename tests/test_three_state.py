@@ -47,7 +47,7 @@ def test_boundary_example():
         cert.conjugates[2].as_array(), [-1.0 / 18.0, 0.0, 17.0 / 18.0], atol=1e-12
     )
     assert cert.conjugates[2].norm() == pytest.approx(math.sqrt(290.0) / 18.0, abs=1e-12)
-    assert cert.pure_mask == (True, True, False)
+    assert cert.pure_mask.tolist() == [True, True, False]
     assert_result_valid(ens, result)
 
 
