@@ -130,8 +130,11 @@ class QubitState:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """|row| for each row of an (n, 3) array; every vectorized norm test uses this."""
-    return np.sqrt(np.add.reduce(rows * rows, 1))
+    """|row| for each row of an (n, 3) array; every vectorized norm test uses this.
+
+    hypot neither overflows nor warns on huge or non-finite input.
+    """
+    return np.hypot(np.hypot(rows[:, 0], rows[:, 1]), rows[:, 2])
 
 
 def _vector(v) -> BlochVector:
@@ -156,7 +159,7 @@ def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
 
 
 def _all_finite(rows: np.ndarray) -> bool:
-    return math.isfinite(np.add.reduce(rows, None))
+    return np.isfinite(rows).all()
 
 
 def vector_matrix(vectors, finite: bool = False) -> np.ndarray:
@@ -168,8 +171,8 @@ def vector_matrix(vectors, finite: bool = False) -> np.ndarray:
 
 
 def _in_ball(rows: np.ndarray) -> bool:
-    # |b|^2 <= 1 + STATE_NORM_TOL keeps |b| well inside 1 + STATE_NORM_TOL
-    return np.maximum.reduce(np.add.reduce(rows * rows, 1), initial=0.0) <= 1.0 + STATE_NORM_TOL
+    # half of STATE_NORM_TOL leaves room for the rounding of the vectorized norm
+    return np.maximum.reduce(row_norms(rows), initial=0.0) <= 1.0 + 0.5 * STATE_NORM_TOL
 
 
 def _state_rows(vectors) -> np.ndarray:
@@ -183,8 +186,8 @@ def check_povm_elements(a: np.ndarray, v: np.ndarray) -> None:
     PovmElements built, so messages and bounds stay PovmElement's. Half of
     PSD_TOL leaves room for the rounding of the vectorized norm.
     """
-    slack = np.minimum.reduce(a - row_norms(v), initial=np.inf)
-    if not (slack >= -0.5 * PSD_TOL and np.maximum.reduce(a, initial=0.0) < np.inf):
+    if not (np.maximum.reduce(a, initial=0.0) < np.inf
+            and np.minimum.reduce(a - row_norms(v), initial=np.inf) >= -0.5 * PSD_TOL):
         for ak, vk in zip(a.tolist(), v.tolist()):
             PovmElement(ak, BlochVector(*vk))
 

@@ -213,6 +213,9 @@ ERROR_TABLE = [
     ("certificate-scaled-prior-above-1",
      lambda: _certificate(scaled_priors=(0.5, 1.5)),
      "scaled prior 1 is 1.5, outside (0, 1]"),
+    ("certificate-nan-conjugate",
+     lambda: _certificate(conjugates=(_UP, (_NAN, 0.0, -1.0)), pure_mask=(True, False)),
+     "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=-1.0)"),
     ("certificate-contradicting-pure-mask",
      lambda: _certificate(conjugates=(_UP, (0.0, 0.0, -0.5))),
      "pure_mask[1] = True contradicts |c_1| = 0.5 at tolerance 1e-09"),
