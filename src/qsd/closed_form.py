@@ -3,17 +3,23 @@
 Every solver here reduces its case to a ratio p, a common point r, and a
 nonnegative weight system over pure conjugate directions, then hands the
 pieces to family.assemble_result, which refuses anything that fails the
-weak-duality certificate. Where a case has several closed-form candidates
-(three states: three boundary pairs and an interior quadratic), all
-candidates are built, each is validated independently, and selection is by
-the total order (validity, p, candidate index); if nothing validates, the
-minimax oracle takes over and the result is tagged accordingly.
+weak-duality certificate.
 
 The guess regime is handled explicitly everywhere: whenever the best
 formula value does not exceed the largest prior, the optimum is to always
 guess the most likely state, the certificate is degenerate (identity
 measurement, all multipliers zero, no orthogonality witness), and the
-formula value max_i p_i is returned.
+formula value max_i p_i is returned. Three states test for it first: with
+k the largest prior, guessing k is optimal exactly when
+p_k - p_i >= |q_i - q_k| for both other states, and then the guess result
+is returned, tagged three-state-boundary.
+
+Otherwise the three-state case has several closed-form candidates (three
+boundary pairs and two roots of an interior quadratic). Each is screened
+on Python floats, only the survivors are built as arrays and validated by
+the gate, and selection is by the total order (validity, p, candidate
+index). The minimax oracle is the last resort: if nothing validates, it
+solves the instance and the result is tagged method="oracle".
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 from .bloch import (
     PURITY_TOL,
+    BlochVector,
     DiscriminationResult,
     Povm,
     WeightedEnsemble,
@@ -100,6 +107,33 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # ---------------------------------------------------------------------------
 # three states
 
+# The pairs of a triple: pair (a, b) has squared gap gaps[a + b - 1] and
+# third state 3 - a - b.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# Three-state candidates.
+_SQ_GAP_SLACK = 1e-15     # a squared gap may dip below zero by this
+_LEADING_TOL = 1e-14      # a quadratic coefficient this small relative to the largest vanishes
+_COINCIDENT_TOL = 1e-15   # a pair at most this far apart has no balanced point
+_TOP_PRIOR_SLACK = 1e-15  # a boundary ratio may fall below the largest prior by this
+_GAP_FLOOR = 1e-12        # p - p_i must exceed this for state i to take a conjugate
+_RATIO_SLACK = 1e-12      # an interior ratio may exceed 1 by this
+_NEGATIVE_SLACK = 1e-10   # interior multipliers and weights may dip below zero by this
+
+
+def _three_state_floats(ensemble: WeightedEnsemble) -> tuple:
+    """(priors, weighted points, squared gaps of _PAIRS) as Python floats.
+
+    Each gap is numpy's dot product of the pair's difference with itself,
+    the one np.linalg.norm takes the root of; the quadratic's roots are
+    sensitive enough that a differently rounded sum of squares moves them.
+    """
+    pr = ensemble.priors.tolist()
+    q = ensemble.weighted_points.tolist()
+    d = np.array([[y - x for x, y in zip(q[a], q[b])] for a, b in _PAIRS])
+    gaps = np.matmul(d[:, None, :], d[:, :, None]).ravel().tolist()
+    return pr, q, gaps
+
 
 @dataclass(frozen=True)
 class ThreeStateCoefficients:
@@ -119,18 +153,20 @@ class ThreeStateCoefficients:
 
     def __post_init__(self) -> None:
         for name in ("dist12_sq", "dist13_sq", "dist23_sq"):
-            if getattr(self, name) < -1e-15:
+            if getattr(self, name) < -_SQ_GAP_SLACK:
                 raise ValueError(f"{name} must be nonnegative")
 
     @classmethod
     def from_ensemble(cls, ensemble: WeightedEnsemble) -> "ThreeStateCoefficients":
         if ensemble.n != 3:
             raise ValueError("ThreeStateCoefficients needs exactly 3 states")
-        q = ensemble.weighted_points
-        p1, p2, p3 = ensemble.priors
-        i = float((q[0] - q[1]) @ (q[0] - q[1]))
-        j = float((q[0] - q[2]) @ (q[0] - q[2]))
-        k = float((q[1] - q[2]) @ (q[1] - q[2]))
+        pr, _, gaps = _three_state_floats(ensemble)
+        return cls._from_gaps(pr, gaps)
+
+    @classmethod
+    def _from_gaps(cls, priors, gaps) -> "ThreeStateCoefficients":
+        p1, p2, p3 = priors
+        i, j, k = gaps
         quad_p2 = (
             4.0 * (-p1 * p2 + p1 * p3 + p2 * p3 - p3 ** 2) * i
             + 4.0 * (p1 * p2 - p1 * p3 + p2 * p3 - p2 ** 2) * j
@@ -170,8 +206,8 @@ class ThreeStateCoefficients:
         """Real roots, the (-quad_p1 + sqrt(disc)) / (2 quad_p2) branch first."""
         a, b, c = self.quad_p2, self.quad_p1, self.quad_p0
         scale = max(abs(a), abs(b), abs(c), 1.0)
-        if abs(a) <= 1e-14 * scale:
-            if abs(b) <= 1e-14 * scale:
+        if abs(a) <= _LEADING_TOL * scale:
+            if abs(b) <= _LEADING_TOL * scale:
                 return ()
             return (-c / b,)
         disc = b * b - 4.0 * a * c
@@ -233,57 +269,55 @@ def lambdas_three_state(dots, scaled_priors) -> tuple:
     return first
 
 
-def _boundary_candidate(ensemble: WeightedEnsemble, i: int, j: int):
+def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: list, i: int, j: int):
     """Pair (i, j) pure and balanced, third conjugate mixed, third element zero."""
-    pr = ensemble.priors
-    q = ensemble.weighted_points
-    k = ({0, 1, 2} - {i, j}).pop()
-    d = q[j] - q[i]
-    dn = float(np.linalg.norm(d))
-    if dn <= 1e-15:
+    k = 3 - i - j
+    dn = math.sqrt(gaps[i + j - 1])
+    if dn <= _COINCIDENT_TOL:
         return None
     p = 0.5 * (pr[i] + pr[j] + dn)
-    if p < pr.max() - 1e-15 or p <= pr[k] + 1e-12:
+    if p < max(pr) - _TOP_PRIOR_SLACK or p <= pr[k] + _GAP_FLOOR:
         return None
-    ci = d / (2.0 * p - pr[i] - pr[j])
-    r = q[i] + (p - pr[i]) * ci
-    ck = (r - q[k]) / (p - pr[k])
-    if float(np.linalg.norm(ck)) > 1.0 + PURITY_TOL:
+    span = 2.0 * p - pr[i] - pr[j]
+    ci = [(b - a) / span for a, b in zip(q[i], q[j])]
+    r = [a + (p - pr[i]) * c for a, c in zip(q[i], ci)]
+    ck = [(a - b) / (p - pr[k]) for a, b in zip(r, q[k])]
+    if math.hypot(*ck) > 1.0 + PURITY_TOL:
         return None
-    conj = np.zeros((3, 3))
-    conj[i], conj[j], conj[k] = ci, -ci, ck
-    weights = np.zeros(3)
-    weights[i] = weights[j] = 1.0
+    rows = [ck] * 3
+    rows[i], rows[j] = ci, [-c for c in ci]
+    conj = np.array(rows)
+    weights = [1.0] * 3
+    weights[k] = 0.0
     try:
         return assemble_result(
-            ensemble, p, r, conj, povm_from_weights(weights, conj), "three-state-boundary"
+            ensemble, p, BlochVector(*r), conj, povm_from_weights(weights, conj),
+            "three-state-boundary",
         )
     except (CertificateError, ValueError):
         return None
 
 
-def _interior_candidate(ensemble: WeightedEnsemble, coeffs: ThreeStateCoefficients, p: float):
-    """All three conjugates pure at ratio p, a root of coeffs' quadratic."""
-    pr = ensemble.priors
-    q = ensemble.weighted_points
-    s = p - pr
-    if not np.isfinite(p) or p > 1.0 + 1e-12 or s.min() <= 1e-12:
+def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: float):
+    """All three conjugates pure at ratio p, a root of the interior quadratic."""
+    if not math.isfinite(p) or p > 1.0 + _RATIO_SLACK:
         return None
-    gaps = (coeffs.dist12_sq, coeffs.dist13_sq, coeffs.dist23_sq)
-    pairs = ((0, 1), (0, 2), (1, 2))
-    dots = []
-    for (a, b), g in zip(pairs, gaps):
-        dots.append((s[a] ** 2 + s[b] ** 2 - g) / (2.0 * s[a] * s[b]))
+    s = [p - x for x in pr]
+    if min(s) <= _GAP_FLOOR:
+        return None
+    dots = [(s[a] ** 2 + s[b] ** 2 - g) / (2.0 * s[a] * s[b]) for (a, b), g in zip(_PAIRS, gaps)]
     if max(abs(d) for d in dots) > 1.0 + PURITY_TOL:
         return None
     try:
-        lam = lambdas_three_state(dots, pr / p)
+        lam = lambdas_three_state(dots, [x / p for x in pr])
     except (DegenerateGeometryError, GramConsistencyError):
         return None
-    if min(lam) < -1e-10:
+    weights = [4.0 * p * m / t for m, t in zip(lam, s)]
+    if min(lam) < -_NEGATIVE_SLACK or min(weights) < -_NEGATIVE_SLACK:
         return None
     # common point: two in-plane linear equations from differencing the
     # squared-distance constraints |r - q_i| = p - p_i
+    q = ensemble.weighted_points
     e2 = q[1] - q[0]
     e3 = q[2] - q[0]
     lhs = np.vstack([2.0 * e2, 2.0 * e3])
@@ -294,17 +328,14 @@ def _interior_candidate(ensemble: WeightedEnsemble, coeffs: ThreeStateCoefficien
     if rank < 2:
         return None
     r = q[0] + sol
-    conj = (r - q) / s[:, None]
-    weights = 4.0 * p * np.asarray(lam) / s
-    if weights.min() < -1e-10:
-        return None
+    conj = (r - q) / np.array(s)[:, None]
     try:
         return assemble_result(
             ensemble,
             p,
             r,
             conj,
-            povm_from_weights(np.clip(weights, 0.0, None), conj),
+            povm_from_weights([max(w, 0.0) for w in weights], conj),
             "three-state-interior",
             lambdas=lam,
         )
@@ -313,24 +344,33 @@ def _interior_candidate(ensemble: WeightedEnsemble, coeffs: ThreeStateCoefficien
 
 
 def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
-    """Enumerate three boundary candidates and two interior roots; validate all.
+    """Screen the guess regime, then the closed-form candidates; the oracle comes last.
 
-    Selection is by (p, candidate index); any candidate that survives the
-    weak-duality certificate is a verified optimum of its own branch, and the
-    smallest valid ratio is the answer. When nothing validates (e.g. the
-    guess regime, where no formula candidate exists), the minimax oracle
-    solves the instance and the result is tagged method="oracle".
+    With k the index of the largest prior (the first on ties), guessing
+    state k is optimal exactly when p_k - p_i >= |q_i - q_k| for both other
+    states; that test runs first, with no slack, and returns guess_result
+    tagged three-state-boundary. Otherwise three boundary candidates and two
+    interior roots are screened on Python floats, and only those that pass
+    become arrays and reach the weak-duality gate. Any candidate that
+    survives the gate is a verified optimum of its own branch, and
+    selection is by (p, candidate index). When nothing validates, the
+    minimax oracle solves the instance and the result is tagged
+    method="oracle".
     """
     if ensemble.n != 3:
         raise ValueError(f"solve_three_state needs exactly 3 states, got {ensemble.n}")
+    pr, q, gaps = _three_state_floats(ensemble)
+    top = max(pr)
+    k = pr.index(top)
+    if all(top - pr[i] >= math.sqrt(gaps[i + k - 1]) for i in range(3) if i != k):
+        return guess_result(ensemble, k, "three-state-boundary")
     candidates = []
-    for idx, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        built = _boundary_candidate(ensemble, i, j)
+    for idx, (i, j) in enumerate(_PAIRS):
+        built = _boundary_candidate(ensemble, pr, q, gaps, i, j)
         if built is not None:
             candidates.append((built.p_opt, idx, built))
-    coeffs = ThreeStateCoefficients.from_ensemble(ensemble)
-    for offset, root in enumerate(coeffs.roots()):
-        built = _interior_candidate(ensemble, coeffs, float(root))
+    for offset, root in enumerate(ThreeStateCoefficients._from_gaps(pr, gaps).roots()):
+        built = _interior_candidate(ensemble, pr, gaps, float(root))
         if built is not None:
             candidates.append((built.p_opt, 3 + offset, built))
     if not candidates:

@@ -265,6 +265,29 @@ def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple
     that close sum w_i c_i = 0 exactly, and the weights are then scaled to
     sum to 2.
     """
+    povm, c, lambdas, guess = _basis_measurement(ensemble, solution)
+    pr = ensemble.priors
+    p = float(solution.p_star)
+    certificate = HelstromCertificate(
+        p=p,
+        common_point=solution.r_star,
+        conjugates=c,
+        scaled_priors=pr / p,
+        lambdas=lambdas,
+        pure_mask=row_norms(c) >= 1.0 - PURITY_TOL,
+        # the gate's test, success <= max prior + DEGENERACY_TOL: the identity
+        # succeeds with the guess value, any other POVM here with p
+        degenerate=bool(guess or p <= pr.max() + DEGENERACY_TOL),
+    )
+    return povm, certificate
+
+
+def _basis_measurement(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple:
+    """(povm, conjugates, multipliers, guess) as recover_povm derives them.
+
+    guess is True when the basis kept a single member, whose state the
+    POVM guesses.
+    """
     if not solution.converged or not solution.basis_weights:
         raise ConvergenceError("cannot recover a POVM without a converged basis")
     pr = ensemble.priors
@@ -298,38 +321,25 @@ def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple
     w[support] = weights
     elements = np.zeros((n, 3))
     elements[support] = dirs
-    povm = povm_from_weights(w, elements)
-    certificate = HelstromCertificate(
-        p=p,
-        common_point=solution.r_star,
-        conjugates=c,
-        scaled_priors=pr / p,
-        # w_i (1 - p~_i)/4 rounds 1 - p~_i the way the KKT report does
-        lambdas=w * (1.0 - pr / p) / 4.0,
-        pure_mask=row_norms(c) >= 1.0 - PURITY_TOL,
-        # the gate's test, success <= max prior + DEGENERACY_TOL: the identity
-        # succeeds with the guess value, any other POVM here with p
-        degenerate=bool(len(support) == 1 or p <= pr.max() + DEGENERACY_TOL),
-    )
-    return povm, certificate
+    # w_i (1 - p~_i)/4 rounds 1 - p~_i the way the KKT report does
+    lambdas = w * (1.0 - pr / p) / 4.0
+    return povm_from_weights(w, elements), c, lambdas, len(support) == 1
 
 
 def solve_oracle(ensemble: WeightedEnsemble, tol: float = 1e-10):
-    """Full oracle pipeline returning a graded DiscriminationResult."""
+    """Full oracle pipeline returning a graded DiscriminationResult.
+
+    The measurement comes from recover_povm's derivation; the certificate
+    is built once, by the gate.
+    """
     solution = minimax_common_point(ensemble, tol=tol)
     if not solution.converged:
         raise ConvergenceError(
             f"minimax did not certify an optimum within {solution.iterations} iterations"
         )
-    povm, certificate = recover_povm(ensemble, solution)
+    povm, conjugates, lambdas, _ = _basis_measurement(ensemble, solution)
     return assemble_result(
-        ensemble,
-        certificate.p,
-        certificate.common_point,
-        certificate.conjugate_matrix(),
-        povm,
-        "oracle",
-        lambdas=certificate.lambdas,
+        ensemble, solution.p_star, solution.r_star, conjugates, povm, "oracle", lambdas=lambdas
     )
 
 

@@ -158,6 +158,24 @@ def test_solve_oracle_full_certificates():
         assert_result_valid(ens, result)
 
 
+def test_solve_oracle_builds_one_certificate(monkeypatch):
+    built = []
+    real = qsd.HelstromCertificate.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(qsd.HelstromCertificate, "__init__", spy)
+    rng = np.random.default_rng(17)
+    guess = qsd.validate_ensemble([(0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))])
+    for ens in (trine(), boundary_triple(), guess, random_ensemble(rng, 8)):
+        del built[:]
+        result = solve_oracle(ens)
+        assert built == [result.certificate]
+        assert result.povm == recover_povm(ens, minimax_common_point(ens))[0]
+
+
 def test_classical_diagonal_oracle_values():
     ens = qsd.validate_ensemble(
         [(0.5, (0, 0, 0.8)), (0.3, (0, 0, -0.5)), (0.2, (0, 0, 0.1))]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qsd
+import qsd.closed_form
 from qsd import (
     DegenerateGeometryError,
     GramConsistencyError,
@@ -19,7 +20,7 @@ from qsd import (
     solve_oracle,
     solve_three_state,
 )
-from helpers import assert_result_valid, random_ensemble
+from helpers import assert_result_valid, ball_points, random_ensemble
 
 
 def trine():
@@ -69,14 +70,111 @@ def test_trine_interior_coplanarity():
     assert abs(gram_identity_residual(dots)) <= 1e-10
 
 
-def test_guess_regime_falls_to_oracle():
+def _counting(monkeypatch, name):
+    """Calls of qsd.closed_form.<name>, which still runs."""
+    calls = []
+    real = getattr(qsd.closed_form, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qsd.closed_form, name, spy)
+    return calls
+
+
+def test_guess_regime_is_screened_first(monkeypatch):
+    oracle_calls = _counting(monkeypatch, "solve_oracle")
     ens = qsd.validate_ensemble(
         [(0.9, (0, 0, 0.01)), (0.05, (0, 0, 1)), (0.05, (1, 0, 0))]
     )
     result = solve_three_state(ens)
-    assert result.method == "oracle"
+    assert result.method == "three-state-boundary"
     assert result.certificate.degenerate
-    assert result.p_opt == pytest.approx(0.9, abs=1e-10)
+    assert result.p_opt == 0.9
+    assert not oracle_calls
+
+
+GUESS_MARGINS = (-1e-9, -1e-13, 0.0, 1e-13, 1e-9)
+
+
+def _permuted(rng, priors, points):
+    order = rng.permutation(3)
+    return qsd.validate_ensemble(
+        [(float(priors[i]), tuple(float(x) for x in points[i])) for i in order]
+    )
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def differential_inputs(seed=2024):
+    """(label, fires, ensemble) triples around the three-state guess screen, seeded.
+
+    fires says whether the screen must fire, None where rounding decides.
+    margin<m>: the guess margin min_i (p_k - p_i - |q_i - q_k|) is about m,
+    set by one state and with the other covered; tied-distinct and
+    tied-coincident: two equal top priors on distinct or equal points;
+    tiny: priors down to 1e-6. States come in a random order.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for margin in GUESS_MARGINS:
+        for _ in range(8):
+            top = rng.uniform(0.5, 0.9)
+            near = 10.0 ** rng.uniform(-6.0, math.log10(0.8 * (1.0 - top)))
+            b_near = 0.9 * ball_points(rng, 1)[0]
+            b_top = (near * b_near + (top - near - margin) * _unit(rng)) / top
+            # the third state shares the top state's Bloch vector, which the
+            # guess covers with slack (top - third)(1 - |b_top|) > 0
+            priors = (top, near, 1.0 - top - near)
+            fires = None if margin == 0.0 else margin > 0.0
+            ens = _permuted(rng, priors, (b_top, b_near, b_top))
+            out.append((f"margin{margin:g}", fires, ens))
+    for covered in (True, False):
+        for _ in range(4):
+            top = rng.uniform(0.34, 0.45)
+            direction = _unit(rng)
+            # covered with slack (3 top - 1)(1 - |b_top|), or missed by
+            # 2 (1 - 2 top) - 0.05 top > 0
+            b_top = rng.uniform(0.0, 0.8) * direction if covered else 0.95 * direction
+            b_third = b_top if covered else -direction
+            priors = (top, top, 1.0 - 2.0 * top)
+            ens = _permuted(rng, priors, (b_top, b_top, b_third))
+            out.append(("tied-coincident", covered, ens))
+    for _ in range(6):
+        top = rng.uniform(0.34, 0.49)
+        points = ball_points(rng, 3)
+        out.append(("tied-distinct", False, _permuted(rng, (top, top, 1.0 - 2.0 * top), points)))
+    for _ in range(12):
+        tiny = 10.0 ** rng.uniform(-6.0, -3.0, size=2)
+        priors = (1.0 - tiny.sum(), *tiny) if rng.uniform() < 0.5 else (
+            0.5 - tiny[0], 0.5, tiny[0])
+        out.append(("tiny", None, _permuted(rng, priors, ball_points(rng, 3))))
+    return out
+
+
+def test_guess_screen_agrees_with_the_oracle(monkeypatch):
+    """Near the screen's boundary, at ties and at tiny priors the three-state
+    solve is valid and within 1e-12 of the oracle; where the screen fires it
+    returns the oracle's own answer without calling it."""
+    oracle_calls = _counting(monkeypatch, "solve_oracle")
+    guesses = _counting(monkeypatch, "guess_result")
+    for label, fires, ens in differential_inputs():
+        del oracle_calls[:], guesses[:]
+        result = solve_three_state(ens)
+        oracle = solve_oracle(ens)
+        assert_result_valid(ens, result)
+        assert abs(result.p_opt - oracle.p_opt) <= 1e-12, label
+        if fires is not None:
+            assert bool(guesses) == fires, label
+        if guesses:
+            assert not oracle_calls, label
+            assert result.method == "three-state-boundary"
+            assert result.p_opt == oracle.p_opt
+            assert result.povm == oracle.povm
 
 
 def test_wrong_size_rejected():
