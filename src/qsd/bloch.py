@@ -410,7 +410,8 @@ class HelstromCertificate(ArrayRecord):
     """The data certifying a claimed optimum: ratio p, common point, conjugates, multipliers.
 
     (p, common_point) is the dual point Y = (p I + r.sigma)/2 of the
-    weak-duality gate in family.assemble_result. Constructor checks are
+    weak-duality gate family.assemble_result, which builds every solver's
+    certificate (recover_povm's too) with trace_multipliers. Constructor checks are
     structural (shapes, ranges, purity bookkeeping). Whether the certificate
     actually certifies an optimum is judged by that gate and, as a
     diagnostic, by the KKT report, which must be able to receive deliberately

@@ -331,13 +331,8 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: flo
     conj = (r - q) / np.array(s)[:, None]
     try:
         return assemble_result(
-            ensemble,
-            p,
-            r,
-            conj,
-            povm_from_weights([max(w, 0.0) for w in weights], conj),
+            ensemble, p, r, conj, povm_from_weights([max(w, 0.0) for w in weights], conj),
             "three-state-interior",
-            lambdas=lam,
         )
     except (CertificateError, ValueError):
         return None
@@ -382,6 +377,13 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # ---------------------------------------------------------------------------
 # diagonal ensembles
 
+_AXIS_TOL = 1e-12  # off-axis Bloch components up to this still count as diagonal
+
+
+def _on_z_axis(ensemble: WeightedEnsemble) -> bool:
+    """Every Bloch vector on the z axis: solve_diagonal's structure, tested first by solve_auto."""
+    return np.abs(ensemble.bloch_matrix[:, :2]).max() <= _AXIS_TOL
+
 
 def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """States on the z axis: best up-projector index plus best down-projector index.
@@ -390,12 +392,11 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     larger p_i b_iz) and Pi_d = |1><1|, everything else zero. When a single
     index dominates every pair, that is the guess regime.
     """
-    b = ensemble.bloch_matrix
-    if np.abs(b[:, :2]).max() > 1e-12:
+    if not _on_z_axis(ensemble):
         raise ValueError("solve_diagonal needs every Bloch vector on the z axis")
     pr = ensemble.priors
     n = ensemble.n
-    z = b[:, 2]
+    z = ensemble.bloch_matrix[:, 2]
     up = pr * (1.0 + z) / 2.0
     down = pr * (1.0 - z) / 2.0
 
@@ -435,6 +436,24 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # ---------------------------------------------------------------------------
 # symmetric shell and cone
 
+_EQUIPROBABLE_TOL = 1e-12  # priors this close to 1/n count as equal
+_MIXED_NORM = 1e-12        # a common Bloch norm up to this leaves no direction to oppose
+
+
+def _equiprobable(ensemble: WeightedEnsemble) -> bool:
+    return np.abs(ensemble.priors - 1.0 / ensemble.n).max() <= _EQUIPROBABLE_TOL
+
+
+def _common_norm(rows: np.ndarray) -> float | None:
+    """The mean Bloch norm b of the rows when every norm is within PURITY_TOL of it."""
+    norms = np.linalg.norm(rows, axis=1)
+    b = float(norms.mean())
+    return b if np.abs(norms - b).max() <= PURITY_TOL else None
+
+
+def _mixed(b: float) -> bool:
+    return b <= _MIXED_NORM
+
 
 def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Equiprobable states of a common Bloch norm b: p_opt = (1 + b)/N.
@@ -448,20 +467,18 @@ def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """
     pr = ensemble.priors
     n = ensemble.n
-    if np.abs(pr - 1.0 / n).max() > 1e-12:
+    if not _equiprobable(ensemble):
         raise ValueError("solve_symmetric_shell needs equiprobable priors")
-    b_rows = ensemble.bloch_matrix
-    norms = np.linalg.norm(b_rows, axis=1)
-    b = float(norms.mean())
-    if np.abs(norms - b).max() > PURITY_TOL:
+    b = _common_norm(ensemble.bloch_matrix)
+    if b is None:
         raise ValueError("solve_symmetric_shell needs a common Bloch norm")
 
     p = (1.0 + b) / n
-    if b <= 1e-12:
+    if _mixed(b):
         phis = 2.0 * np.pi * np.arange(n) / n
         conj = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)])
     else:
-        conj = -b_rows / b
+        conj = -ensemble.bloch_matrix / b
     w = min_norm_nonneg_weights(conj, total=2.0)
     q = ensemble.weighted_points
     r = q[0] + (p - pr[0]) * conj[0]
@@ -514,16 +531,14 @@ def solve_cone(n: int, b: float, theta: float, phis=None) -> DiscriminationResul
 
 def _cone_structure(ensemble: WeightedEnsemble):
     """(b, theta, phis) when all states share one norm and one polar angle."""
-    pr = ensemble.priors
     n = ensemble.n
-    if np.abs(pr - 1.0 / n).max() > 1e-12:
+    if not _equiprobable(ensemble):
         return None
     rows = ensemble.bloch_matrix
-    norms = np.linalg.norm(rows, axis=1)
-    b = float(norms.mean())
-    if np.abs(norms - b).max() > PURITY_TOL:
+    b = _common_norm(rows)
+    if b is None:
         return None
-    if b <= 1e-12:
+    if _mixed(b):
         return 0.0, 0.5 * np.pi, 2.0 * np.pi * np.arange(n) / n
     z = rows[:, 2]
     if z.max() - z.min() > 1e-9:
@@ -617,15 +632,14 @@ def solve_auto(ensemble: WeightedEnsemble, tol: float = 1e-10) -> Discrimination
     n = ensemble.n
     if n == 2:
         return solve_two_state(ensemble)
-    if np.abs(ensemble.bloch_matrix[:, :2]).max() <= 1e-12:
+    if _on_z_axis(ensemble):
         return solve_diagonal(ensemble)
     if n == 3:
         return solve_three_state(ensemble)
     structure = _cone_structure(ensemble)
     if structure is not None:
-        b, theta, phis = structure
         try:
-            return _solve_cone_assembled(ensemble, b, theta, phis)
+            return _solve_cone_assembled(ensemble, *structure)
         except (WeightSystemInfeasible, CertificateError, DegenerateRatioError):
             pass
     try:
@@ -635,29 +649,32 @@ def solve_auto(ensemble: WeightedEnsemble, tol: float = 1e-10) -> Discrimination
     return solve_oracle(ensemble, tol=tol)
 
 
-SOLVE_METHODS = ("auto", "two-state", "three-state", "diagonal", "symmetric-shell", "cone", "oracle")
+def _solve_cone_structured(ensemble: WeightedEnsemble) -> DiscriminationResult:
+    structure = _cone_structure(ensemble)
+    if structure is None:
+        raise ValueError(
+            "ensemble lacks cone structure"
+            " (equiprobable priors, common Bloch norm and polar angle)"
+        )
+    return _solve_cone_assembled(ensemble, *structure)
+
+
+# entries look solvers up by name at call time, so a patched module attribute is the one run
+_SOLVERS = {
+    "auto": lambda ensemble, tol: solve_auto(ensemble, tol=tol),
+    "two-state": lambda ensemble, tol: solve_two_state(ensemble),
+    "three-state": lambda ensemble, tol: solve_three_state(ensemble),
+    "diagonal": lambda ensemble, tol: solve_diagonal(ensemble),
+    "symmetric-shell": lambda ensemble, tol: solve_symmetric_shell(ensemble),
+    "cone": lambda ensemble, tol: _solve_cone_structured(ensemble),
+    "oracle": lambda ensemble, tol: solve_oracle(ensemble, tol=tol),
+}
+SOLVE_METHODS = tuple(_SOLVERS)
 
 
 def solve_with_method(ensemble: WeightedEnsemble, method: str, tol: float) -> DiscriminationResult:
     """Run the solver named in SOLVE_METHODS; tol reaches only the oracle."""
-    if method == "auto":
-        return solve_auto(ensemble, tol=tol)
-    if method == "two-state":
-        return solve_two_state(ensemble)
-    if method == "three-state":
-        return solve_three_state(ensemble)
-    if method == "diagonal":
-        return solve_diagonal(ensemble)
-    if method == "symmetric-shell":
-        return solve_symmetric_shell(ensemble)
-    if method == "cone":
-        structure = _cone_structure(ensemble)
-        if structure is None:
-            raise ValueError(
-                "ensemble lacks cone structure"
-                " (equiprobable priors, common Bloch norm and polar angle)"
-            )
-        return _solve_cone_assembled(ensemble, *structure)
-    if method == "oracle":
-        return solve_oracle(ensemble, tol=tol)
-    raise ValueError(f"unknown method {method!r}")
+    solve = _SOLVERS.get(method)
+    if solve is None:
+        raise ValueError(f"unknown method {method!r}")
+    return solve(ensemble, tol)

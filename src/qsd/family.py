@@ -9,9 +9,10 @@ upper-bounds the success probability; p - success = sum_i (p - p_i)
 tr(tau_i Pi_i) vanishes exactly when each nonzero element is orthogonal to
 its conjugate, a_i + c_i.v_i = 0.
 
-assemble_result is the single funnel every solver returns through: it
-certifies by weak duality and refuses anything that fails. The KKT report
-is computed only when result.kkt is read.
+assemble_result is the single funnel every solver returns through and the
+one certificate builder: it certifies by weak duality, refuses anything
+that fails, and derives the multipliers from the measurement traces
+(trace_multipliers). The KKT report is computed only when result.kkt is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .bloch import (
     BOUND_SLACK,
     DEGENERACY_TOL,
     FAMILY_TOL,
-    KKT_TOL,
     ORTHOGONALITY_TOL,
     PURITY_TOL,
     SUCCESS_TOL,
@@ -51,6 +51,7 @@ __all__ = [
     "assemble_result",
     "guess_result",
     "max_pairwise_distance",
+    "trace_multipliers",
 ]
 
 _RATIO_SLACK = 1e-12       # p may exceed 1, or fall below the largest prior, by this
@@ -167,9 +168,12 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
     return Povm.from_arrays(a, -a[:, None] * c)
 
 
-def _default_lambdas(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
-    # lambda_j = tr(Pi_j) (1 - p_j/p) / 4, inverted from the pure-element form;
-    # 1 - p_j/p is what the KKT report divides by, so near-guess nu stay exact
+def trace_multipliers(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
+    """lambda_i = tr(Pi_i) (1 - p_i/p) / 4, the multipliers of every certificate.
+
+    Inverted from the pure-conjugate weights tr(Pi_i) = 4 lambda_i / (1 - p_i/p);
+    1 - p_i/p is what the KKT report divides by, so near-guess nu stay exact.
+    """
     traces = 2.0 * povm.a_values()
     return traces * (1.0 - ensemble.priors / p) / 4.0
 
@@ -181,16 +185,17 @@ def assemble_result(
     conjugates: Sequence,
     povm: Povm,
     method: str,
-    lambdas: Sequence | None = None,
 ) -> DiscriminationResult:
     """Certify and package a solver's output by weak duality; raise CertificateError on failure.
 
-    Three O(n) checks: (1) dual feasibility at the reported point, p >= p_i,
+    The only place a HelstromCertificate is built for a solver. Two O(n)
+    checks: (1) dual feasibility at the reported point, p >= p_i,
     |q_i + (p - p_i) c_i - r| <= FAMILY_TOL and |c_i| <= 1 + PURITY_TOL for
     every i, which is Y >= p_i rho_i; (2) a zero duality gap,
     |success(povm) - p| <= SUCCESS_TOL (the Povm constructor has already
-    enforced completeness and positivity); (3) the reported multipliers
-    match the trace-derived ones within KKT_TOL.
+    enforced completeness and positivity). The multipliers are not an input:
+    they are trace_multipliers of the measurement, with |lambda_i| <= 1e-15
+    reported as 0.
     """
     priors = ensemble.priors
     p = float(p)
@@ -215,10 +220,7 @@ def assemble_result(
         raise CertificateError(f"POVM success {success!r} differs from p = {p!r}")
     degenerate = success <= top + DEGENERACY_TOL
 
-    traced = _default_lambdas(ensemble, p, povm)
-    lam = traced if lambdas is None else np.asarray(lambdas, dtype=float)
-    if np.abs(lam - traced).max() > KKT_TOL:
-        raise CertificateError("multipliers disagree with the measurement traces")
+    lam = trace_multipliers(ensemble, p, povm)
     lam = np.where(np.abs(lam) <= _ZERO_MULTIPLIER, 0.0, lam)
 
     certificate = HelstromCertificate(
@@ -274,6 +276,4 @@ def guess_result(
         )
     a = np.zeros(n)
     a[k] = 1.0
-    return assemble_result(
-        ensemble, p, r, conj, Povm.from_arrays(a, np.zeros((n, 3))), method, lambdas=np.zeros(n)
-    )
+    return assemble_result(ensemble, p, r, conj, Povm.from_arrays(a, np.zeros((n, 3))), method)

@@ -52,7 +52,7 @@ from .bloch import (
     vector_matrix,
 )
 from .errors import DegenerateRatioError
-from .family import max_pairwise_distance
+from .family import max_pairwise_distance, trace_multipliers
 
 __all__ = ["KktReport", "recover_multipliers", "kkt_residuals"]
 
@@ -120,7 +120,7 @@ def recover_multipliers(
 ) -> tuple:
     """(lambdas, nus) from the measurement traces and the stationarity rows.
 
-    lambda_j = tr(Pi_j) (1 - p_j/p) / 4, an (n,) array; nu_i = 2 lambda_i
+    lambdas are family.trace_multipliers, an (n,) array; nu_i = 2 lambda_i
     c_i / (1 - p~_i) for i = 2..N with state 1 as pivot, an (n - 1, 3)
     array. Needs p strictly above every prior, otherwise the nu recovery
     divides by zero.
@@ -133,7 +133,7 @@ def recover_multipliers(
         )
     c = vector_matrix(conjugates)
     one_minus = 1.0 - priors / p
-    lambdas = 2.0 * povm.a * one_minus / 4.0
+    lambdas = trace_multipliers(ensemble, p, povm)
     return lambdas, 2.0 * lambdas[1:, None] * c[1:] / one_minus[1:, None]
 
 

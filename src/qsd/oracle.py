@@ -28,7 +28,8 @@ The measurement comes from that same basis. At equal slack
 q_i - r = -(p - p_i) c_i, so the hull weights mu_i of the exit test, scaled
 by |r - q_i|, are the weights of the pure-conjugate POVM: recover_povm
 solves no second weight system, and a size-1 basis (the guess regime)
-yields the identity on its state.
+yields the identity on its state. recover_povm and solve_oracle share one
+result, whose certificate comes from the gate, family.assemble_result.
 """
 
 from __future__ import annotations
@@ -38,14 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bloch import (
-    DEGENERACY_TOL,
-    PURITY_TOL,
-    BlochVector,
-    HelstromCertificate,
-    WeightedEnsemble,
-    row_norms,
-)
+from .bloch import BlochVector, DiscriminationResult, WeightedEnsemble
 from .errors import ConvergenceError
 from .family import assemble_result, povm_from_weights
 from .weights import subset_support_weights
@@ -252,7 +246,7 @@ def minimax_common_point(ensemble: WeightedEnsemble, tol: float = 1e-10) -> Mini
 
 
 def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple:
-    """(Povm, HelstromCertificate) read off the final basis of the minimax optimum.
+    """(Povm, HelstromCertificate) of the gated result read off the final basis.
 
     Conjugates are c_i = (r - q_i)/(p - p_i), zero where that gap vanishes.
     At equal slack q_i - r = -(p - p_i) c_i, so the hull weights mu of the
@@ -263,31 +257,18 @@ def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple
     the family equation, while its direction carries the most rounding
     error; it takes the direction (reported as its conjugate) and weight
     that close sum w_i c_i = 0 exactly, and the weights are then scaled to
-    sum to 2.
+    sum to 2. The pair is solve_oracle's, certified by the gate: a solution
+    it rejects (say, a p_star that is not the minimax value) raises
+    CertificateError, and one without a converged basis ConvergenceError.
     """
-    povm, c, lambdas, guess = _basis_measurement(ensemble, solution)
-    pr = ensemble.priors
-    p = float(solution.p_star)
-    certificate = HelstromCertificate(
-        p=p,
-        common_point=solution.r_star,
-        conjugates=c,
-        scaled_priors=pr / p,
-        lambdas=lambdas,
-        pure_mask=row_norms(c) >= 1.0 - PURITY_TOL,
-        # the gate's test, success <= max prior + DEGENERACY_TOL: the identity
-        # succeeds with the guess value, any other POVM here with p
-        degenerate=bool(guess or p <= pr.max() + DEGENERACY_TOL),
-    )
-    return povm, certificate
+    result = _basis_measurement(ensemble, solution)
+    return result.povm, result.certificate
 
 
-def _basis_measurement(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple:
-    """(povm, conjugates, multipliers, guess) as recover_povm derives them.
-
-    guess is True when the basis kept a single member, whose state the
-    POVM guesses.
-    """
+def _basis_measurement(
+    ensemble: WeightedEnsemble, solution: MinimaxSolution
+) -> DiscriminationResult:
+    """The gated oracle result that recover_povm derives from the final basis."""
     if not solution.converged or not solution.basis_weights:
         raise ConvergenceError("cannot recover a POVM without a converged basis")
     pr = ensemble.priors
@@ -321,15 +302,13 @@ def _basis_measurement(ensemble: WeightedEnsemble, solution: MinimaxSolution) ->
     w[support] = weights
     elements = np.zeros((n, 3))
     elements[support] = dirs
-    # w_i (1 - p~_i)/4 rounds 1 - p~_i the way the KKT report does
-    lambdas = w * (1.0 - pr / p) / 4.0
-    return povm_from_weights(w, elements), c, lambdas, len(support) == 1
+    return assemble_result(ensemble, p, r, c, povm_from_weights(w, elements), "oracle")
 
 
-def solve_oracle(ensemble: WeightedEnsemble, tol: float = 1e-10):
+def solve_oracle(ensemble: WeightedEnsemble, tol: float = 1e-10) -> DiscriminationResult:
     """Full oracle pipeline returning a graded DiscriminationResult.
 
-    The measurement comes from recover_povm's derivation; the certificate
+    The measurement and the certificate are recover_povm's; the certificate
     is built once, by the gate.
     """
     solution = minimax_common_point(ensemble, tol=tol)
@@ -337,10 +316,7 @@ def solve_oracle(ensemble: WeightedEnsemble, tol: float = 1e-10):
         raise ConvergenceError(
             f"minimax did not certify an optimum within {solution.iterations} iterations"
         )
-    povm, conjugates, lambdas, _ = _basis_measurement(ensemble, solution)
-    return assemble_result(
-        ensemble, solution.p_star, solution.r_star, conjugates, povm, "oracle", lambdas=lambdas
-    )
+    return _basis_measurement(ensemble, solution)
 
 
 def classical_diagonal_oracle(ensemble: WeightedEnsemble) -> float:

@@ -22,9 +22,11 @@ from qsd.family import (
     helstrom_upper_bound_check,
     povm_from_weights,
     success_probability,
+    trace_multipliers,
     verify_optimality,
     verify_weak_family,
 )
+from qsd.platonic import PlatonicSolid, platonic_ensemble
 
 
 def antipodal():
@@ -255,3 +257,52 @@ def test_guess_result_rejects_nonoptimal_guess():
     ens = qsd.validate_ensemble([(0.6, (0, 0, 1)), (0.4, (0, 0, -1))])
     with pytest.raises(DegenerateRatioError):
         guess_result(ens, 0, "two-state")
+
+
+def _ensemble(*entries):
+    return qsd.validate_ensemble(list(entries))
+
+
+# one input per method tag and per guess path; the seed-7 bench op
+# ("interior-last-bit") and the mirror triple have Gram-formula multipliers
+# that differ from the traced ones in the last bit
+MULTIPLIER_CASES = [
+    ("two-state", lambda: qsd.solve_auto(skewed_pair())),
+    ("two-state", lambda: qsd.solve_auto(_ensemble((0.9, (0, 0, 0.1)), (0.1, (0, 0, 0.2))))),
+    ("three-state-boundary", lambda: qsd.solve_auto(
+        _ensemble((0.9, (0, 0, 1)), (0.05, (0, 0, -1)), (0.05, (1, 0, 0))))),
+    ("three-state-boundary", lambda: qsd.solve_auto(
+        _ensemble((0.8, (0, 0, 0)), (0.1, (0.5, 0, 0)), (0.1, (0, 0.5, 0))))),
+    ("three-state-interior", lambda: qsd.solve_auto(trine())),
+    ("three-state-interior", lambda: qsd.solve_auto(_ensemble(
+        (0.27747456516725094, (-0.063311312019857, 0.8867831892030955, 0.32250859556497036)),
+        (0.4222250278754445, (-0.5945253803064477, -0.0423519291603766, -0.029522088646877186)),
+        (0.30030040695730453, (0.15398070986386583, -0.7658995897520683, -0.45382250373995525)),
+    ))),
+    ("symmetric-shell", lambda: qsd.solve_auto(platonic_ensemble(PlatonicSolid("octahedron"))[0])),
+    ("diagonal", lambda: qsd.solve_auto(
+        _ensemble((0.5, (0, 0, 0.8)), (0.3, (0, 0, -0.5)), (0.2, (0, 0, 0.1))))),
+    ("diagonal", lambda: qsd.solve_auto(
+        _ensemble((0.98, (0, 0, 0.1)), (0.01, (0, 0, 0.2)), (0.01, (0, 0, -0.1))))),
+    ("cone", lambda: qsd.solve_auto(qsd.cone_ensemble(5, 0.8, 1.0))),
+    ("mirror-symmetric", lambda: qsd.solve_mirror_symmetric(math.radians(2), 0.25)),
+    ("oracle", lambda: qsd.solve_oracle(_ensemble(
+        (0.3, (0.5, 0.1, 0.2)), (0.2, (-0.4, 0.3, 0.1)), (0.25, (0.1, -0.6, 0.2)),
+        (0.25, (0.0, 0.2, -0.7))))),
+    ("oracle", lambda: qsd.solve_oracle(_ensemble((0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))))),
+]
+
+
+@pytest.mark.parametrize(
+    "method, solve",
+    MULTIPLIER_CASES,
+    ids=["two-state", "two-state-guess", "boundary", "three-state-guess", "interior",
+         "interior-last-bit", "shell", "diagonal", "diagonal-guess", "cone", "mirror",
+         "oracle", "oracle-guess"],
+)
+def test_multipliers_are_the_clamped_traces(method, solve):
+    result = solve()
+    assert result.method == method
+    traced = trace_multipliers(result.ensemble, result.p_opt, result.povm)
+    expected = np.where(np.abs(traced) <= 1e-15, 0.0, traced)
+    np.testing.assert_array_equal(result.certificate.lambdas, expected)

@@ -1,6 +1,7 @@
 """Minimax oracle: objective, certified minimizer, POVM recovery, samplers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import qsd
 import qsd.oracle
-from qsd import BlochVector, ConvergenceError, MinimaxSolution
+from qsd import BlochVector, CertificateError, ConvergenceError, MinimaxSolution
 from qsd.oracle import (
     classical_diagonal_oracle,
     minimax_common_point,
@@ -355,3 +356,18 @@ def test_near_guess_ensembles_all_solve(solve):
         result = solve(ens)
         assert 0.0 <= result.p_opt - float(ens.priors.max()) < 1e-5
         assert_result_valid(ens, result)
+
+
+def test_recover_povm_returns_the_gated_oracle_result():
+    rng = np.random.default_rng(1019)
+    inputs = [near_guess_ensemble(rng) for _ in range(100)]
+    rng = np.random.default_rng(31)
+    inputs += [random_ensemble(rng, n) for n in range(3, 9) for _ in range(5)]
+    for ens in inputs:
+        result = solve_oracle(ens)
+        assert recover_povm(ens, minimax_common_point(ens)) == (result.povm, result.certificate)
+    ens = trine()
+    sol = minimax_common_point(ens)
+    assert sol.converged and sol.p_star < 0.99
+    with pytest.raises(CertificateError):
+        recover_povm(ens, replace(sol, p_star=sol.p_star + 0.01))
