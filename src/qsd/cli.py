@@ -443,8 +443,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.tol <= 0.0:
-        print("qsd: error: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        print("qsd: error: --tol must be positive and finite", file=sys.stderr)
         return 1
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "demo": cmd_demo}
     try:

@@ -11,9 +11,11 @@ Two solvers, used by different callers:
   subset_support_weights    exact support enumeration in increasing size,
                             first nonnegative solution wins, with a
                             non-uniqueness flag (supports of size <= dim + 1
-                            always suffice); the oracle's hull test runs it
-                            on at most 5 rows, and its POVM comes from
-                            those hull weights, not from a second solve
+                            always suffice); min_norm_nonneg_weights falls
+                            back on it when its sweep fails
+
+The oracle's hull test solves its own at most 5 rows in closed form
+(oracle._hull_weights) and shares nothing with this module.
 
 Directions may be rows of any dimension; callers pass 2 for planar systems
 and 3 otherwise.
@@ -31,6 +33,7 @@ __all__ = ["min_norm_nonneg_weights", "subset_support_weights"]
 
 _FEAS_TOL = 1e-10   # residual of the equality system
 _NEG_TOL = 1e-12    # weights may dip below zero by at most this
+_UNIQUE_TOL = 1e-9  # minimal-support solutions this close count as one
 
 
 def _equality_system(directions: np.ndarray, total: float) -> tuple:
@@ -102,6 +105,6 @@ def subset_support_weights(directions, total: float = 2.0) -> tuple:
         if found:
             found.sort(key=lambda item: (item[0], item[1]))
             best = found[0][2]
-            unique = all(np.allclose(best, other[2], atol=1e-9) for other in found[1:])
+            unique = all(np.allclose(best, other[2], atol=_UNIQUE_TOL) for other in found[1:])
             return best, unique
     return None, True

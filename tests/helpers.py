@@ -8,7 +8,6 @@ import numpy as np
 import qsd
 from qsd.family import family_residual, success_probability, verify_optimality
 from qsd.kkt import kkt_residuals
-from qsd.oracle import _support_points
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -53,6 +52,68 @@ def random_diagonal_ensemble(rng, count, min_prior=1e-3):
     )
 
 
+def lstsq_support_points(pr, q, subset):
+    """Equal-slack points for a support subset: all r with p_i + |r - q_i| equal on it.
+
+    The oracle's equal-slack solver as it was before its closed-form
+    rewrite, kept here unchanged (numpy arrays, np.linalg.lstsq with the
+    default rcond) so that the exhaustive reference shares no numerics with
+    the kernel it checks. Size 1 is the point itself; size 2 the balanced
+    point on the segment; sizes 3 and 4 reduce to a linear system for r as
+    an affine function of p plus one quadratic. Inconsistent or
+    rank-deficient systems return nothing.
+    """
+    s = list(subset)
+    if len(s) == 1:
+        return [q[s[0]].copy()]
+    if len(s) == 2:
+        i, j = s
+        d = q[j] - q[i]
+        dn = float(np.linalg.norm(d))
+        if dn <= 1e-15:
+            return []
+        p = 0.5 * (pr[i] + pr[j] + dn)
+        if p < pr[i] - 1e-15 or p < pr[j] - 1e-15:
+            return []
+        return [q[i] + ((p - pr[i]) / dn) * d]
+
+    i0 = s[0]
+    rest = s[1:]
+    e = q[rest] - q[i0]
+    # 2 rt.e_m = |e_m|^2 + (p_m - p_0)(2p - p_0 - p_m): affine in p
+    h = np.column_stack([
+        np.einsum("ij,ij->i", e, e) - (pr[rest] - pr[i0]) * (pr[rest] + pr[i0]),
+        2.0 * (pr[rest] - pr[i0]),
+    ])
+    u, _, rank, _ = np.linalg.lstsq(2.0 * e, h, rcond=None)
+    if rank < len(rest):
+        return []
+    if (np.linalg.norm(2.0 * e @ u - h, axis=0) > 1e-9).any():
+        return []
+    u0, u1 = u.T
+    # |rt(p)|^2 = (p - p_0)^2 with rt(p) = u0 + u1 p
+    alpha = float(u1 @ u1) - 1.0
+    beta = 2.0 * float(u0 @ u1) + 2.0 * pr[i0]
+    gamma = float(u0 @ u0) - pr[i0] ** 2
+    roots = []
+    if abs(alpha) <= 1e-14:
+        if abs(beta) > 1e-14:
+            roots.append(-gamma / beta)
+    else:
+        disc = beta * beta - 4.0 * alpha * gamma
+        if disc >= -1e-12:
+            sq = float(np.sqrt(max(disc, 0.0)))
+            roots.extend([(-beta + sq) / (2.0 * alpha), (-beta - sq) / (2.0 * alpha)])
+    out = []
+    for p in roots:
+        if not np.isfinite(p):
+            continue
+        if p < pr[s].max() - 1e-12:
+            continue
+        out.append(q[i0] + u0 + u1 * p)
+    return out
+
+
 def brute_force_minimax(ensemble):
     """min f(r) over the equal-slack points of every support of size 1 to 4.
 
@@ -63,7 +124,7 @@ def brute_force_minimax(ensemble):
     best = math.inf
     for size in range(1, min(4, ensemble.n) + 1):
         for subset in combinations(range(ensemble.n), size):
-            for r in _support_points(pr, q, subset):
+            for r in lstsq_support_points(pr, q, subset):
                 best = min(best, float((pr + np.linalg.norm(r - q, axis=1)).max()))
     return best
 

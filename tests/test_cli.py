@@ -158,6 +158,15 @@ def test_tol_must_be_positive(tmp_path, capsys):
     assert "--tol must be positive" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_tol_must_be_finite(tmp_path, capsys, tol):
+    path = write(tmp_path, "trine.txt", TRINE)
+    code, out, err = run(capsys, ["solve", path, f"--tol={tol}"])
+    assert code == 1
+    assert out == ""
+    assert err == "qsd: error: --tol must be positive and finite\n"
+
+
 def test_method_state_count_mismatch(tmp_path, capsys):
     path = write(tmp_path, "poles.txt", POLES)
     code, _, err = run(capsys, ["solve", path, "--method", "three-state"])

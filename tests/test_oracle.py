@@ -70,6 +70,13 @@ def test_minimax_rejects_nonpositive_tol():
         minimax_common_point(trine(), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("solve", [minimax_common_point, solve_oracle], ids=lambda f: f.__name__)
+def test_nonfinite_tol_is_rejected_up_front(solve, tol):
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        solve(trine(), tol=tol)
+
+
 def test_pair_lower_bound():
     assert pair_lower_bound(antipodal()) == pytest.approx(1.0, abs=1e-15)
     assert pair_lower_bound(boundary_triple()) == pytest.approx(0.95, abs=1e-15)
@@ -233,13 +240,13 @@ def test_all_active_equal_priors_certify_on_the_basis_alone(monkeypatch):
         [(1.0 / n, tuple(row)) for row in sphere_points(rng, n)]
     )
     rows = []
-    real = qsd.oracle.subset_support_weights
+    real = qsd.oracle._hull_weights
 
-    def spy(directions, total=2.0):
-        rows.append(len(directions))
-        return real(directions, total)
+    def spy(q, r, basis):
+        rows.append(len(basis))
+        return real(q, r, basis)
 
-    monkeypatch.setattr(qsd.oracle, "subset_support_weights", spy)
+    monkeypatch.setattr(qsd.oracle, "_hull_weights", spy)
     sol = minimax_common_point(ens)
     assert sol.converged
     assert len(sol.active_set) == n
@@ -292,6 +299,107 @@ def test_pivoting_matches_exhaustive_supports(seed, n, tied, duplicated, pure):
     assert sol.p_star == pytest.approx(brute_force_minimax(ens), abs=1e-12)
 
 
+def random_rotation(rng):
+    basis, upper = np.linalg.qr(rng.normal(size=(3, 3)))
+    return basis * np.sign(np.diag(upper))
+
+
+def degenerate_ensemble(rng, n, geometry, priors):
+    """A seeded ensemble whose equal-slack systems are singular or nearly so.
+
+    geometry: "coplanar" (a random plane through 0), "polygon" (a regular
+    n-gon in the xy plane, exactly coplanar at equal slack when the priors
+    are tied), "collinear" (a random axis), "z-axis" (exactly collinear),
+    "duplicated" (the second half repeats earlier states) or "ball".
+    priors: "tied", "half-tied" or "random".
+    """
+    pure = bool(rng.integers(2))
+    if geometry == "coplanar":
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        radius = np.ones(n) if pure else rng.uniform(0.0, 1.0, size=n)
+        flat = np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(n)])
+        points = flat @ random_rotation(rng).T
+    elif geometry == "polygon":
+        angle = 2.0 * math.pi * np.arange(n) / n
+        points = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(n)])
+    elif geometry in ("collinear", "z-axis"):
+        t = rng.choice([-1.0, 1.0], size=n) if pure else rng.uniform(-1.0, 1.0, size=n)
+        axis = np.array([0.0, 0.0, 1.0]) if geometry == "z-axis" else sphere_points(rng, 1)[0]
+        points = t[:, None] * axis
+    else:
+        points = sphere_points(rng, n) if pure else ball_points(rng, n)
+        if geometry == "duplicated":
+            for k in range(max(n // 2, 1), n):
+                points[k] = points[int(rng.integers(0, k))]
+    weights = rng.uniform(0.2, 1.0, size=n)
+    if priors == "tied":
+        weights[:] = 1.0
+    elif priors == "half-tied":
+        weights[: n // 2] = weights[0]
+    return qsd.validate_ensemble(
+        [(float(w), tuple(row)) for w, row in zip(weights, points)], renormalize=True
+    )
+
+
+DEGENERATE_GEOMETRIES = ("coplanar", "polygon", "collinear", "z-axis", "duplicated", "ball")
+DEGENERATE_PRIORS = ("tied", "half-tied", "random")
+
+
+@pytest.mark.parametrize("geometry", DEGENERATE_GEOMETRIES)
+def test_degenerate_geometry_matches_exhaustive_supports(geometry):
+    # singular subsets (4 coplanar points at equal slack, collinear triples,
+    # coincident points) must be skipped, never divided by
+    rng = np.random.default_rng(DEGENERATE_GEOMETRIES.index(geometry) + 701)
+    for priors in DEGENERATE_PRIORS:
+        for n in range(3, 11):
+            ens = degenerate_ensemble(rng, n, geometry, priors)
+            sol = minimax_common_point(ens)
+            assert sol.converged
+            assert sol.p_star == pytest.approx(brute_force_minimax(ens), rel=0.0, abs=1e-12)
+            assert solve_oracle(ens).p_opt == sol.p_star
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("geometry", DEGENERATE_GEOMETRIES)
+def test_degenerate_geometry_at_large_n(geometry, n):
+    rng = np.random.default_rng([n, DEGENERATE_GEOMETRIES.index(geometry)])
+    for priors in ("tied", "random"):
+        ens = degenerate_ensemble(rng, n, geometry, priors)
+        sol = minimax_common_point(ens)
+        assert sol.converged
+        assert pair_lower_bound(ens) - 1e-12 <= sol.p_star
+        assert solve_oracle(ens).p_opt == sol.p_star
+
+
+def test_hull_test_skips_exactly_singular_supports():
+    # every triangle and the tetrahedron below are flat in exact arithmetic
+    hull = qsd.oracle._hull_weights
+    origin = np.zeros(3)
+    flat = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0], [2.0, 1.0, 0]])
+    assert hull(flat, origin, (0, 1, 2, 3)) is None
+    doubled = np.array([[1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    assert hull(doubled, origin, (0, 1, 2)) is None
+    # two antiparallel pairs of equal norm: the first in enumeration order
+    square = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
+    assert hull(square, origin, (0, 1, 2, 3)) == (0.5, 0.0, 0.5, 0.0)
+    assert hull(square, square[1], (1, 0)) == (1.0, 0.0)
+
+
+def test_minimax_makes_no_linalg_call(monkeypatch):
+    ens = random_ensemble(np.random.default_rng(20), 20)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    sol = minimax_common_point(ens)
+    assert sol.converged and len(sol.basis) >= 2
+    monkeypatch.undo()
+    assert sol.p_star == pytest.approx(brute_force_minimax(ens), rel=0.0, abs=1e-12)
+
+
 def test_near_guess_regime_recovers_a_valid_povm():
     # p* exceeds the largest prior by about 1e-6, so the conjugate of that
     # state comes from a difference of nearly equal numbers and |c| misses 1
@@ -316,13 +424,13 @@ def test_all_active_equal_priors_recover_from_the_basis(monkeypatch):
         [(1.0 / n, tuple(row)) for row in sphere_points(rng, n)]
     )
     rows = []
-    real = qsd.oracle.subset_support_weights
+    real = qsd.oracle._hull_weights
 
-    def spy(directions, total=2.0):
-        rows.append(len(directions))
-        return real(directions, total)
+    def spy(q, r, basis):
+        rows.append(len(basis))
+        return real(q, r, basis)
 
-    monkeypatch.setattr(qsd.oracle, "subset_support_weights", spy)
+    monkeypatch.setattr(qsd.oracle, "_hull_weights", spy)
     result = solve_oracle(ens)
     assert len(rows) <= 1 and all(m <= 5 for m in rows)
     assert result.p_opt == pytest.approx(2.0 / n, abs=1e-12)
