@@ -49,7 +49,7 @@ SUCCESS_TOL = 1e-8        # |success(povm) - p_opt|
 CERT_P_TOL = 1e-10        # |p_opt - certificate.p|
 KKT_TOL = 1e-8            # every KKT residual at a reported optimum
 DEGENERACY_TOL = 1e-12    # p - max prior below this marks the guess regime
-_RATIO_SLACK = 1e-12      # a certificate's p and scaled priors may exceed 1 by this
+RATIO_SLACK = 1e-12       # a ratio p may exceed 1, or fall below the largest prior, by this
 
 METHODS = frozenset({
     "two-state",
@@ -132,17 +132,48 @@ class QubitState:
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """|row| for each row of an (n, 3) array; every vectorized norm test uses this.
 
-    hypot neither overflows nor warns on huge or non-finite input.
+    hypot(hypot(x, y), z) in one call: hypot neither overflows nor warns on
+    huge or non-finite input, and a row with a NaN or infinite component
+    gets a NaN or infinite norm.
     """
-    return np.hypot(np.hypot(rows[:, 0], rows[:, 1]), rows[:, 2])
+    return np.hypot.reduce(rows, axis=1)
 
 
 def _vector(v) -> BlochVector:
     return v if isinstance(v, BlochVector) else BlochVector.from_array(v)
 
 
+_FLOAT = np.dtype(float)
+_BOOL = np.dtype(bool)
+
+
+def _handed_over(value, dtype: np.dtype) -> bool:
+    """True when value is a read-only C-ordered array of dtype that owns its data.
+
+    Records and vector_matrix keep such an array as it is: like a record's
+    own arrays, it changes only if its holder makes it writable again.
+    read_only hands a freshly built array over this way; anything else is
+    copied.
+    """
+    if type(value) is not np.ndarray or value.dtype != dtype or value.base is not None:
+        return False
+    flags = value.flags
+    return flags.c_contiguous and not flags.writeable
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only, so that vector_matrix and the records keep it without a copy."""
+    if array.flags.writeable:
+        array.setflags(write=False)
+    return array
+
+
+def _owned(value, dtype: np.dtype = _FLOAT) -> np.ndarray:
+    return value if _handed_over(value, dtype) else np.array(value, dtype=dtype)
+
+
 def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
-    """vectors as a new (n, 3) float array.
+    """vectors as an (n, 3) float array: a new one, unless read_only handed it over.
 
     An (n, 3) array, or a sequence of 3-sequences, for which the vectorized
     test ok(rows) holds, as it does for every valid input, converts in one
@@ -150,7 +181,7 @@ def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
     row, so the first bad row raises that constructor's own error.
     """
     try:
-        rows = np.array(vectors, dtype=float, order="C")
+        rows = vectors if _handed_over(vectors, _FLOAT) else np.array(vectors, dtype=float, order="C")
         if rows.ndim == 2 and rows.shape[1] == 3 and (ok is None or ok(rows)):
             return rows
     except (TypeError, ValueError):
@@ -163,9 +194,11 @@ def _all_finite(rows: np.ndarray) -> bool:
 
 
 def vector_matrix(vectors, finite: bool = False) -> np.ndarray:
-    """BlochVectors, 3-sequences or an (n, 3) array as a new (n, 3) float array.
+    """BlochVectors, 3-sequences or an (n, 3) array as an (n, 3) float array.
 
-    finite=True raises BlochVector's error for the first non-finite row.
+    The array is new unless read_only handed vectors over, so callers only
+    read it. finite=True raises BlochVector's error for the first non-finite
+    row.
     """
     return _rows(vectors, _all_finite if finite else None)
 
@@ -217,7 +250,7 @@ class ArrayRecord:
 
     def _store(self, **values) -> None:
         for value in values.values():
-            if isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray) and value.flags.writeable:
                 value.setflags(write=False)
         self.__dict__.update(values)
 
@@ -271,7 +304,8 @@ class WeightedEnsemble(ArrayRecord):
     """Priors summing to one and the Bloch vectors of the states.
 
     Stored as read-only arrays priors (n,), bloch_matrix (n, 3) and
-    weighted_points (n, 3), row i = p_i b_i, the points the geometry runs on.
+    weighted_points (n, 3), row i = p_i b_i, the points the geometry runs on,
+    with max_prior, the largest prior as a float.
     Priors must lie strictly inside (0, 1): a zero-prior state carries no
     information and a unit-prior state makes discrimination trivial, and
     several downstream ratios divide by quantities that vanish exactly
@@ -306,7 +340,8 @@ class WeightedEnsemble(ArrayRecord):
         total = math.fsum(values)
         if abs(total - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"priors sum to {total!r}, not 1 within {PRIOR_SUM_TOL}")
-        self._store(priors=priors, bloch_matrix=bloch, weighted_points=priors[:, None] * bloch)
+        self._store(priors=priors, bloch_matrix=bloch, weighted_points=priors[:, None] * bloch,
+                    max_prior=max(values))
 
     @property
     def n(self) -> int:
@@ -377,7 +412,7 @@ class Povm(ArrayRecord):
 
     def _validate(self, a, v) -> None:
         """Check every element (a_k >= |v_k|), then completeness."""
-        a = np.array(a, dtype=float)
+        a = _owned(a)
         v = _rows(v)
         if not len(v):
             raise ValueError("a POVM needs at least one element")
@@ -405,6 +440,37 @@ class Povm(ArrayRecord):
         return self.v
 
 
+def _refuse_certificate(p, conj, norms, scaled, lams, mask) -> None:
+    """Raise for the first of HelstromCertificate's checks that fails, if any.
+
+    In order: finite conjugates, equal lengths, at least two states, p in
+    (0, 1], scaled priors in (0, 1], finite multipliers, pure_mask equal to
+    |c_i| >= 1 - PURITY_TOL. The constructor tests all of them in one pass
+    and comes here only when that pass fails; a conjugate too large for a
+    finite norm fails the pass and passes every check here.
+    """
+    if not np.isfinite(norms).all():
+        vector_matrix(conj, finite=True)  # BlochVector's error for the first non-finite row
+    if not (len(conj) == len(scaled) == len(lams) == len(mask)):
+        raise ValueError("certificate field lengths disagree")
+    if len(conj) < 2:
+        raise ValueError("a certificate covers at least two states")
+    if not math.isfinite(p) or not (0.0 < p <= 1.0 + RATIO_SLACK):
+        raise ValueError(f"ratio p = {p!r} outside (0, 1]")
+    for k, t in enumerate(scaled.tolist()):
+        if not 0.0 < t <= 1.0 + RATIO_SLACK:
+            raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
+    if not np.isfinite(lams).all():
+        raise ValueError("multipliers must be finite")
+    wrong = (norms >= 1.0 - PURITY_TOL) != mask
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise ValueError(
+            f"pure_mask[{k}] = {mask[k].item()} contradicts"
+            f" |c_{k}| = {math.hypot(*conj[k].tolist())!r} at tolerance {PURITY_TOL}"
+        )
+
+
 @dataclass(init=False, eq=False, repr=False)
 class HelstromCertificate(ArrayRecord):
     """The data certifying a claimed optimum: ratio p, common point, conjugates, multipliers.
@@ -418,7 +484,10 @@ class HelstromCertificate(ArrayRecord):
     broken certificates and grade them, so optimality itself is not a
     construction invariant here. The conjugates are stored as a read-only
     (n, 3) array, conjugate_matrix(); scaled_priors, lambdas and pure_mask
-    are read-only (n,) arrays.
+    are read-only (n,) arrays. Arrays passed through read_only (as the
+    gate passes its own) are stored as they are; anything else is copied.
+    Every check runs in one vectorized pass over the fields; only when it
+    fails does _refuse_certificate find the first failure and its message.
 
     degenerate marks a measurement that does no better than guessing,
     success <= max prior + DEGENERACY_TOL: the guess regime, where the
@@ -443,29 +512,22 @@ class HelstromCertificate(ArrayRecord):
         p = float(p)
         if not isinstance(common_point, BlochVector):
             common_point = BlochVector.from_array(common_point)
-        conj = vector_matrix(conjugates, finite=True)
-        scaled = np.array(scaled_priors, dtype=float)
-        lams = np.array(lambdas, dtype=float)
-        mask = np.array(pure_mask, dtype=bool)
-        if not (len(conj) == len(scaled) == len(lams) == len(mask)):
-            raise ValueError("certificate field lengths disagree")
-        if len(conj) < 2:
-            raise ValueError("a certificate covers at least two states")
-        if not math.isfinite(p) or not (0.0 < p <= 1.0 + _RATIO_SLACK):
-            raise ValueError(f"ratio p = {p!r} outside (0, 1]")
-        if not (np.minimum.reduce(scaled) > 0.0 and np.maximum.reduce(scaled) <= 1.0 + _RATIO_SLACK):
-            for k, t in enumerate(scaled.tolist()):  # min and max pass NaN on
-                if not 0.0 < t <= 1.0 + _RATIO_SLACK:
-                    raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
-        if not np.isfinite(lams).all():
-            raise ValueError("multipliers must be finite")
-        wrong = (row_norms(conj) >= 1.0 - PURITY_TOL) != mask
-        if wrong.any():
-            k = int(np.argmax(wrong))
-            raise ValueError(
-                f"pure_mask[{k}] = {mask[k].item()} contradicts"
-                f" |c_{k}| = {math.hypot(*conj[k].tolist())!r} at tolerance {PURITY_TOL}"
-            )
+        conj = vector_matrix(conjugates)
+        scaled = _owned(scaled_priors)
+        lams = _owned(lambdas)
+        mask = _owned(pure_mask, _BOOL)
+        norms = row_norms(conj)
+        n = len(conj)
+        # norms @ lams is finite only when every norm and multiplier is (a
+        # product too large for a float sends a valid certificate to the
+        # slow path, which passes it)
+        if not (n == len(scaled) == len(lams) == len(mask) and n >= 2
+                and 0.0 < p <= 1.0 + RATIO_SLACK
+                and math.isfinite(norms @ lams)
+                and np.count_nonzero(
+                    ((norms >= 1.0 - PURITY_TOL) == mask) & (scaled > 0.0)
+                    & (scaled <= 1.0 + RATIO_SLACK)) == n):
+            _refuse_certificate(p, conj, norms, scaled, lams, mask)
         self._store(p=p, common_point=common_point, _conjugates=conj, scaled_priors=scaled,
                     lambdas=lams, pure_mask=mask, degenerate=bool(degenerate))
 

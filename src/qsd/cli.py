@@ -49,6 +49,7 @@ from .errors import DiscriminationError
 from .family import success_probability
 from .oracle import classical_diagonal_oracle, solve_oracle
 from .platonic import (
+    EDGE_COEFFICIENT_TOL,
     PLATONIC_KINDS,
     PRINTED_EDGE_COEFFICIENTS,
     PlatonicSolid,
@@ -59,6 +60,7 @@ from .platonic import (
 __all__ = ["main", "parse_ensemble_file", "parse_povm_file", "build_report"]
 
 _DEMO_NAMES = ("diagonal", "cone", "mirror", "trine") + PLATONIC_KINDS
+_DEFAULT_TOL = 1e-9  # the default --tol, the oracle's convergence tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ def _demo_spec(args):
         ]
         printed = PRINTED_EDGE_COEFFICIENTS[name]
         measured = measured_edge_coefficient(name)
-        if abs(printed - measured) > 1e-10:
+        if abs(printed - measured) > EDGE_COEFFICIENT_TOL:
             extra += [
                 f"edge-coefficient mismatch: tabulated {printed:.10f},"
                 f" measured {measured:.10f}",
@@ -404,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=float,
-        default=1e-9,
+        default=_DEFAULT_TOL,
         help="oracle convergence tolerance",
     )
 

@@ -31,10 +31,12 @@ import numpy as np
 
 from .bloch import (
     PURITY_TOL,
+    RATIO_SLACK,
     BlochVector,
     DiscriminationResult,
     Povm,
     WeightedEnsemble,
+    read_only,
 )
 from .errors import (
     CertificateError,
@@ -44,7 +46,7 @@ from .errors import (
     WeightSystemInfeasible,
 )
 from .family import assemble_result, guess_result, povm_from_weights
-from .oracle import solve_oracle
+from .oracle import DEFAULT_TOL, check_tol, solve_oracle
 from .weights import min_norm_nonneg_weights
 
 __all__ = [
@@ -71,6 +73,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # two states
 
+_COINCIDENT_TOL = 1e-15   # a pair at most this far apart has no balanced point
+_TIED_PRIOR_TOL = 1e-15   # two priors at most this far apart are tied
+
 
 def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """p_opt = max(1/2 (1 + |q_2 - q_1|), max prior), q_i = p_i b_i.
@@ -88,13 +93,13 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     dn = float(np.linalg.norm(d))
     p = 0.5 * (1.0 + dn)
 
-    if dn <= 1e-15:
-        if abs(pr[0] - pr[1]) <= 1e-15:
+    if dn <= _COINCIDENT_TOL:
+        if abs(pr[0] - pr[1]) <= _TIED_PRIOR_TOL:
             povm = Povm.from_arrays((0.5, 0.5), np.zeros((2, 3)))
             conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
-            return assemble_result(ensemble, float(pr.max()), q[0], conj, povm, "two-state")
+            return assemble_result(ensemble, ensemble.max_prior, q[0], conj, povm, "two-state")
         return guess_result(ensemble, int(np.argmax(pr)), "two-state")
-    if p < pr.max():
+    if p < ensemble.max_prior:
         return guess_result(ensemble, int(np.argmax(pr)), "two-state")
 
     c1 = d / (2.0 * p - 1.0)
@@ -114,11 +119,12 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 # Three-state candidates.
 _SQ_GAP_SLACK = 1e-15     # a squared gap may dip below zero by this
 _LEADING_TOL = 1e-14      # a quadratic coefficient this small relative to the largest vanishes
-_COINCIDENT_TOL = 1e-15   # a pair at most this far apart has no balanced point
 _TOP_PRIOR_SLACK = 1e-15  # a boundary ratio may fall below the largest prior by this
 _GAP_FLOOR = 1e-12        # p - p_i must exceed this for state i to take a conjugate
-_RATIO_SLACK = 1e-12      # an interior ratio may exceed 1 by this
 _NEGATIVE_SLACK = 1e-10   # interior multipliers and weights may dip below zero by this
+_DOT_SLACK = 1e-9         # a dot product of unit vectors may exceed 1 in size by this
+_DENOMINATOR_FLOOR = 1e-12  # multiplier denominators below this in size are degenerate
+_GRAM_AGREEMENT_TOL = 1e-8  # the two multiplier triples must agree within this
 
 
 def _three_state_floats(ensemble: WeightedEnsemble) -> tuple:
@@ -225,7 +231,7 @@ def gram_identity_residual(dots) -> float:
     """
     d12, d13, d23 = (float(x) for x in dots)
     for d in (d12, d13, d23):
-        if abs(d) > 1.0 + 1e-9:
+        if abs(d) > 1.0 + _DOT_SLACK:
             raise ValueError(f"dot product {d!r} outside [-1, 1]")
     return d12 ** 2 + d13 ** 2 + d23 ** 2 - 2.0 * d12 * d13 * d23 - 1.0
 
@@ -234,10 +240,11 @@ def lambdas_three_state(dots, scaled_priors) -> tuple:
     """Multipliers of the interior three-state solution from two routes.
 
     Both algebraic triples are evaluated; they agree exactly when the dots
-    satisfy the coplanarity identity, so a disagreement beyond 1e-8 raises
-    GramConsistencyError instead of returning one arbitrarily. Vanishing
-    denominators (collinear conjugates) raise DegenerateGeometryError:
-    that geometry belongs to the boundary candidates, not this formula.
+    satisfy the coplanarity identity, so a disagreement beyond
+    _GRAM_AGREEMENT_TOL raises GramConsistencyError instead of returning
+    one arbitrarily. Vanishing denominators (collinear conjugates) raise
+    DegenerateGeometryError: that geometry belongs to the boundary
+    candidates, not this formula.
     """
     d12, d13, d23 = (float(x) for x in dots)
     t1, t2, t3 = (float(x) for x in scaled_priors)
@@ -247,7 +254,7 @@ def lambdas_three_state(dots, scaled_priors) -> tuple:
         2.0 * d12 * d13 * d23 - d13 * d23 - d12 * d23
         - d12 ** 2 - d13 ** 2 + d12 + d13
     )
-    if min(abs(den_a), abs(den_b), abs(den_2)) < 1e-12:
+    if min(abs(den_a), abs(den_b), abs(den_2)) < _DENOMINATOR_FLOOR:
         raise DegenerateGeometryError(
             f"degenerate multiplier denominators for dots ({d12}, {d13}, {d23})"
         )
@@ -262,7 +269,7 @@ def lambdas_three_state(dots, scaled_priors) -> tuple:
         (1.0 - t3) * (d13 - d12 * d23) / den_2,
     )
     gap = max(abs(a - b) for a, b in zip(first, second))
-    if gap > 1e-8:
+    if gap > _GRAM_AGREEMENT_TOL:
         raise GramConsistencyError(
             f"multiplier triples disagree by {gap!r}; dots are not coplanar"
         )
@@ -286,7 +293,7 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
         return None
     rows = [ck] * 3
     rows[i], rows[j] = ci, [-c for c in ci]
-    conj = np.array(rows)
+    conj = read_only(np.array(rows))
     weights = [1.0] * 3
     weights[k] = 0.0
     try:
@@ -300,7 +307,7 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
 
 def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: float):
     """All three conjugates pure at ratio p, a root of the interior quadratic."""
-    if not math.isfinite(p) or p > 1.0 + _RATIO_SLACK:
+    if not math.isfinite(p) or p > 1.0 + RATIO_SLACK:
         return None
     s = [p - x for x in pr]
     if min(s) <= _GAP_FLOOR:
@@ -328,7 +335,7 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: flo
     if rank < 2:
         return None
     r = q[0] + sol
-    conj = (r - q) / np.array(s)[:, None]
+    conj = read_only((r - q) / np.array(s)[:, None])
     try:
         return assemble_result(
             ensemble, p, r, conj, povm_from_weights([max(w, 0.0) for w in weights], conj),
@@ -378,6 +385,7 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # diagonal ensembles
 
 _AXIS_TOL = 1e-12  # off-axis Bloch components up to this still count as diagonal
+_ZERO_GAP = 1e-15  # p - p_i at or below this leaves state i's conjugate at zero
 
 
 def _on_z_axis(ensemble: WeightedEnsemble) -> bool:
@@ -425,9 +433,10 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     # a state with no gap keeps a zero conjugate: covered only if q_k sits
     # at r, which the gate checks
     gap = p - pr
-    rest = gap > 1e-15
+    rest = gap > _ZERO_GAP
     rest[[u, d]] = False
     conj[rest] = (r - q[rest]) / gap[rest, None]
+    read_only(conj)
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
     return assemble_result(ensemble, p, r, conj, povm_from_weights(weights, conj), "diagonal")
@@ -438,6 +447,7 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
 _EQUIPROBABLE_TOL = 1e-12  # priors this close to 1/n count as equal
 _MIXED_NORM = 1e-12        # a common Bloch norm up to this leaves no direction to oppose
+_POLAR_TOL = 1e-9          # z components this close share one polar angle
 
 
 def _equiprobable(ensemble: WeightedEnsemble) -> bool:
@@ -476,9 +486,9 @@ def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
     p = (1.0 + b) / n
     if _mixed(b):
         phis = 2.0 * np.pi * np.arange(n) / n
-        conj = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)])
+        conj = read_only(np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)]))
     else:
-        conj = -ensemble.bloch_matrix / b
+        conj = read_only(-ensemble.bloch_matrix / b)
     w = min_norm_nonneg_weights(conj, total=2.0)
     q = ensemble.weighted_points
     r = q[0] + (p - pr[0]) * conj[0]
@@ -512,7 +522,7 @@ def _solve_cone_assembled(
     p = (1.0 + b * math.sin(theta)) / n
     planar = np.column_stack([np.cos(phis), np.sin(phis)])
     w = min_norm_nonneg_weights(planar, total=2.0)
-    conj = np.column_stack([-np.cos(phis), -np.sin(phis), np.zeros(n)])
+    conj = read_only(np.column_stack([-np.cos(phis), -np.sin(phis), np.zeros(n)]))
     q = ensemble.weighted_points
     r = q[0] + (p - ensemble.priors[0]) * conj[0]
     return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), "cone")
@@ -541,11 +551,11 @@ def _cone_structure(ensemble: WeightedEnsemble):
     if _mixed(b):
         return 0.0, 0.5 * np.pi, 2.0 * np.pi * np.arange(n) / n
     z = rows[:, 2]
-    if z.max() - z.min() > 1e-9:
+    if z.max() - z.min() > _POLAR_TOL:
         return None
     rho = np.linalg.norm(rows[:, :2], axis=1)
     theta = math.atan2(float(rho.mean()), float(z.mean()))
-    if rho.max() <= 1e-12:
+    if rho.max() <= _AXIS_TOL:
         phis = 2.0 * np.pi * np.arange(n) / n
     else:
         phis = np.arctan2(rows[:, 1], rows[:, 0])
@@ -622,13 +632,16 @@ def solve_mirror_symmetric(theta: float, p1: float) -> DiscriminationResult:
 # dispatch
 
 
-def solve_auto(ensemble: WeightedEnsemble, tol: float = 1e-10) -> DiscriminationResult:
+def solve_auto(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -> DiscriminationResult:
     """Route an ensemble to the most specific applicable solver.
 
     Order: two states; diagonal (N >= 3 on the z axis); general three
     states; cone structure; symmetric shell; minimax oracle. Structural
-    solvers that fail feasibility fall through to the oracle.
+    solvers that fail feasibility fall through to the oracle. tol is the
+    oracle's; it must be positive and finite whichever solver runs
+    (ValueError otherwise).
     """
+    check_tol(tol)
     n = ensemble.n
     if n == 2:
         return solve_two_state(ensemble)
@@ -673,7 +686,11 @@ SOLVE_METHODS = tuple(_SOLVERS)
 
 
 def solve_with_method(ensemble: WeightedEnsemble, method: str, tol: float) -> DiscriminationResult:
-    """Run the solver named in SOLVE_METHODS; tol reaches only the oracle."""
+    """Run the solver named in SOLVE_METHODS; tol reaches only the oracle.
+
+    tol must be positive and finite for every method (ValueError otherwise).
+    """
+    check_tol(tol)
     solve = _SOLVERS.get(method)
     if solve is None:
         raise ValueError(f"unknown method {method!r}")

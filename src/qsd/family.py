@@ -13,6 +13,12 @@ assemble_result is the single funnel every solver returns through and the
 one certificate builder: it certifies by weak duality, refuses anything
 that fails, and derives the multipliers from the measurement traces
 (trace_multipliers). The KKT report is computed only when result.kkt is read.
+The gate computes each quantity once: one pass of row norms tests the
+conjugates for finiteness and the unit ball and gives the pure mask, and
+p_i/p gives both the scaled priors and the multipliers. Solvers hand their
+conjugates over with bloch.read_only and the gate hands its arrays on the
+same way, so neither it nor HelstromCertificate copies them; the
+certificate's own checks still run, in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .bloch import (
     FAMILY_TOL,
     ORTHOGONALITY_TOL,
     PURITY_TOL,
+    RATIO_SLACK,
     SUCCESS_TOL,
     ZERO_ELEMENT_TOL,
     BlochVector,
@@ -35,6 +42,7 @@ from .bloch import (
     HelstromCertificate,
     Povm,
     WeightedEnsemble,
+    read_only,
     row_norms,
     vector_matrix,
 )
@@ -54,11 +62,10 @@ __all__ = [
     "trace_multipliers",
 ]
 
-_RATIO_SLACK = 1e-12       # p may exceed 1, or fall below the largest prior, by this
 _WEIGHT_DUST = 1e-12       # weights this close to zero are clamped to it
 _ZERO_MULTIPLIER = 1e-15   # multipliers at or below this in size are reported as 0
 _TIED_GAP = 1e-15          # p - p_i at or below this ties state i with the guessed one
-_COINCIDENT_TOL = 1e-12    # a tied state must sit this close to the common point
+_TIED_POINT_TOL = 1e-12    # a tied state must sit this close to the common point
 _PAIR_BLOCK = 256          # rows per block of the pairwise distance table
 
 
@@ -118,8 +125,8 @@ def verify_weak_family(
     ok = (
         residual <= FAMILY_TOL
         and bool(np.all(norms <= 1.0 + PURITY_TOL))
-        and 0.0 < p <= 1.0 + _RATIO_SLACK
-        and p >= ensemble.priors.max() - _RATIO_SLACK
+        and 0.0 < p <= 1.0 + RATIO_SLACK
+        and p >= ensemble.priors.max() - RATIO_SLACK
     )
     return ok, residual
 
@@ -161,11 +168,11 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
     c = vector_matrix(conjugates)
     if w.shape[0] != c.shape[0]:
         raise ValueError("weights and conjugates lengths differ")
-    w = np.where(np.abs(w) <= _WEIGHT_DUST, 0.0, w)
-    if w.min() < 0.0:
+    if w.min() < -_WEIGHT_DUST:  # the least weight, which clamping leaves as it is
         raise ValueError(f"negative weight {w.min()!r}")
     a = w / 2.0
-    return Povm.from_arrays(a, -a[:, None] * c)
+    a[np.abs(w) <= _WEIGHT_DUST] = 0.0
+    return Povm.from_arrays(read_only(a), read_only(-a[:, None] * c))
 
 
 def trace_multipliers(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
@@ -174,8 +181,11 @@ def trace_multipliers(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.nd
     Inverted from the pure-conjugate weights tr(Pi_i) = 4 lambda_i / (1 - p_i/p);
     1 - p_i/p is what the KKT report divides by, so near-guess nu stay exact.
     """
-    traces = 2.0 * povm.a_values()
-    return traces * (1.0 - ensemble.priors / p) / 4.0
+    return _multipliers(povm.a, ensemble.priors / p)
+
+
+def _multipliers(a: np.ndarray, scaled_priors: np.ndarray) -> np.ndarray:
+    return 2.0 * a * (1.0 - scaled_priors) / 4.0
 
 
 def assemble_result(
@@ -196,22 +206,29 @@ def assemble_result(
     enforced completeness and positivity). The multipliers are not an input:
     they are trace_multipliers of the measurement, with |lambda_i| <= 1e-15
     reported as 0.
+
+    Each refusal has its own type and message, which tests/test_family.py
+    pins.
     """
     priors = ensemble.priors
     p = float(p)
     if not isinstance(common_point, BlochVector):
         common_point = BlochVector.from_array(common_point)
-    c_rows = vector_matrix(conjugates, finite=True)
+    c_rows = vector_matrix(conjugates)
     c_norms = row_norms(c_rows)
-    top = priors.max()
+    widest = np.maximum.reduce(c_norms)
+    if not math.isfinite(widest):
+        vector_matrix(c_rows, finite=True)  # BlochVector's error for the first non-finite row
+    top = ensemble.max_prior
 
-    if p < top - _RATIO_SLACK:
-        raise CertificateError(f"ratio p = {p!r} below max prior {top!r}")
-    if c_norms.max() > 1.0 + PURITY_TOL:
+    if p < top - RATIO_SLACK:
+        raise CertificateError(f"ratio p = {p!r} below max prior {priors.max()!r}")
+    if widest > 1.0 + PURITY_TOL:
         worst = np.array([math.hypot(*c) for c in c_rows.tolist()]).max()
         raise CertificateError(f"conjugate norm {worst!r} exceeds 1")
-    mixtures = ensemble.weighted_points + (p - priors)[:, None] * c_rows
-    residual = float(np.linalg.norm(mixtures - common_point.as_array(), axis=1).max())
+    offsets = ensemble.weighted_points + (p - priors)[:, None] * c_rows - common_point.as_array()
+    # the largest |offset_i|, rounded as np.linalg.norm rounds each one
+    residual = math.sqrt(np.maximum.reduce((offsets * offsets).sum(axis=1)))
     if residual > FAMILY_TOL:
         raise CertificateError(f"common-point residual {residual!r} exceeds {FAMILY_TOL}")
 
@@ -220,16 +237,17 @@ def assemble_result(
         raise CertificateError(f"POVM success {success!r} differs from p = {p!r}")
     degenerate = success <= top + DEGENERACY_TOL
 
-    lam = trace_multipliers(ensemble, p, povm)
-    lam = np.where(np.abs(lam) <= _ZERO_MULTIPLIER, 0.0, lam)
+    scaled = priors / p
+    lam = _multipliers(povm.a, scaled)
+    lam[np.abs(lam) <= _ZERO_MULTIPLIER] = 0.0
 
     certificate = HelstromCertificate(
         p=p,
         common_point=common_point,
-        conjugates=c_rows,
-        scaled_priors=priors / p,
-        lambdas=lam,
-        pure_mask=c_norms >= 1.0 - PURITY_TOL,
+        conjugates=read_only(c_rows),
+        scaled_priors=read_only(scaled),
+        lambdas=read_only(lam),
+        pure_mask=read_only(c_norms >= 1.0 - PURITY_TOL),
         degenerate=bool(degenerate),
     )
     return DiscriminationResult(
@@ -260,14 +278,13 @@ def guess_result(
     # a tied prior forces q_i = r and leaves the conjugate free: reported as 0
     tied = gap <= _TIED_GAP
     tied[k] = True
-    free = ~tied
-    conj = np.zeros((n, 3))
-    conj[free] = offset[free] / gap[free][:, None]
-    stray = tied & (row_norms(offset) > _COINCIDENT_TOL)
-    bad = stray | (row_norms(conj) > 1.0 + PURITY_TOL)
+    conj = read_only(np.divide(offset, gap[:, None], out=np.zeros((n, 3)), where=~tied[:, None]))
+    # one norm per state: a tied state's offset, any other state's conjugate
+    tested = row_norms(np.where(tied[:, None], offset, conj))
+    bad = tested > np.where(tied, _TIED_POINT_TOL, 1.0 + PURITY_TOL)
     if bad.any():
         i = int(np.argmax(bad))
-        if stray[i]:
+        if tied[i]:
             raise DegenerateRatioError(
                 f"guess at index {k} cannot cover state {i}: tied prior, distinct point"
             )
@@ -276,4 +293,5 @@ def guess_result(
         )
     a = np.zeros(n)
     a[k] = 1.0
-    return assemble_result(ensemble, p, r, conj, Povm.from_arrays(a, np.zeros((n, 3))), method)
+    povm = Povm.from_arrays(read_only(a), read_only(np.zeros((n, 3))))
+    return assemble_result(ensemble, p, r, conj, povm, method)

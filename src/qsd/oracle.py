@@ -40,8 +40,11 @@ The measurement comes from that same basis. At equal slack
 q_i - r = -(p - p_i) c_i, so the hull weights mu_i of the exit test, scaled
 by |r - q_i|, are the weights of the pure-conjugate POVM: recover_povm
 solves no second weight system, and a size-1 basis (the guess regime)
-yields the identity on its state. recover_povm and solve_oracle share one
-result, whose certificate comes from the gate, family.assemble_result.
+yields the identity on its state. Its at most 4 support rows are worked on
+Python floats, rounded as the numpy reductions they replace round, and the
+n-length conjugate, weight and direction arrays are built once.
+recover_povm and solve_oracle share one result, whose certificate comes
+from the gate, family.assemble_result.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bloch import BlochVector, DiscriminationResult, WeightedEnsemble
+from .bloch import BlochVector, DiscriminationResult, WeightedEnsemble, read_only
 from .errors import ConvergenceError
 from .family import assemble_result, povm_from_weights
 
@@ -66,11 +69,13 @@ __all__ = [
     "solve_oracle",
     "classical_diagonal_oracle",
     "random_povm_sample",
+    "check_tol",
     "ACTIVATION_TOL",
+    "DEFAULT_TOL",
 ]
 
 ACTIVATION_TOL = 1e-7     # relative width of the reported active set
-_DEFAULT_TOL = 1e-10      # default convergence tolerance of the pivot loop
+DEFAULT_TOL = 1e-10       # default convergence tolerance of the pivot loop
 
 # Equal-slack geometry.
 _SEPARATION_TOL = 1e-15   # points, slacks and gaps below this count as zero
@@ -82,7 +87,9 @@ _ROOT_TOL = 1e-12         # the discriminant, and p - max prior, may dip below z
 # it stands in for lstsq's rcond = eps * max(M, N) on these 3-column systems.
 _RANK_TOL = 3.0 * sys.float_info.epsilon
 
-# Hull test.
+# Hull test. weights.py and closed_form.py hold constants of the same names
+# and values; the oracle keeps its own copies of _FEAS_TOL, _NEG_TOL and
+# _AXIS_TOL on purpose, so that it shares nothing with the routes it checks.
 _FEAS_TOL = 1e-10         # residual |sum_i mu_i (q_i - r)| / max_i |q_i - r|
 _NEG_TOL = 1e-12          # hull weights may dip below zero by at most this
 
@@ -141,6 +148,17 @@ def _cross(a, b) -> tuple:
 
 def _norm(a) -> float:
     return math.sqrt(_dot(a, a))
+
+
+def _sum(values) -> float:
+    """values added left to right from 0.0, as numpy's reductions over a few terms add them.
+
+    The builtin sum compensates its rounding from Python 3.12 on.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def _solve_rows(e: list, h: list):
@@ -347,7 +365,13 @@ def _distances(r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
-def minimax_common_point(ensemble: WeightedEnsemble, tol: float = _DEFAULT_TOL) -> MinimaxSolution:
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol, a convergence tolerance, is positive and finite."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+
+
+def minimax_common_point(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -> MinimaxSolution:
     """Minimize f over R^3; certified global within tol when converged=True.
 
     Pivots over bases (module docstring). iterations counts the passes over
@@ -358,8 +382,7 @@ def minimax_common_point(ensemble: WeightedEnsemble, tol: float = _DEFAULT_TOL) 
     returns converged=False. Deterministic: ties break by index. tol must
     be positive and finite (ValueError otherwise).
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
+    check_tol(tol)
     pr = ensemble.priors
     q = ensemble.weighted_points
     window = max(tol, _WINDOW_FLOOR)
@@ -413,7 +436,13 @@ def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple
 def _basis_measurement(
     ensemble: WeightedEnsemble, solution: MinimaxSolution
 ) -> DiscriminationResult:
-    """The gated oracle result that recover_povm derives from the final basis."""
+    """The gated oracle result that recover_povm derives from the final basis.
+
+    The at most 4 support rows are worked on Python floats in numpy's
+    rounding: norms and sums add left to right from 0.0, as numpy's
+    reductions over 3 or 4 terms do, and the closing weight is the norm of
+    np.dot, as np.linalg.norm takes it. The n-length arrays are built once.
+    """
     if not solution.converged or not solution.basis_weights:
         raise ConvergenceError("cannot recover a POVM without a converged basis")
     pr = ensemble.priors
@@ -423,34 +452,37 @@ def _basis_measurement(
     r = solution.r_star.as_array()
 
     gap = p - pr
-    c = np.zeros((n, 3))
     free = gap > _SEPARATION_TOL
-    c[free] = (r - q[free]) / gap[free][:, None]
+    c = np.divide(r - q, gap[:, None], out=np.zeros((n, 3)), where=free[:, None])
 
-    mu = np.array(solution.basis_weights)
-    support = np.array(solution.basis)[mu > 0.0]
-    mu = mu[mu > 0.0]
-    k = int(np.argmin(gap[support]))
+    support, mu = zip(*((i, m) for i, m in zip(solution.basis, solution.basis_weights) if m > 0.0))
+    support = list(support)
+    gaps = [p - x for x in pr[support].tolist()]
+    k = gaps.index(min(gaps))
     if len(support) == 1:  # r is that basis point: guess its state
-        weights, dirs = np.array([2.0]), np.zeros((1, 3))
+        weights, dirs = [2.0], [(0.0, 0.0, 0.0)]
     else:
-        offsets = r - q[support]
-        dist = np.linalg.norm(offsets, axis=1)
-        dirs = offsets / dist[:, None]
-        weights = mu * dist
-        closing = -(np.delete(weights, k)[:, None] * np.delete(dirs, k, axis=0)).sum(axis=0)
-        weights[k] = np.linalg.norm(closing)
-        dirs[k] = closing / weights[k]
-        weights *= 2.0 / weights.sum()
+        r_f = r.tolist()
+        offsets = [_sub(r_f, x) for x in q[support].tolist()]
+        dist = [math.sqrt(_dot(x, x)) for x in offsets]
+        dirs = [tuple(y / d for y in x) for x, d in zip(offsets, dist)]
+        weights = [m * d for m, d in zip(mu, dist)]
+        others = [(w_i, d_i) for i, (w_i, d_i) in enumerate(zip(weights, dirs)) if i != k]
+        closing = [-_sum(w_i * d_i[j] for w_i, d_i in others) for j in range(3)]
+        weights[k] = math.sqrt(np.dot(closing, closing))
+        dirs[k] = tuple(y / weights[k] for y in closing)
+        scale = 2.0 / _sum(weights)
+        weights = [w_i * scale for w_i in weights]
     c[support[k]] = dirs[k]
     w = np.zeros(n)
     w[support] = weights
     elements = np.zeros((n, 3))
     elements[support] = dirs
-    return assemble_result(ensemble, p, r, c, povm_from_weights(w, elements), "oracle")
+    povm = povm_from_weights(w, read_only(elements))
+    return assemble_result(ensemble, p, r, read_only(c), povm, "oracle")
 
 
-def solve_oracle(ensemble: WeightedEnsemble, tol: float = _DEFAULT_TOL) -> DiscriminationResult:
+def solve_oracle(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -> DiscriminationResult:
     """Full oracle pipeline returning a graded DiscriminationResult.
 
     The measurement and the certificate are recover_povm's; the certificate

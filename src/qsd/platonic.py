@@ -22,6 +22,7 @@ from .bloch import WeightedEnsemble
 __all__ = [
     "PLATONIC_KINDS",
     "PRINTED_EDGE_COEFFICIENTS",
+    "EDGE_COEFFICIENT_TOL",
     "PlatonicSolid",
     "PlatonicReference",
     "platonic_vertices",
@@ -34,6 +35,10 @@ __all__ = [
 PLATONIC_KINDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_DISTINCT_VERTEX = 1e-9  # vertices farther apart than this are distinct
+
+# a printed edge coefficient further than this from the measured one is a mismatch
+EDGE_COEFFICIENT_TOL = 1e-10
 
 # circumradius / edge, as published; the dodecahedron entry does not match
 # the vertex geometry (see module docstring)
@@ -82,7 +87,7 @@ def unit_edge_length(kind: str) -> float:
     verts = platonic_vertices(kind)
     diff = verts[:, None, :] - verts[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
-    return float(dist[dist > 1e-9].min())
+    return float(dist[dist > _DISTINCT_VERTEX].min())
 
 
 def measured_edge_coefficient(kind: str) -> float:
@@ -144,6 +149,6 @@ def edge_coefficient_report() -> str:
         printed = PRINTED_EDGE_COEFFICIENTS[kind]
         measured = measured_edge_coefficient(kind)
         diff = abs(printed - measured)
-        status = "ok" if diff <= 1e-10 else "MISMATCH (measured value is authoritative)"
+        status = "ok" if diff <= EDGE_COEFFICIENT_TOL else "MISMATCH (measured value is authoritative)"
         lines.append(f"{kind:<14}{printed:>12.8f}{measured:>12.8f}{diff:>12.2e}  {status}")
     return "\n".join(lines)

@@ -21,6 +21,7 @@ from qsd.bloch import (
     PovmElement,
     QubitState,
     ZERO_VECTOR,
+    read_only,
 )
 from helpers import density_matrix, operator_matrix
 
@@ -253,6 +254,26 @@ def test_stored_arrays_are_read_only():
             arr[0] = arr[0]
     with pytest.raises(AttributeError):
         cert.p = 0.5
+
+
+def test_handed_over_arrays_are_kept_and_others_copied():
+    conj = read_only(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    scaled, lams, mask = (read_only(np.array(x)) for x in ([0.5, 0.5], [0.1, 0.1], [True, True]))
+    cert = _certificate(conjugates=conj, scaled_priors=scaled, lambdas=lams, pure_mask=mask)
+    assert cert.conjugate_matrix() is conj and cert.scaled_priors is scaled
+    assert cert.lambdas is lams and cert.pure_mask is mask
+    # a writable array, or a read-only view of one, is copied and left as it was
+    writable = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    view = writable[:]
+    view.setflags(write=False)
+    for given in (writable, view):
+        cert = _certificate(conjugates=given)
+        assert cert.conjugate_matrix() is not given
+        assert not np.shares_memory(cert.conjugate_matrix(), writable)
+    assert writable.flags.writeable
+    a, v = read_only(np.array([0.5, 0.5])), read_only(np.zeros((2, 3)))
+    povm = Povm.from_arrays(a, v)
+    assert povm.a is a and povm.v is v
 
 
 def test_records_compare_hash_and_print_by_value():

@@ -236,6 +236,93 @@ def test_assemble_result_rejects_wrong_common_point():
         )
 
 
+def _generic_pair():
+    ens = qsd.validate_ensemble([(0.3, (0.6, 0.2, 0.7)), (0.7, (-0.1, 0.5, -0.4))])
+    return ens, qsd.solve_two_state(ens)
+
+
+def _gate_input(**changes):
+    """assemble_result's arguments for the generic pair's solved answer, with changes."""
+    ens, result = _generic_pair()
+    cert = result.certificate
+    args = dict(ensemble=ens, p=result.p_opt, common_point=cert.common_point,
+                conjugates=cert.conjugate_matrix(), povm=result.povm, method="two-state")
+    args.update(changes)
+    return args
+
+
+def _antipodal_input(**changes):
+    args = dict(ensemble=antipodal(), p=1.0, common_point=(0.0, 0.0, 0.0),
+                conjugates=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
+                povm=qsd.solve_two_state(antipodal()).povm, method="two-state")
+    args.update(changes)
+    return args
+
+
+def _generic_conjugate(k):
+    return tuple(_generic_pair()[1].certificate.conjugate_matrix()[k].tolist())
+
+
+def _identical_pair_input():
+    ens = qsd.validate_ensemble([(0.5, (0.1, 0.2, 0.3)), (0.5, (0.1, 0.2, 0.3))])
+    result = qsd.solve_two_state(ens)
+    return dict(ensemble=ens, p=0.5, common_point=result.certificate.common_point,
+                conjugates=((0.0, 0.0, 1.0),), povm=result.povm, method="two-state")
+
+
+_NAN, _INF = math.nan, math.inf
+
+# Every way the gate refuses an input, with the exact type and message it
+# raises; the inputs are wrong in one respect each.
+GATE_REJECTIONS = [
+    ("p-nan", lambda: _gate_input(p=_NAN), ValueError, "ratio p = nan outside (0, 1]"),
+    ("p-inf", lambda: _gate_input(p=_INF), CertificateError,
+     "common-point residual inf exceeds 1e-09"),
+    ("p-minus-inf", lambda: _gate_input(p=-_INF), CertificateError,
+     "ratio p = -inf below max prior np.float64(0.7)"),
+    ("p-below-top-prior", lambda: _gate_input(p=0.6), CertificateError,
+     "ratio p = 0.6 below max prior np.float64(0.7)"),
+    ("p-above-one", lambda: _antipodal_input(p=1.0 + 1e-10), ValueError,
+     "ratio p = 1.0000000001 outside (0, 1]"),
+    ("no-conjugate-rows", lambda: _gate_input(conjugates=np.zeros((0, 3))), ValueError,
+     "zero-size array to reduction operation maximum which has no identity"),
+    ("one-conjugate-row-for-two", _identical_pair_input, ValueError,
+     "certificate field lengths disagree"),
+    ("three-conjugate-rows-for-two",
+     lambda: _gate_input(conjugates=(_generic_conjugate(0), _generic_conjugate(1),
+                                     _generic_conjugate(0))),
+     ValueError, "operands could not be broadcast together with shapes (2,1) (3,3) "),
+    ("nan-conjugate", lambda: _gate_input(conjugates=((_NAN, 0.0, 0.0), _generic_conjugate(1))),
+     ValueError, "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=0.0)"),
+    ("inf-conjugate", lambda: _gate_input(conjugates=(_generic_conjugate(0), (0.0, -_INF, 0.0))),
+     ValueError, "Bloch vector components must be finite, got BlochVector(x=0.0, y=-inf, z=0.0)"),
+    ("conjugate-outside-ball",
+     lambda: _antipodal_input(conjugates=((0.0, 0.0, -1.2), (0.0, 0.0, 1.2))),
+     CertificateError, "conjugate norm np.float64(1.2) exceeds 1"),
+    ("common-point-residual", lambda: _gate_input(common_point=(0.5, -0.5, 0.9)),
+     CertificateError, "common-point residual 1.4515667796768348 exceeds 1e-09"),
+    ("success-gap",
+     lambda: _antipodal_input(povm=Povm.from_arrays((1.0, 0.0), np.zeros((2, 3)))),
+     CertificateError, "POVM success 0.5 differs from p = 1.0"),
+    ("nan-common-point", lambda: _gate_input(common_point=(_NAN, 0.0, 0.0)), ValueError,
+     "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=0.0)"),
+    ("inf-common-point", lambda: _gate_input(common_point=(0.0, _INF, 0.0)), ValueError,
+     "Bloch vector components must be finite, got BlochVector(x=0.0, y=inf, z=0.0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "arguments, error, message",
+    [case[1:] for case in GATE_REJECTIONS],
+    ids=[case[0] for case in GATE_REJECTIONS],
+)
+def test_gate_rejections_keep_type_and_message(arguments, error, message):
+    with pytest.raises(Exception) as info:
+        assemble_result(**arguments())
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_guess_result_dominant_prior():
     ens = qsd.validate_ensemble([(0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))])
     result = guess_result(ens, 0, "two-state")

@@ -1,6 +1,7 @@
 """Package layout: modules reach each other only through public names."""
 
 import ast
+import re
 from pathlib import Path
 
 import qsd
@@ -70,5 +71,41 @@ def test_every_import_is_used():
             f"{path.name}: {name}"
             for name in imported
             if name not in used and (path.name, name) not in UNUSED_IMPORT_EXEMPTIONS
+        ]
+    assert offenders == []
+
+
+_CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _in_constant_assignments(tree):
+    """ids of every node inside a module-level NAME = ... assignment with upper-case names."""
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if all(isinstance(t, ast.Name) and _CONSTANT_NAME.fullmatch(t.id) for t in targets):
+            inside |= {id(sub) for sub in ast.walk(node)}
+    return inside
+
+
+def test_small_float_literals_are_named_constants():
+    # a tolerance written inline hides its value from the reader and from
+    # every other place that should quote the same number
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = _in_constant_assignments(tree)
+        offenders += [
+            f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is float
+            and 0.0 < abs(node.value) < 1e-6
+            and id(node) not in named
         ]
     assert offenders == []

@@ -166,6 +166,26 @@ def test_solve_oracle_full_certificates():
         assert_result_valid(ens, result)
 
 
+# one input per method tag and per guess path, each with the tag it must get
+ONE_CERTIFICATE_CASES = [
+    ("two-state", lambda: qsd.solve_auto(
+        qsd.validate_ensemble([(0.3, (1, 0, 0)), (0.7, (0, 1, 0))]))),
+    ("three-state-boundary", lambda: qsd.solve_auto(boundary_triple())),
+    ("three-state-interior", lambda: qsd.solve_auto(trine())),
+    ("three-state-boundary", lambda: qsd.solve_auto(qsd.validate_ensemble(
+        [(0.8, (0, 0, 0)), (0.1, (0.5, 0, 0)), (0.1, (0, 0.5, 0))]))),
+    ("diagonal", lambda: qsd.solve_auto(qsd.validate_ensemble(
+        [(0.5, (0, 0, 0.8)), (0.3, (0, 0, -0.5)), (0.2, (0, 0, 0.1))]))),
+    ("diagonal", lambda: qsd.solve_auto(qsd.validate_ensemble(
+        [(0.98, (0, 0, 0.1)), (0.01, (0, 0, 0.2)), (0.01, (0, 0, -0.1))]))),
+    ("symmetric-shell", lambda: qsd.solve_auto(
+        qsd.platonic_ensemble(qsd.PlatonicSolid("octahedron"))[0])),
+    ("cone", lambda: qsd.solve_auto(qsd.cone_ensemble(5, 0.8, 1.0))),
+    ("mirror-symmetric", lambda: qsd.solve_mirror_symmetric(math.radians(30), 0.3)),
+    ("oracle", lambda: solve_oracle(random_ensemble(np.random.default_rng(17), 8))),
+]
+
+
 def test_solve_oracle_builds_one_certificate(monkeypatch):
     built = []
     real = qsd.HelstromCertificate.__init__
@@ -182,6 +202,11 @@ def test_solve_oracle_builds_one_certificate(monkeypatch):
         result = solve_oracle(ens)
         assert built == [result.certificate]
         assert result.povm == recover_povm(ens, minimax_common_point(ens))[0]
+    for method, solve in ONE_CERTIFICATE_CASES:
+        del built[:]
+        result = solve()
+        assert result.method == method
+        assert built == [result.certificate], method
 
 
 def test_classical_diagonal_oracle_values():
