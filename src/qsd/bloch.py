@@ -425,7 +425,7 @@ class Povm(ArrayRecord):
         v_sum = np.add.reduce(v, 0)
         if math.sqrt(v_sum @ v_sum) > COMPLETENESS_TOL:
             raise ValueError(
-                f"POVM incomplete: vector parts sum to {tuple(v_sum)!r}, not 0 within {COMPLETENESS_TOL}"
+                f"POVM incomplete: vector parts sum to {tuple(v_sum.tolist())!r}, not 0 within {COMPLETENESS_TOL}"
             )
         self._store(a=a, v=v)
 

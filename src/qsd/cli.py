@@ -68,30 +68,34 @@ _DEFAULT_TOL = 1e-9  # the default --tol, the oracle's convergence tolerance
 
 
 def _read_rows(path: str, layout: str):
-    """Yield four floats per line, `#` comment lines and blank lines skipped."""
+    """Yield four floats per line, `#` comment lines and blank lines skipped.
+
+    The file is read in one call and each line split once; lines are
+    numbered as iterating the open file numbers them. Rows are yielded one
+    at a time, so a caller sees every row before a later malformed line.
+    """
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 4 fields `{layout}`, got {len(fields)}"
-                )
-            try:
-                row = tuple(float(f) for f in fields)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-            yield row
+        text = handle.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 fields `{layout}`, got {len(fields)}")
+        try:
+            row = tuple(map(float, fields))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric field in {line.strip()!r}") from None
+        yield row
 
 
 def parse_ensemble_file(path: str, renormalize: bool = False) -> WeightedEnsemble:
     """Lines `<prior> <bx> <by> <bz>`; `#` comment lines and blank lines skipped."""
-    entries = [(prior, b) for prior, *b in _read_rows(path, "<prior> <bx> <by> <bz>")]
-    if len(entries) < 2:
-        raise ValueError(f"{path}: need at least 2 state lines, got {len(entries)}")
-    return validate_ensemble(entries, renormalize=renormalize)
+    rows = list(_read_rows(path, "<prior> <bx> <by> <bz>"))
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 state lines, got {len(rows)}")
+    table = np.array(rows)
+    return WeightedEnsemble.from_arrays(table[:, 0], table[:, 1:], renormalize=renormalize)
 
 
 def parse_povm_file(path: str, expected_n: int) -> Povm:

@@ -396,9 +396,12 @@ def _on_z_axis(ensemble: WeightedEnsemble) -> bool:
 def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """States on the z axis: best up-projector index plus best down-projector index.
 
-    Enumerates ordered pairs (u, d); the winner takes Pi_u = |0><0| (the
-    larger p_i b_iz) and Pi_d = |1><1|, everything else zero. When a single
-    index dominates every pair, that is the guess regime.
+    Picks the ordered pair (u, d), u != d, that maximizes up_u + down_d, with
+    up_i = p_i (1 + z_i)/2 and down_i = p_i (1 - z_i)/2, in O(n) time and
+    memory; the winning value is bit-identical to the classical
+    max_i up_i + max_j down_j. The winner takes Pi_u = |0><0| and
+    Pi_d = |1><1|, everything else zero. When a single index's up_k + down_k
+    is strictly larger than every pair, that is the guess regime.
     """
     if not _on_z_axis(ensemble):
         raise ValueError("solve_diagonal needs every Bloch vector on the z axis")
@@ -408,14 +411,19 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     up = pr * (1.0 + z) / 2.0
     down = pr * (1.0 - z) / 2.0
 
-    # same candidate grid as the classical two-outcome maximum, so the
-    # winning value is bit-identical to max_i up_i + max_j down_j; argmax
-    # keeps the first pair in row-major order, and the diagonal (the guess)
-    # wins only when strictly larger
-    pairs = up[:, None] + down[None, :]
-    np.fill_diagonal(pairs, -np.inf)
-    u, d = divmod(int(np.argmax(pairs)), n)
-    best_val = pairs[u, d]
+    # the first maximum, in row-major order, of the table up_u + down_d,
+    # u != d, without building it: rounded addition is monotone, so row u
+    # peaks at up_u plus the largest down off its diagonal, the runner-up for
+    # the row j of the largest. The diagonal (the guess) wins only when
+    # strictly larger
+    j = int(np.argmax(down))
+    row_max = up + down[j]
+    row_max[j] = up[j] + np.delete(down, j).max(initial=-np.inf)
+    u = int(np.argmax(row_max))
+    row = up[u] + down
+    row[u] = -np.inf
+    d = int(np.argmax(row))
+    best_val = row[d]
     guesses = up + down
     k = int(np.argmax(guesses))
     if guesses[k] > best_val:

@@ -72,15 +72,31 @@ _PAIR_BLOCK = 256          # rows per block of the pairwise distance table
 def max_pairwise_distance(points: np.ndarray) -> float:
     """max_{i,j} |x_i - x_j| over the rows of an (n, 3) array.
 
-    The n x n table is built _PAIR_BLOCK rows at a time, so memory stays
-    O(n * _PAIR_BLOCK); each pair's distance is computed exactly as in the
-    one-shot table, so the maximum is bit-identical to it.
+    Bit-identical to the one-shot sqrt(((x[:, None] - x) ** 2).sum(axis=2)).max().
+    The squares are built _PAIR_BLOCK rows at a time, so memory stays
+    O(n * _PAIR_BLOCK), on the x, y and z columns and summed as
+    (dx*dx + dy*dy) + dz*dz, the order of numpy's sum over a last axis of
+    length 3. sqrt is monotone and correctly rounded, so the root of the
+    largest square is the largest root, and np.maximum carries a NaN (a row
+    holding inf or NaN meets itself in one) through to the result. The work
+    is quadratic in the number of distinct rows: past one block, np.unique
+    first drops exact repeats, which add no pair, and merges rows that
+    differ only in the sign of a zero, which square alike.
     """
+    if len(points) > _PAIR_BLOCK:
+        points = np.unique(points, axis=0)
+    x, y, z = (np.ascontiguousarray(column) for column in points.T)
     best = -np.inf
-    for start in range(0, len(points), _PAIR_BLOCK):
-        diffs = points[start:start + _PAIR_BLOCK, None, :] - points[None, :, :]
-        best = np.maximum(best, np.sqrt((diffs ** 2).sum(axis=2)).max())
-    return float(best)
+    for start in range(0, len(x), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        sq = x[block, None] - x
+        sq *= sq
+        for column in (y, z):
+            diff = column[block, None] - column
+            diff *= diff
+            sq += diff
+        best = np.maximum(best, sq.max())
+    return math.sqrt(best) if len(x) else -math.inf
 
 
 def conjugates_from_common_point(
@@ -92,13 +108,13 @@ def conjugates_from_common_point(
     i is unconstrained by the family equation and this inversion is
     meaningless, so that case raises instead of guessing.
     """
-    priors = ensemble.priors
-    if p <= priors.max():
+    top = ensemble.max_prior
+    if p <= top:
         raise DegenerateRatioError(
-            f"ratio p = {p!r} does not exceed max prior {priors.max()!r}; conjugates undefined"
+            f"ratio p = {p!r} does not exceed max prior {top!r}; conjugates undefined"
         )
     r_arr = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float).reshape(3)
-    c = (r_arr - ensemble.weighted_points) / (p - priors)[:, None]
+    c = (r_arr - ensemble.weighted_points) / (p - ensemble.priors)[:, None]
     return [BlochVector.from_array(row) for row in c]
 
 
@@ -169,7 +185,7 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
     if w.shape[0] != c.shape[0]:
         raise ValueError("weights and conjugates lengths differ")
     if w.min() < -_WEIGHT_DUST:  # the least weight, which clamping leaves as it is
-        raise ValueError(f"negative weight {w.min()!r}")
+        raise ValueError(f"negative weight {float(w.min())!r}")
     a = w / 2.0
     a[np.abs(w) <= _WEIGHT_DUST] = 0.0
     return Povm.from_arrays(read_only(a), read_only(-a[:, None] * c))
@@ -222,9 +238,9 @@ def assemble_result(
     top = ensemble.max_prior
 
     if p < top - RATIO_SLACK:
-        raise CertificateError(f"ratio p = {p!r} below max prior {priors.max()!r}")
+        raise CertificateError(f"ratio p = {p!r} below max prior {top!r}")
     if widest > 1.0 + PURITY_TOL:
-        worst = np.array([math.hypot(*c) for c in c_rows.tolist()]).max()
+        worst = max(math.hypot(*c) for c in c_rows.tolist())
         raise CertificateError(f"conjugate norm {worst!r} exceeds 1")
     offsets = ensemble.weighted_points + (p - priors)[:, None] * c_rows - common_point.as_array()
     # the largest |offset_i|, rounded as np.linalg.norm rounds each one

@@ -30,6 +30,11 @@ p~_i = 1 (ratio equal to a prior, the guess regime) the nu recovery divides by
 zero, lambda_i is zero there as well, and the report flags itself degenerate
 instead of pretending the system applies.
 
+Every residual but one is a single O(n) pass. primal_eq, the largest
+distance between two scaled mixtures, is family.max_pairwise_distance:
+quadratic in the number of distinct mixtures, which all sit within rounding
+of the common point at an optimum and so repeat often.
+
 This module never throws on finite inputs: broken certificates come out as
 large residuals, which is the point.
 """
@@ -125,14 +130,14 @@ def recover_multipliers(
     array. Needs p strictly above every prior, otherwise the nu recovery
     divides by zero.
     """
-    priors = ensemble.priors
     p = float(p)
-    if p <= priors.max():
+    top = ensemble.max_prior
+    if p <= top:
         raise DegenerateRatioError(
-            f"p = {p!r} does not exceed max prior {priors.max()!r}; multipliers undefined"
+            f"p = {p!r} does not exceed max prior {top!r}; multipliers undefined"
         )
     c = vector_matrix(conjugates)
-    one_minus = 1.0 - priors / p
+    one_minus = 1.0 - ensemble.priors / p
     lambdas = trace_multipliers(ensemble, p, povm)
     return lambdas, 2.0 * lambdas[1:, None] * c[1:] / one_minus[1:, None]
 

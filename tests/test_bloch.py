@@ -206,8 +206,7 @@ ERROR_TABLE = [
     ("povm-incomplete-v",
      lambda: Povm((PovmElement(0.5, BlochVector(0.0, 0.0, 0.5)),
                    PovmElement(0.5, BlochVector(0.0, 0.0, -0.3)))),
-     f"POVM incomplete: vector parts sum to {tuple(np.array([0.0, 0.0, 0.2]))!r},"
-     " not 0 within 1e-10"),
+     "POVM incomplete: vector parts sum to (0.0, 0.0, 0.2), not 0 within 1e-10"),
     ("certificate-length-mismatch",
      lambda: _certificate(scaled_priors=(0.5, 0.5, 0.1)),
      "certificate field lengths disagree"),

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qsd.cli as cli
@@ -126,6 +127,41 @@ def test_solve_renormalize(tmp_path, capsys):
     assert "p_opt: 1" in out
 
 
+_LIMITED_SOLVE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import qsd.cli
+sys.exit(qsd.cli.main(["solve", sys.argv[1], "--format", "json"]))
+"""
+
+
+@pytest.mark.parametrize("kind", ["pure", "diagonal"])
+def test_solve_16384_states_under_1_gib(tmp_path, kind):
+    """`qsd solve --format json` on 16,384 states, in a child whose address
+    space is capped at 1 GiB (the cap is set in the child only), exits 0 with
+    a full report: for random pure states, graded by the pairwise maximum,
+    and for a diagonal ensemble, whose pick once built a 2 GiB table."""
+    pytest.importorskip("resource")
+    n = 16384
+    rng = np.random.default_rng(n)
+    priors = rng.uniform(1.0, 2.0, size=n)
+    priors /= priors.sum()
+    if kind == "pure":
+        bloch = rng.normal(size=(n, 3))
+        bloch /= np.linalg.norm(bloch, axis=1)[:, None]
+    else:
+        bloch = np.zeros((n, 3))
+        bloch[:, 2] = rng.uniform(-1.0, 1.0, size=n)
+    lines = (f"{p!r} {x!r} {y!r} {z!r}\n" for p, (x, y, z) in zip(priors.tolist(), bloch.tolist()))
+    path = write(tmp_path, f"{kind}.txt", "".join(lines))
+    done = run_python(_LIMITED_SOLVE, path)
+    assert done.returncode == 0, done.stderr[-2000:]
+    report = json.loads(done.stdout)
+    assert report["method"] == ("oracle" if kind == "pure" else "diagonal")
+    assert len(report["states"]) == n
+    assert report["kkt"]["passes"]
+
+
 # ---------------------------------------------------------------------------
 # input rejection
 
@@ -149,6 +185,75 @@ def test_single_state_rejected(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", path])
     assert code == 1
     assert "need at least 2 state lines" in err
+
+
+_ENSEMBLE_LAYOUT = "`<prior> <bx> <by> <bz>`"
+_POLE_ROWS = [[0.5, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, -1.0]]
+
+# Every way an ensemble file is read or refused: file bytes, --renormalize,
+# and the rows read or the exact message raised, {path} standing for the
+# file. The messages are those of the line-by-line reader that iterated the
+# open file.
+ENSEMBLE_FILES = [
+    ("lf", b"0.5 0 0 1\n0.5 0 0 -1\n", False, _POLE_ROWS),
+    ("crlf", b"0.5 0 0 1\r\n0.5 0 0 -1\r\n", False, _POLE_ROWS),
+    ("comments-and-blanks", b"# head\n\n   # indented\n0.5 0 0 1\n \t \n#0 0 0\n0.5 0 0 -1\n",
+     False, _POLE_ROWS),
+    ("no-final-newline", b"0.5 0 0 1\n0.5 0 0 -1", False, _POLE_ROWS),
+    ("padded-fields", b"  0.5\t0 0   1  \n0.5 0 0 -1\n", False, _POLE_ROWS),
+    ("renormalize", b"2 0 0 1\n2 0 0 -1\n", True, _POLE_ROWS),
+    ("three-fields", b"# c\n0.5 0 0 1\n0.5 0 0\n", False,
+     f"{{path}}:3: expected 4 fields {_ENSEMBLE_LAYOUT}, got 3"),
+    ("five-fields-crlf", b"0.5 0 0 1\r\n\r\n0.5 0 0 -1 7\r\n", False,
+     f"{{path}}:3: expected 4 fields {_ENSEMBLE_LAYOUT}, got 5"),
+    ("five-fields-last-line", b"0.5 0 0 1\n0.5 0 0 -1 7", False,
+     f"{{path}}:2: expected 4 fields {_ENSEMBLE_LAYOUT}, got 5"),
+    ("non-numeric", b"0.5 0 0 1\n  0.5 x 0 -1  \n", False,
+     "{path}:2: non-numeric field in '0.5 x 0 -1'"),
+    ("non-numeric-before-count", b"0.5 0 0 one\n", False,
+     "{path}:1: non-numeric field in '0.5 0 0 one'"),
+    ("one-state", b"# only\n1.0 0 0 1\n", False, "{path}: need at least 2 state lines, got 1"),
+    ("no-states", b"# nothing\n\n", False, "{path}: need at least 2 state lines, got 0"),
+    ("empty", b"", True, "{path}: need at least 2 state lines, got 0"),
+    ("outside-ball", b"0.5 0 0 1\n0.5 0 1.5 0\n", False,
+     "Bloch norm 1.5 exceeds 1 beyond tolerance 1e-12"),
+    ("nan-bloch", b"0.5 0 0 1\n0.5 nan 0 0\n", False,
+     "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=0.0)"),
+    ("priors-off", b"0.6 0 0 1\n0.6 0 0 -1\n", False, "priors sum to 1.2, not 1 within 1e-12"),
+    ("prior-out-of-range", b"-1 0 0 1\n2 0 0 -1\n", True,
+     "entry 0: prior -1.0 outside the open interval (0, 1)"),
+    ("renormalize-zero-sum", b"0 0 0 1\n0 0 0 -1\n", True,
+     "cannot renormalize priors with sum 0.0"),
+]
+
+
+@pytest.mark.parametrize("name, data, renormalize, expected", ENSEMBLE_FILES,
+                         ids=[case[0] for case in ENSEMBLE_FILES])
+def test_ensemble_file_reading_and_messages(tmp_path, name, data, renormalize, expected):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as caught:
+            cli.parse_ensemble_file(str(path), renormalize=renormalize)
+        assert str(caught.value) == expected.format(path=path)
+    else:
+        ensemble = cli.parse_ensemble_file(str(path), renormalize=renormalize)
+        assert ensemble.priors.tolist() == [row[0] for row in expected]
+        assert ensemble.bloch_matrix.tolist() == [row[1:] for row in expected]
+
+
+def test_povm_file_reports_a_bad_element_before_a_later_malformed_line(tmp_path):
+    """Rows reach the element check one line at a time: a bad element on line
+    1 is reported, not the field count of line 2 or the element count."""
+    bad_then_short = write(tmp_path, "povm.txt", "0.5 0 0 1\n0.5 0 0\n")
+    with pytest.raises(ValueError) as caught:
+        cli.parse_povm_file(bad_then_short, 3)
+    assert str(caught.value) == "POVM element not PSD: a = 0.5 < |v| = 1.0 beyond 1e-12"
+    good_then_short = write(tmp_path, "short.txt", "0.5 0 0 0.5\r\n0.5 0 0\r\n")
+    with pytest.raises(ValueError) as caught:
+        cli.parse_povm_file(good_then_short, 2)
+    assert str(caught.value) == (
+        f"{good_then_short}:2: expected 4 fields `<a> <vx> <vy> <vz>`, got 3")
 
 
 def test_tol_must_be_positive(tmp_path, capsys):

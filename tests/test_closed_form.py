@@ -1,6 +1,7 @@
 """Closed-form solvers: two-state, diagonal, symmetric shell, cone, dispatch."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from qsd import (
     solve_symmetric_shell,
     solve_two_state,
 )
+from qsd.bloch import read_only
 from qsd.closed_form import SOLVE_METHODS, solve_with_method
+from qsd.family import assemble_result, guess_result, povm_from_weights
 from qsd.oracle import classical_diagonal_oracle
 from qsd.platonic import PlatonicSolid, platonic_ensemble
 from helpers import assert_result_valid, random_diagonal_ensemble, random_ensemble
@@ -187,6 +190,81 @@ def test_diagonal_conjugates_match_per_state_formula():
                 assert np.array_equal(conj[k], expected)
             checked += 1
     assert checked >= 20
+
+
+def _table_solve_diagonal(ens):
+    """solve_diagonal as it was with the n x n table of up_u + down_d, kept as
+    the reference for the O(n) pick."""
+    pr = ens.priors
+    n = ens.n
+    z = ens.bloch_matrix[:, 2]
+    up = pr * (1.0 + z) / 2.0
+    down = pr * (1.0 - z) / 2.0
+    pairs = up[:, None] + down[None, :]
+    np.fill_diagonal(pairs, -np.inf)
+    u, d = divmod(int(np.argmax(pairs)), n)
+    best_val = pairs[u, d]
+    guesses = up + down
+    k = int(np.argmax(guesses))
+    if guesses[k] > best_val:
+        u = d = k
+        best_val = guesses[k]
+    if u == d:
+        return guess_result(ens, u, "diagonal", value=best_val)
+    p = float(best_val)
+    q = ens.weighted_points
+    conj = np.zeros((n, 3))
+    conj[u, 2] = -1.0
+    conj[d, 2] = 1.0
+    r = q[d] + (p - pr[d]) * np.array([0.0, 0.0, 1.0])
+    gap = p - pr
+    rest = gap > 1e-15
+    rest[[u, d]] = False
+    conj[rest] = (r - q[rest]) / gap[rest, None]
+    read_only(conj)
+    weights = np.zeros(n)
+    weights[u] = weights[d] = 1.0
+    return assemble_result(ens, p, r, conj, povm_from_weights(weights, conj), "diagonal")
+
+
+def _outcome(solve, ens) -> str:
+    try:
+        return repr(solve(ens))
+    except (ValueError, qsd.DiscriminationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_diagonal_pick_matches_the_table_on_ties():
+    """The O(n) pick gives the table's result, repr for repr, on 600 draws
+    with tied priors, tied z and both at once, where the first pair in
+    row-major order decides."""
+    rng = np.random.default_rng(31)
+    guesses = 0
+    for t in range(600):
+        n = int(rng.integers(2, 10))
+        raw = rng.integers(1, 4, size=n).astype(float) if t % 2 else rng.uniform(0.1, 1.0, size=n)
+        z = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n) if t % 3 else rng.uniform(-1, 1, size=n)
+        ens = qsd.validate_ensemble(
+            [(p, (0.0, 0.0, zz)) for p, zz in zip((raw / raw.sum()).tolist(), z.tolist())])
+        expected = _outcome(_table_solve_diagonal, ens)
+        assert _outcome(solve_diagonal, ens) == expected
+        guesses += "degenerate=True" in expected
+    assert 20 < guesses < 580
+
+
+def test_diagonal_pick_memory_is_linear():
+    """At n = 4,096 the n x n table alone would take 128 MiB; the pick and
+    the gate stay within 512 bytes per state."""
+    n = 4096
+    ens = random_diagonal_ensemble(np.random.default_rng(5), n, min_prior=0.0)
+    solve_diagonal(ens)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        solve_diagonal(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * n
 
 
 def test_diagonal_rejects_offaxis():

@@ -65,10 +65,11 @@ def test_conjugates_mixed_third_state():
 
 
 def test_conjugates_reject_degenerate_ratio():
-    with pytest.raises(DegenerateRatioError):
-        conjugates_from_common_point(antipodal(), 0.5, ZERO_VECTOR)
-    with pytest.raises(DegenerateRatioError):
-        conjugates_from_common_point(antipodal(), 0.4, ZERO_VECTOR)
+    for p in (0.5, 0.4):
+        with pytest.raises(DegenerateRatioError) as caught:
+            conjugates_from_common_point(antipodal(), p, ZERO_VECTOR)
+        assert str(caught.value) == (
+            f"ratio p = {p} does not exceed max prior 0.5; conjugates undefined")
 
 
 def test_verify_weak_family_roundtrip():
@@ -182,8 +183,9 @@ def test_povm_from_weights_trine():
 
 
 def test_povm_from_weights_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         povm_from_weights((-0.5, 2.5), (BlochVector(0, 0, 1), BlochVector(0, 0, -1)))
+    assert str(caught.value) == "negative weight -0.5"
 
 
 def test_povm_from_weights_clamps_dust():
@@ -279,9 +281,9 @@ GATE_REJECTIONS = [
     ("p-inf", lambda: _gate_input(p=_INF), CertificateError,
      "common-point residual inf exceeds 1e-09"),
     ("p-minus-inf", lambda: _gate_input(p=-_INF), CertificateError,
-     "ratio p = -inf below max prior np.float64(0.7)"),
+     "ratio p = -inf below max prior 0.7"),
     ("p-below-top-prior", lambda: _gate_input(p=0.6), CertificateError,
-     "ratio p = 0.6 below max prior np.float64(0.7)"),
+     "ratio p = 0.6 below max prior 0.7"),
     ("p-above-one", lambda: _antipodal_input(p=1.0 + 1e-10), ValueError,
      "ratio p = 1.0000000001 outside (0, 1]"),
     ("no-conjugate-rows", lambda: _gate_input(conjugates=np.zeros((0, 3))), ValueError,
@@ -298,7 +300,7 @@ GATE_REJECTIONS = [
      ValueError, "Bloch vector components must be finite, got BlochVector(x=0.0, y=-inf, z=0.0)"),
     ("conjugate-outside-ball",
      lambda: _antipodal_input(conjugates=((0.0, 0.0, -1.2), (0.0, 0.0, 1.2))),
-     CertificateError, "conjugate norm np.float64(1.2) exceeds 1"),
+     CertificateError, "conjugate norm 1.2 exceeds 1"),
     ("common-point-residual", lambda: _gate_input(common_point=(0.5, -0.5, 0.9)),
      CertificateError, "common-point residual 1.4515667796768348 exceeds 1e-09"),
     ("success-gap",

@@ -9,7 +9,7 @@ import pytest
 import qsd
 from qsd import DegenerateRatioError
 from qsd.bloch import KKT_TOL, PURITY_TOL, row_norms
-from qsd.family import family_residual
+from qsd.family import family_residual, max_pairwise_distance
 from qsd.kkt import kkt_residuals, recover_multipliers
 from helpers import random_ensemble
 
@@ -98,8 +98,9 @@ def test_recover_multipliers_zero_element():
 def test_recover_multipliers_rejects_degenerate_ratio():
     ens = skewed_pair()
     result = qsd.solve_two_state(ens)
-    with pytest.raises(DegenerateRatioError):
+    with pytest.raises(DegenerateRatioError) as caught:
         recover_multipliers(ens, 0.7, result.certificate.conjugates, result.povm)
+    assert str(caught.value) == "p = 0.7 does not exceed max prior 0.7; multipliers undefined"
 
 
 def test_degenerate_guess_report_flagged():
@@ -238,6 +239,70 @@ def test_one_pass_report_matches_every_pivot():
 def _one_shot_max_distance(points):
     diffs = points[:, None, :] - points[None, :, :]
     return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+
+
+def _awkward_points(rng, n, scale):
+    """n rows at one scale, with repeated rows, signed zeros and one flat axis.
+
+    Most rows lie on the sphere of radius scale, half of them opposite
+    another, so that many pairs tie to within rounding for the largest
+    distance and the order of the sum of squares shows in the maximum.
+    """
+    points = rng.normal(size=(n, 3))
+    points *= scale / np.linalg.norm(points, axis=1)[:, None]
+    points[n // 2:] = -points[:n - n // 2] * (1.0 + 1e-16 * rng.integers(-2, 3, size=(n - n // 2, 1)))
+    points[::17] *= 0.5
+    points[::3, 2] *= 1e-9                     # nearly planar rows
+    points[1::5] = points[0]                   # exact repeats of one row
+    points[2::7] = points[n // 2]              # repeats of a row from another block
+    points[3::11] = 0.0
+    points[4::11] = -0.0                       # zeros that differ only in sign
+    points[5::13, 1] = -points[5::13, 1]
+    return points
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("scale", [1e-17, 1e-9, 1e-3, 1.0, 1e2])
+def test_max_pairwise_distance_matches_the_one_shot_table(n, scale):
+    """The planar blocked table with repeated rows dropped equals the one-shot
+    n x n x 3 formula bit for bit, across block edges and scales."""
+    rng = np.random.default_rng(int(n + 1e3 * math.log10(scale) + 1e5))
+    points = _awkward_points(rng, n, scale)
+    expected = _one_shot_max_distance(points)
+    assert max_pairwise_distance(points) == expected
+    assert max_pairwise_distance(points[::-1].copy()) == expected
+
+
+@pytest.mark.parametrize("scale", [1e-17, 1.0, 1e2])
+def test_max_pairwise_distance_rounds_each_pair_as_the_table(scale):
+    """On two rows the maximum is one pair's distance, so every draw checks
+    the order of the sum of squares; a different order moves about one in
+    five of them."""
+    rng = np.random.default_rng(2)
+    for pair in rng.normal(size=(2000, 2, 3)) * scale:
+        assert max_pairwise_distance(pair) == _one_shot_max_distance(pair)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 257, 600])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_max_pairwise_distance_carries_inf_and_nan_as_the_table_does(n, bad):
+    """A row holding inf or NaN meets itself in inf - inf or NaN, so it gives
+    NaN as the one-shot table does; finite rows too far apart for a finite
+    square give inf in both."""
+    rng = np.random.default_rng(n)
+    points = _awkward_points(rng, n, 1.0)
+    for rows in ([n - 1], [0, n // 2] if n > 1 else [0]):
+        for column in range(3):
+            bent = points.copy()
+            bent[rows, column] = bad
+            with np.errstate(invalid="ignore"):
+                expected = _one_shot_max_distance(bent)
+                got = max_pairwise_distance(bent)
+            assert repr(got) == repr(expected)
+            assert math.isnan(got)
+    wide = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, -1e200, 0.0]])
+    with np.errstate(over="ignore"):
+        assert max_pairwise_distance(wide) == _one_shot_max_distance(wide) == math.inf
 
 
 def test_pairwise_maxima_match_the_one_shot_table_exactly():
