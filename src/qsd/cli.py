@@ -1,11 +1,12 @@
 """Command-line front end: solve ensemble files, verify POVMs, run demos.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical failure, 3 bound
-violation detected by verify. Output is text by default; --format json
-prints one JSON object on one line, its floats through repr so a report
-re-imported from JSON reproduces the original values exactly. main() can
-be called repeatedly in one process: the argument parser is built on the
-first call and reused, and no other state carries over between calls.
+Exit codes: 0 success, 1 invalid input or out of memory, 2 numerical
+failure, 3 bound violation detected by verify. Output is text by default;
+--format json prints one JSON object on one line, its floats through repr
+so a report re-imported from JSON reproduces the original values exactly.
+main() can be called repeatedly in one process: the argument parser is
+built on the first call and reused, and no other state carries over
+between calls.
 """
 
 from __future__ import annotations
@@ -455,8 +456,8 @@ def main(argv=None) -> int:
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "demo": cmd_demo}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"qsd: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"qsd: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except DiscriminationError as exc:
         print(f"qsd: numerical failure: {exc}", file=sys.stderr)

@@ -478,10 +478,11 @@ def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
     Conjugates point oppositely to the states, c_j = -b_j/b, and the
     measurement weights solve the completeness system over those
-    directions; infeasibility (all states inside an open half-space) means
-    the shell assumption fails and the caller should fall back to the
-    oracle. b = 0 degenerates to guessing among identical mixed states,
-    reported with an arbitrary planar conjugate fan.
+    directions. When the weight sweep finds none (e.g. all states in an
+    open half-space, which the shell theorem excludes), its
+    WeightSystemInfeasible propagates and solve_auto runs the oracle.
+    b = 0 degenerates to guessing among identical mixed states, reported
+    with an arbitrary planar conjugate fan.
     """
     pr = ensemble.priors
     n = ensemble.n
@@ -539,10 +540,9 @@ def _solve_cone_assembled(
 def solve_cone(n: int, b: float, theta: float, phis=None) -> DiscriminationResult:
     """p_opt = (1 + b sin(theta))/N for a cone of equiprobable states.
 
-    Conjugates sit on the equator opposite each azimuth. Feasibility of the
-    planar weight system (0 inside the convex hull of the azimuth
-    directions) is required; otherwise WeightSystemInfeasible propagates so
-    the caller can fall back to the oracle.
+    Conjugates sit on the equator opposite each azimuth. When the weight
+    sweep finds no planar weights (e.g. azimuths in a half circle), its
+    WeightSystemInfeasible propagates and solve_auto runs the oracle.
     """
     return _solve_cone_assembled(cone_ensemble(n, b, theta, phis), b, theta, _azimuths(n, phis))
 

@@ -23,7 +23,10 @@ class GramConsistencyError(DiscriminationError):
 
 
 class WeightSystemInfeasible(DiscriminationError):
-    """No nonnegative weights solve sum w = total, sum w_i d_i = 0."""
+    """The weight sweep found no w >= 0 with sum w = total, sum w_i d_i = 0.
+
+    The shell and cone solvers let it propagate; solve_auto runs the oracle.
+    """
 
     def __init__(self, message: str, directions=None):
         super().__init__(message)

@@ -2,17 +2,15 @@
 
 A pure-conjugate measurement is fixed by weights w >= 0 with
 sum w_i = total and sum w_i d_i = 0 over the direction rows d_i.
-Two solvers, used by different callers:
+Two solvers:
 
-  min_norm_nonneg_weights   minimum-Euclidean-norm solution via an
+  min_norm_nonneg_weights   the shell and cone solvers' one route: an
                             active-set sweep on the equality-constrained
                             least-norm problem (symmetric configurations
-                            come out symmetric)
-  subset_support_weights    exact support enumeration in increasing size,
-                            first nonnegative solution wins, with a
-                            non-uniqueness flag (supports of size <= dim + 1
-                            always suffice); min_norm_nonneg_weights falls
-                            back on it when its sweep fails
+                            come out symmetric); the sweep decides
+  subset_support_weights    a diagnostic no solver calls: exact support
+                            enumeration in increasing size with a
+                            non-uniqueness flag, O(m^(dim + 1)) solves
 
 The oracle's hull test solves its own at most 5 rows in closed form
 (oracle._hull_weights) and shares nothing with this module.
@@ -51,9 +49,8 @@ def min_norm_nonneg_weights(directions, total: float = 2.0) -> np.ndarray:
     """Minimum-norm w >= 0 with sum w = total and sum w_i d_i = 0.
 
     Sweep: solve the least-norm equality problem on the free set, clamp the
-    most negative weight to zero, repeat. Falls back to exact support
-    enumeration before declaring infeasibility, so a feasible system is
-    never rejected just because the sweep walked a bad path.
+    most negative weight to zero, repeat, at most m times. The sweep
+    decides: if it ends without nonnegative weights, WeightSystemInfeasible.
     """
     a, rhs = _equality_system(directions, total)
     m = a.shape[1]
@@ -67,25 +64,21 @@ def min_norm_nonneg_weights(directions, total: float = 2.0) -> np.ndarray:
             w[free] = np.clip(sol, 0.0, None)
             return w
         free.pop(int(np.argmin(sol)))
-        if not free:
-            break
-    w, _ = subset_support_weights(directions, total)
-    if w is None:
-        raise WeightSystemInfeasible(
-            "no nonnegative weights solve the completeness system",
-            directions=np.asarray(directions, dtype=float),
-        )
-    return w
+    raise WeightSystemInfeasible(
+        "no nonnegative weights solve the completeness system",
+        directions=np.asarray(directions, dtype=float),
+    )
 
 
 def subset_support_weights(directions, total: float = 2.0) -> tuple:
     """Exact solution supported on the fewest directions.
 
-    Returns (weights, unique) where unique is False when several distinct
-    minimal-support solutions exist (degenerate geometry, e.g. antipodal
-    pairs of an octahedron), or (None, True) when no support of size up to
-    dim + 1 is feasible. Ties among equal-size supports break by Euclidean
-    norm and then by enumeration order, so results are deterministic.
+    A diagnostic no solver calls. Returns (weights, unique) where unique is
+    False when several distinct minimal-support solutions exist (degenerate
+    geometry, e.g. antipodal pairs of an octahedron), or (None, True) when
+    no support of size up to dim + 1 is feasible. Ties among equal-size
+    supports break by Euclidean norm and then by enumeration order, so
+    results are deterministic.
     """
     a, rhs = _equality_system(directions, total)
     m = a.shape[1]

@@ -52,6 +52,21 @@ def random_diagonal_ensemble(rng, count, min_prior=1e-3):
     )
 
 
+def one_sided_shell(count, seed=0):
+    """Equiprobable pure states, all in the upper hemisphere: the shell
+    theorem excludes them, so the shell and cone closed forms must decline."""
+    rows = np.random.default_rng(seed).normal(size=(count, 3))
+    rows[:, 2] = np.abs(rows[:, 2])
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return qsd.WeightedEnsemble.from_arrays([1.0 / count] * count, rows)
+
+
+def quarter_circle_cone(count):
+    """A cone whose azimuths span a quarter circle: no planar weights exist."""
+    phis = np.linspace(0.0, 0.5 * math.pi, count)
+    return qsd.cone_ensemble(count, 0.9, math.pi / 3.0, phis=phis)
+
+
 def lstsq_support_points(pr, q, subset):
     """Equal-slack points for a support subset: all r with p_i + |r - q_i| equal on it.
 

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import qsd.cli as cli
+import qsd.weights
 from qsd import ConvergenceError
+from helpers import one_sided_shell, quarter_circle_cone
 
 TRINE = """\
 # equiprobable planar trine
@@ -356,6 +358,60 @@ def test_numerical_failure_exit2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["solve", path])
     assert code == 2
     assert "qsd: numerical failure: multistart did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 2.00 GiB"), "qsd: error: Unable to allocate 2.00 GiB"),
+        (MemoryError(), "qsd: error: MemoryError"),
+    ],
+    ids=["message", "bare"],
+)
+def test_memory_error_exit1(tmp_path, capsys, monkeypatch, error, line):
+    path = write(tmp_path, "trine.txt", TRINE)
+
+    def exhaust(*a, **k):
+        raise error
+
+    monkeypatch.setattr(cli, "_solve_with_method", exhaust)
+    code, out, err = run(capsys, ["solve", path])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [line]
+    assert "Traceback" not in err
+
+
+def _ensemble_file(tmp_path, name, ens):
+    lines = [
+        f"{p!r} {x!r} {y!r} {z!r}"
+        for p, (x, y, z) in zip(ens.priors.tolist(), ens.bloch_matrix.tolist())
+    ]
+    return write(tmp_path, name, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name, ens, methods",
+    [
+        ("shell.txt", one_sided_shell(64), ["symmetric-shell"]),
+        ("cone.txt", quarter_circle_cone(32), ["symmetric-shell", "cone"]),
+    ],
+    ids=["one-sided-shell", "quarter-cone"],
+)
+def test_one_sided_families_decline_to_the_oracle(tmp_path, capsys, monkeypatch, name, ens, methods):
+    def enumeration(*args, **kwargs):
+        raise AssertionError("subset_support_weights called")
+
+    monkeypatch.setattr(qsd.weights, "subset_support_weights", enumeration)
+    path = _ensemble_file(tmp_path, name, ens)
+    code, out, err = run(capsys, ["solve", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == "oracle"
+    for method in methods:
+        code, out, err = run(capsys, ["solve", path, "--method", method])
+        assert (code, out) == (2, "")
+        assert err == (
+            "qsd: numerical failure: no nonnegative weights solve the completeness system\n"
+        )
 
 
 # ---------------------------------------------------------------------------

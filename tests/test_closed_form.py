@@ -1,6 +1,7 @@
 """Closed-form solvers: two-state, diagonal, symmetric shell, cone, dispatch."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,13 @@ from qsd.closed_form import SOLVE_METHODS, solve_with_method
 from qsd.family import assemble_result, guess_result, povm_from_weights
 from qsd.oracle import classical_diagonal_oracle
 from qsd.platonic import PlatonicSolid, platonic_ensemble
-from helpers import assert_result_valid, random_diagonal_ensemble, random_ensemble
+from helpers import (
+    assert_result_valid,
+    one_sided_shell,
+    quarter_circle_cone,
+    random_diagonal_ensemble,
+    random_ensemble,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +435,31 @@ def test_auto_half_space_shell_falls_to_oracle():
     result = solve_auto(ens)
     assert result.method == "oracle"
     assert_result_valid(ens, result)
+
+
+@pytest.mark.parametrize(
+    "ens", [one_sided_shell(64), quarter_circle_cone(32)], ids=["one-sided-shell", "quarter-cone"]
+)
+def test_auto_declines_one_sided_families_without_enumeration(ens, monkeypatch):
+    # the weight sweep decides on its own: no support enumeration, at most
+    # one lstsq per direction for each of the cone and shell attempts
+    def enumeration(*args, **kwargs):
+        raise AssertionError("subset_support_weights called")
+
+    monkeypatch.setattr(qsd.weights, "subset_support_weights", enumeration)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "qsd.weights":
+            calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    result = solve_auto(ens)
+    assert 0 < len(calls) <= 2 * ens.n
+    assert result.method == "oracle"
+    assert result == solve_oracle(ens)
 
 
 # one input each way: a closed form solves the trine, the oracle the 4 states

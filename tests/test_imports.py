@@ -1,12 +1,14 @@
 """Package layout: modules reach each other only through public names."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import qsd
 
 PACKAGE = Path(qsd.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def test_no_private_cross_module_imports():
@@ -109,3 +111,21 @@ def test_small_float_literals_are_named_constants():
             and id(node) not in named
         ]
     assert offenders == []
+
+
+def test_bench_traced_names_resolve():
+    # bench/spans.py wraps these by name; read them without importing bench
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    assert traced
+    missing = []
+    for name in traced:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"qsd.{module}"), attr, None)):
+            missing.append(name)
+    assert missing == []
