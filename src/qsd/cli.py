@@ -72,10 +72,11 @@ def _read_rows(path: str, layout: str):
     """Yield four floats per line, `#` comment lines and blank lines skipped.
 
     The file is read in one call and each line split once; lines are
-    numbered as iterating the open file numbers them. Rows are yielded one
-    at a time, so a caller sees every row before a later malformed line.
+    numbered as iterating the open file numbers them. A UTF-8 byte-order
+    mark, as some editors write one, is dropped. Rows are yielded one at a
+    time, so a caller sees every row before a later malformed line.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         text = handle.read()
     for lineno, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
@@ -412,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=_DEFAULT_TOL,
-        help="oracle convergence tolerance",
+        help="oracle convergence tolerance; from about 1e-7 up the oracle can stop "
+        "short of the optimum and the certificate gate refuse it (exit 2)",
     )
 
     parser = _Parser(prog="qsd", description=__doc__.splitlines()[0])

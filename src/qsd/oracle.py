@@ -34,7 +34,17 @@ pair, barycentric coordinates from cross products or signed volumes. A
 subset singular to rounding (_RANK_TOL) is skipped, since smaller subsets
 cover its optima. Only the rows a pivot touches are converted to floats;
 the pass over all n points stays one numpy pass, and nothing calls
-np.linalg.
+np.linalg. A pivot computes the terms of each member pair (q_b - q_a, its
+norm, the row 2(q_b - q_a) and its right-hand side) once, in a table that
+all its subsets share, and stops scoring a candidate point once its running
+max over the members reaches the best value so far, since under the strict
+< tie-break it cannot win then. Neither changes a bit of any result against
+solving every subset from scratch and scoring every point in full: the
+kernels keep each float operation and its order, a max does not depend on
+the order of its terms, and every sum runs left to right from 0.0 (written
+0.0 + ... or _sum), as numpy's small reductions and the builtin sum before
+Python 3.12 add, so not even the sign of a zero changes. tests/helpers.py
+keeps those unshared kernels as the reference.
 
 The measurement comes from that same basis. At equal slack
 q_i - r = -(p - p_i) c_i, so the hull weights mu_i of the exit test, scaled
@@ -49,6 +59,7 @@ from the gate, family.assemble_result.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -134,22 +145,6 @@ def pair_lower_bound(ensemble: WeightedEnsemble) -> float:
     return best
 
 
-def _sub(a, b) -> tuple:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _norm(a) -> float:
-    return math.sqrt(_dot(a, a))
-
-
 def _sum(values) -> float:
     """values added left to right from 0.0, as numpy's reductions over a few terms add them.
 
@@ -161,170 +156,244 @@ def _sum(values) -> float:
     return total
 
 
-def _solve_rows(e: list, h: list):
-    """(u0, u1) solving e_m . u_c = h_m[c] for 2 or 3 rows e_m, or None if singular.
+def _pair_table(pr: list, q: list) -> tuple:
+    """(segments, rows): the terms that the subsets of a pivot share, per member pair a < b.
+
+    With e = q_b - q_a, segments[a, b] is (e, |e|), for the size-2 subset;
+    rows[a, b] is the system row 2e with its squared norm and norm, and
+    h = (|e|^2 - (p_b - p_a)(p_b + p_a), 2 (p_b - p_a)), for the larger
+    subsets that start at a.
+    """
+    segments, rows = {}, {}
+    for b in range(1, len(pr)):
+        pb = pr[b]
+        xb, yb, zb = q[b]
+        for a in range(b):
+            pa = pr[a]
+            xa, ya, za = q[a]
+            e0, e1, e2 = xb - xa, yb - ya, zb - za
+            ee = e0 * e0 + e1 * e1 + e2 * e2
+            r0, r1, r2 = 2.0 * e0, 2.0 * e1, 2.0 * e2
+            rr = r0 * r0 + r1 * r1 + r2 * r2
+            segments[a, b] = (e0, e1, e2, math.sqrt(ee))
+            h0, h1 = ee - (pb - pa) * (pb + pa), 2.0 * (pb - pa)
+            rows[a, b] = (r0, r1, r2, rr, math.sqrt(rr), h0, h1)
+    return segments, rows
+
+
+def _solve_rows(ra: tuple, rb: tuple, rc: tuple | None = None):
+    """[u0, u1] solving e_m . u_c = h_m[c] over 2 or 3 rows of _pair_table, or None.
 
     Three rows: the inverse from cross products over the determinant. Two
     rows: the minimum-norm solution u = e^T (e e^T)^-1 h through the Gram
     matrix, whose determinant is |e_0 x e_1|^2. A system singular to
-    rounding relative to its row lengths is rejected (_RANK_TOL).
+    rounding relative to its row lengths (_RANK_TOL), or one that the
+    solution misses by more than _CONSISTENCY_TOL, gives None.
     """
-    if len(e) == 3:
-        e0, e1, e2 = e
-        cols = (_cross(e1, e2), _cross(e2, e0), _cross(e0, e1))
-        det = _dot(e0, cols[0])
-        if not abs(det) > _RANK_TOL * _norm(e0) * _norm(e1) * _norm(e2):
+    a0, a1, a2, g00, na, ha0, ha1 = ra
+    b0, b1, b2, g11, nb, hb0, hb1 = rb
+    solved = []
+    if rc is None:
+        g01 = a0 * b0 + a1 * b1 + a2 * b2
+        n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        det = n0 * n0 + n1 * n1 + n2 * n2
+        if not math.sqrt(det) > _RANK_TOL * na * nb:
             return None
-        return tuple(
-            tuple(sum(hm[c] * col[k] for hm, col in zip(h, cols)) / det for k in range(3))
-            for c in (0, 1)
-        )
-    e0, e1 = e
-    g00, g01, g11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
-    normal = _cross(e0, e1)
-    det = _dot(normal, normal)
-    if not math.sqrt(det) > _RANK_TOL * math.sqrt(g00) * math.sqrt(g11):
+        for ha, hb in ((ha0, hb0), (ha1, hb1)):
+            s, t = (g11 * ha - g01 * hb) / det, (g00 * hb - g01 * ha) / det
+            u0, u1, u2 = s * a0 + t * b0, s * a1 + t * b1, s * a2 + t * b2
+            ma, mb = a0 * u0 + a1 * u1 + a2 * u2 - ha, b0 * u0 + b1 * u1 + b2 * u2 - hb
+            if math.sqrt(0.0 + ma * ma + mb * mb) > _CONSISTENCY_TOL:
+                return None
+            solved.append((u0, u1, u2))
+        return solved
+    c0, c1, c2, _, nc, hc0, hc1 = rc
+    x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    det = a0 * x0 + a1 * x1 + a2 * x2
+    if not abs(det) > _RANK_TOL * na * nb * nc:
         return None
-    out = []
-    for c in (0, 1):
-        a0 = (g11 * h[0][c] - g01 * h[1][c]) / det
-        a1 = (g00 * h[1][c] - g01 * h[0][c]) / det
-        out.append(tuple(a0 * x + a1 * y for x, y in zip(e0, e1)))
-    return tuple(out)
+    for ha, hb, hc in ((ha0, hb0, hc0), (ha1, hb1, hc1)):
+        u0 = (0.0 + ha * x0 + hb * y0 + hc * z0) / det
+        u1 = (0.0 + ha * x1 + hb * y1 + hc * z1) / det
+        u2 = (0.0 + ha * x2 + hb * y2 + hc * z2) / det
+        ma = a0 * u0 + a1 * u1 + a2 * u2 - ha
+        mb = b0 * u0 + b1 * u1 + b2 * u2 - hb
+        mc = c0 * u0 + c1 * u1 + c2 * u2 - hc
+        if math.sqrt(0.0 + ma * ma + mb * mb + mc * mc) > _CONSISTENCY_TOL:
+            return None
+        solved.append((u0, u1, u2))
+    return solved
 
 
-def _support_points(pr: list, q: list, subset) -> list:
+def _support_points(pr: list, q: list, subset: tuple, segments: dict, rows: dict) -> list:
     """Equal-slack points for a support subset: all r with p_i + |r - q_i| equal on it.
 
-    pr and q are Python floats (q as 3-sequences). Size 1 is the point
-    itself; size 2 the balanced point on the segment; sizes 3 and 4 reduce
-    to a linear system for r as an affine function of p, solved in closed
-    form (_solve_rows), plus one quadratic. Inconsistent or rank-deficient
-    systems return nothing (their optima are covered by smaller subsets).
+    pr and q are Python floats (q as 3-sequences), and segments and rows
+    the pair terms of _pair_table. Size 1 is the point itself; size 2 the
+    balanced point on the segment; sizes 3 and 4 reduce to a linear system
+    for r as an affine function of p, solved in closed form (_solve_rows),
+    plus one quadratic. Inconsistent or rank-deficient systems return
+    nothing (their optima are covered by smaller subsets).
     """
-    s = list(subset)
-    if len(s) == 1:
-        return [tuple(q[s[0]])]
-    if len(s) == 2:
-        i, j = s
-        d = _sub(q[j], q[i])
-        dn = _norm(d)
+    if len(subset) == 1:
+        return [tuple(q[subset[0]])]
+    if len(subset) == 2:
+        i, j = subset
+        e0, e1, e2, dn = segments[i, j]
         if dn <= _SEPARATION_TOL:
             return []
-        p = 0.5 * (pr[i] + pr[j] + dn)
-        if p < pr[i] - _SEPARATION_TOL or p < pr[j] - _SEPARATION_TOL:
+        pi, pj = pr[i], pr[j]
+        p = 0.5 * (pi + pj + dn)
+        if p < pi - _SEPARATION_TOL or p < pj - _SEPARATION_TOL:
             return []
-        t = (p - pr[i]) / dn
-        return [tuple(x + t * y for x, y in zip(q[i], d))]
+        t = (p - pi) / dn
+        x, y, z = q[i]
+        return [(x + t * e0, y + t * e1, z + t * e2)]
 
-    p0, q0 = pr[s[0]], q[s[0]]
-    e = [_sub(q[m], q0) for m in s[1:]]
-    # 2 rt.e_m = |e_m|^2 + (p_m - p_0)(2p - p_0 - p_m): affine in p
-    h = [
-        (_dot(em, em) - (pr[m] - p0) * (pr[m] + p0), 2.0 * (pr[m] - p0))
-        for m, em in zip(s[1:], e)
-    ]
-    rows = [tuple(2.0 * x for x in em) for em in e]
-    solved = _solve_rows(rows, h)
+    i = subset[0]
+    p0 = pr[i]
+    if len(subset) == 3:
+        solved = _solve_rows(rows[i, subset[1]], rows[i, subset[2]])
+        top = max(p0, pr[subset[1]], pr[subset[2]])
+    else:
+        solved = _solve_rows(rows[i, subset[1]], rows[i, subset[2]], rows[i, subset[3]])
+        top = max(p0, pr[subset[1]], pr[subset[2]], pr[subset[3]])
     if solved is None:
         return []
-    for c, u in enumerate(solved):
-        misfit = [_dot(row, u) - hm[c] for row, hm in zip(rows, h)]
-        if math.sqrt(sum(x * x for x in misfit)) > _CONSISTENCY_TOL:
-            return []
-    u0, u1 = solved
-    # |rt(p)|^2 = (p - p_0)^2 with rt(p) = u0 + u1 p
-    alpha = _dot(u1, u1) - 1.0
-    beta = 2.0 * _dot(u0, u1) + 2.0 * p0
-    gamma = _dot(u0, u0) - p0 * p0
-    roots = []
+    (u0, u1, u2), (v0, v1, v2) = solved
+    # |rt(p)|^2 = (p - p_0)^2 with rt(p) = u + v p
+    alpha = v0 * v0 + v1 * v1 + v2 * v2 - 1.0
+    beta = 2.0 * (u0 * v0 + u1 * v1 + u2 * v2) + 2.0 * p0
+    gamma = u0 * u0 + u1 * u1 + u2 * u2 - p0 * p0
     if abs(alpha) <= _QUADRATIC_TOL:
-        if abs(beta) > _QUADRATIC_TOL:
-            roots.append(-gamma / beta)
+        roots = (-gamma / beta,) if abs(beta) > _QUADRATIC_TOL else ()
     else:
         disc = beta * beta - 4.0 * alpha * gamma
-        if disc >= -_ROOT_TOL:
-            sq = math.sqrt(max(disc, 0.0))
-            roots.extend([(-beta + sq) / (2.0 * alpha), (-beta - sq) / (2.0 * alpha)])
-    top = max(pr[m] for m in s)
+        if not disc >= -_ROOT_TOL:
+            return []
+        sq = math.sqrt(max(disc, 0.0))
+        roots = ((-beta + sq) / (2.0 * alpha), (-beta - sq) / (2.0 * alpha))
+    x, y, z = q[i]
+    floor = top - _ROOT_TOL
     return [
-        tuple(x + a + b * p for x, a, b in zip(q0, u0, u1))
+        (x + u0 + v0 * p, y + u1 + v1 * p, z + u2 + v2 * p)
         for p in roots
-        if math.isfinite(p) and p >= top - _ROOT_TOL
+        if math.isfinite(p) and p >= floor
     ]
+
+
+@functools.cache
+def _pivot_subsets(new: int) -> tuple:
+    """Subsets of range(new + 1) that hold new and at most 3 other indices, in pivot order."""
+    return tuple(
+        rest + (new,) for size in range(min(new, 3) + 1) for rest in combinations(range(new), size)
+    )
 
 
 def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int, window: float) -> tuple:
     """(basis, r, value): the optimum of f over basis + (j,), whose old optimum j violates.
 
     j is in the new optimum's support, so only the equal-slack points of
-    subsets holding j and at most 3 basis indices are solved; the one with
-    the smallest f over the members is that optimum (the first one on ties).
-    The members within window of its value form the next basis. Only the
-    members' rows are read, and all the algebra is on Python floats.
+    subsets holding j and at most 3 basis indices are solved, over one
+    table of pair terms (_pair_table); the one with the smallest f over the
+    members is that optimum (the first one on ties). Scoring a point stops
+    once its running max over the members reaches the best value so far,
+    since it cannot win then. The members within window of the optimum's
+    value form the next basis. Only the members' rows are read, and all the
+    algebra is on Python floats.
     """
     members = basis + (j,)
     p_m = pr[list(members)].tolist()
     q_m = q[list(members)].tolist()
-    new = len(basis)
+    segments, rows = _pair_table(p_m, q_m)
+    terms = list(zip(p_m, q_m))
     best_r, best = None, math.inf
-    for size in range(min(new, 3) + 1):
-        for rest in combinations(range(new), size):
-            for r in _support_points(p_m, q_m, rest + (new,)):
-                value = max(p + _norm(_sub(r, x)) for p, x in zip(p_m, q_m))
+    for subset in _pivot_subsets(len(basis)):
+        for r in _support_points(p_m, q_m, subset, segments, rows):
+            x, y, z = r
+            value = -math.inf
+            for p, (qx, qy, qz) in terms:
+                dx, dy, dz = x - qx, y - qy, z - qz
+                f = p + math.sqrt(dx * dx + dy * dy + dz * dz)
+                if not f <= value:  # f > value, or a NaN that keeps r out, as in max()
+                    value = f
+                    if value >= best:
+                        break
+            else:
                 if value < best:
                     best_r, best = r, value
+    x, y, z = best_r
+    floor = best - window
     active = tuple(
-        i for i, p, x in zip(members, p_m, q_m) if p + _norm(_sub(best_r, x)) >= best - window
+        i
+        for i, (p, (a, b, c)) in zip(members, terms)
+        if p + math.sqrt((x - a) * (x - a) + (y - b) * (y - b) + (z - c) * (z - c)) >= floor
     )
     return active, np.array(best_r), best
 
 
 def _zero_weights(d: list):
-    """Weights w summing to 1 with sum_i w_i d_i = 0 over 1 to 4 rows in R^3, or None.
+    """Weights w summing to 1 with sum_i w_i d_i = 0 over 2 to 4 rows in R^3, or None.
 
-    One row: it must be zero. Two: the point of their line nearest 0, which
-    is 0 for an antiparallel pair. Three: barycentric coordinates of the
-    projection of 0 on their plane, from cross products. Four: signed
-    volumes. A triangle or tetrahedron that is flat to rounding is skipped
-    (a smaller support covers it); the weights must be nonnegative to
-    _NEG_TOL and leave a residual of at most _FEAS_TOL.
+    Two rows: the point of their line nearest 0, which is 0 for an
+    antiparallel pair. Three: barycentric coordinates of the projection of
+    0 on their plane, from cross products. Four: signed volumes. A triangle
+    or tetrahedron that is flat to rounding is skipped (a smaller support
+    covers it); the weights must be nonnegative to _NEG_TOL and leave a
+    residual of at most _FEAS_TOL.
     """
-    if len(d) == 1:
-        w = (1.0,)
-    elif len(d) == 2:
-        a, b = d
-        ab = _sub(a, b)
-        den = _dot(ab, ab)
+    (a0, a1, a2), (b0, b1, b2) = d[0], d[1]
+    if len(d) == 2:
+        s0, s1, s2 = a0 - b0, a1 - b1, a2 - b2
+        den = s0 * s0 + s1 * s1 + s2 * s2
         if den == 0.0:
             return None
-        t = -_dot(b, ab) / den
+        t = -(b0 * s0 + b1 * s1 + b2 * s2) / den
         w = (t, 1.0 - t)
     elif len(d) == 3:
-        a, b, c = d
-        ba, ca = _sub(b, a), _sub(c, a)
-        normal = _cross(ba, ca)
-        den = _dot(normal, normal)
-        if not math.sqrt(den) > _RANK_TOL * _norm(ba) * _norm(ca):
-            return None
-        w = tuple(_dot(normal, _cross(x, y)) / den for x, y in ((b, c), (c, a), (a, b)))
-    else:
-        a, b, c, e = d
-        ba, ca, ea = _sub(b, a), _sub(c, a), _sub(e, a)
-        vol = _dot(ba, _cross(ca, ea))
-        if not abs(vol) > _RANK_TOL * _norm(ba) * _norm(ca) * _norm(ea):
+        c0, c1, c2 = d[2]
+        s0, s1, s2 = b0 - a0, b1 - a1, b2 - a2
+        t0, t1, t2 = c0 - a0, c1 - a1, c2 - a2
+        n0, n1, n2 = s1 * t2 - s2 * t1, s2 * t0 - s0 * t2, s0 * t1 - s1 * t0
+        den = n0 * n0 + n1 * n1 + n2 * n2
+        ns, nt = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2), math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+        if not math.sqrt(den) > _RANK_TOL * ns * nt:
             return None
         w = (
-            _dot(b, _cross(c, e)) / vol,
-            -_dot(a, _cross(c, e)) / vol,
-            _dot(a, _cross(b, e)) / vol,
-            -_dot(a, _cross(b, c)) / vol,
+            (n0 * (b1 * c2 - b2 * c1) + n1 * (b2 * c0 - b0 * c2) + n2 * (b0 * c1 - b1 * c0)) / den,
+            (n0 * (c1 * a2 - c2 * a1) + n1 * (c2 * a0 - c0 * a2) + n2 * (c0 * a1 - c1 * a0)) / den,
+            (n0 * (a1 * b2 - a2 * b1) + n1 * (a2 * b0 - a0 * b2) + n2 * (a0 * b1 - a1 * b0)) / den,
+        )
+    else:
+        (c0, c1, c2), (e0, e1, e2) = d[2], d[3]
+        s0, s1, s2 = b0 - a0, b1 - a1, b2 - a2
+        t0, t1, t2 = c0 - a0, c1 - a1, c2 - a2
+        u0, u1, u2 = e0 - a0, e1 - a1, e2 - a2
+        vol = s0 * (t1 * u2 - t2 * u1) + s1 * (t2 * u0 - t0 * u2) + s2 * (t0 * u1 - t1 * u0)
+        if not abs(vol) > (
+            _RANK_TOL
+            * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
+            * math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+            * math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        ):
+            return None
+        ce0, ce1, ce2 = c1 * e2 - c2 * e1, c2 * e0 - c0 * e2, c0 * e1 - c1 * e0
+        w = (
+            (b0 * ce0 + b1 * ce1 + b2 * ce2) / vol,
+            -(a0 * ce0 + a1 * ce1 + a2 * ce2) / vol,
+            (a0 * (b1 * e2 - b2 * e1) + a1 * (b2 * e0 - b0 * e2) + a2 * (b0 * e1 - b1 * e0)) / vol,
+            -(a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)) / vol,
         )
     if min(w) < -_NEG_TOL:
         return None
-    if _norm(tuple(sum(wi * x[k] for wi, x in zip(w, d)) for k in range(3))) > _FEAS_TOL:
+    x = y = z = 0.0
+    for wi, (dx, dy, dz) in zip(w, d):
+        x, y, z = x + wi * dx, y + wi * dy, z + wi * dz
+    if math.sqrt(x * x + y * y + z * z) > _FEAS_TOL:
         return None
-    return tuple(max(wi, 0.0) for wi in w)
+    return tuple([max(wi, 0.0) for wi in w])
 
 
 def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
@@ -333,26 +402,31 @@ def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
     With every basis point at equal slack, r in the convex hull of the basis
     points is 0 in the hull of the unit directions (r - q_i)/|r - q_i|
     (rescale each by |r - q_i|), so r minimizes f over the basis; a basis
-    point at r certifies by itself, as a size-1 support. Scaling the rows by
-    the largest instead of their own length keeps a nearly coincident
-    point from blowing up its direction's rounding error. The weights have
-    the smallest support (at most 4 of the at most 5 rows), then the
-    smallest norm, then come first in enumeration order (_zero_weights).
+    point at r certifies by itself, as a size-1 support, whose residual is
+    its row's norm. Scaling the rows by the largest instead of their own
+    length keeps a nearly coincident point from blowing up its direction's
+    rounding error. The weights have the smallest support (at most 4 of the
+    at most 5 rows), then the smallest norm, then come first in enumeration
+    order (_zero_weights).
     """
     rows = (q[list(basis)] - r).tolist()
-    scale = max(_norm(x) for x in rows)
+    scale = max([math.sqrt(x * x + y * y + z * z) for x, y, z in rows])
     if scale == 0.0:
         return (1.0,) + (0.0,) * (len(basis) - 1)
-    rows = [tuple(x / scale for x in row) for row in rows]
-    for size in range(1, min(len(rows), 4) + 1):
+    rows = [(x / scale, y / scale, z / scale) for x, y, z in rows]
+    mu = [0.0] * len(rows)
+    for i, (x, y, z) in enumerate(rows):
+        if not math.sqrt(x * x + y * y + z * z) > _FEAS_TOL:
+            mu[i] = 1.0
+            return tuple(mu)
+    for size in range(2, min(len(rows), 4) + 1):
         found = []
         for subset in combinations(range(len(rows)), size):
             w = _zero_weights([rows[i] for i in subset])
             if w is not None:
-                found.append((sum(x * x for x in w), subset, w))
+                found.append((_sum(x * x for x in w), subset, w))
         if found:
             _, subset, w = min(found, key=lambda item: item[:2])
-            mu = [0.0] * len(rows)
             for i, wi in zip(subset, w):
                 mu[i] = wi
             return tuple(mu)
@@ -462,9 +536,9 @@ def _basis_measurement(
     if len(support) == 1:  # r is that basis point: guess its state
         weights, dirs = [2.0], [(0.0, 0.0, 0.0)]
     else:
-        r_f = r.tolist()
-        offsets = [_sub(r_f, x) for x in q[support].tolist()]
-        dist = [math.sqrt(_dot(x, x)) for x in offsets]
+        rx, ry, rz = r.tolist()
+        offsets = [(rx - x, ry - y, rz - z) for x, y, z in q[support].tolist()]
+        dist = [math.sqrt(a * a + b * b + c * c) for a, b, c in offsets]
         dirs = [tuple(y / d for y in x) for x, d in zip(offsets, dist)]
         weights = [m * d for m, d in zip(mu, dist)]
         others = [(w_i, d_i) for i, (w_i, d_i) in enumerate(zip(weights, dirs)) if i != k]

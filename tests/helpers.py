@@ -1,13 +1,16 @@
-"""Shared test utilities: random ensemble builders and the certificate suite."""
+"""Shared test utilities: random ensemble builders, the certificate suite and a frozen oracle."""
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
 
 import qsd
+from qsd.bloch import BlochVector
 from qsd.family import family_residual, success_probability, verify_optimality
 from qsd.kkt import kkt_residuals
+from qsd.oracle import ACTIVATION_TOL, DEFAULT_TOL, MinimaxSolution
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -197,3 +200,282 @@ def assert_result_valid(ensemble, result):
     assert sum(cert.pure_mask) >= 2, "fewer than two pure conjugates"
     assert max(cert.lambdas) > 0.0, "all multipliers zero on a regular result"
     assert report.passes, f"kkt worst residual {report.worst()}"
+
+
+# ---------------------------------------------------------------------------
+# frozen oracle kernels
+
+# The oracle's pivot and hull-test kernels and its pivot loop as they were
+# before their straight-line rewrite, copied unchanged, with the tolerances
+# they read, except that their builtin sums are written out as _sum: the
+# builtin adds left to right from 0 up to Python 3.11 and compensates its
+# rounding from 3.12 on. The rewrite claims the same float operations in
+# the same order, so its MinimaxSolution must equal this one exactly.
+_SEPARATION_TOL = 1e-15
+_CONSISTENCY_TOL = 1e-9
+_QUADRATIC_TOL = 1e-14
+_ROOT_TOL = 1e-12
+_RANK_TOL = 3.0 * sys.float_info.epsilon
+_FEAS_TOL = 1e-10
+_NEG_TOL = 1e-12
+_WINDOW_FLOOR = 1e-12
+_PIVOTS_PER_STATE = 4
+
+
+def _sub(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _norm(a) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+def _sum(values) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _solve_rows(e: list, h: list):
+    """(u0, u1) solving e_m . u_c = h_m[c] for 2 or 3 rows e_m, or None if singular.
+
+    Three rows: the inverse from cross products over the determinant. Two
+    rows: the minimum-norm solution u = e^T (e e^T)^-1 h through the Gram
+    matrix, whose determinant is |e_0 x e_1|^2. A system singular to
+    rounding relative to its row lengths is rejected (_RANK_TOL).
+    """
+    if len(e) == 3:
+        e0, e1, e2 = e
+        cols = (_cross(e1, e2), _cross(e2, e0), _cross(e0, e1))
+        det = _dot(e0, cols[0])
+        if not abs(det) > _RANK_TOL * _norm(e0) * _norm(e1) * _norm(e2):
+            return None
+        return tuple(
+            tuple(_sum(hm[c] * col[k] for hm, col in zip(h, cols)) / det for k in range(3))
+            for c in (0, 1)
+        )
+    e0, e1 = e
+    g00, g01, g11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
+    normal = _cross(e0, e1)
+    det = _dot(normal, normal)
+    if not math.sqrt(det) > _RANK_TOL * math.sqrt(g00) * math.sqrt(g11):
+        return None
+    out = []
+    for c in (0, 1):
+        a0 = (g11 * h[0][c] - g01 * h[1][c]) / det
+        a1 = (g00 * h[1][c] - g01 * h[0][c]) / det
+        out.append(tuple(a0 * x + a1 * y for x, y in zip(e0, e1)))
+    return tuple(out)
+
+
+def _support_points(pr: list, q: list, subset) -> list:
+    """Equal-slack points for a support subset: all r with p_i + |r - q_i| equal on it.
+
+    pr and q are Python floats (q as 3-sequences). Size 1 is the point
+    itself; size 2 the balanced point on the segment; sizes 3 and 4 reduce
+    to a linear system for r as an affine function of p, solved in closed
+    form (_solve_rows), plus one quadratic. Inconsistent or rank-deficient
+    systems return nothing (their optima are covered by smaller subsets).
+    """
+    s = list(subset)
+    if len(s) == 1:
+        return [tuple(q[s[0]])]
+    if len(s) == 2:
+        i, j = s
+        d = _sub(q[j], q[i])
+        dn = _norm(d)
+        if dn <= _SEPARATION_TOL:
+            return []
+        p = 0.5 * (pr[i] + pr[j] + dn)
+        if p < pr[i] - _SEPARATION_TOL or p < pr[j] - _SEPARATION_TOL:
+            return []
+        t = (p - pr[i]) / dn
+        return [tuple(x + t * y for x, y in zip(q[i], d))]
+
+    p0, q0 = pr[s[0]], q[s[0]]
+    e = [_sub(q[m], q0) for m in s[1:]]
+    # 2 rt.e_m = |e_m|^2 + (p_m - p_0)(2p - p_0 - p_m): affine in p
+    h = [
+        (_dot(em, em) - (pr[m] - p0) * (pr[m] + p0), 2.0 * (pr[m] - p0))
+        for m, em in zip(s[1:], e)
+    ]
+    rows = [tuple(2.0 * x for x in em) for em in e]
+    solved = _solve_rows(rows, h)
+    if solved is None:
+        return []
+    for c, u in enumerate(solved):
+        misfit = [_dot(row, u) - hm[c] for row, hm in zip(rows, h)]
+        if math.sqrt(_sum(x * x for x in misfit)) > _CONSISTENCY_TOL:
+            return []
+    u0, u1 = solved
+    # |rt(p)|^2 = (p - p_0)^2 with rt(p) = u0 + u1 p
+    alpha = _dot(u1, u1) - 1.0
+    beta = 2.0 * _dot(u0, u1) + 2.0 * p0
+    gamma = _dot(u0, u0) - p0 * p0
+    roots = []
+    if abs(alpha) <= _QUADRATIC_TOL:
+        if abs(beta) > _QUADRATIC_TOL:
+            roots.append(-gamma / beta)
+    else:
+        disc = beta * beta - 4.0 * alpha * gamma
+        if disc >= -_ROOT_TOL:
+            sq = math.sqrt(max(disc, 0.0))
+            roots.extend([(-beta + sq) / (2.0 * alpha), (-beta - sq) / (2.0 * alpha)])
+    top = max(pr[m] for m in s)
+    return [
+        tuple(x + a + b * p for x, a, b in zip(q0, u0, u1))
+        for p in roots
+        if math.isfinite(p) and p >= top - _ROOT_TOL
+    ]
+
+
+def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int, window: float) -> tuple:
+    """(basis, r, value): the optimum of f over basis + (j,), whose old optimum j violates.
+
+    j is in the new optimum's support, so only the equal-slack points of
+    subsets holding j and at most 3 basis indices are solved; the one with
+    the smallest f over the members is that optimum (the first one on ties).
+    The members within window of its value form the next basis. Only the
+    members' rows are read, and all the algebra is on Python floats.
+    """
+    members = basis + (j,)
+    p_m = pr[list(members)].tolist()
+    q_m = q[list(members)].tolist()
+    new = len(basis)
+    best_r, best = None, math.inf
+    for size in range(min(new, 3) + 1):
+        for rest in combinations(range(new), size):
+            for r in _support_points(p_m, q_m, rest + (new,)):
+                value = max(p + _norm(_sub(r, x)) for p, x in zip(p_m, q_m))
+                if value < best:
+                    best_r, best = r, value
+    active = tuple(
+        i for i, p, x in zip(members, p_m, q_m) if p + _norm(_sub(best_r, x)) >= best - window
+    )
+    return active, np.array(best_r), best
+
+
+def _zero_weights(d: list):
+    """Weights w summing to 1 with sum_i w_i d_i = 0 over 1 to 4 rows in R^3, or None.
+
+    One row: it must be zero. Two: the point of their line nearest 0, which
+    is 0 for an antiparallel pair. Three: barycentric coordinates of the
+    projection of 0 on their plane, from cross products. Four: signed
+    volumes. A triangle or tetrahedron that is flat to rounding is skipped
+    (a smaller support covers it); the weights must be nonnegative to
+    _NEG_TOL and leave a residual of at most _FEAS_TOL.
+    """
+    if len(d) == 1:
+        w = (1.0,)
+    elif len(d) == 2:
+        a, b = d
+        ab = _sub(a, b)
+        den = _dot(ab, ab)
+        if den == 0.0:
+            return None
+        t = -_dot(b, ab) / den
+        w = (t, 1.0 - t)
+    elif len(d) == 3:
+        a, b, c = d
+        ba, ca = _sub(b, a), _sub(c, a)
+        normal = _cross(ba, ca)
+        den = _dot(normal, normal)
+        if not math.sqrt(den) > _RANK_TOL * _norm(ba) * _norm(ca):
+            return None
+        w = tuple(_dot(normal, _cross(x, y)) / den for x, y in ((b, c), (c, a), (a, b)))
+    else:
+        a, b, c, e = d
+        ba, ca, ea = _sub(b, a), _sub(c, a), _sub(e, a)
+        vol = _dot(ba, _cross(ca, ea))
+        if not abs(vol) > _RANK_TOL * _norm(ba) * _norm(ca) * _norm(ea):
+            return None
+        w = (
+            _dot(b, _cross(c, e)) / vol,
+            -_dot(a, _cross(c, e)) / vol,
+            _dot(a, _cross(b, e)) / vol,
+            -_dot(a, _cross(b, c)) / vol,
+        )
+    if min(w) < -_NEG_TOL:
+        return None
+    if _norm(tuple(_sum(wi * x[k] for wi, x in zip(w, d)) for k in range(3))) > _FEAS_TOL:
+        return None
+    return tuple(max(wi, 0.0) for wi in w)
+
+
+def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
+    """Convex weights mu with sum_i mu_i (q_i - r) = 0 over the basis, or None.
+
+    With every basis point at equal slack, r in the convex hull of the basis
+    points is 0 in the hull of the unit directions (r - q_i)/|r - q_i|
+    (rescale each by |r - q_i|), so r minimizes f over the basis; a basis
+    point at r certifies by itself, as a size-1 support. Scaling the rows by
+    the largest instead of their own length keeps a nearly coincident
+    point from blowing up its direction's rounding error. The weights have
+    the smallest support (at most 4 of the at most 5 rows), then the
+    smallest norm, then come first in enumeration order (_zero_weights).
+    """
+    rows = (q[list(basis)] - r).tolist()
+    scale = max(_norm(x) for x in rows)
+    if scale == 0.0:
+        return (1.0,) + (0.0,) * (len(basis) - 1)
+    rows = [tuple(x / scale for x in row) for row in rows]
+    for size in range(1, min(len(rows), 4) + 1):
+        found = []
+        for subset in combinations(range(len(rows)), size):
+            w = _zero_weights([rows[i] for i in subset])
+            if w is not None:
+                found.append((_sum(x * x for x in w), subset, w))
+        if found:
+            _, subset, w = min(found, key=lambda item: item[:2])
+            mu = [0.0] * len(rows)
+            for i, wi in zip(subset, w):
+                mu[i] = wi
+            return tuple(mu)
+    return None
+
+
+def _distances(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|r - q_i| for every row: np.linalg.norm's sum and root, without its call overhead."""
+    d = r - q
+    return np.sqrt((d * d).sum(axis=1))
+
+
+def reference_minimax(ensemble, tol=DEFAULT_TOL) -> MinimaxSolution:
+    """minimax_common_point computed by the frozen kernels above."""
+    pr = ensemble.priors
+    q = ensemble.weighted_points
+    window = max(tol, _WINDOW_FLOOR)
+
+    k = int(np.argmax(pr))
+    basis, r, value = (k,), q[k], float(pr[k])
+    mu = None
+    for iterations in range(1, _PIVOTS_PER_STATE * ensemble.n + 1):
+        f_vals = pr + _distances(r, q)
+        j = int(np.argmax(f_vals))
+        if f_vals[j] <= value + window:
+            mu = _hull_weights(q, r, basis)
+            break
+        basis, r, value = _pivot(pr, q, basis, j, window)
+    else:
+        f_vals = pr + _distances(r, q)
+
+    p_hat = float(f_vals.max())
+    active = tuple(int(i) for i in np.flatnonzero(f_vals >= p_hat * (1.0 - ACTIVATION_TOL)))
+    return MinimaxSolution(
+        p_star=p_hat,
+        r_star=BlochVector.from_array(r),
+        active_set=active,
+        iterations=iterations,
+        converged=mu is not None,
+        basis=tuple(int(i) for i in basis),
+        basis_weights=mu or (),
+    )

@@ -190,6 +190,7 @@ def test_single_state_rejected(tmp_path, capsys):
 
 
 _ENSEMBLE_LAYOUT = "`<prior> <bx> <by> <bz>`"
+BOM = "\ufeff".encode("utf-8")
 _POLE_ROWS = [[0.5, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, -1.0]]
 
 # Every way an ensemble file is read or refused: file bytes, --renormalize,
@@ -226,6 +227,13 @@ ENSEMBLE_FILES = [
      "entry 0: prior -1.0 outside the open interval (0, 1)"),
     ("renormalize-zero-sum", b"0 0 0 1\n0 0 0 -1\n", True,
      "cannot renormalize priors with sum 0.0"),
+    # a UTF-8 byte-order mark, as Windows editors save one, is not a field
+    ("bom-comment-first", BOM + b"# head\n0.5 0 0 1\n0.5 0 0 -1\n", False, _POLE_ROWS),
+    ("bom-data-first", BOM + b"0.5 0 0 1\r\n0.5 0 0 -1\r\n", False, _POLE_ROWS),
+    ("bom-three-fields", BOM + b"# c\n0.5 0 0 1\n0.5 0 0\n", False,
+     f"{{path}}:3: expected 4 fields {_ENSEMBLE_LAYOUT}, got 3"),
+    ("bom-non-numeric", BOM + b"0.5 0 0 1\n0.5 x 0 -1\n", False,
+     "{path}:2: non-numeric field in '0.5 x 0 -1'"),
 ]
 
 
@@ -256,6 +264,33 @@ def test_povm_file_reports_a_bad_element_before_a_later_malformed_line(tmp_path)
         cli.parse_povm_file(good_then_short, 2)
     assert str(caught.value) == (
         f"{good_then_short}:2: expected 4 fields `<a> <vx> <vy> <vz>`, got 3")
+
+
+def test_byte_order_mark_changes_no_report(tmp_path, capsys, monkeypatch):
+    """Ensemble and POVM files saved with a BOM read as the same files without one."""
+    reports = {}
+    for name, head in (("plain", b""), ("bom", BOM)):
+        folder = tmp_path / name
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        Path("trine.txt").write_bytes(head + TRINE.encode("utf-8"))
+        code, text, err = run(capsys, ["solve", "trine.txt"])
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, ["solve", "trine.txt", "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = [
+            " ".join(repr(x) for x in [rec["povm_a"], *rec["povm_v"]])
+            for rec in json.loads(out)["states"]
+        ]
+        Path("povm.txt").write_bytes(head + ("# solved\n" + "\n".join(rows) + "\n").encode("utf-8"))
+        code, verified, err = run(capsys, ["verify", "trine.txt", "povm.txt", "--format", "json"])
+        assert (code, err) == (0, "")
+        Path("short.txt").write_bytes(head + b"0.5 0 0 0.5\n0.5 0 0\n")
+        with pytest.raises(ValueError) as caught:
+            cli.parse_povm_file("short.txt", 2)
+        reports[name] = (text, out, verified, str(caught.value))
+    assert reports["bom"] == reports["plain"]
+    assert reports["bom"][3] == "short.txt:2: expected 4 fields `<a> <vx> <vy> <vz>`, got 3"
 
 
 def test_tol_must_be_positive(tmp_path, capsys):
@@ -358,6 +393,25 @@ def test_numerical_failure_exit2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["solve", path])
     assert code == 2
     assert "qsd: numerical failure: multistart did not converge" in err
+
+
+OCTAHEDRON = "".join(
+    f"{1 / 6!r} {x} {y} {z}\n"
+    for x, y, z in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+)
+
+
+def test_loose_tol_is_a_numerical_failure(tmp_path):
+    # with --tol 10 the pivot loop stops at its first basis, and the gate
+    # refuses the measurement read off it: one line, exit 2, no traceback
+    path = write(tmp_path, "octahedron.txt", OCTAHEDRON)
+    done = run_python(
+        "import sys, qsd.cli; sys.exit(qsd.cli.main(sys.argv[1:]))",
+        "solve", path, "--method", "oracle", "--tol", "10",
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("qsd: numerical failure: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -129,3 +129,25 @@ def test_bench_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"qsd.{module}"), attr, None)):
             missing.append(name)
     assert missing == []
+
+
+# The oracle's per-subset kernels work on Python floats: a numpy call costs
+# more than the whole closed-form solve of a subset.
+FLOAT_KERNELS = {"_pair_table", "_pivot_subsets", "_support_points", "_solve_rows", "_zero_weights"}
+
+
+def test_oracle_float_kernels_use_no_numpy():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    kernels = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in FLOAT_KERNELS
+    }
+    assert set(kernels) == FLOAT_KERNELS
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, kernel in sorted(kernels.items())
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.Name) and node.id in ("np", "numpy")
+    ]
+    assert offenders == []

@@ -1,7 +1,9 @@
 """Minimax oracle: objective, certified minimizer, POVM recovery, samplers."""
 
 import math
+import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,7 +22,13 @@ from qsd.oracle import (
     recover_povm,
     solve_oracle,
 )
-from helpers import assert_result_valid, ball_points, brute_force_minimax, random_ensemble
+from helpers import (
+    assert_result_valid,
+    ball_points,
+    brute_force_minimax,
+    random_ensemble,
+    reference_minimax,
+)
 
 
 def antipodal():
@@ -491,6 +499,17 @@ def test_near_guess_ensembles_all_solve(solve):
         assert_result_valid(ens, result)
 
 
+def test_loose_tol_makes_the_gate_refuse():
+    # tol widens the pivot loop's exit test: at 10 the first basis {0}
+    # passes it, and the gate refuses the measurement read off that basis
+    ens = qsd.platonic_ensemble(qsd.PlatonicSolid("octahedron"))[0]
+    sol = minimax_common_point(ens, tol=10.0)
+    assert (sol.iterations, sol.basis, sol.p_star) == (1, (0,), 0.5)
+    with pytest.raises(CertificateError, match="POVM success"):
+        solve_oracle(ens, tol=10.0)
+    assert solve_oracle(ens).p_opt == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
 def test_recover_povm_returns_the_gated_oracle_result():
     rng = np.random.default_rng(1019)
     inputs = [near_guess_ensemble(rng) for _ in range(100)]
@@ -504,3 +523,58 @@ def test_recover_povm_returns_the_gated_oracle_result():
     assert sol.converged and sol.p_star < 0.99
     with pytest.raises(CertificateError):
         recover_povm(ens, replace(sol, p_star=sol.p_star + 0.01))
+
+
+def frozen_reference_inputs():
+    """Seeded ensembles of every kind the pivot and hull kernels meet."""
+    rng = np.random.default_rng(1414)
+    for n in range(4, 21):
+        yield random_ensemble(rng, n)
+        jitter = 1.0 + rng.uniform(-0.05, 0.05, size=n)
+        yield qsd.validate_ensemble(
+            [(float(p), tuple(row)) for p, row in zip(jitter / jitter.sum(), sphere_points(rng, n))]
+        )
+    for n in range(2, 13):  # tied priors, then duplicated points
+        weights = rng.uniform(0.2, 1.0, size=n)
+        weights[: n // 2 + 1] = weights[0]
+        points = sphere_points(rng, n) if n % 2 else ball_points(rng, n)
+        for k in range(max(n - n // 3, 1), n):
+            points[k] = points[int(rng.integers(0, k))]
+        yield qsd.validate_ensemble(
+            [(float(w), tuple(row)) for w, row in zip(weights, points)], renormalize=True
+        )
+    for geometry in DEGENERATE_GEOMETRIES:
+        for priors in DEGENERATE_PRIORS:
+            for n in range(3, 13):
+                yield degenerate_ensemble(rng, n, geometry, priors)
+    for _ in range(30):
+        yield near_guess_ensemble(rng)
+    priors = rng.dirichlet(np.ones(256))
+    yield qsd.validate_ensemble(
+        [(float(p), tuple(row)) for p, row in zip(priors, ball_points(rng, 256))]
+    )
+    yield degenerate_ensemble(rng, 256, "ball", "tied")
+
+
+def test_kernels_match_the_frozen_reference():
+    # the straight-line kernels do the reference's float operations in its
+    # order, so every output agrees to the bit: compared by repr and bytes
+    for ens, tol in product(frozen_reference_inputs(), (qsd.oracle.DEFAULT_TOL, 1e-7)):
+        sol = minimax_common_point(ens, tol=tol)
+        ref = reference_minimax(ens, tol=tol)
+        assert sol == ref and repr(sol) == repr(ref)
+        try:
+            result = solve_oracle(ens, tol=tol)
+        except CertificateError as exc:  # near-guess inputs stop early at 1e-7
+            with pytest.raises(CertificateError, match=re.escape(str(exc))):
+                recover_povm(ens, ref)
+            continue
+        povm, cert = recover_povm(ens, ref)
+        pairs = [
+            (result.povm.a, povm.a),
+            (result.povm.v, povm.v),
+            (result.certificate.conjugate_matrix(), cert.conjugate_matrix()),
+            (result.certificate.lambdas, cert.lambdas),
+        ]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
