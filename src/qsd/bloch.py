@@ -386,9 +386,6 @@ class PovmElement:
     def trace(self) -> float:
         return 2.0 * self.a
 
-    def is_zero(self, tol: float = ZERO_ELEMENT_TOL) -> bool:
-        return self.a <= tol
-
 
 @dataclass(init=False, eq=False, repr=False)
 class Povm(ArrayRecord):
@@ -492,8 +489,8 @@ class HelstromCertificate(ArrayRecord):
     degenerate marks a measurement that does no better than guessing,
     success <= max prior + DEGENERACY_TOL: the guess regime, where the
     measurement has a single identity element, the multipliers vanish (up
-    to the oracle's tol, by which its p may exceed the guess value) and no
-    orthogonality witness exists.
+    to the oracle's pivot window, by which its p may exceed the guess
+    value) and no orthogonality witness exists.
     """
 
     p: float

@@ -48,7 +48,7 @@ from .closed_form import (
 )
 from .errors import DiscriminationError
 from .family import success_probability
-from .oracle import classical_diagonal_oracle, solve_oracle
+from .oracle import PIVOT_WINDOW, classical_diagonal_oracle, solve_oracle
 from .platonic import (
     EDGE_COEFFICIENT_TOL,
     PLATONIC_KINDS,
@@ -61,7 +61,6 @@ from .platonic import (
 __all__ = ["main", "parse_ensemble_file", "parse_povm_file", "build_report"]
 
 _DEMO_NAMES = ("diagonal", "cone", "mirror", "trine") + PLATONIC_KINDS
-_DEFAULT_TOL = 1e-9  # the default --tol, the oracle's convergence tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +116,22 @@ def parse_povm_file(path: str, expected_n: int) -> Povm:
 # reports
 
 
-def _effective_tolerances(tol: float) -> dict:
-    return {
-        "oracle": tol,
-        "purity_classification": PURITY_TOL,
-        "kkt_pass": KKT_TOL,
-        "family_residual": FAMILY_TOL,
-        "success_match": SUCCESS_TOL,
-        "povm_completeness": COMPLETENESS_TOL,
-        "orthogonality": ORTHOGONALITY_TOL,
-        "bound_slack": BOUND_SLACK,
-    }
+# every tolerance a report quotes; the oracle's is its fixed pivot window
+_TOLERANCES = {
+    "oracle": PIVOT_WINDOW,
+    "purity_classification": PURITY_TOL,
+    "kkt_pass": KKT_TOL,
+    "family_residual": FAMILY_TOL,
+    "success_match": SUCCESS_TOL,
+    "povm_completeness": COMPLETENESS_TOL,
+    "orthogonality": ORTHOGONALITY_TOL,
+    "bound_slack": BOUND_SLACK,
+}
 
 
 def build_report(
     ensemble: WeightedEnsemble,
     result: DiscriminationResult,
-    tol: float,
     cross_check: DiscriminationResult | None = None,
 ) -> dict:
     cert = result.certificate
@@ -178,7 +176,7 @@ def build_report(
             "passes": kkt.passes,
             "degenerate": kkt.degenerate,
         },
-        "tolerances": _effective_tolerances(tol),
+        "tolerances": dict(_TOLERANCES),
     }
     if cross_check is not None:
         report["cross_check"] = {
@@ -266,9 +264,9 @@ def _emit(report: dict, fmt: str, render_text) -> None:
 
 def cmd_solve(args) -> int:
     ensemble = parse_ensemble_file(args.path, renormalize=args.renormalize)
-    result = _solve_with_method(ensemble, args.method, args.tol)
-    cross = solve_oracle(ensemble, tol=args.tol) if args.cross_check else None
-    report = build_report(ensemble, result, args.tol, cross_check=cross)
+    result = _solve_with_method(ensemble, args.method)
+    cross = solve_oracle(ensemble) if args.cross_check else None
+    report = build_report(ensemble, result, cross_check=cross)
     report["input"] = args.path
     _emit(report, args.format, _render_solve_text)
     return 0
@@ -278,7 +276,7 @@ def cmd_verify(args) -> int:
     ensemble = parse_ensemble_file(args.path, renormalize=args.renormalize)
     povm = parse_povm_file(args.povm_path, ensemble.n)
     success = success_probability(ensemble, povm)
-    result = _solve_with_method(ensemble, args.method, args.tol)
+    result = _solve_with_method(ensemble, args.method)
     satisfied = success <= result.p_opt + BOUND_SLACK
 
     a_values = povm.a.tolist()
@@ -297,7 +295,7 @@ def cmd_verify(args) -> int:
         "bound_satisfied": satisfied,
         "completeness_residual": completeness,
         "psd_slack_min": psd_slack,
-        "tolerances": _effective_tolerances(args.tol),
+        "tolerances": dict(_TOLERANCES),
     }
     _emit(report, args.format, _render_verify_text)
     return 0 if satisfied else 3
@@ -369,8 +367,8 @@ def _demo_spec(args):
 
 def cmd_demo(args) -> int:
     ensemble, result, reference_p, reference_note, extra = _demo_spec(args)
-    cross = solve_oracle(ensemble, tol=args.tol)
-    report = build_report(ensemble, result, args.tol, cross_check=cross)
+    cross = solve_oracle(ensemble)
+    report = build_report(ensemble, result, cross_check=cross)
     report["command"] = "demo"
     report["demo"] = args.name
     report["reference_p"] = reference_p
@@ -409,13 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first main() call and reused after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=_DEFAULT_TOL,
-        help="oracle convergence tolerance; from about 1e-7 up the oracle can stop "
-        "short of the optimum and the certificate gate refuse it (exit 2)",
-    )
 
     parser = _Parser(prog="qsd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -452,9 +443,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        print("qsd: error: --tol must be positive and finite", file=sys.stderr)
-        return 1
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "demo": cmd_demo}
     try:
         return handlers[args.command](args)

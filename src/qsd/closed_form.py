@@ -46,7 +46,7 @@ from .errors import (
     WeightSystemInfeasible,
 )
 from .family import assemble_result, guess_result, povm_from_weights
-from .oracle import DEFAULT_TOL, check_tol, solve_oracle
+from .oracle import solve_oracle
 from .weights import min_norm_nonneg_weights
 
 __all__ = [
@@ -640,16 +640,13 @@ def solve_mirror_symmetric(theta: float, p1: float) -> DiscriminationResult:
 # dispatch
 
 
-def solve_auto(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -> DiscriminationResult:
+def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Route an ensemble to the most specific applicable solver.
 
     Order: two states; diagonal (N >= 3 on the z axis); general three
     states; cone structure; symmetric shell; minimax oracle. Structural
-    solvers that fail feasibility fall through to the oracle. tol is the
-    oracle's; it must be positive and finite whichever solver runs
-    (ValueError otherwise).
+    solvers that fail feasibility fall through to the oracle.
     """
-    check_tol(tol)
     n = ensemble.n
     if n == 2:
         return solve_two_state(ensemble)
@@ -667,7 +664,7 @@ def solve_auto(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -> Discrimi
         return solve_symmetric_shell(ensemble)
     except (ValueError, WeightSystemInfeasible, CertificateError, DegenerateRatioError):
         pass
-    return solve_oracle(ensemble, tol=tol)
+    return solve_oracle(ensemble)
 
 
 def _solve_cone_structured(ensemble: WeightedEnsemble) -> DiscriminationResult:
@@ -682,24 +679,20 @@ def _solve_cone_structured(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
 # entries look solvers up by name at call time, so a patched module attribute is the one run
 _SOLVERS = {
-    "auto": lambda ensemble, tol: solve_auto(ensemble, tol=tol),
-    "two-state": lambda ensemble, tol: solve_two_state(ensemble),
-    "three-state": lambda ensemble, tol: solve_three_state(ensemble),
-    "diagonal": lambda ensemble, tol: solve_diagonal(ensemble),
-    "symmetric-shell": lambda ensemble, tol: solve_symmetric_shell(ensemble),
-    "cone": lambda ensemble, tol: _solve_cone_structured(ensemble),
-    "oracle": lambda ensemble, tol: solve_oracle(ensemble, tol=tol),
+    "auto": lambda ensemble: solve_auto(ensemble),
+    "two-state": lambda ensemble: solve_two_state(ensemble),
+    "three-state": lambda ensemble: solve_three_state(ensemble),
+    "diagonal": lambda ensemble: solve_diagonal(ensemble),
+    "symmetric-shell": lambda ensemble: solve_symmetric_shell(ensemble),
+    "cone": lambda ensemble: _solve_cone_structured(ensemble),
+    "oracle": lambda ensemble: solve_oracle(ensemble),
 }
 SOLVE_METHODS = tuple(_SOLVERS)
 
 
-def solve_with_method(ensemble: WeightedEnsemble, method: str, tol: float) -> DiscriminationResult:
-    """Run the solver named in SOLVE_METHODS; tol reaches only the oracle.
-
-    tol must be positive and finite for every method (ValueError otherwise).
-    """
-    check_tol(tol)
+def solve_with_method(ensemble: WeightedEnsemble, method: str) -> DiscriminationResult:
+    """Run the solver named in SOLVE_METHODS (ValueError for any other name)."""
     solve = _SOLVERS.get(method)
     if solve is None:
         raise ValueError(f"unknown method {method!r}")
-    return solve(ensemble, tol)
+    return solve(ensemble)

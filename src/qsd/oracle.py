@@ -15,9 +15,10 @@ subdifferential there contains the whole unit ball).
 
 The solver pivots over bases, starting from {argmax p_i}, whose optimum
 r = q_i is already the answer in the guess regime. While some index j has
-p_j + |r - q_j| above the basis value, j joins the basis, which is solved
-again exactly over the equal-slack points of the subsets containing j; the
-members active at the best one form the next basis. The basis value rises
+p_j + |r - q_j| above the basis value by more than the fixed pivot window
+PIVOT_WINDOW, j joins the basis, which is solved again exactly over the
+equal-slack points of the subsets containing j; the members within that
+window at the best one form the next basis. The basis value rises
 strictly, so the loop ends (it is capped at a fixed multiple of n all the
 same). The exit test is global feasibility plus hull stationarity on the
 final basis alone: f(r) is an upper bound at any r and the basis value a
@@ -80,13 +81,12 @@ __all__ = [
     "solve_oracle",
     "classical_diagonal_oracle",
     "random_povm_sample",
-    "check_tol",
     "ACTIVATION_TOL",
-    "DEFAULT_TOL",
+    "PIVOT_WINDOW",
 ]
 
 ACTIVATION_TOL = 1e-7     # relative width of the reported active set
-DEFAULT_TOL = 1e-10       # default convergence tolerance of the pivot loop
+PIVOT_WINDOW = 1e-10      # a violation of the basis value above this pivots; members within it stay
 
 # Equal-slack geometry.
 _SEPARATION_TOL = 1e-15   # points, slacks and gaps below this count as zero
@@ -105,7 +105,6 @@ _FEAS_TOL = 1e-10         # residual |sum_i mu_i (q_i - r)| / max_i |q_i - r|
 _NEG_TOL = 1e-12          # hull weights may dip below zero by at most this
 
 # Pivoting.
-_WINDOW_FLOOR = 1e-12     # a pivot needs a violation of the basis value above max(tol, this)
 _PIVOTS_PER_STATE = 4     # pivot cap as a multiple of n
 
 # POVM recovery and the samplers.
@@ -292,7 +291,7 @@ def _pivot_subsets(new: int) -> tuple:
     )
 
 
-def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int, window: float) -> tuple:
+def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int) -> tuple:
     """(basis, r, value): the optimum of f over basis + (j,), whose old optimum j violates.
 
     j is in the new optimum's support, so only the equal-slack points of
@@ -300,9 +299,9 @@ def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int, window: float) -
     table of pair terms (_pair_table); the one with the smallest f over the
     members is that optimum (the first one on ties). Scoring a point stops
     once its running max over the members reaches the best value so far,
-    since it cannot win then. The members within window of the optimum's
-    value form the next basis. Only the members' rows are read, and all the
-    algebra is on Python floats.
+    since it cannot win then. The members within PIVOT_WINDOW of the
+    optimum's value form the next basis. Only the members' rows are read,
+    and all the algebra is on Python floats.
     """
     members = basis + (j,)
     p_m = pr[list(members)].tolist()
@@ -325,7 +324,7 @@ def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int, window: float) -
                 if value < best:
                     best_r, best = r, value
     x, y, z = best_r
-    floor = best - window
+    floor = best - PIVOT_WINDOW
     active = tuple(
         i
         for i, (p, (a, b, c)) in zip(members, terms)
@@ -439,27 +438,18 @@ def _distances(r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless tol, a convergence tolerance, is positive and finite."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
-
-
-def minimax_common_point(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -> MinimaxSolution:
-    """Minimize f over R^3; certified global within tol when converged=True.
+def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
+    """Minimize f over R^3; certified global within PIVOT_WINDOW when converged=True.
 
     Pivots over bases (module docstring). iterations counts the passes over
     all n points, one per basis; a pass that finds no violation beyond
-    max(tol, _WINDOW_FLOOR) ends the loop, and the hull test on that basis
-    decides convergence. The final basis and its hull weights are returned
-    for recover_povm. Reaching the cap of a fixed multiple of n passes
-    returns converged=False. Deterministic: ties break by index. tol must
-    be positive and finite (ValueError otherwise).
+    PIVOT_WINDOW ends the loop, and the hull test on that basis decides
+    convergence. The final basis and its hull weights are returned for
+    recover_povm. Reaching the cap of a fixed multiple of n passes returns
+    converged=False. Deterministic: ties break by index.
     """
-    check_tol(tol)
     pr = ensemble.priors
     q = ensemble.weighted_points
-    window = max(tol, _WINDOW_FLOOR)
 
     k = int(np.argmax(pr))
     basis, r, value = (k,), q[k], float(pr[k])
@@ -467,10 +457,10 @@ def minimax_common_point(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -
     for iterations in range(1, _PIVOTS_PER_STATE * ensemble.n + 1):
         f_vals = pr + _distances(r, q)
         j = int(np.argmax(f_vals))
-        if f_vals[j] <= value + window:
+        if f_vals[j] <= value + PIVOT_WINDOW:
             mu = _hull_weights(q, r, basis)
             break
-        basis, r, value = _pivot(pr, q, basis, j, window)
+        basis, r, value = _pivot(pr, q, basis, j)
     else:
         f_vals = pr + _distances(r, q)
 
@@ -556,13 +546,13 @@ def _basis_measurement(
     return assemble_result(ensemble, p, r, read_only(c), povm, "oracle")
 
 
-def solve_oracle(ensemble: WeightedEnsemble, tol: float = DEFAULT_TOL) -> DiscriminationResult:
+def solve_oracle(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Full oracle pipeline returning a graded DiscriminationResult.
 
     The measurement and the certificate are recover_povm's; the certificate
     is built once, by the gate.
     """
-    solution = minimax_common_point(ensemble, tol=tol)
+    solution = minimax_common_point(ensemble)
     if not solution.converged:
         raise ConvergenceError(
             f"minimax did not certify an optimum within {solution.iterations} iterations"

@@ -10,7 +10,7 @@ import qsd
 from qsd.bloch import BlochVector
 from qsd.family import family_residual, success_probability, verify_optimality
 from qsd.kkt import kkt_residuals
-from qsd.oracle import ACTIVATION_TOL, DEFAULT_TOL, MinimaxSolution
+from qsd.oracle import ACTIVATION_TOL, MinimaxSolution
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,6 +32,31 @@ def ball_points(rng, count):
     v /= np.linalg.norm(v, axis=1)[:, None]
     radius = rng.uniform(0.0, 1.0, size=count) ** (1.0 / 3.0)
     return v * radius[:, None]
+
+
+def sphere_points(rng, count):
+    """Uniform points on the unit sphere."""
+    v = rng.normal(size=(count, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def near_guess_ensemble(rng):
+    """Two heavy states with |q_1 - q_2| = (p_1 - p_2)(1 + 10^-u), u in [4, 9],
+    plus light states inside the ball B(q_1, p_1): p* exceeds p_1 by about
+    (p_1 - p_2) 10^-u / 2."""
+    while True:
+        p1 = rng.uniform(0.35, 0.5)
+        delta = rng.uniform(0.01, 0.2)
+        light = rng.dirichlet(np.ones(int(rng.integers(1, 5)))) * (1.0 - 2.0 * p1 + delta)
+        b1 = ball_points(rng, 1)[0]
+        q2 = p1 * b1 + delta * (1.0 + 10.0 ** -rng.uniform(4.0, 9.0)) * sphere_points(rng, 1)[0]
+        points = ball_points(rng, len(light))
+        inside = p1 >= light + np.linalg.norm(light[:, None] * points - p1 * b1, axis=1)
+        if np.linalg.norm(q2) <= p1 - delta and inside.all():
+            entries = [(p1, b1), (p1 - delta, q2 / (p1 - delta))] + list(zip(light, points))
+            return qsd.validate_ensemble(
+                [(float(p), tuple(float(x) for x in b)) for p, b in entries]
+            )
 
 
 def random_ensemble(rng, count, min_prior=1e-3):
@@ -218,7 +243,7 @@ _ROOT_TOL = 1e-12
 _RANK_TOL = 3.0 * sys.float_info.epsilon
 _FEAS_TOL = 1e-10
 _NEG_TOL = 1e-12
-_WINDOW_FLOOR = 1e-12
+_PIVOT_WINDOW = 1e-10
 _PIVOTS_PER_STATE = 4
 
 
@@ -449,11 +474,11 @@ def _distances(r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
-def reference_minimax(ensemble, tol=DEFAULT_TOL) -> MinimaxSolution:
+def reference_minimax(ensemble) -> MinimaxSolution:
     """minimax_common_point computed by the frozen kernels above."""
     pr = ensemble.priors
     q = ensemble.weighted_points
-    window = max(tol, _WINDOW_FLOOR)
+    window = _PIVOT_WINDOW
 
     k = int(np.argmax(pr))
     basis, r, value = (k,), q[k], float(pr[k])

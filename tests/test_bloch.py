@@ -350,7 +350,7 @@ def test_no_per_state_objects_on_the_solve_path(monkeypatch, build, method):
         counts.clear()
         ens = qsd.validate_ensemble(entries)
         result = qsd.solve_auto(ens)
-        cli.build_report(ens, result, 1e-9)
+        cli.build_report(ens, result)
         result.kkt
         assert result.method == method
         seen.append(sum(counts.values()))

@@ -22,7 +22,6 @@ from qsd import (
     solve_two_state,
 )
 from qsd.bloch import read_only
-from qsd.closed_form import SOLVE_METHODS, solve_with_method
 from qsd.family import assemble_result, guess_result, povm_from_weights
 from qsd.oracle import classical_diagonal_oracle
 from qsd.platonic import PlatonicSolid, platonic_ensemble
@@ -460,27 +459,3 @@ def test_auto_declines_one_sided_families_without_enumeration(ens, monkeypatch):
     assert 0 < len(calls) <= 2 * ens.n
     assert result.method == "oracle"
     assert result == solve_oracle(ens)
-
-
-# one input each way: a closed form solves the trine, the oracle the 4 states
-_TOL_INPUTS = {
-    "closed-form": cone_ensemble(3, 1.0, 0.5 * math.pi),
-    "oracle": qsd.validate_ensemble([
-        (0.3, (0.5, 0.1, 0.2)), (0.2, (-0.4, 0.3, 0.1)),
-        (0.25, (0.1, -0.6, 0.2)), (0.25, (0.0, 0.2, -0.7)),
-    ]),
-}
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("kind", sorted(_TOL_INPUTS))
-def test_bad_tol_is_rejected_up_front(kind, tol):
-    ens = _TOL_INPUTS[kind]
-    calls = [lambda: solve_auto(ens, tol=tol)]
-    calls += [lambda m=m: solve_with_method(ens, m, tol) for m in SOLVE_METHODS]
-    for call in calls:
-        with pytest.raises(ValueError) as info:
-            call()
-        assert type(info.value) is ValueError
-        assert str(info.value) == "tol must be positive and finite"
-    assert solve_auto(ens).method == ("three-state-interior" if kind == "closed-form" else "oracle")

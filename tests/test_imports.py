@@ -1,11 +1,15 @@
 """Package layout: modules reach each other only through public names."""
 
+import argparse
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import qsd
+import qsd.cli
+import qsd.oracle
 
 PACKAGE = Path(qsd.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -129,6 +133,37 @@ def test_bench_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"qsd.{module}"), attr, None)):
             missing.append(name)
     assert missing == []
+
+
+def _public_callables():
+    for module in (qsd, qsd.oracle):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and issubclass(obj, Exception):
+                continue
+            if callable(obj):
+                yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in inspect.getmembers(obj, inspect.isfunction):
+                    if not attr.startswith("_"):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # the oracle's pivot window is one constant, qsd.oracle.PIVOT_WINDOW, so
+    # the CLI and the library cannot run the solvers at two different windows
+    offenders = [
+        name for name, fn in _public_callables() if "tol" in inspect.signature(fn).parameters
+    ]
+    assert offenders == []
+    parsers = [qsd.cli._build_parser()]
+    flags = set()
+    for parser in parsers:
+        for action in parser._actions:
+            flags.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert "--format" in flags and "--tol" not in flags
 
 
 # The oracle's per-subset kernels work on Python floats: a numpy call costs

@@ -1,9 +1,7 @@
 """Minimax oracle: objective, certified minimizer, POVM recovery, samplers."""
 
 import math
-import re
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -26,8 +24,10 @@ from helpers import (
     assert_result_valid,
     ball_points,
     brute_force_minimax,
+    near_guess_ensemble,
     random_ensemble,
     reference_minimax,
+    sphere_points,
 )
 
 
@@ -73,18 +73,6 @@ def test_minimax_boundary_triple():
     assert np.allclose(sol.r_star.as_array(), [0, 0, 0.85], atol=1e-8)
 
 
-def test_minimax_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        minimax_common_point(trine(), tol=0.0)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("solve", [minimax_common_point, solve_oracle], ids=lambda f: f.__name__)
-def test_nonfinite_tol_is_rejected_up_front(solve, tol):
-    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
-        solve(trine(), tol=tol)
-
-
 def test_pair_lower_bound():
     assert pair_lower_bound(antipodal()) == pytest.approx(1.0, abs=1e-15)
     assert pair_lower_bound(boundary_triple()) == pytest.approx(0.95, abs=1e-15)
@@ -115,8 +103,8 @@ def test_pair_lower_bound_matches_pair_loop():
 def test_determinism():
     rng = np.random.default_rng(3)
     ens = random_ensemble(rng, 5)
-    a = minimax_common_point(ens, tol=1e-10)
-    b = minimax_common_point(ens, tol=1e-10)
+    a = minimax_common_point(ens)
+    b = minimax_common_point(ens)
     assert a.p_star == b.p_star
     assert a.r_star == b.r_star
     assert a.active_set == b.active_set
@@ -246,11 +234,6 @@ def test_random_povm_sample_bound_and_determinism():
 def test_random_povm_sample_count_validation():
     with pytest.raises(ValueError):
         random_povm_sample(trine(), 0)
-
-
-def sphere_points(rng, count):
-    v = rng.normal(size=(count, 3))
-    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def test_guess_regime_is_the_first_basis():
@@ -470,25 +453,6 @@ def test_all_active_equal_priors_recover_from_the_basis(monkeypatch):
     assert_result_valid(ens, result)
 
 
-def near_guess_ensemble(rng):
-    """Two heavy states with |q_1 - q_2| = (p_1 - p_2)(1 + 10^-u), u in [4, 9],
-    plus light states inside the ball B(q_1, p_1): p* exceeds p_1 by about
-    (p_1 - p_2) 10^-u / 2."""
-    while True:
-        p1 = rng.uniform(0.35, 0.5)
-        delta = rng.uniform(0.01, 0.2)
-        light = rng.dirichlet(np.ones(int(rng.integers(1, 5)))) * (1.0 - 2.0 * p1 + delta)
-        b1 = ball_points(rng, 1)[0]
-        q2 = p1 * b1 + delta * (1.0 + 10.0 ** -rng.uniform(4.0, 9.0)) * sphere_points(rng, 1)[0]
-        points = ball_points(rng, len(light))
-        inside = p1 >= light + np.linalg.norm(light[:, None] * points - p1 * b1, axis=1)
-        if np.linalg.norm(q2) <= p1 - delta and inside.all():
-            entries = [(p1, b1), (p1 - delta, q2 / (p1 - delta))] + list(zip(light, points))
-            return qsd.validate_ensemble(
-                [(float(p), tuple(float(x) for x in b)) for p, b in entries]
-            )
-
-
 @pytest.mark.parametrize("solve", [solve_oracle, qsd.solve_auto], ids=lambda f: f.__name__)
 def test_near_guess_ensembles_all_solve(solve):
     rng = np.random.default_rng(1019)
@@ -497,17 +461,6 @@ def test_near_guess_ensembles_all_solve(solve):
         result = solve(ens)
         assert 0.0 <= result.p_opt - float(ens.priors.max()) < 1e-5
         assert_result_valid(ens, result)
-
-
-def test_loose_tol_makes_the_gate_refuse():
-    # tol widens the pivot loop's exit test: at 10 the first basis {0}
-    # passes it, and the gate refuses the measurement read off that basis
-    ens = qsd.platonic_ensemble(qsd.PlatonicSolid("octahedron"))[0]
-    sol = minimax_common_point(ens, tol=10.0)
-    assert (sol.iterations, sol.basis, sol.p_star) == (1, (0,), 0.5)
-    with pytest.raises(CertificateError, match="POVM success"):
-        solve_oracle(ens, tol=10.0)
-    assert solve_oracle(ens).p_opt == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_recover_povm_returns_the_gated_oracle_result():
@@ -559,16 +512,11 @@ def frozen_reference_inputs():
 def test_kernels_match_the_frozen_reference():
     # the straight-line kernels do the reference's float operations in its
     # order, so every output agrees to the bit: compared by repr and bytes
-    for ens, tol in product(frozen_reference_inputs(), (qsd.oracle.DEFAULT_TOL, 1e-7)):
-        sol = minimax_common_point(ens, tol=tol)
-        ref = reference_minimax(ens, tol=tol)
+    for ens in frozen_reference_inputs():
+        sol = minimax_common_point(ens)
+        ref = reference_minimax(ens)
         assert sol == ref and repr(sol) == repr(ref)
-        try:
-            result = solve_oracle(ens, tol=tol)
-        except CertificateError as exc:  # near-guess inputs stop early at 1e-7
-            with pytest.raises(CertificateError, match=re.escape(str(exc))):
-                recover_povm(ens, ref)
-            continue
+        result = solve_oracle(ens)
         povm, cert = recover_povm(ens, ref)
         pairs = [
             (result.povm.a, povm.a),
