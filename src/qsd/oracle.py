@@ -29,15 +29,16 @@ Every system a pivot or the hull test meets has at most 4 rows in R^3, so
 both are solved in closed form on Python floats, as in combinatorial
 smallest-ball pivoting (Gaertner, ESA 1999; Fischer and Gaertner, IJCGA
 2004). The equal-slack points of 3 or 4 indices take a 3x3 inverse from
-cross products over the determinant, or the minimum-norm solution through
-the 2x2 Gram matrix; the hull weights are a zero row, an antiparallel
-pair, barycentric coordinates from cross products or signed volumes. A
-subset singular to rounding (_RANK_TOL) is skipped, since smaller subsets
-cover its optima. Only the rows a pivot touches are converted to floats;
-the pass over all n points stays one numpy pass, and nothing calls
-np.linalg. A pivot computes the terms of each member pair (q_b - q_a, its
-norm, the row 2(q_b - q_a) and its right-hand side) once, in a table that
-all its subsets share, and stops scoring a candidate point once its running
+cross products over the determinant, or the minimum-norm solution
+(h_a b - h_b a) x n / |n|^2 with n = a x b, which has no Gram matrix to
+square the condition number of nearly parallel rows; the hull weights are
+a zero row, an antiparallel pair, barycentric coordinates from cross
+products or signed volumes. A subset singular to rounding (_RANK_TOL) is
+skipped, since smaller subsets cover its optima. Only the rows a pivot
+touches are converted to floats; the pass over all n points stays one
+numpy pass, and nothing calls np.linalg. A pivot computes the terms of
+each member pair (q_b - q_a and its norm, the row 2(q_b - q_a), its norm
+and its right-hand side) once, in a table that all its subsets share, and stops scoring a candidate point once its running
 max over the members reaches the best value so far, since under the strict
 < tie-break it cannot win then. Neither changes a bit of any result against
 solving every subset from scratch and scoring every point in full: the
@@ -159,7 +160,7 @@ def _pair_table(pr: list, q: list) -> tuple:
     """(segments, rows): the terms that the subsets of a pivot share, per member pair a < b.
 
     With e = q_b - q_a, segments[a, b] is (e, |e|), for the size-2 subset;
-    rows[a, b] is the system row 2e with its squared norm and norm, and
+    rows[a, b] is the system row 2e with its norm, and
     h = (|e|^2 - (p_b - p_a)(p_b + p_a), 2 (p_b - p_a)), for the larger
     subsets that start at a.
     """
@@ -173,10 +174,9 @@ def _pair_table(pr: list, q: list) -> tuple:
             e0, e1, e2 = xb - xa, yb - ya, zb - za
             ee = e0 * e0 + e1 * e1 + e2 * e2
             r0, r1, r2 = 2.0 * e0, 2.0 * e1, 2.0 * e2
-            rr = r0 * r0 + r1 * r1 + r2 * r2
             segments[a, b] = (e0, e1, e2, math.sqrt(ee))
             h0, h1 = ee - (pb - pa) * (pb + pa), 2.0 * (pb - pa)
-            rows[a, b] = (r0, r1, r2, rr, math.sqrt(rr), h0, h1)
+            rows[a, b] = (r0, r1, r2, math.sqrt(r0 * r0 + r1 * r1 + r2 * r2), h0, h1)
     return segments, rows
 
 
@@ -184,29 +184,31 @@ def _solve_rows(ra: tuple, rb: tuple, rc: tuple | None = None):
     """[u0, u1] solving e_m . u_c = h_m[c] over 2 or 3 rows of _pair_table, or None.
 
     Three rows: the inverse from cross products over the determinant. Two
-    rows: the minimum-norm solution u = e^T (e e^T)^-1 h through the Gram
-    matrix, whose determinant is |e_0 x e_1|^2. A system singular to
+    rows a, b: the minimum-norm solution u = (h_a b - h_b a) x n / |n|^2
+    with n = a x b, which needs no Gram matrix and so does not square the
+    condition number of nearly parallel rows. A system singular to
     rounding relative to its row lengths (_RANK_TOL), or one that the
     solution misses by more than _CONSISTENCY_TOL, gives None.
     """
-    a0, a1, a2, g00, na, ha0, ha1 = ra
-    b0, b1, b2, g11, nb, hb0, hb1 = rb
+    a0, a1, a2, na, ha0, ha1 = ra
+    b0, b1, b2, nb, hb0, hb1 = rb
     solved = []
     if rc is None:
-        g01 = a0 * b0 + a1 * b1 + a2 * b2
         n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
         det = n0 * n0 + n1 * n1 + n2 * n2
         if not math.sqrt(det) > _RANK_TOL * na * nb:
             return None
         for ha, hb in ((ha0, hb0), (ha1, hb1)):
-            s, t = (g11 * ha - g01 * hb) / det, (g00 * hb - g01 * ha) / det
-            u0, u1, u2 = s * a0 + t * b0, s * a1 + t * b1, s * a2 + t * b2
+            w0, w1, w2 = ha * b0 - hb * a0, ha * b1 - hb * a1, ha * b2 - hb * a2
+            u0 = (w1 * n2 - w2 * n1) / det
+            u1 = (w2 * n0 - w0 * n2) / det
+            u2 = (w0 * n1 - w1 * n0) / det
             ma, mb = a0 * u0 + a1 * u1 + a2 * u2 - ha, b0 * u0 + b1 * u1 + b2 * u2 - hb
             if math.sqrt(0.0 + ma * ma + mb * mb) > _CONSISTENCY_TOL:
                 return None
             solved.append((u0, u1, u2))
         return solved
-    c0, c1, c2, _, nc, hc0, hc1 = rc
+    c0, c1, c2, nc, hc0, hc1 = rc
     x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
     y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
     z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0

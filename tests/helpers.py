@@ -274,9 +274,9 @@ def _solve_rows(e: list, h: list):
     """(u0, u1) solving e_m . u_c = h_m[c] for 2 or 3 rows e_m, or None if singular.
 
     Three rows: the inverse from cross products over the determinant. Two
-    rows: the minimum-norm solution u = e^T (e e^T)^-1 h through the Gram
-    matrix, whose determinant is |e_0 x e_1|^2. A system singular to
-    rounding relative to its row lengths is rejected (_RANK_TOL).
+    rows: the minimum-norm solution u = (h_0 e_1 - h_1 e_0) x n / |n|^2 with
+    n = e_0 x e_1. A system singular to rounding relative to its row
+    lengths is rejected (_RANK_TOL).
     """
     if len(e) == 3:
         e0, e1, e2 = e
@@ -289,16 +289,14 @@ def _solve_rows(e: list, h: list):
             for c in (0, 1)
         )
     e0, e1 = e
-    g00, g01, g11 = _dot(e0, e0), _dot(e0, e1), _dot(e1, e1)
     normal = _cross(e0, e1)
     det = _dot(normal, normal)
-    if not math.sqrt(det) > _RANK_TOL * math.sqrt(g00) * math.sqrt(g11):
+    if not math.sqrt(det) > _RANK_TOL * _norm(e0) * _norm(e1):
         return None
     out = []
     for c in (0, 1):
-        a0 = (g11 * h[0][c] - g01 * h[1][c]) / det
-        a1 = (g00 * h[1][c] - g01 * h[0][c]) / det
-        out.append(tuple(a0 * x + a1 * y for x, y in zip(e0, e1)))
+        w = tuple(h[0][c] * y - h[1][c] * x for x, y in zip(e0, e1))
+        out.append(tuple(x / det for x in _cross(w, normal)))
     return tuple(out)
 
 

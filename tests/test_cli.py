@@ -469,6 +469,13 @@ def test_demo_mirror_boundary(capsys):
     assert report["reference_delta"] < 1e-10
 
 
+def test_demo_mirror_at_89_degrees(capsys):
+    theta = repr(math.radians(89.0))
+    code, out, err = run(capsys, ["demo", "mirror", "--theta", theta, "--p1", "0.02"])
+    assert (code, err) == (0, "")
+    assert "demo: mirror" in out
+
+
 def test_demo_dodecahedron_reports_mismatch(capsys):
     code, out, _ = run(capsys, ["demo", "dodecahedron"])
     assert code == 0

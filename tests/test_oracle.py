@@ -526,3 +526,18 @@ def test_kernels_match_the_frozen_reference():
         ]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
+
+
+def test_mirror_triples_near_a_right_angle_converge():
+    # the 2-row pivot systems of these triples have nearly parallel rows; a
+    # Gram-matrix solve squared their condition number and left a slack
+    # spread wider than PIVOT_WINDOW, so the pivot loop lost a support state
+    rng = np.random.default_rng(2026)
+    thetas = rng.uniform(math.radians(80.0), math.radians(90.0), 300)
+    p1s = rng.uniform(0.001, 0.2, 300)
+    for theta, p1 in zip(thetas.tolist(), p1s.tolist()):
+        ens = qsd.mirror_ensemble(theta, p1)
+        oracle = solve_oracle(ens)
+        auto = qsd.solve_auto(ens)
+        assert abs(oracle.p_opt - auto.p_opt) <= 1e-9
+
