@@ -17,6 +17,21 @@ BlochVector, QubitState and PovmElement stay the per-state vocabulary:
 `KktReport.nu` are tuples of them, built on first access. ==, hash and repr
 go by value.
 
+The float path. Below the measured crossover of FLOAT_ROWS rows, numpy's
+per-call overhead costs more than the arithmetic, so a WeightedEnsemble or
+Povm given as lists or tuples of Python floats is checked on those floats,
+and each stored array is built once from its list. The float path only
+accepts: when any of its tests fails it returns, and the vectorized checks
+run on the same arguments and raise their own errors in their own order,
+so every refusal message lives in one place. Its rounding contract:
+stored values are the same IEEE operations as the vectorized code's,
+element by element; the norm tests compare sqrt(x*x + y*y + z*z), which
+rounds differently from the vectorized np.hypot (as math.hypot does too),
+with FLOAT_MARGIN to spare, so a row within the margin of its bound goes to
+the vectorized test; sums of a few terms are compared the same way, since
+numpy adds in its own order. The records keep those floats as `lists`, so
+that the gate and the small solvers read them without converting again.
+
 Shared tolerance constants are pinned here so that every module, the tests
 and the CLI report all quote the same numbers.
 """
@@ -50,6 +65,15 @@ CERT_P_TOL = 1e-10        # |p_opt - certificate.p|
 KKT_TOL = 1e-8            # every KKT residual at a reported optimum
 DEGENERACY_TOL = 1e-12    # p - max prior below this marks the guess regime
 RATIO_SLACK = 1e-12       # a ratio p may exceed 1, or fall below the largest prior, by this
+
+# The float path (module docstring). Records of at most FLOAT_ROWS rows are
+# checked on Python floats, which beat numpy's per-call overhead up to the
+# crossover measured for the three records together. A float test must
+# clear its bound by FLOAT_MARGIN: for values up to 2 in size, sqrt(x*x +
+# y*y + z*z) and np.hypot's norm differ by a few ulps, and two sums of up
+# to FLOAT_ROWS such terms, in any two orders, by less than 100 ulps of 1.
+FLOAT_ROWS = 12
+FLOAT_MARGIN = 1e-13
 
 METHODS = frozenset({
     "two-state",
@@ -189,6 +213,39 @@ def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
     return np.array([tuple(make(v)) for v in vectors], dtype=float).reshape(-1, 3)
 
 
+_SEQUENCES = (list, tuple)
+
+
+def float_rows(rows) -> tuple | None:
+    """(rows, norms) on Python floats, or None.
+
+    rows must be a list or tuple of at most FLOAT_ROWS lists or tuples of
+    three floats; they come back as (x, y, z) tuples with the norms
+    sqrt(x*x + y*y + z*z), which a test compares with FLOAT_MARGIN to
+    spare. Anything else gives None, for the vectorized checks.
+    """
+    if type(rows) not in _SEQUENCES or len(rows) > FLOAT_ROWS:
+        return None
+    out, norms = [], []
+    for row in rows:
+        if type(row) not in _SEQUENCES or len(row) != 3:
+            return None
+        x, y, z = row
+        if not (type(x) is float and type(y) is float and type(z) is float):
+            return None
+        out.append((x, y, z))
+        norms.append(math.sqrt(x * x + y * y + z * z))
+    return out, norms
+
+
+def _floats(values) -> list | None:
+    """values as a list of Python floats when it is a list or tuple of them, else None."""
+    if type(values) not in _SEQUENCES:
+        return None
+    values = list(values)
+    return values if all(type(x) is float for x in values) else None
+
+
 def _all_finite(rows: np.ndarray) -> bool:
     return np.isfinite(rows).all()
 
@@ -314,6 +371,10 @@ class WeightedEnsemble(ArrayRecord):
 
     entries: tuple = functools.cached_property(lambda self: tuple(zip(
         self.priors.tolist(), (QubitState(BlochVector(*b)) for b in self.bloch_matrix.tolist()))))
+    # (priors, Bloch rows, weighted rows) as Python floats, for the float
+    # path; read them, never modify them
+    lists = functools.cached_property(lambda self: (
+        self.priors.tolist(), self.bloch_matrix.tolist(), self.weighted_points.tolist()))
 
     _VALUES = ("priors", "bloch_matrix")
 
@@ -324,6 +385,8 @@ class WeightedEnsemble(ArrayRecord):
     def _validate(self, priors, bloch_matrix, renormalize: bool = False) -> None:
         """Check, in order: each Bloch vector; with renormalize=True, divide the
         priors by their sum; at least two states; each prior in (0, 1); sum 1."""
+        if self._accept_floats(priors, bloch_matrix, renormalize):
+            return
         bloch = _state_rows(bloch_matrix)
         priors = np.array(priors, dtype=float)
         if priors.shape != (len(bloch),):
@@ -342,6 +405,35 @@ class WeightedEnsemble(ArrayRecord):
             raise ValueError(f"priors sum to {total!r}, not 1 within {PRIOR_SUM_TOL}")
         self._store(priors=priors, bloch_matrix=bloch, weighted_points=priors[:, None] * bloch,
                     max_prior=max(values))
+
+    def _accept_floats(self, priors, bloch_matrix, renormalize: bool) -> bool:
+        """_validate's checks on Python floats; False leaves them to the vectorized code.
+
+        Stores the arrays _validate would, each built once from its list.
+        """
+        found = float_rows(bloch_matrix)
+        values = _floats(priors)
+        if found is None or values is None or not 2 <= len(values) == len(found[0]):
+            return False
+        rows, norms = found
+        if not all(x <= 1.0 + 0.5 * STATE_NORM_TOL - FLOAT_MARGIN for x in norms):
+            return False
+        if renormalize:
+            try:  # fsum raises on inf - inf and on overflow
+                total = math.fsum(values)
+            except (ValueError, OverflowError):
+                return False
+            if not 0.0 < total < math.inf:
+                return False
+            values = [x / total for x in values]
+        if not (all(0.0 < x < 1.0 for x in values)
+                and abs(math.fsum(values) - 1.0) <= PRIOR_SUM_TOL):
+            return False
+        weighted = [(p * x, p * y, p * z) for p, (x, y, z) in zip(values, rows)]
+        self._store(priors=np.array(values), bloch_matrix=np.array(rows),
+                    weighted_points=np.array(weighted), max_prior=max(values))
+        self.__dict__["lists"] = (values, rows, weighted)
+        return True
 
     @property
     def n(self) -> int:
@@ -396,6 +488,8 @@ class Povm(ArrayRecord):
 
     elements: tuple = functools.cached_property(lambda self: tuple(
         PovmElement(a, BlochVector(*v)) for a, v in zip(self.a.tolist(), self.v.tolist())))
+    # (a, v rows) as Python floats, for the float path; never modify them
+    lists = functools.cached_property(lambda self: (self.a.tolist(), self.v.tolist()))
 
     _VALUES = ("a", "v")
 
@@ -409,6 +503,8 @@ class Povm(ArrayRecord):
 
     def _validate(self, a, v) -> None:
         """Check every element (a_k >= |v_k|), then completeness."""
+        if self._accept_floats(a, v):
+            return
         a = _owned(a)
         v = _rows(v)
         if not len(v):
@@ -425,6 +521,31 @@ class Povm(ArrayRecord):
                 f"POVM incomplete: vector parts sum to {tuple(v_sum.tolist())!r}, not 0 within {COMPLETENESS_TOL}"
             )
         self._store(a=a, v=v)
+
+    def _accept_floats(self, a, v) -> bool:
+        """_validate's checks on Python floats; False leaves them to the vectorized code.
+
+        Every a_k must lie in [0, 1 + COMPLETENESS_TOL], which any complete
+        POVM of nonnegative a_k meets, so that fsum cannot overflow and the
+        norms stay small enough for FLOAT_MARGIN.
+        """
+        found = float_rows(v)
+        values = _floats(a)
+        if found is None or values is None or not 1 <= len(values) == len(found[0]):
+            return False
+        rows, norms = found
+        if not (all(0.0 <= x <= 1.0 + COMPLETENESS_TOL and x - s >= FLOAT_MARGIN - 0.5 * PSD_TOL
+                    for x, s in zip(values, norms))
+                and abs(math.fsum(values) - 1.0) <= COMPLETENESS_TOL):
+            return False
+        sx = sy = sz = 0.0
+        for x, y, z in rows:
+            sx, sy, sz = sx + x, sy + y, sz + z
+        if not math.sqrt(sx * sx + sy * sy + sz * sz) <= COMPLETENESS_TOL - FLOAT_MARGIN:
+            return False
+        self._store(a=np.array(values), v=np.array(rows))
+        self.__dict__["lists"] = (values, rows)
+        return True
 
     @property
     def n(self) -> int:
@@ -485,6 +606,9 @@ class HelstromCertificate(ArrayRecord):
     gate passes its own) are stored as they are; anything else is copied.
     Every check runs in one vectorized pass over the fields; only when it
     fails does _refuse_certificate find the first failure and its message.
+    The gate runs these checks on its own quantities, on floats or
+    vectorized, and stores its certificate through _from_gate, so the
+    conjugates' norms are taken once per result.
 
     degenerate marks a measurement that does no better than guessing,
     success <= max prior + DEGENERACY_TOL: the guess regime, where the
@@ -527,6 +651,24 @@ class HelstromCertificate(ArrayRecord):
             _refuse_certificate(p, conj, norms, scaled, lams, mask)
         self._store(p=p, common_point=common_point, _conjugates=conj, scaled_priors=scaled,
                     lambdas=lams, pure_mask=mask, degenerate=bool(degenerate))
+
+    @classmethod
+    def _from_gate(cls, p: float, common_point: BlochVector, conjugates: np.ndarray,
+                   scaled_priors: np.ndarray, lambdas: np.ndarray, pure_mask: np.ndarray,
+                   degenerate: bool) -> "HelstromCertificate":
+        """The certificate of family.assemble_result, stored with no check of its own.
+
+        The gate has run the constructor's checks on the quantities it
+        derived: its one pass of conjugate norms gave finiteness and
+        pure_mask, and it tested the lengths, p and the scaled priors, and
+        let the constructor refuse whatever failed. It hands over float
+        arrays of matching lengths, which are made read-only as they are.
+        """
+        record = cls.__new__(cls)
+        record._store(p=p, common_point=common_point, _conjugates=conjugates,
+                      scaled_priors=scaled_priors, lambdas=lambdas, pure_mask=pure_mask,
+                      degenerate=degenerate)
+        return record
 
     @property
     def n(self) -> int:

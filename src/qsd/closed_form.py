@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
+    FLOAT_ROWS,
     PURITY_TOL,
     RATIO_SLACK,
     BlochVector,
@@ -134,8 +135,7 @@ def _three_state_floats(ensemble: WeightedEnsemble) -> tuple:
     the one np.linalg.norm takes the root of; the quadratic's roots are
     sensitive enough that a differently rounded sum of squares moves them.
     """
-    pr = ensemble.priors.tolist()
-    q = ensemble.weighted_points.tolist()
+    pr, _, q = ensemble.lists
     d = np.array([[y - x for x, y in zip(q[a], q[b])] for a, b in _PAIRS])
     gaps = np.matmul(d[:, None, :], d[:, :, None]).ravel().tolist()
     return pr, q, gaps
@@ -390,6 +390,8 @@ _ZERO_GAP = 1e-15  # p - p_i at or below this leaves state i's conjugate at zero
 
 def _on_z_axis(ensemble: WeightedEnsemble) -> bool:
     """Every Bloch vector on the z axis: solve_diagonal's structure, tested first by solve_auto."""
+    if ensemble.n <= FLOAT_ROWS:
+        return all(abs(x) <= _AXIS_TOL and abs(y) <= _AXIS_TOL for x, y, _ in ensemble.lists[1])
     return np.abs(ensemble.bloch_matrix[:, :2]).max() <= _AXIS_TOL
 
 

@@ -17,8 +17,19 @@ The gate computes each quantity once: one pass of row norms tests the
 conjugates for finiteness and the unit ball and gives the pure mask, and
 p_i/p gives both the scaled priors and the multipliers. Solvers hand their
 conjugates over with bloch.read_only and the gate hands its arrays on the
-same way, so neither it nor HelstromCertificate copies them; the
-certificate's own checks still run, in one vectorized pass.
+same way, so neither it nor HelstromCertificate copies them. The gate also
+runs the certificate's structural checks (lengths, p, scaled priors) and
+stores its certificate through HelstromCertificate._from_gate, which takes
+the pure mask the gate derived and checks nothing twice; whatever fails
+goes to the public constructor, which raises its own error.
+
+For at most bloch.FLOAT_ROWS conjugates the gate, povm_from_weights and
+guess_result run on Python floats (bloch's module docstring): each test
+accepts only what the vectorized one accepts, clearing its bound by
+FLOAT_MARGIN, and anything else runs the vectorized code, which raises
+every refusal. The stored values are the same float operations, element by
+element; a conjugate norm or a success within the margin of its bound takes
+its verdict from numpy instead.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ from .bloch import (
     BOUND_SLACK,
     DEGENERACY_TOL,
     FAMILY_TOL,
+    FLOAT_MARGIN,
+    FLOAT_ROWS,
     ORTHOGONALITY_TOL,
     PURITY_TOL,
     RATIO_SLACK,
@@ -42,6 +55,7 @@ from .bloch import (
     HelstromCertificate,
     Povm,
     WeightedEnsemble,
+    float_rows,
     read_only,
     row_norms,
     vector_matrix,
@@ -184,6 +198,13 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
     c = vector_matrix(conjugates)
     if w.shape[0] != c.shape[0]:
         raise ValueError("weights and conjugates lengths differ")
+    if 0 < len(c) <= FLOAT_ROWS and w.ndim == 1:
+        values = w.tolist()
+        if all(x >= -_WEIGHT_DUST for x in values):  # a NaN fails this too
+            # the arrays below, element by element; Povm checks them on floats
+            a = [0.0 if abs(x) <= _WEIGHT_DUST else x / 2.0 for x in values]
+            v = [(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, c.tolist())]
+            return Povm.from_arrays(a, v)
     if w.min() < -_WEIGHT_DUST:  # the least weight, which clamping leaves as it is
         raise ValueError(f"negative weight {float(w.min())!r}")
     a = w / 2.0
@@ -224,13 +245,27 @@ def assemble_result(
     reported as 0.
 
     Each refusal has its own type and message, which tests/test_family.py
-    pins.
+    pins. Up to FLOAT_ROWS conjugates the checks run on floats first
+    (_gate_floats), which accept or hand over to the vectorized _gate.
     """
-    priors = ensemble.priors
     p = float(p)
     if not isinstance(common_point, BlochVector):
         common_point = BlochVector.from_array(common_point)
     c_rows = vector_matrix(conjugates)
+    certificate = None
+    if len(c_rows) <= FLOAT_ROWS:
+        certificate = _gate_floats(ensemble, p, common_point, c_rows, povm)
+    if certificate is None:
+        certificate = _gate(ensemble, p, common_point, c_rows, povm)
+    return DiscriminationResult(
+        p_opt=p, povm=povm, certificate=certificate, method=method, ensemble=ensemble
+    )
+
+
+def _gate(ensemble: WeightedEnsemble, p: float, common_point: BlochVector, c_rows: np.ndarray,
+          povm: Povm) -> HelstromCertificate:
+    """assemble_result's checks, vectorized, in the order that raises each refusal."""
+    priors = ensemble.priors
     c_norms = row_norms(c_rows)
     widest = np.maximum.reduce(c_norms)
     if not math.isfinite(widest):
@@ -256,19 +291,59 @@ def assemble_result(
     scaled = priors / p
     lam = _multipliers(povm.a, scaled)
     lam[np.abs(lam) <= _ZERO_MULTIPLIER] = 0.0
+    fields = (p, common_point, read_only(c_rows), read_only(scaled), read_only(lam),
+              read_only(c_norms >= 1.0 - PURITY_TOL), bool(degenerate))
+    if (len(c_rows) == len(scaled) and 0.0 < p <= 1.0 + RATIO_SLACK
+            and 0.0 < scaled.min() and scaled.max() <= 1.0 + RATIO_SLACK):
+        return HelstromCertificate._from_gate(*fields)
+    return HelstromCertificate(*fields)  # which refuses what failed
 
-    certificate = HelstromCertificate(
-        p=p,
-        common_point=common_point,
-        conjugates=read_only(c_rows),
-        scaled_priors=read_only(scaled),
-        lambdas=read_only(lam),
-        pure_mask=read_only(c_norms >= 1.0 - PURITY_TOL),
-        degenerate=bool(degenerate),
-    )
-    return DiscriminationResult(
-        p_opt=p, povm=povm, certificate=certificate, method=method, ensemble=ensemble
-    )
+
+def _gate_floats(ensemble: WeightedEnsemble, p: float, r: BlochVector, c_rows: np.ndarray,
+                 povm: Povm) -> HelstromCertificate | None:
+    """assemble_result's certificate from checks on Python floats, or None for _gate.
+
+    Each test accepts only what _gate accepts: the norms clear their bounds
+    by FLOAT_MARGIN, and so does the success, which numpy sums in its own
+    order. A conjugate whose norm lies within the margin of 1 - PURITY_TOL
+    takes its pure_mask entry from np.hypot, and a success within it of the
+    guess bound takes degenerate from success_probability. Every stored
+    value is the same float operation as in _gate, element by element.
+    """
+    priors, bloch, q = ensemble.lists
+    a, v = povm.lists
+    found = float_rows(c_rows.tolist())
+    top = ensemble.max_prior
+    if not (found and len(found[0]) == len(a) == len(priors)
+            and top - RATIO_SLACK <= p <= 1.0 + RATIO_SLACK):
+        return None
+    rx, ry, rz = r
+    mask, scaled, lam = [], [], []
+    success = 0.0
+    for pi, (qx, qy, qz), (x, y, z), norm, ai, (vx, vy, vz), (bx, by, bz) in zip(
+            priors, q, *found, a, v, bloch):
+        g = p - pi
+        ox, oy, oz = qx + g * x - rx, qy + g * y - ry, qz + g * z - rz
+        if not (norm <= 1.0 + PURITY_TOL - FLOAT_MARGIN
+                and math.sqrt(ox * ox + oy * oy + oz * oz) <= FAMILY_TOL - FLOAT_MARGIN):
+            return None
+        if abs(norm - (1.0 - PURITY_TOL)) <= FLOAT_MARGIN:
+            norm = np.hypot(np.hypot(x, y), z)
+        mask.append(bool(norm >= 1.0 - PURITY_TOL))
+        success += pi * (ai + (bx * vx + by * vy + bz * vz))
+        t = pi / p
+        if not 0.0 < t <= 1.0 + RATIO_SLACK:
+            return None
+        scaled.append(t)
+        m = 2.0 * ai * (1.0 - t) / 4.0
+        lam.append(0.0 if abs(m) <= _ZERO_MULTIPLIER else m)
+    if not abs(success - p) <= SUCCESS_TOL - FLOAT_MARGIN:
+        return None
+    bound = top + DEGENERACY_TOL
+    if abs(success - bound) <= FLOAT_MARGIN:
+        success = success_probability(ensemble, povm)
+    return HelstromCertificate._from_gate(p, r, c_rows, np.array(scaled), np.array(lam),
+                                          np.array(mask), bool(success <= bound))
 
 
 def guess_result(
@@ -283,10 +358,17 @@ def guess_result(
     the reported optimum to its own evaluation of p_index (at most an ulp
     away) so that exact-equality contracts against reference formulas hold.
     """
-    priors = ensemble.priors
-    q = ensemble.weighted_points
     n = ensemble.n
     k = int(index)
+    if n <= FLOAT_ROWS and 0 <= k < n:
+        p = ensemble.lists[0][k] if value is None else float(value)
+        conj = _guess_conjugates(ensemble, k, p)
+        if conj is not None:
+            povm = Povm.from_arrays([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
+            r = BlochVector(*ensemble.lists[2][k])
+            return assemble_result(ensemble, p, r, read_only(np.array(conj)), povm, method)
+    priors = ensemble.priors
+    q = ensemble.weighted_points
     p = float(priors[k]) if value is None else float(value)
     r = q[k]
     gap = p - priors
@@ -311,3 +393,27 @@ def guess_result(
     a[k] = 1.0
     povm = Povm.from_arrays(read_only(a), read_only(np.zeros((n, 3))))
     return assemble_result(ensemble, p, r, conj, povm, method)
+
+
+def _guess_conjugates(ensemble: WeightedEnsemble, k: int, p: float) -> list | None:
+    """guess_result's conjugates on Python floats, or None for its vectorized checks.
+
+    The same divisions as the vectorized code, row by row; a norm must
+    clear its bound by FLOAT_MARGIN.
+    """
+    priors, _, q = ensemble.lists
+    rx, ry, rz = q[k]
+    conj = []
+    for i, (pi, (qx, qy, qz)) in enumerate(zip(priors, q)):
+        gap = p - pi
+        ox, oy, oz = rx - qx, ry - qy, rz - qz
+        if i == k or gap <= _TIED_GAP:
+            row, bound = (0.0, 0.0, 0.0), _TIED_POINT_TOL
+        else:
+            row = ox, oy, oz = ox / gap, oy / gap, oz / gap
+            bound = 1.0 + PURITY_TOL
+        if not math.sqrt(ox * ox + oy * oy + oz * oz) <= bound - FLOAT_MARGIN:
+            return None
+        conj.append(row)
+    return conj
+

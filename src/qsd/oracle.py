@@ -38,8 +38,9 @@ skipped, since smaller subsets cover its optima. Only the rows a pivot
 touches are converted to floats; the pass over all n points stays one
 numpy pass, and nothing calls np.linalg. A pivot computes the terms of
 each member pair (q_b - q_a and its norm, the row 2(q_b - q_a), its norm
-and its right-hand side) once, in a table that all its subsets share, and stops scoring a candidate point once its running
-max over the members reaches the best value so far, since under the strict
+and its right-hand side) once, in a table that all its subsets share, and
+stops scoring a candidate point once its running max over the members
+reaches the best value so far, since under the strict
 < tie-break it cannot win then. Neither changes a bit of any result against
 solving every subset from scratch and scoring every point in full: the
 kernels keep each float operation and its order, a max does not depend on
@@ -76,7 +77,6 @@ from .family import assemble_result, povm_from_weights
 __all__ = [
     "MinimaxSolution",
     "minimax_objective",
-    "pair_lower_bound",
     "minimax_common_point",
     "recover_povm",
     "solve_oracle",
@@ -129,20 +129,6 @@ def minimax_objective(ensemble: WeightedEnsemble, r) -> float:
     """f(r) = max_i (p_i + |r - p_i b_i|)."""
     r_arr = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float).reshape(3)
     return float((ensemble.priors + np.linalg.norm(r_arr - ensemble.weighted_points, axis=1)).max())
-
-
-def pair_lower_bound(ensemble: WeightedEnsemble) -> float:
-    """max over singletons and pairs of the triangle-inequality bound on p*.
-
-    One vectorized pass per row of the pair table, so memory stays O(n).
-    """
-    pr = ensemble.priors
-    q = ensemble.weighted_points
-    best = float(pr.max())
-    for i in range(len(pr) - 1):
-        d = np.linalg.norm(q[i + 1:] - q[i], axis=1)
-        best = max(best, float((0.5 * (pr[i] + pr[i + 1:] + d)).max()))
-    return best
 
 
 def _sum(values) -> float:

@@ -157,6 +157,21 @@ def lstsq_support_points(pr, q, subset):
     return out
 
 
+def pair_lower_bound(ensemble) -> float:
+    """max over singletons and pairs of the triangle-inequality bound on p*.
+
+    An independent lower bound for the tests: one vectorized pass per row
+    of the pair table, so memory stays O(n).
+    """
+    pr = ensemble.priors
+    q = ensemble.weighted_points
+    best = float(pr.max())
+    for i in range(len(pr) - 1):
+        d = np.linalg.norm(q[i + 1:] - q[i], axis=1)
+        best = max(best, float((0.5 * (pr[i] + pr[i + 1:] + d)).max()))
+    return best
+
+
 def brute_force_minimax(ensemble):
     """min f(r) over the equal-slack points of every support of size 1 to 4.
 

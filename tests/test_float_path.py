@@ -1,0 +1,298 @@
+"""The float path of small records against the vectorized code it stands in for.
+
+Records of at most bloch.FLOAT_ROWS rows are checked and built on Python
+floats. The float path only accepts: anything it declines goes to the
+vectorized code, which raises every refusal. These tests run the same inputs
+both ways, with FLOAT_ROWS set to 0 for the vectorized side, and require
+the same stored bytes, flags and masks, or the same exception type and
+message.
+"""
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+import qsd
+import qsd.bloch
+import qsd.closed_form
+import qsd.family
+from qsd import DiscriminationResult, HelstromCertificate, Povm, WeightedEnsemble
+from qsd.bloch import DEGENERACY_TOL, FLOAT_ROWS, PSD_TOL, PURITY_TOL, STATE_NORM_TOL
+
+from helpers import ball_points, near_guess_ensemble, sphere_points
+from test_bloch import ERROR_TABLE
+from test_family import GATE_REJECTIONS
+
+_MODULES = (qsd.bloch, qsd.family, qsd.closed_form)
+_NAN, _INF = math.nan, math.inf
+
+
+@contextmanager
+def vectorized():
+    """No record reaches the float path inside this block."""
+    saved = [module.FLOAT_ROWS for module in _MODULES]
+    for module in _MODULES:
+        module.FLOAT_ROWS = 0
+    try:
+        yield
+    finally:
+        for module, rows in zip(_MODULES, saved):
+            module.FLOAT_ROWS = rows
+
+
+def _arrays(*arrays):
+    return tuple((a.dtype.str, a.shape, a.flags.writeable, a.tobytes()) for a in arrays)
+
+
+def fingerprint(value):
+    """Everything a record stores, byte for byte."""
+    if isinstance(value, WeightedEnsemble):
+        return _arrays(value.priors, value.bloch_matrix, value.weighted_points) + (
+            repr(value.max_prior),)
+    if isinstance(value, Povm):
+        return _arrays(value.a, value.v)
+    if isinstance(value, HelstromCertificate):
+        return _arrays(value.conjugate_matrix(), value.scaled_priors, value.lambdas,
+                       value.pure_mask) + (repr(value.p), repr(tuple(value.common_point)),
+                                           value.degenerate)
+    assert isinstance(value, DiscriminationResult)
+    return (value.method, repr(value.p_opt), fingerprint(value.povm),
+            fingerprint(value.certificate), fingerprint(value.ensemble))
+
+
+def outcome(call):
+    try:
+        return "ok", fingerprint(call())
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def assert_both_ways(call):
+    """call() gives the same bytes, or raises the same error, on both paths."""
+    floats = outcome(call)
+    with vectorized():
+        assert outcome(call) == floats
+    return floats
+
+
+def _entries(priors, points):
+    return [(float(p), tuple(float(x) for x in row)) for p, row in zip(priors, points)]
+
+
+def _solve(entries):
+    return lambda: qsd.solve_auto(qsd.validate_ensemble(entries))
+
+
+def test_float_rows_is_a_constant_of_at_least_three():
+    assert type(FLOAT_ROWS) is int and FLOAT_ROWS >= 3
+
+
+@pytest.mark.parametrize("n", range(2, FLOAT_ROWS + 2))
+def test_seeded_ensembles_solve_alike(n):
+    # n = FLOAT_ROWS + 1 runs the vectorized code on both sides
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(40):
+        priors = rng.dirichlet(np.ones(n))
+        points = ball_points(rng, n) if rng.uniform() < 0.5 else sphere_points(rng, n)
+        assert assert_both_ways(_solve(_entries(priors, points)))[0] == "ok"
+
+
+def test_mirror_grid_solves_alike():
+    for degrees in range(1, 90, 4):
+        for p1 in np.arange(0.01, 0.5, 0.04).tolist():
+            theta = math.radians(degrees)
+            solved = assert_both_ways(lambda: qsd.solve_auto(qsd.mirror_ensemble(theta, p1)))
+            assert solved[0] == "ok"
+            assert_both_ways(lambda: qsd.solve_mirror_symmetric(theta, p1))
+
+
+def test_near_guess_ensembles_solve_alike():
+    rng = np.random.default_rng(4242)
+    for _ in range(60):
+        ens = near_guess_ensemble(rng)
+        entries = _entries(ens.priors, ens.bloch_matrix)
+        assert_both_ways(_solve(entries))
+        assert_both_ways(lambda: qsd.solve_oracle(qsd.validate_ensemble(entries)))
+
+
+@pytest.mark.parametrize("case", ERROR_TABLE + GATE_REJECTIONS, ids=lambda case: case[0])
+def test_pinned_refusals_alike(case):
+    call = case[1]
+    if len(case) == 4:  # the gate's table holds assemble_result's arguments
+        call = lambda: qsd.family.assemble_result(**case[1]())  # noqa: E731
+    assert assert_both_ways(call)[0] != "ok"
+
+
+_GOOD = [(0.5, (0.0, 0.0, 1.0)), (0.3, (0.6, 0.0, -0.2)), (0.2, (0.0, -0.7, 0.1))]
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF])
+@pytest.mark.parametrize("k", range(3))
+def test_non_finite_inputs_alike(bad, k):
+    for renormalize in (False, True):
+        entries = list(_GOOD)
+        entries[k] = (bad, entries[k][1])
+        assert_both_ways(lambda: qsd.validate_ensemble(entries, renormalize=renormalize))
+        for axis in range(3):
+            row = [0.0, 0.0, 0.0]
+            row[axis] = bad
+            entries = list(_GOOD)
+            entries[k] = (entries[k][0], tuple(row))
+            assert_both_ways(lambda: qsd.validate_ensemble(entries, renormalize=renormalize))
+    # a NaN among the weights and conjugates: Python's max and min skip it
+    # when it comes second, numpy's reductions never do
+    conj = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0)]
+    weights = [1.0, 1.0, 0.0]
+    weights[k] = bad
+    with np.errstate(invalid="ignore"):  # the vectorized side multiplies inf by 0
+        assert_both_ways(lambda: qsd.povm_from_weights(weights, conj))
+        conj[k] = (bad, 0.0, 0.0)
+        assert_both_ways(lambda: qsd.povm_from_weights([1.0, 1.0, 0.0], conj))
+    ens = qsd.validate_ensemble(_GOOD)
+    result = qsd.solve_auto(ens)
+    good = result.certificate.conjugate_matrix()
+    rows = good.tolist()
+    rows[k][k % 3] = bad
+    with np.errstate(invalid="ignore"):  # the vectorized side multiplies inf by 0
+        for p, conjugates in ((result.p_opt, rows), (bad, good)):
+            assert_both_ways(lambda: qsd.family.assemble_result(
+                ens, p, result.certificate.common_point, conjugates, result.povm, result.method))
+
+
+_ULP = 2.0 ** -52
+
+
+def _hypot(row):
+    x, y, z = row
+    return float(np.hypot(np.hypot(x, y), z))
+
+
+def _sqrt(row):
+    x, y, z = row
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _directions(seed, count):
+    return sphere_points(np.random.default_rng(seed), count).tolist()
+
+
+def test_state_norms_at_the_bound_alike():
+    # ulp steps across 1 + STATE_NORM_TOL/2, where sqrt(x*x + y*y + z*z) and
+    # np.hypot sometimes fall on different sides: the float test must leave
+    # those rows to the vectorized one
+    bound = 1.0 + 0.5 * STATE_NORM_TOL
+    split = 0
+    for u in _directions(31, 40):
+        for step in range(-8, 9):
+            row = tuple(x * (bound + step * _ULP) for x in u)
+            split += (_sqrt(row) <= bound) != (_hypot(row) <= bound)
+            assert_both_ways(lambda: qsd.validate_ensemble([(0.4, row), (0.6, (0.0, 0.0, 0.5))]))
+    assert split > 0  # the sweep reached the rounding hazard
+
+
+def test_psd_margin_alike():
+    # elements a = 0.5 with |v| in ulp steps across a + PSD_TOL/2
+    bound = -0.5 * PSD_TOL
+    split = 0
+    for u in _directions(37, 40):
+        for step in range(-8, 9):
+            row = tuple(x * (0.5 - bound + step * _ULP / 2.0) for x in u)
+            split += (0.5 - _sqrt(row) >= bound) != (0.5 - _hypot(row) >= bound)
+            assert_both_ways(lambda: Povm.from_arrays((0.5, 0.5), (row, tuple(-x for x in row))))
+    assert split > 0
+
+
+def test_pure_mask_at_its_threshold_alike():
+    # the guess on state 0 gives state 1 the conjugate (q_0 - q_1)/(p_0 - p_1),
+    # here of norm 1 - PURITY_TOL to within a few ulps, where the float path
+    # asks np.hypot for the mask
+    bound = 1.0 - PURITY_TOL
+    split = 0
+    for u in _directions(41, 30):
+        for step in range(-8, 9):
+            scale = (0.5 * (bound + step * _ULP) - 0.25) / 0.75
+            ens = [(0.75, tuple(scale * x for x in u)), (0.25, tuple(-x for x in u))]
+            status, found = assert_both_ways(
+                lambda: qsd.family.guess_result(qsd.validate_ensemble(ens), 0, "two-state"))
+            assert status == "ok"
+            row = np.frombuffer(found[3][0][3]).reshape(2, 3)[1].tolist()
+            split += (_sqrt(row) >= bound) != (_hypot(row) >= bound)
+    assert split > 0
+
+
+def test_degenerate_flag_at_its_threshold_alike():
+    # p = (1 + |q_1 - q_0|)/2 just above the top prior 0.6: a success within
+    # FLOAT_MARGIN of 0.6 + DEGENERACY_TOL takes the flag from numpy's sum,
+    # whose rounding differs from the float sum's on some of these
+    flags = set()
+    for u, w in zip(_directions(43, 40), _directions(47, 40)):
+        b0 = [0.3 * x for x in w]
+        for step in range(-30, 30):
+            dn = 0.2 + 2.0 * DEGENERACY_TOL + step * 2e-17
+            b1 = tuple((0.6 * x + dn * y) / 0.4 for x, y in zip(b0, u))
+            status, found = assert_both_ways(_solve([(0.6, tuple(b0)), (0.4, b1)]))
+            if status == "ok":
+                flags.add(found[3][-1])
+    assert flags == {True, False}
+
+
+def test_tiny_multipliers_clamp_alike():
+    # p a few ulps above the top prior 0.6 leaves state 0 a multiplier of
+    # about 1e-17, which both paths report as 0
+    zeros = 0
+    for step in range(0, 60):
+        z = (0.2 + step * 1e-16) / 0.4
+        status, found = assert_both_ways(_solve([(0.6, (0.0, 0.0, 0.0)), (0.4, (0.0, 0.0, z))]))
+        assert status == "ok"
+        zeros += float(found[1]) > 0.6 and found[3][2][3][:8] == bytes(8)
+    assert zeros > 0
+
+
+def _rebuilt(result):
+    """The result's records rebuilt through the public constructors, from copies."""
+    cert = result.certificate
+    ens = result.ensemble
+    return (
+        HelstromCertificate(cert.p, cert.common_point, cert.conjugate_matrix().copy(),
+                            cert.scaled_priors.copy(), cert.lambdas.copy(),
+                            cert.pure_mask.copy(), cert.degenerate),
+        Povm.from_arrays(result.povm.a.copy(), result.povm.v.copy()),
+        WeightedEnsemble.from_arrays(ens.priors.copy(), ens.bloch_matrix.copy()),
+    )
+
+
+def test_gate_records_pass_the_public_constructors():
+    # the gate stores its certificate through a private path with no checks
+    # of its own; every record it hands out must pass the public ones
+    rng = np.random.default_rng(77)
+    results = []
+    for n in range(2, FLOAT_ROWS + 3):
+        for _ in range(25):
+            entries = _entries(rng.dirichlet(np.ones(n)), ball_points(rng, n))
+            ens = qsd.validate_ensemble(entries)
+            results += [qsd.solve_auto(ens), qsd.solve_oracle(ens)]
+    for _ in range(30):
+        results.append(qsd.solve_auto(near_guess_ensemble(rng)))
+    for degrees in range(2, 90, 7):
+        results.append(qsd.solve_mirror_symmetric(math.radians(degrees), 0.02 + degrees / 200.0))
+    for result in results:
+        cert, povm, ens = _rebuilt(result)
+        assert cert == result.certificate and cert.degenerate is result.certificate.degenerate
+        assert povm == result.povm
+        assert ens == result.ensemble
+        assert fingerprint(ens) == fingerprint(result.ensemble)
+
+
+def test_float_lists_match_the_arrays():
+    rng = np.random.default_rng(5)
+    for n in range(2, FLOAT_ROWS + 1):
+        result = _solve(_entries(rng.dirichlet(np.ones(n)), ball_points(rng, n)))()
+        ens, povm = result.ensemble, result.povm
+        priors, bloch, weighted = ens.lists
+        assert priors == ens.priors.tolist()
+        assert [list(row) for row in bloch] == ens.bloch_matrix.tolist()
+        assert [list(row) for row in weighted] == ens.weighted_points.tolist()
+        a, v = povm.lists
+        assert a == povm.a.tolist() and [list(row) for row in v] == povm.v.tolist()

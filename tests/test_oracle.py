@@ -15,7 +15,6 @@ from qsd.oracle import (
     classical_diagonal_oracle,
     minimax_common_point,
     minimax_objective,
-    pair_lower_bound,
     random_povm_sample,
     recover_povm,
     solve_oracle,
@@ -25,6 +24,7 @@ from helpers import (
     ball_points,
     brute_force_minimax,
     near_guess_ensemble,
+    pair_lower_bound,
     random_ensemble,
     reference_minimax,
     sphere_points,
@@ -183,14 +183,16 @@ ONE_CERTIFICATE_CASES = [
 
 
 def test_solve_oracle_builds_one_certificate(monkeypatch):
+    # the constructor and the gate's own path both store a certificate
+    # through _store, once per certificate
     built = []
-    real = qsd.HelstromCertificate.__init__
+    real = qsd.HelstromCertificate._store
 
-    def spy(self, *args, **kwargs):
+    def spy(self, **values):
         built.append(self)
-        real(self, *args, **kwargs)
+        real(self, **values)
 
-    monkeypatch.setattr(qsd.HelstromCertificate, "__init__", spy)
+    monkeypatch.setattr(qsd.HelstromCertificate, "_store", spy)
     rng = np.random.default_rng(17)
     guess = qsd.validate_ensemble([(0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))])
     for ens in (trine(), boundary_triple(), guess, random_ensemble(rng, 8)):

@@ -11,12 +11,11 @@ from qsd import (
     Povm,
     conjugates_from_common_point,
     minimax_objective,
-    pair_lower_bound,
     solve_auto,
     success_probability,
     verify_weak_family,
 )
-from helpers import assert_result_valid, random_ensemble
+from helpers import assert_result_valid, pair_lower_bound, random_ensemble
 
 seeds = st.integers(0, 2 ** 32 - 1)
 sizes = st.integers(2, 6)
