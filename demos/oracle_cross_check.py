@@ -3,7 +3,7 @@
 The oracle never sees the formulas: it minimizes f(r) = max_i (p_i + |r - q_i|)
 by exact pivoting over bases of at most four states (the smallest ball
 enclosing the balls B(q_i, p_i)), then rebuilds the measurement from the
-active set. Agreement between the two
+final basis. Agreement between the two
 routes is the package's core safety property, checked here on random
 ensembles and backed by brute-force POVM sampling that must stay below the
 solved optimum.

@@ -44,15 +44,13 @@ from .errors import (
 )
 from .family import (
     assemble_result,
-    conjugates_from_common_point,
     family_residual,
-    helstrom_upper_bound_check,
     povm_from_weights,
     success_probability,
     verify_optimality,
     verify_weak_family,
 )
-from .kkt import KktReport, kkt_residuals, recover_multipliers
+from .kkt import KktReport, kkt_residuals
 from .oracle import (
     MinimaxSolution,
     classical_diagonal_oracle,
@@ -119,14 +117,11 @@ __all__ = [
     "random_povm_sample",
     "KktReport",
     "kkt_residuals",
-    "recover_multipliers",
     "assemble_result",
-    "conjugates_from_common_point",
     "family_residual",
     "verify_weak_family",
     "verify_optimality",
     "success_probability",
-    "helstrom_upper_bound_check",
     "povm_from_weights",
     "min_norm_nonneg_weights",
     "subset_support_weights",

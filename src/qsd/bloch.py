@@ -474,10 +474,6 @@ class PovmElement:
                 f"POVM element not PSD: a = {self.a!r} < |v| = {self.v.norm()!r} beyond {PSD_TOL}"
             )
 
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.a
-
 
 @dataclass(init=False, eq=False, repr=False)
 class Povm(ArrayRecord):
@@ -550,12 +546,6 @@ class Povm(ArrayRecord):
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def a_values(self) -> np.ndarray:
-        return self.a
-
-    def v_matrix(self) -> np.ndarray:
-        return self.v
 
 
 def _refuse_certificate(p, conj, norms, scaled, lams, mask) -> None:

@@ -471,6 +471,11 @@ def _common_norm(rows: np.ndarray) -> float | None:
     return b if np.abs(norms - b).max() <= PURITY_TOL else None
 
 
+def _shell_norm(ensemble: WeightedEnsemble) -> float | None:
+    """The common Bloch norm of equiprobable states; None without either."""
+    return _common_norm(ensemble.bloch_matrix) if _equiprobable(ensemble) else None
+
+
 def _mixed(b: float) -> bool:
     return b <= _MIXED_NORM
 
@@ -549,15 +554,15 @@ def solve_cone(n: int, b: float, theta: float, phis=None) -> DiscriminationResul
     return _solve_cone_assembled(cone_ensemble(n, b, theta, phis), b, theta, _azimuths(n, phis))
 
 
-def _cone_structure(ensemble: WeightedEnsemble):
-    """(b, theta, phis) when all states share one norm and one polar angle."""
-    n = ensemble.n
-    if not _equiprobable(ensemble):
-        return None
-    rows = ensemble.bloch_matrix
-    b = _common_norm(rows)
+def _cone_structure(ensemble: WeightedEnsemble, b: float | None):
+    """(b, theta, phis) when all states share one norm and one polar angle.
+
+    b is _shell_norm(ensemble): None, no shell, means no cone either.
+    """
     if b is None:
         return None
+    n = ensemble.n
+    rows = ensemble.bloch_matrix
     if _mixed(b):
         return 0.0, 0.5 * np.pi, 2.0 * np.pi * np.arange(n) / n
     z = rows[:, 2]
@@ -646,8 +651,10 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Route an ensemble to the most specific applicable solver.
 
     Order: two states; diagonal (N >= 3 on the z axis); general three
-    states; cone structure; symmetric shell; minimax oracle. Structural
-    solvers that fail feasibility fall through to the oracle.
+    states; cone structure; symmetric shell; minimax oracle. From N = 4,
+    ensembles without equiprobable priors and a common Bloch norm go
+    straight to the oracle; structural solvers that fail feasibility fall
+    through to it.
     """
     n = ensemble.n
     if n == 2:
@@ -656,7 +663,10 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
         return solve_diagonal(ensemble)
     if n == 3:
         return solve_three_state(ensemble)
-    structure = _cone_structure(ensemble)
+    b = _shell_norm(ensemble)
+    if b is None:
+        return solve_oracle(ensemble)
+    structure = _cone_structure(ensemble, b)
     if structure is not None:
         try:
             return _solve_cone_assembled(ensemble, *structure)
@@ -670,7 +680,7 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
 
 def _solve_cone_structured(ensemble: WeightedEnsemble) -> DiscriminationResult:
-    structure = _cone_structure(ensemble)
+    structure = _cone_structure(ensemble, _shell_norm(ensemble))
     if structure is None:
         raise ValueError(
             "ensemble lacks cone structure"

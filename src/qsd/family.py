@@ -40,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from .bloch import (
-    BOUND_SLACK,
     DEGENERACY_TOL,
     FAMILY_TOL,
     FLOAT_MARGIN,
@@ -63,11 +62,9 @@ from .bloch import (
 from .errors import CertificateError, DegenerateRatioError
 
 __all__ = [
-    "conjugates_from_common_point",
     "verify_weak_family",
     "success_probability",
     "verify_optimality",
-    "helstrom_upper_bound_check",
     "family_residual",
     "povm_from_weights",
     "assemble_result",
@@ -113,25 +110,6 @@ def max_pairwise_distance(points: np.ndarray) -> float:
     return math.sqrt(best) if len(x) else -math.inf
 
 
-def conjugates_from_common_point(
-    ensemble: WeightedEnsemble, p: float, r: BlochVector
-) -> list:
-    """Solve r = p_i b_i + (p - p_i) c_i for every conjugate direction.
-
-    Requires p strictly above every prior; at p = p_i the conjugate of state
-    i is unconstrained by the family equation and this inversion is
-    meaningless, so that case raises instead of guessing.
-    """
-    top = ensemble.max_prior
-    if p <= top:
-        raise DegenerateRatioError(
-            f"ratio p = {p!r} does not exceed max prior {top!r}; conjugates undefined"
-        )
-    r_arr = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float).reshape(3)
-    c = (r_arr - ensemble.weighted_points) / (p - ensemble.priors)[:, None]
-    return [BlochVector.from_array(row) for row in c]
-
-
 def family_residual(ensemble: WeightedEnsemble, p: float, conjugates: Sequence) -> float:
     """Max pairwise distance between the mixtures p_i b_i + (p - p_i) c_i."""
     c = vector_matrix(conjugates)
@@ -165,7 +143,7 @@ def success_probability(ensemble: WeightedEnsemble, povm: Povm) -> float:
     """sum_i p_i (a_i + b_i.v_i), the Bloch form of sum_i p_i tr(rho_i Pi_i)."""
     if povm.n != ensemble.n:
         raise ValueError(f"POVM has {povm.n} elements for {ensemble.n} states")
-    per_state = povm.a_values() + np.einsum("ij,ij->i", ensemble.bloch_matrix, povm.v_matrix())
+    per_state = povm.a + np.einsum("ij,ij->i", ensemble.bloch_matrix, povm.v)
     return float(ensemble.priors @ per_state)
 
 
@@ -180,11 +158,6 @@ def verify_optimality(povm: Povm, conjugates: Sequence) -> tuple:
     overlaps = np.abs(povm.a + np.einsum("ij,ij->i", vector_matrix(conjugates), povm.v))
     residual = float(overlaps[povm.a > ZERO_ELEMENT_TOL].max(initial=0.0))
     return residual <= ORTHOGONALITY_TOL, residual
-
-
-def helstrom_upper_bound_check(ensemble: WeightedEnsemble, candidate_povm: Povm, p: float) -> bool:
-    """True when the POVM's success stays below the family ratio p plus slack."""
-    return success_probability(ensemble, candidate_povm) <= p + BOUND_SLACK
 
 
 def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:

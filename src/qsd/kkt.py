@@ -56,10 +56,9 @@ from .bloch import (
     WeightedEnsemble,
     vector_matrix,
 )
-from .errors import DegenerateRatioError
-from .family import max_pairwise_distance, trace_multipliers
+from .family import max_pairwise_distance
 
-__all__ = ["KktReport", "recover_multipliers", "kkt_residuals"]
+__all__ = ["KktReport", "kkt_residuals"]
 
 _DEGENERATE_RATIO_TOL = 1e-12    # 1 - p~_i at or below this makes nu_i a division by zero
 _ZERO_MULTIPLIER_TOL = 1e-15     # |lambda_i| at or below this counts as a vanished multiplier
@@ -118,28 +117,6 @@ class KktReport(ArrayRecord):
 
     def residuals(self) -> dict:
         return {f: getattr(self, f) for f in _RESIDUAL_FIELDS}
-
-
-def recover_multipliers(
-    ensemble: WeightedEnsemble, p: float, conjugates, povm: Povm
-) -> tuple:
-    """(lambdas, nus) from the measurement traces and the stationarity rows.
-
-    lambdas are family.trace_multipliers, an (n,) array; nu_i = 2 lambda_i
-    c_i / (1 - p~_i) for i = 2..N with state 1 as pivot, an (n - 1, 3)
-    array. Needs p strictly above every prior, otherwise the nu recovery
-    divides by zero.
-    """
-    p = float(p)
-    top = ensemble.max_prior
-    if p <= top:
-        raise DegenerateRatioError(
-            f"p = {p!r} does not exceed max prior {top!r}; multipliers undefined"
-        )
-    c = vector_matrix(conjugates)
-    one_minus = 1.0 - ensemble.priors / p
-    lambdas = trace_multipliers(ensemble, p, povm)
-    return lambdas, 2.0 * lambdas[1:, None] * c[1:] / one_minus[1:, None]
 
 
 def _nu_rows(lambdas: np.ndarray, c: np.ndarray, one_minus: np.ndarray) -> np.ndarray:

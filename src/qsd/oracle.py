@@ -82,11 +82,9 @@ __all__ = [
     "solve_oracle",
     "classical_diagonal_oracle",
     "random_povm_sample",
-    "ACTIVATION_TOL",
     "PIVOT_WINDOW",
 ]
 
-ACTIVATION_TOL = 1e-7     # relative width of the reported active set
 PIVOT_WINDOW = 1e-10      # a violation of the basis value above this pivots; members within it stay
 
 # Equal-slack geometry.
@@ -118,7 +116,6 @@ _SHRINK_MARGIN = 1e-12    # sampled elements stay this far inside the PSD cone
 class MinimaxSolution:
     p_star: float
     r_star: BlochVector
-    active_set: tuple
     iterations: int
     converged: bool
     basis: tuple = ()
@@ -452,12 +449,9 @@ def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
     else:
         f_vals = pr + _distances(r, q)
 
-    p_hat = float(f_vals.max())
-    active = tuple(int(i) for i in np.flatnonzero(f_vals >= p_hat * (1.0 - ACTIVATION_TOL)))
     return MinimaxSolution(
-        p_star=p_hat,
+        p_star=float(f_vals.max()),
         r_star=BlochVector.from_array(r),
-        active_set=active,
         iterations=iterations,
         converged=mu is not None,
         basis=tuple(int(i) for i in basis),

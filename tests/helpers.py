@@ -10,7 +10,7 @@ import qsd
 from qsd.bloch import BlochVector
 from qsd.family import family_residual, success_probability, verify_optimality
 from qsd.kkt import kkt_residuals
-from qsd.oracle import ACTIVATION_TOL, MinimaxSolution
+from qsd.oracle import MinimaxSolution
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -157,6 +157,18 @@ def lstsq_support_points(pr, q, subset):
     return out
 
 
+def conjugates_from_common_point(ensemble, p, r) -> list:
+    """Solve r = p_i b_i + (p - p_i) c_i for every conjugate direction.
+
+    p must exceed every prior: at p = p_i the family equation leaves the
+    conjugate of state i free.
+    """
+    assert p > ensemble.max_prior, "conjugates undefined at p <= max prior"
+    r_arr = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float).reshape(3)
+    c = (r_arr - ensemble.weighted_points) / (p - ensemble.priors)[:, None]
+    return [BlochVector.from_array(row) for row in c]
+
+
 def pair_lower_bound(ensemble) -> float:
     """max over singletons and pairs of the triangle-inequality bound on p*.
 
@@ -212,7 +224,7 @@ def assert_result_valid(ensemble, result):
     cert = result.certificate
 
     a_sum = math.fsum(e.a for e in povm.elements)
-    v_sum = np.sum(povm.v_matrix(), axis=0)
+    v_sum = np.sum(povm.v, axis=0)
     assert abs(a_sum - 1.0) <= 1e-10, f"completeness trace residual {abs(a_sum - 1.0)}"
     assert float(np.linalg.norm(v_sum)) <= 1e-10, "completeness vector residual"
 
@@ -506,12 +518,9 @@ def reference_minimax(ensemble) -> MinimaxSolution:
     else:
         f_vals = pr + _distances(r, q)
 
-    p_hat = float(f_vals.max())
-    active = tuple(int(i) for i in np.flatnonzero(f_vals >= p_hat * (1.0 - ACTIVATION_TOL)))
     return MinimaxSolution(
-        p_star=p_hat,
+        p_star=float(f_vals.max()),
         r_star=BlochVector.from_array(r),
-        active_set=active,
         iterations=iterations,
         converged=mu is not None,
         basis=tuple(int(i) for i in basis),

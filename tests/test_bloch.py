@@ -245,7 +245,7 @@ def test_stored_arrays_are_read_only():
     ens, result, kkt = _solved(TRIPLE)
     povm, cert = result.povm, result.certificate
     stored = [ens.priors, ens.bloch_matrix, ens.weighted_points, povm.a, povm.v,
-              povm.a_values(), povm.v_matrix(), cert.conjugate_matrix(), cert.scaled_priors,
+              povm.a, povm.v, cert.conjugate_matrix(), cert.scaled_priors,
               cert.lambdas, cert.pure_mask, kkt.nu_matrix()]
     for arr in stored:
         assert not arr.flags.writeable

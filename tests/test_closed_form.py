@@ -186,7 +186,7 @@ def test_diagonal_conjugates_match_per_state_formula():
             if result.certificate.degenerate:
                 continue
             conj = result.certificate.conjugate_matrix()
-            u, d = np.flatnonzero(result.povm.a_values() > 0.0)
+            u, d = np.flatnonzero(result.povm.a > 0.0)
             r = result.certificate.common_point.as_array()
             for k in range(n):
                 if k in (u, d):
@@ -286,7 +286,7 @@ def test_shell_tetrahedron_unit():
     ens, _ = platonic_ensemble(PlatonicSolid("tetrahedron", 1.0))
     result = solve_symmetric_shell(ens)
     assert result.p_opt == pytest.approx(0.5, abs=1e-12)
-    w = 2.0 * result.povm.a_values()
+    w = 2.0 * result.povm.a
     np.testing.assert_allclose(w, 0.5, atol=1e-9)
     assert_result_valid(ens, result)
 

@@ -16,10 +16,8 @@ from qsd import (
 from qsd.bloch import ZERO_VECTOR
 from qsd.family import (
     assemble_result,
-    conjugates_from_common_point,
     family_residual,
     guess_result,
-    helstrom_upper_bound_check,
     povm_from_weights,
     success_probability,
     trace_multipliers,
@@ -27,6 +25,7 @@ from qsd.family import (
     verify_weak_family,
 )
 from qsd.platonic import PlatonicSolid, platonic_ensemble
+from helpers import conjugates_from_common_point
 
 
 def antipodal():
@@ -62,14 +61,6 @@ def test_conjugates_mixed_third_state():
     assert np.allclose(c[2].as_array(), [-1.0 / 18.0, 0.0, 17.0 / 18.0], atol=1e-15)
     assert c[2].norm() == pytest.approx(math.sqrt(290.0) / 18.0, abs=1e-15)
     assert c[2].norm() < 1.0
-
-
-def test_conjugates_reject_degenerate_ratio():
-    for p in (0.5, 0.4):
-        with pytest.raises(DegenerateRatioError) as caught:
-            conjugates_from_common_point(antipodal(), p, ZERO_VECTOR)
-        assert str(caught.value) == (
-            f"ratio p = {p} does not exceed max prior 0.5; conjugates undefined")
 
 
 def test_verify_weak_family_roundtrip():
@@ -165,12 +156,6 @@ def test_verify_optimality_swapped_projectors():
     ok, residual = verify_optimality(swapped, result.certificate.conjugates)
     assert not ok
     assert residual == pytest.approx(1.0, abs=1e-12)
-
-
-def test_upper_bound_check():
-    ens = antipodal()
-    guess = Povm((PovmElement(1.0, ZERO_VECTOR), PovmElement(0.0, ZERO_VECTOR)))
-    assert helstrom_upper_bound_check(ens, guess, 1.0)
 
 
 def test_povm_from_weights_trine():

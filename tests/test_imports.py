@@ -12,7 +12,8 @@ import qsd.cli
 import qsd.oracle
 
 PACKAGE = Path(qsd.__file__).parent
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_no_private_cross_module_imports():
@@ -117,7 +118,7 @@ def test_small_float_literals_are_named_constants():
     assert offenders == []
 
 
-def test_bench_traced_names_resolve():
+def _traced():
     # bench/spans.py wraps these by name; read them without importing bench
     tree = ast.parse(SPANS.read_text(encoding="utf-8"))
     (traced,) = [
@@ -126,6 +127,11 @@ def test_bench_traced_names_resolve():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
     ]
+    return traced
+
+
+def test_bench_traced_names_resolve():
+    traced = _traced()
     assert traced
     missing = []
     for name in traced:
@@ -133,6 +139,36 @@ def test_bench_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"qsd.{module}"), attr, None)):
             missing.append(name)
     assert missing == []
+
+
+# Exports that no library module, demo or README line calls, each kept for a reason.
+UNCALLED_EXPORTS = {
+    "gram_identity_residual": "the paper's Gram identity, for checking three-state coefficients by hand",
+    "minimax_objective": "f(r), the objective that readers and tests evaluate the oracle against",
+}
+
+
+def _referenced_names(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_is_used_outside_tests():
+    # a public name that only its own tests call is surface without a user
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "demos").glob("*.py")
+    used = set().union(*map(_referenced_names, sources))
+    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    used |= {name.split(".")[1] for name in _traced()}
+    assert set(UNCALLED_EXPORTS) <= set(qsd.__all__) - used
+    assert sorted(set(qsd.__all__) - used - set(UNCALLED_EXPORTS)) == []
 
 
 def _public_callables():

@@ -1,4 +1,4 @@
-"""First-order residual grading and multiplier recovery."""
+"""First-order residual grading and the certificate multipliers."""
 
 import math
 from dataclasses import replace
@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import qsd
-from qsd import DegenerateRatioError
 from qsd.bloch import KKT_TOL, PURITY_TOL, row_norms
 from qsd.family import family_residual, max_pairwise_distance
-from qsd.kkt import kkt_residuals, recover_multipliers
+from qsd.kkt import kkt_residuals
 from helpers import random_ensemble
 
 
@@ -66,41 +65,27 @@ def test_mixed_conjugate_with_multiplier_breaks_slackness():
 def test_recover_multipliers_two_state():
     ens = skewed_pair()
     result = qsd.solve_two_state(ens)
-    lambdas, nus = recover_multipliers(
-        ens, result.p_opt, result.certificate.conjugates, result.povm
-    )
+    cert = result.certificate
     scaled = ens.priors / result.p_opt
-    for lam, t in zip(lambdas, scaled):
+    for lam, t in zip(cert.lambdas, scaled):
         assert lam == pytest.approx((1.0 - t) / 4.0, abs=1e-15)
-    assert len(nus) == 1
+    # nu_2 = 2 lambda_2 c_2 / (1 - p~_2), with state 1 as the pivot
+    nu = 2.0 * cert.lambdas[1] * cert.conjugate_matrix()[1] / (1.0 - scaled[1])
+    np.testing.assert_allclose(result.kkt.nu_matrix(), [nu], rtol=0.0, atol=1e-15)
 
 
 def test_recover_multipliers_trine():
     ens = qsd.cone_ensemble(3, 1.0, 0.5 * math.pi)
     result = qsd.solve_three_state(ens)
-    lambdas, nus = recover_multipliers(
-        ens, result.p_opt, result.certificate.conjugates, result.povm
-    )
-    assert np.allclose(lambdas, 1.0 / 12.0, atol=1e-12)
-    assert len(nus) == 2
+    assert np.allclose(result.certificate.lambdas, 1.0 / 12.0, atol=1e-12)
+    assert len(result.kkt.nu_matrix()) == 2
 
 
 def test_recover_multipliers_zero_element():
     ens = boundary_triple()
     result = qsd.solve_three_state(ens)
     assert result.povm.elements[2].a == 0.0
-    lambdas, _ = recover_multipliers(
-        ens, result.p_opt, result.certificate.conjugates, result.povm
-    )
-    assert lambdas[2] == 0.0
-
-
-def test_recover_multipliers_rejects_degenerate_ratio():
-    ens = skewed_pair()
-    result = qsd.solve_two_state(ens)
-    with pytest.raises(DegenerateRatioError) as caught:
-        recover_multipliers(ens, 0.7, result.certificate.conjugates, result.povm)
-    assert str(caught.value) == "p = 0.7 does not exceed max prior 0.7; multipliers undefined"
+    assert result.certificate.lambdas[2] == 0.0
 
 
 def test_degenerate_guess_report_flagged():

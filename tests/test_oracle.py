@@ -56,7 +56,8 @@ def test_minimax_antipodal():
     assert sol.converged
     assert sol.p_star == pytest.approx(1.0, abs=1e-10)
     assert sol.r_star.norm() <= 1e-9
-    assert len(sol.active_set) >= 2
+    assert len(sol.basis) >= 2
+    assert minimax_objective(antipodal(), sol.r_star) == sol.p_star
 
 
 def test_minimax_trine():
@@ -64,7 +65,8 @@ def test_minimax_trine():
     assert sol.converged
     assert sol.p_star == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert sol.r_star.norm() <= 1e-8
-    assert len(sol.active_set) >= 2
+    assert len(sol.basis) >= 2
+    assert minimax_objective(trine(), sol.r_star) == sol.p_star
 
 
 def test_minimax_boundary_triple():
@@ -107,7 +109,7 @@ def test_determinism():
     b = minimax_common_point(ens)
     assert a.p_star == b.p_star
     assert a.r_star == b.r_star
-    assert a.active_set == b.active_set
+    assert a.basis == b.basis and a.basis_weights == b.basis_weights
 
 
 def test_objective_convexity():
@@ -145,7 +147,6 @@ def test_recover_povm_requires_convergence():
     sol = MinimaxSolution(
         p_star=0.5,
         r_star=BlochVector(0, 0, 0),
-        active_set=(0,),
         iterations=1,
         converged=False,
     )
@@ -267,7 +268,9 @@ def test_all_active_equal_priors_certify_on_the_basis_alone(monkeypatch):
     monkeypatch.setattr(qsd.oracle, "_hull_weights", spy)
     sol = minimax_common_point(ens)
     assert sol.converged
-    assert len(sol.active_set) == n
+    # every state attains the maximum at r_star
+    f_vals = ens.priors + np.linalg.norm(ens.weighted_points - sol.r_star.as_array(), axis=1)
+    assert f_vals.min() >= sol.p_star * (1.0 - 1e-7)
     assert sol.p_star == pytest.approx(2.0 / n, abs=1e-12)
     assert len(rows) <= 1 and all(m <= 5 for m in rows)
 

@@ -9,13 +9,17 @@ import qsd
 from qsd import (
     BlochVector,
     Povm,
-    conjugates_from_common_point,
     minimax_objective,
     solve_auto,
     success_probability,
     verify_weak_family,
 )
-from helpers import assert_result_valid, pair_lower_bound, random_ensemble
+from helpers import (
+    assert_result_valid,
+    conjugates_from_common_point,
+    pair_lower_bound,
+    random_ensemble,
+)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 sizes = st.integers(2, 6)
