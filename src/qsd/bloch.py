@@ -154,11 +154,12 @@ class QubitState:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """|row| for each row of an (n, 3) array; every vectorized norm test uses this.
+    """|row| for each row of an (n, 3) array: the norm tests of the records and the gate.
 
     hypot(hypot(x, y), z) in one call: hypot neither overflows nor warns on
     huge or non-finite input, and a row with a NaN or infinite component
-    gets a NaN or infinite norm.
+    gets a NaN or infinite norm. (_common_norm, verify_weak_family and
+    minimax_objective take np.linalg.norm.)
     """
     return np.hypot.reduce(rows, axis=1)
 

@@ -1,9 +1,14 @@
-"""Closed-form solvers: two states, three states, diagonal, cone, shell, mirror.
+"""Closed-form solvers: two states, three states, diagonal, shell and cone, mirror.
 
 Every solver here reduces its case to a ratio p, a common point r, and a
 nonnegative weight system over pure conjugate directions, then hands the
 pieces to family.assemble_result, which refuses anything that fails the
 weak-duality certificate.
+
+Equiprobable states at one distance rho from a centre in their hull have
+p = (1 + rho)/N, each conjugate pointing away from its state's offset;
+_equidistant solves that theorem. The shell's centre is the origin, and a
+cone is solved as the shell about its axis point (0, 0, b cos(theta)).
 
 The guess regime is handled explicitly everywhere: whenever the best
 formula value does not exceed the largest prior, the optimum is to always
@@ -42,7 +47,6 @@ from .bloch import (
 from .errors import (
     CertificateError,
     DegenerateGeometryError,
-    DegenerateRatioError,
     GramConsistencyError,
     WeightSystemInfeasible,
 )
@@ -456,7 +460,7 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # symmetric shell and cone
 
 _EQUIPROBABLE_TOL = 1e-12  # priors this close to 1/n count as equal
-_MIXED_NORM = 1e-12        # a common Bloch norm up to this leaves no direction to oppose
+_MIXED_NORM = 1e-12        # a distance rho up to this leaves no direction to oppose
 _POLAR_TOL = 1e-9          # z components this close share one polar angle
 
 
@@ -476,43 +480,42 @@ def _shell_norm(ensemble: WeightedEnsemble) -> float | None:
     return _common_norm(ensemble.bloch_matrix) if _equiprobable(ensemble) else None
 
 
-def _mixed(b: float) -> bool:
-    return b <= _MIXED_NORM
+def _equidistant(ensemble: WeightedEnsemble, offsets: np.ndarray, rho: float, method: str):
+    """p = (1 + rho)/N: equiprobable states at distance rho from a centre in their hull.
+
+    offsets holds each state's Bloch offset from the centre; conjugates
+    are the unit vectors opposite, c_j = -offsets_j/|offsets_j| (over rho,
+    |c_j| passes 1 on rows given to ten digits), and the weights solve the
+    completeness system over them. At rho = 0 the states coincide, and the
+    guess is reported with an arbitrary planar conjugate fan.
+    """
+    n = ensemble.n
+    p = (1.0 + rho) / n
+    if rho <= _MIXED_NORM:
+        phis = 2.0 * np.pi * np.arange(n) / n
+        conj = read_only(np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)]))
+    else:
+        norms = np.maximum(np.linalg.norm(offsets, axis=1), _MIXED_NORM)
+        conj = read_only(-offsets / norms[:, None])
+    w = min_norm_nonneg_weights(conj)
+    r = ensemble.weighted_points[0] + (p - ensemble.priors[0]) * conj[0]
+    return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), method)
 
 
 def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Equiprobable states of a common Bloch norm b: p_opt = (1 + b)/N.
 
-    Conjugates point oppositely to the states, c_j = -b_j/b, and the
-    measurement weights solve the completeness system over those
-    directions. When the weight sweep finds none (e.g. all states in an
-    open half-space, which the shell theorem excludes), its
+    The shell about the origin: conjugates point oppositely to the states,
+    c_j = -b_j/b. When the weight sweep finds no weights (e.g. all states
+    in an open half-space, which the shell theorem excludes), its
     WeightSystemInfeasible propagates and solve_auto runs the oracle.
-    b = 0 degenerates to guessing among identical mixed states, reported
-    with an arbitrary planar conjugate fan.
     """
-    pr = ensemble.priors
-    n = ensemble.n
     if not _equiprobable(ensemble):
         raise ValueError("solve_symmetric_shell needs equiprobable priors")
     b = _common_norm(ensemble.bloch_matrix)
     if b is None:
         raise ValueError("solve_symmetric_shell needs a common Bloch norm")
-
-    p = (1.0 + b) / n
-    if _mixed(b):
-        phis = 2.0 * np.pi * np.arange(n) / n
-        conj = read_only(np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)]))
-    else:
-        conj = read_only(-ensemble.bloch_matrix / b)
-    w = min_norm_nonneg_weights(conj, total=2.0)
-    q = ensemble.weighted_points
-    r = q[0] + (p - pr[0]) * conj[0]
-    return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), "symmetric-shell")
-
-
-def _azimuths(n: int, phis) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(n) / n if phis is None else np.asarray([float(x) for x in phis])
+    return _equidistant(ensemble, ensemble.bloch_matrix, b, "symmetric-shell")
 
 
 def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble:
@@ -523,7 +526,7 @@ def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble
         raise ValueError(f"Bloch norm b = {b!r} outside [0, 1]")
     if not (0.0 <= theta <= np.pi):
         raise ValueError(f"polar angle theta = {theta!r} outside [0, pi]")
-    phis = _azimuths(n, phis)
+    phis = 2.0 * np.pi * np.arange(n) / n if phis is None else np.asarray([float(x) for x in phis])
     if phis.shape != (n,):
         raise ValueError(f"expected {n} azimuths, got {phis.shape}")
     st, ct = math.sin(theta), math.cos(theta)
@@ -531,50 +534,37 @@ def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble
     return WeightedEnsemble.from_arrays([1.0 / n] * n, rows)
 
 
-def _solve_cone_assembled(
-    ensemble: WeightedEnsemble, b: float, theta: float, phis: np.ndarray
-) -> DiscriminationResult:
-    n = ensemble.n
-    p = (1.0 + b * math.sin(theta)) / n
-    planar = np.column_stack([np.cos(phis), np.sin(phis)])
-    w = min_norm_nonneg_weights(planar, total=2.0)
-    conj = read_only(np.column_stack([-np.cos(phis), -np.sin(phis), np.zeros(n)]))
-    q = ensemble.weighted_points
-    r = q[0] + (p - ensemble.priors[0]) * conj[0]
-    return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), "cone")
+def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple:
+    """The cone's axis point as ((offsets, rho, "cone"),), or () without one.
+
+    b is _shell_norm(ensemble); None means no cone. States of one norm b
+    and polar angle theta sit at rho = b sin(theta) from (0, 0, b cos(theta)).
+    """
+    if b is None:
+        return ()
+    rows = ensemble.bloch_matrix
+    if rows[:, 2].max() - rows[:, 2].min() > _POLAR_TOL:
+        return ()
+    offsets = np.column_stack([rows[:, :2], np.zeros(len(rows))])
+    return ((offsets, float(np.linalg.norm(offsets, axis=1).mean()), "cone"),)
+
+
+def _solve_cone(ensemble: WeightedEnsemble) -> DiscriminationResult:
+    cone = _cone_centre(ensemble, _shell_norm(ensemble))
+    if not cone:
+        raise ValueError("ensemble lacks cone structure"
+                         " (equiprobable priors, common Bloch norm and polar angle)")
+    return _equidistant(ensemble, *cone[0])
 
 
 def solve_cone(n: int, b: float, theta: float, phis=None) -> DiscriminationResult:
     """p_opt = (1 + b sin(theta))/N for a cone of equiprobable states.
 
-    Conjugates sit on the equator opposite each azimuth. When the weight
-    sweep finds no planar weights (e.g. azimuths in a half circle), its
-    WeightSystemInfeasible propagates and solve_auto runs the oracle.
+    The shell about the axis point: conjugates sit on the equator opposite
+    each azimuth. Azimuths in a half circle leave no weights, and the
+    sweep's WeightSystemInfeasible propagates; solve_auto runs the oracle.
     """
-    return _solve_cone_assembled(cone_ensemble(n, b, theta, phis), b, theta, _azimuths(n, phis))
-
-
-def _cone_structure(ensemble: WeightedEnsemble, b: float | None):
-    """(b, theta, phis) when all states share one norm and one polar angle.
-
-    b is _shell_norm(ensemble): None, no shell, means no cone either.
-    """
-    if b is None:
-        return None
-    n = ensemble.n
-    rows = ensemble.bloch_matrix
-    if _mixed(b):
-        return 0.0, 0.5 * np.pi, 2.0 * np.pi * np.arange(n) / n
-    z = rows[:, 2]
-    if z.max() - z.min() > _POLAR_TOL:
-        return None
-    rho = np.linalg.norm(rows[:, :2], axis=1)
-    theta = math.atan2(float(rho.mean()), float(z.mean()))
-    if rho.max() <= _AXIS_TOL:
-        phis = 2.0 * np.pi * np.arange(n) / n
-    else:
-        phis = np.arctan2(rows[:, 1], rows[:, 0])
-    return b, theta, phis
+    return _solve_cone(cone_ensemble(n, b, theta, phis))
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +641,10 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Route an ensemble to the most specific applicable solver.
 
     Order: two states; diagonal (N >= 3 on the z axis); general three
-    states; cone structure; symmetric shell; minimax oracle. From N = 4,
-    ensembles without equiprobable priors and a common Bloch norm go
-    straight to the oracle; structural solvers that fail feasibility fall
-    through to it.
+    states; the shell about the cone's axis point, then about the origin;
+    minimax oracle. From N = 4, ensembles without equiprobable priors and
+    a common Bloch norm (probed once) go straight to the oracle; a centre
+    whose weights or certificate fail falls through to the next.
     """
     n = ensemble.n
     if n == 2:
@@ -666,27 +656,12 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     b = _shell_norm(ensemble)
     if b is None:
         return solve_oracle(ensemble)
-    structure = _cone_structure(ensemble, b)
-    if structure is not None:
+    for centre in _cone_centre(ensemble, b) + ((ensemble.bloch_matrix, b, "symmetric-shell"),):
         try:
-            return _solve_cone_assembled(ensemble, *structure)
-        except (WeightSystemInfeasible, CertificateError, DegenerateRatioError):
+            return _equidistant(ensemble, *centre)
+        except (ValueError, WeightSystemInfeasible, CertificateError):
             pass
-    try:
-        return solve_symmetric_shell(ensemble)
-    except (ValueError, WeightSystemInfeasible, CertificateError, DegenerateRatioError):
-        pass
     return solve_oracle(ensemble)
-
-
-def _solve_cone_structured(ensemble: WeightedEnsemble) -> DiscriminationResult:
-    structure = _cone_structure(ensemble, _shell_norm(ensemble))
-    if structure is None:
-        raise ValueError(
-            "ensemble lacks cone structure"
-            " (equiprobable priors, common Bloch norm and polar angle)"
-        )
-    return _solve_cone_assembled(ensemble, *structure)
 
 
 # entries look solvers up by name at call time, so a patched module attribute is the one run
@@ -696,7 +671,7 @@ _SOLVERS = {
     "three-state": lambda ensemble: solve_three_state(ensemble),
     "diagonal": lambda ensemble: solve_diagonal(ensemble),
     "symmetric-shell": lambda ensemble: solve_symmetric_shell(ensemble),
-    "cone": lambda ensemble: _solve_cone_structured(ensemble),
+    "cone": lambda ensemble: _solve_cone(ensemble),
     "oracle": lambda ensemble: solve_oracle(ensemble),
 }
 SOLVE_METHODS = tuple(_SOLVERS)

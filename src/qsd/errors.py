@@ -23,14 +23,11 @@ class GramConsistencyError(DiscriminationError):
 
 
 class WeightSystemInfeasible(DiscriminationError):
-    """The weight sweep found no w >= 0 with sum w = total, sum w_i d_i = 0.
+    """The weight sweep found no w >= 0 with sum w = 2, sum w_i d_i = 0.
 
-    The shell and cone solvers let it propagate; solve_auto runs the oracle.
+    The symmetric shell and the cone, which is solved as the shell about
+    its axis point, let it propagate; solve_auto runs the oracle.
     """
-
-    def __init__(self, message: str, directions=None):
-        super().__init__(message)
-        self.directions = directions
 
 
 class ConvergenceError(DiscriminationError):

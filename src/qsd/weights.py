@@ -1,10 +1,10 @@
 """Nonnegative weight systems over conjugate directions.
 
 A pure-conjugate measurement is fixed by weights w >= 0 with
-sum w_i = total and sum w_i d_i = 0 over the direction rows d_i.
-Two solvers:
+sum w_i = 2, the trace of a complete POVM, and sum w_i d_i = 0 over the
+direction rows d_i. Two solvers:
 
-  min_norm_nonneg_weights   the shell and cone solvers' one route: an
+  min_norm_nonneg_weights   the shell and cone solver's one route: an
                             active-set sweep on the equality-constrained
                             least-norm problem (symmetric configurations
                             come out symmetric); the sweep decides
@@ -15,8 +15,7 @@ Two solvers:
 The oracle's hull test solves its own at most 5 rows in closed form
 (oracle._hull_weights) and shares nothing with this module.
 
-Directions may be rows of any dimension; callers pass 2 for planar systems
-and 3 otherwise.
+Directions may be rows of any dimension; the closed forms pass Bloch rows.
 """
 
 from __future__ import annotations
@@ -32,27 +31,28 @@ __all__ = ["min_norm_nonneg_weights", "subset_support_weights"]
 _FEAS_TOL = 1e-10   # residual of the equality system
 _NEG_TOL = 1e-12    # weights may dip below zero by at most this
 _UNIQUE_TOL = 1e-9  # minimal-support solutions this close count as one
+_TOTAL = 2.0        # sum of the weights: the trace of a complete POVM
 
 
-def _equality_system(directions: np.ndarray, total: float) -> tuple:
+def _equality_system(directions: np.ndarray) -> tuple:
     d = np.asarray(directions, dtype=float)
     if d.ndim != 2:
         raise ValueError("directions must be a 2-D array of row vectors")
     m = d.shape[0]
     a = np.vstack([d.T, np.ones((1, m))])
     rhs = np.zeros(d.shape[1] + 1)
-    rhs[-1] = float(total)
+    rhs[-1] = _TOTAL
     return a, rhs
 
 
-def min_norm_nonneg_weights(directions, total: float = 2.0) -> np.ndarray:
-    """Minimum-norm w >= 0 with sum w = total and sum w_i d_i = 0.
+def min_norm_nonneg_weights(directions) -> np.ndarray:
+    """Minimum-norm w >= 0 with sum w = 2 and sum w_i d_i = 0.
 
     Sweep: solve the least-norm equality problem on the free set, clamp the
     most negative weight to zero, repeat, at most m times. The sweep
     decides: if it ends without nonnegative weights, WeightSystemInfeasible.
     """
-    a, rhs = _equality_system(directions, total)
+    a, rhs = _equality_system(directions)
     m = a.shape[1]
     free = list(range(m))
     for _ in range(m):
@@ -64,13 +64,10 @@ def min_norm_nonneg_weights(directions, total: float = 2.0) -> np.ndarray:
             w[free] = np.clip(sol, 0.0, None)
             return w
         free.pop(int(np.argmin(sol)))
-    raise WeightSystemInfeasible(
-        "no nonnegative weights solve the completeness system",
-        directions=np.asarray(directions, dtype=float),
-    )
+    raise WeightSystemInfeasible("no nonnegative weights solve the completeness system")
 
 
-def subset_support_weights(directions, total: float = 2.0) -> tuple:
+def subset_support_weights(directions) -> tuple:
     """Exact solution supported on the fewest directions.
 
     A diagnostic no solver calls. Returns (weights, unique) where unique is
@@ -80,7 +77,7 @@ def subset_support_weights(directions, total: float = 2.0) -> tuple:
     supports break by Euclidean norm and then by enumeration order, so
     results are deterministic.
     """
-    a, rhs = _equality_system(directions, total)
+    a, rhs = _equality_system(directions)
     m = a.shape[1]
     max_support = min(m, np.asarray(directions).shape[1] + 1)
     for size in range(1, max_support + 1):

@@ -24,7 +24,7 @@ from qsd import (
 from qsd.bloch import read_only
 from qsd.family import assemble_result, guess_result, povm_from_weights
 from qsd.oracle import classical_diagonal_oracle
-from qsd.platonic import PlatonicSolid, platonic_ensemble
+from qsd.platonic import PLATONIC_KINDS, PlatonicSolid, platonic_ensemble
 from helpers import (
     assert_result_valid,
     one_sided_shell,
@@ -364,6 +364,90 @@ def test_cone_polar_collapse():
 def test_cone_half_plane_infeasible():
     with pytest.raises(WeightSystemInfeasible):
         solve_cone(3, 1.0, 0.5 * math.pi, phis=(0.0, 0.3, 0.6))
+
+
+# (n, b, theta, azimuths): past the equator, seeded random azimuths, no
+# Bloch norm, and the two poles. The last three put every state on the z
+# axis, where solve_auto's diagonal check comes first.
+CONE_CASES = [
+    (5, 0.9, 2.4, None),
+    (6, 0.6, 2.4, tuple(np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, 6))),
+    (7, 0.8, 1.1, tuple(np.random.default_rng(11).uniform(0.0, 2.0 * math.pi, 7))),
+    (4, 0.0, 1.0, None),
+    (5, 0.7, 0.0, None),
+    (5, 0.7, math.pi, None),
+]
+
+
+@pytest.mark.parametrize(
+    "n, b, theta, phis", CONE_CASES,
+    ids=["past-equator", "random-azimuths-2.4", "random-azimuths-1.1", "no-norm", "north", "south"],
+)
+def test_cone_formula_and_oracle(n, b, theta, phis):
+    ens = cone_ensemble(n, b, theta, phis)
+    on_axis = np.abs(ens.bloch_matrix[:, :2]).max() <= 1e-12
+    expected = (1.0 + b * math.sin(theta)) / n
+    oracle = solve_oracle(ens).p_opt
+    for result, method in ((solve_auto(ens), "diagonal" if on_axis else "cone"),
+                           (solve_cone(n, b, theta, phis), "cone")):
+        assert result.method == method
+        assert abs(result.p_opt - expected) <= 1e-14
+        assert abs(result.p_opt - oracle) <= 1e-9
+        assert_result_valid(ens, result)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 3.0, 2.4])
+def test_cone_half_circle_azimuths_go_to_oracle(theta):
+    phis = tuple(np.sort(np.random.default_rng(5).uniform(0.0, math.pi, 6)))
+    assert solve_auto(cone_ensemble(6, 0.9, theta, phis)).method == "oracle"
+    with pytest.raises(WeightSystemInfeasible):
+        solve_cone(6, 0.9, theta, phis)
+
+
+def _ten_digits(ens):
+    rows = [tuple(float(f"{x:.10g}") for x in row) for row in ens.bloch_matrix.tolist()]
+    return qsd.validate_ensemble([(1.0 / ens.n, row) for row in rows])
+
+
+def _rotated(ens, seed):
+    rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    return qsd.validate_ensemble([(1.0 / ens.n, tuple(row)) for row in ens.bloch_matrix @ rotation])
+
+
+# rows as read back from a file written with ten significant digits: their
+# norms differ by about 1e-10, and each conjugate must still be a unit vector
+@pytest.mark.parametrize(
+    "ens, method",
+    [(_ten_digits(cone_ensemble(n, 0.83, theta)), "cone")
+     for n, theta in ((7, 2.1), (12, 0.9), (19, 1.7))]
+    + [(_ten_digits(_rotated(platonic_ensemble(PlatonicSolid(kind, 0.9))[0], 3)), "symmetric-shell")
+       for kind in ("cube", "icosahedron")],
+    ids=["cone-7", "cone-12", "cone-19", "cube", "icosahedron"],
+)
+def test_rows_given_to_ten_digits_stay_closed_form(ens, method):
+    result = solve_auto(ens)
+    assert result.method == method
+    assert abs(result.p_opt - solve_oracle(ens).p_opt) <= 1e-9
+    assert_result_valid(ens, result)
+
+
+@pytest.mark.parametrize(
+    "ens",
+    [platonic_ensemble(PlatonicSolid(kind, 0.7))[0] for kind in PLATONIC_KINDS]
+    + [cone_ensemble(4, 0.8, math.pi / 3.0)],
+    ids=list(PLATONIC_KINDS) + ["cone"],
+)
+def test_auto_probes_the_common_norm_once(ens, monkeypatch):
+    calls = []
+    probe = qsd.closed_form._common_norm
+
+    def counted(rows):
+        calls.append(len(rows))
+        return probe(rows)
+
+    monkeypatch.setattr(qsd.closed_form, "_common_norm", counted)
+    assert solve_auto(ens).method in ("symmetric-shell", "cone")
+    assert calls == [ens.n]
 
 
 def test_cone_parameter_validation():

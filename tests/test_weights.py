@@ -20,13 +20,13 @@ def square_directions():
 
 
 def test_min_norm_trine_symmetric():
-    w = min_norm_nonneg_weights(trine_directions(), total=2.0)
+    w = min_norm_nonneg_weights(trine_directions())
     assert np.allclose(w, 2.0 / 3.0, atol=1e-10)
     assert math.fsum(w) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_min_norm_square_uniform():
-    w = min_norm_nonneg_weights(square_directions(), total=2.0)
+    w = min_norm_nonneg_weights(square_directions())
     assert np.allclose(w, 0.5, atol=1e-10)
 
 
@@ -37,41 +37,33 @@ def test_min_norm_antipodal_pair():
 
 def test_min_norm_infeasible_half_space():
     directions = np.array([[1.0, 0.0, 0.2], [1.0, 0.1, 0.0], [1.0, -0.1, 0.1]])
-    with pytest.raises(WeightSystemInfeasible) as err:
-        min_norm_nonneg_weights(directions, total=2.0)
-    assert err.value.directions is not None
-    assert np.asarray(err.value.directions).shape == (3, 3)
+    with pytest.raises(WeightSystemInfeasible):
+        min_norm_nonneg_weights(directions)
 
 
 def test_subset_support_square_flags_nonunique():
     # two distinct minimal supports, (1,0,1,0) and (0,1,0,1), tie on norm;
     # the deterministic enumeration settles on the axis pair {1, 3}
-    w, unique = subset_support_weights(square_directions(), total=2.0)
+    w, unique = subset_support_weights(square_directions())
     assert not unique
     assert np.allclose(w, [0.0, 1.0, 0.0, 1.0], atol=1e-10)
 
 
 def test_subset_support_trine_unique():
-    w, unique = subset_support_weights(trine_directions(), total=2.0)
+    w, unique = subset_support_weights(trine_directions())
     assert unique
     assert np.allclose(w, 2.0 / 3.0, atol=1e-10)
 
 
 def test_subset_support_infeasible_returns_none():
     directions = np.array([[1.0, 0.0], [0.9, 0.1]])
-    w, unique = subset_support_weights(directions, total=2.0)
+    w, unique = subset_support_weights(directions)
     assert w is None and unique
-
-
-def test_subset_support_respects_total():
-    w, _ = subset_support_weights(trine_directions(), total=1.0)
-    assert math.fsum(w) == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(trine_directions().T @ w, 0.0, atol=1e-10)
 
 
 def test_directions_must_be_matrix():
     with pytest.raises(ValueError):
-        min_norm_nonneg_weights(np.ones(3), total=2.0)
+        min_norm_nonneg_weights(np.ones(3))
 
 
 # ---------------------------------------------------------------------------

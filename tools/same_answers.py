@@ -1,0 +1,205 @@
+"""Check that two checkouts give the same answers on a fixed set of inputs.
+
+    python tools/same_answers.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout is a directory holding src/qsd. Each is solved in its own
+child interpreter, on inputs drawn the same way for both:
+
+  three-state, general, structured-cli   the bench corpora, seeds 1-3,
+                                         rounds 0-2, through solve_auto
+  cli                                    every structured-cli input through
+                                         `qsd solve FILE --format json`
+  platonic                               the five Platonic shells at scales
+                                         0.3, 0.7 and 1.0, through
+                                         solve_auto, solve_symmetric_shell
+                                         and the `cone` method
+  cone                                   3,000 seeded cones (n = 3..39,
+                                         b in [0, 1], theta in [0, pi], every
+                                         other one with random azimuths),
+                                         through solve_auto and solve_cone
+  mirror                                 the mirror grid, theta = 1..89
+                                         degrees and p1 = 0.01..0.49, through
+                                         solve_auto and solve_mirror_symmetric
+
+The corpora come from the bench/ next to this script, read and never
+written. For each input the tool keeps the method tag, the type of any
+exception, p_opt and a hash of the POVM bytes (for the CLI, of the JSON
+report less its input path). It prints the tag changes, exception-type
+changes, the largest |delta p_opt| and how many inputs of each set moved
+their bytes. The exit code is 1 on any tag or exception-type change or on
+|delta p_opt| > 1e-12, and 0 otherwise. Uses the standard library and
+numpy only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+BENCH = TOOLS.parent / "bench"
+
+P_TOL = 1e-12
+BENCH_SEEDS = (1, 2, 3)
+BENCH_ROUNDS = (0, 1, 2)
+PLATONIC_SCALES = (0.3, 0.7, 1.0)
+CONE_DRAWS = 3000
+CONE_SEED = 2026
+
+# the child puts the checkout's src and bench/ first, then collects
+CHILD = (
+    "import sys; sys.path[:0] = sys.argv[1:4]; "
+    "import same_answers; same_answers.collect()"
+)
+
+
+def _digest(*parts: bytes) -> str:
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+
+
+def collect() -> None:
+    """Solve every input with the qsd on sys.path; write {key: record} as JSON to stdout.
+
+    A record is [method, exception type name, p_opt, bytes hash]; the
+    fields that do not apply are None.
+    """
+    import numpy as np
+
+    import corpus
+    import qsd
+    import qsd.cli
+
+    records = {}
+
+    def run(key, solve):
+        try:
+            result = solve()
+        except Exception as exc:  # the type is what is compared
+            records[key] = [None, type(exc).__name__, None, None]
+        else:
+            povm = result.povm
+            records[key] = [result.method, None, result.p_opt,
+                            _digest(povm.a.tobytes(), povm.v.tobytes())]
+
+    def run_cli(key, path):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = qsd.cli.main(["solve", path, "--format", "json"])
+        if code != 0:
+            records[key] = [None, f"exit {code}", None, None]
+            return
+        report = json.loads(out.getvalue())
+        del report["input"]  # the temporary file's path
+        records[key] = [report["method"], None, report["p_opt"],
+                        _digest(json.dumps(report).encode())]
+
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload in corpus.WORKLOADS:
+            for seed in BENCH_SEEDS:
+                for k in BENCH_ROUNDS:
+                    for idx, item in enumerate(corpus.round_items(workload, seed, k)):
+                        key = f"{workload}/{seed}/{k}/{idx}/{item.label}"
+                        run(key, lambda: qsd.solve_auto(qsd.validate_ensemble(item.entries)))
+                        if workload != "structured-cli":
+                            continue
+                        path = os.path.join(workdir, "ensemble.txt")
+                        with open(path, "w", encoding="utf-8") as handle:
+                            handle.write("# prior bx by bz\n")
+                            for prior, (x, y, z) in item.entries:
+                                handle.write(f"{prior!r} {x!r} {y!r} {z!r}\n")
+                        run_cli("cli/" + key.split("/", 1)[1], path)
+
+    for kind in corpus.PLATONIC_KINDS:
+        for scale in PLATONIC_SCALES:
+            verts = scale * corpus.platonic_vertices(kind)
+            ens = qsd.validate_ensemble([(1.0 / len(verts), tuple(v)) for v in verts.tolist()])
+            key = f"platonic/{kind}/{scale}"
+            run(key + "/auto", lambda: qsd.solve_auto(ens))
+            run(key + "/shell", lambda: qsd.solve_symmetric_shell(ens))
+            run(key + "/cone", lambda: qsd.solve_with_method(ens, "cone"))
+
+    rng = np.random.default_rng(CONE_SEED)
+    for i in range(CONE_DRAWS):
+        n = int(rng.integers(3, 40))
+        b = float(rng.uniform(0.0, 1.0))
+        theta = float(rng.uniform(0.0, math.pi))
+        phis = tuple(rng.uniform(0.0, 2.0 * math.pi, n).tolist()) if i % 2 else None
+        key = f"cone/{i}/{n}"
+        run(key + "/auto", lambda: qsd.solve_auto(qsd.cone_ensemble(n, b, theta, phis)))
+        run(key + "/solve_cone", lambda: qsd.solve_cone(n, b, theta, phis))
+
+    for degrees in range(1, 90):
+        theta = math.radians(degrees)
+        for hundredths in range(1, 50):
+            p1 = hundredths / 100.0
+            key = f"mirror/{degrees}/{hundredths}"
+            run(key + "/auto", lambda: qsd.solve_auto(qsd.mirror_ensemble(theta, p1)))
+            run(key + "/mirror", lambda: qsd.solve_mirror_symmetric(theta, p1))
+
+    json.dump(records, sys.stdout)
+
+
+def answers(checkout: Path) -> dict:
+    """{key: record} from a child interpreter that imports qsd from checkout/src."""
+    src = checkout / "src"
+    if not (src / "qsd" / "__init__.py").is_file():
+        raise SystemExit(f"same_answers: no src/qsd under {checkout}")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src), str(BENCH), str(TOOLS)],
+        cwd=checkout, env=env, capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"same_answers: solving in {checkout} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print the differences; 1 when a tag or exception type changed or p moved past P_TOL."""
+    if old.keys() != new.keys():
+        print(f"input sets differ: {len(old.keys() ^ new.keys())} keys in one run only")
+        return 1
+    tags, raised, moved, sizes = [], [], Counter(), Counter()
+    worst, worst_key = 0.0, None
+    for key, (method_a, exc_a, p_a, bytes_a) in old.items():
+        method_b, exc_b, p_b, bytes_b = new[key]
+        group = key.split("/", 1)[0]
+        sizes[group] += 1
+        if method_a != method_b:
+            tags.append(f"  {key}: {method_a} -> {method_b}")
+        if exc_a != exc_b:
+            raised.append(f"  {key}: {exc_a} -> {exc_b}")
+        if p_a is not None and p_b is not None and abs(p_a - p_b) > worst:
+            worst, worst_key = abs(p_a - p_b), key
+        if bytes_a != bytes_b:
+            moved[group] += 1
+    print(f"{len(old)} inputs: " + ", ".join(f"{g} {n}" for g, n in sizes.items()))
+    for title, changes in (("tag changes", tags), ("exception-type changes", raised)):
+        print(f"{title}: {len(changes)}", *changes[:20], sep="\n")
+    print(f"max |delta p_opt|: {worst!r}" + (f" ({worst_key})" if worst_key else ""))
+    print("inputs whose bytes moved: "
+          + (", ".join(f"{g} {moved[g]}/{sizes[g]}" for g in sizes if moved[g]) or "none"))
+    return 1 if tags or raised or worst > P_TOL else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old, new = (answers(Path(path).resolve()) for path in argv)
+    return compare(old, new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
