@@ -9,6 +9,9 @@ of the dual certificate.
 
 The records (WeightedEnsemble, Povm, HelstromCertificate, kkt.KktReport)
 store read-only numpy arrays, which the solvers read and write end to end.
+A record copies what it is given, so no caller's array is ever frozen or
+shared, and it stores only what it cannot derive (a certificate's
+pure_mask is computed from its conjugates on first access).
 from_arrays checks them in one vectorized pass; validate_ensemble,
 WeightedEnsemble(entries) and Povm(elements) convert and take that path,
 and the first bad state or element raises its per-state class's error.
@@ -91,6 +94,16 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
+def _fsum(values: list) -> float:
+    """math.fsum(values), but +-inf where a partial sum overflows and nan for inf - inf."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.copysign(math.inf, sum(values))
+    except ValueError:
+        return math.nan
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """A point in the Bloch ball, or any real 3-vector used as one.
@@ -168,37 +181,8 @@ def _vector(v) -> BlochVector:
     return v if isinstance(v, BlochVector) else BlochVector.from_array(v)
 
 
-_FLOAT = np.dtype(float)
-_BOOL = np.dtype(bool)
-
-
-def _handed_over(value, dtype: np.dtype) -> bool:
-    """True when value is a read-only C-ordered array of dtype that owns its data.
-
-    Records and vector_matrix keep such an array as it is: like a record's
-    own arrays, it changes only if its holder makes it writable again.
-    read_only hands a freshly built array over this way; anything else is
-    copied.
-    """
-    if type(value) is not np.ndarray or value.dtype != dtype or value.base is not None:
-        return False
-    flags = value.flags
-    return flags.c_contiguous and not flags.writeable
-
-
-def read_only(array: np.ndarray) -> np.ndarray:
-    """array, made read-only, so that vector_matrix and the records keep it without a copy."""
-    if array.flags.writeable:
-        array.setflags(write=False)
-    return array
-
-
-def _owned(value, dtype: np.dtype = _FLOAT) -> np.ndarray:
-    return value if _handed_over(value, dtype) else np.array(value, dtype=dtype)
-
-
 def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
-    """vectors as an (n, 3) float array: a new one, unless read_only handed it over.
+    """vectors as a new (n, 3) float array.
 
     An (n, 3) array, or a sequence of 3-sequences, for which the vectorized
     test ok(rows) holds, as it does for every valid input, converts in one
@@ -206,7 +190,7 @@ def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
     row, so the first bad row raises that constructor's own error.
     """
     try:
-        rows = vectors if _handed_over(vectors, _FLOAT) else np.array(vectors, dtype=float, order="C")
+        rows = np.array(vectors, dtype=float, order="C")
         if rows.ndim == 2 and rows.shape[1] == 3 and (ok is None or ok(rows)):
             return rows
     except (TypeError, ValueError):
@@ -247,18 +231,9 @@ def _floats(values) -> list | None:
     return values if all(type(x) is float for x in values) else None
 
 
-def _all_finite(rows: np.ndarray) -> bool:
-    return np.isfinite(rows).all()
-
-
-def vector_matrix(vectors, finite: bool = False) -> np.ndarray:
-    """BlochVectors, 3-sequences or an (n, 3) array as an (n, 3) float array.
-
-    The array is new unless read_only handed vectors over, so callers only
-    read it. finite=True raises BlochVector's error for the first non-finite
-    row.
-    """
-    return _rows(vectors, _all_finite if finite else None)
+def vector_matrix(vectors) -> np.ndarray:
+    """BlochVectors, 3-sequences or an (n, 3) array as a new (n, 3) float array."""
+    return _rows(vectors)
 
 
 def _in_ball(rows: np.ndarray) -> bool:
@@ -393,7 +368,7 @@ class WeightedEnsemble(ArrayRecord):
         if priors.shape != (len(bloch),):
             raise ValueError(f"{priors.size} priors for {len(bloch)} states")
         if renormalize:
-            total = math.fsum(priors.tolist())
+            total = _fsum(priors.tolist())
             if total <= 0.0 or not math.isfinite(total):
                 raise ValueError(f"cannot renormalize priors with sum {total!r}")
             priors = priors / total
@@ -420,10 +395,7 @@ class WeightedEnsemble(ArrayRecord):
         if not all(x <= 1.0 + 0.5 * STATE_NORM_TOL - FLOAT_MARGIN for x in norms):
             return False
         if renormalize:
-            try:  # fsum raises on inf - inf and on overflow
-                total = math.fsum(values)
-            except (ValueError, OverflowError):
-                return False
+            total = _fsum(values)
             if not 0.0 < total < math.inf:
                 return False
             values = [x / total for x in values]
@@ -502,14 +474,14 @@ class Povm(ArrayRecord):
         """Check every element (a_k >= |v_k|), then completeness."""
         if self._accept_floats(a, v):
             return
-        a = _owned(a)
+        a = np.array(a, dtype=float)
         v = _rows(v)
         if not len(v):
             raise ValueError("a POVM needs at least one element")
         if a.shape != (len(v),):
             raise ValueError(f"{a.size} trace parts for {len(v)} vector parts")
         check_povm_elements(a, v)
-        a_sum = math.fsum(a.tolist())
+        a_sum = _fsum(a.tolist())
         if abs(a_sum - 1.0) > COMPLETENESS_TOL:
             raise ValueError(f"POVM incomplete: sum of a is {a_sum!r}, not 1 within {COMPLETENESS_TOL}")
         v_sum = np.add.reduce(v, 0)
@@ -549,18 +521,19 @@ class Povm(ArrayRecord):
         return len(self.a)
 
 
-def _refuse_certificate(p, conj, norms, scaled, lams, mask) -> None:
+def _refuse_certificate(p, conj, norms, scaled, lams) -> None:
     """Raise for the first of HelstromCertificate's checks that fails, if any.
 
     In order: finite conjugates, equal lengths, at least two states, p in
-    (0, 1], scaled priors in (0, 1], finite multipliers, pure_mask equal to
-    |c_i| >= 1 - PURITY_TOL. The constructor tests all of them in one pass
-    and comes here only when that pass fails; a conjugate too large for a
-    finite norm fails the pass and passes every check here.
+    (0, 1], scaled priors in (0, 1], finite multipliers. The constructor
+    tests all of them in one pass and comes here only when that pass fails;
+    a conjugate too large for a finite norm fails the pass and passes every
+    check here.
     """
     if not np.isfinite(norms).all():
-        vector_matrix(conj, finite=True)  # BlochVector's error for the first non-finite row
-    if not (len(conj) == len(scaled) == len(lams) == len(mask)):
+        for row in conj.tolist():  # BlochVector's error for the first non-finite row
+            BlochVector(*row)
+    if not (len(conj) == len(scaled) == len(lams)):
         raise ValueError("certificate field lengths disagree")
     if len(conj) < 2:
         raise ValueError("a certificate covers at least two states")
@@ -571,13 +544,6 @@ def _refuse_certificate(p, conj, norms, scaled, lams, mask) -> None:
             raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
     if not np.isfinite(lams).all():
         raise ValueError("multipliers must be finite")
-    wrong = (norms >= 1.0 - PURITY_TOL) != mask
-    if wrong.any():
-        k = int(np.argmax(wrong))
-        raise ValueError(
-            f"pure_mask[{k}] = {mask[k].item()} contradicts"
-            f" |c_{k}| = {math.hypot(*conj[k].tolist())!r} at tolerance {PURITY_TOL}"
-        )
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -587,19 +553,20 @@ class HelstromCertificate(ArrayRecord):
     (p, common_point) is the dual point Y = (p I + r.sigma)/2 of the
     weak-duality gate family.assemble_result, which builds every solver's
     certificate (recover_povm's too) with trace_multipliers. Constructor checks are
-    structural (shapes, ranges, purity bookkeeping). Whether the certificate
+    structural (shapes, ranges, finiteness). Whether the certificate
     actually certifies an optimum is judged by that gate and, as a
     diagnostic, by the KKT report, which must be able to receive deliberately
     broken certificates and grade them, so optimality itself is not a
     construction invariant here. The conjugates are stored as a read-only
-    (n, 3) array, conjugate_matrix(); scaled_priors, lambdas and pure_mask
-    are read-only (n,) arrays. Arrays passed through read_only (as the
-    gate passes its own) are stored as they are; anything else is copied.
+    (n, 3) array, conjugate_matrix(); scaled_priors and lambdas are
+    read-only (n,) arrays, copies of what the constructor is given.
+    pure_mask, |c_i| >= 1 - PURITY_TOL, is derived from the conjugates on
+    first access: not a constructor argument, and not part of ==, hash or repr.
     Every check runs in one vectorized pass over the fields; only when it
     fails does _refuse_certificate find the first failure and its message.
     The gate runs these checks on its own quantities, on floats or
     vectorized, and stores its certificate through _from_gate, so the
-    conjugates' norms are taken once per result.
+    constructor's checks do not take the conjugates' norms a second time.
 
     degenerate marks a measurement that does no better than guessing,
     success <= max prior + DEGENERACY_TOL: the guess regime, where the
@@ -614,52 +581,54 @@ class HelstromCertificate(ArrayRecord):
         lambda self: tuple(BlochVector(*row) for row in self._conjugates.tolist()))
     scaled_priors: np.ndarray
     lambdas: np.ndarray
-    pure_mask: np.ndarray
     degenerate: bool = False
 
-    _VALUES = ("p", "common_point", "_conjugates", "scaled_priors", "lambdas", "pure_mask", "degenerate")
+    _VALUES = ("p", "common_point", "_conjugates", "scaled_priors", "lambdas", "degenerate")
 
-    def __init__(self, p, common_point, conjugates, scaled_priors, lambdas, pure_mask,
+    def __init__(self, p, common_point, conjugates, scaled_priors, lambdas,
                  degenerate: bool = False) -> None:
         p = float(p)
         if not isinstance(common_point, BlochVector):
             common_point = BlochVector.from_array(common_point)
         conj = vector_matrix(conjugates)
-        scaled = _owned(scaled_priors)
-        lams = _owned(lambdas)
-        mask = _owned(pure_mask, _BOOL)
+        scaled = np.array(scaled_priors, dtype=float)
+        lams = np.array(lambdas, dtype=float)
         norms = row_norms(conj)
         n = len(conj)
         # norms @ lams is finite only when every norm and multiplier is (a
         # product too large for a float sends a valid certificate to the
         # slow path, which passes it)
-        if not (n == len(scaled) == len(lams) == len(mask) and n >= 2
+        if not (n == len(scaled) == len(lams) and n >= 2
                 and 0.0 < p <= 1.0 + RATIO_SLACK
                 and math.isfinite(norms @ lams)
-                and np.count_nonzero(
-                    ((norms >= 1.0 - PURITY_TOL) == mask) & (scaled > 0.0)
-                    & (scaled <= 1.0 + RATIO_SLACK)) == n):
-            _refuse_certificate(p, conj, norms, scaled, lams, mask)
+                and np.count_nonzero((scaled > 0.0) & (scaled <= 1.0 + RATIO_SLACK)) == n):
+            _refuse_certificate(p, conj, norms, scaled, lams)
         self._store(p=p, common_point=common_point, _conjugates=conj, scaled_priors=scaled,
-                    lambdas=lams, pure_mask=mask, degenerate=bool(degenerate))
+                    lambdas=lams, degenerate=bool(degenerate))
 
     @classmethod
     def _from_gate(cls, p: float, common_point: BlochVector, conjugates: np.ndarray,
-                   scaled_priors: np.ndarray, lambdas: np.ndarray, pure_mask: np.ndarray,
+                   scaled_priors: np.ndarray, lambdas: np.ndarray,
                    degenerate: bool) -> "HelstromCertificate":
         """The certificate of family.assemble_result, stored with no check of its own.
 
         The gate has run the constructor's checks on the quantities it
-        derived: its one pass of conjugate norms gave finiteness and
-        pure_mask, and it tested the lengths, p and the scaled priors, and
-        let the constructor refuse whatever failed. It hands over float
-        arrays of matching lengths, which are made read-only as they are.
+        derived: its one pass of conjugate norms gave finiteness, and it
+        tested the lengths, p and the scaled priors, and let the constructor
+        refuse whatever failed. It passes float arrays of matching lengths
+        that it built itself and keeps no reference to.
         """
         record = cls.__new__(cls)
         record._store(p=p, common_point=common_point, _conjugates=conjugates,
-                      scaled_priors=scaled_priors, lambdas=lambdas, pure_mask=pure_mask,
-                      degenerate=degenerate)
+                      scaled_priors=scaled_priors, lambdas=lambdas, degenerate=degenerate)
         return record
+
+    @functools.cached_property
+    def pure_mask(self) -> np.ndarray:
+        """Which conjugates are pure, |c_i| >= 1 - PURITY_TOL, as a read-only (n,) bool array."""
+        mask = row_norms(self._conjugates) >= 1.0 - PURITY_TOL
+        self._store(pure_mask=mask)
+        return mask
 
     @property
     def n(self) -> int:

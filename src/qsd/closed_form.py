@@ -42,7 +42,6 @@ from .bloch import (
     DiscriminationResult,
     Povm,
     WeightedEnsemble,
-    read_only,
 )
 from .errors import (
     CertificateError,
@@ -297,7 +296,7 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
         return None
     rows = [ck] * 3
     rows[i], rows[j] = ci, [-c for c in ci]
-    conj = read_only(np.array(rows))
+    conj = np.array(rows)
     weights = [1.0] * 3
     weights[k] = 0.0
     try:
@@ -339,7 +338,7 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: flo
     if rank < 2:
         return None
     r = q[0] + sol
-    conj = read_only((r - q) / np.array(s)[:, None])
+    conj = (r - q) / np.array(s)[:, None]
     try:
         return assemble_result(
             ensemble, p, r, conj, povm_from_weights([max(w, 0.0) for w in weights], conj),
@@ -450,7 +449,6 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     rest = gap > _ZERO_GAP
     rest[[u, d]] = False
     conj[rest] = (r - q[rest]) / gap[rest, None]
-    read_only(conj)
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
     return assemble_result(ensemble, p, r, conj, povm_from_weights(weights, conj), "diagonal")
@@ -493,10 +491,10 @@ def _equidistant(ensemble: WeightedEnsemble, offsets: np.ndarray, rho: float, me
     p = (1.0 + rho) / n
     if rho <= _MIXED_NORM:
         phis = 2.0 * np.pi * np.arange(n) / n
-        conj = read_only(np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)]))
+        conj = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)])
     else:
         norms = np.maximum(np.linalg.norm(offsets, axis=1), _MIXED_NORM)
-        conj = read_only(-offsets / norms[:, None])
+        conj = -offsets / norms[:, None]
     w = min_norm_nonneg_weights(conj)
     r = ensemble.weighted_points[0] + (p - ensemble.priors[0]) * conj[0]
     return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), method)

@@ -14,14 +14,13 @@ one certificate builder: it certifies by weak duality, refuses anything
 that fails, and derives the multipliers from the measurement traces
 (trace_multipliers). The KKT report is computed only when result.kkt is read.
 The gate computes each quantity once: one pass of row norms tests the
-conjugates for finiteness and the unit ball and gives the pure mask, and
-p_i/p gives both the scaled priors and the multipliers. Solvers hand their
-conjugates over with bloch.read_only and the gate hands its arrays on the
-same way, so neither it nor HelstromCertificate copies them. The gate also
-runs the certificate's structural checks (lengths, p, scaled priors) and
-stores its certificate through HelstromCertificate._from_gate, which takes
-the pure mask the gate derived and checks nothing twice; whatever fails
-goes to the public constructor, which raises its own error.
+conjugates for finiteness and the unit ball, and p_i/p gives both the
+scaled priors and the multipliers. It reads the solver's conjugates into
+an array of its own. The gate also runs the certificate's structural
+checks (lengths, p, scaled priors) and stores its certificate, and the
+arrays it built, through HelstromCertificate._from_gate, which checks
+nothing twice; whatever fails goes to the public constructor, which raises
+its own error. The certificate derives its pure mask when it is read.
 
 For at most bloch.FLOAT_ROWS conjugates the gate, povm_from_weights and
 guess_result run on Python floats (bloch's module docstring): each test
@@ -55,7 +54,6 @@ from .bloch import (
     Povm,
     WeightedEnsemble,
     float_rows,
-    read_only,
     row_norms,
     vector_matrix,
 )
@@ -182,7 +180,7 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
         raise ValueError(f"negative weight {float(w.min())!r}")
     a = w / 2.0
     a[np.abs(w) <= _WEIGHT_DUST] = 0.0
-    return Povm.from_arrays(read_only(a), read_only(-a[:, None] * c))
+    return Povm.from_arrays(a, -a[:, None] * c)
 
 
 def trace_multipliers(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
@@ -239,10 +237,10 @@ def _gate(ensemble: WeightedEnsemble, p: float, common_point: BlochVector, c_row
           povm: Povm) -> HelstromCertificate:
     """assemble_result's checks, vectorized, in the order that raises each refusal."""
     priors = ensemble.priors
-    c_norms = row_norms(c_rows)
-    widest = np.maximum.reduce(c_norms)
+    widest = np.maximum.reduce(row_norms(c_rows))
     if not math.isfinite(widest):
-        vector_matrix(c_rows, finite=True)  # BlochVector's error for the first non-finite row
+        for row in c_rows.tolist():  # BlochVector's error for the first non-finite row
+            BlochVector(*row)
     top = ensemble.max_prior
 
     if p < top - RATIO_SLACK:
@@ -264,8 +262,7 @@ def _gate(ensemble: WeightedEnsemble, p: float, common_point: BlochVector, c_row
     scaled = priors / p
     lam = _multipliers(povm.a, scaled)
     lam[np.abs(lam) <= _ZERO_MULTIPLIER] = 0.0
-    fields = (p, common_point, read_only(c_rows), read_only(scaled), read_only(lam),
-              read_only(c_norms >= 1.0 - PURITY_TOL), bool(degenerate))
+    fields = (p, common_point, c_rows, scaled, lam, bool(degenerate))
     if (len(c_rows) == len(scaled) and 0.0 < p <= 1.0 + RATIO_SLACK
             and 0.0 < scaled.min() and scaled.max() <= 1.0 + RATIO_SLACK):
         return HelstromCertificate._from_gate(*fields)
@@ -278,10 +275,9 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: BlochVector, c_rows: n
 
     Each test accepts only what _gate accepts: the norms clear their bounds
     by FLOAT_MARGIN, and so does the success, which numpy sums in its own
-    order. A conjugate whose norm lies within the margin of 1 - PURITY_TOL
-    takes its pure_mask entry from np.hypot, and a success within it of the
-    guess bound takes degenerate from success_probability. Every stored
-    value is the same float operation as in _gate, element by element.
+    order. A success within the margin of the guess bound takes degenerate
+    from success_probability. Every stored value is the same float
+    operation as in _gate, element by element.
     """
     priors, bloch, q = ensemble.lists
     a, v = povm.lists
@@ -291,7 +287,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: BlochVector, c_rows: n
             and top - RATIO_SLACK <= p <= 1.0 + RATIO_SLACK):
         return None
     rx, ry, rz = r
-    mask, scaled, lam = [], [], []
+    scaled, lam = [], []
     success = 0.0
     for pi, (qx, qy, qz), (x, y, z), norm, ai, (vx, vy, vz), (bx, by, bz) in zip(
             priors, q, *found, a, v, bloch):
@@ -300,9 +296,6 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: BlochVector, c_rows: n
         if not (norm <= 1.0 + PURITY_TOL - FLOAT_MARGIN
                 and math.sqrt(ox * ox + oy * oy + oz * oz) <= FAMILY_TOL - FLOAT_MARGIN):
             return None
-        if abs(norm - (1.0 - PURITY_TOL)) <= FLOAT_MARGIN:
-            norm = np.hypot(np.hypot(x, y), z)
-        mask.append(bool(norm >= 1.0 - PURITY_TOL))
         success += pi * (ai + (bx * vx + by * vy + bz * vz))
         t = pi / p
         if not 0.0 < t <= 1.0 + RATIO_SLACK:
@@ -316,7 +309,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: BlochVector, c_rows: n
     if abs(success - bound) <= FLOAT_MARGIN:
         success = success_probability(ensemble, povm)
     return HelstromCertificate._from_gate(p, r, c_rows, np.array(scaled), np.array(lam),
-                                          np.array(mask), bool(success <= bound))
+                                          bool(success <= bound))
 
 
 def guess_result(
@@ -339,7 +332,7 @@ def guess_result(
         if conj is not None:
             povm = Povm.from_arrays([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
             r = BlochVector(*ensemble.lists[2][k])
-            return assemble_result(ensemble, p, r, read_only(np.array(conj)), povm, method)
+            return assemble_result(ensemble, p, r, conj, povm, method)
     priors = ensemble.priors
     q = ensemble.weighted_points
     p = float(priors[k]) if value is None else float(value)
@@ -349,7 +342,7 @@ def guess_result(
     # a tied prior forces q_i = r and leaves the conjugate free: reported as 0
     tied = gap <= _TIED_GAP
     tied[k] = True
-    conj = read_only(np.divide(offset, gap[:, None], out=np.zeros((n, 3)), where=~tied[:, None]))
+    conj = np.divide(offset, gap[:, None], out=np.zeros((n, 3)), where=~tied[:, None])
     # one norm per state: a tied state's offset, any other state's conjugate
     tested = row_norms(np.where(tied[:, None], offset, conj))
     bad = tested > np.where(tied, _TIED_POINT_TOL, 1.0 + PURITY_TOL)
@@ -364,7 +357,7 @@ def guess_result(
         )
     a = np.zeros(n)
     a[k] = 1.0
-    povm = Povm.from_arrays(read_only(a), read_only(np.zeros((n, 3))))
+    povm = Povm.from_arrays(a, np.zeros((n, 3)))
     return assemble_result(ensemble, p, r, conj, povm, method)
 
 

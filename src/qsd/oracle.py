@@ -70,7 +70,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bloch import BlochVector, DiscriminationResult, WeightedEnsemble, read_only
+from .bloch import BlochVector, DiscriminationResult, WeightedEnsemble
 from .errors import ConvergenceError
 from .family import assemble_result, povm_from_weights
 
@@ -524,8 +524,8 @@ def _basis_measurement(
     w[support] = weights
     elements = np.zeros((n, 3))
     elements[support] = dirs
-    povm = povm_from_weights(w, read_only(elements))
-    return assemble_result(ensemble, p, r, read_only(c), povm, "oracle")
+    povm = povm_from_weights(w, elements)
+    return assemble_result(ensemble, p, r, c, povm, "oracle")
 
 
 def solve_oracle(ensemble: WeightedEnsemble) -> DiscriminationResult:

@@ -20,9 +20,10 @@ from qsd.bloch import (
     Povm,
     PovmElement,
     QubitState,
+    WeightedEnsemble,
     ZERO_VECTOR,
-    read_only,
 )
+from qsd.kkt import KktReport
 from helpers import density_matrix, operator_matrix
 
 
@@ -150,13 +151,12 @@ def _certificate(**changes):
         conjugates=((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)),
         scaled_priors=(0.5, 0.5),
         lambdas=(0.1, 0.1),
-        pure_mask=(True, True),
     )
     fields.update(changes)
     return qsd.HelstromCertificate(**fields)
 
 
-_NAN = float("nan")
+_NAN, _INF = float("nan"), float("inf")
 _UP, _DOWN, _X = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)
 
 # (id, call, exact message); every one raises ValueError
@@ -191,6 +191,15 @@ ERROR_TABLE = [
     ("ensemble-renormalize-zero-sum",
      lambda: qsd.validate_ensemble([(0.0, _UP), (0.0, _DOWN)], renormalize=True),
      "cannot renormalize priors with sum 0.0"),
+    ("ensemble-renormalize-overflowing-sum",
+     lambda: qsd.validate_ensemble([(1e308, _UP), (1e308, _DOWN)], renormalize=True),
+     "cannot renormalize priors with sum inf"),
+    ("ensemble-renormalize-negative-overflow",
+     lambda: qsd.validate_ensemble([(-1e308, _UP), (-1e308, _DOWN)], renormalize=True),
+     "cannot renormalize priors with sum -inf"),
+    ("ensemble-renormalize-inf-minus-inf",
+     lambda: qsd.validate_ensemble([(_INF, _UP), (-_INF, _DOWN)], renormalize=True),
+     "cannot renormalize priors with sum nan"),
     ("povm-non-psd-at-index-1",
      lambda: qsd.povm_from_weights((1.0, 1.0), (_UP, (0.0, 0.0, -1.1))),
      "POVM element not PSD: a = 0.5 < |v| = 0.55 beyond 1e-12"),
@@ -203,6 +212,9 @@ ERROR_TABLE = [
     ("povm-incomplete-a",
      lambda: Povm((PovmElement(0.4, ZERO_VECTOR), PovmElement(0.5, ZERO_VECTOR))),
      "POVM incomplete: sum of a is 0.9, not 1 within 1e-10"),
+    ("povm-overflowing-a-sum",
+     lambda: Povm.from_arrays((1e308, 1e308), (_UP, _DOWN)),
+     "POVM incomplete: sum of a is inf, not 1 within 1e-10"),
     ("povm-incomplete-v",
      lambda: Povm((PovmElement(0.5, BlochVector(0.0, 0.0, 0.5)),
                    PovmElement(0.5, BlochVector(0.0, 0.0, -0.3)))),
@@ -214,11 +226,8 @@ ERROR_TABLE = [
      lambda: _certificate(scaled_priors=(0.5, 1.5)),
      "scaled prior 1 is 1.5, outside (0, 1]"),
     ("certificate-nan-conjugate",
-     lambda: _certificate(conjugates=(_UP, (_NAN, 0.0, -1.0)), pure_mask=(True, False)),
+     lambda: _certificate(conjugates=(_UP, (_NAN, 0.0, -1.0))),
      "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=-1.0)"),
-    ("certificate-contradicting-pure-mask",
-     lambda: _certificate(conjugates=(_UP, (0.0, 0.0, -0.5))),
-     "pure_mask[1] = True contradicts |c_1| = 0.5 at tolerance 1e-09"),
 ]
 
 
@@ -255,24 +264,40 @@ def test_stored_arrays_are_read_only():
         cert.p = 0.5
 
 
-def test_handed_over_arrays_are_kept_and_others_copied():
-    conj = read_only(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    scaled, lams, mask = (read_only(np.array(x)) for x in ([0.5, 0.5], [0.1, 0.1], [True, True]))
-    cert = _certificate(conjugates=conj, scaled_priors=scaled, lambdas=lams, pure_mask=mask)
-    assert cert.conjugate_matrix() is conj and cert.scaled_priors is scaled
-    assert cert.lambdas is lams and cert.pure_mask is mask
-    # a writable array, or a read-only view of one, is copied and left as it was
-    writable = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    view = writable[:]
-    view.setflags(write=False)
-    for given in (writable, view):
-        cert = _certificate(conjugates=given)
-        assert cert.conjugate_matrix() is not given
-        assert not np.shares_memory(cert.conjugate_matrix(), writable)
-    assert writable.flags.writeable
-    a, v = read_only(np.array([0.5, 0.5])), read_only(np.zeros((2, 3)))
-    povm = Povm.from_arrays(a, v)
-    assert povm.a is a and povm.v is v
+def _frozen(values):
+    """values as a read-only array that owns its data."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+def test_records_copy_their_inputs():
+    # a caller may make its own array writable again and change it; no
+    # record's arrays, ==, or hash may change with it, and no record
+    # freezes a writable array it is given
+    kkt = _solved(TRIPLE)[2]
+    pair = [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]]
+    builds = [
+        (WeightedEnsemble.from_arrays, ([0.4, 0.6], pair)),
+        (Povm.from_arrays, ([0.5, 0.5], pair)),
+        (lambda c, t, lam: _certificate(conjugates=c, scaled_priors=t, lambdas=lam),
+         ([_UP, _DOWN], [0.5, 0.5], [0.1, 0.1])),
+        (lambda nu: KktReport(nu, **kkt.residuals()), (pair,)),
+    ]
+    for build, values in builds:
+        given = [_frozen(v) for v in values]
+        record = build(*given)
+        writable = [np.array(v, dtype=float) for v in values]
+        twin = build(*writable)
+        assert all(arr.flags.writeable for arr in writable)
+        stored = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+        copies, digest = [arr.copy() for arr in stored], hash(record)
+        for arr in given:
+            arr.setflags(write=True)
+            arr += 0.25
+        assert len(stored) >= len(given)
+        assert all(np.array_equal(arr, copy) for arr, copy in zip(stored, copies))
+        assert record == twin and hash(record) == digest == hash(twin)
 
 
 def test_records_compare_hash_and_print_by_value():

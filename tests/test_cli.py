@@ -409,6 +409,27 @@ def test_memory_error_exit1(tmp_path, capsys, monkeypatch, error, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, ensemble, povm, line",
+    [
+        (["solve", "--renormalize"], "1e308 0 0 1\n1e308 0 0 -1\n", None,
+         "qsd: error: cannot renormalize priors with sum inf"),
+        (["verify"], POLES, "1e308 0 0 0\n1e308 0 0 0\n",
+         "qsd: error: POVM incomplete: sum of a is inf, not 1 within 1e-10"),
+    ],
+    ids=["solve-renormalized-priors", "verify-povm-traces"],
+)
+def test_overflowing_input_sums_exit1(tmp_path, capsys, command, ensemble, povm, line):
+    """Finite inputs whose sum passes the largest float are refused as input errors."""
+    argv = [command[0], write(tmp_path, "ensemble.txt", ensemble)]
+    if povm is not None:
+        argv.append(write(tmp_path, "povm.txt", povm))
+    code, out, err = run(capsys, argv + command[1:])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [line]
+    assert "Traceback" not in err
+
+
 def _ensemble_file(tmp_path, name, ens):
     lines = [
         f"{p!r} {x!r} {y!r} {z!r}"

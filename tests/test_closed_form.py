@@ -21,7 +21,6 @@ from qsd import (
     solve_symmetric_shell,
     solve_two_state,
 )
-from qsd.bloch import read_only
 from qsd.family import assemble_result, guess_result, povm_from_weights
 from qsd.oracle import classical_diagonal_oracle
 from qsd.platonic import PLATONIC_KINDS, PlatonicSolid, platonic_ensemble
@@ -227,7 +226,6 @@ def _table_solve_diagonal(ens):
     rest = gap > 1e-15
     rest[[u, d]] = False
     conj[rest] = (r - q[rest]) / gap[rest, None]
-    read_only(conj)
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
     return assemble_result(ens, p, r, conj, povm_from_weights(weights, conj), "diagonal")

@@ -206,8 +206,8 @@ def test_psd_margin_alike():
 
 def test_pure_mask_at_its_threshold_alike():
     # the guess on state 0 gives state 1 the conjugate (q_0 - q_1)/(p_0 - p_1),
-    # here of norm 1 - PURITY_TOL to within a few ulps, where the float path
-    # asks np.hypot for the mask
+    # here of norm 1 - PURITY_TOL to within a few ulps, where sqrt and
+    # np.hypot disagree on some rows
     bound = 1.0 - PURITY_TOL
     split = 0
     for u in _directions(41, 30):
@@ -256,8 +256,7 @@ def _rebuilt(result):
     ens = result.ensemble
     return (
         HelstromCertificate(cert.p, cert.common_point, cert.conjugate_matrix().copy(),
-                            cert.scaled_priors.copy(), cert.lambdas.copy(),
-                            cert.pure_mask.copy(), cert.degenerate),
+                            cert.scaled_priors.copy(), cert.lambdas.copy(), cert.degenerate),
         Povm.from_arrays(result.povm.a.copy(), result.povm.v.copy()),
         WeightedEnsemble.from_arrays(ens.priors.copy(), ens.bloch_matrix.copy()),
     )

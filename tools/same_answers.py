@@ -23,8 +23,10 @@ child interpreter, on inputs drawn the same way for both:
 
 The corpora come from the bench/ next to this script, read and never
 written. For each input the tool keeps the method tag, the type of any
-exception, p_opt and a hash of the POVM bytes (for the CLI, of the JSON
-report less its input path). It prints the tag changes, exception-type
+exception, p_opt and a hash of the bytes of the POVM and of the
+certificate: p, common point, conjugates, scaled priors, multipliers, pure
+mask and the degenerate flag (for the CLI, of the JSON report less its
+input path). It prints the tag changes, exception-type
 changes, the largest |delta p_opt| and how many inputs of each set moved
 their bytes. The exit code is 1 on any tag or exception-type change or on
 |delta p_opt| > 1e-12, and 0 otherwise. Uses the standard library and
@@ -86,9 +88,12 @@ def collect() -> None:
         except Exception as exc:  # the type is what is compared
             records[key] = [None, type(exc).__name__, None, None]
         else:
-            povm = result.povm
-            records[key] = [result.method, None, result.p_opt,
-                            _digest(povm.a.tobytes(), povm.v.tobytes())]
+            povm, cert = result.povm, result.certificate
+            records[key] = [result.method, None, result.p_opt, _digest(
+                povm.a.tobytes(), povm.v.tobytes(),
+                np.array([cert.p, *cert.common_point]).tobytes(),
+                cert.conjugate_matrix().tobytes(), cert.scaled_priors.tobytes(),
+                cert.lambdas.tobytes(), cert.pure_mask.tobytes(), bytes([cert.degenerate]))]
 
     def run_cli(key, path):
         out, err = io.StringIO(), io.StringIO()
