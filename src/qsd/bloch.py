@@ -12,11 +12,13 @@ store read-only numpy arrays, which the solvers read and write end to end.
 A record copies what it is given, so no caller's array is ever frozen or
 shared, and it stores only what it cannot derive (a certificate's
 pure_mask is computed from its conjugates on first access).
-from_arrays checks them in one vectorized pass; validate_ensemble,
-WeightedEnsemble(entries) and Povm(elements) convert and take that path,
-and the first bad state or element raises its per-state class's error.
-BlochVector, QubitState and PovmElement stay the per-state vocabulary:
-`entries`, `states()`, `Povm.elements`, `HelstromCertificate.conjugates` and
+Each record has one constructor, which takes the values it stores:
+WeightedEnsemble(priors, bloch_matrix, renormalize=False) and Povm(a, v)
+check them in one vectorized pass, and validate_ensemble splits loose
+(prior, state) pairs and takes the same path; the first bad state or
+element raises its per-state class's error. BlochVector, QubitState and
+PovmElement stay the per-state vocabulary, as views only: `entries`,
+`states()`, `Povm.elements`, `HelstromCertificate.conjugates` and
 `KktReport.nu` are tuples of them, built on first access. ==, hash and repr
 go by value.
 
@@ -268,18 +270,11 @@ class ArrayRecord:
     _VALUES names the stored attributes; _store makes the arrays among them
     read-only. Subclasses are dataclasses with init, eq and repr off, so that
     dataclasses.fields and dataclasses.replace see the constructor's
-    arguments; repr shows those, arrays as tuples. The per-state views are
-    cached_property defaults of those fields.
+    arguments, and replace runs the constructor's checks again; repr shows
+    those arguments, arrays as tuples.
     """
 
     _VALUES: tuple = ()
-
-    @classmethod
-    def from_arrays(cls, *arrays, **options):
-        """The record from its arrays, checked by _validate in one pass."""
-        record = cls.__new__(cls)
-        record._validate(*arrays, **options)
-        return record
 
     def _store(self, **values) -> None:
         for value in values.values():
@@ -303,7 +298,7 @@ class ArrayRecord:
         return f"{type(self).__name__}({shown})"
 
 
-def _split_pairs(entries, qubit_states_only: bool = False) -> tuple:
+def _split_pairs(entries) -> tuple:
     """(priors, Bloch rows) of (prior, state) pairs, entry by entry."""
     priors, rows = [], []
     try:
@@ -314,22 +309,12 @@ def _split_pairs(entries, qubit_states_only: bool = False) -> tuple:
                 raise ValueError(f"entry {k} is not a (prior, state) pair") from None
             if isinstance(state, QubitState):
                 state = state.bloch
-            elif qubit_states_only:
-                raise ValueError(f"entry {k}: state must be a QubitState")
             rows.append((state.x, state.y, state.z) if isinstance(state, BlochVector) else state)
             priors.append(float(prior))
     except (TypeError, ValueError):
-        _state_rows(rows)  # a bad state before the bad entry comes first,
-        if qubit_states_only:  # and so does a bad prior among QubitState entries
-            _check_priors(priors)
+        _state_rows(rows)  # a bad state before the bad entry comes first
         raise
     return priors, rows
-
-
-def _check_priors(values: list) -> None:
-    for k, prior in enumerate(values):
-        if not 0.0 < prior < 1.0:
-            raise ValueError(f"entry {k}: prior {prior!r} outside the open interval (0, 1)")
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -345,7 +330,10 @@ class WeightedEnsemble(ArrayRecord):
     there.
     """
 
-    entries: tuple = functools.cached_property(lambda self: tuple(zip(
+    priors: np.ndarray
+    bloch_matrix: np.ndarray
+
+    entries = functools.cached_property(lambda self: tuple(zip(
         self.priors.tolist(), (QubitState(BlochVector(*b)) for b in self.bloch_matrix.tolist()))))
     # (priors, Bloch rows, weighted rows) as Python floats, for the float
     # path; read them, never modify them
@@ -354,11 +342,7 @@ class WeightedEnsemble(ArrayRecord):
 
     _VALUES = ("priors", "bloch_matrix")
 
-    def __init__(self, entries) -> None:
-        entries = tuple(entries)  # too few entries fail on the count before anything else
-        self._validate(*_split_pairs(entries if len(entries) >= 2 else (), qubit_states_only=True))
-
-    def _validate(self, priors, bloch_matrix, renormalize: bool = False) -> None:
+    def __init__(self, priors, bloch_matrix, renormalize: bool = False) -> None:
         """Check, in order: each Bloch vector; with renormalize=True, divide the
         priors by their sum; at least two states; each prior in (0, 1); sum 1."""
         if self._accept_floats(priors, bloch_matrix, renormalize):
@@ -375,7 +359,9 @@ class WeightedEnsemble(ArrayRecord):
         if len(priors) < 2:
             raise ValueError("an ensemble needs at least two states")
         values = priors.tolist()
-        _check_priors(values)
+        for k, prior in enumerate(values):
+            if not 0.0 < prior < 1.0:
+                raise ValueError(f"entry {k}: prior {prior!r} outside the open interval (0, 1)")
         total = math.fsum(values)
         if abs(total - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"priors sum to {total!r}, not 1 within {PRIOR_SUM_TOL}")
@@ -383,9 +369,9 @@ class WeightedEnsemble(ArrayRecord):
                     max_prior=max(values))
 
     def _accept_floats(self, priors, bloch_matrix, renormalize: bool) -> bool:
-        """_validate's checks on Python floats; False leaves them to the vectorized code.
+        """The constructor's checks on Python floats; False leaves them to the vectorized code.
 
-        Stores the arrays _validate would, each built once from its list.
+        Stores the arrays the constructor would, each built once from its list.
         """
         found = float_rows(bloch_matrix)
         values = _floats(priors)
@@ -424,7 +410,7 @@ def validate_ensemble(raw_entries: Iterable, renormalize: bool = False) -> Weigh
     the sum-to-one check (the individual range checks still apply), which is
     what the CLI flag of the same name feeds.
     """
-    return WeightedEnsemble.from_arrays(*_split_pairs(raw_entries), renormalize=renormalize)
+    return WeightedEnsemble(*_split_pairs(raw_entries), renormalize=renormalize)
 
 
 @dataclass(frozen=True)
@@ -455,22 +441,17 @@ class Povm(ArrayRecord):
     Stored as read-only arrays a (n,) and v (n, 3), Pi_i = a_i I + v_i.sigma.
     """
 
-    elements: tuple = functools.cached_property(lambda self: tuple(
+    a: np.ndarray
+    v: np.ndarray
+
+    elements = functools.cached_property(lambda self: tuple(
         PovmElement(a, BlochVector(*v)) for a, v in zip(self.a.tolist(), self.v.tolist())))
     # (a, v rows) as Python floats, for the float path; never modify them
     lists = functools.cached_property(lambda self: (self.a.tolist(), self.v.tolist()))
 
     _VALUES = ("a", "v")
 
-    def __init__(self, elements) -> None:
-        elements = tuple(elements)
-        for k, el in enumerate(elements):
-            if not isinstance(el, PovmElement):
-                raise ValueError(f"element {k} is not a PovmElement")
-        self._validate([el.a for el in elements], [tuple(el.v) for el in elements])
-        self.__dict__["elements"] = elements
-
-    def _validate(self, a, v) -> None:
+    def __init__(self, a, v) -> None:
         """Check every element (a_k >= |v_k|), then completeness."""
         if self._accept_floats(a, v):
             return
@@ -492,7 +473,7 @@ class Povm(ArrayRecord):
         self._store(a=a, v=v)
 
     def _accept_floats(self, a, v) -> bool:
-        """_validate's checks on Python floats; False leaves them to the vectorized code.
+        """The constructor's checks on Python floats; False leaves them to the vectorized code.
 
         Every a_k must lie in [0, 1 + COMPLETENESS_TOL], which any complete
         POVM of nonnegative a_k meets, so that fsum cannot overflow and the
@@ -521,31 +502,6 @@ class Povm(ArrayRecord):
         return len(self.a)
 
 
-def _refuse_certificate(p, conj, norms, scaled, lams) -> None:
-    """Raise for the first of HelstromCertificate's checks that fails, if any.
-
-    In order: finite conjugates, equal lengths, at least two states, p in
-    (0, 1], scaled priors in (0, 1], finite multipliers. The constructor
-    tests all of them in one pass and comes here only when that pass fails;
-    a conjugate too large for a finite norm fails the pass and passes every
-    check here.
-    """
-    if not np.isfinite(norms).all():
-        for row in conj.tolist():  # BlochVector's error for the first non-finite row
-            BlochVector(*row)
-    if not (len(conj) == len(scaled) == len(lams)):
-        raise ValueError("certificate field lengths disagree")
-    if len(conj) < 2:
-        raise ValueError("a certificate covers at least two states")
-    if not math.isfinite(p) or not (0.0 < p <= 1.0 + RATIO_SLACK):
-        raise ValueError(f"ratio p = {p!r} outside (0, 1]")
-    for k, t in enumerate(scaled.tolist()):
-        if not 0.0 < t <= 1.0 + RATIO_SLACK:
-            raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
-    if not np.isfinite(lams).all():
-        raise ValueError("multipliers must be finite")
-
-
 @dataclass(init=False, eq=False, repr=False)
 class HelstromCertificate(ArrayRecord):
     """The data certifying a claimed optimum: ratio p, common point, conjugates, multipliers.
@@ -562,11 +518,10 @@ class HelstromCertificate(ArrayRecord):
     read-only (n,) arrays, copies of what the constructor is given.
     pure_mask, |c_i| >= 1 - PURITY_TOL, is derived from the conjugates on
     first access: not a constructor argument, and not part of ==, hash or repr.
-    Every check runs in one vectorized pass over the fields; only when it
-    fails does _refuse_certificate find the first failure and its message.
-    The gate runs these checks on its own quantities, on floats or
-    vectorized, and stores its certificate through _from_gate, so the
-    constructor's checks do not take the conjugates' norms a second time.
+    The constructor runs its checks once, in order, and raises for the
+    first that fails. The gate runs these checks on its own quantities, on
+    floats or vectorized, and stores its certificate through _from_gate, so
+    they do not run a second time.
 
     degenerate marks a measurement that does no better than guessing,
     success <= max prior + DEGENERACY_TOL: the guess regime, where the
@@ -587,22 +542,28 @@ class HelstromCertificate(ArrayRecord):
 
     def __init__(self, p, common_point, conjugates, scaled_priors, lambdas,
                  degenerate: bool = False) -> None:
+        """Check, in order: finite conjugates, equal lengths, at least two
+        states, p in (0, 1], scaled priors in (0, 1], finite multipliers."""
         p = float(p)
         if not isinstance(common_point, BlochVector):
             common_point = BlochVector.from_array(common_point)
         conj = vector_matrix(conjugates)
         scaled = np.array(scaled_priors, dtype=float)
         lams = np.array(lambdas, dtype=float)
-        norms = row_norms(conj)
-        n = len(conj)
-        # norms @ lams is finite only when every norm and multiplier is (a
-        # product too large for a float sends a valid certificate to the
-        # slow path, which passes it)
-        if not (n == len(scaled) == len(lams) and n >= 2
-                and 0.0 < p <= 1.0 + RATIO_SLACK
-                and math.isfinite(norms @ lams)
-                and np.count_nonzero((scaled > 0.0) & (scaled <= 1.0 + RATIO_SLACK)) == n):
-            _refuse_certificate(p, conj, norms, scaled, lams)
+        if not np.isfinite(conj).all():
+            for row in conj.tolist():  # BlochVector's error for the first non-finite row
+                BlochVector(*row)
+        if not len(conj) == len(scaled) == len(lams):
+            raise ValueError("certificate field lengths disagree")
+        if len(conj) < 2:
+            raise ValueError("a certificate covers at least two states")
+        if not 0.0 < p <= 1.0 + RATIO_SLACK:
+            raise ValueError(f"ratio p = {p!r} outside (0, 1]")
+        for k, t in enumerate(scaled.tolist()):
+            if not 0.0 < t <= 1.0 + RATIO_SLACK:
+                raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
+        if not np.isfinite(lams).all():
+            raise ValueError("multipliers must be finite")
         self._store(p=p, common_point=common_point, _conjugates=conj, scaled_priors=scaled,
                     lambdas=lams, degenerate=bool(degenerate))
 

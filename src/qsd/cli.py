@@ -96,7 +96,7 @@ def parse_ensemble_file(path: str, renormalize: bool = False) -> WeightedEnsembl
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 state lines, got {len(rows)}")
     table = np.array(rows)
-    return WeightedEnsemble.from_arrays(table[:, 0], table[:, 1:], renormalize=renormalize)
+    return WeightedEnsemble(table[:, 0], table[:, 1:], renormalize=renormalize)
 
 
 def parse_povm_file(path: str, expected_n: int) -> Povm:
@@ -109,7 +109,7 @@ def parse_povm_file(path: str, expected_n: int) -> Povm:
         check_povm_elements(table[:, 0], table[:, 1:])
     if len(table) != expected_n:
         raise ValueError(f"{path}: got {len(table)} POVM elements for {expected_n} states")
-    return Povm.from_arrays(table[:, 0], table[:, 1:])
+    return Povm(table[:, 0], table[:, 1:])
 
 
 # ---------------------------------------------------------------------------

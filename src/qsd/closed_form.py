@@ -99,7 +99,7 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
     if dn <= _COINCIDENT_TOL:
         if abs(pr[0] - pr[1]) <= _TIED_PRIOR_TOL:
-            povm = Povm.from_arrays((0.5, 0.5), np.zeros((2, 3)))
+            povm = Povm((0.5, 0.5), np.zeros((2, 3)))
             conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
             return assemble_result(ensemble, ensemble.max_prior, q[0], conj, povm, "two-state")
         return guess_result(ensemble, int(np.argmax(pr)), "two-state")
@@ -529,7 +529,7 @@ def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble
         raise ValueError(f"expected {n} azimuths, got {phis.shape}")
     st, ct = math.sin(theta), math.cos(theta)
     rows = [(b * st * math.cos(f), b * st * math.sin(f), b * ct) for f in phis]
-    return WeightedEnsemble.from_arrays([1.0 / n] * n, rows)
+    return WeightedEnsemble([1.0 / n] * n, rows)
 
 
 def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple:
@@ -576,7 +576,7 @@ def mirror_ensemble(theta: float, p1: float) -> WeightedEnsemble:
     if not (0.0 < p1 < 0.5):
         raise ValueError(f"p1 = {p1!r} outside (0, 1/2)")
     s, c = math.sin(2.0 * theta), math.cos(2.0 * theta)
-    return WeightedEnsemble.from_arrays(
+    return WeightedEnsemble(
         (p1, p1, 1.0 - 2.0 * p1), ((s, 0.0, c), (-s, 0.0, c), (0.0, 0.0, 1.0))
     )
 

@@ -11,7 +11,12 @@ class DiscriminationError(Exception):
 
 
 class DegenerateRatioError(DiscriminationError):
-    """A ratio p did not strictly exceed every prior where the formula needs it."""
+    """A ratio p ties a prior whose state it cannot cover.
+
+    family.guess_result raises it when a state whose prior ties the guessed
+    one sits away from the common point; a guess that is merely not optimal
+    fails the certificate gate with CertificateError instead.
+    """
 
 
 class DegenerateGeometryError(DiscriminationError):

@@ -21,6 +21,12 @@ checks (lengths, p, scaled priors) and stores its certificate, and the
 arrays it built, through HelstromCertificate._from_gate, which checks
 nothing twice; whatever fails goes to the public constructor, which raises
 its own error. The certificate derives its pure mask when it is read.
+guess_result leaves to the gate the decision whether a guess is optimal.
+
+Records are built from arrays: Povm(a, v) here, and WeightedEnsemble(priors,
+bloch_matrix) or validate_ensemble for the ensembles the solvers take.
+PovmElement, QubitState and BlochVector rows are views, built on first
+access, never a way to build a record.
 
 For at most bloch.FLOAT_ROWS conjugates the gate, povm_from_weights and
 guess_result run on Python floats (bloch's module docstring): each test
@@ -163,7 +169,7 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
 
     Weights within _WEIGHT_DUST of zero are clamped so float dust cannot
     fail the PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified
-    by Povm.from_arrays, not assumed.
+    by the Povm constructor, not assumed.
     """
     w = np.asarray(weights, dtype=float)
     c = vector_matrix(conjugates)
@@ -175,12 +181,12 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
             # the arrays below, element by element; Povm checks them on floats
             a = [0.0 if abs(x) <= _WEIGHT_DUST else x / 2.0 for x in values]
             v = [(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, c.tolist())]
-            return Povm.from_arrays(a, v)
+            return Povm(a, v)
     if w.min() < -_WEIGHT_DUST:  # the least weight, which clamping leaves as it is
         raise ValueError(f"negative weight {float(w.min())!r}")
     a = w / 2.0
     a[np.abs(w) <= _WEIGHT_DUST] = 0.0
-    return Povm.from_arrays(a, -a[:, None] * c)
+    return Povm(a, -a[:, None] * c)
 
 
 def trace_multipliers(ensemble: WeightedEnsemble, p: float, povm: Povm) -> np.ndarray:
@@ -320,9 +326,13 @@ def guess_result(
     Valid only when p_index reaches p_i + |q_index - q_i| for every other
     state, i.e. the guess value max p_i is the true optimum. The conjugate
     of the guessed state is unconstrained (its family coefficient p - p_index
-    is zero); it is reported as the zero vector. `value` lets a caller pin
-    the reported optimum to its own evaluation of p_index (at most an ulp
-    away) so that exact-equality contracts against reference formulas hold.
+    is zero); it is reported as the zero vector, and so is that of a state
+    whose prior ties p, which must then sit at the common point or
+    DegenerateRatioError is raised. Whether the guess is optimal is the
+    gate's decision: assemble_result raises CertificateError for a
+    conjugate outside the ball. `value` lets a caller pin the reported
+    optimum to its own evaluation of p_index (at most an ulp away) so that
+    exact-equality contracts against reference formulas hold.
     """
     n = ensemble.n
     k = int(index)
@@ -330,7 +340,7 @@ def guess_result(
         p = ensemble.lists[0][k] if value is None else float(value)
         conj = _guess_conjugates(ensemble, k, p)
         if conj is not None:
-            povm = Povm.from_arrays([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
+            povm = Povm([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
             r = BlochVector(*ensemble.lists[2][k])
             return assemble_result(ensemble, p, r, conj, povm, method)
     priors = ensemble.priors
@@ -342,30 +352,24 @@ def guess_result(
     # a tied prior forces q_i = r and leaves the conjugate free: reported as 0
     tied = gap <= _TIED_GAP
     tied[k] = True
-    conj = np.divide(offset, gap[:, None], out=np.zeros((n, 3)), where=~tied[:, None])
-    # one norm per state: a tied state's offset, any other state's conjugate
-    tested = row_norms(np.where(tied[:, None], offset, conj))
-    bad = tested > np.where(tied, _TIED_POINT_TOL, 1.0 + PURITY_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if tied[i]:
-            raise DegenerateRatioError(
-                f"guess at index {k} cannot cover state {i}: tied prior, distinct point"
-            )
+    far = tied & (row_norms(offset) > _TIED_POINT_TOL)
+    if far.any():
         raise DegenerateRatioError(
-            f"guess at index {k} is not optimal: state {i} violates the family"
+            f"guess at index {k} cannot cover state {int(np.argmax(far))}: tied prior, distinct point"
         )
+    conj = np.divide(offset, gap[:, None], out=np.zeros((n, 3)), where=~tied[:, None])
     a = np.zeros(n)
     a[k] = 1.0
-    povm = Povm.from_arrays(a, np.zeros((n, 3)))
+    povm = Povm(a, np.zeros((n, 3)))
     return assemble_result(ensemble, p, r, conj, povm, method)
 
 
 def _guess_conjugates(ensemble: WeightedEnsemble, k: int, p: float) -> list | None:
     """guess_result's conjugates on Python floats, or None for its vectorized checks.
 
-    The same divisions as the vectorized code, row by row; a norm must
-    clear its bound by FLOAT_MARGIN.
+    The same divisions as the vectorized code, row by row; a tied state's
+    distance from the common point must clear _TIED_POINT_TOL by
+    FLOAT_MARGIN.
     """
     priors, _, q = ensemble.lists
     rx, ry, rz = q[k]
@@ -374,12 +378,10 @@ def _guess_conjugates(ensemble: WeightedEnsemble, k: int, p: float) -> list | No
         gap = p - pi
         ox, oy, oz = rx - qx, ry - qy, rz - qz
         if i == k or gap <= _TIED_GAP:
-            row, bound = (0.0, 0.0, 0.0), _TIED_POINT_TOL
+            if not math.sqrt(ox * ox + oy * oy + oz * oz) <= _TIED_POINT_TOL - FLOAT_MARGIN:
+                return None
+            conj.append((0.0, 0.0, 0.0))
         else:
-            row = ox, oy, oz = ox / gap, oy / gap, oz / gap
-            bound = 1.0 + PURITY_TOL
-        if not math.sqrt(ox * ox + oy * oy + oz * oz) <= bound - FLOAT_MARGIN:
-            return None
-        conj.append(row)
+            conj.append((ox / gap, oy / gap, oz / gap))
     return conj
 

@@ -131,7 +131,7 @@ def platonic_ensemble(solid: PlatonicSolid):
     """Equiprobable ensemble on the solid's vertices, plus both reference values."""
     verts = solid.vertices()
     n = len(verts)
-    ensemble = WeightedEnsemble.from_arrays([1.0 / n] * n, verts)
+    ensemble = WeightedEnsemble([1.0 / n] * n, verts)
     reference = PlatonicReference(
         edge_formula_p=(1.0 + PRINTED_EDGE_COEFFICIENTS[solid.kind] * solid.edge()) / n,
         shell_formula_p=(1.0 + solid.scale) / n,

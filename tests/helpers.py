@@ -86,7 +86,7 @@ def one_sided_shell(count, seed=0):
     rows = np.random.default_rng(seed).normal(size=(count, 3))
     rows[:, 2] = np.abs(rows[:, 2])
     rows /= np.linalg.norm(rows, axis=1)[:, None]
-    return qsd.WeightedEnsemble.from_arrays([1.0 / count] * count, rows)
+    return qsd.WeightedEnsemble([1.0 / count] * count, rows)
 
 
 def quarter_circle_cone(count):

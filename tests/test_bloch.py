@@ -60,13 +60,11 @@ def test_povm_element_psd_boundary():
 
 
 def test_povm_completeness_enforced():
-    Povm((PovmElement(0.5, BlochVector(0.0, 0.0, 0.5)),
-          PovmElement(0.5, BlochVector(0.0, 0.0, -0.5))))
+    Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5)))
     with pytest.raises(ValueError):
-        Povm((PovmElement(0.4, ZERO_VECTOR), PovmElement(0.5, ZERO_VECTOR)))
+        Povm((0.4, 0.5), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        Povm((PovmElement(0.5, BlochVector(0.0, 0.0, 0.5)),
-              PovmElement(0.5, BlochVector(0.0, 0.0, -0.3))))
+        Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.3)))
 
 
 def test_ensemble_prior_validation():
@@ -158,6 +156,7 @@ def _certificate(**changes):
 
 _NAN, _INF = float("nan"), float("inf")
 _UP, _DOWN, _X = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)
+_ZERO = (0.0, 0.0, 0.0)
 
 # (id, call, exact message); every one raises ValueError
 ERROR_TABLE = [
@@ -207,17 +206,16 @@ ERROR_TABLE = [
      lambda: qsd.povm_from_weights((1.0, 1.5), (_UP, (0.0, 0.0, -1.1))),
      "POVM element not PSD: a = 0.75 < |v| = 0.8250000000000001 beyond 1e-12"),
     ("povm-negative-a",
-     lambda: Povm((PovmElement(-0.25, ZERO_VECTOR), PovmElement(1.25, ZERO_VECTOR))),
+     lambda: Povm((-0.25, 1.25), (_ZERO, _ZERO)),
      "POVM element has negative trace part a = -0.25"),
     ("povm-incomplete-a",
-     lambda: Povm((PovmElement(0.4, ZERO_VECTOR), PovmElement(0.5, ZERO_VECTOR))),
+     lambda: Povm((0.4, 0.5), (_ZERO, _ZERO)),
      "POVM incomplete: sum of a is 0.9, not 1 within 1e-10"),
     ("povm-overflowing-a-sum",
-     lambda: Povm.from_arrays((1e308, 1e308), (_UP, _DOWN)),
+     lambda: Povm((1e308, 1e308), (_UP, _DOWN)),
      "POVM incomplete: sum of a is inf, not 1 within 1e-10"),
     ("povm-incomplete-v",
-     lambda: Povm((PovmElement(0.5, BlochVector(0.0, 0.0, 0.5)),
-                   PovmElement(0.5, BlochVector(0.0, 0.0, -0.3)))),
+     lambda: Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.3))),
      "POVM incomplete: vector parts sum to (0.0, 0.0, 0.2), not 0 within 1e-10"),
     ("certificate-length-mismatch",
      lambda: _certificate(scaled_priors=(0.5, 0.5, 0.1)),
@@ -278,8 +276,8 @@ def test_records_copy_their_inputs():
     kkt = _solved(TRIPLE)[2]
     pair = [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]]
     builds = [
-        (WeightedEnsemble.from_arrays, ([0.4, 0.6], pair)),
-        (Povm.from_arrays, ([0.5, 0.5], pair)),
+        (WeightedEnsemble, ([0.4, 0.6], pair)),
+        (Povm, ([0.5, 0.5], pair)),
         (lambda c, t, lam: _certificate(conjugates=c, scaled_priors=t, lambdas=lam),
          ([_UP, _DOWN], [0.5, 0.5], [0.1, 0.1])),
         (lambda nu: KktReport(nu, **kkt.residuals()), (pair,)),
@@ -308,6 +306,25 @@ def test_records_compare_hash_and_print_by_value():
     assert "array" not in repr(first[1]) and "np." not in repr(first[1])
 
 
+def test_replace_rechecks_and_repr_shows_arrays():
+    ens = qsd.validate_ensemble(TRIPLE)
+    povm = Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5)))
+    assert repr(ens) == ("WeightedEnsemble(priors=(0.5, 0.3, 0.2), "
+                         "bloch_matrix=(0.0, 0.0, 1.0, 0.6, 0.0, -0.2, 0.0, -0.7, 0.1))")
+    assert repr(povm) == "Povm(a=(0.5, 0.5), v=(0.0, 0.0, 0.5, 0.0, 0.0, -0.5))"
+    assert replace(ens, priors=ens.priors) == ens and replace(povm, v=povm.v) == povm
+    moved = replace(ens, priors=(0.2, 0.3, 0.5))
+    assert moved.max_prior == 0.5 and moved.weighted_points[2].tolist() == [0.0, -0.35, 0.05]
+    refusals = [
+        (lambda: replace(povm, a=(0.5, 0.6)), "POVM incomplete: sum of a is 1.1, not 1 within 1e-10"),
+        (lambda: replace(ens, priors=(0.5, 0.3, 0.3)), "priors sum to 1.1, not 1 within 1e-12"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def _one_ulp(arr, index=0):
     moved = np.array(arr, dtype=float)
     moved.flat[index] = np.nextafter(moved.flat[index], np.inf)
@@ -317,9 +334,9 @@ def _one_ulp(arr, index=0):
 def test_one_ulp_makes_records_unequal():
     ens, result, kkt = _solved(TRIPLE)
     povm, cert = result.povm, result.certificate
-    other_ens = qsd.WeightedEnsemble.from_arrays(ens.priors, _one_ulp(ens.bloch_matrix, 4))
+    other_ens = WeightedEnsemble(ens.priors, _one_ulp(ens.bloch_matrix, 4))
     assert other_ens != ens
-    other_povm = Povm.from_arrays(povm.a, _one_ulp(povm.v, povm.v.argmax()))
+    other_povm = Povm(povm.a, _one_ulp(povm.v, povm.v.argmax()))
     assert other_povm != povm and other_povm.n == povm.n
     assert replace(cert, lambdas=_one_ulp(cert.lambdas, 1)) != cert
     assert replace(cert, lambdas=cert.lambdas) == cert
@@ -330,14 +347,16 @@ def test_one_ulp_makes_records_unequal():
 
 
 def test_views_round_trip():
+    # the per-state views give back the arrays the records are built from
     ens, result, kkt = _solved(TRIPLE)
     elements = result.povm.elements
     assert all(isinstance(el, PovmElement) for el in elements)
-    assert Povm(elements).elements == elements
-    assert Povm(elements) == result.povm
+    rebuilt = Povm([el.a for el in elements], [tuple(el.v) for el in elements])
+    assert rebuilt == result.povm and rebuilt.elements == elements
     assert qsd.validate_ensemble(ens.entries) == ens
-    assert qsd.WeightedEnsemble(ens.entries) == ens
     assert all(isinstance(s, QubitState) for s in ens.states())
+    assert WeightedEnsemble([p for p, _ in ens.entries],
+                            [tuple(s.bloch) for s in ens.states()]) == ens
     assert result.certificate.conjugates == tuple(
         BlochVector(*row) for row in result.certificate.conjugate_matrix().tolist()
     )

@@ -11,7 +11,6 @@ from qsd import (
     CertificateError,
     DegenerateRatioError,
     Povm,
-    PovmElement,
 )
 from qsd.bloch import ZERO_VECTOR
 from qsd.family import (
@@ -110,29 +109,25 @@ def test_verify_weak_family_length_mismatch():
 
 
 def test_success_probability_projective_pair():
-    povm = Povm((PovmElement(0.5, BlochVector(0, 0, 0.5)),
-                 PovmElement(0.5, BlochVector(0, 0, -0.5))))
+    povm = Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5)))
     assert success_probability(antipodal(), povm) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_success_probability_guess():
     ens = skewed_pair()
-    povm = Povm((PovmElement(1.0, ZERO_VECTOR), PovmElement(0.0, ZERO_VECTOR)))
+    povm = Povm((1.0, 0.0), np.zeros((2, 3)))
     assert success_probability(ens, povm) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_success_probability_trine_uniform_projectors():
     ens = trine()
-    povm = Povm(tuple(
-        PovmElement(1.0 / 3.0, BlochVector.from_array(b / 3.0))
-        for b in ens.bloch_matrix
-    ))
+    povm = Povm(np.full(3, 1.0 / 3.0), ens.bloch_matrix / 3.0)
     assert success_probability(ens, povm) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_success_probability_length_mismatch():
     with pytest.raises(ValueError):
-        success_probability(trine(), Povm((PovmElement(1.0, ZERO_VECTOR),)))
+        success_probability(trine(), Povm((1.0,), np.zeros((1, 3))))
 
 
 def test_verify_optimality_two_state():
@@ -152,7 +147,7 @@ def test_verify_optimality_trine():
 
 def test_verify_optimality_swapped_projectors():
     result = qsd.solve_two_state(antipodal())
-    swapped = Povm((result.povm.elements[1], result.povm.elements[0]))
+    swapped = Povm(result.povm.a[::-1], result.povm.v[::-1])
     ok, residual = verify_optimality(swapped, result.certificate.conjugates)
     assert not ok
     assert residual == pytest.approx(1.0, abs=1e-12)
@@ -289,7 +284,7 @@ GATE_REJECTIONS = [
     ("common-point-residual", lambda: _gate_input(common_point=(0.5, -0.5, 0.9)),
      CertificateError, "common-point residual 1.4515667796768348 exceeds 1e-09"),
     ("success-gap",
-     lambda: _antipodal_input(povm=Povm.from_arrays((1.0, 0.0), np.zeros((2, 3)))),
+     lambda: _antipodal_input(povm=Povm((1.0, 0.0), np.zeros((2, 3)))),
      CertificateError, "POVM success 0.5 differs from p = 1.0"),
     ("nan-common-point", lambda: _gate_input(common_point=(_NAN, 0.0, 0.0)), ValueError,
      "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=0.0)"),
@@ -328,9 +323,15 @@ def test_guess_result_value_override():
 
 
 def test_guess_result_rejects_nonoptimal_guess():
+    # the gate refuses the conjugate (q_0 - q_1)/(p_0 - p_1), of norm 5 up to rounding
     ens = qsd.validate_ensemble([(0.6, (0, 0, 1)), (0.4, (0, 0, -1))])
-    with pytest.raises(DegenerateRatioError):
+    with pytest.raises(CertificateError, match=r"^conjugate norm 5\.000000000000001 exceeds 1$"):
         guess_result(ens, 0, "two-state")
+    # a tied prior leaves no conjugate to test: the state must sit at r
+    tied = qsd.validate_ensemble([(0.5, (0, 0, 1)), (0.5, (0, 0, -1))])
+    with pytest.raises(DegenerateRatioError,
+                       match=r"^guess at index 0 cannot cover state 1: tied prior, distinct point$"):
+        guess_result(tied, 0, "two-state")
 
 
 def _ensemble(*entries):

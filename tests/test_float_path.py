@@ -200,7 +200,7 @@ def test_psd_margin_alike():
         for step in range(-8, 9):
             row = tuple(x * (0.5 - bound + step * _ULP / 2.0) for x in u)
             split += (0.5 - _sqrt(row) >= bound) != (0.5 - _hypot(row) >= bound)
-            assert_both_ways(lambda: Povm.from_arrays((0.5, 0.5), (row, tuple(-x for x in row))))
+            assert_both_ways(lambda: Povm((0.5, 0.5), (row, tuple(-x for x in row))))
     assert split > 0
 
 
@@ -257,8 +257,8 @@ def _rebuilt(result):
     return (
         HelstromCertificate(cert.p, cert.common_point, cert.conjugate_matrix().copy(),
                             cert.scaled_priors.copy(), cert.lambdas.copy(), cert.degenerate),
-        Povm.from_arrays(result.povm.a.copy(), result.povm.v.copy()),
-        WeightedEnsemble.from_arrays(ens.priors.copy(), ens.bloch_matrix.copy()),
+        Povm(result.povm.a.copy(), result.povm.v.copy()),
+        WeightedEnsemble(ens.priors.copy(), ens.bloch_matrix.copy()),
     )
 
 

@@ -48,7 +48,7 @@ def test_success_probability_is_permutation_invariant(seed, n):
     ens2 = qsd.validate_ensemble(
         [(float(ens.priors[i]), tuple(ens.bloch_matrix[i])) for i in perm]
     )
-    povm2 = Povm(tuple(result.povm.elements[i] for i in perm))
+    povm2 = Povm(result.povm.a[perm], result.povm.v[perm])
     assert success_probability(ens2, povm2) == pytest.approx(base, abs=1e-12)
 
 

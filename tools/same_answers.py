@@ -28,9 +28,10 @@ certificate: p, common point, conjugates, scaled priors, multipliers, pure
 mask and the degenerate flag (for the CLI, of the JSON report less its
 input path). It prints the tag changes, exception-type
 changes, the largest |delta p_opt| and how many inputs of each set moved
-their bytes. The exit code is 1 on any tag or exception-type change or on
-|delta p_opt| > 1e-12, and 0 otherwise. Uses the standard library and
-numpy only.
+their bytes, then a verdict with the line count of each checkout's src/qsd
+(newlines in its .py files, as wc -l counts them). The exit code is 1 on
+any tag or exception-type change or on |delta p_opt| > 1e-12, and 0
+otherwise. Uses the standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -169,6 +170,11 @@ def answers(checkout: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def src_lines(checkout: Path) -> int:
+    """Newlines in the .py files under checkout/src/qsd."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "qsd").rglob("*.py"))
+
+
 def compare(old: dict, new: dict) -> int:
     """Print the differences; 1 when a tag or exception type changed or p moved past P_TOL."""
     if old.keys() != new.keys():
@@ -202,8 +208,12 @@ def main(argv=None) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    old, new = (answers(Path(path).resolve()) for path in argv)
-    return compare(old, new)
+    checkouts = [Path(path).resolve() for path in argv]
+    code = compare(*(answers(checkout) for checkout in checkouts))
+    lines = [src_lines(checkout) for checkout in checkouts]
+    print(f"{'same answers' if code == 0 else 'answers differ'}; src/qsd lines: "
+          f"{lines[0]:,} -> {lines[1]:,} ({lines[1] - lines[0]:+,})")
+    return code
 
 
 if __name__ == "__main__":
