@@ -6,7 +6,7 @@ the conjugate states close the family equations, the measurement kills
 every conjugate it should, and the KKT residuals are zero to tolerance.
 """
 
-import numpy as np
+import math
 
 from qsd import (
     kkt_residuals,
@@ -42,9 +42,7 @@ for name, value in report.residuals().items():
 
 print()
 print("per-state anatomy")
-for i, c in enumerate(cert.conjugates):
-    tag = "pure" if cert.pure_mask[i] else "mixed"
-    print(
-        f"  state {i + 1}: |conjugate| = {c.norm():.12f} ({tag}),"
-        f" lambda = {cert.lambdas[i]:.12f}"
-    )
+for i, (c, pure, lam) in enumerate(
+        zip(cert.conjugates.tolist(), cert.pure_mask.tolist(), cert.lambdas.tolist())):
+    tag = "pure" if pure else "mixed"
+    print(f"  state {i + 1}: |conjugate| = {math.hypot(*c):.12f} ({tag}), lambda = {lam:.12f}")

@@ -6,6 +6,8 @@ top of that number: antipodal unit conjugates, a common mixture point, and
 multipliers (1 - p_i/p)/4 that make the first-order conditions vanish.
 """
 
+import math
+
 import numpy as np
 
 from qsd import solve_oracle, solve_two_state, validate_ensemble
@@ -23,11 +25,12 @@ print(f"  p_opt             {result.p_opt:.15f}")
 print(f"  closed form       {formula:.15f}   (1 + |q2 - q1|)/2")
 print()
 print("certificate")
-print(f"  common point      {tuple(round(x, 12) for x in cert.common_point)}")
-for i, c in enumerate(cert.conjugates):
-    print(f"  conjugate {i + 1}       |c| = {c.norm():.15f}")
-print(f"  antipodal check   c1 + c2 = {tuple(x + y for x, y in zip(*cert.conjugates))}")
-for i, lam in enumerate(cert.lambdas):
+print(f"  common point      {tuple(round(x, 12) for x in cert.common_point.tolist())}")
+conjugates = cert.conjugates.tolist()
+for i, c in enumerate(conjugates):
+    print(f"  conjugate {i + 1}       |c| = {math.hypot(*c):.15f}")
+print(f"  antipodal check   c1 + c2 = {tuple(x + y for x, y in zip(*conjugates))}")
+for i, lam in enumerate(cert.lambdas.tolist()):
     expected = (1.0 - ensemble.priors[i] / result.p_opt) / 4.0
     print(f"  lambda {i + 1}          {lam:.15f}   formula {expected:.15f}")
 print()

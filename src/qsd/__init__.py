@@ -12,7 +12,6 @@ from .bloch import (
     HelstromCertificate,
     Povm,
     PovmElement,
-    QubitState,
     WeightedEnsemble,
     validate_ensemble,
 )
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochVector",
-    "QubitState",
     "WeightedEnsemble",
     "PovmElement",
     "Povm",

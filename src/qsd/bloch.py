@@ -8,19 +8,21 @@ only as an independent check of the trace identity tr(rho Pi) = a + b.v and
 of the dual certificate.
 
 The records (WeightedEnsemble, Povm, HelstromCertificate, kkt.KktReport)
-store read-only numpy arrays, which the solvers read and write end to end.
-A record copies what it is given, so no caller's array is ever frozen or
-shared, and it stores only what it cannot derive (a certificate's
-pure_mask is computed from its conjugates on first access).
-Each record has one constructor, which takes the values it stores:
-WeightedEnsemble(priors, bloch_matrix, renormalize=False) and Povm(a, v)
-check them in one vectorized pass, and validate_ensemble splits loose
-(prior, state) pairs and takes the same path; the first bad state or
-element raises its per-state class's error. BlochVector, QubitState and
-PovmElement stay the per-state vocabulary, as views only: `entries`,
-`states()`, `Povm.elements`, `HelstromCertificate.conjugates` and
-`KktReport.nu` are tuples of them, built on first access. ==, hash and repr
-go by value.
+store read-only numpy arrays, which the solvers read and write end to end,
+each under one name: a certificate's common_point (3,) and conjugates
+(n, 3), a KKT report's nu (n - 1, 3). A record copies what it is given, so
+no caller's array is ever frozen or shared, and it stores only what it
+cannot derive (a certificate's pure_mask is computed from its conjugates
+on first access). Each record has one constructor, which takes the values
+it stores: WeightedEnsemble(priors, bloch_matrix, renormalize=False) and
+Povm(a, v) check them in one vectorized pass, and validate_ensemble splits
+loose (prior, state) pairs and takes the same path. ==, hash and repr go
+by the dataclass fields, and dataclasses.replace runs the checks again.
+
+BlochVector and PovmElement are the per-state vocabulary, and no module
+but this one names them: they give a refused row its error message (the
+first bad state, element or non-finite row raises theirs), and
+Povm.elements is a tuple of PovmElement views, built on first access.
 
 The float path. Below the measured crossover of FLOAT_ROWS rows, numpy's
 per-call overhead costs more than the arithmetic, so a WeightedEnsemble or
@@ -108,10 +110,9 @@ def _fsum(values: list) -> float:
 
 @dataclass(frozen=True)
 class BlochVector:
-    """A point in the Bloch ball, or any real 3-vector used as one.
+    """A real 3-vector: a Bloch vector, a conjugate direction or a POVM vector part.
 
-    The class itself does not cap the norm; QubitState does. That keeps it
-    reusable for conjugate directions, POVM vector parts and common points.
+    The class does not cap the norm; _state does, for the states.
     """
 
     x: float
@@ -130,38 +131,11 @@ class BlochVector:
         a = np.asarray(arr, dtype=float).reshape(3)
         return cls(a[0], a[1], a[2])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y, self.z)
 
-    def dot(self, other: "BlochVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
     def __iter__(self):
         return iter((self.x, self.y, self.z))
-
-
-ZERO_VECTOR = BlochVector(0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """A qubit density operator rho = (I + bloch.sigma)/2, so |bloch| <= 1."""
-
-    bloch: BlochVector
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.bloch, BlochVector):
-            object.__setattr__(self, "bloch", BlochVector.from_array(self.bloch))
-        n = self.bloch.norm()
-        if n > 1.0 + STATE_NORM_TOL:
-            raise ValueError(f"Bloch norm {n!r} exceeds 1 beyond tolerance {STATE_NORM_TOL}")
-
-    @property
-    def is_pure(self) -> bool:
-        return self.bloch.norm() >= 1.0 - PURITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +212,38 @@ def vector_matrix(vectors) -> np.ndarray:
     return _rows(vectors)
 
 
+def vector_array(vector) -> np.ndarray:
+    """A BlochVector or a 3-sequence as a new (3,) float array."""
+    return _rows((vector,)).reshape(3)
+
+
 def _in_ball(rows: np.ndarray) -> bool:
     # half of STATE_NORM_TOL leaves room for the rounding of the vectorized norm
     return np.maximum.reduce(row_norms(rows), initial=0.0) <= 1.0 + 0.5 * STATE_NORM_TOL
 
 
+def _state(v) -> BlochVector:
+    """v as a BlochVector, refused outside the Bloch ball: a state's row check."""
+    v = _vector(v)
+    n = v.norm()
+    if n > 1.0 + STATE_NORM_TOL:
+        raise ValueError(f"Bloch norm {n!r} exceeds 1 beyond tolerance {STATE_NORM_TOL}")
+    return v
+
+
 def _state_rows(vectors) -> np.ndarray:
-    return _rows(vectors, _in_ball, lambda v: QubitState(v).bloch)
+    return _rows(vectors, _in_ball, _state)
+
+
+def check_finite(point: np.ndarray, rows: np.ndarray) -> None:
+    """Raise BlochVector's error for a non-finite point, else for the first non-finite row.
+
+    The certificate's finiteness check, on a (3,) common point and (n, 3)
+    conjugates, which the constructor and the gate share.
+    """
+    if not (np.isfinite(point).all() and np.isfinite(rows).all()):
+        for row in (point.tolist(), *rows.tolist()):
+            BlochVector(*row)
 
 
 def check_povm_elements(a: np.ndarray, v: np.ndarray) -> None:
@@ -265,16 +264,17 @@ def _plain(value):
 
 
 class ArrayRecord:
-    """Base of the array-backed records: frozen, compared and hashed by value.
+    """Base of the array-backed records: frozen, compared, hashed and printed by value.
 
-    _VALUES names the stored attributes; _store makes the arrays among them
-    read-only. Subclasses are dataclasses with init, eq and repr off, so that
-    dataclasses.fields and dataclasses.replace see the constructor's
-    arguments, and replace runs the constructor's checks again; repr shows
-    those arguments, arrays as tuples.
+    Subclasses are dataclasses with init, eq and repr off, whose fields are
+    the constructor's arguments, each stored under its own name: ==, hash
+    and repr go by those fields, arrays as flat tuples in repr, and
+    dataclasses.replace runs the constructor's checks again. _store makes
+    the arrays it stores read-only.
     """
 
-    _VALUES: tuple = ()
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
 
     def _store(self, **values) -> None:
         for value in values.values():
@@ -288,13 +288,14 @@ class ArrayRecord:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._VALUES)
+        return all(map(np.array_equal, self._values(), other._values()))
 
     def __hash__(self):
-        return hash(tuple(_plain(getattr(self, f)) for f in self._VALUES))
+        return hash(tuple(map(_plain, self._values())))
 
     def __repr__(self):
-        shown = ", ".join(f"{f.name}={_plain(getattr(self, f.name))!r}" for f in fields(self))
+        shown = ", ".join(f"{f.name}={_plain(value)!r}"
+                          for f, value in zip(fields(self), self._values()))
         return f"{type(self).__name__}({shown})"
 
 
@@ -307,8 +308,6 @@ def _split_pairs(entries) -> tuple:
                 prior, state = pair
             except (TypeError, ValueError):
                 raise ValueError(f"entry {k} is not a (prior, state) pair") from None
-            if isinstance(state, QubitState):
-                state = state.bloch
             rows.append((state.x, state.y, state.z) if isinstance(state, BlochVector) else state)
             priors.append(float(prior))
     except (TypeError, ValueError):
@@ -333,14 +332,10 @@ class WeightedEnsemble(ArrayRecord):
     priors: np.ndarray
     bloch_matrix: np.ndarray
 
-    entries = functools.cached_property(lambda self: tuple(zip(
-        self.priors.tolist(), (QubitState(BlochVector(*b)) for b in self.bloch_matrix.tolist()))))
     # (priors, Bloch rows, weighted rows) as Python floats, for the float
     # path; read them, never modify them
     lists = functools.cached_property(lambda self: (
         self.priors.tolist(), self.bloch_matrix.tolist(), self.weighted_points.tolist()))
-
-    _VALUES = ("priors", "bloch_matrix")
 
     def __init__(self, priors, bloch_matrix, renormalize: bool = False) -> None:
         """Check, in order: each Bloch vector; with renormalize=True, divide the
@@ -398,14 +393,11 @@ class WeightedEnsemble(ArrayRecord):
     def n(self) -> int:
         return len(self.priors)
 
-    def states(self) -> tuple:
-        return tuple(s for _, s in self.entries)
-
 
 def validate_ensemble(raw_entries: Iterable, renormalize: bool = False) -> WeightedEnsemble:
     """Build a WeightedEnsemble from loose (prior, bloch-like) pairs.
 
-    Each entry may carry a QubitState, a BlochVector or any length-3 float
+    Each entry may carry a BlochVector or any length-3 float
     sequence. With renormalize=True, priors are divided by their sum before
     the sum-to-one check (the individual range checks still apply), which is
     what the CLI flag of the same name feeds.
@@ -448,8 +440,6 @@ class Povm(ArrayRecord):
         PovmElement(a, BlochVector(*v)) for a, v in zip(self.a.tolist(), self.v.tolist())))
     # (a, v rows) as Python floats, for the float path; never modify them
     lists = functools.cached_property(lambda self: (self.a.tolist(), self.v.tolist()))
-
-    _VALUES = ("a", "v")
 
     def __init__(self, a, v) -> None:
         """Check every element (a_k >= |v_k|), then completeness."""
@@ -513,9 +503,9 @@ class HelstromCertificate(ArrayRecord):
     actually certifies an optimum is judged by that gate and, as a
     diagnostic, by the KKT report, which must be able to receive deliberately
     broken certificates and grade them, so optimality itself is not a
-    construction invariant here. The conjugates are stored as a read-only
-    (n, 3) array, conjugate_matrix(); scaled_priors and lambdas are
-    read-only (n,) arrays, copies of what the constructor is given.
+    construction invariant here. common_point is stored as a read-only (3,)
+    array, conjugates as a read-only (n, 3) array, and scaled_priors and
+    lambdas as read-only (n,) arrays, copies of what the constructor is given.
     pure_mask, |c_i| >= 1 - PURITY_TOL, is derived from the conjugates on
     first access: not a constructor argument, and not part of ==, hash or repr.
     The constructor runs its checks once, in order, and raises for the
@@ -531,28 +521,23 @@ class HelstromCertificate(ArrayRecord):
     """
 
     p: float
-    common_point: BlochVector
-    conjugates: tuple = functools.cached_property(
-        lambda self: tuple(BlochVector(*row) for row in self._conjugates.tolist()))
+    common_point: np.ndarray
+    conjugates: np.ndarray
     scaled_priors: np.ndarray
     lambdas: np.ndarray
     degenerate: bool = False
 
-    _VALUES = ("p", "common_point", "_conjugates", "scaled_priors", "lambdas", "degenerate")
-
     def __init__(self, p, common_point, conjugates, scaled_priors, lambdas,
                  degenerate: bool = False) -> None:
-        """Check, in order: finite conjugates, equal lengths, at least two
-        states, p in (0, 1], scaled priors in (0, 1], finite multipliers."""
+        """Check, in order: a finite common point and finite conjugates, equal
+        lengths, at least two states, p in (0, 1], scaled priors in (0, 1],
+        finite multipliers."""
         p = float(p)
-        if not isinstance(common_point, BlochVector):
-            common_point = BlochVector.from_array(common_point)
+        r = vector_array(common_point)
         conj = vector_matrix(conjugates)
         scaled = np.array(scaled_priors, dtype=float)
         lams = np.array(lambdas, dtype=float)
-        if not np.isfinite(conj).all():
-            for row in conj.tolist():  # BlochVector's error for the first non-finite row
-                BlochVector(*row)
+        check_finite(r, conj)
         if not len(conj) == len(scaled) == len(lams):
             raise ValueError("certificate field lengths disagree")
         if len(conj) < 2:
@@ -564,39 +549,37 @@ class HelstromCertificate(ArrayRecord):
                 raise ValueError(f"scaled prior {k} is {t!r}, outside (0, 1]")
         if not np.isfinite(lams).all():
             raise ValueError("multipliers must be finite")
-        self._store(p=p, common_point=common_point, _conjugates=conj, scaled_priors=scaled,
+        self._store(p=p, common_point=r, conjugates=conj, scaled_priors=scaled,
                     lambdas=lams, degenerate=bool(degenerate))
 
     @classmethod
-    def _from_gate(cls, p: float, common_point: BlochVector, conjugates: np.ndarray,
+    def _from_gate(cls, p: float, common_point: np.ndarray, conjugates: np.ndarray,
                    scaled_priors: np.ndarray, lambdas: np.ndarray,
                    degenerate: bool) -> "HelstromCertificate":
         """The certificate of family.assemble_result, stored with no check of its own.
 
         The gate has run the constructor's checks on the quantities it
-        derived: its one pass of conjugate norms gave finiteness, and it
-        tested the lengths, p and the scaled priors, and let the constructor
-        refuse whatever failed. It passes float arrays of matching lengths
-        that it built itself and keeps no reference to.
+        derived: check_finite, or float tests that a non-finite value fails,
+        gave finiteness, and it tested the lengths, p and the scaled priors,
+        and let the constructor refuse whatever failed. It passes float
+        arrays of matching lengths that it built itself and keeps no
+        reference to.
         """
         record = cls.__new__(cls)
-        record._store(p=p, common_point=common_point, _conjugates=conjugates,
+        record._store(p=p, common_point=common_point, conjugates=conjugates,
                       scaled_priors=scaled_priors, lambdas=lambdas, degenerate=degenerate)
         return record
 
     @functools.cached_property
     def pure_mask(self) -> np.ndarray:
         """Which conjugates are pure, |c_i| >= 1 - PURITY_TOL, as a read-only (n,) bool array."""
-        mask = row_norms(self._conjugates) >= 1.0 - PURITY_TOL
+        mask = row_norms(self.conjugates) >= 1.0 - PURITY_TOL
         self._store(pure_mask=mask)
         return mask
 
     @property
     def n(self) -> int:
-        return len(self._conjugates)
-
-    def conjugate_matrix(self) -> np.ndarray:
-        return self._conjugates
+        return len(self.conjugates)
 
 
 @dataclass(frozen=True)
@@ -613,7 +596,7 @@ class DiscriminationResult:
         object.__setattr__(self, "p_opt", float(self.p_opt))
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        if abs(self.p_opt - self.certificate.p) > CERT_P_TOL:
+        if not abs(self.p_opt - self.certificate.p) <= CERT_P_TOL:
             raise ValueError(
                 f"p_opt = {self.p_opt!r} disagrees with certificate.p = {self.certificate.p!r}"
             )

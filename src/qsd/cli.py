@@ -141,7 +141,7 @@ def build_report(
     v_rows = result.povm.v.tolist()
     pure = cert.pure_mask.tolist()
     lambdas = cert.lambdas.tolist()
-    # summed in BlochVector.dot's order, so each float matches it bit for bit
+    # b.v added left to right, (bx*vx + by*vy) + bz*vz, which fixes each float's rounding
     contributions = [
         prior * (a + (bx * vx + by * vy + bz * vz))
         for prior, a, (bx, by, bz), (vx, vy, vz) in zip(priors, a_values, bloch, v_rows)
@@ -159,7 +159,7 @@ def build_report(
             "lambda": lambdas[i],
             "contribution": contributions[i],
         }
-        for i, conj in enumerate(cert.conjugate_matrix().tolist())
+        for i, conj in enumerate(cert.conjugates.tolist())
     ]
     kkt = result.kkt
     report = {
@@ -168,7 +168,7 @@ def build_report(
         "p_opt": result.p_opt,
         "success": math.fsum(contributions),
         "degenerate": cert.degenerate,
-        "common_point": list(cert.common_point),
+        "common_point": cert.common_point.tolist(),
         "states": states,
         "kkt": {
             "residuals": kkt.residuals(),

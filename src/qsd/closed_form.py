@@ -38,7 +38,6 @@ from .bloch import (
     FLOAT_ROWS,
     PURITY_TOL,
     RATIO_SLACK,
-    BlochVector,
     DiscriminationResult,
     Povm,
     WeightedEnsemble,
@@ -301,7 +300,7 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     weights[k] = 0.0
     try:
         return assemble_result(
-            ensemble, p, BlochVector(*r), conj, povm_from_weights(weights, conj),
+            ensemble, p, r, conj, povm_from_weights(weights, conj),
             "three-state-boundary",
         )
     except (CertificateError, ValueError):

@@ -14,19 +14,22 @@ one certificate builder: it certifies by weak duality, refuses anything
 that fails, and derives the multipliers from the measurement traces
 (trace_multipliers). The KKT report is computed only when result.kkt is read.
 The gate computes each quantity once: one pass of row norms tests the
-conjugates for finiteness and the unit ball, and p_i/p gives both the
-scaled priors and the multipliers. It reads the solver's conjugates into
-an array of its own. The gate also runs the certificate's structural
-checks (lengths, p, scaled priors) and stores its certificate, and the
-arrays it built, through HelstromCertificate._from_gate, which checks
-nothing twice; whatever fails goes to the public constructor, which raises
-its own error. The certificate derives its pure mask when it is read.
-guess_result leaves to the gate the decision whether a guess is optimal.
+conjugates against the unit ball, and p_i/p gives both the scaled priors
+and the multipliers. A non-finite common point or conjugate fails the
+float tests, and the vectorized gate raises its error with
+bloch.check_finite, the constructor's own check. The gate reads the
+solver's common point and conjugates into arrays of its own. It also runs
+the certificate's structural checks (lengths, p, scaled priors) and stores
+its certificate, and the arrays it built, through
+HelstromCertificate._from_gate, which checks nothing twice; whatever fails
+goes to the public constructor, which raises its own error. The
+certificate derives its pure mask when it is read. guess_result leaves
+to the gate the decision whether a guess is optimal.
 
 Records are built from arrays: Povm(a, v) here, and WeightedEnsemble(priors,
-bloch_matrix) or validate_ensemble for the ensembles the solvers take.
-PovmElement, QubitState and BlochVector rows are views, built on first
-access, never a way to build a record.
+bloch_matrix) or validate_ensemble for the ensembles the solvers take. A
+common point is a 3-sequence, conjugates an (n, 3) array or a sequence of
+3-sequences; the certificate stores both as arrays.
 
 For at most bloch.FLOAT_ROWS conjugates the gate, povm_from_weights and
 guess_result run on Python floats (bloch's module docstring): each test
@@ -54,13 +57,14 @@ from .bloch import (
     RATIO_SLACK,
     SUCCESS_TOL,
     ZERO_ELEMENT_TOL,
-    BlochVector,
     DiscriminationResult,
     HelstromCertificate,
     Povm,
     WeightedEnsemble,
+    check_finite,
     float_rows,
     row_norms,
+    vector_array,
     vector_matrix,
 )
 from .errors import CertificateError, DegenerateRatioError
@@ -226,27 +230,24 @@ def assemble_result(
     (_gate_floats), which accept or hand over to the vectorized _gate.
     """
     p = float(p)
-    if not isinstance(common_point, BlochVector):
-        common_point = BlochVector.from_array(common_point)
+    r = vector_array(common_point)
     c_rows = vector_matrix(conjugates)
     certificate = None
     if len(c_rows) <= FLOAT_ROWS:
-        certificate = _gate_floats(ensemble, p, common_point, c_rows, povm)
+        certificate = _gate_floats(ensemble, p, r, c_rows, povm)
     if certificate is None:
-        certificate = _gate(ensemble, p, common_point, c_rows, povm)
+        certificate = _gate(ensemble, p, r, c_rows, povm)
     return DiscriminationResult(
         p_opt=p, povm=povm, certificate=certificate, method=method, ensemble=ensemble
     )
 
 
-def _gate(ensemble: WeightedEnsemble, p: float, common_point: BlochVector, c_rows: np.ndarray,
+def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarray,
           povm: Povm) -> HelstromCertificate:
     """assemble_result's checks, vectorized, in the order that raises each refusal."""
+    check_finite(r, c_rows)
     priors = ensemble.priors
     widest = np.maximum.reduce(row_norms(c_rows))
-    if not math.isfinite(widest):
-        for row in c_rows.tolist():  # BlochVector's error for the first non-finite row
-            BlochVector(*row)
     top = ensemble.max_prior
 
     if p < top - RATIO_SLACK:
@@ -254,7 +255,7 @@ def _gate(ensemble: WeightedEnsemble, p: float, common_point: BlochVector, c_row
     if widest > 1.0 + PURITY_TOL:
         worst = max(math.hypot(*c) for c in c_rows.tolist())
         raise CertificateError(f"conjugate norm {worst!r} exceeds 1")
-    offsets = ensemble.weighted_points + (p - priors)[:, None] * c_rows - common_point.as_array()
+    offsets = ensemble.weighted_points + (p - priors)[:, None] * c_rows - r
     # the largest |offset_i|, rounded as np.linalg.norm rounds each one
     residual = math.sqrt(np.maximum.reduce((offsets * offsets).sum(axis=1)))
     if residual > FAMILY_TOL:
@@ -268,14 +269,14 @@ def _gate(ensemble: WeightedEnsemble, p: float, common_point: BlochVector, c_row
     scaled = priors / p
     lam = _multipliers(povm.a, scaled)
     lam[np.abs(lam) <= _ZERO_MULTIPLIER] = 0.0
-    fields = (p, common_point, c_rows, scaled, lam, bool(degenerate))
+    fields = (p, r, c_rows, scaled, lam, bool(degenerate))
     if (len(c_rows) == len(scaled) and 0.0 < p <= 1.0 + RATIO_SLACK
             and 0.0 < scaled.min() and scaled.max() <= 1.0 + RATIO_SLACK):
         return HelstromCertificate._from_gate(*fields)
     return HelstromCertificate(*fields)  # which refuses what failed
 
 
-def _gate_floats(ensemble: WeightedEnsemble, p: float, r: BlochVector, c_rows: np.ndarray,
+def _gate_floats(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarray,
                  povm: Povm) -> HelstromCertificate | None:
     """assemble_result's certificate from checks on Python floats, or None for _gate.
 
@@ -292,7 +293,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: BlochVector, c_rows: n
     if not (found and len(found[0]) == len(a) == len(priors)
             and top - RATIO_SLACK <= p <= 1.0 + RATIO_SLACK):
         return None
-    rx, ry, rz = r
+    rx, ry, rz = r.tolist()
     scaled, lam = [], []
     success = 0.0
     for pi, (qx, qy, qz), (x, y, z), norm, ai, (vx, vy, vz), (bx, by, bz) in zip(
@@ -341,8 +342,7 @@ def guess_result(
         conj = _guess_conjugates(ensemble, k, p)
         if conj is not None:
             povm = Povm([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
-            r = BlochVector(*ensemble.lists[2][k])
-            return assemble_result(ensemble, p, r, conj, povm, method)
+            return assemble_result(ensemble, p, ensemble.lists[2][k], conj, povm, method)
     priors = ensemble.priors
     q = ensemble.weighted_points
     p = float(priors[k]) if value is None else float(value)

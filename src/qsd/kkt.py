@@ -41,7 +41,6 @@ large residuals, which is the point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +49,6 @@ import numpy as np
 from .bloch import (
     KKT_TOL,
     ArrayRecord,
-    BlochVector,
     HelstromCertificate,
     Povm,
     WeightedEnsemble,
@@ -80,8 +78,7 @@ _RESIDUAL_FIELDS = (
 class KktReport(ArrayRecord):
     """The residuals of the module docstring, and nu_i for i >= 2 (pivot 1).
 
-    nu is stored as a read-only (n - 1, 3) array, returned by nu_matrix();
-    `nu`, a tuple of BlochVector, is built on first access.
+    nu is stored as a read-only (n - 1, 3) array.
     """
 
     primal_ineq: float
@@ -92,19 +89,13 @@ class KktReport(ArrayRecord):
     slackness: float
     aggregate_sum: float
     aggregate_half: float
-    nu: tuple = functools.cached_property(
-        lambda self: tuple(BlochVector(*row) for row in self._nu.tolist()))
+    nu: np.ndarray
     degenerate: bool = False
-
-    _VALUES = _RESIDUAL_FIELDS + ("_nu", "degenerate")
 
     def __init__(self, nu, degenerate: bool = False, **residuals: float) -> None:
         """Keyword arguments, one per residual field."""
         self._store(**{f: float(residuals[f]) for f in _RESIDUAL_FIELDS},
-                    _nu=vector_matrix(nu), degenerate=bool(degenerate))
-
-    def nu_matrix(self) -> np.ndarray:
-        return self._nu
+                    nu=vector_matrix(nu), degenerate=bool(degenerate))
 
     @property
     def passes(self) -> bool:
@@ -140,7 +131,7 @@ def kkt_residuals(
 ) -> KktReport:
     """Grade a candidate (certificate, povm) pair; see the module docstring."""
     b = ensemble.bloch_matrix
-    c = certificate.conjugate_matrix()
+    c = certificate.conjugates
     lam = certificate.lambdas
     scaled = certificate.scaled_priors
     one_minus = 1.0 - scaled

@@ -70,7 +70,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bloch import BlochVector, DiscriminationResult, WeightedEnsemble
+from .bloch import DiscriminationResult, WeightedEnsemble
 from .errors import ConvergenceError
 from .family import assemble_result, povm_from_weights
 
@@ -114,8 +114,10 @@ _SHRINK_MARGIN = 1e-12    # sampled elements stay this far inside the PSD cone
 
 @dataclass(frozen=True)
 class MinimaxSolution:
+    """minimax_common_point's answer: f(r_star) = p_star, with r_star three Python floats."""
+
     p_star: float
-    r_star: BlochVector
+    r_star: tuple
     iterations: int
     converged: bool
     basis: tuple = ()
@@ -123,9 +125,9 @@ class MinimaxSolution:
 
 
 def minimax_objective(ensemble: WeightedEnsemble, r) -> float:
-    """f(r) = max_i (p_i + |r - p_i b_i|)."""
-    r_arr = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float).reshape(3)
-    return float((ensemble.priors + np.linalg.norm(r_arr - ensemble.weighted_points, axis=1)).max())
+    """f(r) = max_i (p_i + |r - p_i b_i|) for a 3-sequence r."""
+    r = np.asarray(r, dtype=float).reshape(3)
+    return float((ensemble.priors + np.linalg.norm(r - ensemble.weighted_points, axis=1)).max())
 
 
 def _sum(values) -> float:
@@ -451,7 +453,7 @@ def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
 
     return MinimaxSolution(
         p_star=float(f_vals.max()),
-        r_star=BlochVector.from_array(r),
+        r_star=tuple(r.tolist()),
         iterations=iterations,
         converged=mu is not None,
         basis=tuple(int(i) for i in basis),
@@ -495,7 +497,7 @@ def _basis_measurement(
     q = ensemble.weighted_points
     n = ensemble.n
     p = float(solution.p_star)
-    r = solution.r_star.as_array()
+    r = np.array(solution.r_star)
 
     gap = p - pr
     free = gap > _SEPARATION_TOL

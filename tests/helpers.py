@@ -7,7 +7,6 @@ from itertools import combinations
 import numpy as np
 
 import qsd
-from qsd.bloch import BlochVector
 from qsd.family import family_residual, success_probability, verify_optimality
 from qsd.kkt import kkt_residuals
 from qsd.oracle import MinimaxSolution
@@ -157,16 +156,15 @@ def lstsq_support_points(pr, q, subset):
     return out
 
 
-def conjugates_from_common_point(ensemble, p, r) -> list:
-    """Solve r = p_i b_i + (p - p_i) c_i for every conjugate direction.
+def conjugates_from_common_point(ensemble, p, r) -> np.ndarray:
+    """Solve r = p_i b_i + (p - p_i) c_i for every conjugate direction, as (n, 3) rows.
 
     p must exceed every prior: at p = p_i the family equation leaves the
     conjugate of state i free.
     """
     assert p > ensemble.max_prior, "conjugates undefined at p <= max prior"
-    r_arr = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float).reshape(3)
-    c = (r_arr - ensemble.weighted_points) / (p - ensemble.priors)[:, None]
-    return [BlochVector.from_array(row) for row in c]
+    r = np.asarray(r, dtype=float).reshape(3)
+    return (r - ensemble.weighted_points) / (p - ensemble.priors)[:, None]
 
 
 def pair_lower_bound(ensemble) -> float:
@@ -204,11 +202,11 @@ def assert_dual_certificate(ensemble, result):
     Y = (p I + r.sigma)/2 dominates every p_i rho_i, every element is PSD, and
     tr Y equals the success sum_i p_i tr(rho_i Pi_i)."""
     p = result.p_opt
-    y = operator_matrix(0.5 * p, 0.5 * result.certificate.common_point.as_array())
+    y = operator_matrix(0.5 * p, 0.5 * result.certificate.common_point)
     success = 0.0
-    for (prior, state), element in zip(ensemble.entries, result.povm.elements):
-        rho = density_matrix(state.bloch.as_array())
-        pi = operator_matrix(element.a, element.v.as_array())
+    for prior, b, a, v in zip(ensemble.priors, ensemble.bloch_matrix, result.povm.a, result.povm.v):
+        rho = density_matrix(b)
+        pi = operator_matrix(a, v)
         assert np.linalg.eigvalsh(y - prior * rho).min() >= -1e-8, "Y - p_i rho_i not PSD"
         assert np.linalg.eigvalsh(pi).min() >= -1e-12, "POVM element not PSD"
         success += prior * float(np.trace(rho @ pi).real)
@@ -236,7 +234,7 @@ def assert_result_valid(ensemble, result):
     assert abs(success - result.p_opt) <= 1e-8, f"success {success} vs p {result.p_opt}"
 
     assert family_residual(ensemble, result.p_opt, cert.conjugates) <= 1e-9
-    assert all(c.norm() <= 1.0 + 1e-9 for c in cert.conjugates)
+    assert np.linalg.norm(cert.conjugates, axis=1).max() <= 1.0 + 1e-9
     assert abs(cert.p - result.p_opt) <= 1e-10
     assert all(lam >= -1e-15 for lam in cert.lambdas)
     assert_dual_certificate(ensemble, result)
@@ -520,7 +518,7 @@ def reference_minimax(ensemble) -> MinimaxSolution:
 
     return MinimaxSolution(
         p_star=float(f_vals.max()),
-        r_star=BlochVector.from_array(r),
+        r_star=tuple(r.tolist()),
         iterations=iterations,
         converged=mu is not None,
         basis=tuple(int(i) for i in basis),

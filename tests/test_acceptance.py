@@ -279,7 +279,7 @@ def test_criterion_9_interior_multiplier_consistency(capsys):
         worst_gram = 0.0
         for ens, res in interior:
             cert = res.certificate
-            c = cert.conjugate_matrix()
+            c = cert.conjugates
             dots = (float(c[0] @ c[1]), float(c[0] @ c[2]), float(c[1] @ c[2]))
             worst_gram = max(worst_gram, abs(gram_identity_residual(dots)))
             # raises GramConsistencyError when the two algebraic routes

@@ -19,9 +19,7 @@ from qsd.bloch import (
     BlochVector,
     Povm,
     PovmElement,
-    QubitState,
     WeightedEnsemble,
-    ZERO_VECTOR,
 )
 from qsd.kkt import KktReport
 from helpers import density_matrix, operator_matrix
@@ -29,25 +27,21 @@ from helpers import density_matrix, operator_matrix
 
 def test_vector_basics():
     u = BlochVector(1.0, 2.0, 3.0)
-    v = BlochVector(-1.0, 0.5, 2.0)
-    assert u.dot(v) == -1.0 + 1.0 + 6.0
     assert u.norm() == math.sqrt(14.0)
     assert tuple(u) == (1.0, 2.0, 3.0)
-    assert np.allclose(BlochVector.from_array(u.as_array()).as_array(), u.as_array())
+    assert BlochVector.from_array(np.array(tuple(u))) == u
     with pytest.raises(ValueError):
         BlochVector(float("nan"), 0.0, 0.0)
 
 
 def test_state_accepts_boundary_and_rejects_outside():
-    QubitState(BlochVector(1.0, 0.0, 0.0))
-    QubitState(BlochVector(1.0 + 1e-13, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        QubitState(BlochVector(1.0 + 1e-11, 0.0, 0.0))
-
-
-def test_state_purity_flag():
-    assert QubitState(BlochVector(0.0, 0.0, 1.0)).is_pure
-    assert not QubitState(BlochVector(0.0, 0.0, 0.5)).is_pure
+    # on Python floats and vectorized, a state may leave the ball by STATE_NORM_TOL
+    for rows in (lambda x: [(x, 0.0, 0.0), _UP], lambda x: np.array([(x, 0.0, 0.0), _UP])):
+        WeightedEnsemble([0.5, 0.5], rows(1.0))
+        WeightedEnsemble([0.5, 0.5], rows(1.0 + 1e-13))
+        with pytest.raises(ValueError) as info:
+            WeightedEnsemble([0.5, 0.5], rows(1.0 + 1e-11))
+        assert str(info.value) == "Bloch norm 1.00000000001 exceeds 1 beyond tolerance 1e-12"
 
 
 def test_povm_element_psd_boundary():
@@ -56,7 +50,7 @@ def test_povm_element_psd_boundary():
     with pytest.raises(ValueError):
         PovmElement(0.5, BlochVector(0.5 + 1e-11, 0.0, 0.0))
     with pytest.raises(ValueError):
-        PovmElement(-1e-11, ZERO_VECTOR)
+        PovmElement(-1e-11, (0.0, 0.0, 0.0))
 
 
 def test_povm_completeness_enforced():
@@ -226,6 +220,9 @@ ERROR_TABLE = [
     ("certificate-nan-conjugate",
      lambda: _certificate(conjugates=(_UP, (_NAN, 0.0, -1.0))),
      "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=-1.0)"),
+    ("certificate-inf-common-point-before-conjugates",
+     lambda: _certificate(common_point=(0.0, -_INF, 0.0), conjugates=(_UP, (_NAN, 0.0, -1.0))),
+     "Bloch vector components must be finite, got BlochVector(x=0.0, y=-inf, z=0.0)"),
 ]
 
 
@@ -252,8 +249,8 @@ def test_stored_arrays_are_read_only():
     ens, result, kkt = _solved(TRIPLE)
     povm, cert = result.povm, result.certificate
     stored = [ens.priors, ens.bloch_matrix, ens.weighted_points, povm.a, povm.v,
-              povm.a, povm.v, cert.conjugate_matrix(), cert.scaled_priors,
-              cert.lambdas, cert.pure_mask, kkt.nu_matrix()]
+              povm.a, povm.v, cert.common_point, cert.conjugates, cert.scaled_priors,
+              cert.lambdas, cert.pure_mask, kkt.nu]
     for arr in stored:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -309,15 +306,37 @@ def test_records_compare_hash_and_print_by_value():
 def test_replace_rechecks_and_repr_shows_arrays():
     ens = qsd.validate_ensemble(TRIPLE)
     povm = Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5)))
+    cert = _certificate()
+    _, result, solved_kkt = _solved(TRIPLE)
+    kkt = KktReport([(0.5, 0.0, -0.25)], **dict.fromkeys(solved_kkt.residuals(), 0.0))
     assert repr(ens) == ("WeightedEnsemble(priors=(0.5, 0.3, 0.2), "
                          "bloch_matrix=(0.0, 0.0, 1.0, 0.6, 0.0, -0.2, 0.0, -0.7, 0.1))")
     assert repr(povm) == "Povm(a=(0.5, 0.5), v=(0.0, 0.0, 0.5, 0.0, 0.0, -0.5))"
+    assert repr(cert) == ("HelstromCertificate(p=0.8, common_point=(0.0, 0.0, 0.0), "
+                          "conjugates=(0.0, 0.0, 1.0, 0.0, 0.0, -1.0), scaled_priors=(0.5, 0.5), "
+                          "lambdas=(0.1, 0.1), degenerate=False)")
+    assert repr(kkt) == ("KktReport(primal_ineq=0.0, primal_eq=0.0, dual_feas=0.0, "
+                         "stationarity_p=0.0, stationarity_c=0.0, slackness=0.0, "
+                         "aggregate_sum=0.0, aggregate_half=0.0, nu=(0.5, 0.0, -0.25), "
+                         "degenerate=False)")
     assert replace(ens, priors=ens.priors) == ens and replace(povm, v=povm.v) == povm
+    assert replace(cert, conjugates=cert.conjugates) == cert and replace(kkt, nu=kkt.nu) == kkt
     moved = replace(ens, priors=(0.2, 0.3, 0.5))
     assert moved.max_prior == 0.5 and moved.weighted_points[2].tolist() == [0.0, -0.35, 0.05]
+    turned = replace(cert, conjugates=(_X, (-1.0, 0.0, 0.0)))
+    assert turned.conjugates.tolist() == [list(_X), [-1.0, 0.0, 0.0]] and turned != cert
     refusals = [
         (lambda: replace(povm, a=(0.5, 0.6)), "POVM incomplete: sum of a is 1.1, not 1 within 1e-10"),
         (lambda: replace(ens, priors=(0.5, 0.3, 0.3)), "priors sum to 1.1, not 1 within 1e-12"),
+        (lambda: replace(cert, conjugates=(_UP, (_NAN, 0.0, -1.0))),
+         "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=-1.0)"),
+        (lambda: replace(cert, conjugates=(_UP, _DOWN, _X)), "certificate field lengths disagree"),
+        (lambda: replace(cert, common_point=(_NAN, 0.0, 0.0)),
+         "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=0.0)"),
+        (lambda: replace(result, p_opt=result.p_opt + 1e-9),
+         f"p_opt = {result.p_opt + 1e-9!r} disagrees with certificate.p = {result.certificate.p!r}"),
+        (lambda: replace(result, p_opt=_NAN),
+         f"p_opt = nan disagrees with certificate.p = {result.certificate.p!r}"),
     ]
     for call, message in refusals:
         with pytest.raises(ValueError) as info:
@@ -341,26 +360,18 @@ def test_one_ulp_makes_records_unequal():
     assert replace(cert, lambdas=_one_ulp(cert.lambdas, 1)) != cert
     assert replace(cert, lambdas=cert.lambdas) == cert
     fields = {name: getattr(kkt, name) for name in kkt.residuals()}
-    same = type(kkt)(nu=kkt.nu_matrix(), degenerate=kkt.degenerate, **fields)
+    same = type(kkt)(nu=kkt.nu, degenerate=kkt.degenerate, **fields)
     assert same == kkt and hash(same) == hash(kkt)
-    assert type(kkt)(nu=_one_ulp(kkt.nu_matrix()), degenerate=kkt.degenerate, **fields) != kkt
+    assert type(kkt)(nu=_one_ulp(kkt.nu), degenerate=kkt.degenerate, **fields) != kkt
 
 
 def test_views_round_trip():
-    # the per-state views give back the arrays the records are built from
-    ens, result, kkt = _solved(TRIPLE)
+    # the one per-state view, povm.elements, gives back the arrays the POVM is built from
+    result = _solved(TRIPLE)[1]
     elements = result.povm.elements
     assert all(isinstance(el, PovmElement) for el in elements)
     rebuilt = Povm([el.a for el in elements], [tuple(el.v) for el in elements])
     assert rebuilt == result.povm and rebuilt.elements == elements
-    assert qsd.validate_ensemble(ens.entries) == ens
-    assert all(isinstance(s, QubitState) for s in ens.states())
-    assert WeightedEnsemble([p for p, _ in ens.entries],
-                            [tuple(s.bloch) for s in ens.states()]) == ens
-    assert result.certificate.conjugates == tuple(
-        BlochVector(*row) for row in result.certificate.conjugate_matrix().tolist()
-    )
-    assert kkt.nu == tuple(BlochVector(*row) for row in kkt.nu_matrix().tolist())
 
 
 def _jittered_pure(rng, n):
@@ -379,8 +390,8 @@ def _diagonal(rng, n):
 @pytest.mark.parametrize("build, method", [(_diagonal, "diagonal"), (_jittered_pure, "oracle")],
                          ids=["diagonal", "jittered-pure"])
 def test_no_per_state_objects_on_the_solve_path(monkeypatch, build, method):
-    """validate_ensemble, solve_auto, the CLI report and result.kkt build a
-    fixed handful of BlochVector/PovmElement objects, whatever n is."""
+    """validate_ensemble, solve_auto, the CLI report and result.kkt build no
+    BlochVector or PovmElement, whatever n is."""
     counts = {}
     for cls in (BlochVector, PovmElement):
         def spy(self, _init=cls.__post_init__, _name=cls.__name__):
@@ -398,4 +409,4 @@ def test_no_per_state_objects_on_the_solve_path(monkeypatch, build, method):
         result.kkt
         assert result.method == method
         seen.append(sum(counts.values()))
-    assert seen[0] == seen[1] <= 4
+    assert seen == [0, 0]

@@ -7,12 +7,10 @@ import pytest
 
 import qsd
 from qsd import (
-    BlochVector,
     CertificateError,
     DegenerateRatioError,
     Povm,
 )
-from qsd.bloch import ZERO_VECTOR
 from qsd.family import (
     assemble_result,
     family_residual,
@@ -25,6 +23,9 @@ from qsd.family import (
 )
 from qsd.platonic import PlatonicSolid, platonic_ensemble
 from helpers import conjugates_from_common_point
+
+
+ORIGIN = (0.0, 0.0, 0.0)
 
 
 def antipodal():
@@ -40,31 +41,31 @@ def skewed_pair():
 
 
 def test_conjugates_antipodal():
-    c = conjugates_from_common_point(antipodal(), 1.0, ZERO_VECTOR)
-    assert np.allclose(c[0].as_array(), [0, 0, -1])
-    assert np.allclose(c[1].as_array(), [0, 0, 1])
+    c = conjugates_from_common_point(antipodal(), 1.0, ORIGIN)
+    assert np.allclose(c[0], [0, 0, -1])
+    assert np.allclose(c[1], [0, 0, 1])
 
 
 def test_conjugates_trine_are_negated_states():
     ens = trine()
-    c = conjugates_from_common_point(ens, 2.0 / 3.0, ZERO_VECTOR)
+    c = conjugates_from_common_point(ens, 2.0 / 3.0, ORIGIN)
     for ci, bi in zip(c, ens.bloch_matrix):
-        assert np.allclose(ci.as_array(), -bi, atol=1e-12)
+        assert np.allclose(ci, -bi, atol=1e-12)
 
 
 def test_conjugates_mixed_third_state():
     ens = qsd.validate_ensemble(
         [(0.9, (0, 0, 1)), (0.05, (0, 0, -1)), (0.05, (1, 0, 0))]
     )
-    c = conjugates_from_common_point(ens, 0.95, BlochVector(0, 0, 0.85))
-    assert np.allclose(c[2].as_array(), [-1.0 / 18.0, 0.0, 17.0 / 18.0], atol=1e-15)
-    assert c[2].norm() == pytest.approx(math.sqrt(290.0) / 18.0, abs=1e-15)
-    assert c[2].norm() < 1.0
+    c = conjugates_from_common_point(ens, 0.95, (0, 0, 0.85))
+    assert np.allclose(c[2], [-1.0 / 18.0, 0.0, 17.0 / 18.0], atol=1e-15)
+    assert math.hypot(*c[2]) == pytest.approx(math.sqrt(290.0) / 18.0, abs=1e-15)
+    assert math.hypot(*c[2]) < 1.0
 
 
 def test_verify_weak_family_roundtrip():
     ens = antipodal()
-    c = conjugates_from_common_point(ens, 1.0, ZERO_VECTOR)
+    c = conjugates_from_common_point(ens, 1.0, ORIGIN)
     ok, residual = verify_weak_family(ens, 1.0, c)
     assert ok
     assert residual <= 1e-15
@@ -72,8 +73,8 @@ def test_verify_weak_family_roundtrip():
 
 def test_verify_weak_family_perturbed():
     ens = antipodal()
-    c = conjugates_from_common_point(ens, 1.0, ZERO_VECTOR)
-    bad = [c[0], BlochVector(c[1].x, c[1].y, c[1].z + 0.01)]
+    c = conjugates_from_common_point(ens, 1.0, ORIGIN)
+    bad = c + [(0.0, 0.0, 0.0), (0.0, 0.0, 0.01)]
     ok, residual = verify_weak_family(ens, 1.0, bad)
     assert not ok
     # the mixture of state 2 moves by (p - p_2) * 0.01
@@ -85,8 +86,7 @@ def test_verify_weak_family_perturbed_skewed():
     ens = skewed_pair()
     result = qsd.solve_two_state(ens)
     p = result.p_opt
-    c1, c2 = result.certificate.conjugates
-    bad = [c1, BlochVector(c2.x, c2.y, c2.z + 0.01)]
+    bad = result.certificate.conjugates + [(0.0, 0.0, 0.0), (0.0, 0.0, 0.01)]
     assert family_residual(ens, p, bad) == pytest.approx(
         0.0018078865529319544, abs=1e-15
     )
@@ -96,15 +96,15 @@ def test_verify_weak_family_rejects_nonstate_conjugate():
     # at p = 0.9 the common point r = 0 forces |c_i| = 1.25: zero residual,
     # but the conjugates are not states, so the family must be rejected
     ens = antipodal()
-    c = conjugates_from_common_point(ens, 0.9, ZERO_VECTOR)
-    assert c[0].norm() == pytest.approx(1.25, abs=1e-12)
+    c = conjugates_from_common_point(ens, 0.9, ORIGIN)
+    assert math.hypot(*c[0]) == pytest.approx(1.25, abs=1e-12)
     ok, residual = verify_weak_family(ens, 0.9, c)
     assert not ok
     assert residual <= 1e-12  # geometry closes; the norms are what fail
 
 
 def test_verify_weak_family_length_mismatch():
-    ok, residual = verify_weak_family(antipodal(), 1.0, [ZERO_VECTOR])
+    ok, residual = verify_weak_family(antipodal(), 1.0, [ORIGIN])
     assert not ok and residual == float("inf")
 
 
@@ -138,7 +138,7 @@ def test_verify_optimality_two_state():
 
 def test_verify_optimality_trine():
     ens = trine()
-    conj = [BlochVector.from_array(-b) for b in ens.bloch_matrix]
+    conj = -ens.bloch_matrix
     povm = povm_from_weights((2.0 / 3.0,) * 3, conj)
     assert povm.elements[0].a == pytest.approx(1.0 / 3.0, abs=1e-15)
     ok, residual = verify_optimality(povm, conj)
@@ -155,22 +155,22 @@ def test_verify_optimality_swapped_projectors():
 
 def test_povm_from_weights_trine():
     ens = trine()
-    conj = [BlochVector.from_array(-b) for b in ens.bloch_matrix]
+    conj = -ens.bloch_matrix
     povm = povm_from_weights((2.0 / 3.0,) * 3, conj)
     for el, b in zip(povm.elements, ens.bloch_matrix):
         assert el.a == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert np.allclose(el.v.as_array(), b / 3.0, atol=1e-12)
+        assert np.allclose(tuple(el.v), b / 3.0, atol=1e-12)
 
 
 def test_povm_from_weights_rejects_negative():
     with pytest.raises(ValueError) as caught:
-        povm_from_weights((-0.5, 2.5), (BlochVector(0, 0, 1), BlochVector(0, 0, -1)))
+        povm_from_weights((-0.5, 2.5), ((0, 0, 1), (0, 0, -1)))
     assert str(caught.value) == "negative weight -0.5"
 
 
 def test_povm_from_weights_clamps_dust():
     povm = povm_from_weights(
-        (1.0, 1.0, -1e-13), (BlochVector(0, 0, 1), BlochVector(0, 0, -1), BlochVector(1, 0, 0))
+        (1.0, 1.0, -1e-13), ((0, 0, 1), (0, 0, -1), (1, 0, 0))
     )
     assert povm.elements[2].a == 0.0
 
@@ -195,8 +195,8 @@ def test_assemble_result_rejects_fat_conjugate():
         assemble_result(
             ens,
             1.0,
-            ZERO_VECTOR,
-            (BlochVector(0, 0, -1.2), BlochVector(0, 0, 1.2)),
+            ORIGIN,
+            ((0, 0, -1.2), (0, 0, 1.2)),
             qsd.solve_two_state(ens).povm,
             "two-state",
         )
@@ -211,7 +211,7 @@ def test_assemble_result_rejects_wrong_common_point():
         assemble_result(
             ens,
             result.p_opt,
-            BlochVector(0.5, -0.5, 0.9),
+            (0.5, -0.5, 0.9),
             result.certificate.conjugates,
             result.povm,
             "two-state",
@@ -228,7 +228,7 @@ def _gate_input(**changes):
     ens, result = _generic_pair()
     cert = result.certificate
     args = dict(ensemble=ens, p=result.p_opt, common_point=cert.common_point,
-                conjugates=cert.conjugate_matrix(), povm=result.povm, method="two-state")
+                conjugates=cert.conjugates, povm=result.povm, method="two-state")
     args.update(changes)
     return args
 
@@ -242,7 +242,7 @@ def _antipodal_input(**changes):
 
 
 def _generic_conjugate(k):
-    return tuple(_generic_pair()[1].certificate.conjugate_matrix()[k].tolist())
+    return tuple(_generic_pair()[1].certificate.conjugates[k].tolist())
 
 
 def _identical_pair_input():

@@ -54,9 +54,8 @@ def fingerprint(value):
     if isinstance(value, Povm):
         return _arrays(value.a, value.v)
     if isinstance(value, HelstromCertificate):
-        return _arrays(value.conjugate_matrix(), value.scaled_priors, value.lambdas,
-                       value.pure_mask) + (repr(value.p), repr(tuple(value.common_point)),
-                                           value.degenerate)
+        return _arrays(value.conjugates, value.scaled_priors, value.lambdas, value.pure_mask,
+                       value.common_point) + (repr(value.p), value.degenerate)
     assert isinstance(value, DiscriminationResult)
     return (value.method, repr(value.p_opt), fingerprint(value.povm),
             fingerprint(value.certificate), fingerprint(value.ensemble))
@@ -152,7 +151,7 @@ def test_non_finite_inputs_alike(bad, k):
         assert_both_ways(lambda: qsd.povm_from_weights([1.0, 1.0, 0.0], conj))
     ens = qsd.validate_ensemble(_GOOD)
     result = qsd.solve_auto(ens)
-    good = result.certificate.conjugate_matrix()
+    good = result.certificate.conjugates
     rows = good.tolist()
     rows[k][k % 3] = bad
     with np.errstate(invalid="ignore"):  # the vectorized side multiplies inf by 0
@@ -255,7 +254,7 @@ def _rebuilt(result):
     cert = result.certificate
     ens = result.ensemble
     return (
-        HelstromCertificate(cert.p, cert.common_point, cert.conjugate_matrix().copy(),
+        HelstromCertificate(cert.p, cert.common_point, cert.conjugates.copy(),
                             cert.scaled_priors.copy(), cert.lambdas.copy(), cert.degenerate),
         Povm(result.povm.a.copy(), result.povm.v.copy()),
         WeightedEnsemble(ens.priors.copy(), ens.bloch_matrix.copy()),

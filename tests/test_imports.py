@@ -222,3 +222,21 @@ def test_oracle_float_kernels_use_no_numpy():
         if isinstance(node, ast.Name) and node.id in ("np", "numpy")
     ]
     assert offenders == []
+
+
+# BlochVector and PovmElement are bloch's per-state vocabulary: they give a
+# refused row its message and Povm.elements its views. Every other module
+# works on the records' arrays.
+PER_STATE_CLASSES = {"BlochVector", "PovmElement"}
+
+
+def test_per_state_classes_stay_inside_bloch():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "bloch.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in PER_STATE_CLASSES)
+        or (isinstance(node, ast.Attribute) and node.attr in PER_STATE_CLASSES)
+    ]
+    assert offenders == []

@@ -53,7 +53,7 @@ def test_mixed_conjugate_with_multiplier_breaks_slackness():
     result = qsd.solve_three_state(ens)
     cert = result.certificate
     assert cert.pure_mask.tolist() == [True, True, False]
-    c3_sq = cert.conjugates[2].norm() ** 2
+    c3_sq = float(cert.conjugates[2] @ cert.conjugates[2])
     assert c3_sq == pytest.approx(290.0 / 324.0, abs=1e-12)
     bad = replace(cert, lambdas=(cert.lambdas[0], cert.lambdas[1], 0.1))
     report = kkt_residuals(ens, bad, result.povm)
@@ -70,15 +70,15 @@ def test_recover_multipliers_two_state():
     for lam, t in zip(cert.lambdas, scaled):
         assert lam == pytest.approx((1.0 - t) / 4.0, abs=1e-15)
     # nu_2 = 2 lambda_2 c_2 / (1 - p~_2), with state 1 as the pivot
-    nu = 2.0 * cert.lambdas[1] * cert.conjugate_matrix()[1] / (1.0 - scaled[1])
-    np.testing.assert_allclose(result.kkt.nu_matrix(), [nu], rtol=0.0, atol=1e-15)
+    nu = 2.0 * cert.lambdas[1] * cert.conjugates[1] / (1.0 - scaled[1])
+    np.testing.assert_allclose(result.kkt.nu, [nu], rtol=0.0, atol=1e-15)
 
 
 def test_recover_multipliers_trine():
     ens = qsd.cone_ensemble(3, 1.0, 0.5 * math.pi)
     result = qsd.solve_three_state(ens)
     assert np.allclose(result.certificate.lambdas, 1.0 / 12.0, atol=1e-12)
-    assert len(result.kkt.nu_matrix()) == 2
+    assert len(result.kkt.nu) == 2
 
 
 def test_recover_multipliers_zero_element():
@@ -151,7 +151,7 @@ def test_report_never_throws_on_broken_input():
 
 def per_pivot_residuals(cert):
     """Stationarity rows and aggregates evaluated literally for every pivot k."""
-    c = cert.conjugate_matrix()
+    c = cert.conjugates
     lam = np.asarray(cert.lambdas, dtype=float)
     one_minus = 1.0 - np.asarray(cert.scaled_priors, dtype=float)
     nus = []
@@ -201,7 +201,7 @@ def test_one_pass_report_matches_every_pivot():
     cases.append((ens, replace(cert, lambdas=(5.0, -3.0)), result.povm))
     # a degenerate state (p~ = 1) that still carries a multiplier and a conjugate
     degenerate = replace(cert, scaled_priors=(cert.scaled_priors[0], 1.0))
-    assert degenerate.lambdas[1] > 0.0 and degenerate.conjugates[1].norm() > 0.5
+    assert degenerate.lambdas[1] > 0.0 and math.hypot(*degenerate.conjugates[1]) > 0.5
     cases.append((ens, degenerate, result.povm))
     # its nu overflows the squared norms of the c-rows
     assert kkt_residuals(ens, degenerate, result.povm).stationarity_c == math.inf
@@ -303,7 +303,7 @@ def test_pairwise_maxima_match_the_one_shot_table_exactly():
     cert = result.certificate
     scrambled = rng.normal(size=(600, 3))
     scrambled[-1] = 50.0
-    for conj in (cert.conjugate_matrix(), scrambled):
+    for conj in (cert.conjugates, scrambled):
         scaled = cert.scaled_priors
         mixtures = scaled[:, None] * ens.bloch_matrix + (1.0 - scaled)[:, None] * conj
         report = kkt_residuals(ens, replace(cert, conjugates=conj), result.povm)

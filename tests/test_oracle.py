@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qsd
 import qsd.oracle
-from qsd import BlochVector, CertificateError, ConvergenceError, MinimaxSolution
+from qsd import CertificateError, ConvergenceError, MinimaxSolution
 from qsd.oracle import (
     classical_diagonal_oracle,
     minimax_common_point,
@@ -47,15 +47,15 @@ def boundary_triple():
 
 def test_objective_values():
     ens = antipodal()
-    assert minimax_objective(ens, BlochVector(0, 0, 0)) == pytest.approx(1.0)
-    assert minimax_objective(ens, BlochVector(0, 0, 0.5)) == pytest.approx(1.5)
+    assert minimax_objective(ens, (0, 0, 0)) == pytest.approx(1.0)
+    assert minimax_objective(ens, (0, 0, 0.5)) == pytest.approx(1.5)
 
 
 def test_minimax_antipodal():
     sol = minimax_common_point(antipodal())
     assert sol.converged
     assert sol.p_star == pytest.approx(1.0, abs=1e-10)
-    assert sol.r_star.norm() <= 1e-9
+    assert math.hypot(*sol.r_star) <= 1e-9
     assert len(sol.basis) >= 2
     assert minimax_objective(antipodal(), sol.r_star) == sol.p_star
 
@@ -64,7 +64,7 @@ def test_minimax_trine():
     sol = minimax_common_point(trine())
     assert sol.converged
     assert sol.p_star == pytest.approx(2.0 / 3.0, abs=1e-10)
-    assert sol.r_star.norm() <= 1e-8
+    assert math.hypot(*sol.r_star) <= 1e-8
     assert len(sol.basis) >= 2
     assert minimax_objective(trine(), sol.r_star) == sol.p_star
 
@@ -72,7 +72,7 @@ def test_minimax_trine():
 def test_minimax_boundary_triple():
     sol = minimax_common_point(boundary_triple())
     assert sol.p_star == pytest.approx(0.95, abs=1e-10)
-    assert np.allclose(sol.r_star.as_array(), [0, 0, 0.85], atol=1e-8)
+    assert np.allclose(sol.r_star, [0, 0, 0.85], atol=1e-8)
 
 
 def test_pair_lower_bound():
@@ -131,7 +131,7 @@ def test_recover_povm_boundary_triple():
     assert povm.elements[2].a == 0.0
     assert not cert.pure_mask[2]
     assert cert.pure_mask[0] and cert.pure_mask[1]
-    np.testing.assert_allclose(povm.elements[0].v.as_array(), [0, 0, 0.5], atol=1e-8)
+    np.testing.assert_allclose(povm.v[0], [0, 0, 0.5], atol=1e-8)
 
 
 def test_recover_povm_guess_regime():
@@ -146,7 +146,7 @@ def test_recover_povm_guess_regime():
 def test_recover_povm_requires_convergence():
     sol = MinimaxSolution(
         p_star=0.5,
-        r_star=BlochVector(0, 0, 0),
+        r_star=(0.0, 0.0, 0.0),
         iterations=1,
         converged=False,
     )
@@ -269,7 +269,7 @@ def test_all_active_equal_priors_certify_on_the_basis_alone(monkeypatch):
     sol = minimax_common_point(ens)
     assert sol.converged
     # every state attains the maximum at r_star
-    f_vals = ens.priors + np.linalg.norm(ens.weighted_points - sol.r_star.as_array(), axis=1)
+    f_vals = ens.priors + np.linalg.norm(ens.weighted_points - sol.r_star, axis=1)
     assert f_vals.min() >= sol.p_star * (1.0 - 1e-7)
     assert sol.p_star == pytest.approx(2.0 / n, abs=1e-12)
     assert len(rows) <= 1 and all(m <= 5 for m in rows)
@@ -526,7 +526,7 @@ def test_kernels_match_the_frozen_reference():
         pairs = [
             (result.povm.a, povm.a),
             (result.povm.v, povm.v),
-            (result.certificate.conjugate_matrix(), cert.conjugate_matrix()),
+            (result.certificate.conjugates, cert.conjugates),
             (result.certificate.lambdas, cert.lambdas),
         ]
         for got, want in pairs:

@@ -45,9 +45,9 @@ def test_boundary_example():
     assert result.povm.elements[2].a == 0.0
     cert = result.certificate
     np.testing.assert_allclose(
-        cert.conjugates[2].as_array(), [-1.0 / 18.0, 0.0, 17.0 / 18.0], atol=1e-12
+        cert.conjugates[2], [-1.0 / 18.0, 0.0, 17.0 / 18.0], atol=1e-12
     )
-    assert cert.conjugates[2].norm() == pytest.approx(math.sqrt(290.0) / 18.0, abs=1e-12)
+    assert math.hypot(*cert.conjugates[2]) == pytest.approx(math.sqrt(290.0) / 18.0, abs=1e-12)
     assert cert.pure_mask.tolist() == [True, True, False]
     assert_result_valid(ens, result)
 
@@ -58,14 +58,14 @@ def test_trine_interior():
     assert result.p_opt == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert result.method == "three-state-interior"
     assert np.allclose(result.certificate.lambdas, 1.0 / 12.0, atol=1e-12)
-    assert result.certificate.common_point.norm() <= 1e-9
+    assert math.hypot(*result.certificate.common_point) <= 1e-9
     assert all(result.certificate.pure_mask)
     assert_result_valid(ens, result)
 
 
 def test_trine_interior_coplanarity():
     result = solve_three_state(trine())
-    c = result.certificate.conjugate_matrix()
+    c = result.certificate.conjugates
     dots = (float(c[0] @ c[1]), float(c[0] @ c[2]), float(c[1] @ c[2]))
     assert abs(gram_identity_residual(dots)) <= 1e-10
 

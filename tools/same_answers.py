@@ -93,7 +93,8 @@ def collect() -> None:
             records[key] = [result.method, None, result.p_opt, _digest(
                 povm.a.tobytes(), povm.v.tobytes(),
                 np.array([cert.p, *cert.common_point]).tobytes(),
-                cert.conjugate_matrix().tobytes(), cert.scaled_priors.tobytes(),
+                np.array([tuple(c) for c in cert.conjugates], dtype=float).reshape(-1, 3).tobytes(),
+                cert.scaled_priors.tobytes(),
                 cert.lambdas.tobytes(), cert.pure_mask.tobytes(), bytes([cert.degenerate]))]
 
     def run_cli(key, path):
