@@ -39,14 +39,25 @@ the vectorized test; sums of a few terms are compared the same way, since
 numpy adds in its own order. The records keep those floats as `lists`, so
 that the gate and the small solvers read them without converting again.
 
-Shared tolerance constants are pinned here so that every module, the tests
-and the CLI report all quote the same numbers.
+The tolerance table. Every named tolerance of the package is a row here,
+and the other modules import the rows by name and define none of their
+own, so the tests and the CLI report quote the numbers the code runs
+with. A row gives the value, the question the constant answers and
+its unit: absolute, on quantities of size about 1; relative to a scale
+the row names; or ulps. One question has one row, whichever modules ask
+it (ZERO_TOL is every test of a unit-size difference against zero), and a
+constant answers one question (BALL_SLACK is dual feasibility's slack on
+|c_i|, PURITY_TOL the pure mask's). Rows of one value may ask different
+questions (BALL_SLACK and DOT_SLACK), and a few questions are still asked
+at two values (ZERO_TOL and GAP_FLOOR, of a gap p - p_i): merging those
+rows would move answers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Iterable, Sequence, TYPE_CHECKING
 
@@ -55,30 +66,80 @@ import numpy as np
 if TYPE_CHECKING:
     from .kkt import KktReport
 
-# Input validation.
-STATE_NORM_TOL = 1e-12    # |b| may exceed 1 by at most this
-PRIOR_SUM_TOL = 1e-12     # priors must sum to 1 within this
-PSD_TOL = 1e-12           # a - |v| >= -PSD_TOL for a POVM element
-COMPLETENESS_TOL = 1e-10  # |sum a - 1| and |sum v| within this
-ZERO_ELEMENT_TOL = 1e-14  # a POVM element with a at or below this counts as zero
+# ---------------------------------------------------------------------------
+# The tolerance table (module docstring). Each row's comment opens with its
+# unit: abs, an absolute bound on quantities of size about 1 (priors, ratios,
+# Bloch coordinates and distances, weights, multipliers); rel, relative to
+# the scale it names; ulps, a multiple of the machine epsilon.
 
-# Certificate classification and verification.
-PURITY_TOL = 1e-9         # |c| >= 1 - PURITY_TOL marks a conjugate as pure
-FAMILY_TOL = 1e-9         # common-point residual across the family
-ORTHOGONALITY_TOL = 1e-9  # tr(tau_i Pi_i) for nonzero elements
-BOUND_SLACK = 1e-8        # success may exceed a family ratio p by at most this
-SUCCESS_TOL = 1e-8        # |success(povm) - p_opt|
-CERT_P_TOL = 1e-10        # |p_opt - certificate.p|
-KKT_TOL = 1e-8            # every KKT residual at a reported optimum
-DEGENERACY_TOL = 1e-12    # p - max prior below this marks the guess regime
-RATIO_SLACK = 1e-12       # a ratio p may exceed 1, or fall below the largest prior, by this
+# Input validation.
+STATE_NORM_TOL = 1e-12    # abs: by how much may a state's |b| exceed 1?
+PRIOR_SUM_TOL = 1e-12     # abs: how far from 1 may the priors sum?
+PSD_TOL = 1e-12           # abs: by how much may a - |v| of a POVM element fall below 0?
+COMPLETENESS_TOL = 1e-10  # abs: how far may sum a lie from 1, and |sum v| from 0?
+ZERO_ELEMENT_TOL = 1e-14  # abs: at or below which a is a POVM element zero?
+
+# Certificates: the gate, the classification and the reports.
+BALL_SLACK = 1e-9         # abs: by how much may |c_i| exceed 1 in dual feasibility?
+PURITY_TOL = 1e-9         # abs: how close to 1 must |c_i| be for the pure mask?
+FAMILY_TOL = 1e-9         # abs: how far may a mixture q_i + (p - p_i) c_i miss the common point?
+ORTHOGONALITY_TOL = 1e-9  # abs: how large may tr(tau_i Pi_i) be for a nonzero element?
+BOUND_SLACK = 1e-8        # abs: by how much may a success exceed a family ratio p?
+SUCCESS_TOL = 1e-8        # abs: how far may success(povm) lie from p_opt?
+CERT_P_TOL = 1e-10        # abs: how far may p_opt lie from certificate.p?
+KKT_TOL = 1e-8            # abs: how large may a KKT residual be at a reported optimum?
+DEGENERACY_TOL = 1e-12    # abs: how far above the largest prior is a success still a guess?
+RATIO_SLACK = 1e-12       # abs: by how much may a ratio p pass 1, or fall below the top prior?
+
+# Zero and direction tests, shared by the solvers.
+# abs: at or below which size is a difference of unit-size values zero: a
+# distance, a gap p - p_i, a prior difference, a multiplier?
+ZERO_TOL = 1e-15
+NORM_FLOOR = 1e-12        # abs: at or below which length has a vector no direction?
+AXIS_TOL = 1e-12          # abs: up to which size are off-axis Bloch components on the z axis?
+
+# Closed forms.
+LEADING_TOL = 1e-14       # rel (top coefficient, or 1): when does a quadratic's coefficient vanish?
+GAP_FLOOR = 1e-12         # abs: how far must p exceed p_i for state i to take a conjugate?
+NEGATIVE_SLACK = 1e-10    # abs: by how much may interior multipliers and weights dip below 0?
+DOT_SLACK = 1e-9          # abs: by how much may a dot product of unit vectors exceed 1 in size?
+DENOMINATOR_FLOOR = 1e-12  # abs: below which size is a multiplier denominator degenerate?
+GRAM_AGREEMENT_TOL = 1e-8  # abs: how far may the two interior multiplier triples disagree?
+EQUIPROBABLE_TOL = 1e-12  # abs: how close to 1/n must every prior be for equal priors?
+SPREAD_TOL = 1e-9         # abs: how far may norms lie from their mean, or z values apart, as one?
+TIED_POINT_TOL = 1e-12    # abs: how close to the common point must a state tied with a guess sit?
+
+# Weight systems sum_i w_i d_i = 0.
+FEAS_TOL = 1e-10          # rel (largest row norm): how large may the system's residual be?
+NEG_WEIGHT_TOL = 1e-12    # abs: by how much may a weight dip below 0 (and, in a POVM, count as 0)?
+UNIQUE_TOL = 1e-9         # abs: how close must two minimal-support solutions be to count as one?
+
+# KKT report.
+DEGENERATE_RATIO_TOL = 1e-12   # abs: at or below which is 1 - p~_i too small to divide nu_i by?
+OVERFLOW_DENOMINATOR = 1e-300  # abs: what stands in for that 1 - p~_i under a nonzero lambda_i?
+
+# Minimax oracle.
+PIVOT_WINDOW = 1e-10      # abs: how far may f pass the basis value unpivoted, or a member trail it?
+CONSISTENCY_TOL = 1e-9    # abs: how large may the residual of r's affine system on a support be?
+QUADRATIC_TOL = 1e-14     # abs: below which size is a coefficient of the quadratic in p zero?
+ROOT_TOL = 1e-12          # abs: by how much may that quadratic's discriminant dip below 0?
+# ulps (product of the row or edge lengths): below which is a 2- or 3-row
+# system, triangle or tetrahedron singular? It stands in for lstsq's
+# rcond = eps * max(M, N) on these 3-column systems.
+RANK_TOL = 3.0 * sys.float_info.epsilon
+SHRINK_MARGIN = 1e-12     # rel (the element's a): how far inside the PSD cone do samples stay?
+
+# Platonic solids.
+DISTINCT_VERTEX_TOL = 1e-9   # abs: beyond which distance are two vertices distinct?
+EDGE_COEFFICIENT_TOL = 1e-10  # abs: how far may a printed edge coefficient lie from the measured?
 
 # The float path (module docstring). Records of at most FLOAT_ROWS rows are
 # checked on Python floats, which beat numpy's per-call overhead up to the
 # crossover measured for the three records together. A float test must
-# clear its bound by FLOAT_MARGIN: for values up to 2 in size, sqrt(x*x +
-# y*y + z*z) and np.hypot's norm differ by a few ulps, and two sums of up
-# to FLOAT_ROWS such terms, in any two orders, by less than 100 ulps of 1.
+# clear its bound by FLOAT_MARGIN (abs): for values up to 2 in size,
+# sqrt(x*x + y*y + z*z) and np.hypot's norm differ by a few ulps, and two
+# sums of up to FLOAT_ROWS such terms, in any two orders, by less than 100
+# ulps of 1.
 FLOAT_ROWS = 12
 FLOAT_MARGIN = 1e-13
 

@@ -22,9 +22,11 @@ import numpy as np
 from .bloch import (
     BOUND_SLACK,
     COMPLETENESS_TOL,
+    EDGE_COEFFICIENT_TOL,
     FAMILY_TOL,
     KKT_TOL,
     ORTHOGONALITY_TOL,
+    PIVOT_WINDOW,
     PURITY_TOL,
     SUCCESS_TOL,
     DiscriminationResult,
@@ -48,9 +50,8 @@ from .closed_form import (
 )
 from .errors import DiscriminationError
 from .family import success_probability
-from .oracle import PIVOT_WINDOW, classical_diagonal_oracle, solve_oracle
+from .oracle import classical_diagonal_oracle, solve_oracle
 from .platonic import (
-    EDGE_COEFFICIENT_TOL,
     PLATONIC_KINDS,
     PRINTED_EDGE_COEFFICIENTS,
     PlatonicSolid,

@@ -35,9 +35,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import (
+    AXIS_TOL,
+    BALL_SLACK,
+    DENOMINATOR_FLOOR,
+    DOT_SLACK,
+    EQUIPROBABLE_TOL,
     FLOAT_ROWS,
-    PURITY_TOL,
+    GAP_FLOOR,
+    GRAM_AGREEMENT_TOL,
+    LEADING_TOL,
+    NEGATIVE_SLACK,
+    NORM_FLOOR,
     RATIO_SLACK,
+    SPREAD_TOL,
+    ZERO_TOL,
     DiscriminationResult,
     Povm,
     WeightedEnsemble,
@@ -76,9 +87,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # two states
 
-_COINCIDENT_TOL = 1e-15   # a pair at most this far apart has no balanced point
-_TIED_PRIOR_TOL = 1e-15   # two priors at most this far apart are tied
-
 
 def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """p_opt = max(1/2 (1 + |q_2 - q_1|), max prior), q_i = p_i b_i.
@@ -96,8 +104,8 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     dn = float(np.linalg.norm(d))
     p = 0.5 * (1.0 + dn)
 
-    if dn <= _COINCIDENT_TOL:
-        if abs(pr[0] - pr[1]) <= _TIED_PRIOR_TOL:
+    if dn <= ZERO_TOL:
+        if abs(pr[0] - pr[1]) <= ZERO_TOL:
             povm = Povm((0.5, 0.5), np.zeros((2, 3)))
             conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
             return assemble_result(ensemble, ensemble.max_prior, q[0], conj, povm, "two-state")
@@ -118,16 +126,6 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # The pairs of a triple: pair (a, b) has squared gap gaps[a + b - 1] and
 # third state 3 - a - b.
 _PAIRS = ((0, 1), (0, 2), (1, 2))
-
-# Three-state candidates.
-_SQ_GAP_SLACK = 1e-15     # a squared gap may dip below zero by this
-_LEADING_TOL = 1e-14      # a quadratic coefficient this small relative to the largest vanishes
-_TOP_PRIOR_SLACK = 1e-15  # a boundary ratio may fall below the largest prior by this
-_GAP_FLOOR = 1e-12        # p - p_i must exceed this for state i to take a conjugate
-_NEGATIVE_SLACK = 1e-10   # interior multipliers and weights may dip below zero by this
-_DOT_SLACK = 1e-9         # a dot product of unit vectors may exceed 1 in size by this
-_DENOMINATOR_FLOOR = 1e-12  # multiplier denominators below this in size are degenerate
-_GRAM_AGREEMENT_TOL = 1e-8  # the two multiplier triples must agree within this
 
 
 def _three_state_floats(ensemble: WeightedEnsemble) -> tuple:
@@ -161,7 +159,7 @@ class ThreeStateCoefficients:
 
     def __post_init__(self) -> None:
         for name in ("dist12_sq", "dist13_sq", "dist23_sq"):
-            if getattr(self, name) < -_SQ_GAP_SLACK:
+            if getattr(self, name) < -ZERO_TOL:
                 raise ValueError(f"{name} must be nonnegative")
 
     @classmethod
@@ -214,8 +212,8 @@ class ThreeStateCoefficients:
         """Real roots, the (-quad_p1 + sqrt(disc)) / (2 quad_p2) branch first."""
         a, b, c = self.quad_p2, self.quad_p1, self.quad_p0
         scale = max(abs(a), abs(b), abs(c), 1.0)
-        if abs(a) <= _LEADING_TOL * scale:
-            if abs(b) <= _LEADING_TOL * scale:
+        if abs(a) <= LEADING_TOL * scale:
+            if abs(b) <= LEADING_TOL * scale:
                 return ()
             return (-c / b,)
         disc = b * b - 4.0 * a * c
@@ -233,7 +231,7 @@ def gram_identity_residual(dots) -> float:
     """
     d12, d13, d23 = (float(x) for x in dots)
     for d in (d12, d13, d23):
-        if abs(d) > 1.0 + _DOT_SLACK:
+        if abs(d) > 1.0 + DOT_SLACK:
             raise ValueError(f"dot product {d!r} outside [-1, 1]")
     return d12 ** 2 + d13 ** 2 + d23 ** 2 - 2.0 * d12 * d13 * d23 - 1.0
 
@@ -243,7 +241,7 @@ def lambdas_three_state(dots, scaled_priors) -> tuple:
 
     Both algebraic triples are evaluated; they agree exactly when the dots
     satisfy the coplanarity identity, so a disagreement beyond
-    _GRAM_AGREEMENT_TOL raises GramConsistencyError instead of returning
+    GRAM_AGREEMENT_TOL raises GramConsistencyError instead of returning
     one arbitrarily. Vanishing denominators (collinear conjugates) raise
     DegenerateGeometryError: that geometry belongs to the boundary
     candidates, not this formula.
@@ -256,7 +254,7 @@ def lambdas_three_state(dots, scaled_priors) -> tuple:
         2.0 * d12 * d13 * d23 - d13 * d23 - d12 * d23
         - d12 ** 2 - d13 ** 2 + d12 + d13
     )
-    if min(abs(den_a), abs(den_b), abs(den_2)) < _DENOMINATOR_FLOOR:
+    if min(abs(den_a), abs(den_b), abs(den_2)) < DENOMINATOR_FLOOR:
         raise DegenerateGeometryError(
             f"degenerate multiplier denominators for dots ({d12}, {d13}, {d23})"
         )
@@ -271,7 +269,7 @@ def lambdas_three_state(dots, scaled_priors) -> tuple:
         (1.0 - t3) * (d13 - d12 * d23) / den_2,
     )
     gap = max(abs(a - b) for a, b in zip(first, second))
-    if gap > _GRAM_AGREEMENT_TOL:
+    if gap > GRAM_AGREEMENT_TOL:
         raise GramConsistencyError(
             f"multiplier triples disagree by {gap!r}; dots are not coplanar"
         )
@@ -282,16 +280,16 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     """Pair (i, j) pure and balanced, third conjugate mixed, third element zero."""
     k = 3 - i - j
     dn = math.sqrt(gaps[i + j - 1])
-    if dn <= _COINCIDENT_TOL:
+    if dn <= ZERO_TOL:
         return None
     p = 0.5 * (pr[i] + pr[j] + dn)
-    if p < max(pr) - _TOP_PRIOR_SLACK or p <= pr[k] + _GAP_FLOOR:
+    if p < max(pr) - ZERO_TOL or p <= pr[k] + GAP_FLOOR:
         return None
     span = 2.0 * p - pr[i] - pr[j]
     ci = [(b - a) / span for a, b in zip(q[i], q[j])]
     r = [a + (p - pr[i]) * c for a, c in zip(q[i], ci)]
     ck = [(a - b) / (p - pr[k]) for a, b in zip(r, q[k])]
-    if math.hypot(*ck) > 1.0 + PURITY_TOL:
+    if math.hypot(*ck) > 1.0 + BALL_SLACK:
         return None
     rows = [ck] * 3
     rows[i], rows[j] = ci, [-c for c in ci]
@@ -312,17 +310,17 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: flo
     if not math.isfinite(p) or p > 1.0 + RATIO_SLACK:
         return None
     s = [p - x for x in pr]
-    if min(s) <= _GAP_FLOOR:
+    if min(s) <= GAP_FLOOR:
         return None
     dots = [(s[a] ** 2 + s[b] ** 2 - g) / (2.0 * s[a] * s[b]) for (a, b), g in zip(_PAIRS, gaps)]
-    if max(abs(d) for d in dots) > 1.0 + PURITY_TOL:
+    if max(abs(d) for d in dots) > 1.0 + DOT_SLACK:
         return None
     try:
         lam = lambdas_three_state(dots, [x / p for x in pr])
     except (DegenerateGeometryError, GramConsistencyError):
         return None
     weights = [4.0 * p * m / t for m, t in zip(lam, s)]
-    if min(lam) < -_NEGATIVE_SLACK or min(weights) < -_NEGATIVE_SLACK:
+    if min(lam) < -NEGATIVE_SLACK or min(weights) < -NEGATIVE_SLACK:
         return None
     # common point: two in-plane linear equations from differencing the
     # squared-distance constraints |r - q_i| = p - p_i
@@ -386,15 +384,12 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # ---------------------------------------------------------------------------
 # diagonal ensembles
 
-_AXIS_TOL = 1e-12  # off-axis Bloch components up to this still count as diagonal
-_ZERO_GAP = 1e-15  # p - p_i at or below this leaves state i's conjugate at zero
-
 
 def _on_z_axis(ensemble: WeightedEnsemble) -> bool:
     """Every Bloch vector on the z axis: solve_diagonal's structure, tested first by solve_auto."""
     if ensemble.n <= FLOAT_ROWS:
-        return all(abs(x) <= _AXIS_TOL and abs(y) <= _AXIS_TOL for x, y, _ in ensemble.lists[1])
-    return np.abs(ensemble.bloch_matrix[:, :2]).max() <= _AXIS_TOL
+        return all(abs(x) <= AXIS_TOL and abs(y) <= AXIS_TOL for x, y, _ in ensemble.lists[1])
+    return np.abs(ensemble.bloch_matrix[:, :2]).max() <= AXIS_TOL
 
 
 def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
@@ -445,7 +440,7 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     # a state with no gap keeps a zero conjugate: covered only if q_k sits
     # at r, which the gate checks
     gap = p - pr
-    rest = gap > _ZERO_GAP
+    rest = gap > ZERO_TOL
     rest[[u, d]] = False
     conj[rest] = (r - q[rest]) / gap[rest, None]
     weights = np.zeros(n)
@@ -456,20 +451,16 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
 # ---------------------------------------------------------------------------
 # symmetric shell and cone
 
-_EQUIPROBABLE_TOL = 1e-12  # priors this close to 1/n count as equal
-_MIXED_NORM = 1e-12        # a distance rho up to this leaves no direction to oppose
-_POLAR_TOL = 1e-9          # z components this close share one polar angle
-
 
 def _equiprobable(ensemble: WeightedEnsemble) -> bool:
-    return np.abs(ensemble.priors - 1.0 / ensemble.n).max() <= _EQUIPROBABLE_TOL
+    return np.abs(ensemble.priors - 1.0 / ensemble.n).max() <= EQUIPROBABLE_TOL
 
 
 def _common_norm(rows: np.ndarray) -> float | None:
-    """The mean Bloch norm b of the rows when every norm is within PURITY_TOL of it."""
+    """The mean Bloch norm b of the rows when every norm is within SPREAD_TOL of it."""
     norms = np.linalg.norm(rows, axis=1)
     b = float(norms.mean())
-    return b if np.abs(norms - b).max() <= PURITY_TOL else None
+    return b if np.abs(norms - b).max() <= SPREAD_TOL else None
 
 
 def _shell_norm(ensemble: WeightedEnsemble) -> float | None:
@@ -488,11 +479,11 @@ def _equidistant(ensemble: WeightedEnsemble, offsets: np.ndarray, rho: float, me
     """
     n = ensemble.n
     p = (1.0 + rho) / n
-    if rho <= _MIXED_NORM:
+    if rho <= NORM_FLOOR:
         phis = 2.0 * np.pi * np.arange(n) / n
         conj = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)])
     else:
-        norms = np.maximum(np.linalg.norm(offsets, axis=1), _MIXED_NORM)
+        norms = np.maximum(np.linalg.norm(offsets, axis=1), NORM_FLOOR)
         conj = -offsets / norms[:, None]
     w = min_norm_nonneg_weights(conj)
     r = ensemble.weighted_points[0] + (p - ensemble.priors[0]) * conj[0]
@@ -540,7 +531,7 @@ def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple:
     if b is None:
         return ()
     rows = ensemble.bloch_matrix
-    if rows[:, 2].max() - rows[:, 2].min() > _POLAR_TOL:
+    if rows[:, 2].max() - rows[:, 2].min() > SPREAD_TOL:
         return ()
     offsets = np.column_stack([rows[:, :2], np.zeros(len(rows))])
     return ((offsets, float(np.linalg.norm(offsets, axis=1).mean()), "cone"),)

@@ -48,15 +48,18 @@ from typing import Sequence
 import numpy as np
 
 from .bloch import (
+    BALL_SLACK,
     DEGENERACY_TOL,
     FAMILY_TOL,
     FLOAT_MARGIN,
     FLOAT_ROWS,
+    NEG_WEIGHT_TOL,
     ORTHOGONALITY_TOL,
-    PURITY_TOL,
     RATIO_SLACK,
     SUCCESS_TOL,
+    TIED_POINT_TOL,
     ZERO_ELEMENT_TOL,
+    ZERO_TOL,
     DiscriminationResult,
     HelstromCertificate,
     Povm,
@@ -81,11 +84,7 @@ __all__ = [
     "trace_multipliers",
 ]
 
-_WEIGHT_DUST = 1e-12       # weights this close to zero are clamped to it
-_ZERO_MULTIPLIER = 1e-15   # multipliers at or below this in size are reported as 0
-_TIED_GAP = 1e-15          # p - p_i at or below this ties state i with the guessed one
-_TIED_POINT_TOL = 1e-12    # a tied state must sit this close to the common point
-_PAIR_BLOCK = 256          # rows per block of the pairwise distance table
+_PAIR_BLOCK = 256  # rows per block of the pairwise distance table
 
 
 def max_pairwise_distance(points: np.ndarray) -> float:
@@ -138,11 +137,11 @@ def verify_weak_family(
         return False, float("inf")
     residual = family_residual(ensemble, p, conjugates)
     norms = np.linalg.norm(vector_matrix(conjugates), axis=1)
-    ok = (
+    ok = bool(
         residual <= FAMILY_TOL
-        and bool(np.all(norms <= 1.0 + PURITY_TOL))
+        and np.all(norms <= 1.0 + BALL_SLACK)
         and 0.0 < p <= 1.0 + RATIO_SLACK
-        and p >= ensemble.priors.max() - RATIO_SLACK
+        and p >= ensemble.max_prior - RATIO_SLACK
     )
     return ok, residual
 
@@ -171,7 +170,7 @@ def verify_optimality(povm: Povm, conjugates: Sequence) -> tuple:
 def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
     """Build Pi_i = w_i * (I - c_i.sigma)/2 from a weight system.
 
-    Weights within _WEIGHT_DUST of zero are clamped so float dust cannot
+    Weights within NEG_WEIGHT_TOL of zero are clamped so float dust cannot
     fail the PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified
     by the Povm constructor, not assumed.
     """
@@ -181,15 +180,15 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
         raise ValueError("weights and conjugates lengths differ")
     if 0 < len(c) <= FLOAT_ROWS and w.ndim == 1:
         values = w.tolist()
-        if all(x >= -_WEIGHT_DUST for x in values):  # a NaN fails this too
+        if all(x >= -NEG_WEIGHT_TOL for x in values):  # a NaN fails this too
             # the arrays below, element by element; Povm checks them on floats
-            a = [0.0 if abs(x) <= _WEIGHT_DUST else x / 2.0 for x in values]
+            a = [0.0 if abs(x) <= NEG_WEIGHT_TOL else x / 2.0 for x in values]
             v = [(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, c.tolist())]
             return Povm(a, v)
-    if w.min() < -_WEIGHT_DUST:  # the least weight, which clamping leaves as it is
+    if w.min() < -NEG_WEIGHT_TOL:  # the least weight, which clamping leaves as it is
         raise ValueError(f"negative weight {float(w.min())!r}")
     a = w / 2.0
-    a[np.abs(w) <= _WEIGHT_DUST] = 0.0
+    a[np.abs(w) <= NEG_WEIGHT_TOL] = 0.0
     return Povm(a, -a[:, None] * c)
 
 
@@ -218,11 +217,11 @@ def assemble_result(
 
     The only place a HelstromCertificate is built for a solver. Two O(n)
     checks: (1) dual feasibility at the reported point, p >= p_i,
-    |q_i + (p - p_i) c_i - r| <= FAMILY_TOL and |c_i| <= 1 + PURITY_TOL for
+    |q_i + (p - p_i) c_i - r| <= FAMILY_TOL and |c_i| <= 1 + BALL_SLACK for
     every i, which is Y >= p_i rho_i; (2) a zero duality gap,
     |success(povm) - p| <= SUCCESS_TOL (the Povm constructor has already
     enforced completeness and positivity). The multipliers are not an input:
-    they are trace_multipliers of the measurement, with |lambda_i| <= 1e-15
+    they are trace_multipliers of the measurement, with |lambda_i| <= ZERO_TOL
     reported as 0.
 
     Each refusal has its own type and message, which tests/test_family.py
@@ -252,7 +251,7 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
 
     if p < top - RATIO_SLACK:
         raise CertificateError(f"ratio p = {p!r} below max prior {top!r}")
-    if widest > 1.0 + PURITY_TOL:
+    if widest > 1.0 + BALL_SLACK:
         worst = max(math.hypot(*c) for c in c_rows.tolist())
         raise CertificateError(f"conjugate norm {worst!r} exceeds 1")
     offsets = ensemble.weighted_points + (p - priors)[:, None] * c_rows - r
@@ -268,7 +267,7 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
 
     scaled = priors / p
     lam = _multipliers(povm.a, scaled)
-    lam[np.abs(lam) <= _ZERO_MULTIPLIER] = 0.0
+    lam[np.abs(lam) <= ZERO_TOL] = 0.0
     fields = (p, r, c_rows, scaled, lam, bool(degenerate))
     if (len(c_rows) == len(scaled) and 0.0 < p <= 1.0 + RATIO_SLACK
             and 0.0 < scaled.min() and scaled.max() <= 1.0 + RATIO_SLACK):
@@ -300,7 +299,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np
             priors, q, *found, a, v, bloch):
         g = p - pi
         ox, oy, oz = qx + g * x - rx, qy + g * y - ry, qz + g * z - rz
-        if not (norm <= 1.0 + PURITY_TOL - FLOAT_MARGIN
+        if not (norm <= 1.0 + BALL_SLACK - FLOAT_MARGIN
                 and math.sqrt(ox * ox + oy * oy + oz * oz) <= FAMILY_TOL - FLOAT_MARGIN):
             return None
         success += pi * (ai + (bx * vx + by * vy + bz * vz))
@@ -309,7 +308,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np
             return None
         scaled.append(t)
         m = 2.0 * ai * (1.0 - t) / 4.0
-        lam.append(0.0 if abs(m) <= _ZERO_MULTIPLIER else m)
+        lam.append(0.0 if abs(m) <= ZERO_TOL else m)
     if not abs(success - p) <= SUCCESS_TOL - FLOAT_MARGIN:
         return None
     bound = top + DEGENERACY_TOL
@@ -350,9 +349,9 @@ def guess_result(
     gap = p - priors
     offset = r - q
     # a tied prior forces q_i = r and leaves the conjugate free: reported as 0
-    tied = gap <= _TIED_GAP
+    tied = gap <= ZERO_TOL
     tied[k] = True
-    far = tied & (row_norms(offset) > _TIED_POINT_TOL)
+    far = tied & (row_norms(offset) > TIED_POINT_TOL)
     if far.any():
         raise DegenerateRatioError(
             f"guess at index {k} cannot cover state {int(np.argmax(far))}: tied prior, distinct point"
@@ -368,7 +367,7 @@ def _guess_conjugates(ensemble: WeightedEnsemble, k: int, p: float) -> list | No
     """guess_result's conjugates on Python floats, or None for its vectorized checks.
 
     The same divisions as the vectorized code, row by row; a tied state's
-    distance from the common point must clear _TIED_POINT_TOL by
+    distance from the common point must clear TIED_POINT_TOL by
     FLOAT_MARGIN.
     """
     priors, _, q = ensemble.lists
@@ -377,8 +376,8 @@ def _guess_conjugates(ensemble: WeightedEnsemble, k: int, p: float) -> list | No
     for i, (pi, (qx, qy, qz)) in enumerate(zip(priors, q)):
         gap = p - pi
         ox, oy, oz = rx - qx, ry - qy, rz - qz
-        if i == k or gap <= _TIED_GAP:
-            if not math.sqrt(ox * ox + oy * oy + oz * oz) <= _TIED_POINT_TOL - FLOAT_MARGIN:
+        if i == k or gap <= ZERO_TOL:
+            if not math.sqrt(ox * ox + oy * oy + oz * oz) <= TIED_POINT_TOL - FLOAT_MARGIN:
                 return None
             conj.append((0.0, 0.0, 0.0))
         else:

@@ -47,7 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
+    DEGENERATE_RATIO_TOL,
     KKT_TOL,
+    OVERFLOW_DENOMINATOR,
+    ZERO_TOL,
     ArrayRecord,
     HelstromCertificate,
     Povm,
@@ -57,10 +60,6 @@ from .bloch import (
 from .family import max_pairwise_distance
 
 __all__ = ["KktReport", "kkt_residuals"]
-
-_DEGENERATE_RATIO_TOL = 1e-12    # 1 - p~_i at or below this makes nu_i a division by zero
-_ZERO_MULTIPLIER_TOL = 1e-15     # |lambda_i| at or below this counts as a vanished multiplier
-_OVERFLOW_DENOMINATOR = 1e-300   # stands in for a vanished 1 - p~_i under a nonzero lambda_i
 
 _RESIDUAL_FIELDS = (
     "primal_ineq",
@@ -114,10 +113,10 @@ def _nu_rows(lambdas: np.ndarray, c: np.ndarray, one_minus: np.ndarray) -> np.nd
     # 0/0 convention: a vanished multiplier contributes nothing even when the
     # denominator also vanishes; a genuinely nonzero lambda over a zero
     # denominator blows up the residual rather than raising.
-    vanished = one_minus <= _DEGENERATE_RATIO_TOL
-    denom = np.where(vanished, _OVERFLOW_DENOMINATOR, one_minus)
+    vanished = one_minus <= DEGENERATE_RATIO_TOL
+    denom = np.where(vanished, OVERFLOW_DENOMINATOR, one_minus)
     nus = 2.0 * lambdas[:, None] * c / denom[:, None]
-    nus[vanished & (np.abs(lambdas) <= _ZERO_MULTIPLIER_TOL)] = 0.0
+    nus[vanished & (np.abs(lambdas) <= ZERO_TOL)] = 0.0
     return nus
 
 
@@ -164,5 +163,5 @@ def kkt_residuals(
         aggregate_sum=_finite_or_inf(aggregate_sum),
         aggregate_half=_finite_or_inf(aggregate_half),
         nu=nus[1:],
-        degenerate=bool(one_minus.min() <= _DEGENERATE_RATIO_TOL),
+        degenerate=bool(one_minus.min() <= DEGENERATE_RATIO_TOL),
     )

@@ -33,7 +33,7 @@ cross products over the determinant, or the minimum-norm solution
 (h_a b - h_b a) x n / |n|^2 with n = a x b, which has no Gram matrix to
 square the condition number of nearly parallel rows; the hull weights are
 a zero row, an antiparallel pair, barycentric coordinates from cross
-products or signed volumes. A subset singular to rounding (_RANK_TOL) is
+products or signed volumes. A subset singular to rounding (RANK_TOL) is
 skipped, since smaller subsets cover its optima. Only the rows a pivot
 touches are converted to floats; the pass over all n points stays one
 numpy pass, and nothing calls np.linalg. A pivot computes the terms of
@@ -64,13 +64,27 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .bloch import DiscriminationResult, WeightedEnsemble
+from .bloch import (
+    AXIS_TOL,
+    CONSISTENCY_TOL,
+    FEAS_TOL,
+    NEG_WEIGHT_TOL,
+    NORM_FLOOR,
+    PIVOT_WINDOW,
+    QUADRATIC_TOL,
+    RANK_TOL,
+    RATIO_SLACK,
+    ROOT_TOL,
+    SHRINK_MARGIN,
+    ZERO_TOL,
+    DiscriminationResult,
+    WeightedEnsemble,
+)
 from .errors import ConvergenceError
 from .family import assemble_result, povm_from_weights
 
@@ -85,31 +99,7 @@ __all__ = [
     "PIVOT_WINDOW",
 ]
 
-PIVOT_WINDOW = 1e-10      # a violation of the basis value above this pivots; members within it stay
-
-# Equal-slack geometry.
-_SEPARATION_TOL = 1e-15   # points, slacks and gaps below this count as zero
-_CONSISTENCY_TOL = 1e-9   # residual of the affine system for r on a support
-_QUADRATIC_TOL = 1e-14    # |coefficient| below this makes the quadratic in p degenerate
-_ROOT_TOL = 1e-12         # the discriminant, and p - max prior, may dip below zero by this
-# A 2- or 3-row system, triangle or tetrahedron whose determinant is below
-# this times the product of its row (edge) lengths is singular to rounding;
-# it stands in for lstsq's rcond = eps * max(M, N) on these 3-column systems.
-_RANK_TOL = 3.0 * sys.float_info.epsilon
-
-# Hull test. weights.py and closed_form.py hold constants of the same names
-# and values; the oracle keeps its own copies of _FEAS_TOL, _NEG_TOL and
-# _AXIS_TOL on purpose, so that it shares nothing with the routes it checks.
-_FEAS_TOL = 1e-10         # residual |sum_i mu_i (q_i - r)| / max_i |q_i - r|
-_NEG_TOL = 1e-12          # hull weights may dip below zero by at most this
-
-# Pivoting.
-_PIVOTS_PER_STATE = 4     # pivot cap as a multiple of n
-
-# POVM recovery and the samplers.
-_AXIS_TOL = 1e-12         # off-axis Bloch components that still count as diagonal
-_NORM_FLOOR = 1e-12       # sampled directions shorter than this stay unnormalized
-_SHRINK_MARGIN = 1e-12    # sampled elements stay this far inside the PSD cone
+_PIVOTS_PER_STATE = 4  # pivot cap as a multiple of n
 
 
 @dataclass(frozen=True)
@@ -172,8 +162,8 @@ def _solve_rows(ra: tuple, rb: tuple, rc: tuple | None = None):
     rows a, b: the minimum-norm solution u = (h_a b - h_b a) x n / |n|^2
     with n = a x b, which needs no Gram matrix and so does not square the
     condition number of nearly parallel rows. A system singular to
-    rounding relative to its row lengths (_RANK_TOL), or one that the
-    solution misses by more than _CONSISTENCY_TOL, gives None.
+    rounding relative to its row lengths (RANK_TOL), or one that the
+    solution misses by more than CONSISTENCY_TOL, gives None.
     """
     a0, a1, a2, na, ha0, ha1 = ra
     b0, b1, b2, nb, hb0, hb1 = rb
@@ -181,7 +171,7 @@ def _solve_rows(ra: tuple, rb: tuple, rc: tuple | None = None):
     if rc is None:
         n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
         det = n0 * n0 + n1 * n1 + n2 * n2
-        if not math.sqrt(det) > _RANK_TOL * na * nb:
+        if not math.sqrt(det) > RANK_TOL * na * nb:
             return None
         for ha, hb in ((ha0, hb0), (ha1, hb1)):
             w0, w1, w2 = ha * b0 - hb * a0, ha * b1 - hb * a1, ha * b2 - hb * a2
@@ -189,7 +179,7 @@ def _solve_rows(ra: tuple, rb: tuple, rc: tuple | None = None):
             u1 = (w2 * n0 - w0 * n2) / det
             u2 = (w0 * n1 - w1 * n0) / det
             ma, mb = a0 * u0 + a1 * u1 + a2 * u2 - ha, b0 * u0 + b1 * u1 + b2 * u2 - hb
-            if math.sqrt(0.0 + ma * ma + mb * mb) > _CONSISTENCY_TOL:
+            if math.sqrt(0.0 + ma * ma + mb * mb) > CONSISTENCY_TOL:
                 return None
             solved.append((u0, u1, u2))
         return solved
@@ -198,7 +188,7 @@ def _solve_rows(ra: tuple, rb: tuple, rc: tuple | None = None):
     y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
     z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     det = a0 * x0 + a1 * x1 + a2 * x2
-    if not abs(det) > _RANK_TOL * na * nb * nc:
+    if not abs(det) > RANK_TOL * na * nb * nc:
         return None
     for ha, hb, hc in ((ha0, hb0, hc0), (ha1, hb1, hc1)):
         u0 = (0.0 + ha * x0 + hb * y0 + hc * z0) / det
@@ -207,7 +197,7 @@ def _solve_rows(ra: tuple, rb: tuple, rc: tuple | None = None):
         ma = a0 * u0 + a1 * u1 + a2 * u2 - ha
         mb = b0 * u0 + b1 * u1 + b2 * u2 - hb
         mc = c0 * u0 + c1 * u1 + c2 * u2 - hc
-        if math.sqrt(0.0 + ma * ma + mb * mb + mc * mc) > _CONSISTENCY_TOL:
+        if math.sqrt(0.0 + ma * ma + mb * mb + mc * mc) > CONSISTENCY_TOL:
             return None
         solved.append((u0, u1, u2))
     return solved
@@ -228,11 +218,11 @@ def _support_points(pr: list, q: list, subset: tuple, segments: dict, rows: dict
     if len(subset) == 2:
         i, j = subset
         e0, e1, e2, dn = segments[i, j]
-        if dn <= _SEPARATION_TOL:
+        if dn <= ZERO_TOL:
             return []
         pi, pj = pr[i], pr[j]
         p = 0.5 * (pi + pj + dn)
-        if p < pi - _SEPARATION_TOL or p < pj - _SEPARATION_TOL:
+        if p < pi - ZERO_TOL or p < pj - ZERO_TOL:
             return []
         t = (p - pi) / dn
         x, y, z = q[i]
@@ -253,16 +243,16 @@ def _support_points(pr: list, q: list, subset: tuple, segments: dict, rows: dict
     alpha = v0 * v0 + v1 * v1 + v2 * v2 - 1.0
     beta = 2.0 * (u0 * v0 + u1 * v1 + u2 * v2) + 2.0 * p0
     gamma = u0 * u0 + u1 * u1 + u2 * u2 - p0 * p0
-    if abs(alpha) <= _QUADRATIC_TOL:
-        roots = (-gamma / beta,) if abs(beta) > _QUADRATIC_TOL else ()
+    if abs(alpha) <= QUADRATIC_TOL:
+        roots = (-gamma / beta,) if abs(beta) > QUADRATIC_TOL else ()
     else:
         disc = beta * beta - 4.0 * alpha * gamma
-        if not disc >= -_ROOT_TOL:
+        if not disc >= -ROOT_TOL:
             return []
         sq = math.sqrt(max(disc, 0.0))
         roots = ((-beta + sq) / (2.0 * alpha), (-beta - sq) / (2.0 * alpha))
     x, y, z = q[i]
-    floor = top - _ROOT_TOL
+    floor = top - RATIO_SLACK
     return [
         (x + u0 + v0 * p, y + u1 + v1 * p, z + u2 + v2 * p)
         for p in roots
@@ -327,8 +317,8 @@ def _zero_weights(d: list):
     antiparallel pair. Three: barycentric coordinates of the projection of
     0 on their plane, from cross products. Four: signed volumes. A triangle
     or tetrahedron that is flat to rounding is skipped (a smaller support
-    covers it); the weights must be nonnegative to _NEG_TOL and leave a
-    residual of at most _FEAS_TOL.
+    covers it); the weights must be nonnegative to NEG_WEIGHT_TOL and leave a
+    residual of at most FEAS_TOL.
     """
     (a0, a1, a2), (b0, b1, b2) = d[0], d[1]
     if len(d) == 2:
@@ -345,7 +335,7 @@ def _zero_weights(d: list):
         n0, n1, n2 = s1 * t2 - s2 * t1, s2 * t0 - s0 * t2, s0 * t1 - s1 * t0
         den = n0 * n0 + n1 * n1 + n2 * n2
         ns, nt = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2), math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
-        if not math.sqrt(den) > _RANK_TOL * ns * nt:
+        if not math.sqrt(den) > RANK_TOL * ns * nt:
             return None
         w = (
             (n0 * (b1 * c2 - b2 * c1) + n1 * (b2 * c0 - b0 * c2) + n2 * (b0 * c1 - b1 * c0)) / den,
@@ -359,7 +349,7 @@ def _zero_weights(d: list):
         u0, u1, u2 = e0 - a0, e1 - a1, e2 - a2
         vol = s0 * (t1 * u2 - t2 * u1) + s1 * (t2 * u0 - t0 * u2) + s2 * (t0 * u1 - t1 * u0)
         if not abs(vol) > (
-            _RANK_TOL
+            RANK_TOL
             * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
             * math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
             * math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
@@ -372,12 +362,12 @@ def _zero_weights(d: list):
             (a0 * (b1 * e2 - b2 * e1) + a1 * (b2 * e0 - b0 * e2) + a2 * (b0 * e1 - b1 * e0)) / vol,
             -(a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)) / vol,
         )
-    if min(w) < -_NEG_TOL:
+    if min(w) < -NEG_WEIGHT_TOL:
         return None
     x = y = z = 0.0
     for wi, (dx, dy, dz) in zip(w, d):
         x, y, z = x + wi * dx, y + wi * dy, z + wi * dz
-    if math.sqrt(x * x + y * y + z * z) > _FEAS_TOL:
+    if math.sqrt(x * x + y * y + z * z) > FEAS_TOL:
         return None
     return tuple([max(wi, 0.0) for wi in w])
 
@@ -402,7 +392,7 @@ def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
     rows = [(x / scale, y / scale, z / scale) for x, y, z in rows]
     mu = [0.0] * len(rows)
     for i, (x, y, z) in enumerate(rows):
-        if not math.sqrt(x * x + y * y + z * z) > _FEAS_TOL:
+        if not math.sqrt(x * x + y * y + z * z) > FEAS_TOL:
             mu[i] = 1.0
             return tuple(mu)
     for size in range(2, min(len(rows), 4) + 1):
@@ -500,7 +490,7 @@ def _basis_measurement(
     r = np.array(solution.r_star)
 
     gap = p - pr
-    free = gap > _SEPARATION_TOL
+    free = gap > ZERO_TOL
     c = np.divide(r - q, gap[:, None], out=np.zeros((n, 3)), where=free[:, None])
 
     support, mu = zip(*((i, m) for i, m in zip(solution.basis, solution.basis_weights) if m > 0.0))
@@ -554,7 +544,7 @@ def classical_diagonal_oracle(ensemble: WeightedEnsemble) -> float:
     strategy).
     """
     b = ensemble.bloch_matrix
-    if np.abs(b[:, :2]).max() > _AXIS_TOL:
+    if np.abs(b[:, :2]).max() > AXIS_TOL:
         raise ValueError("classical_diagonal_oracle needs all states on the z axis")
     pr = ensemble.priors
     up = pr * (1.0 + b[:, 2]) / 2.0
@@ -579,13 +569,13 @@ def random_povm_sample(ensemble: WeightedEnsemble, count: int, seed: int = 0) ->
     a /= a.sum(axis=1, keepdims=True)
     dirs = rng.standard_normal((count, n, 3))
     dn = np.linalg.norm(dirs, axis=2, keepdims=True)
-    dirs /= np.where(dn > _NORM_FLOOR, dn, 1.0)
+    dirs /= np.where(dn > NORM_FLOOR, dn, 1.0)
     v = a[:, :, None] * rng.uniform(size=(count, n, 1)) * dirs
     v -= a[:, :, None] * v.sum(axis=1, keepdims=True)
     vn = np.linalg.norm(v, axis=2)
     with np.errstate(divide="ignore"):
         ratio = np.where(vn > 0.0, a / np.where(vn > 0.0, vn, 1.0), np.inf)
-    shrink = np.minimum(1.0, ratio.min(axis=1)) * (1.0 - _SHRINK_MARGIN)
+    shrink = np.minimum(1.0, ratio.min(axis=1)) * (1.0 - SHRINK_MARGIN)
     v *= shrink[:, None, None]
     pr = ensemble.priors
     b = ensemble.bloch_matrix

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import WeightedEnsemble
+from .bloch import DISTINCT_VERTEX_TOL, EDGE_COEFFICIENT_TOL, WeightedEnsemble
 
 __all__ = [
     "PLATONIC_KINDS",
@@ -35,10 +35,6 @@ __all__ = [
 PLATONIC_KINDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-_DISTINCT_VERTEX = 1e-9  # vertices farther apart than this are distinct
-
-# a printed edge coefficient further than this from the measured one is a mismatch
-EDGE_COEFFICIENT_TOL = 1e-10
 
 # circumradius / edge, as published; the dodecahedron entry does not match
 # the vertex geometry (see module docstring)
@@ -87,7 +83,7 @@ def unit_edge_length(kind: str) -> float:
     verts = platonic_vertices(kind)
     diff = verts[:, None, :] - verts[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
-    return float(dist[dist > _DISTINCT_VERTEX].min())
+    return float(dist[dist > DISTINCT_VERTEX_TOL].min())
 
 
 def measured_edge_coefficient(kind: str) -> float:

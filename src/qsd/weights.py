@@ -13,7 +13,8 @@ direction rows d_i. Two solvers:
                             non-uniqueness flag, O(m^(dim + 1)) solves
 
 The oracle's hull test solves its own at most 5 rows in closed form
-(oracle._hull_weights) and shares nothing with this module.
+(oracle._hull_weights) and shares no code with this module, only the rows
+FEAS_TOL and NEG_WEIGHT_TOL of bloch's tolerance table.
 
 Directions may be rows of any dimension; the closed forms pass Bloch rows.
 """
@@ -24,14 +25,12 @@ from itertools import combinations
 
 import numpy as np
 
+from .bloch import FEAS_TOL, NEG_WEIGHT_TOL, UNIQUE_TOL
 from .errors import WeightSystemInfeasible
 
 __all__ = ["min_norm_nonneg_weights", "subset_support_weights"]
 
-_FEAS_TOL = 1e-10   # residual of the equality system
-_NEG_TOL = 1e-12    # weights may dip below zero by at most this
-_UNIQUE_TOL = 1e-9  # minimal-support solutions this close count as one
-_TOTAL = 2.0        # sum of the weights: the trace of a complete POVM
+_TOTAL = 2.0  # sum of the weights: the trace of a complete POVM
 
 
 def _equality_system(directions: np.ndarray) -> tuple:
@@ -57,9 +56,9 @@ def min_norm_nonneg_weights(directions) -> np.ndarray:
     free = list(range(m))
     for _ in range(m):
         sol, _, _, _ = np.linalg.lstsq(a[:, free], rhs, rcond=None)
-        if np.linalg.norm(a[:, free] @ sol - rhs) > _FEAS_TOL:
+        if np.linalg.norm(a[:, free] @ sol - rhs) > FEAS_TOL:
             break
-        if sol.min() >= -_NEG_TOL:
+        if sol.min() >= -NEG_WEIGHT_TOL:
             w = np.zeros(m)
             w[free] = np.clip(sol, 0.0, None)
             return w
@@ -85,9 +84,9 @@ def subset_support_weights(directions) -> tuple:
         for subset in combinations(range(m), size):
             cols = a[:, subset]
             sol, _, _, _ = np.linalg.lstsq(cols, rhs, rcond=None)
-            if np.linalg.norm(cols @ sol - rhs) > _FEAS_TOL:
+            if np.linalg.norm(cols @ sol - rhs) > FEAS_TOL:
                 continue
-            if sol.min() < -_NEG_TOL:
+            if sol.min() < -NEG_WEIGHT_TOL:
                 continue
             w = np.zeros(m)
             w[list(subset)] = np.clip(sol, 0.0, None)
@@ -95,6 +94,6 @@ def subset_support_weights(directions) -> tuple:
         if found:
             found.sort(key=lambda item: (item[0], item[1]))
             best = found[0][2]
-            unique = all(np.allclose(best, other[2], atol=_UNIQUE_TOL) for other in found[1:])
+            unique = all(np.allclose(best, other[2], atol=UNIQUE_TOL) for other in found[1:])
             return best, unique
     return None, True

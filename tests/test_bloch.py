@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsd
-from qsd import cli
+from qsd import bloch, cli
 from qsd.bloch import (
     COMPLETENESS_TOL,
     KKT_TOL,
@@ -134,6 +134,18 @@ def test_tolerance_constants_pinned():
     assert COMPLETENESS_TOL == 1e-10
     assert PURITY_TOL == 1e-9
     assert KKT_TOL == 1e-8
+    # the rows that merged several modules' constants, each at their common value
+    assert bloch.ZERO_TOL == 1e-15
+    assert bloch.NEG_WEIGHT_TOL == 1e-12
+    assert bloch.AXIS_TOL == 1e-12
+    assert bloch.FEAS_TOL == 1e-10
+    assert bloch.NORM_FLOOR == 1e-12
+    # the rows that took over a second duty of another constant, at its value
+    assert bloch.BALL_SLACK == 1e-9
+    assert bloch.DOT_SLACK == 1e-9
+    assert bloch.SPREAD_TOL == 1e-9
+    assert bloch.RATIO_SLACK == 1e-12
+    assert bloch.ROOT_TOL == 1e-12
 
 
 def _certificate(**changes):

@@ -67,7 +67,7 @@ def test_verify_weak_family_roundtrip():
     ens = antipodal()
     c = conjugates_from_common_point(ens, 1.0, ORIGIN)
     ok, residual = verify_weak_family(ens, 1.0, c)
-    assert ok
+    assert ok and type(ok) is bool
     assert residual <= 1e-15
 
 
@@ -105,7 +105,7 @@ def test_verify_weak_family_rejects_nonstate_conjugate():
 
 def test_verify_weak_family_length_mismatch():
     ok, residual = verify_weak_family(antipodal(), 1.0, [ORIGIN])
-    assert not ok and residual == float("inf")
+    assert not ok and type(ok) is bool and residual == float("inf")
 
 
 def test_success_probability_projective_pair():

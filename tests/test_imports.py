@@ -118,6 +118,32 @@ def test_small_float_literals_are_named_constants():
     assert offenders == []
 
 
+# bloch's tolerance table holds every tolerance of the package, one row per
+# question, and at most this many rows
+TOLERANCE_ROWS = 41
+
+
+def _small_floats(module):
+    return {name: value for name, value in vars(module).items()
+            if type(value) is float and 0.0 < value < 1e-6}
+
+
+def test_every_tolerance_is_a_row_of_the_bloch_table():
+    # checked on the imported modules: a module may import a row, never define one
+    table = _small_floats(qsd.bloch)
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "bloch"
+        for name, value in _small_floats(
+            importlib.import_module("qsd" if path.stem == "__init__" else f"qsd.{path.stem}")
+        ).items()
+        if table.get(name) is not value
+    ]
+    assert offenders == []
+    assert len(table) <= TOLERANCE_ROWS
+
+
 def _traced():
     # bench/spans.py wraps these by name; read them without importing bench
     tree = ast.parse(SPANS.read_text(encoding="utf-8"))

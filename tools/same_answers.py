@@ -29,7 +29,8 @@ mask and the degenerate flag (for the CLI, of the JSON report less its
 input path). It prints the tag changes, exception-type
 changes, the largest |delta p_opt| and how many inputs of each set moved
 their bytes, then a verdict with the line count of each checkout's src/qsd
-(newlines in its .py files, as wc -l counts them). The exit code is 1 on
+(newlines in its .py files, as wc -l counts them) and its count of named
+tolerances (named_tolerances). The exit code is 1 on
 any tag or exception-type change or on |delta p_opt| > 1e-12, and 0
 otherwise. Uses the standard library and numpy only.
 """
@@ -69,11 +70,31 @@ def _digest(*parts: bytes) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
-def collect() -> None:
-    """Solve every input with the qsd on sys.path; write {key: record} as JSON to stdout.
+def named_tolerances() -> int:
+    """How many named tolerances the qsd on sys.path defines.
 
-    A record is [method, exception type name, p_opt, bytes hash]; the
-    fields that do not apply are None.
+    A named tolerance is a module-level float in (0, 1e-6) of a qsd
+    module, counted once per name and object, so a module that imports
+    another's constant adds nothing: the rule of
+    tests/test_imports.py::test_every_tolerance_is_a_row_of_the_bloch_table.
+    """
+    import importlib
+    import pkgutil
+
+    import qsd
+
+    modules = [qsd] + [importlib.import_module(f"qsd.{info.name}")
+                       for info in pkgutil.iter_modules(qsd.__path__)]
+    return len({(name, id(value)) for module in modules for name, value in vars(module).items()
+                if type(value) is float and 0.0 < value < 1e-6})
+
+
+def collect() -> None:
+    """Solve every input with the qsd on sys.path; write its answers as JSON to stdout.
+
+    The answers are {"tolerances": named_tolerances(), "records": {key:
+    record}}. A record is [method, exception type name, p_opt, bytes hash];
+    the fields that do not apply are None.
     """
     import numpy as np
 
@@ -152,11 +173,11 @@ def collect() -> None:
             run(key + "/auto", lambda: qsd.solve_auto(qsd.mirror_ensemble(theta, p1)))
             run(key + "/mirror", lambda: qsd.solve_mirror_symmetric(theta, p1))
 
-    json.dump(records, sys.stdout)
+    json.dump({"tolerances": named_tolerances(), "records": records}, sys.stdout)
 
 
 def answers(checkout: Path) -> dict:
-    """{key: record} from a child interpreter that imports qsd from checkout/src."""
+    """collect's answers from a child interpreter that imports qsd from checkout/src."""
     src = checkout / "src"
     if not (src / "qsd" / "__init__.py").is_file():
         raise SystemExit(f"same_answers: no src/qsd under {checkout}")
@@ -210,10 +231,13 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     checkouts = [Path(path).resolve() for path in argv]
-    code = compare(*(answers(checkout) for checkout in checkouts))
+    found = [answers(checkout) for checkout in checkouts]
+    code = compare(*(run["records"] for run in found))
     lines = [src_lines(checkout) for checkout in checkouts]
+    tols = [run["tolerances"] for run in found]
     print(f"{'same answers' if code == 0 else 'answers differ'}; src/qsd lines: "
-          f"{lines[0]:,} -> {lines[1]:,} ({lines[1] - lines[0]:+,})")
+          f"{lines[0]:,} -> {lines[1]:,} ({lines[1] - lines[0]:+,}); named tolerances: "
+          f"{tols[0]} -> {tols[1]} ({tols[1] - tols[0]:+})")
     return code
 
 
