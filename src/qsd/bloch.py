@@ -11,12 +11,13 @@ The records (WeightedEnsemble, Povm, HelstromCertificate, kkt.KktReport)
 store read-only numpy arrays, which the solvers read and write end to end,
 each under one name: a certificate's common_point (3,) and conjugates
 (n, 3), a KKT report's nu (n - 1, 3). A record copies what it is given, so
-no caller's array is ever frozen or shared, and it stores only what it
-cannot derive (a certificate's pure_mask is computed from its conjugates
-on first access). Each record has one constructor, which takes the values
-it stores: WeightedEnsemble(priors, bloch_matrix, renormalize=False) and
-Povm(a, v) check them in one vectorized pass, and validate_ensemble splits
-loose (prior, state) pairs and takes the same path. ==, hash and repr go
+no caller's array or list is ever frozen or shared, and it stores only
+what it cannot derive (a certificate's pure_mask is computed from its
+conjugates on first access). Each record has one constructor, which takes
+the values it stores: WeightedEnsemble(priors, bloch_matrix,
+renormalize=False) and Povm(a, v) check them in one vectorized pass, and
+validate_ensemble splits loose (prior, state) pairs and takes the same
+path. ==, hash and repr go
 by the dataclass fields, and dataclasses.replace runs the checks again.
 
 BlochVector and PovmElement are the per-state vocabulary, and no module
@@ -27,17 +28,22 @@ Povm.elements is a tuple of PovmElement views, built on first access.
 The float path. Below the measured crossover of FLOAT_ROWS rows, numpy's
 per-call overhead costs more than the arithmetic, so a WeightedEnsemble or
 Povm given as lists or tuples of Python floats is checked on those floats,
-and each stored array is built once from its list. The float path only
-accepts: when any of its tests fails it returns, and the vectorized checks
-run on the same arguments and raise their own errors in their own order,
-so every refusal message lives in one place. Its rounding contract:
-stored values are the same IEEE operations as the vectorized code's,
-element by element; the norm tests compare sqrt(x*x + y*y + z*z), which
-rounds differently from the vectorized np.hypot (as math.hypot does too),
-with FLOAT_MARGIN to spare, so a row within the margin of its bound goes to
-the vectorized test; sums of a few terms are compared the same way, since
-numpy adds in its own order. The records keep those floats as `lists`, so
-that the gate and the small solvers read them without converting again.
+and so is the gate's certificate (family.assemble_result). The record
+keeps the floats it checked, as immutable tuples of its own, and builds
+each read-only array on its first read (ArrayRecord), so an array nobody
+reads is never built. The float path only accepts: when any of its tests
+fails it returns, and the vectorized checks run on the same arguments and
+raise their own errors in their own order, so every refusal message lives
+in one place. Its rounding contract: stored values are the same IEEE
+operations as the vectorized code's, element by element; the norm tests
+compare sqrt(x*x + y*y + z*z), which rounds differently from the
+vectorized np.hypot (as math.hypot does too), with FLOAT_MARGIN to spare,
+so a row within the margin of its bound goes to the vectorized test; sums
+of a few terms are compared the same way, since numpy adds in its own
+order. The gate and the small solvers read the kept
+floats as `lists`, as do n and Povm.elements, and pass floats from hand to
+hand without converting again; an array built on read is np.array of
+those floats, so its bytes, ==, hash and repr are the vectorized ones.
 
 The tolerance table. Every named tolerance of the package is a row here,
 and the other modules import the rows by name and define none of their
@@ -55,7 +61,6 @@ rows would move answers.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
@@ -239,33 +244,35 @@ _SEQUENCES = (list, tuple)
 
 
 def float_rows(rows) -> tuple | None:
-    """(rows, norms) on Python floats, or None.
+    """rows as a tuple of (x, y, z) tuples of Python floats, or None.
 
     rows must be a list or tuple of at most FLOAT_ROWS lists or tuples of
-    three floats; they come back as (x, y, z) tuples with the norms
-    sqrt(x*x + y*y + z*z), which a test compares with FLOAT_MARGIN to
-    spare. Anything else gives None, for the vectorized checks.
+    three floats; anything else gives None, for the vectorized checks. A
+    float test of a row's norm takes sqrt(x*x + y*y + z*z) and compares it
+    with FLOAT_MARGIN to spare.
     """
     if type(rows) not in _SEQUENCES or len(rows) > FLOAT_ROWS:
         return None
-    out, norms = [], []
+    out = []
     for row in rows:
         if type(row) not in _SEQUENCES or len(row) != 3:
             return None
         x, y, z = row
         if not (type(x) is float and type(y) is float and type(z) is float):
             return None
-        out.append((x, y, z))
-        norms.append(math.sqrt(x * x + y * y + z * z))
-    return out, norms
+        out.append(row if type(row) is tuple else (x, y, z))
+    return tuple(out)
 
 
-def _floats(values) -> list | None:
-    """values as a list of Python floats when it is a list or tuple of them, else None."""
+def float_values(values) -> tuple | None:
+    """values as a tuple of Python floats when it is a list or tuple of them, else None."""
     if type(values) not in _SEQUENCES:
         return None
-    values = list(values)
-    return values if all(type(x) is float for x in values) else None
+    values = tuple(values)
+    for x in values:
+        if type(x) is not float:
+            return None
+    return values
 
 
 def vector_matrix(vectors) -> np.ndarray:
@@ -320,6 +327,27 @@ def check_povm_elements(a: np.ndarray, v: np.ndarray) -> None:
             PovmElement(ak, BlochVector(*vk))
 
 
+class _derived:
+    """A value derived from an object on its first read, then kept in the object's __dict__.
+
+    functools.cached_property without the lock it takes on each first read
+    before Python 3.12, which costs more than the small values it guards
+    here; two threads that race derive the same value.
+    """
+
+    def __init__(self, derive):
+        self.derive, self.__doc__ = derive, derive.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.derive(record)
+        return value
+
+
 def _plain(value):
     return tuple(value.ravel().tolist()) if isinstance(value, np.ndarray) else value
 
@@ -331,17 +359,49 @@ class ArrayRecord:
     the constructor's arguments, each stored under its own name: ==, hash
     and repr go by those fields, arrays as flat tuples in repr, and
     dataclasses.replace runs the constructor's checks again. _store makes
-    the arrays it stores read-only.
+    the arrays it stores read-only. Given a tuple of Python floats for an
+    array field (the float path), it keeps the tuple instead, and
+    __getattr__ builds the field's read-only array on its first read:
+    np.array of those floats, the bytes the vectorized code stores.
     """
 
     def _values(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
 
     def _store(self, **values) -> None:
-        for value in values.values():
+        stored, kept = self.__dict__, {}
+        for name, value in values.items():
+            if type(value) is tuple:
+                kept[name] = value
+                continue
             if isinstance(value, np.ndarray) and value.flags.writeable:
                 value.setflags(write=False)
-        self.__dict__.update(values)
+            stored[name] = value
+        if kept:
+            stored["_floats"] = kept
+
+    def __getattr__(self, name):
+        # reached only for a name not in __dict__: an array field kept as floats
+        try:
+            array = np.array(self.__dict__["_floats"][name])
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        array.setflags(write=False)
+        self.__dict__[name] = array
+        return array
+
+    def _stored(self, name: str):
+        """Field `name` as stored: its kept floats, or its array.
+
+        The float path keeps every array field of its record, or none.
+        """
+        return self.__dict__.get("_floats", self.__dict__)[name]
+
+    def _floats_of(self, name: str):
+        """Field `name` as Python floats, nested by row: its kept tuple, or its array's tolist()."""
+        value = self._stored(name)
+        return value if type(value) is tuple else value.tolist()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -395,8 +455,9 @@ class WeightedEnsemble(ArrayRecord):
 
     # (priors, Bloch rows, weighted rows) as Python floats, for the float
     # path; read them, never modify them
-    lists = functools.cached_property(lambda self: (
-        self.priors.tolist(), self.bloch_matrix.tolist(), self.weighted_points.tolist()))
+    lists = _derived(lambda self: tuple(
+        map(self._floats_of, ("priors", "bloch_matrix", "weighted_points"))))
+    n = _derived(lambda self: len(self._stored("priors")))
 
     def __init__(self, priors, bloch_matrix, renormalize: bool = False) -> None:
         """Check, in order: each Bloch vector; with renormalize=True, divide the
@@ -427,32 +488,30 @@ class WeightedEnsemble(ArrayRecord):
     def _accept_floats(self, priors, bloch_matrix, renormalize: bool) -> bool:
         """The constructor's checks on Python floats; False leaves them to the vectorized code.
 
-        Stores the arrays the constructor would, each built once from its list.
+        Keeps the floats of the arrays the constructor would store.
         """
-        found = float_rows(bloch_matrix)
-        values = _floats(priors)
-        if found is None or values is None or not 2 <= len(values) == len(found[0]):
+        rows = float_rows(bloch_matrix)
+        values = float_values(priors)
+        if rows is None or values is None or not 2 <= len(values) == len(rows):
             return False
-        rows, norms = found
-        if not all(x <= 1.0 + 0.5 * STATE_NORM_TOL - FLOAT_MARGIN for x in norms):
-            return False
+        bound = 1.0 + 0.5 * STATE_NORM_TOL - FLOAT_MARGIN
+        for x, y, z in rows:
+            if not math.sqrt(x * x + y * y + z * z) <= bound:
+                return False
         if renormalize:
             total = _fsum(values)
             if not 0.0 < total < math.inf:
                 return False
-            values = [x / total for x in values]
-        if not (all(0.0 < x < 1.0 for x in values)
-                and abs(math.fsum(values) - 1.0) <= PRIOR_SUM_TOL):
+            values = tuple([x / total for x in values])
+        for x in values:
+            if not 0.0 < x < 1.0:
+                return False
+        if not abs(math.fsum(values) - 1.0) <= PRIOR_SUM_TOL:
             return False
-        weighted = [(p * x, p * y, p * z) for p, (x, y, z) in zip(values, rows)]
-        self._store(priors=np.array(values), bloch_matrix=np.array(rows),
-                    weighted_points=np.array(weighted), max_prior=max(values))
-        self.__dict__["lists"] = (values, rows, weighted)
+        weighted = tuple([(p * x, p * y, p * z) for p, (x, y, z) in zip(values, rows)])
+        self._store(priors=values, bloch_matrix=rows, weighted_points=weighted,
+                    max_prior=max(values))
         return True
-
-    @property
-    def n(self) -> int:
-        return len(self.priors)
 
 
 def validate_ensemble(raw_entries: Iterable, renormalize: bool = False) -> WeightedEnsemble:
@@ -497,10 +556,11 @@ class Povm(ArrayRecord):
     a: np.ndarray
     v: np.ndarray
 
-    elements = functools.cached_property(lambda self: tuple(
-        PovmElement(a, BlochVector(*v)) for a, v in zip(self.a.tolist(), self.v.tolist())))
     # (a, v rows) as Python floats, for the float path; never modify them
-    lists = functools.cached_property(lambda self: (self.a.tolist(), self.v.tolist()))
+    lists = _derived(lambda self: (self._floats_of("a"), self._floats_of("v")))
+    elements = _derived(lambda self: tuple(
+        PovmElement(a, BlochVector(*v)) for a, v in zip(*self.lists)))
+    n = _derived(lambda self: len(self._stored("a")))
 
     def __init__(self, a, v) -> None:
         """Check every element (a_k >= |v_k|), then completeness."""
@@ -530,27 +590,23 @@ class Povm(ArrayRecord):
         POVM of nonnegative a_k meets, so that fsum cannot overflow and the
         norms stay small enough for FLOAT_MARGIN.
         """
-        found = float_rows(v)
-        values = _floats(a)
-        if found is None or values is None or not 1 <= len(values) == len(found[0]):
+        rows = float_rows(v)
+        values = float_values(a)
+        if rows is None or values is None or not 1 <= len(values) == len(rows):
             return False
-        rows, norms = found
-        if not (all(0.0 <= x <= 1.0 + COMPLETENESS_TOL and x - s >= FLOAT_MARGIN - 0.5 * PSD_TOL
-                    for x, s in zip(values, norms))
-                and abs(math.fsum(values) - 1.0) <= COMPLETENESS_TOL):
+        top, floor = 1.0 + COMPLETENESS_TOL, FLOAT_MARGIN - 0.5 * PSD_TOL
+        for x, (vx, vy, vz) in zip(values, rows):
+            if not (0.0 <= x <= top and x - math.sqrt(vx * vx + vy * vy + vz * vz) >= floor):
+                return False
+        if not abs(math.fsum(values) - 1.0) <= COMPLETENESS_TOL:
             return False
         sx = sy = sz = 0.0
         for x, y, z in rows:
             sx, sy, sz = sx + x, sy + y, sz + z
         if not math.sqrt(sx * sx + sy * sy + sz * sz) <= COMPLETENESS_TOL - FLOAT_MARGIN:
             return False
-        self._store(a=np.array(values), v=np.array(rows))
-        self.__dict__["lists"] = (values, rows)
+        self._store(a=values, v=rows)
         return True
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -566,7 +622,9 @@ class HelstromCertificate(ArrayRecord):
     broken certificates and grade them, so optimality itself is not a
     construction invariant here. common_point is stored as a read-only (3,)
     array, conjugates as a read-only (n, 3) array, and scaled_priors and
-    lambdas as read-only (n,) arrays, copies of what the constructor is given.
+    lambdas as read-only (n,) arrays, copies of what the constructor is given;
+    a certificate of the gate's float path keeps its floats as immutable
+    tuples instead and builds each array on its first read.
     pure_mask, |c_i| >= 1 - PURITY_TOL, is derived from the conjugates on
     first access: not a constructor argument, and not part of ==, hash or repr.
     The constructor runs its checks once, in order, and raises for the
@@ -587,6 +645,8 @@ class HelstromCertificate(ArrayRecord):
     scaled_priors: np.ndarray
     lambdas: np.ndarray
     degenerate: bool = False
+
+    n = _derived(lambda self: len(self._stored("conjugates")))
 
     def __init__(self, p, common_point, conjugates, scaled_priors, lambdas,
                  degenerate: bool = False) -> None:
@@ -624,23 +684,20 @@ class HelstromCertificate(ArrayRecord):
         gave finiteness, and it tested the lengths, p and the scaled priors,
         and let the constructor refuse whatever failed. It passes float
         arrays of matching lengths that it built itself and keeps no
-        reference to.
+        reference to, or the tuples of floats it checked, which the record
+        keeps (ArrayRecord).
         """
         record = cls.__new__(cls)
         record._store(p=p, common_point=common_point, conjugates=conjugates,
                       scaled_priors=scaled_priors, lambdas=lambdas, degenerate=degenerate)
         return record
 
-    @functools.cached_property
+    @_derived
     def pure_mask(self) -> np.ndarray:
         """Which conjugates are pure, |c_i| >= 1 - PURITY_TOL, as a read-only (n,) bool array."""
         mask = row_norms(self.conjugates) >= 1.0 - PURITY_TOL
         self._store(pure_mask=mask)
         return mask
-
-    @property
-    def n(self) -> int:
-        return len(self.conjugates)
 
 
 @dataclass(frozen=True)
@@ -664,7 +721,7 @@ class DiscriminationResult:
         if self.povm.n != self.certificate.n:
             raise ValueError("POVM and certificate cover different numbers of states")
 
-    @functools.cached_property
+    @_derived
     def kkt(self) -> "KktReport":
         from .kkt import kkt_residuals  # kkt imports this module
         return kkt_residuals(self.ensemble, self.certificate, self.povm)

@@ -21,10 +21,11 @@ is returned, tagged three-state-boundary.
 
 Otherwise the three-state case has several closed-form candidates (three
 boundary pairs and two roots of an interior quadratic). Each is screened
-on Python floats, only the survivors are built as arrays and validated by
-the gate, and selection is by the total order (validity, p, candidate
-index). The minimax oracle is the last resort: if nothing validates, it
-solves the instance and the result is tagged method="oracle".
+on Python floats and only the survivors reach the gate: a boundary pair as
+floats, an interior root's common point and conjugates as arrays.
+Selection is by the total order (validity, p, candidate index). The
+minimax oracle is the last resort: if nothing validates, it solves the
+instance and the result is tagged method="oracle".
 """
 
 from __future__ import annotations
@@ -136,7 +137,10 @@ def _three_state_floats(ensemble: WeightedEnsemble) -> tuple:
     sensitive enough that a differently rounded sum of squares moves them.
     """
     pr, _, q = ensemble.lists
-    d = np.array([[y - x for x, y in zip(q[a], q[b])] for a, b in _PAIRS])
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = q
+    # row (a, b) of _PAIRS is q_b - q_a
+    d = np.array([(x1 - x0, y1 - y0, z1 - z0), (x2 - x0, y2 - y0, z2 - z0),
+                  (x2 - x1, y2 - y1, z2 - z1)])
     gaps = np.matmul(d[:, None, :], d[:, :, None]).ravel().tolist()
     return pr, q, gaps
 
@@ -286,14 +290,15 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     if p < max(pr) - ZERO_TOL or p <= pr[k] + GAP_FLOOR:
         return None
     span = 2.0 * p - pr[i] - pr[j]
-    ci = [(b - a) / span for a, b in zip(q[i], q[j])]
-    r = [a + (p - pr[i]) * c for a, c in zip(q[i], ci)]
-    ck = [(a - b) / (p - pr[k]) for a, b in zip(r, q[k])]
+    (xi, yi, zi), (xj, yj, zj), (xk, yk, zk) = q[i], q[j], q[k]
+    ci = ((xj - xi) / span, (yj - yi) / span, (zj - zi) / span)
+    gi, gk = p - pr[i], p - pr[k]
+    r = (xi + gi * ci[0], yi + gi * ci[1], zi + gi * ci[2])
+    ck = ((r[0] - xk) / gk, (r[1] - yk) / gk, (r[2] - zk) / gk)
     if math.hypot(*ck) > 1.0 + BALL_SLACK:
         return None
-    rows = [ck] * 3
-    rows[i], rows[j] = ci, [-c for c in ci]
-    conj = np.array(rows)
+    conj = [ck] * 3
+    conj[i], conj[j] = ci, (-ci[0], -ci[1], -ci[2])
     weights = [1.0] * 3
     weights[k] = 0.0
     try:
@@ -305,7 +310,7 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
         return None
 
 
-def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: float):
+def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: list, p: float):
     """All three conjugates pure at ratio p, a root of the interior quadratic."""
     if not math.isfinite(p) or p > 1.0 + RATIO_SLACK:
         return None
@@ -323,8 +328,9 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, gaps: list, p: flo
     if min(lam) < -NEGATIVE_SLACK or min(weights) < -NEGATIVE_SLACK:
         return None
     # common point: two in-plane linear equations from differencing the
-    # squared-distance constraints |r - q_i| = p - p_i
-    q = ensemble.weighted_points
+    # squared-distance constraints |r - q_i| = p - p_i; the weighted points
+    # as a local array, so that the ensemble builds none of its own
+    q = np.array(q)
     e2 = q[1] - q[0]
     e3 = q[2] - q[0]
     lhs = np.vstack([2.0 * e2, 2.0 * e3])
@@ -353,11 +359,10 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     states; that test runs first, with no slack, and returns guess_result
     tagged three-state-boundary. Otherwise three boundary candidates and two
     interior roots are screened on Python floats, and only those that pass
-    become arrays and reach the weak-duality gate. Any candidate that
-    survives the gate is a verified optimum of its own branch, and
-    selection is by (p, candidate index). When nothing validates, the
-    minimax oracle solves the instance and the result is tagged
-    method="oracle".
+    reach the weak-duality gate. Any candidate that survives the gate is a
+    verified optimum of its own branch, and selection is by (p, candidate
+    index). When nothing validates, the minimax oracle solves the instance
+    and the result is tagged method="oracle".
     """
     if ensemble.n != 3:
         raise ValueError(f"solve_three_state needs exactly 3 states, got {ensemble.n}")
@@ -372,7 +377,7 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
         if built is not None:
             candidates.append((built.p_opt, idx, built))
     for offset, root in enumerate(ThreeStateCoefficients._from_gaps(pr, gaps).roots()):
-        built = _interior_candidate(ensemble, pr, gaps, float(root))
+        built = _interior_candidate(ensemble, pr, q, gaps, float(root))
         if built is not None:
             candidates.append((built.p_opt, 3 + offset, built))
     if not candidates:

@@ -37,7 +37,10 @@ accepts only what the vectorized one accepts, clearing its bound by
 FLOAT_MARGIN, and anything else runs the vectorized code, which raises
 every refusal. The stored values are the same float operations, element by
 element; a conjugate norm or a success within the margin of its bound takes
-its verdict from numpy instead.
+its verdict from numpy instead. Floats pass from a solver through
+povm_from_weights and the gate to the records as they are, with no array
+in between: the POVM and the certificate keep them as immutable tuples
+and build each array on its first read.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .bloch import (
     WeightedEnsemble,
     check_finite,
     float_rows,
+    float_values,
     row_norms,
     vector_array,
     vector_matrix,
@@ -172,19 +176,28 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
 
     Weights within NEG_WEIGHT_TOL of zero are clamped so float dust cannot
     fail the PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified
-    by the Povm constructor, not assumed.
+    by the Povm constructor, not assumed. Lists or tuples of floats go to
+    the float path as they are; arrays of at most FLOAT_ROWS rows, as lists.
     """
-    w = np.asarray(weights, dtype=float)
-    c = vector_matrix(conjugates)
-    if w.shape[0] != c.shape[0]:
-        raise ValueError("weights and conjugates lengths differ")
-    if 0 < len(c) <= FLOAT_ROWS and w.ndim == 1:
-        values = w.tolist()
-        if all(x >= -NEG_WEIGHT_TOL for x in values):  # a NaN fails this too
-            # the arrays below, element by element; Povm checks them on floats
-            a = [0.0 if abs(x) <= NEG_WEIGHT_TOL else x / 2.0 for x in values]
-            v = [(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, c.tolist())]
-            return Povm(a, v)
+    values, rows = float_values(weights), float_rows(conjugates)
+    if values is None or rows is None or not 0 < len(values) == len(rows):
+        w = np.asarray(weights, dtype=float)
+        c = vector_matrix(conjugates)
+        if w.shape[0] != c.shape[0]:
+            raise ValueError("weights and conjugates lengths differ")
+        if not (0 < len(c) <= FLOAT_ROWS and w.ndim == 1):
+            return _weighted_povm(w, c)
+        values, rows = w.tolist(), c.tolist()
+    for x in values:
+        if not x >= -NEG_WEIGHT_TOL:  # a NaN fails this too
+            return _weighted_povm(np.asarray(weights, dtype=float), vector_matrix(conjugates))
+    # _weighted_povm's arrays, element by element; Povm checks them on floats
+    a = tuple([0.0 if abs(x) <= NEG_WEIGHT_TOL else x / 2.0 for x in values])
+    return Povm(a, tuple([(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, rows)]))
+
+
+def _weighted_povm(w: np.ndarray, c: np.ndarray) -> Povm:
+    """povm_from_weights, vectorized, which raises for a negative weight."""
     if w.min() < -NEG_WEIGHT_TOL:  # the least weight, which clamping leaves as it is
         raise ValueError(f"negative weight {float(w.min())!r}")
     a = w / 2.0
@@ -226,16 +239,21 @@ def assemble_result(
 
     Each refusal has its own type and message, which tests/test_family.py
     pins. Up to FLOAT_ROWS conjugates the checks run on floats first
-    (_gate_floats), which accept or hand over to the vectorized _gate.
+    (_gate_floats), which accept or hand over to the vectorized _gate. A
+    common point and conjugates given as lists or tuples of floats reach
+    _gate_floats as they are, and become arrays only for _gate.
     """
     p = float(p)
-    r = vector_array(common_point)
-    c_rows = vector_matrix(conjugates)
-    certificate = None
-    if len(c_rows) <= FLOAT_ROWS:
-        certificate = _gate_floats(ensemble, p, r, c_rows, povm)
+    r, rows, arrays = float_values(common_point), float_rows(conjugates), None
+    if r is None or len(r) != 3 or rows is None:
+        arrays = vector_array(common_point), vector_matrix(conjugates)
+        r = arrays[0].tolist()
+        rows = float_rows(arrays[1].tolist()) if len(arrays[1]) <= FLOAT_ROWS else None
+    certificate = None if rows is None else _gate_floats(ensemble, p, r, rows, povm)
     if certificate is None:
-        certificate = _gate(ensemble, p, r, c_rows, povm)
+        if arrays is None:
+            arrays = vector_array(common_point), vector_matrix(conjugates)
+        certificate = _gate(ensemble, p, *arrays, povm)
     return DiscriminationResult(
         p_opt=p, povm=povm, certificate=certificate, method=method, ensemble=ensemble
     )
@@ -275,31 +293,32 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
     return HelstromCertificate(*fields)  # which refuses what failed
 
 
-def _gate_floats(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarray,
+def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
                  povm: Povm) -> HelstromCertificate | None:
     """assemble_result's certificate from checks on Python floats, or None for _gate.
 
-    Each test accepts only what _gate accepts: the norms clear their bounds
-    by FLOAT_MARGIN, and so does the success, which numpy sums in its own
-    order. A success within the margin of the guess bound takes degenerate
-    from success_probability. Every stored value is the same float
-    operation as in _gate, element by element.
+    r is the common point's three floats and rows the conjugates, from
+    float_rows. Each test accepts only what _gate accepts: the norms clear
+    their bounds by FLOAT_MARGIN, and so does the success, which numpy sums
+    in its own order. A success within the margin of the guess bound takes
+    degenerate from success_probability. Every stored value is the same
+    float operation as in _gate, element by element, and the certificate
+    keeps them as floats (bloch.ArrayRecord).
     """
     priors, bloch, q = ensemble.lists
     a, v = povm.lists
-    found = float_rows(c_rows.tolist())
     top = ensemble.max_prior
-    if not (found and len(found[0]) == len(a) == len(priors)
+    if not (len(rows) == len(a) == len(priors)
             and top - RATIO_SLACK <= p <= 1.0 + RATIO_SLACK):
         return None
-    rx, ry, rz = r.tolist()
+    rx, ry, rz = r
     scaled, lam = [], []
     success = 0.0
-    for pi, (qx, qy, qz), (x, y, z), norm, ai, (vx, vy, vz), (bx, by, bz) in zip(
-            priors, q, *found, a, v, bloch):
+    for pi, (qx, qy, qz), (x, y, z), ai, (vx, vy, vz), (bx, by, bz) in zip(
+            priors, q, rows, a, v, bloch):
         g = p - pi
         ox, oy, oz = qx + g * x - rx, qy + g * y - ry, qz + g * z - rz
-        if not (norm <= 1.0 + BALL_SLACK - FLOAT_MARGIN
+        if not (math.sqrt(x * x + y * y + z * z) <= 1.0 + BALL_SLACK - FLOAT_MARGIN
                 and math.sqrt(ox * ox + oy * oy + oz * oz) <= FAMILY_TOL - FLOAT_MARGIN):
             return None
         success += pi * (ai + (bx * vx + by * vy + bz * vz))
@@ -314,7 +333,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np
     bound = top + DEGENERACY_TOL
     if abs(success - bound) <= FLOAT_MARGIN:
         success = success_probability(ensemble, povm)
-    return HelstromCertificate._from_gate(p, r, c_rows, np.array(scaled), np.array(lam),
+    return HelstromCertificate._from_gate(p, (rx, ry, rz), rows, tuple(scaled), tuple(lam),
                                           bool(success <= bound))
 
 
@@ -332,11 +351,14 @@ def guess_result(
     gate's decision: assemble_result raises CertificateError for a
     conjugate outside the ball. `value` lets a caller pin the reported
     optimum to its own evaluation of p_index (at most an ulp away) so that
-    exact-equality contracts against reference formulas hold.
+    exact-equality contracts against reference formulas hold. An index
+    outside 0..n-1 raises ValueError.
     """
     n = ensemble.n
     k = int(index)
-    if n <= FLOAT_ROWS and 0 <= k < n:
+    if not 0 <= k < n:
+        raise ValueError(f"guess index {k} outside 0..{n - 1}")
+    if n <= FLOAT_ROWS:
         p = ensemble.lists[0][k] if value is None else float(value)
         conj = _guess_conjugates(ensemble, k, p)
         if conj is not None:

@@ -1,6 +1,8 @@
 """Core types: vectors, states, POVM elements, ensemble validation."""
 
+import dataclasses
 import math
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +307,36 @@ def test_records_copy_their_inputs():
         assert len(stored) >= len(given)
         assert all(np.array_equal(arr, copy) for arr, copy in zip(stored, copies))
         assert record == twin and hash(record) == digest == hash(twin)
+
+    # lists, and tuples of lists, of floats take the float path, where a
+    # record keeps floats of its own and builds each array on first read: a
+    # caller's change before that read reaches no array, ==, or hash
+    pair = WeightedEnsemble([0.5, 0.5], [list(_UP), list(_DOWN)])
+    povm = Povm([0.5, 0.5], [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])
+    builds = [
+        (WeightedEnsemble, ([0.4, 0.6], [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])),
+        (Povm, ((0.5, 0.5), ([0.0, 0.0, 0.5], [0.0, 0.0, -0.5]))),
+        (lambda r, c: qsd.family.assemble_result(pair, 1.0, r, c, povm, "two-state").certificate,
+         ([0.0, 0.0, 0.0], ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0]))),
+    ]
+    for build, values in builds:
+        record = build(*values)
+        twin = build(*deepcopy(values))
+        assert not [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+        digest = hash(twin)
+        _shift(values)
+        assert all(np.array_equal(getattr(record, f.name), getattr(twin, f.name))
+                   for f in dataclasses.fields(record))
+        assert record == twin and hash(record) == digest and repr(record) == repr(twin)
+
+
+def _shift(nested):
+    """Add 0.25 to every float that a list holds, in nested lists and tuples."""
+    for i, x in enumerate(nested):
+        if type(x) is float and type(nested) is list:
+            nested[i] = x + 0.25
+        elif type(x) in (list, tuple):
+            _shift(x)
 
 
 def test_records_compare_hash_and_print_by_value():

@@ -313,6 +313,13 @@ def test_guess_result_dominant_prior():
     assert result.povm.elements[0].a == 1.0
     assert result.povm.elements[1].a == 0.0
     assert all(lam == 0.0 for lam in result.certificate.lambdas)
+    # an index outside 0..n-1 is refused, not wrapped, on Python floats and vectorized
+    wide = qsd.validate_ensemble([(1.0 / 13.0, (0.0, 0.0, 0.0))] * 13)
+    for ensemble in (ens, wide):
+        for index in (-1, ensemble.n):
+            with pytest.raises(ValueError,
+                               match=rf"^guess index {index} outside 0\.\.{ensemble.n - 1}$"):
+                guess_result(ensemble, index, "two-state")
 
 
 def test_guess_result_value_override():

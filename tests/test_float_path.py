@@ -283,14 +283,49 @@ def test_gate_records_pass_the_public_constructors():
         assert fingerprint(ens) == fingerprint(result.ensemble)
 
 
+_ARRAY_FIELDS = (
+    ("ensemble", ("priors", "bloch_matrix", "weighted_points")),
+    ("povm", ("a", "v")),
+    ("certificate", ("common_point", "conjugates", "scaled_priors", "lambdas")),
+)
+_THREE_STATES = [
+    _GOOD,  # boundary
+    [(1.0 / 3.0, (math.cos(t), math.sin(t), 0.0)) for t in (0.0, 2.0944, 4.1888)],  # interior
+    [(0.9, (0.0, 0.0, 0.1)), (0.05, (0.0, 0.1, 0.0)), (0.05, (0.1, 0.0, 0.0))],  # guess
+]
+
+
+def _built(result):
+    """(record, field) of every array field the result's records have built."""
+    return {(part, name) for part, names in _ARRAY_FIELDS for name in names
+            if name in vars(getattr(result, part))}
+
+
+@pytest.mark.parametrize("entries", _THREE_STATES, ids=["boundary", "interior", "guess"])
+def test_float_path_builds_each_array_on_first_read(entries):
+    with vectorized():
+        expected = qsd.solve_auto(qsd.validate_ensemble(entries))
+    for part, names in _ARRAY_FIELDS:
+        for name in names:
+            result = _solve(entries)()
+            assert result.method.startswith("three-state")
+            assert _built(result) == set()
+            arr = getattr(getattr(result, part), name)
+            assert _built(result) == {(part, name)}
+            assert getattr(getattr(result, part), name) is arr
+            assert not arr.flags.writeable
+            assert _arrays(arr) == _arrays(getattr(getattr(expected, part), name))
+    assert fingerprint(result) == fingerprint(expected)
+
+
 def test_float_lists_match_the_arrays():
     rng = np.random.default_rng(5)
     for n in range(2, FLOAT_ROWS + 1):
         result = _solve(_entries(rng.dirichlet(np.ones(n)), ball_points(rng, n)))()
         ens, povm = result.ensemble, result.povm
         priors, bloch, weighted = ens.lists
-        assert priors == ens.priors.tolist()
+        assert list(priors) == ens.priors.tolist()
         assert [list(row) for row in bloch] == ens.bloch_matrix.tolist()
         assert [list(row) for row in weighted] == ens.weighted_points.tolist()
         a, v = povm.lists
-        assert a == povm.a.tolist() and [list(row) for row in v] == povm.v.tolist()
+        assert list(a) == povm.a.tolist() and [list(row) for row in v] == povm.v.tolist()

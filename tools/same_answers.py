@@ -23,10 +23,11 @@ child interpreter, on inputs drawn the same way for both:
 
 The corpora come from the bench/ next to this script, read and never
 written. For each input the tool keeps the method tag, the type of any
-exception, p_opt and a hash of the bytes of the POVM and of the
-certificate: p, common point, conjugates, scaled priors, multipliers, pure
-mask and the degenerate flag (for the CLI, of the JSON report less its
-input path). It prints the tag changes, exception-type
+exception, p_opt and a hash of the bytes of the POVM, of the
+certificate (p, common point, conjugates, scaled priors, multipliers, pure
+mask and the degenerate flag) and of the result's ensemble (priors, Bloch
+matrix, weighted points and largest prior); for the CLI, of the JSON
+report less its input path. It prints the tag changes, exception-type
 changes, the largest |delta p_opt| and how many inputs of each set moved
 their bytes, then a verdict with the line count of each checkout's src/qsd
 (newlines in its .py files, as wc -l counts them) and its count of named
@@ -110,13 +111,15 @@ def collect() -> None:
         except Exception as exc:  # the type is what is compared
             records[key] = [None, type(exc).__name__, None, None]
         else:
-            povm, cert = result.povm, result.certificate
+            povm, cert, ens = result.povm, result.certificate, result.ensemble
             records[key] = [result.method, None, result.p_opt, _digest(
                 povm.a.tobytes(), povm.v.tobytes(),
                 np.array([cert.p, *cert.common_point]).tobytes(),
                 np.array([tuple(c) for c in cert.conjugates], dtype=float).reshape(-1, 3).tobytes(),
                 cert.scaled_priors.tobytes(),
-                cert.lambdas.tobytes(), cert.pure_mask.tobytes(), bytes([cert.degenerate]))]
+                cert.lambdas.tobytes(), cert.pure_mask.tobytes(), bytes([cert.degenerate]),
+                ens.priors.tobytes(), ens.bloch_matrix.tobytes(), ens.weighted_points.tobytes(),
+                np.array([ens.max_prior]).tobytes())]
 
     def run_cli(key, path):
         out, err = io.StringIO(), io.StringIO()
