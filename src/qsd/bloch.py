@@ -369,16 +369,17 @@ class ArrayRecord:
         return [getattr(self, f.name) for f in fields(self)]
 
     def _store(self, **values) -> None:
-        stored, kept = self.__dict__, {}
+        kept = {}
         for name, value in values.items():
             if type(value) is tuple:
                 kept[name] = value
-                continue
-            if isinstance(value, np.ndarray) and value.flags.writeable:
+            elif isinstance(value, np.ndarray) and value.flags.writeable:
                 value.setflags(write=False)
-            stored[name] = value
         if kept:
-            stored["_floats"] = kept
+            for name in kept:
+                del values[name]
+            values["_floats"] = kept
+        self.__dict__.update(values)
 
     def __getattr__(self, name):
         # reached only for a name not in __dict__: an array field kept as floats

@@ -21,8 +21,7 @@ is returned, tagged three-state-boundary.
 
 Otherwise the three-state case has several closed-form candidates (three
 boundary pairs and two roots of an interior quadratic). Each is screened
-on Python floats and only the survivors reach the gate: a boundary pair as
-floats, an interior root's common point and conjugates as arrays.
+on Python floats, and only the survivors reach the gate, as floats.
 Selection is by the total order (validity, p, candidate index). The
 minimax oracle is the last resort: if nothing validates, it solves the
 instance and the result is tagged method="oracle".
@@ -341,11 +340,12 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     if rank < 2:
         return None
     r = q[0] + sol
-    conj = (r - q) / np.array(s)[:, None]
+    # handed on as floats, so that the records keep them like the boundary's
+    conj = ((r - q) / np.array(s)[:, None]).tolist()
     try:
         return assemble_result(
-            ensemble, p, r, conj, povm_from_weights([max(w, 0.0) for w in weights], conj),
-            "three-state-interior",
+            ensemble, p, r.tolist(), conj,
+            povm_from_weights([max(w, 0.0) for w in weights], conj), "three-state-interior",
         )
     except (CertificateError, ValueError):
         return None

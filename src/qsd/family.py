@@ -241,15 +241,19 @@ def assemble_result(
     pins. Up to FLOAT_ROWS conjugates the checks run on floats first
     (_gate_floats), which accept or hand over to the vectorized _gate. A
     common point and conjugates given as lists or tuples of floats reach
-    _gate_floats as they are, and become arrays only for _gate.
+    _gate_floats as they are, and become arrays only for _gate; given as
+    arrays, they are the arrays the certificate stores.
     """
     p = float(p)
     r, rows, arrays = float_values(common_point), float_rows(conjugates), None
-    if r is None or len(r) != 3 or rows is None:
+    if r is not None and len(r) == 3 and rows is not None:
+        certificate = _gate_floats(ensemble, p, r, rows, povm, None)
+    else:
         arrays = vector_array(common_point), vector_matrix(conjugates)
-        r = arrays[0].tolist()
-        rows = float_rows(arrays[1].tolist()) if len(arrays[1]) <= FLOAT_ROWS else None
-    certificate = None if rows is None else _gate_floats(ensemble, p, r, rows, povm)
+        certificate = None
+        if len(arrays[1]) <= FLOAT_ROWS:
+            certificate = _gate_floats(ensemble, p, arrays[0].tolist(),
+                                       float_rows(arrays[1].tolist()), povm, arrays)
     if certificate is None:
         if arrays is None:
             arrays = vector_array(common_point), vector_matrix(conjugates)
@@ -294,7 +298,7 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
 
 
 def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
-                 povm: Povm) -> HelstromCertificate | None:
+                 povm: Povm, arrays: tuple | None) -> HelstromCertificate | None:
     """assemble_result's certificate from checks on Python floats, or None for _gate.
 
     r is the common point's three floats and rows the conjugates, from
@@ -302,8 +306,9 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
     their bounds by FLOAT_MARGIN, and so does the success, which numpy sums
     in its own order. A success within the margin of the guess bound takes
     degenerate from success_probability. Every stored value is the same
-    float operation as in _gate, element by element, and the certificate
-    keeps them as floats (bloch.ArrayRecord).
+    float operation as in _gate, element by element. The certificate keeps
+    them as floats (bloch.ArrayRecord), or, when the caller gave arrays,
+    stores those and arrays of the rest, as the vectorized _gate does.
     """
     priors, bloch, q = ensemble.lists
     a, v = povm.lists
@@ -333,8 +338,11 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
     bound = top + DEGENERACY_TOL
     if abs(success - bound) <= FLOAT_MARGIN:
         success = success_probability(ensemble, povm)
-    return HelstromCertificate._from_gate(p, (rx, ry, rz), rows, tuple(scaled), tuple(lam),
-                                          bool(success <= bound))
+    if arrays is None:
+        values = (rx, ry, rz), rows, tuple(scaled), tuple(lam)
+    else:
+        values = *arrays, np.array(scaled), np.array(lam)
+    return HelstromCertificate._from_gate(p, *values, bool(success <= bound))
 
 
 def guess_result(
