@@ -138,14 +138,21 @@ SHRINK_MARGIN = 1e-12     # rel (the element's a): how far inside the PSD cone d
 DISTINCT_VERTEX_TOL = 1e-9   # abs: beyond which distance are two vertices distinct?
 EDGE_COEFFICIENT_TOL = 1e-10  # abs: how far may a printed edge coefficient lie from the measured?
 
-# The float path (module docstring). Records of at most FLOAT_ROWS rows are
-# checked on Python floats, which beat numpy's per-call overhead up to the
-# crossover measured for the three records together. A float test must
-# clear its bound by FLOAT_MARGIN (abs): for values up to 2 in size,
-# sqrt(x*x + y*y + z*z) and np.hypot's norm differ by a few ulps, and two
-# sums of up to FLOAT_ROWS such terms, in any two orders, by less than 100
-# ulps of 1.
-FLOAT_ROWS = 12
+# The float path (module docstring). Records of at most FLOAT_ROWS rows, and
+# the oracle on an ensemble of at most FLOAT_ROWS states, run on Python
+# floats, which beat numpy's per-call overhead up to the crossover measured
+# with cold caches, as a one-shot process meets them (a 4 MiB read before
+# each op). On mixed and jittered-pure ensembles, float over vectorized time
+# stays below 1 up to n = 34 for all four; the POVM crosses at n = 36-38,
+# the gate near 60, the ensemble and minimax_common_point beyond 64 (0.91
+# and 0.88 there). A float test must clear its bound by FLOAT_MARGIN (abs):
+# for values up to 2 in size, sqrt(x*x + y*y + z*z) and np.hypot's norm
+# differ by a few ulps. A sum of m terms whose sizes add to at most 2 errs
+# by at most (m - 1) ulps of 1, and each term's own rounding adds about 4
+# ulps in all, so two sums of up to FLOAT_ROWS terms, in any two orders,
+# differ by at most 2 (FLOAT_ROWS + 3) ulps: 70 ulps of 1, 1.6e-14, at 32
+# rows, where FLOAT_MARGIN is 450.
+FLOAT_ROWS = 32
 FLOAT_MARGIN = 1e-13
 
 METHODS = frozenset({
@@ -382,10 +389,15 @@ class ArrayRecord:
         self.__dict__.update(values)
 
     def __getattr__(self, name):
-        # reached only for a name not in __dict__: an array field kept as floats
+        # reached only for a name not in __dict__: an array field kept as
+        # floats, or a derived value whose derivation raised AttributeError,
+        # which Python drops before calling here; deriving again raises it
         try:
             array = np.array(self.__dict__["_floats"][name])
         except KeyError:
+            derived = getattr(type(self), name, None)
+            if isinstance(derived, _derived):
+                return derived.__get__(self)
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}") from None
         array.setflags(write=False)

@@ -409,6 +409,11 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """
     if not _on_z_axis(ensemble):
         raise ValueError("solve_diagonal needs every Bloch vector on the z axis")
+    return _diagonal(ensemble)
+
+
+def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
+    """solve_diagonal on an ensemble already probed to lie on the z axis (solve_auto's too)."""
     pr = ensemble.priors
     n = ensemble.n
     z = ensemble.bloch_matrix[:, 2]
@@ -643,7 +648,7 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     if n == 2:
         return solve_two_state(ensemble)
     if _on_z_axis(ensemble):
-        return solve_diagonal(ensemble)
+        return _diagonal(ensemble)
     if n == 3:
         return solve_three_state(ensemble)
     b = _shell_norm(ensemble)

@@ -34,9 +34,13 @@ cross products over the determinant, or the minimum-norm solution
 square the condition number of nearly parallel rows; the hull weights are
 a zero row, an antiparallel pair, barycentric coordinates from cross
 products or signed volumes. A subset singular to rounding (RANK_TOL) is
-skipped, since smaller subsets cover its optima. Only the rows a pivot
-touches are converted to floats; the pass over all n points stays one
-numpy pass, and nothing calls np.linalg. A pivot computes the terms of
+skipped, since smaller subsets cover its optima. Nothing calls np.linalg.
+Up to bloch.FLOAT_ROWS states, where numpy's per-call overhead costs more
+than the arithmetic, the solver reads the ensemble's kept floats
+(ensemble.lists), and the pass over all n points runs on them as well,
+repeating numpy's operations row by row (_farthest); above it the pass is
+one numpy pass over the arrays, and a pivot converts only the rows it
+touches (_members). A pivot computes the terms of
 each member pair (q_b - q_a and its norm, the row 2(q_b - q_a), its norm
 and its right-hand side) once, in a table that all its subsets share, and
 stops scoring a candidate point once its running max over the members
@@ -55,7 +59,9 @@ by |r - q_i|, are the weights of the pure-conjugate POVM: recover_povm
 solves no second weight system, and a size-1 basis (the guess regime)
 yields the identity on its state. Its at most 4 support rows are worked on
 Python floats, rounded as the numpy reductions they replace round, and the
-n-length conjugate, weight and direction arrays are built once.
+n-length conjugate, weight and element rows are built once: up to
+FLOAT_ROWS states as lists of floats, which povm_from_weights and the gate
+take as they are, with no array in between, and above it as arrays.
 recover_povm and solve_oracle share one result, whose certificate comes
 from the gate, family.assemble_result.
 """
@@ -73,6 +79,7 @@ from .bloch import (
     AXIS_TOL,
     CONSISTENCY_TOL,
     FEAS_TOL,
+    FLOAT_ROWS,
     NEG_WEIGHT_TOL,
     NORM_FLOOR,
     PIVOT_WINDOW,
@@ -268,7 +275,19 @@ def _pivot_subsets(new: int) -> tuple:
     )
 
 
-def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int) -> tuple:
+def _members(values, indices) -> list:
+    """The rows of values at indices as Python floats, gathered once.
+
+    values is the ensemble's kept floats (ensemble.lists) up to FLOAT_ROWS
+    rows, or its array above: the one place the pivots and the hull test
+    tell the two apart.
+    """
+    if isinstance(values, np.ndarray):
+        return values[list(indices)].tolist()
+    return [values[i] for i in indices]
+
+
+def _pivot(pr, q, basis: tuple, j: int) -> tuple:
     """(basis, r, value): the optimum of f over basis + (j,), whose old optimum j violates.
 
     j is in the new optimum's support, so only the equal-slack points of
@@ -278,11 +297,11 @@ def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int) -> tuple:
     once its running max over the members reaches the best value so far,
     since it cannot win then. The members within PIVOT_WINDOW of the
     optimum's value form the next basis. Only the members' rows are read,
-    and all the algebra is on Python floats.
+    and all the algebra is on Python floats; r is three of them.
     """
     members = basis + (j,)
-    p_m = pr[list(members)].tolist()
-    q_m = q[list(members)].tolist()
+    p_m = _members(pr, members)
+    q_m = _members(q, members)
     segments, rows = _pair_table(p_m, q_m)
     terms = list(zip(p_m, q_m))
     best_r, best = None, math.inf
@@ -307,7 +326,7 @@ def _pivot(pr: np.ndarray, q: np.ndarray, basis: tuple, j: int) -> tuple:
         for i, (p, (a, b, c)) in zip(members, terms)
         if p + math.sqrt((x - a) * (x - a) + (y - b) * (y - b) + (z - c) * (z - c)) >= floor
     )
-    return active, np.array(best_r), best
+    return active, best_r, best
 
 
 def _zero_weights(d: list):
@@ -372,7 +391,7 @@ def _zero_weights(d: list):
     return tuple([max(wi, 0.0) for wi in w])
 
 
-def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
+def _hull_weights(q, r, basis: tuple) -> tuple | None:
     """Convex weights mu with sum_i mu_i (q_i - r) = 0 over the basis, or None.
 
     With every basis point at equal slack, r in the convex hull of the basis
@@ -383,9 +402,10 @@ def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
     length keeps a nearly coincident point from blowing up its direction's
     rounding error. The weights have the smallest support (at most 4 of the
     at most 5 rows), then the smallest norm, then come first in enumeration
-    order (_zero_weights).
+    order (_zero_weights). q is as _pivot takes it, and r three floats.
     """
-    rows = (q[list(basis)] - r).tolist()
+    rx, ry, rz = r
+    rows = [(x - rx, y - ry, z - rz) for x, y, z in _members(q, basis)]
     scale = max([math.sqrt(x * x + y * y + z * z) for x, y, z in rows])
     if scale == 0.0:
         return (1.0,) + (0.0,) * (len(basis) - 1)
@@ -409,10 +429,35 @@ def _hull_weights(q: np.ndarray, r: np.ndarray, basis: tuple) -> tuple | None:
     return None
 
 
-def _distances(r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|r - q_i| for every row: np.linalg.norm's sum and root, without its call overhead."""
-    d = r - q
-    return np.sqrt((d * d).sum(axis=1))
+def _farthest(pr, q, r: tuple) -> tuple:
+    """(j, f_j): the first index of the largest p_i + |r - q_i|, and that value.
+
+    One numpy pass over arrays: the distance is np.linalg.norm's sum and
+    root, without its call overhead, and np.argmax takes the first of tied
+    maxima. Over the kept floats, the same operations row by row: the
+    difference, the 3-term sum from the left, the root, and a strict >.
+    """
+    if isinstance(q, np.ndarray):
+        d = r - q
+        f_vals = pr + np.sqrt((d * d).sum(axis=1))
+        j = int(np.argmax(f_vals))
+        return j, float(f_vals[j])
+    x, y, z = r
+    j, top = 0, -math.inf
+    for i, (p, (qx, qy, qz)) in enumerate(zip(pr, q)):
+        dx, dy, dz = x - qx, y - qy, z - qz
+        f = p + math.sqrt(dx * dx + dy * dy + dz * dz)
+        if f > top:
+            j, top = i, f
+    return j, top
+
+
+def _points(ensemble: WeightedEnsemble) -> tuple:
+    """(priors, weighted points): the kept floats up to FLOAT_ROWS rows, else the arrays."""
+    if ensemble.n <= FLOAT_ROWS:
+        pr, _, q = ensemble.lists
+        return pr, q
+    return ensemble.priors, ensemble.weighted_points
 
 
 def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
@@ -421,29 +466,27 @@ def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
     Pivots over bases (module docstring). iterations counts the passes over
     all n points, one per basis; a pass that finds no violation beyond
     PIVOT_WINDOW ends the loop, and the hull test on that basis decides
-    convergence. The final basis and its hull weights are returned for
-    recover_povm. Reaching the cap of a fixed multiple of n passes returns
-    converged=False. Deterministic: ties break by index.
+    convergence. p_star is the largest value of the last pass. The final
+    basis and its hull weights are returned for recover_povm. Reaching the
+    cap of a fixed multiple of n passes returns converged=False.
+    Deterministic: ties break by index.
     """
-    pr = ensemble.priors
-    q = ensemble.weighted_points
-
-    k = int(np.argmax(pr))
-    basis, r, value = (k,), q[k], float(pr[k])
+    pr, q = _points(ensemble)
+    k = int(np.argmax(pr)) if isinstance(pr, np.ndarray) else pr.index(ensemble.max_prior)
+    basis, r, value = (k,), tuple(_members(q, (k,))[0]), float(pr[k])
     mu = None
     for iterations in range(1, _PIVOTS_PER_STATE * ensemble.n + 1):
-        f_vals = pr + _distances(r, q)
-        j = int(np.argmax(f_vals))
-        if f_vals[j] <= value + PIVOT_WINDOW:
+        j, top = _farthest(pr, q, r)
+        if top <= value + PIVOT_WINDOW:
             mu = _hull_weights(q, r, basis)
             break
         basis, r, value = _pivot(pr, q, basis, j)
     else:
-        f_vals = pr + _distances(r, q)
+        _, top = _farthest(pr, q, r)
 
     return MinimaxSolution(
-        p_star=float(f_vals.max()),
-        r_star=tuple(r.tolist()),
+        p_star=top,
+        r_star=r,
         iterations=iterations,
         converged=mu is not None,
         basis=tuple(int(i) for i in basis),
@@ -479,29 +522,25 @@ def _basis_measurement(
     The at most 4 support rows are worked on Python floats in numpy's
     rounding: norms and sums add left to right from 0.0, as numpy's
     reductions over 3 or 4 terms do, and the closing weight is the norm of
-    np.dot, as np.linalg.norm takes it. The n-length arrays are built once.
+    np.dot, as np.linalg.norm takes it. The n-length rows are built once,
+    as lists up to FLOAT_ROWS states and as arrays above.
     """
     if not solution.converged or not solution.basis_weights:
         raise ConvergenceError("cannot recover a POVM without a converged basis")
-    pr = ensemble.priors
-    q = ensemble.weighted_points
+    pr, q = _points(ensemble)
     n = ensemble.n
     p = float(solution.p_star)
-    r = np.array(solution.r_star)
-
-    gap = p - pr
-    free = gap > ZERO_TOL
-    c = np.divide(r - q, gap[:, None], out=np.zeros((n, 3)), where=free[:, None])
+    r = solution.r_star
 
     support, mu = zip(*((i, m) for i, m in zip(solution.basis, solution.basis_weights) if m > 0.0))
     support = list(support)
-    gaps = [p - x for x in pr[support].tolist()]
+    gaps = [p - x for x in _members(pr, support)]
     k = gaps.index(min(gaps))
     if len(support) == 1:  # r is that basis point: guess its state
         weights, dirs = [2.0], [(0.0, 0.0, 0.0)]
     else:
-        rx, ry, rz = r.tolist()
-        offsets = [(rx - x, ry - y, rz - z) for x, y, z in q[support].tolist()]
+        rx, ry, rz = r
+        offsets = [(rx - x, ry - y, rz - z) for x, y, z in _members(q, support)]
         dist = [math.sqrt(a * a + b * b + c * c) for a, b, c in offsets]
         dirs = [tuple(y / d for y in x) for x, d in zip(offsets, dist)]
         weights = [m * d for m, d in zip(mu, dist)]
@@ -511,11 +550,27 @@ def _basis_measurement(
         dirs[k] = tuple(y / weights[k] for y in closing)
         scale = 2.0 / _sum(weights)
         weights = [w_i * scale for w_i in weights]
+
+    # c_i = (r - q_i)/(p - p_i), zero where the gap is at most ZERO_TOL
+    if isinstance(q, np.ndarray):
+        gap = p - pr
+        c = np.divide(np.subtract(r, q), gap[:, None], out=np.zeros((n, 3)),
+                      where=(gap > ZERO_TOL)[:, None])
+        w = np.zeros(n)
+        w[support] = weights
+        elements = np.zeros((n, 3))
+        elements[support] = dirs
+    else:
+        rx, ry, rz = r
+        c = []
+        for pi, (x, y, z) in zip(pr, q):
+            g = p - pi
+            c.append(((rx - x) / g, (ry - y) / g, (rz - z) / g) if g > ZERO_TOL
+                     else (0.0, 0.0, 0.0))
+        w, elements = [0.0] * n, [(0.0, 0.0, 0.0)] * n
+        for i, w_i, d_i in zip(support, weights, dirs):
+            w[i], elements[i] = w_i, d_i
     c[support[k]] = dirs[k]
-    w = np.zeros(n)
-    w[support] = weights
-    elements = np.zeros((n, 3))
-    elements[support] = dirs
     povm = povm_from_weights(w, elements)
     return assemble_result(ensemble, p, r, c, povm, "oracle")
 

@@ -273,6 +273,16 @@ def test_stored_arrays_are_read_only():
         cert.p = 0.5
 
 
+def test_a_derived_value_names_the_field_it_misses():
+    # Python retries a read whose descriptor raised AttributeError through
+    # __getattr__, which must not report the derived value itself missing
+    bare = bloch.HelstromCertificate.__new__(bloch.HelstromCertificate)
+    with pytest.raises(AttributeError, match="'conjugates'"):
+        bare.pure_mask
+    with pytest.raises(AttributeError, match="'lambdas'"):
+        bare.lambdas
+
+
 def _frozen(values):
     """values as a read-only array that owns its data."""
     arr = np.array(values, dtype=float)

@@ -446,6 +446,21 @@ def test_auto_probes_the_common_norm_once(ens, monkeypatch):
     assert calls == [ens.n]
 
 
+@pytest.mark.parametrize("n", [3, 20])
+def test_auto_probes_the_z_axis_once(n, monkeypatch):
+    calls = []
+    probe = qsd.closed_form._on_z_axis
+
+    def counted(ensemble):
+        calls.append(ensemble.n)
+        return probe(ensemble)
+
+    monkeypatch.setattr(qsd.closed_form, "_on_z_axis", counted)
+    ens = random_diagonal_ensemble(np.random.default_rng(n), n)
+    assert solve_auto(ens).method == "diagonal"
+    assert calls == [n]
+
+
 def test_cone_parameter_validation():
     with pytest.raises(ValueError):
         cone_ensemble(1, 1.0, 0.5)

@@ -1,11 +1,11 @@
 """The float path of small records against the vectorized code it stands in for.
 
 Records of at most bloch.FLOAT_ROWS rows are checked and built on Python
-floats. The float path only accepts: anything it declines goes to the
-vectorized code, which raises every refusal. These tests run the same inputs
-both ways, with FLOAT_ROWS set to 0 for the vectorized side, and require
-the same stored bytes, flags and masks, or the same exception type and
-message.
+floats, and the oracle solves ensembles of that size on them. The float
+path only accepts: anything it declines goes to the vectorized code, which
+raises every refusal. These tests run the same inputs both ways, with
+FLOAT_ROWS set to 0 for the vectorized side, and require the same stored
+bytes, flags and masks, or the same exception type and message.
 """
 
 import math
@@ -18,6 +18,7 @@ import qsd
 import qsd.bloch
 import qsd.closed_form
 import qsd.family
+import qsd.oracle
 from qsd import DiscriminationResult, HelstromCertificate, Povm, WeightedEnsemble
 from qsd.bloch import DEGENERACY_TOL, FLOAT_ROWS, PSD_TOL, PURITY_TOL, STATE_NORM_TOL
 
@@ -25,7 +26,7 @@ from helpers import ball_points, near_guess_ensemble, sphere_points
 from test_bloch import ERROR_TABLE
 from test_family import GATE_REJECTIONS
 
-_MODULES = (qsd.bloch, qsd.family, qsd.closed_form)
+_MODULES = (qsd.bloch, qsd.family, qsd.closed_form, qsd.oracle)
 _NAN, _INF = math.nan, math.inf
 
 
@@ -96,6 +97,40 @@ def test_seeded_ensembles_solve_alike(n):
         priors = rng.dirichlet(np.ones(n))
         points = ball_points(rng, n) if rng.uniform() < 0.5 else sphere_points(rng, n)
         assert assert_both_ways(_solve(_entries(priors, points)))[0] == "ok"
+
+
+def _oracle_outcome(entries, renormalize=False):
+    ens = qsd.validate_ensemble(entries, renormalize=renormalize)
+    return repr(qsd.oracle.minimax_common_point(ens)), outcome(lambda: qsd.solve_oracle(ens))
+
+
+def assert_oracle_alike(entries, renormalize=False):
+    """The oracle's solution by repr, and its result byte for byte, on both paths."""
+    floats = _oracle_outcome(entries, renormalize)
+    with vectorized():
+        assert _oracle_outcome(entries, renormalize) == floats
+    return floats
+
+
+@pytest.mark.parametrize("n", range(2, FLOAT_ROWS + 2))
+def test_oracle_answers_alike(n):
+    # the pass, the pivots, the hull test and the measurement on the kept
+    # floats against the numpy pass and arrays
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(10):
+        assert_oracle_alike(_entries(rng.dirichlet(np.ones(n)), ball_points(rng, n)))
+        jitter = 1.0 + rng.uniform(-0.05, 0.05, size=n)
+        assert_oracle_alike(_entries(jitter / jitter.sum(), sphere_points(rng, n)))
+    weights = rng.uniform(0.2, 1.0, size=n)  # tied priors
+    weights[: n // 2 + 1] = weights[0]
+    solution, solved = assert_oracle_alike(_entries(weights, ball_points(rng, n)), True)
+    assert solved[0] == "ok"
+
+
+def test_oracle_guess_regime_alike():
+    entries = [(0.9, (0.0, 0.0, 0.5)), (0.05, (0.0, 0.0, 0.4)), (0.05, (0.3, 0.0, 0.0))]
+    solution, solved = assert_oracle_alike(entries)
+    assert "basis=(0,)" in solution and solved[0] == "ok"
 
 
 def test_mirror_grid_solves_alike():

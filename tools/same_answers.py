@@ -20,6 +20,12 @@ child interpreter, on inputs drawn the same way for both:
   mirror                                 the mirror grid, theta = 1..89
                                          degrees and p1 = 0.01..0.49, through
                                          solve_auto and solve_mirror_symmetric
+  oracle                                 seeded mixed and jittered-pure
+                                         ensembles (the general workload's
+                                         classes), 20 of each at every n =
+                                         2..40, through solve_oracle: both
+                                         sides of bloch.FLOAT_ROWS, which the
+                                         bench corpora (n <= 20) need not span
 
 The corpora come from the bench/ next to this script, read and never
 written. For each input the tool keeps the method tag, the type of any
@@ -59,6 +65,9 @@ BENCH_ROUNDS = (0, 1, 2)
 PLATONIC_SCALES = (0.3, 0.7, 1.0)
 CONE_DRAWS = 3000
 CONE_SEED = 2026
+ORACLE_SIZES = range(2, 41)
+ORACLE_DRAWS = 20
+ORACLE_SEED = 2027
 
 # the child puts the checkout's src and bench/ first, then collects
 CHILD = (
@@ -175,6 +184,15 @@ def collect() -> None:
             key = f"mirror/{degrees}/{hundredths}"
             run(key + "/auto", lambda: qsd.solve_auto(qsd.mirror_ensemble(theta, p1)))
             run(key + "/mirror", lambda: qsd.solve_mirror_symmetric(theta, p1))
+
+    rng = np.random.default_rng(ORACLE_SEED)
+    for n in ORACLE_SIZES:
+        for i in range(ORACLE_DRAWS):
+            for kind, draw in (("mixed", corpus.mixed_ensemble),
+                               ("pure", corpus.jittered_pure_ensemble)):
+                entries = draw(rng, n)
+                run(f"oracle/{n}/{i}/{kind}",
+                    lambda: qsd.solve_oracle(qsd.validate_ensemble(entries)))
 
     json.dump({"tolerances": named_tolerances(), "records": records}, sys.stdout)
 
