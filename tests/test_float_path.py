@@ -123,7 +123,7 @@ def test_oracle_answers_alike(n):
         assert_oracle_alike(_entries(jitter / jitter.sum(), sphere_points(rng, n)))
     weights = rng.uniform(0.2, 1.0, size=n)  # tied priors
     weights[: n // 2 + 1] = weights[0]
-    solution, solved = assert_oracle_alike(_entries(weights, ball_points(rng, n)), True)
+    _, solved = assert_oracle_alike(_entries(weights, ball_points(rng, n)), True)
     assert solved[0] == "ok"
 
 
