@@ -27,8 +27,9 @@ Povm.elements is a tuple of PovmElement views, built on first access.
 
 The float path. Below the measured crossover of FLOAT_ROWS rows, numpy's
 per-call overhead costs more than the arithmetic, so a WeightedEnsemble or
-Povm given as lists or tuples of Python floats is checked on those floats,
-and so is the gate's certificate (family.assemble_result). The record
+Povm of at most FLOAT_ROWS rows of floats, as lists, tuples or arrays, is
+checked on Python floats, and so is the gate's certificate
+(family.assemble_result): a record's form depends on its size alone. The record
 keeps the floats it checked, as immutable tuples of its own, and builds
 each read-only array on its first read (ArrayRecord), so an array nobody
 reads is never built. The float path only accepts: when any of its tests
@@ -253,11 +254,14 @@ _SEQUENCES = (list, tuple)
 def float_rows(rows) -> tuple | None:
     """rows as a tuple of (x, y, z) tuples of Python floats, or None.
 
-    rows must be a list or tuple of at most FLOAT_ROWS lists or tuples of
-    three floats; anything else gives None, for the vectorized checks. A
-    float test of a row's norm takes sqrt(x*x + y*y + z*z) and compares it
-    with FLOAT_MARGIN to spare.
+    rows must hold at most FLOAT_ROWS rows of three floats: lists or tuples
+    of them, or an (n, 3) float64 array; anything else gives None, for the
+    vectorized checks. A float test of a row's norm takes
+    sqrt(x*x + y*y + z*z) and compares it with FLOAT_MARGIN to spare.
     """
+    if type(rows) is np.ndarray:
+        ok = rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == 3
+        return tuple(map(tuple, rows.tolist())) if ok and len(rows) <= FLOAT_ROWS else None
     if type(rows) not in _SEQUENCES or len(rows) > FLOAT_ROWS:
         return None
     out = []
@@ -272,8 +276,11 @@ def float_rows(rows) -> tuple | None:
 
 
 def float_values(values) -> tuple | None:
-    """values as a tuple of Python floats when it is a list or tuple of them, else None."""
-    if type(values) not in _SEQUENCES:
+    """values as a tuple of at most FLOAT_ROWS floats: a list, tuple or float64 array; or None."""
+    if type(values) is np.ndarray:
+        ok = values.dtype == np.float64 and values.ndim == 1 and len(values) <= FLOAT_ROWS
+        return tuple(values.tolist()) if ok else None
+    if type(values) not in _SEQUENCES or len(values) > FLOAT_ROWS:
         return None
     values = tuple(values)
     for x in values:
@@ -389,27 +396,27 @@ class ArrayRecord:
         self.__dict__.update(values)
 
     def __getattr__(self, name):
-        # reached only for a name not in __dict__: an array field kept as
-        # floats, or a derived value whose derivation raised AttributeError,
-        # which Python drops before calling here; deriving again raises it
-        try:
-            array = np.array(self.__dict__["_floats"][name])
-        except KeyError:
-            derived = getattr(type(self), name, None)
-            if isinstance(derived, _derived):
-                return derived.__get__(self)
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        # reached only for a name not in __dict__: a derived value whose
+        # derivation raised AttributeError, which Python drops before calling
+        # here (deriving again raises it), or an array field kept as floats
+        derived = getattr(type(self), name, None)
+        if isinstance(derived, _derived):
+            return derived.__get__(self)
+        array = np.array(self._stored(name))
         array.setflags(write=False)
         self.__dict__[name] = array
         return array
 
     def _stored(self, name: str):
-        """Field `name` as stored: its kept floats, or its array.
+        """Field `name` as stored, its kept floats or its array; AttributeError without it.
 
         The float path keeps every array field of its record, or none.
         """
-        return self.__dict__.get("_floats", self.__dict__)[name]
+        try:
+            return self.__dict__.get("_floats", self.__dict__)[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
 
     def _floats_of(self, name: str):
         """Field `name` as Python floats, nested by row: its kept tuple, or its array's tolist()."""

@@ -114,10 +114,10 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
         return guess_result(ensemble, int(np.argmax(pr)), "two-state")
 
     c1 = d / (2.0 * p - 1.0)
-    c2 = -c1
+    conj = np.array([c1, -c1])
     r = q[0] + (p - pr[0]) * c1
-    povm = povm_from_weights((1.0, 1.0), (c1, c2))
-    return assemble_result(ensemble, p, r, (c1, c2), povm, "two-state")
+    povm = povm_from_weights((1.0, 1.0), conj)
+    return assemble_result(ensemble, p, r, conj, povm, "two-state")
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +340,10 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     if rank < 2:
         return None
     r = q[0] + sol
-    # handed on as floats, so that the records keep them like the boundary's
-    conj = ((r - q) / np.array(s)[:, None]).tolist()
+    conj = (r - q) / np.array(s)[:, None]
     try:
         return assemble_result(
-            ensemble, p, r.tolist(), conj,
+            ensemble, p, r, conj,
             povm_from_weights([max(w, 0.0) for w in weights], conj), "three-state-interior",
         )
     except (CertificateError, ValueError):
@@ -463,7 +462,10 @@ def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
 
 def _equiprobable(ensemble: WeightedEnsemble) -> bool:
-    return np.abs(ensemble.priors - 1.0 / ensemble.n).max() <= EQUIPROBABLE_TOL
+    n = ensemble.n
+    if n <= FLOAT_ROWS:  # the same test on the kept floats, prior by prior
+        return all(abs(x - 1.0 / n) <= EQUIPROBABLE_TOL for x in ensemble.lists[0])
+    return np.abs(ensemble.priors - 1.0 / n).max() <= EQUIPROBABLE_TOL
 
 
 def _common_norm(rows: np.ndarray) -> float | None:

@@ -26,21 +26,20 @@ goes to the public constructor, which raises its own error. The
 certificate derives its pure mask when it is read. guess_result leaves
 to the gate the decision whether a guess is optimal.
 
-Records are built from arrays: Povm(a, v) here, and WeightedEnsemble(priors,
-bloch_matrix) or validate_ensemble for the ensembles the solvers take. A
-common point is a 3-sequence, conjugates an (n, 3) array or a sequence of
-3-sequences; the certificate stores both as arrays.
+Records are built from arrays or rows of floats: Povm(a, v) here, and
+WeightedEnsemble(priors, bloch_matrix) or validate_ensemble for the
+ensembles the solvers take. A common point is a 3-sequence, conjugates an
+(n, 3) array or a sequence of 3-sequences.
 
 For at most bloch.FLOAT_ROWS conjugates the gate, povm_from_weights and
-guess_result run on Python floats (bloch's module docstring): each test
-accepts only what the vectorized one accepts, clearing its bound by
-FLOAT_MARGIN, and anything else runs the vectorized code, which raises
-every refusal. The stored values are the same float operations, element by
-element; a conjugate norm or a success within the margin of its bound takes
-its verdict from numpy instead. Floats pass from a solver through
-povm_from_weights and the gate to the records as they are, with no array
-in between: the POVM and the certificate keep them as immutable tuples
-and build each array on its first read.
+guess_result run on Python floats (bloch's module docstring), whether the
+solver gave lists, tuples or arrays: each test accepts only what the
+vectorized one accepts, clearing its bound by FLOAT_MARGIN, and anything
+else runs the vectorized code, which raises every refusal. The stored
+values are the same float operations, element by element; a conjugate norm
+or a success within the margin of its bound takes its verdict from numpy
+instead. The POVM and the certificate keep those floats as immutable tuples
+and build each array on its first read; above FLOAT_ROWS they store arrays.
 """
 
 from __future__ import annotations
@@ -176,24 +175,23 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
 
     Weights within NEG_WEIGHT_TOL of zero are clamped so float dust cannot
     fail the PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified
-    by the Povm constructor, not assumed. Lists or tuples of floats go to
-    the float path as they are; arrays of at most FLOAT_ROWS rows, as lists.
+    by the Povm constructor, not assumed. Up to FLOAT_ROWS rows of floats,
+    given as lists, tuples or arrays, the POVM is built on Python floats.
     """
     values, rows = float_values(weights), float_rows(conjugates)
-    if values is None or rows is None or not 0 < len(values) == len(rows):
-        w = np.asarray(weights, dtype=float)
-        c = vector_matrix(conjugates)
-        if w.shape[0] != c.shape[0]:
-            raise ValueError("weights and conjugates lengths differ")
-        if not (0 < len(c) <= FLOAT_ROWS and w.ndim == 1):
-            return _weighted_povm(w, c)
-        values, rows = w.tolist(), c.tolist()
-    for x in values:
-        if not x >= -NEG_WEIGHT_TOL:  # a NaN fails this too
-            return _weighted_povm(np.asarray(weights, dtype=float), vector_matrix(conjugates))
-    # _weighted_povm's arrays, element by element; Povm checks them on floats
-    a = tuple([0.0 if abs(x) <= NEG_WEIGHT_TOL else x / 2.0 for x in values])
-    return Povm(a, tuple([(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, rows)]))
+    if values is not None and rows is not None and 0 < len(values) == len(rows):
+        for x in values:
+            if not x >= -NEG_WEIGHT_TOL:  # a NaN fails this too
+                break
+        else:
+            # _weighted_povm's arrays, element by element; Povm checks them on floats
+            a = tuple([0.0 if abs(x) <= NEG_WEIGHT_TOL else x / 2.0 for x in values])
+            return Povm(a, tuple([(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, rows)]))
+    w = np.asarray(weights, dtype=float)
+    c = vector_matrix(conjugates)
+    if w.shape[0] != c.shape[0]:
+        raise ValueError("weights and conjugates lengths differ")
+    return _weighted_povm(w, c)
 
 
 def _weighted_povm(w: np.ndarray, c: np.ndarray) -> Povm:
@@ -238,26 +236,18 @@ def assemble_result(
     reported as 0.
 
     Each refusal has its own type and message, which tests/test_family.py
-    pins. Up to FLOAT_ROWS conjugates the checks run on floats first
-    (_gate_floats), which accept or hand over to the vectorized _gate. A
-    common point and conjugates given as lists or tuples of floats reach
-    _gate_floats as they are, and become arrays only for _gate; given as
-    arrays, they are the arrays the certificate stores.
+    pins. Up to FLOAT_ROWS conjugates of floats, given as lists, tuples or
+    arrays, the checks run on floats first (_gate_floats), which accept or
+    hand over to the vectorized _gate.
     """
     p = float(p)
-    r, rows, arrays = float_values(common_point), float_rows(conjugates), None
+    r, rows = float_values(common_point), float_rows(conjugates)
+    certificate = None
     if r is not None and len(r) == 3 and rows is not None:
-        certificate = _gate_floats(ensemble, p, r, rows, povm, None)
-    else:
-        arrays = vector_array(common_point), vector_matrix(conjugates)
-        certificate = None
-        if len(arrays[1]) <= FLOAT_ROWS:
-            certificate = _gate_floats(ensemble, p, arrays[0].tolist(),
-                                       float_rows(arrays[1].tolist()), povm, arrays)
+        certificate = _gate_floats(ensemble, p, r, rows, povm)
     if certificate is None:
-        if arrays is None:
-            arrays = vector_array(common_point), vector_matrix(conjugates)
-        certificate = _gate(ensemble, p, *arrays, povm)
+        certificate = _gate(ensemble, p, vector_array(common_point), vector_matrix(conjugates),
+                            povm)
     return DiscriminationResult(
         p_opt=p, povm=povm, certificate=certificate, method=method, ensemble=ensemble
     )
@@ -298,7 +288,7 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
 
 
 def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
-                 povm: Povm, arrays: tuple | None) -> HelstromCertificate | None:
+                 povm: Povm) -> HelstromCertificate | None:
     """assemble_result's certificate from checks on Python floats, or None for _gate.
 
     r is the common point's three floats and rows the conjugates, from
@@ -306,9 +296,8 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
     their bounds by FLOAT_MARGIN, and so does the success, which numpy sums
     in its own order. A success within the margin of the guess bound takes
     degenerate from success_probability. Every stored value is the same
-    float operation as in _gate, element by element. The certificate keeps
-    them as floats (bloch.ArrayRecord), or, when the caller gave arrays,
-    stores those and arrays of the rest, as the vectorized _gate does.
+    float operation as in _gate, element by element, and the certificate
+    keeps them as floats (bloch.ArrayRecord).
     """
     priors, bloch, q = ensemble.lists
     a, v = povm.lists
@@ -338,11 +327,8 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
     bound = top + DEGENERACY_TOL
     if abs(success - bound) <= FLOAT_MARGIN:
         success = success_probability(ensemble, povm)
-    if arrays is None:
-        values = (rx, ry, rz), rows, tuple(scaled), tuple(lam)
-    else:
-        values = *arrays, np.array(scaled), np.array(lam)
-    return HelstromCertificate._from_gate(p, *values, bool(success <= bound))
+    return HelstromCertificate._from_gate(p, (rx, ry, rz), rows, tuple(scaled), tuple(lam),
+                                          bool(success <= bound))
 
 
 def guess_result(

@@ -92,7 +92,10 @@ class KktReport(ArrayRecord):
     degenerate: bool = False
 
     def __init__(self, nu, degenerate: bool = False, **residuals: float) -> None:
-        """Keyword arguments, one per residual field."""
+        """Keyword arguments, one per residual field; TypeError for a missing or unknown one."""
+        wrong = set(_RESIDUAL_FIELDS).symmetric_difference(residuals)
+        if wrong:
+            raise TypeError(f"KktReport() residual keywords missing or unknown: {sorted(wrong)}")
         self._store(**{f: float(residuals[f]) for f in _RESIDUAL_FIELDS},
                     nu=vector_matrix(nu), degenerate=bool(degenerate))
 

@@ -283,6 +283,32 @@ def test_a_derived_value_names_the_field_it_misses():
         bare.lambdas
 
 
+def test_a_field_a_record_lacks_raises_attribute_error():
+    # a record built by hand may lack a stored field: reading what derives
+    # from it raises AttributeError naming that field, so hasattr works
+    bare = bloch.HelstromCertificate.__new__(bloch.HelstromCertificate)
+    assert not hasattr(bare, "n")
+    with pytest.raises(AttributeError, match="'conjugates'"):
+        bare.n
+    half = WeightedEnsemble.__new__(WeightedEnsemble)
+    half._store(priors=(0.5, 0.5))
+    assert half.n == 2
+    with pytest.raises(AttributeError, match="'bloch_matrix'"):
+        half.lists
+
+
+def test_kkt_report_takes_every_residual_keyword_and_no_other():
+    residuals = _solved(TRIPLE)[2].residuals()
+    nu = [[0.0, 0.0, 0.0]] * 2
+    assert KktReport(nu, **residuals).residuals() == residuals
+    missing = dict(residuals)
+    del missing["primal_ineq"]
+    with pytest.raises(TypeError, match="'primal_ineq'"):
+        KktReport(nu, **missing)
+    with pytest.raises(TypeError, match="'primal_inequality'"):
+        KktReport(nu, primal_inequality=0.0, **residuals)
+
+
 def _frozen(values):
     """values as a read-only array that owns its data."""
     arr = np.array(values, dtype=float)
@@ -293,16 +319,23 @@ def _frozen(values):
 def test_records_copy_their_inputs():
     # a caller may make its own array writable again and change it; no
     # record's arrays, ==, or hash may change with it, and no record
-    # freezes a writable array it is given
+    # freezes a writable array it is given. Up to FLOAT_ROWS rows a record
+    # keeps floats of the arrays it is given, and above that it stores
+    # arrays: both must hold on to copies
     kkt = _solved(TRIPLE)[2]
     pair = [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]]
+    n = bloch.FLOAT_ROWS + 1
+    many = ([1.0 / n] * n, [[0.0, 0.0, 0.0]] * n)
     builds = [
         (WeightedEnsemble, ([0.4, 0.6], pair)),
+        (WeightedEnsemble, many),
         (Povm, ([0.5, 0.5], pair)),
+        (Povm, many),
         (lambda c, t, lam: _certificate(conjugates=c, scaled_priors=t, lambdas=lam),
          ([_UP, _DOWN], [0.5, 0.5], [0.1, 0.1])),
         (lambda nu: KktReport(nu, **kkt.residuals()), (pair,)),
     ]
+    kinds = set()
     for build, values in builds:
         given = [_frozen(v) for v in values]
         record = build(*given)
@@ -310,13 +343,18 @@ def test_records_copy_their_inputs():
         twin = build(*writable)
         assert all(arr.flags.writeable for arr in writable)
         stored = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+        kept = vars(record).get("_floats", {})
+        assert bool(stored) != bool(kept) and len(stored) + len(kept) >= len(given)
+        kinds.add("floats" if kept else "arrays")
         copies, digest = [arr.copy() for arr in stored], hash(record)
         for arr in given:
             arr.setflags(write=True)
             arr += 0.25
-        assert len(stored) >= len(given)
         assert all(np.array_equal(arr, copy) for arr, copy in zip(stored, copies))
+        assert all(np.array_equal(getattr(record, f.name), getattr(twin, f.name))
+                   for f in dataclasses.fields(record))
         assert record == twin and hash(record) == digest == hash(twin)
+    assert kinds == {"floats", "arrays"}
 
     # lists, and tuples of lists, of floats take the float path, where a
     # record keeps floats of its own and builds each array on first read: a

@@ -16,6 +16,7 @@ import pytest
 
 import qsd
 import qsd.bloch
+import qsd.cli
 import qsd.closed_form
 import qsd.family
 import qsd.oracle
@@ -364,3 +365,148 @@ def test_float_lists_match_the_arrays():
         assert [list(row) for row in weighted] == ens.weighted_points.tolist()
         a, v = povm.lists
         assert list(a) == povm.a.tolist() and [list(row) for row in v] == povm.v.tolist()
+
+
+# Arrays of at most FLOAT_ROWS rows take the float path as lists do, so a
+# record's representation depends on its size, not on its caller's container.
+
+_FIELDS = dict(_ARRAY_FIELDS)
+
+
+def _keeps_floats(record, names):
+    """True when the record keeps floats and has built none of its array fields."""
+    return "_floats" in vars(record) and not set(names) & vars(record).keys()
+
+
+def _stores_arrays(record, names):
+    return "_floats" not in vars(record) and set(names) <= vars(record).keys()
+
+
+def _ensemble_file(tmp_path, n):
+    rng = np.random.default_rng(6000 + n)
+    path = tmp_path / f"ensemble{n}.txt"
+    lines = [f"{p!r} {x!r} {y!r} {z!r}\n"
+             for p, (x, y, z) in _entries(rng.dirichlet(np.ones(n)), ball_points(rng, n))]
+    path.write_text("# prior bx by bz\n" + "".join(lines), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [3, FLOAT_ROWS, FLOAT_ROWS + 1])
+def test_parsed_ensembles_keep_floats_up_to_float_rows(tmp_path, n):
+    path = _ensemble_file(tmp_path, n)
+    ens = qsd.cli.parse_ensemble_file(path)
+    names = _FIELDS["ensemble"]
+    if n > FLOAT_ROWS:
+        assert _stores_arrays(ens, names)
+    else:
+        assert _keeps_floats(ens, names)
+        arr = ens.bloch_matrix
+        assert set(names) & vars(ens).keys() == {"bloch_matrix"} and not arr.flags.writeable
+    with vectorized():
+        expected = qsd.cli.parse_ensemble_file(path)
+    assert _stores_arrays(expected, names)
+    assert fingerprint(ens) == fingerprint(expected)
+
+
+def _povm_arrays(n):
+    """A complete POVM of n elements as arrays: a_k = 1/n, v_k opposite pairs."""
+    rng = np.random.default_rng(7000 + n)
+    a = np.full(n, 1.0 / n)
+    v = 0.5 * a[:, None] * sphere_points(rng, n)
+    v[1::2] = -v[0:n - n % 2:2]
+    if n % 2:
+        v[-1] = 0.0
+    return a, v
+
+
+@pytest.mark.parametrize("n", [3, FLOAT_ROWS, FLOAT_ROWS + 1])
+def test_povms_given_arrays_keep_floats_up_to_float_rows(n):
+    a, v = _povm_arrays(n)
+    povm = Povm(a, v)
+    names = _FIELDS["povm"]
+    if n > FLOAT_ROWS:
+        assert _stores_arrays(povm, names)
+    else:
+        assert _keeps_floats(povm, names)
+        arr = povm.a
+        assert set(names) & vars(povm).keys() == {"a"} and not arr.flags.writeable
+    with vectorized():
+        expected = Povm(a, v)
+    assert _stores_arrays(expected, names)
+    assert fingerprint(povm) == fingerprint(expected)
+
+
+def _shell_arrays(n):
+    """Equiprobable priors and the rows of a cone (n states) or an octahedron (n = 6)."""
+    if n == 6:
+        rows = 0.8 * np.vstack([np.eye(3), -np.eye(3)])
+    else:
+        phis = 2.0 * np.pi * np.arange(n) / n
+        rows = 0.9 * np.column_stack([np.sin(1.0) * np.cos(phis), np.sin(1.0) * np.sin(phis),
+                                      np.full(n, np.cos(1.0))])
+    return np.full(n, 1.0 / n), rows
+
+
+def _diagonal_arrays(n):
+    rng = np.random.default_rng(8000 + n)
+    rows = np.zeros((n, 3))
+    rows[:, 2] = rng.uniform(-1.0, 1.0, size=n)
+    return rng.dirichlet(np.ones(n)), rows
+
+
+_ARRAY_INPUTS = [
+    ("two-state", lambda: (np.array([0.4, 0.6]), ball_points(np.random.default_rng(9), 2))),
+    ("diagonal", lambda: _diagonal_arrays(5)),
+    ("diagonal", lambda: _diagonal_arrays(FLOAT_ROWS + 1)),
+    ("cone", lambda: _shell_arrays(5)),
+    ("cone", lambda: _shell_arrays(FLOAT_ROWS + 1)),
+    ("symmetric-shell", lambda: _shell_arrays(6)),
+]
+
+
+@pytest.mark.parametrize("method, arrays", _ARRAY_INPUTS,
+                         ids=[f"{m}-{i}" for i, (m, _) in enumerate(_ARRAY_INPUTS)])
+def test_solvers_given_arrays_keep_floats_up_to_float_rows(method, arrays):
+    priors, rows = arrays()
+    solve = lambda: qsd.solve_auto(WeightedEnsemble(priors, rows))  # noqa: E731
+    result = solve()
+    assert result.method == method
+    for part, names in _ARRAY_FIELDS:
+        record = getattr(result, part)
+        if len(priors) > FLOAT_ROWS:
+            assert _stores_arrays(record, names)
+        else:  # the solvers may read the ensemble's arrays, which it then builds
+            assert "_floats" in vars(record)
+    if len(priors) <= FLOAT_ROWS:
+        assert _keeps_floats(result.certificate, _FIELDS["certificate"])
+    with vectorized():
+        expected = solve()
+    assert fingerprint(result) == fingerprint(expected)
+
+
+def test_equiprobability_is_tested_on_the_kept_floats():
+    # a jittered-pure ensemble is not equiprobable, and the oracle that
+    # solves it reads the kept floats: nothing builds the priors array
+    rng = np.random.default_rng(16)
+    jitter = 1.0 + rng.uniform(-0.05, 0.05, size=16)
+    ens = qsd.validate_ensemble(_entries(jitter / jitter.sum(), sphere_points(rng, 16)))
+    assert qsd.solve_auto(ens).method == "oracle"
+    assert "priors" not in vars(ens)
+
+
+def test_cli_solve_takes_the_float_path(tmp_path, monkeypatch, capsys):
+    accepted = []
+    accept = WeightedEnsemble._accept_floats
+
+    def spy(self, *args):
+        accepted.append(accept(self, *args))
+        return accepted[-1]
+
+    monkeypatch.setattr(WeightedEnsemble, "_accept_floats", spy)
+    path = _ensemble_file(tmp_path, 3)
+    assert qsd.cli.main(["solve", path, "--format", "json"]) == 0
+    assert accepted == [True]
+    report = capsys.readouterr().out
+    with vectorized():
+        assert qsd.cli.main(["solve", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == report

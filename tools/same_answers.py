@@ -9,6 +9,17 @@ child interpreter, on inputs drawn the same way for both:
                                          rounds 0-2, through solve_auto
   cli                                    every structured-cli input through
                                          `qsd solve FILE --format json`
+  verify                                 every structured-cli input and the
+                                         POVM the checkout solves for it,
+                                         written with repr floats, through
+                                         `qsd verify FILE POVM --format
+                                         json`; for the first BROKEN_ITEMS
+                                         inputs of each round, also that
+                                         POVM broken: one element's |v|
+                                         past a by 1e-6 (psd) and by 0.75
+                                         PSD_TOL (near-psd), and every
+                                         element scaled by 1 + 1e-9
+                                         (incomplete)
   platonic                               the five Platonic shells at scales
                                          0.3, 0.7 and 1.0, through
                                          solve_auto, solve_symmetric_shell
@@ -33,7 +44,9 @@ exception, p_opt and a hash of the bytes of the POVM, of the
 certificate (p, common point, conjugates, scaled priors, multipliers, pure
 mask and the degenerate flag) and of the result's ensemble (priors, Bloch
 matrix, weighted points and largest prior); for the CLI, of the JSON
-report less its input path. It prints the tag changes, exception-type
+report less its input paths, and for `qsd verify` also of its exit code
+and its standard error, where the exit code stands for the exception
+type. It prints the tag changes, exception-type
 changes, the largest |delta p_opt| and how many inputs of each set moved
 their bytes, then a verdict with the line count of each checkout's src/qsd
 (newlines in its .py files, as wc -l counts them) and its count of named
@@ -68,6 +81,7 @@ CONE_SEED = 2026
 ORACLE_SIZES = range(2, 41)
 ORACLE_DRAWS = 20
 ORACLE_SEED = 2027
+BROKEN_ITEMS = 3
 
 # the child puts the checkout's src and bench/ first, then collects
 CHILD = (
@@ -130,19 +144,39 @@ def collect() -> None:
                 ens.priors.tobytes(), ens.bloch_matrix.tobytes(), ens.weighted_points.tobytes(),
                 np.array([ens.max_prior]).tobytes())]
 
-    def run_cli(key, path):
+    def run_cli(key, args, workdir):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = qsd.cli.main(["solve", path, "--format", "json"])
-        if code != 0:
-            records[key] = [None, f"exit {code}", None, None]
-            return
-        report = json.loads(out.getvalue())
-        del report["input"]  # the temporary file's path
-        records[key] = [report["method"], None, report["p_opt"],
-                        _digest(json.dumps(report).encode())]
+            code = qsd.cli.main([*args, "--format", "json"])
+        report = json.loads(out.getvalue()) if out.getvalue() else {}
+        for name in ("input", "povm_input"):  # the temporary files' paths
+            report.pop(name, None)
+        records[key] = [report.get("method"), None if code in (0, 3) else f"exit {code}",
+                        report.get("p_opt"), _digest(json.dumps(report).encode(), bytes([code]),
+                                                     err.getvalue().replace(workdir, "").encode())]
+
+    def write(path, header, rows):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(header)
+            for first, (x, y, z) in rows:
+                handle.write(f"{first!r} {x!r} {y!r} {z!r}\n")
+
+    def broken(a, v, kind):
+        """The rows of POVM (a, v) broken as the module docstring says."""
+        if kind == "incomplete":
+            scale = 1.0 + 1e-9
+            return [(x * scale, [y * scale for y in row]) for x, row in zip(a, v)]
+        k = a.index(max(a))
+        size = math.hypot(*v[k])
+        unit = [y / size for y in v[k]] if size else [0.0, 0.0, 1.0]
+        past = 1e-6 if kind == "psd" else 0.75 * qsd.bloch.PSD_TOL
+        rows = list(zip(a, v))
+        rows[k] = (a[k], [(a[k] + past) * y for y in unit])
+        return rows
 
     with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "ensemble.txt")
+        povm_path = os.path.join(workdir, "povm.txt")
         for workload in corpus.WORKLOADS:
             for seed in BENCH_SEEDS:
                 for k in BENCH_ROUNDS:
@@ -151,12 +185,16 @@ def collect() -> None:
                         run(key, lambda: qsd.solve_auto(qsd.validate_ensemble(item.entries)))
                         if workload != "structured-cli":
                             continue
-                        path = os.path.join(workdir, "ensemble.txt")
-                        with open(path, "w", encoding="utf-8") as handle:
-                            handle.write("# prior bx by bz\n")
-                            for prior, (x, y, z) in item.entries:
-                                handle.write(f"{prior!r} {x!r} {y!r} {z!r}\n")
-                        run_cli("cli/" + key.split("/", 1)[1], path)
+                        key = key.split("/", 1)[1]
+                        write(path, "# prior bx by bz\n", item.entries)
+                        run_cli("cli/" + key, ["solve", path], workdir)
+                        povm = qsd.solve_auto(qsd.validate_ensemble(item.entries)).povm
+                        a, v = povm.a.tolist(), povm.v.tolist()
+                        kinds = ("psd", "near-psd", "incomplete") if idx < BROKEN_ITEMS else ()
+                        for kind in ("solved",) + kinds:
+                            rows = zip(a, v) if kind == "solved" else broken(a, v, kind)
+                            write(povm_path, "# a vx vy vz\n", rows)
+                            run_cli(f"verify/{key}/{kind}", ["verify", path, povm_path], workdir)
 
     for kind in corpus.PLATONIC_KINDS:
         for scale in PLATONIC_SCALES:
