@@ -22,8 +22,9 @@ print(f"  classical   {classical!r}")
 print(f"  bit-equal   {result.p_opt == classical}")
 print()
 for i, element in enumerate(result.povm.elements):
-    role = "up" if element.v.z > 0 else ("down" if element.v.z < 0 else "unused")
-    print(f"  element {i + 1}: a = {element.a:.3f}  vz = {element.v.z:+.3f}  ({role})")
+    vz = element.v[2]
+    role = "up" if vz > 0 else ("down" if vz < 0 else "unused")
+    print(f"  element {i + 1}: a = {element.a:.3f}  vz = {vz:+.3f}  ({role})")
 
 # one index can win both outcomes; then measuring is pointless
 print()

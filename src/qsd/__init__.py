@@ -7,7 +7,6 @@ weak-duality certificate that every solver output must pass; first-order
 """
 
 from .bloch import (
-    BlochVector,
     DiscriminationResult,
     HelstromCertificate,
     Povm,
@@ -75,7 +74,6 @@ from .weights import min_norm_nonneg_weights, subset_support_weights
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochVector",
     "WeightedEnsemble",
     "PovmElement",
     "Povm",

@@ -20,10 +20,11 @@ validate_ensemble splits loose (prior, state) pairs and takes the same
 path. ==, hash and repr go
 by the dataclass fields, and dataclasses.replace runs the checks again.
 
-BlochVector and PovmElement are the per-state vocabulary, and no module
-but this one names them: they give a refused row its error message (the
-first bad state, element or non-finite row raises theirs), and
-Povm.elements is a tuple of PovmElement views, built on first access.
+A row is three Python floats, and no class stands for one: when a
+vectorized check refuses a record, a row check on those floats (_row,
+_state, check_povm_elements) gives the first bad row its message. The one
+per-row view left is Povm.elements, a tuple of PovmElement (a, v) named
+tuples built on first access and checked by nothing.
 
 The float path. Below the measured crossover of FLOAT_ROWS rows, numpy's
 per-call overhead costs more than the arithmetic, so a WeightedEnsemble or
@@ -65,7 +66,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -182,36 +183,6 @@ def _fsum(values: list) -> float:
         return math.nan
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """A real 3-vector: a Bloch vector, a conjugate direction or a POVM vector part.
-
-    The class does not cap the norm; _state does, for the states.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        if not _finite(self.x, self.y, self.z):
-            raise ValueError(f"Bloch vector components must be finite, got {self}")
-
-    @classmethod
-    def from_array(cls, arr: Sequence[float]) -> "BlochVector":
-        a = np.asarray(arr, dtype=float).reshape(3)
-        return cls(a[0], a[1], a[2])
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y, self.z)
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
-
-
 # ---------------------------------------------------------------------------
 # array-backed records
 
@@ -227,17 +198,27 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(rows, axis=1)
 
 
-def _vector(v) -> BlochVector:
-    return v if isinstance(v, BlochVector) else BlochVector.from_array(v)
+def _row(v) -> tuple:
+    """v as a row of three finite Python floats: every row check starts here.
+
+    A v that does not reshape to three floats raises numpy's own error. A
+    non-finite row's message shows it as BlochVector(x=..., y=..., z=...),
+    a fixed text that the CLI prints and the tests pin.
+    """
+    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    if not _finite(x, y, z):
+        raise ValueError(
+            f"Bloch vector components must be finite, got BlochVector(x={x!r}, y={y!r}, z={z!r})")
+    return x, y, z
 
 
-def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
+def _rows(vectors, ok=None, check=_row) -> np.ndarray:
     """vectors as a new (n, 3) float array.
 
     An (n, 3) array, or a sequence of 3-sequences, for which the vectorized
     test ok(rows) holds, as it does for every valid input, converts in one
-    call. Anything else goes through make, the per-state constructor, row by
-    row, so the first bad row raises that constructor's own error.
+    call. Anything else goes through check, a row check, row by row, so the
+    first bad row raises its error.
     """
     try:
         rows = np.array(vectors, dtype=float, order="C")
@@ -245,7 +226,7 @@ def _rows(vectors, ok=None, make=_vector) -> np.ndarray:
             return rows
     except (TypeError, ValueError):
         pass
-    return np.array([tuple(make(v)) for v in vectors], dtype=float).reshape(-1, 3)
+    return np.array([check(v) for v in vectors], dtype=float).reshape(-1, 3)
 
 
 _SEQUENCES = (list, tuple)
@@ -290,12 +271,12 @@ def float_values(values) -> tuple | None:
 
 
 def vector_matrix(vectors) -> np.ndarray:
-    """BlochVectors, 3-sequences or an (n, 3) array as a new (n, 3) float array."""
+    """3-sequences or an (n, 3) array as a new (n, 3) float array of finite rows."""
     return _rows(vectors)
 
 
 def vector_array(vector) -> np.ndarray:
-    """A BlochVector or a 3-sequence as a new (3,) float array."""
+    """A 3-sequence as a new (3,) float array of finite values."""
     return _rows((vector,)).reshape(3)
 
 
@@ -304,13 +285,13 @@ def _in_ball(rows: np.ndarray) -> bool:
     return np.maximum.reduce(row_norms(rows), initial=0.0) <= 1.0 + 0.5 * STATE_NORM_TOL
 
 
-def _state(v) -> BlochVector:
-    """v as a BlochVector, refused outside the Bloch ball: a state's row check."""
-    v = _vector(v)
-    n = v.norm()
+def _state(v) -> tuple:
+    """v as a row, refused outside the Bloch ball: a state's row check."""
+    row = _row(v)
+    n = math.hypot(*row)
     if n > 1.0 + STATE_NORM_TOL:
         raise ValueError(f"Bloch norm {n!r} exceeds 1 beyond tolerance {STATE_NORM_TOL}")
-    return v
+    return row
 
 
 def _state_rows(vectors) -> np.ndarray:
@@ -318,27 +299,35 @@ def _state_rows(vectors) -> np.ndarray:
 
 
 def check_finite(point: np.ndarray, rows: np.ndarray) -> None:
-    """Raise BlochVector's error for a non-finite point, else for the first non-finite row.
+    """Raise _row's error for a non-finite point, else for the first non-finite row.
 
     The certificate's finiteness check, on a (3,) common point and (n, 3)
     conjugates, which the constructor and the gate share.
     """
     if not (np.isfinite(point).all() and np.isfinite(rows).all()):
         for row in (point.tolist(), *rows.tolist()):
-            BlochVector(*row)
+            _row(row)
 
 
 def check_povm_elements(a: np.ndarray, v: np.ndarray) -> None:
-    """Raise what PovmElement(a[k], v[k]) raises for the first bad k, if any.
+    """Raise for the first element (a[k], v[k]) that is not a PSD operator, if any.
 
     One vectorized test passes every valid POVM; only when it fails are the
-    PovmElements built, so messages and bounds stay PovmElement's. Half of
+    elements checked one by one, on Python floats, each in order: v_k
+    finite, a_k finite, a_k >= -PSD_TOL, a_k - |v_k| >= -PSD_TOL. Half of
     PSD_TOL leaves room for the rounding of the vectorized norm.
     """
     if not (np.maximum.reduce(a, initial=0.0) < np.inf
             and np.minimum.reduce(a - row_norms(v), initial=np.inf) >= -0.5 * PSD_TOL):
         for ak, vk in zip(a.tolist(), v.tolist()):
-            PovmElement(ak, BlochVector(*vk))
+            norm = math.hypot(*_row(vk))
+            if not math.isfinite(ak):
+                raise ValueError("POVM element weight must be finite")
+            if ak < -PSD_TOL:
+                raise ValueError(f"POVM element has negative trace part a = {ak!r}")
+            if ak - norm < -PSD_TOL:
+                raise ValueError(
+                    f"POVM element not PSD: a = {ak!r} < |v| = {norm!r} beyond {PSD_TOL}")
 
 
 class _derived:
@@ -449,7 +438,7 @@ def _split_pairs(entries) -> tuple:
                 prior, state = pair
             except (TypeError, ValueError):
                 raise ValueError(f"entry {k} is not a (prior, state) pair") from None
-            rows.append((state.x, state.y, state.z) if isinstance(state, BlochVector) else state)
+            rows.append(state)
             priors.append(float(prior))
     except (TypeError, ValueError):
         _state_rows(rows)  # a bad state before the bad entry comes first
@@ -537,33 +526,19 @@ class WeightedEnsemble(ArrayRecord):
 def validate_ensemble(raw_entries: Iterable, renormalize: bool = False) -> WeightedEnsemble:
     """Build a WeightedEnsemble from loose (prior, bloch-like) pairs.
 
-    Each entry may carry a BlochVector or any length-3 float
-    sequence. With renormalize=True, priors are divided by their sum before
-    the sum-to-one check (the individual range checks still apply), which is
-    what the CLI flag of the same name feeds.
+    Each entry's state is a length-3 sequence of floats. With
+    renormalize=True, priors are divided by their sum before the sum-to-one
+    check (the individual range checks still apply), which is what the CLI
+    flag of the same name feeds.
     """
     return WeightedEnsemble(*_split_pairs(raw_entries), renormalize=renormalize)
 
 
-@dataclass(frozen=True)
-class PovmElement:
-    """One measurement effect Pi = a*I + v.sigma with 0 <= Pi <= I enforced on the a >= |v| side."""
+class PovmElement(NamedTuple):
+    """One element Pi = a*I + v.sigma of a Povm, as Povm.elements reads it: a view, unchecked."""
 
     a: float
-    v: BlochVector
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        if not isinstance(self.v, BlochVector):
-            object.__setattr__(self, "v", BlochVector.from_array(self.v))
-        if not math.isfinite(self.a):
-            raise ValueError("POVM element weight must be finite")
-        if self.a < -PSD_TOL:
-            raise ValueError(f"POVM element has negative trace part a = {self.a!r}")
-        if self.a - self.v.norm() < -PSD_TOL:
-            raise ValueError(
-                f"POVM element not PSD: a = {self.a!r} < |v| = {self.v.norm()!r} beyond {PSD_TOL}"
-            )
+    v: tuple
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -579,7 +554,7 @@ class Povm(ArrayRecord):
     # (a, v rows) as Python floats, for the float path; never modify them
     lists = _derived(lambda self: (self._floats_of("a"), self._floats_of("v")))
     elements = _derived(lambda self: tuple(
-        PovmElement(a, BlochVector(*v)) for a, v in zip(*self.lists)))
+        PovmElement(a, tuple(v)) for a, v in zip(*self.lists)))
     n = _derived(lambda self: len(self._stored("a")))
 
     def __init__(self, a, v) -> None:

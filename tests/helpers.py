@@ -228,7 +228,7 @@ def assert_result_valid(ensemble, result):
 
     for element in povm.elements:
         assert element.a >= -1e-12
-        assert element.a - element.v.norm() >= -1e-12, "element not PSD"
+        assert element.a - math.hypot(*element.v) >= -1e-12, "element not PSD"
 
     success = success_probability(ensemble, povm)
     assert abs(success - result.p_opt) <= 1e-8, f"success {success} vs p {result.p_opt}"

@@ -18,7 +18,6 @@ from qsd.bloch import (
     PSD_TOL,
     PURITY_TOL,
     STATE_NORM_TOL,
-    BlochVector,
     Povm,
     PovmElement,
     WeightedEnsemble,
@@ -27,32 +26,43 @@ from qsd.kkt import KktReport
 from helpers import density_matrix, operator_matrix
 
 
-def test_vector_basics():
-    u = BlochVector(1.0, 2.0, 3.0)
-    assert u.norm() == math.sqrt(14.0)
-    assert tuple(u) == (1.0, 2.0, 3.0)
-    assert BlochVector.from_array(np.array(tuple(u))) == u
-    with pytest.raises(ValueError):
-        BlochVector(float("nan"), 0.0, 0.0)
+def _padded(rows, n):
+    """rows, then _UP up to n rows, as an array."""
+    return np.array(list(rows) + [_UP] * (n - len(rows)))
 
 
 def test_state_accepts_boundary_and_rejects_outside():
-    # on Python floats and vectorized, a state may leave the ball by STATE_NORM_TOL
-    for rows in (lambda x: [(x, 0.0, 0.0), _UP], lambda x: np.array([(x, 0.0, 0.0), _UP])):
-        WeightedEnsemble([0.5, 0.5], rows(1.0))
-        WeightedEnsemble([0.5, 0.5], rows(1.0 + 1e-13))
+    # on Python floats (2 rows, as a list and as an array) and vectorized
+    # (FLOAT_ROWS + 1 rows), a state may leave the ball by STATE_NORM_TOL
+    many = bloch.FLOAT_ROWS + 1
+    for n, rows in ((2, lambda x: [(x, 0.0, 0.0), _UP]),
+                    (2, lambda x: _padded([(x, 0.0, 0.0)], 2)),
+                    (many, lambda x: _padded([(x, 0.0, 0.0)], many))):
+        priors = [1.0 / n] * n
+        for x in (1.0, 1.0 + 1e-13):
+            ens = WeightedEnsemble(priors, rows(x))
+            assert ("_floats" in vars(ens)) == (n == 2)
         with pytest.raises(ValueError) as info:
-            WeightedEnsemble([0.5, 0.5], rows(1.0 + 1e-11))
+            WeightedEnsemble(priors, rows(1.0 + 1e-11))
         assert str(info.value) == "Bloch norm 1.00000000001 exceeds 1 beyond tolerance 1e-12"
 
 
 def test_povm_element_psd_boundary():
-    PovmElement(0.5, BlochVector(0.5, 0.0, 0.0))
-    PovmElement(0.5, BlochVector(0.5 + 1e-13, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        PovmElement(0.5, BlochVector(0.5 + 1e-11, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        PovmElement(-1e-11, (0.0, 0.0, 0.0))
+    # a POVM element may leave the PSD cone by PSD_TOL, on Python floats (2
+    # elements) and vectorized (FLOAT_ROWS + 1, the rest zero)
+    for n in (2, bloch.FLOAT_ROWS + 1):
+        def povm(a, x):
+            rest = n - 2
+            return Povm(list(a) + [0.0] * rest, [(x, 0.0, 0.0), (-x, 0.0, 0.0)] + [_ZERO] * rest)
+
+        for x in (0.5, 0.5 + 1e-13):
+            assert ("_floats" in vars(povm((0.5, 0.5), x))) == (n == 2)
+        with pytest.raises(ValueError) as info:
+            povm((0.5, 0.5), 0.5 + 1e-11)
+        assert str(info.value) == "POVM element not PSD: a = 0.5 < |v| = 0.50000000001 beyond 1e-12"
+        with pytest.raises(ValueError) as info:
+            povm((-1e-11, 1.0 + 1e-11), 0.0)
+        assert str(info.value) == "POVM element has negative trace part a = -1e-11"
 
 
 def test_povm_completeness_enforced():
@@ -108,13 +118,13 @@ finite3 = st.tuples(
 @given(a=st.floats(0.0, 2.0), v=finite3)
 def test_povm_psd_matches_eigenvalues(a, v):
     """a >= |v| iff a*I + v.sigma is PSD; check against explicit eigenvalues."""
-    vec = BlochVector(*v)
+    norm = math.hypot(*v)
     eigs = np.linalg.eigvalsh(operator_matrix(a, v))
     psd = eigs.min() >= -1e-12
-    accepted = a - vec.norm() >= -PSD_TOL
+    accepted = a - norm >= -PSD_TOL
     if psd != accepted:
         # only allowed to disagree inside the tolerance collar
-        assert abs(a - vec.norm()) <= 1e-10
+        assert abs(a - norm) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +176,11 @@ _NAN, _INF = float("nan"), float("inf")
 _UP, _DOWN, _X = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)
 _ZERO = (0.0, 0.0, 0.0)
 
-# (id, call, exact message); every one raises ValueError
+_MANY = bloch.FLOAT_ROWS + 1
+_HALVES = Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5)))
+
+# (id, call, exact message); every one raises ValueError. The message is
+# None for numpy's own error on a malformed row, whose wording is numpy's.
 ERROR_TABLE = [
     ("ensemble-non-pair",
      lambda: qsd.validate_ensemble([(0.5, _UP), (0.5, _DOWN, 7)]),
@@ -174,6 +188,24 @@ ERROR_TABLE = [
     ("ensemble-nan-component",
      lambda: qsd.validate_ensemble([(0.0, _UP), (0.5, (0.0, _NAN, 0.0)), (0.5, _DOWN)]),
      "Bloch vector components must be finite, got BlochVector(x=0.0, y=nan, z=0.0)"),
+    ("ensemble-ragged-row",
+     lambda: qsd.validate_ensemble([(0.5, _UP), (0.5, (0.0, 0.0))]),
+     None),
+    ("ensemble-non-numeric-row",
+     lambda: qsd.validate_ensemble([(0.5, _UP), (0.5, ("x", 0.0, 0.0))]),
+     None),
+    ("ensemble-none-row",
+     lambda: qsd.validate_ensemble([(0.5, _UP), (0.5, None)]),
+     None),
+    ("ensemble-nan-component-above-float-rows",
+     lambda: WeightedEnsemble([1.0 / _MANY] * _MANY, [_UP] * (_MANY - 1) + [(_NAN, 0.0, 0.0)]),
+     "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=0.0)"),
+    ("ensemble-norm-above-float-rows",
+     lambda: WeightedEnsemble([1.0 / _MANY] * _MANY, [_UP] * (_MANY - 1) + [(0.0, 2.0, 0.0)]),
+     "Bloch norm 2.0 exceeds 1 beyond tolerance 1e-12"),
+    ("ensemble-prior-count",
+     lambda: WeightedEnsemble([0.3, 0.3, 0.4], [_UP, _DOWN]),
+     "3 priors for 2 states"),
     ("ensemble-norm-at-index-2-before-prior-0",
      lambda: qsd.validate_ensemble([(0.0, _UP), (0.3, _DOWN), (0.4, (1.0 + 1e-11, 0.0, 0.0))]),
      "Bloch norm 1.00000000001 exceeds 1 beyond tolerance 1e-12"),
@@ -216,6 +248,24 @@ ERROR_TABLE = [
     ("povm-negative-a",
      lambda: Povm((-0.25, 1.25), (_ZERO, _ZERO)),
      "POVM element has negative trace part a = -0.25"),
+    ("povm-nan-a",
+     lambda: Povm((_NAN, 1.0), (_ZERO, _ZERO)),
+     "POVM element weight must be finite"),
+    ("povm-minus-inf-a",
+     lambda: Povm((-_INF, 1.0), (_ZERO, _ZERO)),
+     "POVM element weight must be finite"),
+    ("povm-inf-v-before-nan-a",
+     lambda: Povm((_NAN, 1.0), ((0.0, _INF, 0.0), _ZERO)),
+     "Bloch vector components must be finite, got BlochVector(x=0.0, y=inf, z=0.0)"),
+    ("povm-ragged-row",
+     lambda: Povm((0.5, 0.5), (_UP, (0.0, 0.0))),
+     None),
+    ("povm-empty",
+     lambda: Povm((), ()),
+     "a POVM needs at least one element"),
+    ("povm-length-mismatch",
+     lambda: Povm((0.5, 0.5), (_ZERO,)),
+     "2 trace parts for 1 vector parts"),
     ("povm-incomplete-a",
      lambda: Povm((0.4, 0.5), (_ZERO, _ZERO)),
      "POVM incomplete: sum of a is 0.9, not 1 within 1e-10"),
@@ -228,6 +278,12 @@ ERROR_TABLE = [
     ("certificate-length-mismatch",
      lambda: _certificate(scaled_priors=(0.5, 0.5, 0.1)),
      "certificate field lengths disagree"),
+    ("certificate-single-state",
+     lambda: _certificate(conjugates=(_UP,), scaled_priors=(0.5,), lambdas=(0.1,)),
+     "a certificate covers at least two states"),
+    ("certificate-nan-multiplier",
+     lambda: _certificate(lambdas=(0.1, _NAN)),
+     "multipliers must be finite"),
     ("certificate-scaled-prior-above-1",
      lambda: _certificate(scaled_priors=(0.5, 1.5)),
      "scaled prior 1 is 1.5, outside (0, 1]"),
@@ -237,6 +293,13 @@ ERROR_TABLE = [
     ("certificate-inf-common-point-before-conjugates",
      lambda: _certificate(common_point=(0.0, -_INF, 0.0), conjugates=(_UP, (_NAN, 0.0, -1.0))),
      "Bloch vector components must be finite, got BlochVector(x=0.0, y=-inf, z=0.0)"),
+    ("result-unknown-method",
+     lambda: qsd.DiscriminationResult(0.8, _HALVES, _certificate(), "guess", None),
+     "unknown method tag 'guess'"),
+    ("result-state-count-mismatch",
+     lambda: qsd.DiscriminationResult(0.8, Povm((0.5, 0.25, 0.25), (_ZERO,) * 3),
+                                      _certificate(), "two-state", None),
+     "POVM and certificate cover different numbers of states"),
 ]
 
 
@@ -247,7 +310,7 @@ def test_errors_keep_type_and_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError
-    assert str(info.value) == message
+    assert message is None or str(info.value) == message
 
 
 def _solved(entries):
@@ -458,7 +521,7 @@ def test_one_ulp_makes_records_unequal():
 
 
 def test_views_round_trip():
-    # the one per-state view, povm.elements, gives back the arrays the POVM is built from
+    # the one per-row view, povm.elements, gives back the arrays the POVM is built from
     result = _solved(TRIPLE)[1]
     elements = result.povm.elements
     assert all(isinstance(el, PovmElement) for el in elements)
@@ -481,24 +544,13 @@ def _diagonal(rng, n):
 
 @pytest.mark.parametrize("build, method", [(_diagonal, "diagonal"), (_jittered_pure, "oracle")],
                          ids=["diagonal", "jittered-pure"])
-def test_no_per_state_objects_on_the_solve_path(monkeypatch, build, method):
-    """validate_ensemble, solve_auto, the CLI report and result.kkt build no
-    BlochVector or PovmElement, whatever n is."""
-    counts = {}
-    for cls in (BlochVector, PovmElement):
-        def spy(self, _init=cls.__post_init__, _name=cls.__name__):
-            counts[_name] = counts.get(_name, 0) + 1
-            _init(self)
-        monkeypatch.setattr(cls, "__post_init__", spy)
-
-    seen = []
+def test_no_per_state_objects_on_the_solve_path(build, method):
+    """validate_ensemble, solve_auto, the CLI report and result.kkt never
+    read povm.elements, the one per-row view, whatever n is."""
     for n in (16, 256):
-        entries = build(np.random.default_rng(n), n)
-        counts.clear()
-        ens = qsd.validate_ensemble(entries)
+        ens = qsd.validate_ensemble(build(np.random.default_rng(n), n))
         result = qsd.solve_auto(ens)
         cli.build_report(ens, result)
         result.kkt
         assert result.method == method
-        seen.append(sum(counts.values()))
-    assert seen == [0, 0]
+        assert "elements" not in vars(result.povm)

@@ -51,7 +51,7 @@ def test_two_state_identical_states_canonical():
     assert result.p_opt == 0.5
     assert result.certificate.degenerate
     for el in result.povm.elements:
-        assert el.a == 0.5 and el.v.norm() == 0.0
+        assert el.a == 0.5 and math.hypot(*el.v) == 0.0
     conj = result.certificate.conjugates
     np.testing.assert_allclose(conj[0], [0, 0, 1])
     np.testing.assert_allclose(conj[1], [0, 0, -1])

@@ -250,10 +250,10 @@ def test_oracle_float_kernels_use_no_numpy():
     assert offenders == []
 
 
-# BlochVector and PovmElement are bloch's per-state vocabulary: they give a
-# refused row its message and Povm.elements its views. Every other module
-# works on the records' arrays.
-PER_STATE_CLASSES = {"BlochVector", "PovmElement"}
+# PovmElement, the (a, v) named tuple of Povm.elements, is the one per-row
+# view left, and only bloch names it; a refused row gets its message from
+# bloch's row checks. Every other module works on the records' arrays.
+PER_STATE_CLASSES = {"PovmElement"}
 
 
 def test_per_state_classes_stay_inside_bloch():
