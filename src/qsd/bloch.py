@@ -57,8 +57,9 @@ it (ZERO_TOL is every test of a unit-size difference against zero), and a
 constant answers one question (BALL_SLACK is dual feasibility's slack on
 |c_i|, PURITY_TOL the pure mask's). Rows of one value may ask different
 questions (BALL_SLACK and DOT_SLACK), and a few questions are still asked
-at two values (ZERO_TOL and GAP_FLOOR, of a gap p - p_i): merging those
-rows would move answers.
+at two values: a gap p - p_i is zero at ZERO_TOL in family.conjugates_at,
+which alone asks it at that value, and at GAP_FLOOR in the three-state
+screens; merging those rows would move answers.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ FAMILY_TOL = 1e-9         # abs: how far may a mixture q_i + (p - p_i) c_i miss 
 ORTHOGONALITY_TOL = 1e-9  # abs: how large may tr(tau_i Pi_i) be for a nonzero element?
 BOUND_SLACK = 1e-8        # abs: by how much may a success exceed a family ratio p?
 SUCCESS_TOL = 1e-8        # abs: how far may success(povm) lie from p_opt?
-CERT_P_TOL = 1e-10        # abs: how far may p_opt lie from certificate.p?
 KKT_TOL = 1e-8            # abs: how large may a KKT residual be at a reported optimum?
 DEGENERACY_TOL = 1e-12    # abs: how far above the largest prior is a success still a guess?
 RATIO_SLACK = 1e-12       # abs: by how much may a ratio p pass 1, or fall below the top prior?
@@ -201,11 +201,15 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 def _row(v) -> tuple:
     """v as a row of three finite Python floats: every row check starts here.
 
-    A v that does not reshape to three floats raises numpy's own error. A
-    non-finite row's message shows it as BlochVector(x=..., y=..., z=...),
-    a fixed text that the CLI prints and the tests pin.
+    A v that does not convert and reshape to three floats is refused as
+    "a row must be three floats, got v". A non-finite row's message shows
+    it as BlochVector(x=..., y=..., z=...). Both are fixed texts that the
+    CLI prints and the tests pin.
     """
-    x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    try:
+        x, y, z = np.asarray(v, dtype=float).reshape(3).tolist()
+    except (TypeError, ValueError):
+        raise ValueError(f"a row must be three floats, got {v!r}") from None
     if not _finite(x, y, z):
         raise ValueError(
             f"Bloch vector components must be finite, got BlochVector(x={x!r}, y={y!r}, z={z!r})")
@@ -699,22 +703,21 @@ class HelstromCertificate(ArrayRecord):
 class DiscriminationResult:
     """Everything a solve returns; `kkt` grades the certificate on first access."""
 
-    p_opt: float
     povm: Povm
     certificate: HelstromCertificate
     method: str
     ensemble: WeightedEnsemble = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_opt", float(self.p_opt))
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        if not abs(self.p_opt - self.certificate.p) <= CERT_P_TOL:
-            raise ValueError(
-                f"p_opt = {self.p_opt!r} disagrees with certificate.p = {self.certificate.p!r}"
-            )
         if self.povm.n != self.certificate.n:
             raise ValueError("POVM and certificate cover different numbers of states")
+
+    @property
+    def p_opt(self) -> float:
+        """The optimal success probability: the certificate's p, the one place it is stored."""
+        return self.certificate.p
 
     @_derived
     def kkt(self) -> "KktReport":

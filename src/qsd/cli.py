@@ -38,7 +38,6 @@ from .bloch import (
 from .closed_form import (
     SOLVE_METHODS,
     cone_ensemble,
-    mirror_ensemble,
     mirror_regime,
     solve_auto,  # unused here; bench/tests/test_bench.py reads qsd.cli.solve_auto
     solve_cone,
@@ -131,10 +130,10 @@ _TOLERANCES = {
 
 
 def build_report(
-    ensemble: WeightedEnsemble,
-    result: DiscriminationResult,
-    cross_check: DiscriminationResult | None = None,
+    result: DiscriminationResult, cross_check: DiscriminationResult | None = None
 ) -> dict:
+    """The solve report of a result, read from the result alone (its ensemble too)."""
+    ensemble = result.ensemble
     cert = result.certificate
     priors = ensemble.priors.tolist()
     bloch = ensemble.bloch_matrix.tolist()
@@ -267,7 +266,7 @@ def cmd_solve(args) -> int:
     ensemble = parse_ensemble_file(args.path, renormalize=args.renormalize)
     result = _solve_with_method(ensemble, args.method)
     cross = solve_oracle(ensemble) if args.cross_check else None
-    report = build_report(ensemble, result, cross_check=cross)
+    report = build_report(result, cross_check=cross)
     report["input"] = args.path
     _emit(report, args.format, _render_solve_text)
     return 0
@@ -303,21 +302,17 @@ def cmd_verify(args) -> int:
 
 
 def _demo_spec(args):
-    """Build (ensemble, result, reference_p, reference_note, extra_lines)."""
+    """Build (result, reference_p, reference_note, extra_lines) of one of _DEMO_NAMES."""
     name = args.name
     if name == "trine":
-        ensemble = cone_ensemble(3, 1.0, 0.5 * math.pi)
-        result = solve_three_state(ensemble)
-        return ensemble, result, 2.0 / 3.0, "cone value (1 + b sin theta)/N", []
+        result = solve_three_state(cone_ensemble(3, 1.0, 0.5 * math.pi))
+        return result, 2.0 / 3.0, "cone value (1 + b sin theta)/N", []
     if name == "cone":
         n = args.n if args.n is not None else 4
         b = args.b if args.b is not None else 0.8
         theta = args.theta if args.theta is not None else math.pi / 3.0
-        ensemble = cone_ensemble(n, b, theta)
-        result = solve_cone(n, b, theta)
         return (
-            ensemble,
-            result,
+            solve_cone(n, b, theta),
             (1.0 + b * math.sin(theta)) / n,
             f"cone value (1 + b sin theta)/N at N={n}, b={b:g}, theta={theta:g}",
             [],
@@ -325,10 +320,8 @@ def _demo_spec(args):
     if name == "diagonal":
         entries = ((0.5, (0.0, 0.0, 0.8)), (0.3, (0.0, 0.0, -0.5)), (0.2, (0.0, 0.0, 0.1)))
         ensemble = validate_ensemble(entries)
-        result = solve_diagonal(ensemble)
         return (
-            ensemble,
-            result,
+            solve_diagonal(ensemble),
             classical_diagonal_oracle(ensemble),
             "classical two-outcome value: max_i up_i + max_j down_j",
             [],
@@ -337,39 +330,36 @@ def _demo_spec(args):
         theta = args.theta if args.theta is not None else math.pi / 3.0
         p1 = args.p1 if args.p1 is not None else 0.4
         regime = mirror_regime(theta, p1)
-        ensemble = mirror_ensemble(theta, p1)
         result = solve_mirror_symmetric(theta, p1)
         extra = [
             f"regime: {regime.regime}   (threshold p1' = {regime.threshold:.10f})",
             f"pair-candidate value:     {regime.pair_value:.17g}",
             f"interior-candidate value: {regime.interior_value:.17g}",
         ]
-        return ensemble, result, regime.reference_p, f"{regime.regime} formula", extra
-    if name in PLATONIC_KINDS:
-        scale = args.scale if args.scale is not None else 1.0
-        solid = PlatonicSolid(name, scale)
-        ensemble, reference = platonic_ensemble(solid)
-        result = solve_symmetric_shell(ensemble)
-        extra = [
-            f"shell-formula reference (1 + b)/N: {reference.shell_formula_p:.17g}",
-            f"edge-formula reference:            {reference.edge_formula_p:.17g}",
+        return result, regime.reference_p, f"{regime.regime} formula", extra
+    # a Platonic solid: argparse's choices admit nothing else
+    scale = args.scale if args.scale is not None else 1.0
+    solid = PlatonicSolid(name, scale)
+    ensemble, reference = platonic_ensemble(solid)
+    result = solve_symmetric_shell(ensemble)
+    extra = [
+        f"shell-formula reference (1 + b)/N: {reference.shell_formula_p:.17g}",
+        f"edge-formula reference:            {reference.edge_formula_p:.17g}",
+    ]
+    printed = PRINTED_EDGE_COEFFICIENTS[name]
+    measured = measured_edge_coefficient(name)
+    if abs(printed - measured) > EDGE_COEFFICIENT_TOL:
+        extra += [
+            f"edge-coefficient mismatch: tabulated {printed:.10f},"
+            f" measured {measured:.10f}",
+            "the two references disagree; the shell/oracle value is authoritative",
         ]
-        printed = PRINTED_EDGE_COEFFICIENTS[name]
-        measured = measured_edge_coefficient(name)
-        if abs(printed - measured) > EDGE_COEFFICIENT_TOL:
-            extra += [
-                f"edge-coefficient mismatch: tabulated {printed:.10f},"
-                f" measured {measured:.10f}",
-                "the two references disagree; the shell/oracle value is authoritative",
-            ]
-        return ensemble, result, reference.shell_formula_p, "shell value (1 + b)/N", extra
-    raise ValueError(f"unknown demo {name!r}")
+    return result, reference.shell_formula_p, "shell value (1 + b)/N", extra
 
 
 def cmd_demo(args) -> int:
-    ensemble, result, reference_p, reference_note, extra = _demo_spec(args)
-    cross = solve_oracle(ensemble)
-    report = build_report(ensemble, result, cross_check=cross)
+    result, reference_p, reference_note, extra = _demo_spec(args)
+    report = build_report(result, cross_check=solve_oracle(result.ensemble))
     report["command"] = "demo"
     report["demo"] = args.name
     report["reference_p"] = reference_p

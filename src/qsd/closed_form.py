@@ -59,7 +59,7 @@ from .errors import (
     GramConsistencyError,
     WeightSystemInfeasible,
 )
-from .family import assemble_result, guess_result, povm_from_weights
+from .family import assemble_result, conjugates_at, guess_result, povm_from_weights
 from .oracle import solve_oracle
 from .weights import min_norm_nonneg_weights
 
@@ -293,6 +293,8 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     ci = ((xj - xi) / span, (yj - yi) / span, (zj - zi) / span)
     gi, gk = p - pr[i], p - pr[k]
     r = (xi + gi * ci[0], yi + gi * ci[1], zi + gi * ci[2])
+    # conjugates_at's row for state k, written out: this is the hottest
+    # three-state path, and the helper's loop over all three rows costs more
     ck = ((r[0] - xk) / gk, (r[1] - yk) / gk, (r[2] - zk) / gk)
     if math.hypot(*ck) > 1.0 + BALL_SLACK:
         return None
@@ -339,8 +341,8 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     sol, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
     if rank < 2:
         return None
-    r = q[0] + sol
-    conj = (r - q) / np.array(s)[:, None]
+    r = (q[0] + sol).tolist()
+    conj = conjugates_at(ensemble, p, r)
     try:
         return assemble_result(
             ensemble, p, r, conj,
@@ -441,17 +443,11 @@ def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
         return guess_result(ensemble, u, "diagonal", value=best_val)
 
     p = float(best_val)
-    q = ensemble.weighted_points
-    conj = np.zeros((n, 3))
-    conj[u, 2] = -1.0
-    conj[d, 2] = 1.0
-    r = q[d] + (p - pr[d]) * np.array([0.0, 0.0, 1.0])
-    # a state with no gap keeps a zero conjugate: covered only if q_k sits
-    # at r, which the gate checks
-    gap = p - pr
-    rest = gap > ZERO_TOL
-    rest[[u, d]] = False
-    conj[rest] = (r - q[rest]) / gap[rest, None]
+    r = (ensemble.weighted_points[d] + (p - pr[d]) * np.array([0.0, 0.0, 1.0])).tolist()
+    # every other conjugate is conjugates_at's: a state with no gap keeps the
+    # zero conjugate, covered only if q_k sits at r, which the gate checks
+    conj = conjugates_at(ensemble, p, r)
+    conj[u], conj[d] = (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
     return assemble_result(ensemble, p, r, conj, povm_from_weights(weights, conj), "diagonal")

@@ -23,8 +23,11 @@ the certificate's structural checks (lengths, p, scaled priors) and stores
 its certificate, and the arrays it built, through
 HelstromCertificate._from_gate, which checks nothing twice; whatever fails
 goes to the public constructor, which raises its own error. The
-certificate derives its pure mask when it is read. guess_result leaves
-to the gate the decision whether a guess is optimal.
+certificate derives its pure mask when it is read, and a result's p_opt
+is the certificate's p. guess_result leaves to the gate the decision
+whether a guess is optimal. conjugates_at owns the conjugate table that a
+common point fixes, which the guess, the diagonal and interior solvers and
+the oracle's measurement take from it.
 
 Records are built from arrays or rows of floats: Povm(a, v) here, and
 WeightedEnsemble(priors, bloch_matrix) or validate_ensemble for the
@@ -82,6 +85,7 @@ __all__ = [
     "family_residual",
     "povm_from_weights",
     "assemble_result",
+    "conjugates_at",
     "guess_result",
     "max_pairwise_distance",
     "trace_multipliers",
@@ -216,6 +220,29 @@ def _multipliers(a: np.ndarray, scaled_priors: np.ndarray) -> np.ndarray:
     return 2.0 * a * (1.0 - scaled_priors) / 4.0
 
 
+def conjugates_at(ensemble: WeightedEnsemble, p: float, r) -> list | np.ndarray:
+    """c_i = (r - q_i)/(p - p_i) for every state, the zero row where p - p_i <= ZERO_TOL.
+
+    r is a common point of three Python floats. A state with no gap is free
+    in r = q_i + (p - p_i) c_i, and the gate checks whether its q_i sits at
+    r. Up to FLOAT_ROWS states a list of float tuples, read from
+    ensemble.lists, above it an (n, 3) array: the same subtraction and
+    division either way. Callers override the rows they fix themselves.
+    """
+    if ensemble.n <= FLOAT_ROWS:
+        priors, _, q = ensemble.lists
+        rx, ry, rz = r
+        conj = []
+        for pi, (x, y, z) in zip(priors, q):
+            g = p - pi
+            conj.append((0.0, 0.0, 0.0) if g <= ZERO_TOL
+                        else ((rx - x) / g, (ry - y) / g, (rz - z) / g))
+        return conj
+    gap = p - ensemble.priors
+    return np.divide(np.subtract(r, ensemble.weighted_points), gap[:, None],
+                     out=np.zeros((ensemble.n, 3)), where=~(gap <= ZERO_TOL)[:, None])
+
+
 def assemble_result(
     ensemble: WeightedEnsemble,
     p: float,
@@ -248,9 +275,7 @@ def assemble_result(
     if certificate is None:
         certificate = _gate(ensemble, p, vector_array(common_point), vector_matrix(conjugates),
                             povm)
-    return DiscriminationResult(
-        p_opt=p, povm=povm, certificate=certificate, method=method, ensemble=ensemble
-    )
+    return DiscriminationResult(povm, certificate, method, ensemble)
 
 
 def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarray,
@@ -339,11 +364,11 @@ def guess_result(
     Valid only when p_index reaches p_i + |q_index - q_i| for every other
     state, i.e. the guess value max p_i is the true optimum. The conjugate
     of the guessed state is unconstrained (its family coefficient p - p_index
-    is zero); it is reported as the zero vector, and so is that of a state
-    whose prior ties p, which must then sit at the common point or
-    DegenerateRatioError is raised. Whether the guess is optimal is the
-    gate's decision: assemble_result raises CertificateError for a
-    conjugate outside the ball. `value` lets a caller pin the reported
+    is zero); conjugates_at at r = q_index reports it as the zero vector,
+    and so that of a state whose prior ties p, which must then sit at the
+    common point or DegenerateRatioError is raised. Whether the guess is
+    optimal is the gate's decision: assemble_result raises CertificateError
+    for a conjugate outside the ball. `value` lets a caller pin the reported
     optimum to its own evaluation of p_index (at most an ulp away) so that
     exact-equality contracts against reference formulas hold. An index
     outside 0..n-1 raises ValueError.
@@ -353,50 +378,36 @@ def guess_result(
     if not 0 <= k < n:
         raise ValueError(f"guess index {k} outside 0..{n - 1}")
     if n <= FLOAT_ROWS:
-        p = ensemble.lists[0][k] if value is None else float(value)
-        conj = _guess_conjugates(ensemble, k, p)
-        if conj is not None:
-            povm = Povm([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
-            return assemble_result(ensemble, p, ensemble.lists[2][k], conj, povm, method)
-    priors = ensemble.priors
-    q = ensemble.weighted_points
-    p = float(priors[k]) if value is None else float(value)
-    r = q[k]
-    gap = p - priors
-    offset = r - q
-    # a tied prior forces q_i = r and leaves the conjugate free: reported as 0
-    tied = gap <= ZERO_TOL
-    tied[k] = True
-    far = tied & (row_norms(offset) > TIED_POINT_TOL)
-    if far.any():
-        raise DegenerateRatioError(
-            f"guess at index {k} cannot cover state {int(np.argmax(far))}: tied prior, distinct point"
-        )
-    conj = np.divide(offset, gap[:, None], out=np.zeros((n, 3)), where=~tied[:, None])
-    a = np.zeros(n)
-    a[k] = 1.0
-    povm = Povm(a, np.zeros((n, 3)))
+        p, r = ensemble.lists[0][k], ensemble.lists[2][k]
+    else:
+        p, r = float(ensemble.priors[k]), ensemble.weighted_points[k].tolist()
+    if value is not None:
+        p = float(value)
+    conj = conjugates_at(ensemble, p, r)
+    if not (n <= FLOAT_ROWS and _ties_at_point(ensemble, r, conj)):
+        # a tied prior forces q_i = r and leaves the conjugate free: reported
+        # as 0, as is the conjugate of a state already at r (state k among them)
+        offsets = np.subtract(r, ensemble.weighted_points)
+        far = ~np.any(conj, axis=1) & (row_norms(offsets) > TIED_POINT_TOL)
+        if far.any():
+            raise DegenerateRatioError(
+                f"guess at index {k} cannot cover state {int(np.argmax(far))}: tied prior, distinct point"
+            )
+    povm = Povm([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
     return assemble_result(ensemble, p, r, conj, povm, method)
 
 
-def _guess_conjugates(ensemble: WeightedEnsemble, k: int, p: float) -> list | None:
-    """guess_result's conjugates on Python floats, or None for its vectorized checks.
+def _ties_at_point(ensemble: WeightedEnsemble, r: tuple, conj: list) -> bool:
+    """guess_result's tied-point test on Python floats; False leaves it to the vectorized test.
 
-    The same divisions as the vectorized code, row by row; a tied state's
-    distance from the common point must clear TIED_POINT_TOL by
-    FLOAT_MARGIN.
+    Every state at the zero conjugate, which conjugates_at gives a state
+    with no gap p - p_i (and one whose q_i is r already), must sit at the
+    common point r, clearing TIED_POINT_TOL by FLOAT_MARGIN.
     """
-    priors, _, q = ensemble.lists
-    rx, ry, rz = q[k]
-    conj = []
-    for i, (pi, (qx, qy, qz)) in enumerate(zip(priors, q)):
-        gap = p - pi
-        ox, oy, oz = rx - qx, ry - qy, rz - qz
-        if i == k or gap <= ZERO_TOL:
+    rx, ry, rz = r
+    for (qx, qy, qz), (x, y, z) in zip(ensemble.lists[2], conj):
+        if not (x or y or z):  # a NaN counts as nonzero, as in np.any
+            ox, oy, oz = rx - qx, ry - qy, rz - qz
             if not math.sqrt(ox * ox + oy * oy + oz * oz) <= TIED_POINT_TOL - FLOAT_MARGIN:
-                return None
-            conj.append((0.0, 0.0, 0.0))
-        else:
-            conj.append((ox / gap, oy / gap, oz / gap))
-    return conj
-
+                return False
+    return True

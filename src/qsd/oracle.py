@@ -93,7 +93,7 @@ from .bloch import (
     WeightedEnsemble,
 )
 from .errors import ConvergenceError
-from .family import assemble_result, povm_from_weights
+from .family import assemble_result, conjugates_at, povm_from_weights
 
 __all__ = [
     "MinimaxSolution",
@@ -497,7 +497,8 @@ def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
 def recover_povm(ensemble: WeightedEnsemble, solution: MinimaxSolution) -> tuple:
     """(Povm, HelstromCertificate) of the gated result read off the final basis.
 
-    Conjugates are c_i = (r - q_i)/(p - p_i), zero where that gap vanishes.
+    Conjugates are family.conjugates_at's, c_i = (r - q_i)/(p - p_i), zero
+    where that gap vanishes.
     At equal slack q_i - r = -(p - p_i) c_i, so the hull weights mu of the
     basis already solve the completeness system: member i gets weight
     w_i ~ mu_i |r - q_i| along the unit direction (r - q_i)/|r - q_i|, and
@@ -551,22 +552,13 @@ def _basis_measurement(
         scale = 2.0 / _sum(weights)
         weights = [w_i * scale for w_i in weights]
 
-    # c_i = (r - q_i)/(p - p_i), zero where the gap is at most ZERO_TOL
+    c = conjugates_at(ensemble, p, r)
     if isinstance(q, np.ndarray):
-        gap = p - pr
-        c = np.divide(np.subtract(r, q), gap[:, None], out=np.zeros((n, 3)),
-                      where=(gap > ZERO_TOL)[:, None])
         w = np.zeros(n)
         w[support] = weights
         elements = np.zeros((n, 3))
         elements[support] = dirs
     else:
-        rx, ry, rz = r
-        c = []
-        for pi, (x, y, z) in zip(pr, q):
-            g = p - pi
-            c.append(((rx - x) / g, (ry - y) / g, (rz - z) / g) if g > ZERO_TOL
-                     else (0.0, 0.0, 0.0))
         w, elements = [0.0] * n, [(0.0, 0.0, 0.0)] * n
         for i, w_i, d_i in zip(support, weights, dirs):
             w[i], elements[i] = w_i, d_i

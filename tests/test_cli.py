@@ -511,6 +511,17 @@ def test_demo_unknown_name(capsys):
     assert "invalid choice" in err
 
 
+def test_demo_diagonal(capsys):
+    code, out, _ = run(capsys, ["demo", "diagonal", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["method"] == "diagonal" and report["demo"] == "diagonal"
+    # the solver's pick is bit-identical to the classical best up plus best down
+    assert report["p_opt"] == report["reference_p"] == 0.45 + 0.225
+    assert report["reference_delta"] == 0.0
+    assert report["cross_check"]["delta_p"] < 1e-9
+
+
 def test_demo_cone_defaults(capsys):
     code, out, _ = run(capsys, ["demo", "cone", "--format", "json"])
     assert code == 0
@@ -545,7 +556,7 @@ def test_in_process_calls_share_no_state(tmp_path, capsys):
     code, out, _ = together[1]
     assert code == 0 and out.count("\n") == 1 and out.endswith("}\n")
     ensemble = cli.parse_ensemble_file(path)
-    expected = cli.build_report(ensemble, cli._solve_with_method(ensemble, "auto"))
+    expected = cli.build_report(cli._solve_with_method(ensemble, "auto"))
     expected["input"] = path
     assert json.loads(out) == expected
 
@@ -600,9 +611,9 @@ def test_cli_and_library_give_one_answer(tmp_path, capsys):
         code, out, _ = run(capsys, ["solve", path, "--format", "json", "--cross-check"])
         assert code == 0
         report = json.loads(out)
-        assert _solution(report) == _solution(cli.build_report(ensemble, auto))
+        assert _solution(report) == _solution(cli.build_report(auto))
         assert repr(report["cross_check"]["oracle_p"]) == repr(oracle.p_opt)
         code, out, _ = run(capsys, ["solve", path, "--format", "json", "--method", "oracle"])
         assert code == 0
-        assert _solution(json.loads(out)) == _solution(cli.build_report(ensemble, oracle))
+        assert _solution(json.loads(out)) == _solution(cli.build_report(oracle))
         checked += 1

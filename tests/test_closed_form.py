@@ -19,6 +19,7 @@ from qsd import (
     solve_symmetric_shell,
     solve_two_state,
 )
+from qsd.closed_form import solve_with_method
 from qsd.family import assemble_result, guess_result, povm_from_weights
 from qsd.oracle import classical_diagonal_oracle
 from qsd.platonic import PLATONIC_KINDS, PlatonicSolid, platonic_ensemble
@@ -82,11 +83,15 @@ def test_two_state_lambda_closed_form_exact():
 
 
 def test_two_state_guess_regime():
-    ens = qsd.validate_ensemble([(0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))])
-    result = solve_two_state(ens)
-    assert result.p_opt == 0.98
-    assert result.certificate.degenerate
-    assert_result_valid(ens, result)
+    # the second pair's weighted points coincide, q = (0, 0, 0.3), under unequal priors
+    for entries in ([(0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))],
+                    [(0.6, (0, 0, 0.5)), (0.4, (0, 0, 0.75))]):
+        ens = qsd.validate_ensemble(entries)
+        result = solve_two_state(ens)
+        assert result.p_opt == entries[0][0]
+        assert result.certificate.degenerate
+        assert result.povm.a.tolist() == [1.0, 0.0]
+        assert_result_valid(ens, result)
 
 
 def test_two_state_conjugates_antipodal_unit():
@@ -308,6 +313,9 @@ def test_shell_requires_equiprobable():
     )
     with pytest.raises(ValueError):
         solve_symmetric_shell(ens)
+    # and so does the cone, the shell about its axis point
+    with pytest.raises(ValueError, match=r"^ensemble lacks cone structure"):
+        solve_with_method(ens, "cone")
 
 
 def test_shell_requires_common_norm():
@@ -474,6 +482,12 @@ def test_cone_parameter_validation():
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+def test_solve_with_method_refuses_an_unknown_name():
+    ens = qsd.validate_ensemble([(0.5, (0, 0, 1)), (0.5, (0, 0, -1))])
+    with pytest.raises(ValueError, match=r"^unknown method 'simplex'$"):
+        solve_with_method(ens, "simplex")
 
 
 def test_auto_two_state_tag():

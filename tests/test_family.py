@@ -11,8 +11,10 @@ from qsd import (
     DegenerateRatioError,
     Povm,
 )
+from qsd.bloch import FLOAT_ROWS, ZERO_TOL
 from qsd.family import (
     assemble_result,
+    conjugates_at,
     family_residual,
     guess_result,
     povm_from_weights,
@@ -329,6 +331,14 @@ def test_guess_result_value_override():
     assert result.p_opt == pinned
 
 
+def test_guess_below_a_tied_prior_is_refused_by_the_certificate():
+    # a pinned value within RATIO_SLACK below the priors passes the gate's
+    # ratio test, and its scaled priors p_i/p pass 1 by more than RATIO_SLACK
+    ens = qsd.validate_ensemble([(0.5, ORIGIN), (0.5, ORIGIN)])
+    with pytest.raises(ValueError, match=r"^scaled prior 0 is 1\.0000000000018001, outside \(0, 1\]$"):
+        guess_result(ens, 0, "two-state", value=0.5 - 9e-13)
+
+
 def test_guess_result_rejects_nonoptimal_guess():
     # the gate refuses the conjugate (q_0 - q_1)/(p_0 - p_1), of norm 5 up to rounding
     ens = qsd.validate_ensemble([(0.6, (0, 0, 1)), (0.4, (0, 0, -1))])
@@ -388,3 +398,106 @@ def test_multipliers_are_the_clamped_traces(method, solve):
     traced = trace_multipliers(result.ensemble, result.p_opt, result.povm)
     expected = np.where(np.abs(traced) <= 1e-15, 0.0, traced)
     np.testing.assert_array_equal(result.certificate.lambdas, expected)
+
+
+@pytest.mark.parametrize("method, solve", MULTIPLIER_CASES)
+def test_p_opt_is_the_certificate_p(method, solve):
+    # the optimum is stored once, as the certificate's p
+    result = solve()
+    assert result.method == method and result.p_opt is result.certificate.p
+    with pytest.raises(AttributeError):
+        result.p_opt = 0.5
+
+
+def test_multiplier_cases_cover_every_method_tag():
+    assert {method for method, _ in MULTIPLIER_CASES} == qsd.bloch.METHODS
+
+
+# ---------------------------------------------------------------------------
+# conjugates_at: one owner of c_i = (r - q_i)/(p - p_i)
+
+
+def _gap_ensemble(n, p):
+    """n states whose gaps p - p_i include ones just above ZERO_TOL, at or
+    below it, and negative; the Bloch rows hold -0.0 and +0.0 coordinates."""
+    gaps = [1.9e-15, 1.5e-15, ZERO_TOL, 5e-16, 0.0, -1e-3, -1.9e-15]
+    priors = [p - g for g in gaps]
+    rest = (1.0 - math.fsum(priors)) / (n - len(gaps))
+    priors += [rest] * (n - len(gaps))
+    rows = np.random.default_rng(n).uniform(-0.5, 0.5, size=(n, 3))
+    rows[0, 0] = rows[2, 2] = 0.0
+    rows[1, 1] = rows[3, 0] = -0.0
+    return qsd.WeightedEnsemble(priors, rows.tolist())
+
+
+def _hexes(rows):
+    return [[float(x).hex() for x in row] for row in np.asarray(rows).tolist()]
+
+
+def _reference_rows(ensemble, p, r):
+    """c_i row by row on Python floats: the formula conjugates_at owns."""
+    rx, ry, rz = r
+    return [(0.0, 0.0, 0.0) if p - pi <= ZERO_TOL
+            else ((rx - x) / (p - pi), (ry - y) / (p - pi), (rz - z) / (p - pi))
+            for pi, (x, y, z) in zip(ensemble.priors.tolist(), ensemble.weighted_points.tolist())]
+
+
+def _masked_divide(ensemble, p, r):
+    """c_i as numpy's masked divide over the arrays."""
+    gap = p - ensemble.priors
+    return np.divide(np.subtract(r, ensemble.weighted_points), gap[:, None],
+                     out=np.zeros((ensemble.n, 3)), where=~(gap <= ZERO_TOL)[:, None])
+
+
+@pytest.mark.parametrize("n", [FLOAT_ROWS, FLOAT_ROWS + 1])
+@pytest.mark.parametrize("p", [0.04, 2.0 * ZERO_TOL], ids=["p=0.04", "exact-zero-tol-gap"])
+def test_conjugates_at_branches_agree_bit_for_bit(n, p):
+    ensemble = _gap_ensemble(n, p)
+    gaps = (p - ensemble.priors).tolist()
+    assert gaps[0] > gaps[1] > ZERO_TOL >= gaps[2] > gaps[3] > gaps[4] == 0.0 > gaps[6] > gaps[5]
+    # at p = 2 ZERO_TOL the subtraction is exact, so one gap is ZERO_TOL itself
+    assert (gaps[2] == ZERO_TOL) == (p == 2.0 * ZERO_TOL)
+    r = (-0.0, 0.0, 0.125)
+    conj = conjugates_at(ensemble, p, r)
+    if n <= FLOAT_ROWS:
+        assert type(conj) is list and all(type(x) is float for row in conj for x in row)
+    else:
+        assert type(conj) is np.ndarray and conj.shape == (n, 3)
+    got = _hexes(conj)
+    assert got == _hexes(_masked_divide(ensemble, p, r)) == _hexes(_reference_rows(ensemble, p, r))
+    assert all(got[i] == [(0.0).hex()] * 3 for i in range(2, 7))
+    assert got[0][2] != (0.0).hex() and got[1][2] != (0.0).hex()  # rows that divide
+    # the sign of a zero where r and q_i share a zero coordinate: -0.0 - 0.0
+    # and 0.0 - (-0.0)
+    assert got[0][0] == (-0.0).hex() and got[1][1] == (0.0).hex()
+
+
+def test_every_conjugate_table_comes_from_conjugates_at(monkeypatch):
+    calls = []
+    original = qsd.family.conjugates_at
+    for module in (qsd.family, qsd.closed_form, qsd.oracle):
+        def spy(*args, _name=module.__name__):
+            calls.append(_name)
+            return original(*args)
+        monkeypatch.setattr(module, "conjugates_at", spy)
+    solves = [
+        ("qsd.family", "two-state",
+         lambda: guess_result(_ensemble((0.98, (0, 0, 0)), (0.02, (0, 0, 0.1))), 0, "two-state")),
+        ("qsd.closed_form", "diagonal", lambda: qsd.solve_diagonal(
+            _ensemble((0.5, (0, 0, 0.8)), (0.3, (0, 0, -0.5)), (0.2, (0, 0, 0.1))))),
+        ("qsd.closed_form", "three-state-interior", lambda: qsd.solve_three_state(trine())),
+        ("qsd.oracle", "oracle", lambda: qsd.solve_oracle(_ensemble(
+            (0.3, (0.5, 0.1, 0.2)), (0.2, (-0.4, 0.3, 0.1)), (0.25, (0.1, -0.6, 0.2)),
+            (0.25, (0.0, 0.2, -0.7))))),
+    ]
+    for module, method, solve in solves:
+        calls.clear()
+        assert solve().method == method
+        assert module in calls, (method, calls)
+
+
+def test_length_guards():
+    with pytest.raises(ValueError, match=r"^POVM and conjugate list lengths differ$"):
+        verify_optimality(Povm((0.5, 0.5), (ORIGIN, ORIGIN)), [(0.0, 0.0, 1.0)] * 3)
+    with pytest.raises(ValueError, match=r"^weights and conjugates lengths differ$"):
+        povm_from_weights((1.0, 1.0, 0.0), [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
