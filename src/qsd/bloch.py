@@ -42,10 +42,15 @@ compare sqrt(x*x + y*y + z*z), which rounds differently from the
 vectorized np.hypot (as math.hypot does too), with FLOAT_MARGIN to spare,
 so a row within the margin of its bound goes to the vectorized test; sums
 of a few terms are compared the same way, since numpy adds in its own
-order. The gate and the small solvers read the kept
-floats as `lists`, as do n and Povm.elements, and pass floats from hand to
-hand without converting again; an array built on read is np.array of
-those floats, so its bytes, ==, hash and repr are the vectorized ones.
+order. That order: a reduction of fewer than 8 terms adds them from the
+left, starting from 0.0; from 8 terms numpy sums pairwise, in 8 lanes
+joined as a tree, so where a stored value is such a sum (the shell's and
+the cone's mean norm) the float path repeats it with
+closed_form._pairwise_sum. The gate, the small solvers and the CLI report
+read the kept floats as `lists`, as do n and Povm.elements, and pass
+floats from hand to hand without converting again; an array built on read
+holds those floats (np.fromiter of the rows, np.array of a vector), so its
+bytes, ==, hash and repr are the vectorized ones.
 
 The tolerance table. Every named tolerance of the package is a row here,
 and the other modules import the rows by name and define none of their
@@ -67,6 +72,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
+from itertools import chain
 from typing import Iterable, NamedTuple, TYPE_CHECKING
 
 import numpy as np
@@ -369,7 +375,9 @@ class ArrayRecord:
     the arrays it stores read-only. Given a tuple of Python floats for an
     array field (the float path), it keeps the tuple instead, and
     __getattr__ builds the field's read-only array on its first read:
-    np.array of those floats, the bytes the vectorized code stores.
+    np.fromiter of rows of three floats (half the time of np.array on
+    nested tuples), np.array of a flat tuple; the bytes the vectorized
+    code stores.
     """
 
     def _values(self) -> list:
@@ -395,7 +403,11 @@ class ArrayRecord:
         derived = getattr(type(self), name, None)
         if isinstance(derived, _derived):
             return derived.__get__(self)
-        array = np.array(self._stored(name))
+        value = self._stored(name)
+        if value and type(value[0]) is tuple:  # rows of three floats
+            array = np.fromiter(chain.from_iterable(value), float, 3 * len(value)).reshape(-1, 3)
+        else:
+            array = np.array(value)
         array.setflags(write=False)
         self.__dict__[name] = array
         return array
@@ -645,6 +657,10 @@ class HelstromCertificate(ArrayRecord):
     lambdas: np.ndarray
     degenerate: bool = False
 
+    # (common_point, conjugates, scaled_priors, lambdas) as Python floats, for
+    # the float path; read them, never modify them
+    lists = _derived(lambda self: tuple(
+        map(self._floats_of, ("common_point", "conjugates", "scaled_priors", "lambdas"))))
     n = _derived(lambda self: len(self._stored("conjugates")))
 
     def __init__(self, p, common_point, conjugates, scaled_priors, lambdas,

@@ -132,15 +132,17 @@ _TOLERANCES = {
 def build_report(
     result: DiscriminationResult, cross_check: DiscriminationResult | None = None
 ) -> dict:
-    """The solve report of a result, read from the result alone (its ensemble too)."""
+    """The solve report of a result, read from the result alone (its ensemble too).
+
+    Its values are read from the records' floats (their `lists`), and every
+    vector is a list.
+    """
     ensemble = result.ensemble
     cert = result.certificate
-    priors = ensemble.priors.tolist()
-    bloch = ensemble.bloch_matrix.tolist()
-    a_values = result.povm.a.tolist()
-    v_rows = result.povm.v.tolist()
+    priors, bloch, _ = ensemble.lists
+    a_values, v_rows = result.povm.lists
+    common_point, conjugates, _, lambdas = cert.lists
     pure = cert.pure_mask.tolist()
-    lambdas = cert.lambdas.tolist()
     # b.v added left to right, (bx*vx + by*vy) + bz*vz, which fixes each float's rounding
     contributions = [
         prior * (a + (bx * vx + by * vy + bz * vz))
@@ -150,16 +152,16 @@ def build_report(
         {
             "index": i,
             "prior": priors[i],
-            "bloch": bloch[i],
-            "conjugate": conj,
+            "bloch": list(bloch[i]),
+            "conjugate": list(conj),
             "conjugate_norm": math.hypot(*conj),
             "pure": pure[i],
             "povm_a": a_values[i],
-            "povm_v": v_rows[i],
+            "povm_v": list(v_rows[i]),
             "lambda": lambdas[i],
             "contribution": contributions[i],
         }
-        for i, conj in enumerate(cert.conjugates.tolist())
+        for i, conj in enumerate(conjugates)
     ]
     kkt = result.kkt
     report = {
@@ -168,7 +170,7 @@ def build_report(
         "p_opt": result.p_opt,
         "success": math.fsum(contributions),
         "degenerate": cert.degenerate,
-        "common_point": cert.common_point.tolist(),
+        "common_point": list(common_point),
         "states": states,
         "kkt": {
             "residuals": kkt.residuals(),
@@ -253,7 +255,8 @@ def _render_verify_text(report: dict) -> str:
 
 def _emit(report: dict, fmt: str, render_text) -> None:
     if fmt == "json":
-        print(json.dumps(report))
+        # a report is a tree built afresh for this call, so no cycle to look for
+        print(json.dumps(report, check_circular=False))
     else:
         print(render_text(report))
 

@@ -25,6 +25,14 @@ on Python floats, and only the survivors reach the gate, as floats.
 Selection is by the total order (validity, p, candidate index). The
 minimax oracle is the last resort: if nothing validates, it solves the
 instance and the result is tagged method="oracle".
+
+Up to bloch.FLOAT_ROWS states the closed forms run on the ensemble's kept
+floats (ensemble.lists), repeating numpy's operations in numpy's rounding,
+and build none of the ensemble's arrays: the three-state screens, the
+diagonal pick, the shell's common-norm and the cone's axis probes, and the
+equidistant solver of both, whose weight sweep takes an array of the
+conjugates. solve_two_state reads the arrays. Above FLOAT_ROWS every
+closed form runs on the arrays.
 """
 
 from __future__ import annotations
@@ -414,13 +422,41 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
 
 def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
-    """solve_diagonal on an ensemble already probed to lie on the z axis (solve_auto's too)."""
-    pr = ensemble.priors
+    """solve_diagonal on an ensemble already probed to lie on the z axis (solve_auto's too).
+
+    Up to FLOAT_ROWS states on the kept floats: up, down and their sums are
+    numpy's elementwise operations, and index(max(...)) takes the first
+    maximum, as np.argmax does.
+    """
     n = ensemble.n
-    z = ensemble.bloch_matrix[:, 2]
+    if n <= FLOAT_ROWS:
+        priors, rows, points = ensemble.lists
+        u, d, best_val = _diagonal_pair_floats(priors, [z for _, _, z in rows])
+        qx, qy, qz = points[d]
+    else:
+        priors = ensemble.priors
+        u, d, best_val = _diagonal_pair(priors, ensemble.bloch_matrix[:, 2])
+        qx, qy, qz = ensemble.weighted_points[d].tolist()
+    if u == d:
+        return guess_result(ensemble, u, "diagonal", value=best_val)
+
+    p = float(best_val)
+    g = float(p - priors[d])
+    # q_d + g (0, 0, 1), written out so that a signed zero comes out as numpy's
+    r = [qx + g * 0.0, qy + g * 0.0, qz + g * 1.0]
+    # every other conjugate is conjugates_at's: a state with no gap keeps the
+    # zero conjugate, covered only if q_k sits at r, which the gate checks
+    conj = conjugates_at(ensemble, p, r)
+    conj[u], conj[d] = (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)
+    weights = [0.0] * n
+    weights[u] = weights[d] = 1.0
+    return assemble_result(ensemble, p, r, conj, povm_from_weights(weights, conj), "diagonal")
+
+
+def _diagonal_pair(pr: np.ndarray, z: np.ndarray) -> tuple:
+    """(u, d, up_u + down_d) of solve_diagonal's pick, u == d for the guess."""
     up = pr * (1.0 + z) / 2.0
     down = pr * (1.0 - z) / 2.0
-
     # the first maximum, in row-major order, of the table up_u + down_d,
     # u != d, without building it: rounded addition is monotone, so row u
     # peaks at up_u plus the largest down off its diagonal, the runner-up for
@@ -433,24 +469,29 @@ def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     row = up[u] + down
     row[u] = -np.inf
     d = int(np.argmax(row))
-    best_val = row[d]
     guesses = up + down
     k = int(np.argmax(guesses))
-    if guesses[k] > best_val:
-        u = d = k
-        best_val = guesses[k]
-    if u == d:
-        return guess_result(ensemble, u, "diagonal", value=best_val)
+    if guesses[k] > row[d]:
+        return k, k, float(guesses[k])
+    return u, d, float(row[d])
 
-    p = float(best_val)
-    r = (ensemble.weighted_points[d] + (p - pr[d]) * np.array([0.0, 0.0, 1.0])).tolist()
-    # every other conjugate is conjugates_at's: a state with no gap keeps the
-    # zero conjugate, covered only if q_k sits at r, which the gate checks
-    conj = conjugates_at(ensemble, p, r)
-    conj[u], conj[d] = (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)
-    weights = np.zeros(n)
-    weights[u] = weights[d] = 1.0
-    return assemble_result(ensemble, p, r, conj, povm_from_weights(weights, conj), "diagonal")
+
+def _diagonal_pair_floats(pr: tuple, z: list) -> tuple:
+    """_diagonal_pair on Python floats, step for step."""
+    up = [p * (1.0 + x) / 2.0 for p, x in zip(pr, z)]
+    down = [p * (1.0 - x) / 2.0 for p, x in zip(pr, z)]
+    j = down.index(max(down))
+    row_max = [x + down[j] for x in up]
+    row_max[j] = up[j] + max(down[:j] + down[j + 1:])
+    u = row_max.index(max(row_max))
+    row = [up[u] + x for x in down]
+    row[u] = -math.inf
+    d = row.index(max(row))
+    guesses = [a + b for a, b in zip(up, down)]
+    k = guesses.index(max(guesses))
+    if guesses[k] > row[d]:
+        return k, k, guesses[k]
+    return u, d, row[d]
 
 
 # ---------------------------------------------------------------------------
@@ -464,37 +505,90 @@ def _equiprobable(ensemble: WeightedEnsemble) -> bool:
     return np.abs(ensemble.priors - 1.0 / n).max() <= EQUIPROBABLE_TOL
 
 
-def _common_norm(rows: np.ndarray) -> float | None:
-    """The mean Bloch norm b of the rows when every norm is within SPREAD_TOL of it."""
-    norms = np.linalg.norm(rows, axis=1)
-    b = float(norms.mean())
-    return b if np.abs(norms - b).max() <= SPREAD_TOL else None
+def _pairwise_sum(values) -> float:
+    """np.add.reduce of at most 128 floats, bit for bit: numpy's pairwise sum.
+
+    From 8 terms numpy keeps 8 running sums, lane j adding every eighth term
+    from j on, and joins them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)); the other n % 8 terms, all n below 8, it adds from the left.
+    The reduction starts from its identity 0.0, so a sum of negative zeros
+    is +0.0. (Not sum(), which compensates from Python 3.12 on.)
+    """
+    total, end = 0.0, len(values) - len(values) % 8
+    if end:
+        r = values[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in values[end:]:
+        total += x
+    return total
+
+
+def _norms(rows) -> list:
+    """|row| of each row of three floats, as np.linalg.norm rounds it: sqrt((x*x + y*y) + z*z)."""
+    return [math.sqrt(x * x + y * y + z * z) for x, y, z in rows]
+
+
+def _bloch_rows(ensemble: WeightedEnsemble):
+    """The Bloch rows the shell and cone probes read: the kept floats up to FLOAT_ROWS, else the array."""
+    return ensemble.lists[1] if ensemble.n <= FLOAT_ROWS else ensemble.bloch_matrix
+
+
+def _common_norm(rows) -> float | None:
+    """The mean Bloch norm b of the rows when every norm is within SPREAD_TOL of it.
+
+    rows are an (n, 3) array, or rows of three floats, on which the norms
+    and their mean round as np.linalg.norm's and np.mean's.
+    """
+    if isinstance(rows, np.ndarray):
+        norms = np.linalg.norm(rows, axis=1)
+        b = float(norms.mean())
+        return b if np.abs(norms - b).max() <= SPREAD_TOL else None
+    norms = _norms(rows)
+    b = _pairwise_sum(norms) / len(norms)
+    return b if max(abs(x - b) for x in norms) <= SPREAD_TOL else None
 
 
 def _shell_norm(ensemble: WeightedEnsemble) -> float | None:
     """The common Bloch norm of equiprobable states; None without either."""
-    return _common_norm(ensemble.bloch_matrix) if _equiprobable(ensemble) else None
+    return _common_norm(_bloch_rows(ensemble)) if _equiprobable(ensemble) else None
 
 
-def _equidistant(ensemble: WeightedEnsemble, offsets: np.ndarray, rho: float, method: str):
+def _equidistant(ensemble: WeightedEnsemble, offsets, rho: float, method: str):
     """p = (1 + rho)/N: equiprobable states at distance rho from a centre in their hull.
 
-    offsets holds each state's Bloch offset from the centre; conjugates
-    are the unit vectors opposite, c_j = -offsets_j/|offsets_j| (over rho,
-    |c_j| passes 1 on rows given to ten digits), and the weights solve the
-    completeness system over them. At rho = 0 the states coincide, and the
-    guess is reported with an arbitrary planar conjugate fan.
+    offsets holds each state's Bloch offset from the centre, as an (n, 3)
+    array or, up to FLOAT_ROWS states, rows of three floats, on which the
+    same operations run element by element; conjugates are the unit vectors
+    opposite, c_j = -offsets_j/|offsets_j| (over rho, |c_j| passes 1 on rows
+    given to ten digits), and the weights solve the completeness system over
+    them. At rho = 0 the states coincide, and the guess is reported with an
+    arbitrary planar conjugate fan.
     """
     n = ensemble.n
+    floats = not isinstance(offsets, np.ndarray)
     p = (1.0 + rho) / n
     if rho <= NORM_FLOOR:
         phis = 2.0 * np.pi * np.arange(n) / n
         conj = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n)])
+        if floats:
+            conj = conj.tolist()
+    elif floats:
+        conj = []
+        for (x, y, z), s in zip(offsets, _norms(offsets)):
+            s = max(s, NORM_FLOOR)
+            conj.append((-x / s, -y / s, -z / s))
     else:
         norms = np.maximum(np.linalg.norm(offsets, axis=1), NORM_FLOOR)
         conj = -offsets / norms[:, None]
     w = min_norm_nonneg_weights(conj)
-    r = ensemble.weighted_points[0] + (p - ensemble.priors[0]) * conj[0]
+    if floats:
+        g = p - ensemble.lists[0][0]
+        (qx, qy, qz), (cx, cy, cz) = ensemble.lists[2][0], conj[0]
+        r = (qx + g * cx, qy + g * cy, qz + g * cz)
+    else:
+        r = ensemble.weighted_points[0] + (p - ensemble.priors[0]) * conj[0]
     return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), method)
 
 
@@ -508,10 +602,11 @@ def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """
     if not _equiprobable(ensemble):
         raise ValueError("solve_symmetric_shell needs equiprobable priors")
-    b = _common_norm(ensemble.bloch_matrix)
+    rows = _bloch_rows(ensemble)
+    b = _common_norm(rows)
     if b is None:
         raise ValueError("solve_symmetric_shell needs a common Bloch norm")
-    return _equidistant(ensemble, ensemble.bloch_matrix, b, "symmetric-shell")
+    return _equidistant(ensemble, rows, b, "symmetric-shell")
 
 
 def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble:
@@ -538,11 +633,17 @@ def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple:
     """
     if b is None:
         return ()
-    rows = ensemble.bloch_matrix
-    if rows[:, 2].max() - rows[:, 2].min() > SPREAD_TOL:
+    rows = _bloch_rows(ensemble)
+    if isinstance(rows, np.ndarray):
+        if rows[:, 2].max() - rows[:, 2].min() > SPREAD_TOL:
+            return ()
+        offsets = np.column_stack([rows[:, :2], np.zeros(len(rows))])
+        return ((offsets, float(np.linalg.norm(offsets, axis=1).mean()), "cone"),)
+    z = [row[2] for row in rows]
+    if max(z) - min(z) > SPREAD_TOL:
         return ()
-    offsets = np.column_stack([rows[:, :2], np.zeros(len(rows))])
-    return ((offsets, float(np.linalg.norm(offsets, axis=1).mean()), "cone"),)
+    offsets = [(x, y, 0.0) for x, y, _ in rows]
+    return ((offsets, _pairwise_sum(_norms(offsets)) / len(offsets), "cone"),)
 
 
 def _solve_cone(ensemble: WeightedEnsemble) -> DiscriminationResult:
@@ -652,7 +753,7 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     b = _shell_norm(ensemble)
     if b is None:
         return solve_oracle(ensemble)
-    for centre in _cone_centre(ensemble, b) + ((ensemble.bloch_matrix, b, "symmetric-shell"),):
+    for centre in _cone_centre(ensemble, b) + ((_bloch_rows(ensemble), b, "symmetric-shell"),):
         try:
             return _equidistant(ensemble, *centre)
         except (ValueError, WeightSystemInfeasible, CertificateError):

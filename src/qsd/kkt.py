@@ -112,13 +112,14 @@ class KktReport(ArrayRecord):
         return {f: getattr(self, f) for f in _RESIDUAL_FIELDS}
 
 
-def _nu_rows(lambdas: np.ndarray, c: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
-    # 0/0 convention: a vanished multiplier contributes nothing even when the
-    # denominator also vanishes; a genuinely nonzero lambda over a zero
-    # denominator blows up the residual rather than raising.
+def _nu_rows(two_lam_c: np.ndarray, lambdas: np.ndarray, one_minus: np.ndarray) -> np.ndarray:
+    # nu_i = 2 lambda_i c_i / (1 - p~_i). 0/0 convention: a vanished
+    # multiplier contributes nothing even when the denominator also vanishes;
+    # a genuinely nonzero lambda over a zero denominator blows up the
+    # residual rather than raising.
     vanished = one_minus <= DEGENERATE_RATIO_TOL
     denom = np.where(vanished, OVERFLOW_DENOMINATOR, one_minus)
-    nus = 2.0 * lambdas[:, None] * c / denom[:, None]
+    nus = two_lam_c / denom[:, None]
     nus[vanished & (np.abs(lambdas) <= ZERO_TOL)] = 0.0
     return nus
 
@@ -137,21 +138,23 @@ def kkt_residuals(
     lam = certificate.lambdas
     scaled = certificate.scaled_priors
     one_minus = 1.0 - scaled
-    c_sq = np.einsum("ij,ij->i", c, c)
+    one_minus_col = one_minus[:, None]
+    c_sq_gap = np.einsum("ij,ij->i", c, c) - 1.0
 
-    primal_ineq = float(np.maximum(c_sq - 1.0, 0.0).max())
-    primal_eq = max_pairwise_distance(scaled[:, None] * b + one_minus[:, None] * c)
+    primal_ineq = float(np.maximum(c_sq_gap, 0.0).max())
+    primal_eq = max_pairwise_distance(scaled[:, None] * b + one_minus_col * c)
     dual_feas = float(np.maximum(-lam, 0.0).max())
-    slackness = float(np.abs(lam * (c_sq - 1.0)).max())
+    slackness = float(np.abs(lam * c_sq_gap).max())
 
     with np.errstate(over="ignore", invalid="ignore"):
-        nus = _nu_rows(lam, c, one_minus)
+        two_lam_c = 2.0 * lam[:, None] * c
+        nus = _nu_rows(two_lam_c, lam, one_minus)
         s = nus.sum(axis=0)
         t = float(np.einsum("ij,ij->", nus, c))
         stat_p = np.abs(1.0 + (c @ s - t)).max()
         # each pivot's own c-row, then the others' rows (the same set for every pivot)
-        pivot_rows = 2.0 * lam[:, None] * c + one_minus[:, None] * (s - nus)
-        nu_rows = 2.0 * lam[:, None] * c - one_minus[:, None] * nus
+        pivot_rows = two_lam_c + one_minus_col * (s - nus)
+        nu_rows = two_lam_c - one_minus_col * nus
         stat_c = np.linalg.norm(np.concatenate([pivot_rows, nu_rows]), axis=1).max()
         aggregate_sum = np.linalg.norm(s / 2.0)
         aggregate_half = abs(t / 2.0 - 0.5)

@@ -48,9 +48,11 @@ reaches the best value so far, since under the strict
 < tie-break it cannot win then. Neither changes a bit of any result against
 solving every subset from scratch and scoring every point in full: the
 kernels keep each float operation and its order, a max does not depend on
-the order of its terms, and every sum runs left to right from 0.0 (written
-0.0 + ... or _sum), as numpy's small reductions and the builtin sum before
-Python 3.12 add, so not even the sign of a zero changes. tests/helpers.py
+the order of its terms, and every sum, of at most 4 terms, runs left to
+right from 0.0 (written 0.0 + ... or _sum), as numpy's reductions of fewer
+than 8 terms and the builtin sum before Python 3.12 add, so not even the
+sign of a zero changes. (From 8 terms numpy sums pairwise: bloch's rounding
+contract.) tests/helpers.py
 keeps those unshared kernels as the reference.
 
 The measurement comes from that same basis. At equal slack
@@ -128,7 +130,7 @@ def minimax_objective(ensemble: WeightedEnsemble, r) -> float:
 
 
 def _sum(values) -> float:
-    """values added left to right from 0.0, as numpy's reductions over a few terms add them.
+    """values added left to right from 0.0, as numpy's reductions of fewer than 8 terms add them.
 
     The builtin sum compensates its rounding from Python 3.12 on.
     """

@@ -317,6 +317,27 @@ def test_no_arguments(capsys):
 
 
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("command", ["solve", "verify", "demo"])
+def test_json_reports_encode_as_json_dumps_does(tmp_path, capsys, monkeypatch, command):
+    # the reports are encoded without the cycle check: each is a tree built
+    # for its call, so the bytes are json.dumps's own
+    path = write(tmp_path, "trine.txt", TRINE)
+    povm_path = write(tmp_path, "povm.txt", "1 0 0 0\n0 0 0 0\n0 0 0 0\n")
+    emitted = []
+    emit = cli._emit
+
+    def spy(report, fmt, render_text):
+        emitted.append(report)
+        emit(report, fmt, render_text)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    argv = {"solve": ["solve", path, "--cross-check"], "verify": ["verify", path, povm_path],
+            "demo": ["demo", "cone"]}[command]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0 and len(emitted) == 1
+    assert out == json.dumps(emitted[0]) + "\n"
+
+
 # verify
 
 

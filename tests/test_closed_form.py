@@ -244,15 +244,16 @@ def _outcome(solve, ens) -> str:
 def test_diagonal_pick_matches_the_table_on_ties():
     """The O(n) pick gives the table's result, repr for repr, on 600 draws
     with tied priors, tied z and both at once, where the first pair in
-    row-major order decides."""
+    row-major order decides; every fourth has off-axis components -0.0."""
     rng = np.random.default_rng(31)
     guesses = 0
     for t in range(600):
         n = int(rng.integers(2, 10))
         raw = rng.integers(1, 4, size=n).astype(float) if t % 2 else rng.uniform(0.1, 1.0, size=n)
         z = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n) if t % 3 else rng.uniform(-1, 1, size=n)
+        x = -0.0 if t % 4 == 1 else 0.0
         ens = qsd.validate_ensemble(
-            [(p, (0.0, 0.0, zz)) for p, zz in zip((raw / raw.sum()).tolist(), z.tolist())])
+            [(p, (x, x, zz)) for p, zz in zip((raw / raw.sum()).tolist(), z.tolist())])
         expected = _outcome(_table_solve_diagonal, ens)
         assert _outcome(solve_diagonal, ens) == expected
         guesses += "degenerate=True" in expected

@@ -8,8 +8,9 @@ FLOAT_ROWS set to 0 for the vectorized side, and require the same stored
 bytes, flags and masks, or the same exception type and message.
 """
 
+import io
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 import pytest
@@ -475,10 +476,13 @@ def test_solvers_given_arrays_keep_floats_up_to_float_rows(method, arrays):
         record = getattr(result, part)
         if len(priors) > FLOAT_ROWS:
             assert _stores_arrays(record, names)
-        else:  # the solvers may read the ensemble's arrays, which it then builds
+        else:
             assert "_floats" in vars(record)
     if len(priors) <= FLOAT_ROWS:
-        assert _keeps_floats(result.certificate, _FIELDS["certificate"])
+        # the closed forms read the kept floats; solve_two_state reads the arrays
+        for part, names in _ARRAY_FIELDS:
+            if part != "ensemble" or method != "two-state":
+                assert _keeps_floats(getattr(result, part), names)
     with vectorized():
         expected = solve()
     assert fingerprint(result) == fingerprint(expected)
@@ -510,3 +514,128 @@ def test_cli_solve_takes_the_float_path(tmp_path, monkeypatch, capsys):
     with vectorized():
         assert qsd.cli.main(["solve", path, "--format", "json"]) == 0
     assert capsys.readouterr().out == report
+
+
+# ---------------------------------------------------------------------------
+# The closed forms on floats: the diagonal pick, and the shell and cone probes
+# and solver, whose norm means are numpy's pairwise sums
+
+
+def _pairwise_inputs(n):
+    rng = np.random.default_rng(9000 + n)
+    scaled = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    cancelling = rng.uniform(1.0, 2.0, size=n) * 1e16
+    cancelling[1::2] *= -1.0
+    cancelling[::3] = rng.uniform(-1.0, 1.0, size=len(cancelling[::3]))
+    mixed_zeros = rng.choice([-0.0, 0.0], size=n)
+    return [
+        rng.normal(size=n).tolist(),
+        scaled.tolist(),
+        cancelling.tolist(),
+        [-0.0] * n,
+        mixed_zeros.tolist(),
+        [-0.0] * (n - 1) + [1e-300],
+        (rng.integers(-50, 51, size=n) * 5e-324).tolist(),  # subnormals
+        [0.1] * n,
+        [1.0 / 3.0] * n,
+        np.linalg.norm(sphere_points(rng, n) * rng.uniform(0.0, 1.0), axis=1).tolist(),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, FLOAT_ROWS + 1))
+def test_pairwise_sum_is_numpys_sum_bit_for_bit(n):
+    # n = 7, 8, 9, 15, 16, 17 sit around numpy's unroll width of 8
+    for values in _pairwise_inputs(n):
+        array = np.array(values)
+        total = qsd.closed_form._pairwise_sum(values)
+        assert type(total) is float
+        assert np.float64(total).tobytes() == np.add.reduce(array).tobytes(), values
+        assert np.float64(total / n).tobytes() == array.mean().tobytes(), values
+        assert qsd.closed_form._pairwise_sum(tuple(values)) == total
+
+
+def _cli_solve(path, method):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = qsd.cli.main(["solve", path, "--format", "json", "--method", method])
+    return code, out.getvalue()
+
+
+def assert_cli_alike(tmp_path, entries, method="auto"):
+    """`qsd solve --format json` prints the same bytes, with the same exit code, on both paths."""
+    path = tmp_path / "ensemble.txt"
+    path.write_text("".join(f"{p!r} {x!r} {y!r} {z!r}\n" for p, (x, y, z) in entries),
+                    encoding="utf-8")
+    printed = _cli_solve(str(path), method)
+    with vectorized():
+        assert _cli_solve(str(path), method) == printed
+    return printed
+
+
+def _diagonal_ties(n):
+    """Diagonal ensembles of n states with ties: tied priors, tied z among
+    +-1, +-0.5 and +-0.0, off-axis signed zeros, up = down everywhere, the guess."""
+    rng = np.random.default_rng(9500 + n)
+    cases = []
+    for t in range(12):
+        raw = rng.integers(1, 4, size=n).astype(float) if t % 2 else rng.uniform(0.1, 1.0, size=n)
+        z = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=n) if t % 3 else rng.uniform(-1, 1, size=n)
+        x = -0.0 if t % 4 == 1 else 0.0
+        cases.append(_entries(raw / raw.sum(), [(x, x, zz) for zz in z.tolist()]))
+    cases.append(_entries(np.full(n, 1.0 / n), [(0.0, 0.0, 0.0)] * n))  # up = down
+    poles = [(0.0, 0.0, 1.0 if k % 2 else -1.0) for k in range(n)]
+    cases.append(_entries(np.full(n, 1.0 / n), poles))
+    heavy = np.full(n, 0.1 / (n - 1))
+    heavy[n // 2] = 0.9  # the guess regime
+    cases.append(_entries(heavy, [(0.0, -0.0, 0.2 * (-1) ** k) for k in range(n)]))
+    return cases
+
+
+@pytest.mark.parametrize("n", [3, FLOAT_ROWS, FLOAT_ROWS + 1])
+def test_diagonal_ties_solve_alike(tmp_path, n):
+    guesses = 0
+    for entries in _diagonal_ties(n):
+        status, found = assert_both_ways(_solve(entries))
+        assert status == "ok" and found[0] == "diagonal"
+        assert assert_both_ways(
+            lambda: qsd.solve_diagonal(qsd.validate_ensemble(entries)))[1] == found
+        guesses += found[3][-1]
+        code, report = assert_cli_alike(tmp_path, entries)
+        assert code == 0 and '"method": "diagonal"' in report
+    assert guesses >= 1
+
+
+def _shells(n):
+    """Equiprobable rows of one norm: cones (regular and random azimuths, on
+    the axis, at the origin, on the equator) and a shell of random directions."""
+    rng = np.random.default_rng(9700 + n)
+    phis = rng.uniform(0.0, 2.0 * math.pi, size=n).tolist()
+    cones = [qsd.cone_ensemble(n, 0.9, 1.0), qsd.cone_ensemble(n, 0.7, 2.0, phis),
+             qsd.cone_ensemble(n, 0.6, 0.0), qsd.cone_ensemble(n, 0.0, 1.0),
+             qsd.cone_ensemble(n, 0.8, 0.5 * math.pi)]
+    rows = [_entries(ens.priors, ens.bloch_matrix) for ens in cones]
+    return rows + [_entries(np.full(n, 1.0 / n), 0.75 * sphere_points(rng, n))]
+
+
+_SHELL_SOLVERS = {
+    "auto": qsd.solve_auto,
+    "symmetric-shell": qsd.solve_symmetric_shell,
+    "cone": lambda ens: qsd.closed_form.solve_with_method(ens, "cone"),
+}
+
+
+def _platonic_shells():
+    return [_entries(ens.priors, ens.bloch_matrix)
+            for ens, _ in (qsd.platonic_ensemble(qsd.PlatonicSolid(kind, 0.7))
+                           for kind in qsd.PLATONIC_KINDS)]
+
+
+@pytest.mark.parametrize("n", [3, FLOAT_ROWS, FLOAT_ROWS + 1, "platonic"])
+def test_cones_and_shells_solve_alike(tmp_path, n):
+    solved = []
+    for entries in _platonic_shells() if n == "platonic" else _shells(n):
+        for method, solve in _SHELL_SOLVERS.items():
+            status, found = assert_both_ways(lambda: solve(qsd.validate_ensemble(entries)))
+            solved.append(found[0] if status == "ok" else status)
+            assert_cli_alike(tmp_path, entries, method)
+    assert "symmetric-shell" in solved and ("cone" in solved) == (n != "platonic")

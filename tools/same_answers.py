@@ -31,6 +31,15 @@ child interpreter, on inputs drawn the same way for both:
   mirror                                 the mirror grid, theta = 1..89
                                          degrees and p1 = 0.01..0.49, through
                                          solve_auto and solve_mirror_symmetric
+  diagonal                               DIAGONAL_DRAWS seeded ensembles on the
+                                         z axis, n = 3..40, with tied priors,
+                                         z tied among +-1, +-0.5 and +-0.0,
+                                         off-axis signed zeros and every fifth
+                                         in the guess regime, through
+                                         solve_auto, solve_diagonal and `qsd
+                                         solve FILE --format json`: the bench
+                                         corpora draw continuous z and rarely
+                                         tie, and ties decide which pair wins
   oracle                                 seeded mixed and jittered-pure
                                          ensembles (the general workload's
                                          classes), 20 of each at every n =
@@ -78,6 +87,9 @@ BENCH_ROUNDS = (0, 1, 2)
 PLATONIC_SCALES = (0.3, 0.7, 1.0)
 CONE_DRAWS = 3000
 CONE_SEED = 2026
+DIAGONAL_DRAWS = 400
+DIAGONAL_SEED = 2028
+DIAGONAL_Z = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
 ORACLE_SIZES = range(2, 41)
 ORACLE_DRAWS = 20
 ORACLE_SEED = 2027
@@ -195,6 +207,21 @@ def collect() -> None:
                             rows = zip(a, v) if kind == "solved" else broken(a, v, kind)
                             write(povm_path, "# a vx vy vz\n", rows)
                             run_cli(f"verify/{key}/{kind}", ["verify", path, povm_path], workdir)
+
+        rng = np.random.default_rng(DIAGONAL_SEED)
+        for i in range(DIAGONAL_DRAWS):
+            n = int(rng.integers(3, 41))
+            raw = rng.integers(1, 4, size=n).astype(float) if i % 2 else rng.uniform(0.1, 1.0, n)
+            if i % 5 == 4:
+                raw[rng.integers(n)] = 4.0 * n  # the guess regime
+            z = rng.choice(DIAGONAL_Z, size=n) if i % 3 else rng.uniform(-1.0, 1.0, n)
+            x = -0.0 if i % 4 == 1 else 0.0
+            entries = [(p, (x, x, zz)) for p, zz in zip((raw / raw.sum()).tolist(), z.tolist())]
+            key = f"diagonal/{i}/{n}"
+            run(key + "/auto", lambda: qsd.solve_auto(qsd.validate_ensemble(entries)))
+            run(key + "/solve_diagonal", lambda: qsd.solve_diagonal(qsd.validate_ensemble(entries)))
+            write(path, "# prior bx by bz\n", entries)
+            run_cli(key + "/cli", ["solve", path], workdir)
 
     for kind in corpus.PLATONIC_KINDS:
         for scale in PLATONIC_SCALES:
