@@ -44,13 +44,16 @@ so a row within the margin of its bound goes to the vectorized test; sums
 of a few terms are compared the same way, since numpy adds in its own
 order. That order: a reduction of fewer than 8 terms adds them from the
 left, starting from 0.0; from 8 terms numpy sums pairwise, in 8 lanes
-joined as a tree, so where a stored value is such a sum (the shell's and
-the cone's mean norm) the float path repeats it with
-closed_form._pairwise_sum. The gate, the small solvers and the CLI report
-read the kept floats as `lists`, as do n and Povm.elements, and pass
-floats from hand to hand without converting again; an array built on read
-holds those floats (np.fromiter of the rows, np.array of a vector), so its
-bytes, ==, hash and repr are the vectorized ones.
+joined as a tree. Where a stored value is such a sum (the shell's and the
+cone's mean norm, the oracle's measurement weights) the float path repeats
+it with pairwise_sum. An ensemble's `held` is the form its record kept:
+the floats as `lists` when it took the float path, its arrays otherwise;
+the solvers read it and branch on its type, so this module alone knows
+FLOAT_ROWS. The gate and the CLI report read the kept floats as `lists`,
+as do n and Povm.elements, and pass floats from hand to hand without
+converting again; an array built on read holds those floats (np.fromiter
+of the rows, np.array of a vector), so its bytes, ==, hash and repr are
+the vectorized ones.
 
 The tolerance table. Every named tolerance of the package is a row here,
 and the other modules import the rows by name and define none of their
@@ -147,10 +150,10 @@ DISTINCT_VERTEX_TOL = 1e-9   # abs: beyond which distance are two vertices disti
 EDGE_COEFFICIENT_TOL = 1e-10  # abs: how far may a printed edge coefficient lie from the measured?
 
 # The float path (module docstring). Records of at most FLOAT_ROWS rows, and
-# the oracle on an ensemble of at most FLOAT_ROWS states, run on Python
-# floats, which beat numpy's per-call overhead up to the crossover measured
-# with cold caches, as a one-shot process meets them (a 4 MiB read before
-# each op). On mixed and jittered-pure ensembles, float over vectorized time
+# the solvers and the oracle on the floats such an ensemble holds, run on
+# Python floats, which beat numpy's per-call overhead up to the crossover
+# measured with cold caches, as a one-shot process meets them (a 4 MiB read
+# before each op). On mixed and jittered-pure ensembles, float over vectorized time
 # stays below 1 up to n = 34 for all four; the POVM crosses at n = 36-38,
 # the gate near 60, the ensemble and minimax_common_point beyond 64 (0.91
 # and 0.88 there). A float test must clear its bound by FLOAT_MARGIN (abs):
@@ -177,6 +180,26 @@ METHODS = frozenset({
 
 def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
+
+
+def pairwise_sum(values) -> float:
+    """np.add.reduce of a list or tuple of at most 128 floats, bit for bit: numpy's pairwise sum.
+
+    From 8 terms numpy keeps 8 running sums, lane j adding every eighth term
+    from j on, and joins them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)); the other n % 8 terms, all n below 8, it adds from the left.
+    The reduction starts from its identity 0.0, so a sum of negative zeros
+    is +0.0. (Not sum(), which compensates from Python 3.12 on.)
+    """
+    total, end = 0.0, len(values) - len(values) % 8
+    if end:
+        r = values[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in values[end:]:
+        total += x
+    return total
 
 
 def _fsum(values: list) -> float:
@@ -482,6 +505,10 @@ class WeightedEnsemble(ArrayRecord):
     # path; read them, never modify them
     lists = _derived(lambda self: tuple(
         map(self._floats_of, ("priors", "bloch_matrix", "weighted_points"))))
+    # the same three in the form the record holds: its kept floats (lists)
+    # or its arrays, which the solvers tell apart by type
+    held = _derived(lambda self: self.lists if "_floats" in vars(self) else (
+        self.priors, self.bloch_matrix, self.weighted_points))
     n = _derived(lambda self: len(self._stored("priors")))
 
     def __init__(self, priors, bloch_matrix, renormalize: bool = False) -> None:

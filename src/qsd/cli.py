@@ -282,10 +282,10 @@ def cmd_verify(args) -> int:
     result = _solve_with_method(ensemble, args.method)
     satisfied = success <= result.p_opt + BOUND_SLACK
 
-    a_values = povm.a.tolist()
+    a_values, v_rows = povm.lists
     v_sum = np.sum(povm.v, axis=0)
     completeness = max(abs(math.fsum(a_values) - 1.0), float(np.linalg.norm(v_sum)))
-    psd_slack = min(a - math.hypot(*v) for a, v in zip(a_values, povm.v.tolist()))
+    psd_slack = min(a - math.hypot(*v) for a, v in zip(a_values, v_rows))
 
     report = {
         "command": "verify",

@@ -26,13 +26,13 @@ Selection is by the total order (validity, p, candidate index). The
 minimax oracle is the last resort: if nothing validates, it solves the
 instance and the result is tagged method="oracle".
 
-Up to bloch.FLOAT_ROWS states the closed forms run on the ensemble's kept
-floats (ensemble.lists), repeating numpy's operations in numpy's rounding,
-and build none of the ensemble's arrays: the three-state screens, the
-diagonal pick, the shell's common-norm and the cone's axis probes, and the
+The closed forms run on the record's held form (ensemble.held): on the
+floats the record kept, repeating numpy's operations in numpy's rounding
+and building none of the ensemble's arrays, or on its arrays. The diagonal
+pick, the shell's common-norm and the cone's axis probes, and the
 equidistant solver of both, whose weight sweep takes an array of the
-conjugates. solve_two_state reads the arrays. Above FLOAT_ROWS every
-closed form runs on the arrays.
+conjugates, branch on that form; the two- and three-state solvers always
+read the floats (ensemble.lists).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .bloch import (
     DENOMINATOR_FLOOR,
     DOT_SLACK,
     EQUIPROBABLE_TOL,
-    FLOAT_ROWS,
     GAP_FLOOR,
     GRAM_AGREEMENT_TOL,
     LEADING_TOL,
@@ -60,6 +59,7 @@ from .bloch import (
     DiscriminationResult,
     Povm,
     WeightedEnsemble,
+    pairwise_sum,
 )
 from .errors import (
     CertificateError,
@@ -106,24 +106,25 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """
     if ensemble.n != 2:
         raise ValueError(f"solve_two_state needs exactly 2 states, got {ensemble.n}")
-    pr = ensemble.priors
-    q = ensemble.weighted_points
-    d = q[1] - q[0]
-    dn = float(np.linalg.norm(d))
+    pr, _, (q0, (x1, y1, z1)) = ensemble.lists
+    x0, y0, z0 = q0
+    d = (x1 - x0, y1 - y0, z1 - z0)
+    # np.linalg.norm's root of np.dot, which no sum from the left matches
+    dn = math.sqrt(np.dot(d, d))
     p = 0.5 * (1.0 + dn)
 
-    if dn <= ZERO_TOL:
-        if abs(pr[0] - pr[1]) <= ZERO_TOL:
-            povm = Povm((0.5, 0.5), np.zeros((2, 3)))
-            conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
-            return assemble_result(ensemble, ensemble.max_prior, q[0], conj, povm, "two-state")
-        return guess_result(ensemble, int(np.argmax(pr)), "two-state")
-    if p < ensemble.max_prior:
-        return guess_result(ensemble, int(np.argmax(pr)), "two-state")
+    if dn <= ZERO_TOL and abs(pr[0] - pr[1]) <= ZERO_TOL:
+        povm = Povm((0.5, 0.5), ((0.0, 0.0, 0.0),) * 2)
+        conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+        return assemble_result(ensemble, ensemble.max_prior, q0, conj, povm, "two-state")
+    if dn <= ZERO_TOL or p < ensemble.max_prior:
+        return guess_result(ensemble, pr.index(ensemble.max_prior), "two-state")
 
-    c1 = d / (2.0 * p - 1.0)
-    conj = np.array([c1, -c1])
-    r = q[0] + (p - pr[0]) * c1
+    s = 2.0 * p - 1.0
+    c1 = (d[0] / s, d[1] / s, d[2] / s)
+    conj = (c1, (-c1[0], -c1[1], -c1[2]))
+    g = p - pr[0]
+    r = (x0 + g * c1[0], y0 + g * c1[1], z0 + g * c1[2])
     povm = povm_from_weights((1.0, 1.0), conj)
     return assemble_result(ensemble, p, r, conj, povm, "two-state")
 
@@ -401,9 +402,10 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 
 def _on_z_axis(ensemble: WeightedEnsemble) -> bool:
     """Every Bloch vector on the z axis: solve_diagonal's structure, tested first by solve_auto."""
-    if ensemble.n <= FLOAT_ROWS:
-        return all(abs(x) <= AXIS_TOL and abs(y) <= AXIS_TOL for x, y, _ in ensemble.lists[1])
-    return np.abs(ensemble.bloch_matrix[:, :2]).max() <= AXIS_TOL
+    rows = ensemble.held[1]
+    if isinstance(rows, np.ndarray):
+        return np.abs(rows[:, :2]).max() <= AXIS_TOL
+    return all(abs(x) <= AXIS_TOL and abs(y) <= AXIS_TOL for x, y, _ in rows)
 
 
 def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
@@ -424,19 +426,18 @@ def solve_diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
 def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """solve_diagonal on an ensemble already probed to lie on the z axis (solve_auto's too).
 
-    Up to FLOAT_ROWS states on the kept floats: up, down and their sums are
-    numpy's elementwise operations, and index(max(...)) takes the first
-    maximum, as np.argmax does.
+    On kept floats, up, down and their sums are numpy's elementwise
+    operations, and index(max(...)) takes the first maximum, as np.argmax
+    does.
     """
     n = ensemble.n
-    if n <= FLOAT_ROWS:
-        priors, rows, points = ensemble.lists
+    priors, rows, points = ensemble.held
+    if isinstance(rows, np.ndarray):
+        u, d, best_val = _diagonal_pair(priors, rows[:, 2])
+        qx, qy, qz = points[d].tolist()
+    else:
         u, d, best_val = _diagonal_pair_floats(priors, [z for _, _, z in rows])
         qx, qy, qz = points[d]
-    else:
-        priors = ensemble.priors
-        u, d, best_val = _diagonal_pair(priors, ensemble.bloch_matrix[:, 2])
-        qx, qy, qz = ensemble.weighted_points[d].tolist()
     if u == d:
         return guess_result(ensemble, u, "diagonal", value=best_val)
 
@@ -500,39 +501,15 @@ def _diagonal_pair_floats(pr: tuple, z: list) -> tuple:
 
 def _equiprobable(ensemble: WeightedEnsemble) -> bool:
     n = ensemble.n
-    if n <= FLOAT_ROWS:  # the same test on the kept floats, prior by prior
-        return all(abs(x - 1.0 / n) <= EQUIPROBABLE_TOL for x in ensemble.lists[0])
-    return np.abs(ensemble.priors - 1.0 / n).max() <= EQUIPROBABLE_TOL
-
-
-def _pairwise_sum(values) -> float:
-    """np.add.reduce of at most 128 floats, bit for bit: numpy's pairwise sum.
-
-    From 8 terms numpy keeps 8 running sums, lane j adding every eighth term
-    from j on, and joins them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)); the other n % 8 terms, all n below 8, it adds from the left.
-    The reduction starts from its identity 0.0, so a sum of negative zeros
-    is +0.0. (Not sum(), which compensates from Python 3.12 on.)
-    """
-    total, end = 0.0, len(values) - len(values) % 8
-    if end:
-        r = values[:8]
-        for i in range(8, end, 8):
-            r = [a + b for a, b in zip(r, values[i:i + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in values[end:]:
-        total += x
-    return total
+    priors = ensemble.held[0]
+    if isinstance(priors, np.ndarray):
+        return np.abs(priors - 1.0 / n).max() <= EQUIPROBABLE_TOL
+    return all(abs(x - 1.0 / n) <= EQUIPROBABLE_TOL for x in priors)  # prior by prior
 
 
 def _norms(rows) -> list:
     """|row| of each row of three floats, as np.linalg.norm rounds it: sqrt((x*x + y*y) + z*z)."""
     return [math.sqrt(x * x + y * y + z * z) for x, y, z in rows]
-
-
-def _bloch_rows(ensemble: WeightedEnsemble):
-    """The Bloch rows the shell and cone probes read: the kept floats up to FLOAT_ROWS, else the array."""
-    return ensemble.lists[1] if ensemble.n <= FLOAT_ROWS else ensemble.bloch_matrix
 
 
 def _common_norm(rows) -> float | None:
@@ -546,21 +523,21 @@ def _common_norm(rows) -> float | None:
         b = float(norms.mean())
         return b if np.abs(norms - b).max() <= SPREAD_TOL else None
     norms = _norms(rows)
-    b = _pairwise_sum(norms) / len(norms)
+    b = pairwise_sum(norms) / len(norms)
     return b if max(abs(x - b) for x in norms) <= SPREAD_TOL else None
 
 
 def _shell_norm(ensemble: WeightedEnsemble) -> float | None:
     """The common Bloch norm of equiprobable states; None without either."""
-    return _common_norm(_bloch_rows(ensemble)) if _equiprobable(ensemble) else None
+    return _common_norm(ensemble.held[1]) if _equiprobable(ensemble) else None
 
 
 def _equidistant(ensemble: WeightedEnsemble, offsets, rho: float, method: str):
     """p = (1 + rho)/N: equiprobable states at distance rho from a centre in their hull.
 
-    offsets holds each state's Bloch offset from the centre, as an (n, 3)
-    array or, up to FLOAT_ROWS states, rows of three floats, on which the
-    same operations run element by element; conjugates are the unit vectors
+    offsets holds each state's Bloch offset from the centre in the form the
+    ensemble holds (ensemble.held): an (n, 3) array, or rows of three
+    floats, on which the same operations run element by element; conjugates are the unit vectors
     opposite, c_j = -offsets_j/|offsets_j| (over rho, |c_j| passes 1 on rows
     given to ten digits), and the weights solve the completeness system over
     them. At rho = 0 the states coincide, and the guess is reported with an
@@ -583,12 +560,13 @@ def _equidistant(ensemble: WeightedEnsemble, offsets, rho: float, method: str):
         norms = np.maximum(np.linalg.norm(offsets, axis=1), NORM_FLOOR)
         conj = -offsets / norms[:, None]
     w = min_norm_nonneg_weights(conj)
+    priors, _, q = ensemble.held
     if floats:
-        g = p - ensemble.lists[0][0]
-        (qx, qy, qz), (cx, cy, cz) = ensemble.lists[2][0], conj[0]
+        g = p - priors[0]
+        (qx, qy, qz), (cx, cy, cz) = q[0], conj[0]
         r = (qx + g * cx, qy + g * cy, qz + g * cz)
     else:
-        r = ensemble.weighted_points[0] + (p - ensemble.priors[0]) * conj[0]
+        r = q[0] + (p - priors[0]) * conj[0]
     return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), method)
 
 
@@ -602,7 +580,7 @@ def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """
     if not _equiprobable(ensemble):
         raise ValueError("solve_symmetric_shell needs equiprobable priors")
-    rows = _bloch_rows(ensemble)
+    rows = ensemble.held[1]
     b = _common_norm(rows)
     if b is None:
         raise ValueError("solve_symmetric_shell needs a common Bloch norm")
@@ -633,7 +611,7 @@ def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple:
     """
     if b is None:
         return ()
-    rows = _bloch_rows(ensemble)
+    rows = ensemble.held[1]
     if isinstance(rows, np.ndarray):
         if rows[:, 2].max() - rows[:, 2].min() > SPREAD_TOL:
             return ()
@@ -643,7 +621,7 @@ def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple:
     if max(z) - min(z) > SPREAD_TOL:
         return ()
     offsets = [(x, y, 0.0) for x, y, _ in rows]
-    return ((offsets, _pairwise_sum(_norms(offsets)) / len(offsets), "cone"),)
+    return ((offsets, pairwise_sum(_norms(offsets)) / len(offsets), "cone"),)
 
 
 def _solve_cone(ensemble: WeightedEnsemble) -> DiscriminationResult:
@@ -753,7 +731,7 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     b = _shell_norm(ensemble)
     if b is None:
         return solve_oracle(ensemble)
-    for centre in _cone_centre(ensemble, b) + ((_bloch_rows(ensemble), b, "symmetric-shell"),):
+    for centre in _cone_centre(ensemble, b) + ((ensemble.held[1], b, "symmetric-shell"),):
         try:
             return _equidistant(ensemble, *centre)
         except (ValueError, WeightSystemInfeasible, CertificateError):

@@ -34,15 +34,17 @@ WeightedEnsemble(priors, bloch_matrix) or validate_ensemble for the
 ensembles the solvers take. A common point is a 3-sequence, conjugates an
 (n, 3) array or a sequence of 3-sequences.
 
-For at most bloch.FLOAT_ROWS conjugates the gate, povm_from_weights and
-guess_result run on Python floats (bloch's module docstring), whether the
-solver gave lists, tuples or arrays: each test accepts only what the
-vectorized one accepts, clearing its bound by FLOAT_MARGIN, and anything
-else runs the vectorized code, which raises every refusal. The stored
-values are the same float operations, element by element; a conjugate norm
-or a success within the margin of its bound takes its verdict from numpy
-instead. The POVM and the certificate keep those floats as immutable tuples
-and build each array on its first read; above FLOAT_ROWS they store arrays.
+The gate and povm_from_weights run on Python floats wherever bloch's
+float_rows and float_values accept the solver's rows (bloch's module
+docstring), whether it gave lists, tuples or arrays; conjugates_at and
+guess_result read the record's held form (ensemble.held). Each float test
+accepts only what the vectorized one accepts, clearing its bound by
+FLOAT_MARGIN, and anything else runs the vectorized code, which raises
+every refusal. The stored values are the same float operations, element by
+element; a conjugate norm or a success within the margin of its bound takes
+its verdict from numpy instead. The POVM and the certificate keep those
+floats as immutable tuples and build each array on its first read, or
+store the arrays the vectorized code built.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .bloch import (
     DEGENERACY_TOL,
     FAMILY_TOL,
     FLOAT_MARGIN,
-    FLOAT_ROWS,
     NEG_WEIGHT_TOL,
     ORTHOGONALITY_TOL,
     RATIO_SLACK,
@@ -179,8 +180,9 @@ def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
 
     Weights within NEG_WEIGHT_TOL of zero are clamped so float dust cannot
     fail the PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified
-    by the Povm constructor, not assumed. Up to FLOAT_ROWS rows of floats,
-    given as lists, tuples or arrays, the POVM is built on Python floats.
+    by the Povm constructor, not assumed. Rows of floats that bloch's
+    float_rows takes, as lists, tuples or arrays, build the POVM on Python
+    floats.
     """
     values, rows = float_values(weights), float_rows(conjugates)
     if values is not None and rows is not None and 0 < len(values) == len(rows):
@@ -225,22 +227,22 @@ def conjugates_at(ensemble: WeightedEnsemble, p: float, r) -> list | np.ndarray:
 
     r is a common point of three Python floats. A state with no gap is free
     in r = q_i + (p - p_i) c_i, and the gate checks whether its q_i sits at
-    r. Up to FLOAT_ROWS states a list of float tuples, read from
-    ensemble.lists, above it an (n, 3) array: the same subtraction and
-    division either way. Callers override the rows they fix themselves.
+    r. In the record's held form (ensemble.held): a list of float tuples
+    from kept floats, an (n, 3) array from arrays, by the same subtraction
+    and division. Callers override the rows they fix themselves.
     """
-    if ensemble.n <= FLOAT_ROWS:
-        priors, _, q = ensemble.lists
-        rx, ry, rz = r
-        conj = []
-        for pi, (x, y, z) in zip(priors, q):
-            g = p - pi
-            conj.append((0.0, 0.0, 0.0) if g <= ZERO_TOL
-                        else ((rx - x) / g, (ry - y) / g, (rz - z) / g))
-        return conj
-    gap = p - ensemble.priors
-    return np.divide(np.subtract(r, ensemble.weighted_points), gap[:, None],
-                     out=np.zeros((ensemble.n, 3)), where=~(gap <= ZERO_TOL)[:, None])
+    priors, _, q = ensemble.held
+    if isinstance(q, np.ndarray):
+        gap = p - priors
+        return np.divide(np.subtract(r, q), gap[:, None],
+                         out=np.zeros((ensemble.n, 3)), where=~(gap <= ZERO_TOL)[:, None])
+    rx, ry, rz = r
+    conj = []
+    for pi, (x, y, z) in zip(priors, q):
+        g = p - pi
+        conj.append((0.0, 0.0, 0.0) if g <= ZERO_TOL
+                    else ((rx - x) / g, (ry - y) / g, (rz - z) / g))
+    return conj
 
 
 def assemble_result(
@@ -263,7 +265,7 @@ def assemble_result(
     reported as 0.
 
     Each refusal has its own type and message, which tests/test_family.py
-    pins. Up to FLOAT_ROWS conjugates of floats, given as lists, tuples or
+    pins. For conjugates that bloch's float_rows takes, as lists, tuples or
     arrays, the checks run on floats first (_gate_floats), which accept or
     hand over to the vectorized _gate.
     """
@@ -377,14 +379,13 @@ def guess_result(
     k = int(index)
     if not 0 <= k < n:
         raise ValueError(f"guess index {k} outside 0..{n - 1}")
-    if n <= FLOAT_ROWS:
-        p, r = ensemble.lists[0][k], ensemble.lists[2][k]
-    else:
-        p, r = float(ensemble.priors[k]), ensemble.weighted_points[k].tolist()
+    priors, _, q = ensemble.held
+    arrays = isinstance(q, np.ndarray)
+    p, r = (float(priors[k]), q[k].tolist()) if arrays else (priors[k], q[k])
     if value is not None:
         p = float(value)
     conj = conjugates_at(ensemble, p, r)
-    if not (n <= FLOAT_ROWS and _ties_at_point(ensemble, r, conj)):
+    if arrays or not _ties_at_point(q, r, conj):
         # a tied prior forces q_i = r and leaves the conjugate free: reported
         # as 0, as is the conjugate of a state already at r (state k among them)
         offsets = np.subtract(r, ensemble.weighted_points)
@@ -397,15 +398,16 @@ def guess_result(
     return assemble_result(ensemble, p, r, conj, povm, method)
 
 
-def _ties_at_point(ensemble: WeightedEnsemble, r: tuple, conj: list) -> bool:
+def _ties_at_point(q: tuple, r: tuple, conj: list) -> bool:
     """guess_result's tied-point test on Python floats; False leaves it to the vectorized test.
 
-    Every state at the zero conjugate, which conjugates_at gives a state
-    with no gap p - p_i (and one whose q_i is r already), must sit at the
-    common point r, clearing TIED_POINT_TOL by FLOAT_MARGIN.
+    q is the ensemble's kept weighted rows. Every state at the zero
+    conjugate, which conjugates_at gives a state with no gap p - p_i (and
+    one whose q_i is r already), must sit at the common point r, clearing
+    TIED_POINT_TOL by FLOAT_MARGIN.
     """
     rx, ry, rz = r
-    for (qx, qy, qz), (x, y, z) in zip(ensemble.lists[2], conj):
+    for (qx, qy, qz), (x, y, z) in zip(q, conj):
         if not (x or y or z):  # a NaN counts as nonzero, as in np.any
             ox, oy, oz = rx - qx, ry - qy, rz - qz
             if not math.sqrt(ox * ox + oy * oy + oz * oz) <= TIED_POINT_TOL - FLOAT_MARGIN:

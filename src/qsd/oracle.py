@@ -35,24 +35,23 @@ square the condition number of nearly parallel rows; the hull weights are
 a zero row, an antiparallel pair, barycentric coordinates from cross
 products or signed volumes. A subset singular to rounding (RANK_TOL) is
 skipped, since smaller subsets cover its optima. Nothing calls np.linalg.
-Up to bloch.FLOAT_ROWS states, where numpy's per-call overhead costs more
-than the arithmetic, the solver reads the ensemble's kept floats
-(ensemble.lists), and the pass over all n points runs on them as well,
-repeating numpy's operations row by row (_farthest); above it the pass is
-one numpy pass over the arrays, and a pivot converts only the rows it
-touches (_members). A pivot computes the terms of
-each member pair (q_b - q_a and its norm, the row 2(q_b - q_a), its norm
-and its right-hand side) once, in a table that all its subsets share, and
-stops scoring a candidate point once its running max over the members
-reaches the best value so far, since under the strict
-< tie-break it cannot win then. Neither changes a bit of any result against
+The solver reads the record's held form (ensemble.held). On the floats a
+small record kept, where numpy's per-call overhead costs more than the
+arithmetic, the pass over all n points runs on them as well, repeating
+numpy's operations row by row (_farthest); on arrays the pass is one numpy
+pass, and a pivot converts only the rows it touches (_members). A pivot
+computes the terms of each member pair (q_b - q_a and its norm, the row
+2(q_b - q_a), its norm and its right-hand side) once, in a table that all
+its subsets share, and stops scoring a candidate point once its running
+max over the members reaches the best value so far, since under the
+strict < tie-break it cannot win then. Neither changes a bit of any result against
 solving every subset from scratch and scoring every point in full: the
 kernels keep each float operation and its order, a max does not depend on
 the order of its terms, and every sum, of at most 4 terms, runs left to
-right from 0.0 (written 0.0 + ... or _sum), as numpy's reductions of fewer
-than 8 terms and the builtin sum before Python 3.12 add, so not even the
-sign of a zero changes. (From 8 terms numpy sums pairwise: bloch's rounding
-contract.) tests/helpers.py
+right from 0.0 (written 0.0 + ... or bloch.pairwise_sum), as numpy's
+reductions of fewer than 8 terms and the builtin sum before Python 3.12
+add, so not even the sign of a zero changes. (From 8 terms numpy sums
+pairwise: bloch's rounding contract.) tests/helpers.py
 keeps those unshared kernels as the reference.
 
 The measurement comes from that same basis. At equal slack
@@ -61,9 +60,9 @@ by |r - q_i|, are the weights of the pure-conjugate POVM: recover_povm
 solves no second weight system, and a size-1 basis (the guess regime)
 yields the identity on its state. Its at most 4 support rows are worked on
 Python floats, rounded as the numpy reductions they replace round, and the
-n-length conjugate, weight and element rows are built once: up to
-FLOAT_ROWS states as lists of floats, which povm_from_weights and the gate
-take as they are, with no array in between, and above it as arrays.
+n-length conjugate, weight and element rows are built once, in the held
+form: as lists of floats, which povm_from_weights and the gate take as
+they are, with no array in between, or as arrays.
 recover_povm and solve_oracle share one result, whose certificate comes
 from the gate, family.assemble_result.
 """
@@ -81,7 +80,6 @@ from .bloch import (
     AXIS_TOL,
     CONSISTENCY_TOL,
     FEAS_TOL,
-    FLOAT_ROWS,
     NEG_WEIGHT_TOL,
     NORM_FLOOR,
     PIVOT_WINDOW,
@@ -93,6 +91,7 @@ from .bloch import (
     ZERO_TOL,
     DiscriminationResult,
     WeightedEnsemble,
+    pairwise_sum,
 )
 from .errors import ConvergenceError
 from .family import assemble_result, conjugates_at, povm_from_weights
@@ -127,17 +126,6 @@ def minimax_objective(ensemble: WeightedEnsemble, r) -> float:
     """f(r) = max_i (p_i + |r - p_i b_i|) for a 3-sequence r."""
     r = np.asarray(r, dtype=float).reshape(3)
     return float((ensemble.priors + np.linalg.norm(r - ensemble.weighted_points, axis=1)).max())
-
-
-def _sum(values) -> float:
-    """values added left to right from 0.0, as numpy's reductions of fewer than 8 terms add them.
-
-    The builtin sum compensates its rounding from Python 3.12 on.
-    """
-    total = 0.0
-    for x in values:
-        total += x
-    return total
 
 
 def _pair_table(pr: list, q: list) -> tuple:
@@ -280,9 +268,9 @@ def _pivot_subsets(new: int) -> tuple:
 def _members(values, indices) -> list:
     """The rows of values at indices as Python floats, gathered once.
 
-    values is the ensemble's kept floats (ensemble.lists) up to FLOAT_ROWS
-    rows, or its array above: the one place the pivots and the hull test
-    tell the two apart.
+    values is the ensemble's held form (ensemble.held), its kept floats or
+    its array: the one place the pivots and the hull test tell the two
+    apart.
     """
     if isinstance(values, np.ndarray):
         return values[list(indices)].tolist()
@@ -422,7 +410,7 @@ def _hull_weights(q, r, basis: tuple) -> tuple | None:
         for subset in combinations(range(len(rows)), size):
             w = _zero_weights([rows[i] for i in subset])
             if w is not None:
-                found.append((_sum(x * x for x in w), subset, w))
+                found.append((pairwise_sum([x * x for x in w]), subset, w))
         if found:
             _, subset, w = min(found, key=lambda item: item[:2])
             for i, wi in zip(subset, w):
@@ -454,14 +442,6 @@ def _farthest(pr, q, r: tuple) -> tuple:
     return j, top
 
 
-def _points(ensemble: WeightedEnsemble) -> tuple:
-    """(priors, weighted points): the kept floats up to FLOAT_ROWS rows, else the arrays."""
-    if ensemble.n <= FLOAT_ROWS:
-        pr, _, q = ensemble.lists
-        return pr, q
-    return ensemble.priors, ensemble.weighted_points
-
-
 def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
     """Minimize f over R^3; certified global within PIVOT_WINDOW when converged=True.
 
@@ -473,7 +453,7 @@ def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
     cap of a fixed multiple of n passes returns converged=False.
     Deterministic: ties break by index.
     """
-    pr, q = _points(ensemble)
+    pr, _, q = ensemble.held
     k = int(np.argmax(pr)) if isinstance(pr, np.ndarray) else pr.index(ensemble.max_prior)
     basis, r, value = (k,), tuple(_members(q, (k,))[0]), float(pr[k])
     mu = None
@@ -526,11 +506,11 @@ def _basis_measurement(
     rounding: norms and sums add left to right from 0.0, as numpy's
     reductions over 3 or 4 terms do, and the closing weight is the norm of
     np.dot, as np.linalg.norm takes it. The n-length rows are built once,
-    as lists up to FLOAT_ROWS states and as arrays above.
+    as lists on the kept floats and as arrays on arrays.
     """
     if not solution.converged or not solution.basis_weights:
         raise ConvergenceError("cannot recover a POVM without a converged basis")
-    pr, q = _points(ensemble)
+    pr, _, q = ensemble.held
     n = ensemble.n
     p = float(solution.p_star)
     r = solution.r_star
@@ -548,10 +528,10 @@ def _basis_measurement(
         dirs = [tuple(y / d for y in x) for x, d in zip(offsets, dist)]
         weights = [m * d for m, d in zip(mu, dist)]
         others = [(w_i, d_i) for i, (w_i, d_i) in enumerate(zip(weights, dirs)) if i != k]
-        closing = [-_sum(w_i * d_i[j] for w_i, d_i in others) for j in range(3)]
+        closing = [-pairwise_sum([w_i * d_i[j] for w_i, d_i in others]) for j in range(3)]
         weights[k] = math.sqrt(np.dot(closing, closing))
         dirs[k] = tuple(y / weights[k] for y in closing)
-        scale = 2.0 / _sum(weights)
+        scale = 2.0 / pairwise_sum(weights)
         weights = [w_i * scale for w_i in weights]
 
     c = conjugates_at(ensemble, p, r)

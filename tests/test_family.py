@@ -344,11 +344,13 @@ def test_guess_result_rejects_nonoptimal_guess():
     ens = qsd.validate_ensemble([(0.6, (0, 0, 1)), (0.4, (0, 0, -1))])
     with pytest.raises(CertificateError, match=r"^conjugate norm 5\.000000000000001 exceeds 1$"):
         guess_result(ens, 0, "two-state")
-    # a tied prior leaves no conjugate to test: the state must sit at r
-    tied = qsd.validate_ensemble([(0.5, (0, 0, 1)), (0.5, (0, 0, -1))])
-    with pytest.raises(DegenerateRatioError,
-                       match=r"^guess at index 0 cannot cover state 1: tied prior, distinct point$"):
-        guess_result(tied, 0, "two-state")
+    # a tied prior leaves no conjugate to test: the state must sit at r, in a
+    # record that stores arrays (integer rows) and in one that keeps floats
+    for up, down in (((0, 0, 1), (0, 0, -1)), ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))):
+        tied = qsd.validate_ensemble([(0.5, up), (0.5, down)])
+        with pytest.raises(DegenerateRatioError, match=(
+                r"^guess at index 0 cannot cover state 1: tied prior, distinct point$")):
+            guess_result(tied, 0, "two-state")
 
 
 def _ensemble(*entries):

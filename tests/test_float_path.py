@@ -1,10 +1,11 @@
 """The float path of small records against the vectorized code it stands in for.
 
 Records of at most bloch.FLOAT_ROWS rows are checked and built on Python
-floats, and the oracle solves ensembles of that size on them. The float
-path only accepts: anything it declines goes to the vectorized code, which
-raises every refusal. These tests run the same inputs both ways, with
-FLOAT_ROWS set to 0 for the vectorized side, and require the same stored
+floats, and the solvers and the oracle run on the floats such a record
+holds (WeightedEnsemble.held). The float path only accepts: anything it
+declines goes to the vectorized code, which raises every refusal. These
+tests run the same inputs both ways, with bloch.FLOAT_ROWS, which only
+bloch reads, set to 0 for the vectorized side, and require the same stored
 bytes, flags and masks, or the same exception type and message.
 """
 
@@ -21,28 +22,26 @@ import qsd.cli
 import qsd.closed_form
 import qsd.family
 import qsd.oracle
-from qsd import DiscriminationResult, HelstromCertificate, Povm, WeightedEnsemble
-from qsd.bloch import DEGENERACY_TOL, FLOAT_ROWS, PSD_TOL, PURITY_TOL, STATE_NORM_TOL
+from qsd import DiscriminationResult, HelstromCertificate, Povm, WeightedEnsemble, solve_auto
+from qsd.bloch import (
+    DEGENERACY_TOL, FLOAT_MARGIN, FLOAT_ROWS, PSD_TOL, PURITY_TOL, STATE_NORM_TOL)
 
 from helpers import ball_points, near_guess_ensemble, sphere_points
 from test_bloch import ERROR_TABLE
 from test_family import GATE_REJECTIONS
 
-_MODULES = (qsd.bloch, qsd.family, qsd.closed_form, qsd.oracle)
 _NAN, _INF = math.nan, math.inf
 
 
 @contextmanager
 def vectorized():
-    """No record reaches the float path inside this block."""
-    saved = [module.FLOAT_ROWS for module in _MODULES]
-    for module in _MODULES:
-        module.FLOAT_ROWS = 0
+    """No record reaches the float path inside this block, so every solver reads arrays."""
+    saved = qsd.bloch.FLOAT_ROWS
+    qsd.bloch.FLOAT_ROWS = 0
     try:
         yield
     finally:
-        for module, rows in zip(_MODULES, saved):
-            module.FLOAT_ROWS = rows
+        qsd.bloch.FLOAT_ROWS = saved
 
 
 def _arrays(*arrays):
@@ -361,6 +360,7 @@ def test_float_lists_match_the_arrays():
         result = _solve(_entries(rng.dirichlet(np.ones(n)), ball_points(rng, n)))()
         ens, povm = result.ensemble, result.povm
         priors, bloch, weighted = ens.lists
+        assert ens.held is ens.lists
         assert list(priors) == ens.priors.tolist()
         assert [list(row) for row in bloch] == ens.bloch_matrix.tolist()
         assert [list(row) for row in weighted] == ens.weighted_points.tolist()
@@ -479,13 +479,43 @@ def test_solvers_given_arrays_keep_floats_up_to_float_rows(method, arrays):
         else:
             assert "_floats" in vars(record)
     if len(priors) <= FLOAT_ROWS:
-        # the closed forms read the kept floats; solve_two_state reads the arrays
+        # every closed form reads the kept floats
         for part, names in _ARRAY_FIELDS:
-            if part != "ensemble" or method != "two-state":
-                assert _keeps_floats(getattr(result, part), names)
+            assert _keeps_floats(getattr(result, part), names)
     with vectorized():
         expected = solve()
     assert fingerprint(result) == fingerprint(expected)
+
+
+# A record of at most FLOAT_ROWS rows whose float checks decline it (a state
+# within FLOAT_MARGIN of the norm bound) stores arrays, held returns them, and
+# the solvers that branch on held run their numpy code on it, to the same bytes.
+_EDGE = 1.0 + 0.5 * STATE_NORM_TOL - 0.5 * FLOAT_MARGIN
+_EDGE_INPUTS = [
+    ("two-state", solve_auto, ([0.4, 0.6], [(0.0, 0.0, _EDGE), (0.3, 0.1, -0.2)])),
+    ("three-state-boundary", solve_auto,
+     ([0.5, 0.3, 0.2], [(_EDGE, 0.0, 0.0), (0.0, 0.6, -0.2), (0.0, -0.7, 0.1)])),
+    ("diagonal", solve_auto,
+     ([0.5, 0.3, 0.2], [(0.0, 0.0, _EDGE), (0.0, 0.0, -0.4), (0.0, 0.0, 0.1)])),
+    ("symmetric-shell", solve_auto,
+     ([1.0 / 6.0] * 6, (_EDGE * np.vstack([np.eye(3), -np.eye(3)])).tolist())),
+    ("oracle", qsd.solve_oracle,
+     ([0.3, 0.2, 0.25, 0.25],
+      [(0.0, _EDGE, 0.0), (-0.4, 0.3, 0.1), (0.1, -0.6, 0.2), (0.0, 0.2, -0.7)])),
+]
+
+
+@pytest.mark.parametrize("method, solve, arguments", _EDGE_INPUTS,
+                         ids=[m for m, _, _ in _EDGE_INPUTS])
+def test_records_declined_by_the_float_checks_solve_on_their_arrays(method, solve, arguments):
+    priors, rows = arguments
+    assert len(priors) <= FLOAT_ROWS
+    assert 1.0 + 0.5 * STATE_NORM_TOL - FLOAT_MARGIN < _EDGE < 1.0 + 0.5 * STATE_NORM_TOL
+    ens = WeightedEnsemble(priors, rows)
+    assert "_floats" not in vars(ens)
+    assert all(isinstance(value, np.ndarray) for value in ens.held)
+    status, found = assert_both_ways(lambda: solve(WeightedEnsemble(priors, rows)))
+    assert status == "ok" and found[0] == method
 
 
 def test_equiprobability_is_tested_on_the_kept_floats():
@@ -547,11 +577,11 @@ def test_pairwise_sum_is_numpys_sum_bit_for_bit(n):
     # n = 7, 8, 9, 15, 16, 17 sit around numpy's unroll width of 8
     for values in _pairwise_inputs(n):
         array = np.array(values)
-        total = qsd.closed_form._pairwise_sum(values)
+        total = qsd.bloch.pairwise_sum(values)
         assert type(total) is float
         assert np.float64(total).tobytes() == np.add.reduce(array).tobytes(), values
         assert np.float64(total / n).tobytes() == array.mean().tobytes(), values
-        assert qsd.closed_form._pairwise_sum(tuple(values)) == total
+        assert qsd.bloch.pairwise_sum(tuple(values)) == total
 
 
 def _cli_solve(path, method):

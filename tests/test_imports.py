@@ -250,6 +250,21 @@ def test_oracle_float_kernels_use_no_numpy():
     assert offenders == []
 
 
+# bloch alone decides which records keep floats; the solvers read the form a
+# record holds (WeightedEnsemble.held) and never compare a size with FLOAT_ROWS.
+def test_only_bloch_names_float_rows():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "bloch.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "FLOAT_ROWS")
+        or (isinstance(node, ast.Attribute) and node.attr == "FLOAT_ROWS")
+        or (isinstance(node, ast.alias) and node.name == "FLOAT_ROWS")
+    ]
+    assert offenders == []
+
+
 # PovmElement, the (a, v) named tuple of Povm.elements, is the one per-row
 # view left, and only bloch names it; a refused row gets its message from
 # bloch's row checks. Every other module works on the records' arrays.

@@ -46,6 +46,16 @@ child interpreter, on inputs drawn the same way for both:
                                          2..40, through solve_oracle: both
                                          sides of bloch.FLOAT_ROWS, which the
                                          bench corpora (n <= 20) need not span
+  two-state                              TWO_STATE_DRAWS seeded pairs, through
+                                         solve_auto, solve_two_state and `qsd
+                                         solve FILE --format json`: coincident
+                                         weighted points with tied and untied
+                                         priors, |q_2 - q_1| a few ulps and
+                                         1e-12 and 1e-9 either side of
+                                         |p_2 - p_1| (the guess regime's
+                                         edge), rows of signed zeros, and
+                                         random pairs; the bench corpora
+                                         rarely reach the first three
 
 The corpora come from the bench/ next to this script, read and never
 written. For each input the tool keeps the method tag, the type of any
@@ -94,6 +104,10 @@ ORACLE_SIZES = range(2, 41)
 ORACLE_DRAWS = 20
 ORACLE_SEED = 2027
 BROKEN_ITEMS = 3
+TWO_STATE_DRAWS = 600
+TWO_STATE_SEED = 2029
+EDGE_STEPS = (-1e-9, -1e-12, -4 * 2.0 ** -52, -2.0 ** -52, 0.0, 2.0 ** -52, 4 * 2.0 ** -52,
+              1e-12, 1e-9)
 
 # the child puts the checkout's src and bench/ first, then collects
 CHILD = (
@@ -123,6 +137,36 @@ def named_tolerances() -> int:
                        for info in pkgutil.iter_modules(qsd.__path__)]
     return len({(name, id(value)) for module in modules for name, value in vars(module).items()
                 if type(value) is float and 0.0 < value < 1e-6})
+
+
+def two_state_pair(rng, i: int) -> list:
+    """Draw i of the two-state set (module docstring) as (prior, state) pairs of floats."""
+    import numpy as np
+
+    def ball(radius):
+        u = rng.standard_normal(3)
+        return (u / np.linalg.norm(u) * radius * rng.uniform() ** (1.0 / 3.0)).tolist()
+
+    kind = i % 4
+    if kind == 0:  # coincident weighted points: at the origin, or p_1 b_1 = p_2 b_2
+        p1 = 0.5 if i % 8 == 0 else float(rng.uniform(0.5, 0.75))
+        b1 = [0.0, -0.0, 0.0] if i % 3 == 0 else ball((1.0 - p1) / p1)
+        b2 = [p1 * x / (1.0 - p1) for x in b1]
+    elif kind == 1:  # |q_2 - q_1| at |p_2 - p_1| (1 + step)
+        p1 = float(rng.uniform(0.05, 0.45))
+        b1 = ball(0.2)
+        u = rng.standard_normal(3)
+        u = (u / np.linalg.norm(u)).tolist()
+        dn = (1.0 - 2.0 * p1) * (1.0 + EDGE_STEPS[(i // 4) % len(EDGE_STEPS)])
+        b2 = [(p1 * x + dn * y) / (1.0 - p1) for x, y in zip(b1, u)]
+    elif kind == 2:  # signed zeros in both rows
+        p1 = 0.5 if i % 8 == 2 else float(rng.uniform(0.1, 0.9))
+        b1, b2 = ([float(rng.choice([-0.0, 0.0, 0.5, -0.5])) for _ in range(3)] for _ in range(2))
+    else:
+        p1 = float(rng.uniform(0.05, 0.95))
+        b1, b2 = ball(1.0), ball(1.0)
+    entries = [(p1, tuple(b1)), (1.0 - p1, tuple(b2))]
+    return entries[::-1] if i % 5 == 0 else entries
 
 
 def collect() -> None:
@@ -220,6 +264,16 @@ def collect() -> None:
             key = f"diagonal/{i}/{n}"
             run(key + "/auto", lambda: qsd.solve_auto(qsd.validate_ensemble(entries)))
             run(key + "/solve_diagonal", lambda: qsd.solve_diagonal(qsd.validate_ensemble(entries)))
+            write(path, "# prior bx by bz\n", entries)
+            run_cli(key + "/cli", ["solve", path], workdir)
+
+        rng = np.random.default_rng(TWO_STATE_SEED)
+        for i in range(TWO_STATE_DRAWS):
+            entries = two_state_pair(rng, i)
+            key = f"two-state/{i}"
+            run(key + "/auto", lambda: qsd.solve_auto(qsd.validate_ensemble(entries)))
+            run(key + "/solve_two_state",
+                lambda: qsd.solve_two_state(qsd.validate_ensemble(entries)))
             write(path, "# prior bx by bz\n", entries)
             run_cli(key + "/cli", ["solve", path], workdir)
 
