@@ -563,6 +563,9 @@ class WeightedEnsemble(ArrayRecord):
         weighted = tuple([(p * x, p * y, p * z) for p, (x, y, z) in zip(values, rows)])
         self._store(priors=values, bloch_matrix=rows, weighted_points=weighted,
                     max_prior=max(values))
+        # lists and held are these tuples, kept now: every solve reads them,
+        # and deriving them on that first read costs more than storing them
+        self.__dict__["lists"] = self.__dict__["held"] = (values, rows, weighted)
         return True
 
 
