@@ -537,10 +537,10 @@ def _equidistant(ensemble: WeightedEnsemble, offsets, rho: float, method: str):
 
     offsets holds each state's Bloch offset from the centre in the form the
     ensemble holds (ensemble.held): an (n, 3) array, or rows of three
-    floats, on which the same operations run element by element; conjugates are the unit vectors
-    opposite, c_j = -offsets_j/|offsets_j| (over rho, |c_j| passes 1 on rows
-    given to ten digits), and the weights solve the completeness system over
-    them. At rho = 0 the states coincide, and the guess is reported with an
+    floats, on which the same operations run element by element;
+    conjugates are the unit vectors opposite, c_j = -offsets_j/|offsets_j|
+    (over rho, |c_j| passes 1 on rows given to ten digits), and the weights
+    solve the completeness system over them. At rho = 0 the states coincide, and the guess is reported with an
     arbitrary planar conjugate fan.
     """
     n = ensemble.n
