@@ -265,12 +265,22 @@ def _rows(vectors, ok=None, check=_row) -> np.ndarray:
 _SEQUENCES = (list, tuple)
 
 
+def _as_floats(values) -> tuple | None:
+    """values as Python floats, ints (not bools) through float(); None for any other value."""
+    if all(type(x) is float or type(x) is int for x in values):
+        try:
+            return tuple(map(float, values))
+        except OverflowError:  # an int too large for a float
+            pass
+    return None
+
+
 def float_rows(rows) -> tuple | None:
     """rows as a tuple of (x, y, z) tuples of Python floats, or None.
 
-    rows must hold at most FLOAT_ROWS rows of three floats: lists or tuples
-    of them, or an (n, 3) float64 array; anything else gives None, for the
-    vectorized checks. A float test of a row's norm takes
+    rows must hold at most FLOAT_ROWS rows of three floats or ints: lists or
+    tuples of them, or an (n, 3) float64 array; anything else gives None,
+    for the vectorized checks. A float test of a row's norm takes
     sqrt(x*x + y*y + z*z) and compares it with FLOAT_MARGIN to spare.
     """
     if type(rows) is np.ndarray:
@@ -284,13 +294,15 @@ def float_rows(rows) -> tuple | None:
             return None
         x, y, z = row
         if not (type(x) is float and type(y) is float and type(z) is float):
-            return None
+            row = _as_floats(row)
+            if row is None:
+                return None
         out.append(row if type(row) is tuple else (x, y, z))
     return tuple(out)
 
 
 def float_values(values) -> tuple | None:
-    """values as a tuple of at most FLOAT_ROWS floats: a list, tuple or float64 array; or None."""
+    """values as a tuple of at most FLOAT_ROWS floats (or ints): a list, tuple or float64 array; or None."""
     if type(values) is np.ndarray:
         ok = values.dtype == np.float64 and values.ndim == 1 and len(values) <= FLOAT_ROWS
         return tuple(values.tolist()) if ok else None
@@ -299,7 +311,7 @@ def float_values(values) -> tuple | None:
     values = tuple(values)
     for x in values:
         if type(x) is not float:
-            return None
+            return _as_floats(values)
     return values
 
 
@@ -592,6 +604,8 @@ class Povm(ArrayRecord):
     """A complete measurement: elements sum to the identity within COMPLETENESS_TOL.
 
     Stored as read-only arrays a (n,) and v (n, 3), Pi_i = a_i I + v_i.sigma.
+    The gate builds a solver's measurement in the pass that certifies it and
+    stores it through _from_gate, which checks nothing twice.
     """
 
     a: np.ndarray
@@ -648,6 +662,14 @@ class Povm(ArrayRecord):
             return False
         self._store(a=values, v=rows)
         return True
+
+    @classmethod
+    def _from_gate(cls, a: tuple, v: tuple) -> "Povm":
+        """The measurement of family.assemble_result, whose pass ran _accept_floats'
+        tests on the tuples of floats it built, stored with no check of its own."""
+        record = cls.__new__(cls)
+        record._store(a=a, v=v)
+        return record
 
 
 @dataclass(init=False, eq=False, repr=False)

@@ -57,7 +57,6 @@ from .bloch import (
     SPREAD_TOL,
     ZERO_TOL,
     DiscriminationResult,
-    Povm,
     WeightedEnsemble,
     pairwise_sum,
 )
@@ -67,7 +66,7 @@ from .errors import (
     GramConsistencyError,
     WeightSystemInfeasible,
 )
-from .family import assemble_result, conjugates_at, guess_result, povm_from_weights
+from .family import assemble_result, conjugates_at, guess_result
 from .oracle import solve_oracle
 from .weights import min_norm_nonneg_weights
 
@@ -114,9 +113,10 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     p = 0.5 * (1.0 + dn)
 
     if dn <= ZERO_TOL and abs(pr[0] - pr[1]) <= ZERO_TOL:
-        povm = Povm((0.5, 0.5), ((0.0, 0.0, 0.0),) * 2)
+        # both elements I/2: directions of -0.0 store the vector parts +0.0
         conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
-        return assemble_result(ensemble, ensemble.max_prior, q0, conj, povm, "two-state")
+        return assemble_result(ensemble, ensemble.max_prior, q0, conj, (1.0, 1.0), "two-state",
+                               directions=((-0.0, -0.0, -0.0),) * 2)
     if dn <= ZERO_TOL or p < ensemble.max_prior:
         return guess_result(ensemble, pr.index(ensemble.max_prior), "two-state")
 
@@ -125,8 +125,7 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     conj = (c1, (-c1[0], -c1[1], -c1[2]))
     g = p - pr[0]
     r = (x0 + g * c1[0], y0 + g * c1[1], z0 + g * c1[2])
-    povm = povm_from_weights((1.0, 1.0), conj)
-    return assemble_result(ensemble, p, r, conj, povm, "two-state")
+    return assemble_result(ensemble, p, r, conj, (1.0, 1.0), "two-state")
 
 
 # ---------------------------------------------------------------------------
@@ -179,60 +178,65 @@ class ThreeStateCoefficients:
         if ensemble.n != 3:
             raise ValueError("ThreeStateCoefficients needs exactly 3 states")
         pr, _, gaps = _three_state_floats(ensemble)
-        return cls._from_gaps(pr, gaps)
-
-    @classmethod
-    def _from_gaps(cls, priors, gaps) -> "ThreeStateCoefficients":
-        p1, p2, p3 = priors
-        i, j, k = gaps
-        quad_p2 = (
-            4.0 * (-p1 * p2 + p1 * p3 + p2 * p3 - p3 ** 2) * i
-            + 4.0 * (p1 * p2 - p1 * p3 + p2 * p3 - p2 ** 2) * j
-            + 4.0 * (p1 * p2 + p1 * p3 - p2 * p3 - p1 ** 2) * k
-            + 2.0 * i * j + 2.0 * i * k + 2.0 * j * k
-            - i ** 2 - j ** 2 - k ** 2
-        )
-        quad_p1 = (
-            2.0 * (
-                (p1 ** 2 * p2 + p1 * p2 ** 2 - p1 ** 2 * p3 - p1 * p3 ** 2
-                 - p2 ** 2 * p3 - p2 * p3 ** 2 + 2.0 * p3 ** 3)
-                - p1 * k - p2 * j + p3 * i
-            ) * i
-            + 2.0 * (
-                (-p1 ** 2 * p2 - p1 * p2 ** 2 + p1 ** 2 * p3 + p1 * p3 ** 2
-                 - p2 ** 2 * p3 - p2 * p3 ** 2 + 2.0 * p2 ** 3)
-                - p1 * k + p2 * j - p3 * i
-            ) * j
-            + 2.0 * (
-                (-p1 ** 2 * p2 - p1 * p2 ** 2 - p1 ** 2 * p3 - p1 * p3 ** 2
-                 + p2 ** 2 * p3 + p2 * p3 ** 2 + 2.0 * p1 ** 3)
-                + p1 * k - p2 * j - p3 * i
-            ) * k
-        )
-        quad_p0 = (
-            (-p1 ** 2 * p2 ** 2 + p1 ** 2 * p3 ** 2 + p2 ** 2 * p3 ** 2 - p3 ** 4
-             + p1 ** 2 * k + p2 ** 2 * j - p3 ** 2 * i) * i
-            + (p1 ** 2 * p2 ** 2 - p1 ** 2 * p3 ** 2 + p2 ** 2 * p3 ** 2 - p2 ** 4
-               + p1 ** 2 * k - p2 ** 2 * j + p3 ** 2 * i) * j
-            + (p1 ** 2 * p2 ** 2 + p1 ** 2 * p3 ** 2 - p2 ** 2 * p3 ** 2 - p1 ** 4
-               - p1 ** 2 * k + p2 ** 2 * j + p3 ** 2 * i) * k
-            - i * j * k
-        )
-        return cls(i, j, k, quad_p2, quad_p1, quad_p0)
+        return cls(*gaps, *_interior_quadratic(pr, gaps))
 
     def roots(self) -> tuple:
         """Real roots, the (-quad_p1 + sqrt(disc)) / (2 quad_p2) branch first."""
-        a, b, c = self.quad_p2, self.quad_p1, self.quad_p0
-        scale = max(abs(a), abs(b), abs(c), 1.0)
-        if abs(a) <= LEADING_TOL * scale:
-            if abs(b) <= LEADING_TOL * scale:
-                return ()
-            return (-c / b,)
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
+        return _quadratic_roots(self.quad_p2, self.quad_p1, self.quad_p0)
+
+
+def _interior_quadratic(priors, gaps) -> tuple:
+    """(quad_p2, quad_p1, quad_p0) of ThreeStateCoefficients from the priors and squared gaps."""
+    p1, p2, p3 = priors
+    i, j, k = gaps
+    quad_p2 = (
+        4.0 * (-p1 * p2 + p1 * p3 + p2 * p3 - p3 ** 2) * i
+        + 4.0 * (p1 * p2 - p1 * p3 + p2 * p3 - p2 ** 2) * j
+        + 4.0 * (p1 * p2 + p1 * p3 - p2 * p3 - p1 ** 2) * k
+        + 2.0 * i * j + 2.0 * i * k + 2.0 * j * k
+        - i ** 2 - j ** 2 - k ** 2
+    )
+    quad_p1 = (
+        2.0 * (
+            (p1 ** 2 * p2 + p1 * p2 ** 2 - p1 ** 2 * p3 - p1 * p3 ** 2
+             - p2 ** 2 * p3 - p2 * p3 ** 2 + 2.0 * p3 ** 3)
+            - p1 * k - p2 * j + p3 * i
+        ) * i
+        + 2.0 * (
+            (-p1 ** 2 * p2 - p1 * p2 ** 2 + p1 ** 2 * p3 + p1 * p3 ** 2
+             - p2 ** 2 * p3 - p2 * p3 ** 2 + 2.0 * p2 ** 3)
+            - p1 * k + p2 * j - p3 * i
+        ) * j
+        + 2.0 * (
+            (-p1 ** 2 * p2 - p1 * p2 ** 2 - p1 ** 2 * p3 - p1 * p3 ** 2
+             + p2 ** 2 * p3 + p2 * p3 ** 2 + 2.0 * p1 ** 3)
+            + p1 * k - p2 * j - p3 * i
+        ) * k
+    )
+    quad_p0 = (
+        (-p1 ** 2 * p2 ** 2 + p1 ** 2 * p3 ** 2 + p2 ** 2 * p3 ** 2 - p3 ** 4
+         + p1 ** 2 * k + p2 ** 2 * j - p3 ** 2 * i) * i
+        + (p1 ** 2 * p2 ** 2 - p1 ** 2 * p3 ** 2 + p2 ** 2 * p3 ** 2 - p2 ** 4
+           + p1 ** 2 * k - p2 ** 2 * j + p3 ** 2 * i) * j
+        + (p1 ** 2 * p2 ** 2 + p1 ** 2 * p3 ** 2 - p2 ** 2 * p3 ** 2 - p1 ** 4
+           - p1 ** 2 * k + p2 ** 2 * j + p3 ** 2 * i) * k
+        - i * j * k
+    )
+    return quad_p2, quad_p1, quad_p0
+
+
+def _quadratic_roots(a: float, b: float, c: float) -> tuple:
+    """Real roots of a p^2 + b p + c, the (-b + sqrt(disc)) / (2a) branch first."""
+    scale = max(abs(a), abs(b), abs(c), 1.0)
+    if abs(a) <= LEADING_TOL * scale:
+        if abs(b) <= LEADING_TOL * scale:
             return ()
-        sq = math.sqrt(disc)
-        return ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
+        return (-c / b,)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return ()
+    sq = math.sqrt(disc)
+    return ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a))
 
 
 def gram_identity_residual(dots) -> float:
@@ -312,10 +316,7 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     weights = [1.0] * 3
     weights[k] = 0.0
     try:
-        return assemble_result(
-            ensemble, p, r, conj, povm_from_weights(weights, conj),
-            "three-state-boundary",
-        )
+        return assemble_result(ensemble, p, r, conj, weights, "three-state-boundary")
     except (CertificateError, ValueError):
         return None
 
@@ -353,10 +354,8 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     r = (q[0] + sol).tolist()
     conj = conjugates_at(ensemble, p, r)
     try:
-        return assemble_result(
-            ensemble, p, r, conj,
-            povm_from_weights([max(w, 0.0) for w in weights], conj), "three-state-interior",
-        )
+        return assemble_result(ensemble, p, r, conj, [max(w, 0.0) for w in weights],
+                               "three-state-interior")
     except (CertificateError, ValueError):
         return None
 
@@ -386,8 +385,8 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
         built = _boundary_candidate(ensemble, pr, q, gaps, i, j)
         if built is not None:
             candidates.append((built.p_opt, idx, built))
-    for offset, root in enumerate(ThreeStateCoefficients._from_gaps(pr, gaps).roots()):
-        built = _interior_candidate(ensemble, pr, q, gaps, float(root))
+    for offset, root in enumerate(_quadratic_roots(*_interior_quadratic(pr, gaps))):
+        built = _interior_candidate(ensemble, pr, q, gaps, root)
         if built is not None:
             candidates.append((built.p_opt, 3 + offset, built))
     if not candidates:
@@ -451,7 +450,7 @@ def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     conj[u], conj[d] = (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)
     weights = [0.0] * n
     weights[u] = weights[d] = 1.0
-    return assemble_result(ensemble, p, r, conj, povm_from_weights(weights, conj), "diagonal")
+    return assemble_result(ensemble, p, r, conj, weights, "diagonal")
 
 
 def _diagonal_pair(pr: np.ndarray, z: np.ndarray) -> tuple:
@@ -567,7 +566,7 @@ def _equidistant(ensemble: WeightedEnsemble, offsets, rho: float, method: str):
         r = (qx + g * cx, qy + g * cy, qz + g * cz)
     else:
         r = q[0] + (p - priors[0]) * conj[0]
-    return assemble_result(ensemble, p, r, conj, povm_from_weights(w, conj), method)
+    return assemble_result(ensemble, p, r, conj, w, method)
 
 
 def solve_symmetric_shell(ensemble: WeightedEnsemble) -> DiscriminationResult:

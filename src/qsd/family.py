@@ -10,9 +10,10 @@ tr(tau_i Pi_i) vanishes exactly when each nonzero element is orthogonal to
 its conjugate, a_i + c_i.v_i = 0.
 
 assemble_result is the single funnel every solver returns through and the
-one certificate builder: it certifies by weak duality, refuses anything
-that fails, and derives the multipliers from the measurement traces
-(trace_multipliers). The KKT report is computed only when result.kkt is read.
+one certificate builder: it builds the measurement of the weight system a
+solver solved, certifies it by weak duality, refuses anything that fails,
+and derives the multipliers from the measurement traces (trace_multipliers).
+The KKT report is computed only when result.kkt is read.
 The gate computes each quantity once: one pass of row norms tests the
 conjugates against the unit ball, and p_i/p gives both the scaled priors
 and the multipliers. A non-finite common point or conjugate fails the
@@ -34,17 +35,17 @@ WeightedEnsemble(priors, bloch_matrix) or validate_ensemble for the
 ensembles the solvers take. A common point is a 3-sequence, conjugates an
 (n, 3) array or a sequence of 3-sequences.
 
-The gate and povm_from_weights run on Python floats wherever bloch's
-float_rows and float_values accept the solver's rows (bloch's module
-docstring), whether it gave lists, tuples or arrays; conjugates_at and
-guess_result read the record's held form (ensemble.held). Each float test
-accepts only what the vectorized one accepts, clearing its bound by
-FLOAT_MARGIN, and anything else runs the vectorized code, which raises
-every refusal. The stored values are the same float operations, element by
-element; a conjugate norm or a success within the margin of its bound takes
-its verdict from numpy instead. The POVM and the certificate keep those
-floats as immutable tuples and build each array on its first read, or
-store the arrays the vectorized code built.
+On an ensemble that keeps floats (ensemble.held), the gate checks the
+weights, builds the POVM and certifies it in one pass on Python floats,
+given lists, tuples or float arrays of them; conjugates_at and guess_result
+read the held form too. Each float test accepts only what the vectorized
+one accepts, clearing its bound by FLOAT_MARGIN, and anything else runs
+povm_from_weights and the vectorized gate, which raise every refusal. The
+stored values are the same float operations, element by element; a
+conjugate norm or a success within the margin of its bound takes its
+verdict from numpy instead. The POVM and the certificate keep those floats
+as immutable tuples and build each array on its first read, or store the
+arrays the vectorized code built.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ import numpy as np
 
 from .bloch import (
     BALL_SLACK,
+    COMPLETENESS_TOL,
     DEGENERACY_TOL,
     FAMILY_TOL,
     FLOAT_MARGIN,
     NEG_WEIGHT_TOL,
     ORTHOGONALITY_TOL,
+    PSD_TOL,
     RATIO_SLACK,
     SUCCESS_TOL,
     TIED_POINT_TOL,
@@ -71,8 +74,6 @@ from .bloch import (
     Povm,
     WeightedEnsemble,
     check_finite,
-    float_rows,
-    float_values,
     row_norms,
     vector_array,
     vector_matrix,
@@ -176,32 +177,17 @@ def verify_optimality(povm: Povm, conjugates: Sequence) -> tuple:
 
 
 def povm_from_weights(weights: Sequence, conjugates: Sequence) -> Povm:
-    """Build Pi_i = w_i * (I - c_i.sigma)/2 from a weight system.
+    """Build Pi_i = w_i * (I - c_i.sigma)/2 from a weight system, vectorized.
 
     Weights within NEG_WEIGHT_TOL of zero are clamped so float dust cannot
     fail the PSD check. Completeness (sum w = 2, sum w c = 0) is re-verified
-    by the Povm constructor, not assumed. Rows of floats that bloch's
-    float_rows takes, as lists, tuples or arrays, build the POVM on Python
-    floats.
+    by the Povm constructor, not assumed. assemble_result builds the same
+    floats in the gate's pass, and falls back to this.
     """
-    values, rows = float_values(weights), float_rows(conjugates)
-    if values is not None and rows is not None and 0 < len(values) == len(rows):
-        for x in values:
-            if not x >= -NEG_WEIGHT_TOL:  # a NaN fails this too
-                break
-        else:
-            # _weighted_povm's arrays, element by element; Povm checks them on floats
-            a = tuple([0.0 if abs(x) <= NEG_WEIGHT_TOL else x / 2.0 for x in values])
-            return Povm(a, tuple([(-ak * x, -ak * y, -ak * z) for ak, (x, y, z) in zip(a, rows)]))
     w = np.asarray(weights, dtype=float)
     c = vector_matrix(conjugates)
     if w.shape[0] != c.shape[0]:
         raise ValueError("weights and conjugates lengths differ")
-    return _weighted_povm(w, c)
-
-
-def _weighted_povm(w: np.ndarray, c: np.ndarray) -> Povm:
-    """povm_from_weights, vectorized, which raises for a negative weight."""
     if w.min() < -NEG_WEIGHT_TOL:  # the least weight, which clamping leaves as it is
         raise ValueError(f"negative weight {float(w.min())!r}")
     a = w / 2.0
@@ -250,34 +236,36 @@ def assemble_result(
     p: float,
     common_point,
     conjugates: Sequence,
-    povm: Povm,
+    weights: Sequence,
     method: str,
+    directions: Sequence | None = None,
 ) -> DiscriminationResult:
-    """Certify and package a solver's output by weak duality; raise CertificateError on failure.
+    """Certify and package a solver's weight system by weak duality; raise CertificateError on failure.
 
-    The only place a HelstromCertificate is built for a solver. Two O(n)
-    checks: (1) dual feasibility at the reported point, p >= p_i,
+    The measurement is Pi_i = w_i (I - d_i.sigma)/2 (povm_from_weights) over
+    the directions d_i, the conjugates unless given. The only place a
+    HelstromCertificate is built for a solver. Two O(n) checks: (1) dual
+    feasibility at the reported point, p >= p_i,
     |q_i + (p - p_i) c_i - r| <= FAMILY_TOL and |c_i| <= 1 + BALL_SLACK for
     every i, which is Y >= p_i rho_i; (2) a zero duality gap,
-    |success(povm) - p| <= SUCCESS_TOL (the Povm constructor has already
-    enforced completeness and positivity). The multipliers are not an input:
+    |success(povm) - p| <= SUCCESS_TOL, on a POVM whose completeness and
+    positivity the gate's pass has verified. The multipliers are not an input:
     they are trace_multipliers of the measurement, with |lambda_i| <= ZERO_TOL
     reported as 0.
 
     Each refusal has its own type and message, which tests/test_family.py
-    pins. For conjugates that bloch's float_rows takes, as lists, tuples or
-    arrays, the checks run on floats first (_gate_floats), which accept or
-    hand over to the vectorized _gate.
+    pins. On an ensemble that keeps floats, one pass (_gate_floats) builds
+    and certifies the POVM, or hands over to povm_from_weights and _gate.
     """
     p = float(p)
-    r, rows = float_values(common_point), float_rows(conjugates)
-    certificate = None
-    if r is not None and len(r) == 3 and rows is not None:
-        certificate = _gate_floats(ensemble, p, r, rows, povm)
-    if certificate is None:
-        certificate = _gate(ensemble, p, vector_array(common_point), vector_matrix(conjugates),
+    if directions is None:
+        directions = conjugates
+    built = _gate_floats(ensemble, p, common_point, conjugates, weights, directions)
+    if built is None:
+        povm = povm_from_weights(weights, directions)
+        built = povm, _gate(ensemble, p, vector_array(common_point), vector_matrix(conjugates),
                             povm)
-    return DiscriminationResult(povm, certificate, method, ensemble)
+    return DiscriminationResult(*built, method, ensemble)
 
 
 def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarray,
@@ -314,48 +302,81 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
     return HelstromCertificate(*fields)  # which refuses what failed
 
 
-def _gate_floats(ensemble: WeightedEnsemble, p: float, r: Sequence, rows: tuple,
-                 povm: Povm) -> HelstromCertificate | None:
-    """assemble_result's certificate from checks on Python floats, or None for _gate.
+_SEQUENCES = (list, tuple)
 
-    r is the common point's three floats and rows the conjugates, from
-    float_rows. Each test accepts only what _gate accepts: the norms clear
-    their bounds by FLOAT_MARGIN, and so does the success, which numpy sums
-    in its own order. A success within the margin of the guess bound takes
-    degenerate from success_probability. Every stored value is the same
-    float operation as in _gate, element by element, and the certificate
-    keeps them as floats (bloch.ArrayRecord).
+
+def _listed(value):
+    return value.tolist() if type(value) is np.ndarray else value
+
+
+def _gate_floats(ensemble: WeightedEnsemble, p: float, common_point, conjugates, weights,
+                 directions) -> tuple | None:
+    """assemble_result's (Povm, HelstromCertificate) from one pass on Python floats, or None.
+
+    Runs on an ensemble that keeps floats and on rows of Python floats
+    (float arrays through tolist()). Per row: the weight test, a_i and v_i
+    as povm_from_weights builds them, the Povm constructor's float tests
+    and the gate's, and the sums of v and of the success; then sum a, |sum v|
+    and the gap. Each test accepts only what the vectorized one accepts:
+    the norms and the success, which numpy sums in its own order, clear
+    their bounds by FLOAT_MARGIN. A success within the margin of the guess
+    bound takes degenerate from success_probability. Every stored value is
+    the vectorized code's float operation, element by element, kept as
+    floats (bloch.ArrayRecord).
     """
-    priors, bloch, q = ensemble.lists
-    a, v = povm.lists
+    priors, bloch, q = ensemble.held
+    if isinstance(q, np.ndarray):
+        return None
+    r, rows, dirs, weights = map(_listed, (common_point, conjugates, directions, weights))
     top = ensemble.max_prior
-    if not (len(rows) == len(a) == len(priors)
+    if not (type(r) in _SEQUENCES and type(rows) in _SEQUENCES and type(dirs) in _SEQUENCES
+            and type(weights) in _SEQUENCES and len(r) == 3
+            and len(rows) == len(dirs) == len(weights) == len(priors)
             and top - RATIO_SLACK <= p <= 1.0 + RATIO_SLACK):
         return None
     rx, ry, rz = r
-    scaled, lam = [], []
-    success = 0.0
-    for pi, (qx, qy, qz), (x, y, z), ai, (vx, vy, vz), (bx, by, bz) in zip(
-            priors, q, rows, a, v, bloch):
+    if not (type(rx) is float and type(ry) is float and type(rz) is float):
+        return None
+    most, psd = 1.0 + COMPLETENESS_TOL, FLOAT_MARGIN - 0.5 * PSD_TOL
+    ball, family = 1.0 + BALL_SLACK - FLOAT_MARGIN, FAMILY_TOL - FLOAT_MARGIN
+    a, v, conj, scaled, lam = [], [], [], [], []
+    sx = sy = sz = success = 0.0
+    for pi, (qx, qy, qz), (bx, by, bz), c, d, w in zip(priors, q, bloch, rows, dirs, weights):
+        if not (type(c) in _SEQUENCES and type(d) in _SEQUENCES and len(c) == len(d) == 3):
+            return None
+        (x, y, z), (dx, dy, dz) = c, d
+        if not (type(x) is float and type(y) is float and type(z) is float
+                and type(dx) is float and type(dy) is float and type(dz) is float
+                and type(w) is float and w >= -NEG_WEIGHT_TOL):  # a NaN fails this too
+            return None
+        ai = 0.0 if abs(w) <= NEG_WEIGHT_TOL else w / 2.0
+        vx, vy, vz = -ai * dx, -ai * dy, -ai * dz
         g = p - pi
         ox, oy, oz = qx + g * x - rx, qy + g * y - ry, qz + g * z - rz
-        if not (math.sqrt(x * x + y * y + z * z) <= 1.0 + BALL_SLACK - FLOAT_MARGIN
-                and math.sqrt(ox * ox + oy * oy + oz * oz) <= FAMILY_TOL - FLOAT_MARGIN):
-            return None
-        success += pi * (ai + (bx * vx + by * vy + bz * vz))
         t = pi / p
-        if not 0.0 < t <= 1.0 + RATIO_SLACK:
+        if not (ai <= most and ai - math.sqrt(vx * vx + vy * vy + vz * vz) >= psd
+                and math.sqrt(x * x + y * y + z * z) <= ball
+                and math.sqrt(ox * ox + oy * oy + oz * oz) <= family
+                and 0.0 < t <= 1.0 + RATIO_SLACK):
             return None
-        scaled.append(t)
+        sx, sy, sz = sx + vx, sy + vy, sz + vz
+        success += pi * (ai + (bx * vx + by * vy + bz * vz))
         m = 2.0 * ai * (1.0 - t) / 4.0
+        a.append(ai)
+        v.append((vx, vy, vz))
+        conj.append((x, y, z))
+        scaled.append(t)
         lam.append(0.0 if abs(m) <= ZERO_TOL else m)
-    if not abs(success - p) <= SUCCESS_TOL - FLOAT_MARGIN:
+    if not (abs(math.fsum(a) - 1.0) <= COMPLETENESS_TOL
+            and math.sqrt(sx * sx + sy * sy + sz * sz) <= COMPLETENESS_TOL - FLOAT_MARGIN
+            and abs(success - p) <= SUCCESS_TOL - FLOAT_MARGIN):
         return None
+    povm = Povm._from_gate(tuple(a), tuple(v))
     bound = top + DEGENERACY_TOL
     if abs(success - bound) <= FLOAT_MARGIN:
         success = success_probability(ensemble, povm)
-    return HelstromCertificate._from_gate(p, (rx, ry, rz), rows, tuple(scaled), tuple(lam),
-                                          bool(success <= bound))
+    return povm, HelstromCertificate._from_gate(p, (rx, ry, rz), tuple(conj), tuple(scaled),
+                                                tuple(lam), bool(success <= bound))
 
 
 def guess_result(
@@ -394,8 +415,11 @@ def guess_result(
             raise DegenerateRatioError(
                 f"guess at index {k} cannot cover state {int(np.argmax(far))}: tied prior, distinct point"
             )
-    povm = Povm([float(i == k) for i in range(n)], [(0.0, 0.0, 0.0)] * n)
-    return assemble_result(ensemble, p, r, conj, povm, method)
+    weights = [0.0] * n
+    weights[k] = 2.0
+    # Pi_k = I: directions of -0.0 store the vector parts -a * -0.0 = +0.0
+    return assemble_result(ensemble, p, r, conj, weights, method,
+                           directions=[(-0.0, -0.0, -0.0)] * n)
 
 
 def _ties_at_point(q: tuple, r: tuple, conj: list) -> bool:

@@ -61,8 +61,9 @@ solves no second weight system, and a size-1 basis (the guess regime)
 yields the identity on its state. Its at most 4 support rows are worked on
 Python floats, rounded as the numpy reductions they replace round, and the
 n-length conjugate, weight and element rows are built once, in the held
-form: as lists of floats, which povm_from_weights and the gate take as
-they are, with no array in between, or as arrays.
+form: as lists of floats, which the gate takes as they are, with no array
+in between, or as arrays. The POVM's directions are the support's rows,
+zero elsewhere, not the conjugates.
 recover_povm and solve_oracle share one result, whose certificate comes
 from the gate, family.assemble_result.
 """
@@ -94,7 +95,7 @@ from .bloch import (
     pairwise_sum,
 )
 from .errors import ConvergenceError
-from .family import assemble_result, conjugates_at, povm_from_weights
+from .family import assemble_result, conjugates_at
 
 __all__ = [
     "MinimaxSolution",
@@ -545,8 +546,7 @@ def _basis_measurement(
         for i, w_i, d_i in zip(support, weights, dirs):
             w[i], elements[i] = w_i, d_i
     c[support[k]] = dirs[k]
-    povm = povm_from_weights(w, elements)
-    return assemble_result(ensemble, p, r, c, povm, "oracle")
+    return assemble_result(ensemble, p, r, c, w, "oracle", directions=elements)
 
 
 def solve_oracle(ensemble: WeightedEnsemble) -> DiscriminationResult:

@@ -447,11 +447,10 @@ def test_records_copy_their_inputs():
     # record keeps floats of its own and builds each array on first read: a
     # caller's change before that read reaches no array, ==, or hash
     pair = WeightedEnsemble([0.5, 0.5], [list(_UP), list(_DOWN)])
-    povm = Povm([0.5, 0.5], [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])
     builds = [
         (WeightedEnsemble, ([0.4, 0.6], [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])),
         (Povm, ((0.5, 0.5), ([0.0, 0.0, 0.5], [0.0, 0.0, -0.5]))),
-        (lambda r, c: qsd.family.assemble_result(pair, 1.0, r, c, povm, "two-state").certificate,
+        (lambda r, c: qsd.family.assemble_result(pair, 1.0, r, c, (1.0, 1.0), "two-state").certificate,
          ([0.0, 0.0, 0.0], ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0]))),
     ]
     for build, values in builds:
@@ -576,11 +575,20 @@ def test_no_per_state_objects_on_the_solve_path(build, method):
         assert "elements" not in vars(result.povm)
 
 
-def test_float_values_take_floats_only():
-    # an int among the values sends the record to the vectorized checks
+def test_float_values_take_floats_and_ints():
+    # an int is taken through float(); a bool, an int too large for a float
+    # or any other type sends the record to the vectorized checks
     assert bloch.float_values([0.5, 0.5]) == (0.5, 0.5)
-    assert bloch.float_values([0.5, 1]) is None
-    assert Povm([1, 0], [_ZERO, _ZERO]).a.tolist() == [1.0, 0.0]
+    taken = bloch.float_values([0.5, 1])
+    assert taken == (0.5, 1.0) and type(taken[1]) is float
+    for value in (True, 10 ** 400, np.float64(1.0), "1.0"):
+        assert bloch.float_values([0.5, value]) is None
+        assert bloch.float_rows([(0.5, value, 0.0)]) is None
+    rows = bloch.float_rows([(0, 1, 0.5), [0.0, -1, 0.0]])
+    assert rows == ((0.0, 1.0, 0.5), (0.0, -1.0, 0.0))
+    assert all(type(x) is float for row in rows for x in row)
+    povm = Povm([1, 0], [_ZERO, _ZERO])
+    assert "_floats" in vars(povm) and povm.a.tolist() == [1.0, 0.0]
 
 
 def test_records_are_unequal_to_other_types():

@@ -20,7 +20,7 @@ from qsd import (
     solve_two_state,
 )
 from qsd.closed_form import solve_with_method
-from qsd.family import assemble_result, guess_result, povm_from_weights
+from qsd.family import assemble_result, guess_result
 from qsd.oracle import classical_diagonal_oracle
 from qsd.platonic import PLATONIC_KINDS, PlatonicSolid, platonic_ensemble
 from helpers import (
@@ -231,7 +231,7 @@ def _table_solve_diagonal(ens):
     conj[rest] = (r - q[rest]) / gap[rest, None]
     weights = np.zeros(n)
     weights[u] = weights[d] = 1.0
-    return assemble_result(ens, p, r, conj, povm_from_weights(weights, conj), "diagonal")
+    return assemble_result(ens, p, r, conj, weights, "diagonal")
 
 
 def _outcome(solve, ens) -> str:

@@ -11,7 +11,7 @@ from qsd import (
     DegenerateRatioError,
     Povm,
 )
-from qsd.bloch import FLOAT_ROWS, ZERO_TOL
+from qsd.bloch import FLOAT_MARGIN, FLOAT_ROWS, STATE_NORM_TOL, ZERO_TOL
 from qsd.family import (
     assemble_result,
     conjugates_at,
@@ -186,7 +186,7 @@ def test_assemble_result_rejects_broken_p():
             result.p_opt + 0.01,
             result.certificate.common_point,
             result.certificate.conjugates,
-            result.povm,
+            (1.0, 1.0),
             "two-state",
         )
 
@@ -199,8 +199,9 @@ def test_assemble_result_rejects_fat_conjugate():
             1.0,
             ORIGIN,
             ((0, 0, -1.2), (0, 0, 1.2)),
-            qsd.solve_two_state(ens).povm,
+            (1.0, 1.0),
             "two-state",
+            qsd.solve_two_state(ens).certificate.conjugates,
         )
 
 
@@ -215,7 +216,7 @@ def test_assemble_result_rejects_wrong_common_point():
             result.p_opt,
             (0.5, -0.5, 0.9),
             result.certificate.conjugates,
-            result.povm,
+            (1.0, 1.0),
             "two-state",
         )
 
@@ -226,19 +227,24 @@ def _generic_pair():
 
 
 def _gate_input(**changes):
-    """assemble_result's arguments for the generic pair's solved answer, with changes."""
+    """assemble_result's arguments for the generic pair's solved answer, with changes.
+
+    The weights and directions are the solver's, which build its POVM.
+    """
     ens, result = _generic_pair()
     cert = result.certificate
     args = dict(ensemble=ens, p=result.p_opt, common_point=cert.common_point,
-                conjugates=cert.conjugates, povm=result.povm, method="two-state")
+                conjugates=cert.conjugates, weights=(1.0, 1.0), method="two-state",
+                directions=cert.conjugates)
     args.update(changes)
     return args
 
 
 def _antipodal_input(**changes):
     args = dict(ensemble=antipodal(), p=1.0, common_point=(0.0, 0.0, 0.0),
-                conjugates=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
-                povm=qsd.solve_two_state(antipodal()).povm, method="two-state")
+                conjugates=((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)), weights=(1.0, 1.0),
+                method="two-state",
+                directions=qsd.solve_two_state(antipodal()).certificate.conjugates)
     args.update(changes)
     return args
 
@@ -250,8 +256,10 @@ def _generic_conjugate(k):
 def _identical_pair_input():
     ens = qsd.validate_ensemble([(0.5, (0.1, 0.2, 0.3)), (0.5, (0.1, 0.2, 0.3))])
     result = qsd.solve_two_state(ens)
+    # both elements I/2, as the solver's tie answer
     return dict(ensemble=ens, p=0.5, common_point=result.certificate.common_point,
-                conjugates=((0.0, 0.0, 1.0),), povm=result.povm, method="two-state")
+                conjugates=((0.0, 0.0, 1.0),), weights=(1.0, 1.0), method="two-state",
+                directions=((-0.0, -0.0, -0.0),) * 2)
 
 
 _NAN, _INF = math.nan, math.inf
@@ -286,7 +294,7 @@ GATE_REJECTIONS = [
     ("common-point-residual", lambda: _gate_input(common_point=(0.5, -0.5, 0.9)),
      CertificateError, "common-point residual 1.4515667796768348 exceeds 1e-09"),
     ("success-gap",
-     lambda: _antipodal_input(povm=Povm((1.0, 0.0), np.zeros((2, 3)))),
+     lambda: _antipodal_input(weights=(2.0, 0.0), directions=np.zeros((2, 3))),
      CertificateError, "POVM success 0.5 differs from p = 1.0"),
     ("nan-common-point", lambda: _gate_input(common_point=(_NAN, 0.0, 0.0)), ValueError,
      "Bloch vector components must be finite, got BlochVector(x=nan, y=0.0, z=0.0)"),
@@ -345,9 +353,12 @@ def test_guess_result_rejects_nonoptimal_guess():
     with pytest.raises(CertificateError, match=r"^conjugate norm 5\.000000000000001 exceeds 1$"):
         guess_result(ens, 0, "two-state")
     # a tied prior leaves no conjugate to test: the state must sit at r, in a
-    # record that stores arrays (integer rows) and in one that keeps floats
-    for up, down in (((0, 0, 1), (0, 0, -1)), ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))):
-        tied = qsd.validate_ensemble([(0.5, up), (0.5, down)])
+    # record that stores arrays (a state within FLOAT_MARGIN of the norm
+    # bound, which the float checks decline) and in one that keeps floats
+    edge = 1.0 + 0.5 * STATE_NORM_TOL - 0.5 * FLOAT_MARGIN
+    for z, arrays in ((edge, True), (1.0, False)):
+        tied = qsd.validate_ensemble([(0.5, (0.0, 0.0, z)), (0.5, (0.0, 0.0, -1.0))])
+        assert isinstance(tied.held[2], np.ndarray) is arrays
         with pytest.raises(DegenerateRatioError, match=(
                 r"^guess at index 0 cannot cover state 1: tied prior, distinct point$")):
             guess_result(tied, 0, "two-state")

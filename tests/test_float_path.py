@@ -24,7 +24,8 @@ import qsd.family
 import qsd.oracle
 from qsd import DiscriminationResult, HelstromCertificate, Povm, WeightedEnsemble, solve_auto
 from qsd.bloch import (
-    DEGENERACY_TOL, FLOAT_MARGIN, FLOAT_ROWS, PSD_TOL, PURITY_TOL, STATE_NORM_TOL)
+    BALL_SLACK, COMPLETENESS_TOL, DEGENERACY_TOL, FAMILY_TOL, FLOAT_MARGIN, FLOAT_ROWS,
+    NEG_WEIGHT_TOL, PSD_TOL, PURITY_TOL, RATIO_SLACK, STATE_NORM_TOL, SUCCESS_TOL)
 
 from helpers import ball_points, near_guess_ensemble, sphere_points
 from test_bloch import ERROR_TABLE
@@ -188,12 +189,16 @@ def test_non_finite_inputs_alike(bad, k):
     ens = qsd.validate_ensemble(_GOOD)
     result = qsd.solve_auto(ens)
     good = result.certificate.conjugates
+    # the solver's weights, whose POVM over the good conjugates is the result's
+    weights = [2.0 * x for x in result.povm.a.tolist()]
+    assert qsd.povm_from_weights(weights, good) == result.povm
     rows = good.tolist()
     rows[k][k % 3] = bad
     with np.errstate(invalid="ignore"):  # the vectorized side multiplies inf by 0
         for p, conjugates in ((result.p_opt, rows), (bad, good)):
             assert_both_ways(lambda: qsd.family.assemble_result(
-                ens, p, result.certificate.common_point, conjugates, result.povm, result.method))
+                ens, p, result.certificate.common_point, conjugates, weights, result.method,
+                directions=good))
 
 
 _ULP = 2.0 ** -52
@@ -669,3 +674,177 @@ def test_cones_and_shells_solve_alike(tmp_path, n):
             solved.append(found[0] if status == "ok" else status)
             assert_cli_alike(tmp_path, entries, method)
     assert "symmetric-shell" in solved and ("cone" in solved) == (n != "platonic")
+
+
+# ---------------------------------------------------------------------------
+# The gate's one pass: on an ensemble that keeps floats it builds the POVM
+# from the solver's weights and certifies it on floats, and hands whatever it
+# cannot decide to povm_from_weights and the vectorized gate, so every
+# refusal keeps its type and message
+
+_PAIR = [(0.3, (0.6, 0.2, 0.7)), (0.7, (-0.1, 0.5, -0.4))]
+_POLES = [(0.5, (0.0, 0.0, 1.0)), (0.5, (0.0, 0.0, -1.0))]
+_UNIT = ((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))  # the poles' conjugates
+_TIED = [(0.5, (0.0, 0.0, 0.0)), (0.5, (0.0, 0.0, 0.0))]
+_ORIGIN = (0.0, 0.0, 0.0)
+
+
+def _solved(entries, **changes):
+    """assemble_result's arguments for solve_auto's answer, as floats, with changes."""
+    ens = qsd.validate_ensemble(entries)
+    result = qsd.solve_auto(ens)
+    common_point, conjugates, _, _ = result.certificate.lists
+    weights = [2.0 * a for a in result.povm.lists[0]]  # the solver's, which build its POVM
+    args = dict(ensemble=ens, p=result.p_opt, common_point=common_point,
+                conjugates=conjugates, weights=weights, method=result.method)
+    return dict(args, **changes)
+
+
+def _poles(**changes):
+    args = dict(ensemble=qsd.validate_ensemble(_POLES), p=1.0, common_point=_ORIGIN,
+                conjugates=_UNIT, weights=(1.0, 1.0), method="two-state")
+    return dict(args, **changes)
+
+
+def _tied(p):
+    """The guess on a tied pair at ratio p: Pi_0 = I."""
+    return dict(ensemble=qsd.validate_ensemble(_TIED), p=p, common_point=_ORIGIN,
+                conjugates=(_ORIGIN, _ORIGIN), weights=(2.0, 0.0), method="two-state",
+                directions=((-0.0, -0.0, -0.0),) * 2)
+
+
+def _scaled(rows, s):
+    return tuple(tuple(s * x for x in row) for row in rows)
+
+
+def _third_weight(w):
+    args = _solved(_GOOD)
+    assert args["method"] == "three-state-boundary"
+    weights = list(args["weights"])
+    weights[weights.index(0.0)] = w
+    return dict(args, weights=weights)
+
+
+def _unbalanced(x):
+    """The pair's weights 1 +- x/|c_1|, so that |sum v| = x."""
+    args = _solved(_PAIR)
+    h = math.hypot(*args["conjugates"][0])
+    return dict(args, weights=(1.0 + x / h, 1.0 - x / h))
+
+
+def _shifted(x):
+    args = _solved(_PAIR)
+    rx, ry, rz = args["common_point"]
+    return dict(args, common_point=(rx, ry, rz + x))
+
+
+_M = 0.5 * FLOAT_MARGIN
+_X0 = 0.5 / (1.0 + RATIO_SLACK)  # where the tied guess's scaled prior 0.5/p reaches its bound
+_OK, _V, _C = "ok", ValueError, qsd.CertificateError
+# (bound, arguments for x, x just inside the bound, within FLOAT_MARGIN of it
+# on either side, and outside it, with the outcome of each)
+_BOUNDS = [
+    ("weight-sign", _third_weight, (-NEG_WEIGHT_TOL / 2, -NEG_WEIGHT_TOL + _M,
+                                    -NEG_WEIGHT_TOL - _M, -2 * NEG_WEIGHT_TOL), (_OK, _OK, _V, _V)),
+    ("psd", lambda x: _poles(directions=_scaled(_UNIT, 1.0 + x)),  # a - |v| = -x/2
+     (PSD_TOL / 2, PSD_TOL - _M, PSD_TOL + _M, 4 * PSD_TOL), (_OK, _OK, _OK, _V)),
+    ("sum-a", lambda x: _solved(_PAIR, weights=(1.0 + x, 1.0 + x)),
+     (COMPLETENESS_TOL / 2, COMPLETENESS_TOL - _M, COMPLETENESS_TOL + _M, 2 * COMPLETENESS_TOL),
+     (_OK, _OK, _V, _V)),
+    ("sum-v", _unbalanced,
+     (COMPLETENESS_TOL / 2, COMPLETENESS_TOL - _M, COMPLETENESS_TOL + _M, 2 * COMPLETENESS_TOL),
+     (_OK, _OK, _V, _V)),
+    ("conjugate-norm", lambda x: _poles(conjugates=_scaled(_UNIT, 1.0 + x), directions=_UNIT),
+     (BALL_SLACK / 2, BALL_SLACK - _M, BALL_SLACK + _M, 2 * BALL_SLACK), (_OK, _OK, _C, _C)),
+    ("family-residual", _shifted,
+     (FAMILY_TOL / 2, FAMILY_TOL - _M, FAMILY_TOL + _M, 2 * FAMILY_TOL), (_OK, _OK, _C, _C)),
+    ("success-gap", lambda x: _poles(directions=_scaled(_UNIT, 1.0 - 2.0 * x)),  # gap x
+     (SUCCESS_TOL / 2, SUCCESS_TOL - _M, SUCCESS_TOL + _M, 2 * SUCCESS_TOL), (_OK, _OK, _C, _C)),
+    ("scaled-prior", _tied, (0.5, _X0 + _M, _X0 - _M, 0.5 - 9e-13), (_OK, _OK, _V, _V)),
+    ("p-below-top-prior", _tied, (0.5, 0.5 - RATIO_SLACK + _M, 0.5 - RATIO_SLACK - _M,
+                                  0.5 - 2 * RATIO_SLACK), (_OK, _V, _C, _C)),
+    ("p-above-one", lambda x: _poles(p=1.0 + x),
+     (RATIO_SLACK / 2, RATIO_SLACK - _M, RATIO_SLACK + _M, 2 * RATIO_SLACK), (_OK, _OK, _V, _V)),
+]
+
+
+@pytest.mark.parametrize("arguments, xs, expected", [case[1:] for case in _BOUNDS],
+                         ids=[case[0] for case in _BOUNDS])
+def test_the_gates_pass_refuses_alike_at_each_bound(arguments, xs, expected):
+    for k, (x, status) in enumerate(zip(xs, expected)):
+        found = assert_both_ways(lambda: qsd.family.assemble_result(**arguments(x)))
+        assert found[0] == status, (x, found)
+        if k == 0:  # well inside every bound: the pass decides, and the records keep floats
+            result = qsd.family.assemble_result(**arguments(x))
+            assert "_floats" in vars(result.povm) and "_floats" in vars(result.certificate)
+
+
+# inputs the pass leaves to the vectorized code as they are: not rows of Python floats
+_MALFORMED = [
+    ("integer-common-point", lambda: dict(_tied(0.5), common_point=(0, 0, 0))),
+    ("integer-weights", lambda: _poles(weights=(1, 1))),
+    ("array-row", lambda: _poles(conjugates=[np.array(_UNIT[0]), _UNIT[1]])),
+    ("short-row", lambda: _poles(conjugates=(_UNIT[0], _UNIT[1][:2]))),
+    ("short-direction", lambda: _poles(directions=(_UNIT[0][:2], _UNIT[1]))),
+    ("set-row", lambda: _poles(conjugates=(_UNIT[0], {0.0, 1.0}))),
+    ("extra-weight", lambda: _poles(weights=(1.0, 1.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("arguments", [case[1] for case in _MALFORMED],
+                         ids=[case[0] for case in _MALFORMED])
+def test_the_gates_pass_leaves_other_inputs_to_the_vectorized_code(arguments):
+    found = assert_both_ways(lambda: qsd.family.assemble_result(**arguments()))
+    if found[0] == "ok":
+        result = qsd.family.assemble_result(**arguments())
+        assert "_floats" not in vars(result.certificate)
+
+
+_ONE_PASS = [
+    ("three-state-boundary", qsd.solve_auto, _GOOD),
+    ("two-state", qsd.solve_auto, _PAIR),
+    ("diagonal", qsd.solve_auto,
+     [(0.5, (0.0, 0.0, 0.8)), (0.3, (0.0, 0.0, -0.5)), (0.2, (0.0, 0.0, 0.1))]),
+    ("oracle", qsd.solve_oracle,
+     [(0.3, (0.5, 0.1, 0.2)), (0.2, (-0.4, 0.3, 0.1)), (0.25, (0.1, -0.6, 0.2)),
+      (0.25, (0.0, 0.2, -0.7))]),
+]
+
+
+@pytest.mark.parametrize("method, solve, entries", _ONE_PASS, ids=[m for m, _, _ in _ONE_PASS])
+def test_a_solve_builds_and_certifies_its_povm_in_one_pass(monkeypatch, method, solve, entries):
+    # bloch.float_rows reads the ensemble's rows and nothing else, no Povm or
+    # certificate runs its constructor, and no record builds an array
+    seen, constructed = [], []
+    float_rows = qsd.bloch.float_rows
+    monkeypatch.setattr(qsd.bloch, "float_rows", lambda rows: seen.append(rows) or float_rows(rows))
+    for record in (Povm, HelstromCertificate):
+        init = record.__init__
+        monkeypatch.setattr(record, "__init__", lambda self, *args, init=init: (
+            constructed.append(type(self)), init(self, *args))[1])
+    result = solve(qsd.validate_ensemble(entries))
+    assert result.method == method
+    assert seen == [[row for _, row in entries]]
+    assert constructed == []
+    assert _built(result) == set()
+    assert all("_floats" in vars(getattr(result, part)) for part, _ in _ARRAY_FIELDS)
+    with vectorized():
+        expected = solve(qsd.validate_ensemble(entries))
+    assert fingerprint(result) == fingerprint(expected)
+
+
+def test_integer_coordinates_take_the_float_path():
+    # an int coordinate is taken through float(): the record keeps floats and
+    # solves as the same ensemble written with floats does, and as the arrays do
+    ints = [(0.3, (0.5, 0.1, 0.2)), (0.2, (-0.4, 0.3, 0.1)), (0.25, (0.1, -0.6, 0.2)),
+            (0.25, (0, 0.2, -0.7))]
+    floats = [(p, tuple(float(x) for x in row)) for p, row in ints]
+    ens = qsd.validate_ensemble(ints)
+    assert _keeps_floats(ens, _FIELDS["ensemble"])
+    assert fingerprint(ens) == fingerprint(qsd.validate_ensemble(floats))
+    found = assert_both_ways(lambda: qsd.solve_auto(qsd.validate_ensemble(ints)))
+    assert found == outcome(lambda: qsd.solve_auto(qsd.validate_ensemble(floats)))
+    assert found[0] == "ok" and found[1][0] == "oracle"
+    for bad in (True, 10 ** 400):  # a bool or an int too large for a float: the vectorized checks
+        entries = ints[:3] + [(0.25, (bad, 0.2, -0.7))]
+        assert_both_ways(lambda: qsd.validate_ensemble(entries))

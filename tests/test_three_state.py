@@ -52,6 +52,33 @@ def test_boundary_example():
     assert_result_valid(ens, result)
 
 
+def test_boundary_candidate_the_gate_refuses_is_dropped(monkeypatch):
+    # the pair (0, 1)'s third conjugate has norm 1 + BALL_SLACK by math.hypot,
+    # the screen's norm, and one ulp more by np.hypot, the gate's: the screen
+    # passes the candidate, the gate refuses it, and solve_three_state drops
+    # it; no other candidate validates here, so the oracle solves the triple
+    ens = qsd.validate_ensemble([
+        (0.4, (0.11028952331803238, -0.6550059831431403, -0.5841690605219897)),
+        (0.35, (0.6246043586443191, 0.2935282146825886, -0.3118735623279328)),
+        (0.25, (-0.1622976262540997, 0.7459988811106044, -0.45072003391066134)),
+    ])
+    refused = []
+    gate = qsd.closed_form.assemble_result
+
+    def spy(*args, **kwargs):
+        try:
+            return gate(*args, **kwargs)
+        except qsd.CertificateError as exc:
+            refused.append((args[5], str(exc)))
+            raise
+
+    monkeypatch.setattr(qsd.closed_form, "assemble_result", spy)
+    result = solve_three_state(ens)
+    assert refused == [("three-state-boundary", "conjugate norm 1.000000001 exceeds 1")]
+    assert result.method == "oracle"
+    assert_result_valid(ens, result)
+
+
 def test_trine_interior():
     ens = trine()
     result = solve_three_state(ens)
