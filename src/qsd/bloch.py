@@ -27,23 +27,25 @@ per-row view left is Povm.elements, a tuple of PovmElement (a, v) named
 tuples built on first access and checked by nothing.
 
 The float path. Below the measured crossover of FLOAT_ROWS rows, numpy's
-per-call overhead costs more than the arithmetic, so a WeightedEnsemble or
-Povm of at most FLOAT_ROWS rows of floats, as lists, tuples or arrays, is
-checked on Python floats, and so is the gate's certificate
-(family.assemble_result): a record's form depends on its size alone. The record
-keeps the floats it checked, as immutable tuples of its own, and builds
-each read-only array on its first read (ArrayRecord), so an array nobody
-reads is never built. The float path only accepts: when any of its tests
-fails it returns, and the vectorized checks run on the same arguments and
-raise their own errors in their own order, so every refusal message lives
-in one place. Its rounding contract: stored values are the same IEEE
-operations as the vectorized code's, element by element; the norm tests
-compare sqrt(x*x + y*y + z*z), which rounds differently from the
-vectorized np.hypot (as math.hypot does too), with FLOAT_MARGIN to spare,
-so a row within the margin of its bound goes to the vectorized test; sums
-of a few terms are compared the same way, since numpy adds in its own
-order. That order: a reduction of fewer than 8 terms adds them from the
-left, starting from 0.0; from 8 terms numpy sums pairwise, in 8 lanes
+per-call overhead costs more than the arithmetic, so a WeightedEnsemble of
+at most FLOAT_ROWS rows of floats, as lists, tuples or arrays, is checked
+on Python floats, and so are the measurement and the certificate that the
+gate builds for it (family.assemble_result): a record's form depends on its
+size alone. A Povm given (a, v) is checked vectorized. The record keeps
+the floats it checked, as immutable tuples of its own, and builds each
+read-only array on its first read (ArrayRecord), so an array nobody reads
+is never built. The float path only accepts: when any of its tests fails
+it returns, and the vectorized checks run on the same arguments and raise
+their own errors in their own order, so every refusal message lives in
+one place. Its rounding contract: stored values are the same IEEE
+operations as the vectorized code's, element by element. Every norm the
+package tests, screens with or prints is one rounding, sqrt((x*x + y*y) +
+z*z): row_norms on arrays, math.sqrt(x * x + y * y + z * z) on three
+floats, bit for bit, so a float norm test decides as the vectorized one
+does and a refusal prints the norm it tested. Sums of more terms than
+three are compared with FLOAT_MARGIN to spare, since numpy adds in its
+own order. That order: a reduction of fewer than 8 terms adds them from
+the left, starting from 0.0; from 8 terms numpy sums pairwise, in 8 lanes
 joined as a tree. Where a stored value is such a sum (the shell's and the
 cone's mean norm, the oracle's measurement weights) the float path repeats
 it with pairwise_sum. An ensemble's `held` is the form its record kept:
@@ -64,10 +66,14 @@ the row names; or ulps. One question has one row, whichever modules ask
 it (ZERO_TOL is every test of a unit-size difference against zero), and a
 constant answers one question (BALL_SLACK is dual feasibility's slack on
 |c_i|, PURITY_TOL the pure mask's). Rows of one value may ask different
-questions (BALL_SLACK and DOT_SLACK), and a few questions are still asked
-at two values: a gap p - p_i is zero at ZERO_TOL in family.conjugates_at,
-which alone asks it at that value, and at GAP_FLOOR in the three-state
-screens; merging those rows would move answers.
+questions (BALL_SLACK and DOT_SLACK). A gap p - p_i is zero at ZERO_TOL,
+a weight or multiplier may dip below 0 by NEG_WEIGHT_TOL and two priors tie
+at EQUIPROBABLE_TOL wherever these are asked; two points coincide at
+TIED_POINT_TOL in the closed forms and the gate, and only the oracle's pair
+kernel, whose bits a frozen copy in the tests pins, still takes them as one
+within ZERO_TOL. The guess regime has two rows because it is read off two
+quantities: DEGENERACY_TOL bounds success - max prior, DEGENERATE_RATIO_TOL
+1 - p_i/p.
 """
 
 from __future__ import annotations
@@ -109,25 +115,23 @@ RATIO_SLACK = 1e-12       # abs: by how much may a ratio p pass 1, or fall below
 
 # Zero and direction tests, shared by the solvers.
 # abs: at or below which size is a difference of unit-size values zero: a
-# distance, a gap p - p_i, a prior difference, a multiplier?
+# gap p - p_i, a multiplier, a distance in the oracle's kernels?
 ZERO_TOL = 1e-15
 NORM_FLOOR = 1e-12        # abs: at or below which length has a vector no direction?
 AXIS_TOL = 1e-12          # abs: up to which size are off-axis Bloch components on the z axis?
 
 # Closed forms.
 LEADING_TOL = 1e-14       # rel (top coefficient, or 1): when does a quadratic's coefficient vanish?
-GAP_FLOOR = 1e-12         # abs: how far must p exceed p_i for state i to take a conjugate?
-NEGATIVE_SLACK = 1e-10    # abs: by how much may interior multipliers and weights dip below 0?
 DOT_SLACK = 1e-9          # abs: by how much may a dot product of unit vectors exceed 1 in size?
 DENOMINATOR_FLOOR = 1e-12  # abs: below which size is a multiplier denominator degenerate?
 GRAM_AGREEMENT_TOL = 1e-8  # abs: how far may the two interior multiplier triples disagree?
-EQUIPROBABLE_TOL = 1e-12  # abs: how close to 1/n must every prior be for equal priors?
+EQUIPROBABLE_TOL = 1e-12  # abs: how close to 1/n must every prior be for equal (tied) priors?
 SPREAD_TOL = 1e-9         # abs: how far may norms lie from their mean, or z values apart, as one?
-TIED_POINT_TOL = 1e-12    # abs: how close to the common point must a state tied with a guess sit?
+TIED_POINT_TOL = 1e-12    # abs: how close must two points be to coincide (a tied state and r)?
 
 # Weight systems sum_i w_i d_i = 0.
 FEAS_TOL = 1e-10          # rel (largest row norm): how large may the system's residual be?
-NEG_WEIGHT_TOL = 1e-12    # abs: by how much may a weight dip below 0 (and, in a POVM, count as 0)?
+NEG_WEIGHT_TOL = 1e-12    # abs: by how much may a weight or multiplier dip below 0, and a weight count as 0?
 UNIQUE_TOL = 1e-9         # abs: how close must two minimal-support solutions be to count as one?
 
 # KKT report.
@@ -156,13 +160,15 @@ EDGE_COEFFICIENT_TOL = 1e-10  # abs: how far may a printed edge coefficient lie 
 # before each op). On mixed and jittered-pure ensembles, float over vectorized time
 # stays below 1 up to n = 34 for all four; the POVM crosses at n = 36-38,
 # the gate near 60, the ensemble and minimax_common_point beyond 64 (0.91
-# and 0.88 there). A float test must clear its bound by FLOAT_MARGIN (abs):
-# for values up to 2 in size, sqrt(x*x + y*y + z*z) and np.hypot's norm
-# differ by a few ulps. A sum of m terms whose sizes add to at most 2 errs
-# by at most (m - 1) ulps of 1, and each term's own rounding adds about 4
-# ulps in all, so two sums of up to FLOAT_ROWS terms, in any two orders,
-# differ by at most 2 (FLOAT_ROWS + 3) ulps: 70 ulps of 1, 1.6e-14, at 32
-# rows, where FLOAT_MARGIN is 450.
+# and 0.88 there). FLOAT_MARGIN (abs) is what a float sum must clear its
+# bound by where numpy adds the same terms in another order: the sum of the
+# vector parts v_i and the success in the gate's pass (family._gate_floats).
+# A sum of m terms whose sizes add to at most 2 errs by at most (m - 1) ulps
+# of 1, and each term's own rounding adds about 4 ulps in all, so two sums
+# of up to FLOAT_ROWS terms, in any two orders, differ by at most
+# 2 (FLOAT_ROWS + 3) ulps: 70 ulps of 1, 1.6e-14, at 32 rows, where
+# FLOAT_MARGIN is 450. Norms need no margin: row_norms rounds as the float
+# path's sqrt(x*x + y*y + z*z) does.
 FLOAT_ROWS = 32
 FLOAT_MARGIN = 1e-13
 
@@ -217,14 +223,15 @@ def _fsum(values: list) -> float:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """|row| for each row of an (n, 3) array: the norm tests of the records and the gate.
+    """|row| for each row of an (n, 3) array: every norm the package tests, screens with or prints.
 
-    hypot(hypot(x, y), z) in one call: hypot neither overflows nor warns on
-    huge or non-finite input, and a row with a NaN or infinite component
-    gets a NaN or infinite norm. (_common_norm, verify_weak_family and
-    minimax_objective take np.linalg.norm.)
+    sqrt((x*x + y*y) + z*z): numpy sums three terms from the left, so this
+    is the float path's math.sqrt(x * x + y * y + z * z), bit for bit, and
+    np.linalg.norm's rounding too. A row too large to square gets the norm
+    inf, one with a NaN component NaN, and neither warns.
     """
-    return np.hypot.reduce(rows, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt((rows * rows).sum(axis=1))
 
 
 def _row(v) -> tuple:
@@ -281,7 +288,7 @@ def float_rows(rows) -> tuple | None:
     rows must hold at most FLOAT_ROWS rows of three floats or ints: lists or
     tuples of them, or an (n, 3) float64 array; anything else gives None,
     for the vectorized checks. A float test of a row's norm takes
-    sqrt(x*x + y*y + z*z) and compares it with FLOAT_MARGIN to spare.
+    sqrt(x*x + y*y + z*z), which rounds as row_norms does.
     """
     if type(rows) is np.ndarray:
         ok = rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == 3
@@ -326,14 +333,13 @@ def vector_array(vector) -> np.ndarray:
 
 
 def _in_ball(rows: np.ndarray) -> bool:
-    # half of STATE_NORM_TOL leaves room for the rounding of the vectorized norm
-    return np.maximum.reduce(row_norms(rows), initial=0.0) <= 1.0 + 0.5 * STATE_NORM_TOL
+    return np.maximum.reduce(row_norms(rows), initial=0.0) <= 1.0 + STATE_NORM_TOL
 
 
 def _state(v) -> tuple:
     """v as a row, refused outside the Bloch ball: a state's row check."""
-    row = _row(v)
-    n = math.hypot(*row)
+    row = x, y, z = _row(v)
+    n = math.sqrt(x * x + y * y + z * z)
     if n > 1.0 + STATE_NORM_TOL:
         raise ValueError(f"Bloch norm {n!r} exceeds 1 beyond tolerance {STATE_NORM_TOL}")
     return row
@@ -359,13 +365,14 @@ def check_povm_elements(a: np.ndarray, v: np.ndarray) -> None:
 
     One vectorized test passes every valid POVM; only when it fails are the
     elements checked one by one, on Python floats, each in order: v_k
-    finite, a_k finite, a_k >= -PSD_TOL, a_k - |v_k| >= -PSD_TOL. Half of
-    PSD_TOL leaves room for the rounding of the vectorized norm.
+    finite, a_k finite, a_k >= -PSD_TOL, a_k - |v_k| >= -PSD_TOL, on the
+    norm row_norms gives.
     """
     if not (np.maximum.reduce(a, initial=0.0) < np.inf
-            and np.minimum.reduce(a - row_norms(v), initial=np.inf) >= -0.5 * PSD_TOL):
+            and np.minimum.reduce(a - row_norms(v), initial=np.inf) >= -PSD_TOL):
         for ak, vk in zip(a.tolist(), v.tolist()):
-            norm = math.hypot(*_row(vk))
+            x, y, z = _row(vk)
+            norm = math.sqrt(x * x + y * y + z * z)
             if not math.isfinite(ak):
                 raise ValueError("POVM element weight must be finite")
             if ak < -PSD_TOL:
@@ -558,7 +565,7 @@ class WeightedEnsemble(ArrayRecord):
         values = float_values(priors)
         if rows is None or values is None or not 2 <= len(values) == len(rows):
             return False
-        bound = 1.0 + 0.5 * STATE_NORM_TOL - FLOAT_MARGIN
+        bound = 1.0 + STATE_NORM_TOL
         for x, y, z in rows:
             if not math.sqrt(x * x + y * y + z * z) <= bound:
                 return False
@@ -618,9 +625,7 @@ class Povm(ArrayRecord):
     n = _derived(lambda self: len(self._stored("a")))
 
     def __init__(self, a, v) -> None:
-        """Check every element (a_k >= |v_k|), then completeness."""
-        if self._accept_floats(a, v):
-            return
+        """Check every element (a_k >= |v_k|), then completeness, vectorized."""
         a = np.array(a, dtype=float)
         v = _rows(v)
         if not len(v):
@@ -638,34 +643,9 @@ class Povm(ArrayRecord):
             )
         self._store(a=a, v=v)
 
-    def _accept_floats(self, a, v) -> bool:
-        """The constructor's checks on Python floats; False leaves them to the vectorized code.
-
-        Every a_k must lie in [0, 1 + COMPLETENESS_TOL], which any complete
-        POVM of nonnegative a_k meets, so that fsum cannot overflow and the
-        norms stay small enough for FLOAT_MARGIN.
-        """
-        rows = float_rows(v)
-        values = float_values(a)
-        if rows is None or values is None or not 1 <= len(values) == len(rows):
-            return False
-        top, floor = 1.0 + COMPLETENESS_TOL, FLOAT_MARGIN - 0.5 * PSD_TOL
-        for x, (vx, vy, vz) in zip(values, rows):
-            if not (0.0 <= x <= top and x - math.sqrt(vx * vx + vy * vy + vz * vz) >= floor):
-                return False
-        if not abs(math.fsum(values) - 1.0) <= COMPLETENESS_TOL:
-            return False
-        sx = sy = sz = 0.0
-        for x, y, z in rows:
-            sx, sy, sz = sx + x, sy + y, sz + z
-        if not math.sqrt(sx * sx + sy * sy + sz * sz) <= COMPLETENESS_TOL - FLOAT_MARGIN:
-            return False
-        self._store(a=values, v=rows)
-        return True
-
     @classmethod
     def _from_gate(cls, a: tuple, v: tuple) -> "Povm":
-        """The measurement of family.assemble_result, whose pass ran _accept_floats'
+        """The measurement of family.assemble_result, whose pass ran the constructor's
         tests on the tuples of floats it built, stored with no check of its own."""
         record = cls.__new__(cls)
         record._store(a=a, v=v)

@@ -148,13 +148,15 @@ def build_report(
         prior * (a + (bx * vx + by * vy + bz * vz))
         for prior, a, (bx, by, bz), (vx, vy, vz) in zip(priors, a_values, bloch, v_rows)
     ]
+    # |c_i| rounded as bloch.row_norms rounds the norm the gate tested
+    norms = [math.sqrt(x * x + y * y + z * z) for x, y, z in conjugates]
     states = [
         {
             "index": i,
             "prior": priors[i],
             "bloch": list(bloch[i]),
             "conjugate": list(conj),
-            "conjugate_norm": math.hypot(*conj),
+            "conjugate_norm": norms[i],
             "pure": pure[i],
             "povm_a": a_values[i],
             "povm_v": list(v_rows[i]),
@@ -285,7 +287,7 @@ def cmd_verify(args) -> int:
     a_values, v_rows = povm.lists
     v_sum = np.sum(povm.v, axis=0)
     completeness = max(abs(math.fsum(a_values) - 1.0), float(np.linalg.norm(v_sum)))
-    psd_slack = min(a - math.hypot(*v) for a, v in zip(a_values, v_rows))
+    psd_slack = min(a - math.sqrt(x * x + y * y + z * z) for a, (x, y, z) in zip(a_values, v_rows))
 
     report = {
         "command": "verify",

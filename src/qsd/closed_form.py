@@ -48,13 +48,13 @@ from .bloch import (
     DENOMINATOR_FLOOR,
     DOT_SLACK,
     EQUIPROBABLE_TOL,
-    GAP_FLOOR,
     GRAM_AGREEMENT_TOL,
     LEADING_TOL,
-    NEGATIVE_SLACK,
+    NEG_WEIGHT_TOL,
     NORM_FLOOR,
     RATIO_SLACK,
     SPREAD_TOL,
+    TIED_POINT_TOL,
     ZERO_TOL,
     DiscriminationResult,
     WeightedEnsemble,
@@ -99,9 +99,10 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """p_opt = max(1/2 (1 + |q_2 - q_1|), max prior), q_i = p_i b_i.
 
     The balanced formula wins exactly when |q_2 - q_1| >= |p_2 - p_1|;
-    below that the optimum is the guess strategy. Identical weighted points
-    with equal priors get the canonical output: p = 1/2, both elements I/2,
-    an arbitrary antipodal conjugate pair along z.
+    below that the optimum is the guess strategy. Weighted points that
+    coincide (within TIED_POINT_TOL) with tied priors (_equiprobable) get
+    the canonical output: p = max prior, both elements I/2, an arbitrary
+    antipodal conjugate pair along z.
     """
     if ensemble.n != 2:
         raise ValueError(f"solve_two_state needs exactly 2 states, got {ensemble.n}")
@@ -112,12 +113,12 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     dn = math.sqrt(np.dot(d, d))
     p = 0.5 * (1.0 + dn)
 
-    if dn <= ZERO_TOL and abs(pr[0] - pr[1]) <= ZERO_TOL:
+    if dn <= TIED_POINT_TOL and _equiprobable(ensemble):
         # both elements I/2: directions of -0.0 store the vector parts +0.0
         conj = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
         return assemble_result(ensemble, ensemble.max_prior, q0, conj, (1.0, 1.0), "two-state",
                                directions=((-0.0, -0.0, -0.0),) * 2)
-    if dn <= ZERO_TOL or p < ensemble.max_prior:
+    if dn <= TIED_POINT_TOL or p < ensemble.max_prior:
         return guess_result(ensemble, pr.index(ensemble.max_prior), "two-state")
 
     s = 2.0 * p - 1.0
@@ -296,20 +297,22 @@ def _boundary_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     """Pair (i, j) pure and balanced, third conjugate mixed, third element zero."""
     k = 3 - i - j
     dn = math.sqrt(gaps[i + j - 1])
-    if dn <= ZERO_TOL:
+    if dn <= TIED_POINT_TOL:
         return None
     p = 0.5 * (pr[i] + pr[j] + dn)
-    if p < max(pr) - ZERO_TOL or p <= pr[k] + GAP_FLOOR:
+    gk = p - pr[k]
+    if p < max(pr) - ZERO_TOL or gk <= ZERO_TOL:
         return None
     span = 2.0 * p - pr[i] - pr[j]
     (xi, yi, zi), (xj, yj, zj), (xk, yk, zk) = q[i], q[j], q[k]
     ci = ((xj - xi) / span, (yj - yi) / span, (zj - zi) / span)
-    gi, gk = p - pr[i], p - pr[k]
+    gi = p - pr[i]
     r = (xi + gi * ci[0], yi + gi * ci[1], zi + gi * ci[2])
     # conjugates_at's row for state k, written out: this is the hottest
-    # three-state path, and the helper's loop over all three rows costs more
-    ck = ((r[0] - xk) / gk, (r[1] - yk) / gk, (r[2] - zk) / gk)
-    if math.hypot(*ck) > 1.0 + BALL_SLACK:
+    # three-state path, and the helper's loop over all three rows costs more;
+    # its norm is the gate's, so the screen passes what the gate's ball test does
+    ck = x, y, z = ((r[0] - xk) / gk, (r[1] - yk) / gk, (r[2] - zk) / gk)
+    if math.sqrt(x * x + y * y + z * z) > 1.0 + BALL_SLACK:
         return None
     conj = [ck] * 3
     conj[i], conj[j] = ci, (-ci[0], -ci[1], -ci[2])
@@ -326,7 +329,7 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     if not math.isfinite(p) or p > 1.0 + RATIO_SLACK:
         return None
     s = [p - x for x in pr]
-    if min(s) <= GAP_FLOOR:
+    if min(s) <= ZERO_TOL:
         return None
     dots = [(s[a] ** 2 + s[b] ** 2 - g) / (2.0 * s[a] * s[b]) for (a, b), g in zip(_PAIRS, gaps)]
     if max(abs(d) for d in dots) > 1.0 + DOT_SLACK:
@@ -335,8 +338,9 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
         lam = lambdas_three_state(dots, [x / p for x in pr])
     except (DegenerateGeometryError, GramConsistencyError):
         return None
+    # the gate's weight test, which counts |w| <= NEG_WEIGHT_TOL as 0
     weights = [4.0 * p * m / t for m, t in zip(lam, s)]
-    if min(lam) < -NEGATIVE_SLACK or min(weights) < -NEGATIVE_SLACK:
+    if min(lam) < -NEG_WEIGHT_TOL or min(weights) < -NEG_WEIGHT_TOL:
         return None
     # common point: two in-plane linear equations from differencing the
     # squared-distance constraints |r - q_i| = p - p_i; the weighted points
@@ -354,8 +358,7 @@ def _interior_candidate(ensemble: WeightedEnsemble, pr: list, q: list, gaps: lis
     r = (q[0] + sol).tolist()
     conj = conjugates_at(ensemble, p, r)
     try:
-        return assemble_result(ensemble, p, r, conj, [max(w, 0.0) for w in weights],
-                               "three-state-interior")
+        return assemble_result(ensemble, p, r, conj, weights, "three-state-interior")
     except (CertificateError, ValueError):
         return None
 

@@ -39,13 +39,14 @@ On an ensemble that keeps floats (ensemble.held), the gate checks the
 weights, builds the POVM and certifies it in one pass on Python floats,
 given lists, tuples or float arrays of them; conjugates_at and guess_result
 read the held form too. Each float test accepts only what the vectorized
-one accepts, clearing its bound by FLOAT_MARGIN, and anything else runs
-povm_from_weights and the vectorized gate, which raise every refusal. The
-stored values are the same float operations, element by element; a
-conjugate norm or a success within the margin of its bound takes its
-verdict from numpy instead. The POVM and the certificate keep those floats
-as immutable tuples and build each array on its first read, or store the
-arrays the vectorized code built.
+one accepts: a norm test is the same test, since bloch.row_norms rounds as
+the float norm does, and a sum that numpy adds in another order clears its
+bound by FLOAT_MARGIN. Anything else runs povm_from_weights and the
+vectorized gate, which raise every refusal. The stored values are the same
+float operations, element by element; a success within the margin of the
+guess bound takes its verdict from numpy. The POVM and the certificate
+keep those floats as immutable tuples and build each array on its first
+read, or store the arrays the vectorized code built.
 """
 
 from __future__ import annotations
@@ -279,11 +280,9 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
     if p < top - RATIO_SLACK:
         raise CertificateError(f"ratio p = {p!r} below max prior {top!r}")
     if widest > 1.0 + BALL_SLACK:
-        worst = max(math.hypot(*c) for c in c_rows.tolist())
-        raise CertificateError(f"conjugate norm {worst!r} exceeds 1")
+        raise CertificateError(f"conjugate norm {float(widest)!r} exceeds 1")
     offsets = ensemble.weighted_points + (p - priors)[:, None] * c_rows - r
-    # the largest |offset_i|, rounded as np.linalg.norm rounds each one
-    residual = math.sqrt(np.maximum.reduce((offsets * offsets).sum(axis=1)))
+    residual = float(np.maximum.reduce(row_norms(offsets)))
     if residual > FAMILY_TOL:
         raise CertificateError(f"common-point residual {residual!r} exceeds {FAMILY_TOL}")
 
@@ -317,9 +316,11 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, common_point, conjugates,
     (float arrays through tolist()). Per row: the weight test, a_i and v_i
     as povm_from_weights builds them, the Povm constructor's float tests
     and the gate's, and the sums of v and of the success; then sum a, |sum v|
-    and the gap. Each test accepts only what the vectorized one accepts:
-    the norms and the success, which numpy sums in its own order, clear
-    their bounds by FLOAT_MARGIN. A success within the margin of the guess
+    and the gap. Each test accepts only what the vectorized one accepts: a
+    norm is row_norms' rounding, and |sum v| and the success, which numpy
+    sums in its own order, clear their bounds by FLOAT_MARGIN. An a_i above
+    1 + COMPLETENESS_TOL fails completeness anyway, and is refused first so
+    that fsum cannot overflow. A success within the margin of the guess
     bound takes degenerate from success_probability. Every stored value is
     the vectorized code's float operation, element by element, kept as
     floats (bloch.ArrayRecord).
@@ -337,8 +338,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, common_point, conjugates,
     rx, ry, rz = r
     if not (type(rx) is float and type(ry) is float and type(rz) is float):
         return None
-    most, psd = 1.0 + COMPLETENESS_TOL, FLOAT_MARGIN - 0.5 * PSD_TOL
-    ball, family = 1.0 + BALL_SLACK - FLOAT_MARGIN, FAMILY_TOL - FLOAT_MARGIN
+    most, ball = 1.0 + COMPLETENESS_TOL, 1.0 + BALL_SLACK
     a, v, conj, scaled, lam = [], [], [], [], []
     sx = sy = sz = success = 0.0
     for pi, (qx, qy, qz), (bx, by, bz), c, d, w in zip(priors, q, bloch, rows, dirs, weights):
@@ -354,9 +354,9 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, common_point, conjugates,
         g = p - pi
         ox, oy, oz = qx + g * x - rx, qy + g * y - ry, qz + g * z - rz
         t = pi / p
-        if not (ai <= most and ai - math.sqrt(vx * vx + vy * vy + vz * vz) >= psd
+        if not (ai <= most and ai - math.sqrt(vx * vx + vy * vy + vz * vz) >= -PSD_TOL
                 and math.sqrt(x * x + y * y + z * z) <= ball
-                and math.sqrt(ox * ox + oy * oy + oz * oz) <= family
+                and math.sqrt(ox * ox + oy * oy + oz * oz) <= FAMILY_TOL
                 and 0.0 < t <= 1.0 + RATIO_SLACK):
             return None
         sx, sy, sz = sx + vx, sy + vy, sz + vz
@@ -427,13 +427,13 @@ def _ties_at_point(q: tuple, r: tuple, conj: list) -> bool:
 
     q is the ensemble's kept weighted rows. Every state at the zero
     conjugate, which conjugates_at gives a state with no gap p - p_i (and
-    one whose q_i is r already), must sit at the common point r, clearing
-    TIED_POINT_TOL by FLOAT_MARGIN.
+    one whose q_i is r already), must sit within TIED_POINT_TOL of the
+    common point r, by the norm row_norms gives.
     """
     rx, ry, rz = r
     for (qx, qy, qz), (x, y, z) in zip(q, conj):
         if not (x or y or z):  # a NaN counts as nonzero, as in np.any
             ox, oy, oz = rx - qx, ry - qy, rz - qz
-            if not math.sqrt(ox * ox + oy * oy + oz * oz) <= TIED_POINT_TOL - FLOAT_MARGIN:
+            if not math.sqrt(ox * ox + oy * oy + oz * oz) <= TIED_POINT_TOL:
                 return False
     return True

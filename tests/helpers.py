@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -195,6 +196,119 @@ def brute_force_minimax(ensemble):
             for r in lstsq_support_points(pr, q, subset):
                 best = min(best, float((pr + np.linalg.norm(r - q, axis=1)).max()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# exact yardstick
+
+EXACT_DIGITS = 40  # decimal digits to which exact_minimax brackets each square root
+EXACT_STATES = 6   # the most states exact_minimax takes
+
+
+def _root(x: Fraction, upper: bool = False) -> Fraction:
+    """sqrt(x) for x >= 0 from below, or from above when upper, within 10^-EXACT_DIGITS."""
+    scale = 10 ** EXACT_DIGITS
+    s = math.isqrt(x.numerator * scale * scale // x.denominator)
+    return Fraction(s + upper, scale)
+
+
+def _square(a: tuple) -> tuple:
+    """The interval of x * x for x in the interval a = (lo, hi)."""
+    lo, hi = a
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return Fraction(0), max(lo * lo, hi * hi)
+
+
+def _gram_solve(gram: list, rhs: list) -> list | None:
+    """x with gram x = rhs, each rhs entry a tuple of columns, in Fractions; None if singular."""
+    rows = [list(g) + list(b) for g, b in zip(gram, rhs)]
+    k = len(rows)
+    for col in range(k):
+        pivot = next((i for i in range(col, k) if rows[i][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(k):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    return [[x / row[i] for x in row[k:]] for i, row in enumerate(rows)]
+
+
+def _equal_slack_ratios(pr: list, q: list, subset: tuple):
+    """(p interval, u0, u1) for the points r = q_0 + u0 + u1 p of equal slack on subset.
+
+    r - q_0 = sum_m c_m e_m over e_m = q_m - q_0 lies in the affine hull of
+    the subset's points, 2 r.e_m = |e_m|^2 - (p_m^2 - p_0^2) + 2 (p_m - p_0) p,
+    and |r - q_0| = p - p_0 squared is a quadratic in p with rational
+    coefficients; each of its real roots is one interval. Singular Gram
+    matrices (affinely dependent points) give none.
+    """
+    i0, rest = subset[0], subset[1:]
+    e = [tuple(a - b for a, b in zip(q[m], q[i0])) for m in rest]
+    gram = [[sum(a * b for a, b in zip(em, el)) for el in e] for em in e]
+    rhs = [((gram[k][k] - (pr[m] ** 2 - pr[i0] ** 2)) / 2, pr[m] - pr[i0])
+           for k, m in enumerate(rest)]
+    c = _gram_solve(gram, rhs)
+    if c is None:
+        return
+    u0, u1 = ([sum(cm[col] * em[axis] for cm, em in zip(c, e)) for axis in range(3)]
+              for col in (0, 1))
+    p0 = pr[i0]
+    alpha = sum(x * x for x in u1) - 1
+    beta = 2 * sum(x * y for x, y in zip(u0, u1)) + 2 * p0
+    gamma = sum(x * x for x in u0) - p0 * p0
+    if alpha == 0:
+        if beta != 0:
+            yield (-gamma / beta,) * 2, u0, u1
+        return
+    disc = beta * beta - 4 * alpha * gamma
+    if disc < 0:
+        return
+    roots = (_root(disc), _root(disc, upper=True))
+    for sign in (1, -1):
+        ends = sorted((-beta + sign * s) / (2 * alpha) for s in roots)
+        yield tuple(ends), u0, u1
+
+
+def exact_minimax(ensemble) -> tuple:
+    """p* = min_r max_i (p_i + |r - q_i|) of the ensemble's floats, as an interval (lo, hi).
+
+    For at most EXACT_STATES states. The optimum is a point of equal slack
+    on a support of at most 4 states, in the affine hull of their points, so
+    p* is the least f(r) = max_i (p_i + |r - q_i|) over every such point of
+    every support (_equal_slack_ratios): a root that squaring introduced is
+    still a point r, and f(r) >= p* there. Everything runs in
+    fractions.Fraction on the record's exact float values; only square
+    roots are inexact, each bracketed by math.isqrt to EXACT_DIGITS digits,
+    and interval arithmetic carries the brackets through r and f(r). So
+    p* lies in [least lower bound of f, least upper bound of f]. Shares no
+    numerics with the solvers, brute_force_minimax or the frozen kernels.
+    """
+    n = ensemble.n
+    assert n <= EXACT_STATES, f"exact_minimax takes at most {EXACT_STATES} states"
+    pr = [Fraction(x) for x in ensemble.priors.tolist()]
+    q = [tuple(Fraction(x) for x in row) for row in ensemble.weighted_points.tolist()]
+    lowest = highest = None
+    for size in range(1, min(4, n) + 1):
+        for subset in combinations(range(n), size):
+            for (plo, phi), u0, u1 in _equal_slack_ratios(pr, q, subset):
+                r = []
+                for base, a, b in zip(q[subset[0]], u0, u1):
+                    ends = (b * plo, b * phi)
+                    r.append((base + a + min(ends), base + a + max(ends)))
+                lo = hi = None
+                for pi, qi in zip(pr, q):
+                    sq = [_square((rlo - x, rhi - x)) for (rlo, rhi), x in zip(r, qi)]
+                    low = pi + _root(max(sum(s[0] for s in sq), Fraction(0)))
+                    high = pi + _root(sum(s[1] for s in sq), upper=True)
+                    lo, hi = (low, high) if lo is None else (max(lo, low), max(hi, high))
+                lowest = lo if lowest is None else min(lowest, lo)
+                highest = hi if highest is None else min(highest, hi)
+    return lowest, highest
 
 
 def assert_dual_certificate(ensemble, result):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from copy import deepcopy
 from dataclasses import replace
 
@@ -48,15 +49,15 @@ def test_state_accepts_boundary_and_rejects_outside():
 
 
 def test_povm_element_psd_boundary():
-    # a POVM element may leave the PSD cone by PSD_TOL, on Python floats (2
-    # elements) and vectorized (FLOAT_ROWS + 1, the rest zero)
+    # a POVM element may leave the PSD cone by PSD_TOL, with 2 elements and
+    # with FLOAT_ROWS + 1 (the rest zero); Povm(a, v) checks vectorized
     for n in (2, bloch.FLOAT_ROWS + 1):
         def povm(a, x):
             rest = n - 2
             return Povm(list(a) + [0.0] * rest, [(x, 0.0, 0.0), (-x, 0.0, 0.0)] + [_ZERO] * rest)
 
         for x in (0.5, 0.5 + 1e-13):
-            assert ("_floats" in vars(povm((0.5, 0.5), x))) == (n == 2)
+            assert "_floats" not in vars(povm((0.5, 0.5), x))
         with pytest.raises(ValueError) as info:
             povm((0.5, 0.5), 0.5 + 1e-11)
         assert str(info.value) == "POVM element not PSD: a = 0.5 < |v| = 0.50000000001 beyond 1e-12"
@@ -175,6 +176,7 @@ def _certificate(**changes):
 _NAN, _INF = float("nan"), float("inf")
 _UP, _DOWN, _X = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)
 _ZERO = (0.0, 0.0, 0.0)
+_HUGE = (1e200, 0.0, 0.0)  # a row too large to square: its norm is inf
 
 _MANY = bloch.FLOAT_ROWS + 1
 _HALVES = Povm((0.5, 0.5), ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5)))
@@ -212,6 +214,12 @@ ERROR_TABLE = [
     ("ensemble-norm-above-float-rows",
      lambda: WeightedEnsemble([1.0 / _MANY] * _MANY, [_UP] * (_MANY - 1) + [(0.0, 2.0, 0.0)]),
      "Bloch norm 2.0 exceeds 1 beyond tolerance 1e-12"),
+    ("ensemble-overflowing-state",
+     lambda: qsd.validate_ensemble([(0.5, _UP), (0.5, _HUGE)]),
+     "Bloch norm inf exceeds 1 beyond tolerance 1e-12"),
+    ("ensemble-overflowing-state-above-float-rows",
+     lambda: WeightedEnsemble([1.0 / _MANY] * _MANY, [_UP] * (_MANY - 1) + [_HUGE]),
+     "Bloch norm inf exceeds 1 beyond tolerance 1e-12"),
     ("ensemble-prior-count",
      lambda: WeightedEnsemble([0.3, 0.3, 0.4], [_UP, _DOWN]),
      "3 priors for 2 states"),
@@ -254,6 +262,14 @@ ERROR_TABLE = [
     ("povm-non-psd-before-completeness",
      lambda: qsd.povm_from_weights((1.0, 1.5), (_UP, (0.0, 0.0, -1.1))),
      "POVM element not PSD: a = 0.75 < |v| = 0.8250000000000001 beyond 1e-12"),
+    ("povm-overflowing-row",
+     lambda: Povm((0.5, 0.5), (_ZERO, _HUGE)),
+     "POVM element not PSD: a = 0.5 < |v| = inf beyond 1e-12"),
+    ("povm-overflowing-direction-in-the-gate",  # the gate's pass on a record of floats
+     lambda: qsd.family.assemble_result(
+         qsd.validate_ensemble([(0.5, _UP), (0.5, _DOWN)]), 1.0, _ZERO, (_DOWN, _UP), (1.0, 1.0),
+         "two-state", directions=(_HUGE, _UP)),
+     "POVM element not PSD: a = 0.5 < |v| = inf beyond 1e-12"),
     ("povm-negative-a",
      lambda: Povm((-0.25, 1.25), (_ZERO, _ZERO)),
      "POVM element has negative trace part a = -0.25"),
@@ -335,6 +351,20 @@ def test_errors_keep_type_and_message(call, message):
         call()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+_OVERFLOWING = [case for case in ERROR_TABLE if "overflowing" in case[0]]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in _OVERFLOWING],
+                         ids=[case[0] for case in _OVERFLOWING])
+def test_overflowing_rows_are_refused_without_a_warning(call, message):
+    # squaring 1e200 overflows to inf inside row_norms and the float checks;
+    # the refusal prints the norm that was tested, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\binf\b"):
+            call()
 
 
 def _solved(entries):
@@ -449,7 +479,6 @@ def test_records_copy_their_inputs():
     pair = WeightedEnsemble([0.5, 0.5], [list(_UP), list(_DOWN)])
     builds = [
         (WeightedEnsemble, ([0.4, 0.6], [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])),
-        (Povm, ((0.5, 0.5), ([0.0, 0.0, 0.5], [0.0, 0.0, -0.5]))),
         (lambda r, c: qsd.family.assemble_result(pair, 1.0, r, c, (1.0, 1.0), "two-state").certificate,
          ([0.0, 0.0, 0.0], ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0]))),
     ]
@@ -587,8 +616,6 @@ def test_float_values_take_floats_and_ints():
     rows = bloch.float_rows([(0, 1, 0.5), [0.0, -1, 0.0]])
     assert rows == ((0.0, 1.0, 0.5), (0.0, -1.0, 0.0))
     assert all(type(x) is float for row in rows for x in row)
-    povm = Povm([1, 0], [_ZERO, _ZERO])
-    assert "_floats" in vars(povm) and povm.a.tolist() == [1.0, 0.0]
 
 
 def test_records_are_unequal_to_other_types():

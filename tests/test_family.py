@@ -11,7 +11,7 @@ from qsd import (
     DegenerateRatioError,
     Povm,
 )
-from qsd.bloch import FLOAT_MARGIN, FLOAT_ROWS, STATE_NORM_TOL, ZERO_TOL
+from qsd.bloch import FLOAT_ROWS, ZERO_TOL
 from qsd.family import (
     assemble_result,
     conjugates_at,
@@ -353,11 +353,11 @@ def test_guess_result_rejects_nonoptimal_guess():
     with pytest.raises(CertificateError, match=r"^conjugate norm 5\.000000000000001 exceeds 1$"):
         guess_result(ens, 0, "two-state")
     # a tied prior leaves no conjugate to test: the state must sit at r, in a
-    # record that stores arrays (a state within FLOAT_MARGIN of the norm
-    # bound, which the float checks decline) and in one that keeps floats
-    edge = 1.0 + 0.5 * STATE_NORM_TOL - 0.5 * FLOAT_MARGIN
-    for z, arrays in ((edge, True), (1.0, False)):
-        tied = qsd.validate_ensemble([(0.5, (0.0, 0.0, z)), (0.5, (0.0, 0.0, -1.0))])
+    # record that stores arrays (rows of np.float64 scalars, which the float
+    # checks decline) and in one that keeps floats
+    for kind, arrays in ((np.float64, True), (float, False)):
+        tied = qsd.validate_ensemble([(0.5, tuple(map(kind, (0.0, 0.0, 1.0)))),
+                                      (0.5, tuple(map(kind, (0.0, 0.0, -1.0))))])
         assert isinstance(tied.held[2], np.ndarray) is arrays
         with pytest.raises(DegenerateRatioError, match=(
                 r"^guess at index 0 cannot cover state 1: tied prior, distinct point$")):

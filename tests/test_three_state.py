@@ -1,6 +1,7 @@
 """Three-state solver: boundary/interior candidates, multiplier algebra, mirror family."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qsd import (
     solve_oracle,
     solve_three_state,
 )
+from qsd.bloch import BALL_SLACK
 from helpers import assert_result_valid, ball_points, random_ensemble
 
 
@@ -52,31 +54,74 @@ def test_boundary_example():
     assert_result_valid(ens, result)
 
 
-def test_boundary_candidate_the_gate_refuses_is_dropped(monkeypatch):
-    # the pair (0, 1)'s third conjugate has norm 1 + BALL_SLACK by math.hypot,
-    # the screen's norm, and one ulp more by np.hypot, the gate's: the screen
-    # passes the candidate, the gate refuses it, and solve_three_state drops
-    # it; no other candidate validates here, so the oracle solves the triple
-    ens = qsd.validate_ensemble([
-        (0.4, (0.11028952331803238, -0.6550059831431403, -0.5841690605219897)),
-        (0.35, (0.6246043586443191, 0.2935282146825886, -0.3118735623279328)),
-        (0.25, (-0.1622976262540997, 0.7459988811106044, -0.45072003391066134)),
-    ])
-    refused = []
+_KNIFE_EDGE = [
+    (0.4, (0.11028952331803238, -0.6550059831431403, -0.5841690605219897)),
+    (0.35, (0.6246043586443191, 0.2935282146825886, -0.3118735623279328)),
+    (0.25, (-0.1622976262540997, 0.7459988811106044, -0.45072003391066134)),
+]
+
+
+def knife_edge_triple(step=0):
+    """A triple whose pair (0, 1) leaves state 2 a conjugate of norm 1 + BALL_SLACK, to the bit.
+
+    step scales the third Bloch vector by 1 + step ulps, which moves that
+    norm across the bound.
+    """
+    (p0, b0), (p1, b1), (p2, b2) = _KNIFE_EDGE
+    scale = 1.0 + step * 2.0 ** -52
+    return qsd.validate_ensemble([(p0, b0), (p1, b1), (p2, tuple(scale * x for x in b2))])
+
+
+def _pair_verdicts(monkeypatch, ens):
+    """The gate's verdicts, "ok" or its refusal, on the candidates of pair (0, 1) that reach it.
+
+    Returns them with solve_three_state's result, then undoes every patch.
+    """
+    verdicts = []
     gate = qsd.closed_form.assemble_result
 
     def spy(*args, **kwargs):
+        pair = args[5] == "three-state-boundary" and args[4][2] == 0.0
         try:
-            return gate(*args, **kwargs)
+            result = gate(*args, **kwargs)
         except qsd.CertificateError as exc:
-            refused.append((args[5], str(exc)))
+            verdicts.extend([str(exc)] * pair)
             raise
+        verdicts.extend(["ok"] * pair)
+        return result
 
     monkeypatch.setattr(qsd.closed_form, "assemble_result", spy)
     result = solve_three_state(ens)
-    assert refused == [("three-state-boundary", "conjugate norm 1.000000001 exceeds 1")]
-    assert result.method == "oracle"
-    assert_result_valid(ens, result)
+    monkeypatch.undo()
+    return verdicts, result
+
+
+def test_boundary_candidate_passes_the_screen_iff_the_gates_ball_test(monkeypatch):
+    # the screen and the gate take one norm (bloch.row_norms' rounding), so
+    # the screen passes pair (0, 1) exactly when the gate's ball test does:
+    # with the screen opened (its BALL_SLACK infinite) the gate refuses the
+    # pair exactly where the screen drops it, and prints the norm it tested
+    oracle_p = solve_oracle(knife_edge_triple()).p_opt
+    seen = set()
+    for step in range(-4, 5):
+        ens = knife_edge_triple(step)
+        screened, result = _pair_verdicts(monkeypatch, ens)
+        monkeypatch.setattr(qsd.closed_form, "BALL_SLACK", math.inf)
+        (verdict,), _ = _pair_verdicts(monkeypatch, ens)
+        assert screened == ([verdict] if verdict == "ok" else [])
+        if verdict == "ok":
+            assert result.method == "three-state-boundary"
+        else:
+            norm = float(re.fullmatch(r"conjugate norm (\S+) exceeds 1", verdict).group(1))
+            assert norm > 1.0 + BALL_SLACK and result.method == "oracle"
+        assert result.p_opt == oracle_p
+        assert_result_valid(ens, result)
+        seen.add(verdict == "ok")
+    assert seen == {True, False}
+    # at step 0 the norm is the bound itself, which the gate accepts
+    result = solve_three_state(knife_edge_triple())
+    assert result.method == "three-state-boundary"
+    assert qsd.bloch.row_norms(result.certificate.conjugates)[2] == 1.0 + BALL_SLACK
 
 
 def test_trine_interior():

@@ -69,7 +69,8 @@ type. It prints the tag changes, exception-type
 changes, the largest |delta p_opt| and how many inputs of each set moved
 their bytes, then a verdict with the line count of each checkout's src/qsd
 (newlines in its .py files, as wc -l counts them) and its count of named
-tolerances (named_tolerances). The exit code is 1 on
+tolerances (named_tolerances), naming each tolerance that one checkout
+has and the other lacks (-NAME dropped, +NAME added). The exit code is 1 on
 any tag or exception-type change or on |delta p_opt| > 1e-12, and 0
 otherwise. Uses the standard library and numpy only.
 """
@@ -120,8 +121,8 @@ def _digest(*parts: bytes) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
-def named_tolerances() -> int:
-    """How many named tolerances the qsd on sys.path defines.
+def named_tolerances() -> list:
+    """The sorted names of the named tolerances the qsd on sys.path defines, one per tolerance.
 
     A named tolerance is a module-level float in (0, 1e-6) of a qsd
     module, counted once per name and object, so a module that imports
@@ -135,8 +136,9 @@ def named_tolerances() -> int:
 
     modules = [qsd] + [importlib.import_module(f"qsd.{info.name}")
                        for info in pkgutil.iter_modules(qsd.__path__)]
-    return len({(name, id(value)) for module in modules for name, value in vars(module).items()
-                if type(value) is float and 0.0 < value < 1e-6})
+    return sorted(name for name, _ in {
+        (name, id(value)) for module in modules for name, value in vars(module).items()
+        if type(value) is float and 0.0 < value < 1e-6})
 
 
 def two_state_pair(rng, i: int) -> list:
@@ -374,10 +376,13 @@ def main(argv=None) -> int:
     found = [answers(checkout) for checkout in checkouts]
     code = compare(*(run["records"] for run in found))
     lines = [src_lines(checkout) for checkout in checkouts]
-    tols = [run["tolerances"] for run in found]
+    old, new = (run["tolerances"] for run in found)
+    changed = [f"-{name}" for name in sorted(set(old) - set(new))]
+    changed += [f"+{name}" for name in sorted(set(new) - set(old))]
     print(f"{'same answers' if code == 0 else 'answers differ'}; src/qsd lines: "
           f"{lines[0]:,} -> {lines[1]:,} ({lines[1] - lines[0]:+,}); named tolerances: "
-          f"{tols[0]} -> {tols[1]} ({tols[1] - tols[0]:+})")
+          f"{len(old)} -> {len(new)} ({len(new) - len(old):+}"
+          + (f": {', '.join(changed)})" if changed else ")"))
     return code
 
 
