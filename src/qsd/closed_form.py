@@ -121,8 +121,8 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     if dn <= TIED_POINT_TOL or p < ensemble.max_prior:
         return guess_result(ensemble, pr.index(ensemble.max_prior), "two-state")
 
-    s = 2.0 * p - 1.0
-    c1 = (d[0] / s, d[1] / s, d[2] / s)
+    # c1 is the unit direction d/|d|: 2p - 1 is |d| too, but cancels near a tie
+    c1 = (d[0] / dn, d[1] / dn, d[2] / dn)
     conj = (c1, (-c1[0], -c1[1], -c1[2]))
     g = p - pr[0]
     r = (x0 + g * c1[0], y0 + g * c1[1], z0 + g * c1[2])
@@ -605,33 +605,33 @@ def cone_ensemble(n: int, b: float, theta: float, phis=None) -> WeightedEnsemble
     return WeightedEnsemble([1.0 / n] * n, rows)
 
 
-def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple:
-    """The cone's axis point as ((offsets, rho, "cone"),), or () without one.
+def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple | None:
+    """The cone's axis point as (offsets, rho, "cone"), _equidistant's arguments, or None.
 
     b is _shell_norm(ensemble); None means no cone. States of one norm b
     and polar angle theta sit at rho = b sin(theta) from (0, 0, b cos(theta)).
     """
     if b is None:
-        return ()
+        return None
     rows = ensemble.held[1]
     if isinstance(rows, np.ndarray):
         if rows[:, 2].max() - rows[:, 2].min() > SPREAD_TOL:
-            return ()
+            return None
         offsets = np.column_stack([rows[:, :2], np.zeros(len(rows))])
-        return ((offsets, float(np.linalg.norm(offsets, axis=1).mean()), "cone"),)
+        return offsets, float(np.linalg.norm(offsets, axis=1).mean()), "cone"
     z = [row[2] for row in rows]
     if max(z) - min(z) > SPREAD_TOL:
-        return ()
+        return None
     offsets = [(x, y, 0.0) for x, y, _ in rows]
-    return ((offsets, pairwise_sum(_norms(offsets)) / len(offsets), "cone"),)
+    return offsets, pairwise_sum(_norms(offsets)) / len(offsets), "cone"
 
 
 def _solve_cone(ensemble: WeightedEnsemble) -> DiscriminationResult:
     cone = _cone_centre(ensemble, _shell_norm(ensemble))
-    if not cone:
+    if cone is None:
         raise ValueError("ensemble lacks cone structure"
                          " (equiprobable priors, common Bloch norm and polar angle)")
-    return _equidistant(ensemble, *cone[0])
+    return _equidistant(ensemble, *cone)
 
 
 def solve_cone(n: int, b: float, theta: float, phis=None) -> DiscriminationResult:
@@ -718,10 +718,11 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """Route an ensemble to the most specific applicable solver.
 
     Order: two states; diagonal (N >= 3 on the z axis); general three
-    states; the shell about the cone's axis point, then about the origin;
-    minimax oracle. From N = 4, ensembles without equiprobable priors and
-    a common Bloch norm (probed once) go straight to the oracle; a centre
-    whose weights or certificate fail falls through to the next.
+    states; one equidistant attempt, about the cone's axis point if there
+    is one, else the origin; minimax oracle, which also takes N >= 4
+    without equiprobable priors and a common Bloch norm (probed once) and
+    a failed attempt: on a cone the shell's conjugates share the z part
+    -z/b, which weights cancel only near z = 0, where they are the cone's.
     """
     n = ensemble.n
     if n == 2:
@@ -731,9 +732,8 @@ def solve_auto(ensemble: WeightedEnsemble) -> DiscriminationResult:
     if n == 3:
         return solve_three_state(ensemble)
     b = _shell_norm(ensemble)
-    if b is None:
-        return solve_oracle(ensemble)
-    for centre in _cone_centre(ensemble, b) + ((ensemble.held[1], b, "symmetric-shell"),):
+    if b is not None:
+        centre = _cone_centre(ensemble, b) or (ensemble.held[1], b, "symmetric-shell")
         try:
             return _equidistant(ensemble, *centre)
         except (ValueError, WeightSystemInfeasible, CertificateError):

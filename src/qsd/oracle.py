@@ -17,13 +17,13 @@ The solver pivots over bases, starting from {argmax p_i}, whose optimum
 r = q_i is already the answer in the guess regime. While some index j has
 p_j + |r - q_j| above the basis value by more than the fixed pivot window
 PIVOT_WINDOW, j joins the basis, which is solved again exactly over the
-equal-slack points of the subsets containing j; the members within that
-window at the best one form the next basis. The basis value rises
-strictly, so the loop ends (it is capped at a fixed multiple of n all the
-same). The exit test is global feasibility plus hull stationarity on the
-final basis alone: f(r) is an upper bound at any r and the basis value a
-lower bound. No step depends on any closed-form solver, which is what keeps
-the arbitration honest.
+equal-slack points of the subsets containing j; the best one's subset is
+the basis optimum's support, and it and the members within that window
+form the next basis. The basis value rises strictly, so the loop ends (it
+is capped at a fixed multiple of n all the same). The exit test is global
+feasibility plus hull stationarity on the last support, one weight solve:
+f(r) is an upper bound at any r and the basis value a lower bound. No step
+depends on any closed-form solver, which keeps the arbitration honest.
 
 Every system a pivot or the hull test meets has at most 4 rows in R^3, so
 both are solved in closed form on Python floats, as in combinatorial
@@ -33,8 +33,8 @@ cross products over the determinant, or the minimum-norm solution
 (h_a b - h_b a) x n / |n|^2 with n = a x b, which has no Gram matrix to
 square the condition number of nearly parallel rows; the hull weights are
 a zero row, an antiparallel pair, barycentric coordinates from cross
-products or signed volumes. A subset singular to rounding (RANK_TOL) is
-skipped, since smaller subsets cover its optima. Nothing calls np.linalg.
+products or signed volumes; a subset singular to rounding (RANK_TOL) is
+skipped by a pivot and refused by the exit. Nothing calls np.linalg.
 The solver reads the record's held form (ensemble.held). On the floats a
 small record kept, where numpy's per-call overhead costs more than the
 arithmetic, the pass over all n points runs on them as well, repeating
@@ -279,23 +279,24 @@ def _members(values, indices) -> list:
 
 
 def _pivot(pr, q, basis: tuple, j: int) -> tuple:
-    """(basis, r, value): the optimum of f over basis + (j,), whose old optimum j violates.
+    """(basis, r, value, support): the optimum of f over basis + (j,), j violating the old one.
 
     j is in the new optimum's support, so only the equal-slack points of
     subsets holding j and at most 3 basis indices are solved, over one
     table of pair terms (_pair_table); the one with the smallest f over the
-    members is that optimum (the first one on ties). Scoring a point stops
-    once its running max over the members reaches the best value so far,
-    since it cannot win then. The members within PIVOT_WINDOW of the
-    optimum's value form the next basis. Only the members' rows are read,
-    and all the algebra is on Python floats; r is three of them.
+    members is that optimum (the first one on ties), its subset the
+    support. Scoring a point stops once its running max over the members
+    reaches the best value so far, since it cannot win then. The support
+    and the members within PIVOT_WINDOW of the value form the next basis,
+    in member order; support is its positions there. Only the members'
+    rows are read, and all the algebra is on Python floats.
     """
     members = basis + (j,)
     p_m = _members(pr, members)
     q_m = _members(q, members)
     segments, rows = _pair_table(p_m, q_m)
     terms = list(zip(p_m, q_m))
-    best_r, best = None, math.inf
+    best_r, best, winner = None, math.inf, ()
     for subset in _pivot_subsets(len(basis)):
         for r in _support_points(p_m, q_m, subset, segments, rows):
             x, y, z = r
@@ -309,15 +310,17 @@ def _pivot(pr, q, basis: tuple, j: int) -> tuple:
                         break
             else:
                 if value < best:
-                    best_r, best = r, value
+                    best_r, best, winner = r, value, subset
     x, y, z = best_r
     floor = best - PIVOT_WINDOW
-    active = tuple(
+    kept = [
         i
-        for i, (p, (a, b, c)) in zip(members, terms)
-        if p + math.sqrt((x - a) * (x - a) + (y - b) * (y - b) + (z - c) * (z - c)) >= floor
-    )
-    return active, best_r, best
+        for i, (p, (a, b, c)) in enumerate(terms)
+        if i in winner
+        or p + math.sqrt((x - a) * (x - a) + (y - b) * (y - b) + (z - c) * (z - c)) >= floor
+    ]
+    support = tuple(k for k, i in enumerate(kept) if i in winner)
+    return tuple(members[i] for i in kept), best_r, best, support
 
 
 def _zero_weights(d: list):
@@ -326,9 +329,8 @@ def _zero_weights(d: list):
     Two rows: the point of their line nearest 0, which is 0 for an
     antiparallel pair. Three: barycentric coordinates of the projection of
     0 on their plane, from cross products. Four: signed volumes. A triangle
-    or tetrahedron that is flat to rounding is skipped (a smaller support
-    covers it); the weights must be nonnegative to NEG_WEIGHT_TOL and leave a
-    residual of at most FEAS_TOL.
+    or tetrahedron that is flat to rounding is refused, and so are weights
+    below -NEG_WEIGHT_TOL or a residual above FEAS_TOL.
     """
     (a0, a1, a2), (b0, b1, b2) = d[0], d[1]
     if len(d) == 2:
@@ -382,18 +384,19 @@ def _zero_weights(d: list):
     return tuple([max(wi, 0.0) for wi in w])
 
 
-def _hull_weights(q, r, basis: tuple) -> tuple | None:
+def _hull_weights(q, r, basis: tuple, support: tuple) -> tuple | None:
     """Convex weights mu with sum_i mu_i (q_i - r) = 0 over the basis, or None.
 
     With every basis point at equal slack, r in the convex hull of the basis
     points is 0 in the hull of the unit directions (r - q_i)/|r - q_i|
     (rescale each by |r - q_i|), so r minimizes f over the basis; a basis
     point at r certifies by itself, as a size-1 support, whose residual is
-    its row's norm. Scaling the rows by the largest instead of their own
-    length keeps a nearly coincident point from blowing up its direction's
-    rounding error. The weights have the smallest support (at most 4 of the
-    at most 5 rows), then the smallest norm, then come first in enumeration
-    order (_zero_weights). q is as _pivot takes it, and r three floats.
+    its row's norm. Otherwise _zero_weights solves the rows at support, the
+    positions in basis of the last pivot's support, on which an LP-type
+    basis optimum is attained; no other subset is tried. Scaling the rows
+    by the largest instead of their own length keeps a nearly coincident
+    point from blowing up its direction's rounding error. q is as _pivot
+    takes it, and r three floats.
     """
     rx, ry, rz = r
     rows = [(x - rx, y - ry, z - rz) for x, y, z in _members(q, basis)]
@@ -406,18 +409,13 @@ def _hull_weights(q, r, basis: tuple) -> tuple | None:
         if not math.sqrt(x * x + y * y + z * z) > FEAS_TOL:
             mu[i] = 1.0
             return tuple(mu)
-    for size in range(2, min(len(rows), 4) + 1):
-        found = []
-        for subset in combinations(range(len(rows)), size):
-            w = _zero_weights([rows[i] for i in subset])
-            if w is not None:
-                found.append((pairwise_sum([x * x for x in w]), subset, w))
-        if found:
-            _, subset, w = min(found, key=lambda item: item[:2])
-            for i, wi in zip(subset, w):
-                mu[i] = wi
-            return tuple(mu)
-    return None
+    # a size-1 support is a basis point at r, which the loop above took
+    w = _zero_weights([rows[i] for i in support])
+    if w is None:
+        return None
+    for i, wi in zip(support, w):
+        mu[i] = wi
+    return tuple(mu)
 
 
 def _farthest(pr, q, r: tuple) -> tuple:
@@ -448,22 +446,22 @@ def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
 
     Pivots over bases (module docstring). iterations counts the passes over
     all n points, one per basis; a pass that finds no violation beyond
-    PIVOT_WINDOW ends the loop, and the hull test on that basis decides
-    convergence. p_star is the largest value of the last pass. The final
-    basis and its hull weights are returned for recover_povm. Reaching the
-    cap of a fixed multiple of n passes returns converged=False.
-    Deterministic: ties break by index.
+    PIVOT_WINDOW ends the loop, and the hull test on the last pivot's
+    support (the first basis is its own) decides convergence. p_star is the
+    largest value of the last pass. The final basis and its hull weights
+    are returned for recover_povm. Reaching the cap of a fixed multiple of
+    n passes returns converged=False. Deterministic: ties break by index.
     """
     pr, _, q = ensemble.held
     k = int(np.argmax(pr)) if isinstance(pr, np.ndarray) else pr.index(ensemble.max_prior)
-    basis, r, value = (k,), tuple(_members(q, (k,))[0]), float(pr[k])
+    basis, r, value, support = (k,), tuple(_members(q, (k,))[0]), float(pr[k]), (0,)
     mu = None
     for iterations in range(1, _PIVOTS_PER_STATE * ensemble.n + 1):
         j, top = _farthest(pr, q, r)
         if top <= value + PIVOT_WINDOW:
-            mu = _hull_weights(q, r, basis)
+            mu = _hull_weights(q, r, basis, support)
             break
-        basis, r, value = _pivot(pr, q, basis, j)
+        basis, r, value, support = _pivot(pr, q, basis, j)
     else:
         _, top = _farthest(pr, q, r)
 

@@ -12,9 +12,9 @@ direction rows d_i. Two solvers:
                             enumeration in increasing size with a
                             non-uniqueness flag, O(m^(dim + 1)) solves
 
-The oracle's hull test solves its own at most 5 rows in closed form
-(oracle._hull_weights) and shares no code with this module, only the rows
-FEAS_TOL and NEG_WEIGHT_TOL of bloch's tolerance table.
+The oracle's hull test solves its last pivot's at most 4 support rows in
+closed form (oracle._hull_weights) and shares no code with this module,
+only the rows FEAS_TOL and NEG_WEIGHT_TOL of bloch's tolerance table.
 
 Directions may be rows of any dimension; the closed forms pass Bloch rows.
 """

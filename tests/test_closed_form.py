@@ -551,7 +551,7 @@ def test_auto_half_space_shell_falls_to_oracle():
 )
 def test_auto_declines_one_sided_families_without_enumeration(ens, monkeypatch):
     # the weight sweep decides on its own: no support enumeration, at most
-    # one lstsq per direction for each of the cone and shell attempts
+    # one lstsq per direction for the one equidistant attempt
     def enumeration(*args, **kwargs):
         raise AssertionError("subset_support_weights called")
 
@@ -566,6 +566,6 @@ def test_auto_declines_one_sided_families_without_enumeration(ens, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     result = solve_auto(ens)
-    assert 0 < len(calls) <= 2 * ens.n
+    assert 0 < len(calls) <= ens.n
     assert result.method == "oracle"
     assert result == solve_oracle(ens)

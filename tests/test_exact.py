@@ -8,12 +8,14 @@ p*, or in a typed DiscriminationError, on a record that keeps floats and on
 one that stores arrays.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import qsd
+import qsd.cli
 from qsd.bloch import BALL_SLACK, EQUIPROBABLE_TOL, NEG_WEIGHT_TOL, TIED_POINT_TOL, ZERO_TOL
 
 from helpers import (
@@ -137,3 +139,45 @@ def test_knife_edges_certify_within_1e_12_of_the_exact_optimum(name, entries, en
     assert result.method == ending
     assert_result_valid(ens, result)
     assert _distance(result.p_opt, exact_minimax(ens)) <= 1e-12
+
+
+# nearly tied pairs whose weighted points lie a little apart: the direction
+# of the pure conjugates is d/|d| with d = q_2 - q_1; 2p - 1 is |d| too, but
+# cancels there, and the direction divided by it left the unit sphere
+SPLIT_PAIRS = [((0.5, 0.5), 1e-7), ((0.5, 0.5), 1e-4), ((0.4999999999985, 0.5000000000015), 1e-11)]
+
+
+@pytest.mark.parametrize("priors, dz", SPLIT_PAIRS, ids=["tied-1e-7", "tied-1e-4", "untied-1e-11"])
+def test_nearly_tied_pairs_a_little_apart_certify(priors, dz, tmp_path, capsys):
+    entries = [(priors[0], (0.3, -0.5, 0.2)), (priors[1], (0.3, -0.5, 0.2 + dz))]
+    ens = qsd.validate_ensemble(entries)
+    interval = exact_minimax(ens)
+    result = qsd.solve_auto(ens)
+    assert result.method == "two-state"
+    assert_result_valid(ens, result)
+    assert _distance(result.p_opt, interval) <= 1e-12
+    path = tmp_path / "pair.txt"
+    path.write_text("".join(f"{p!r} {x!r} {y!r} {z!r}\n" for p, (x, y, z) in entries))
+    code = qsd.cli.main(["solve", str(path), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["method"] == "two-state"
+    assert _distance(report["p_opt"], interval) <= 1e-12
+
+
+def test_nearly_tied_pairs_certify_or_refuse_typed():
+    # |q_2 - q_1| from 1e-12 to 1e-3, priors tied or a few ulps to 1e-12 apart
+    rng = np.random.default_rng(2032)
+    for exponent in np.linspace(-12.0, -3.0, 91).tolist():
+        for _ in range(4):
+            p0 = 0.5 + float(rng.choice([0.0, 2.0 ** -53, 1e-13, 1e-12]) * rng.choice([-1, 1]))
+            u, v = sphere_points(rng, 2)
+            q0 = p0 * 0.8 * float(rng.uniform()) * u
+            q1 = q0 + 10.0 ** exponent * v
+            ens = qsd.validate_ensemble([(p0, tuple(q0 / p0)), (1.0 - p0, tuple(q1 / (1.0 - p0)))])
+            for solve in (qsd.solve_auto, qsd.solve_two_state):
+                try:
+                    result = solve(ens)
+                except qsd.DiscriminationError:
+                    continue
+                assert result.method == "two-state"
+                assert_result_valid(ens, result)

@@ -292,7 +292,7 @@ GATE_REJECTIONS = [
      lambda: _antipodal_input(conjugates=((0.0, 0.0, -1.2), (0.0, 0.0, 1.2))),
      CertificateError, "conjugate norm 1.2 exceeds 1"),
     ("common-point-residual", lambda: _gate_input(common_point=(0.5, -0.5, 0.9)),
-     CertificateError, "common-point residual 1.4515667796768348 exceeds 1e-09"),
+     CertificateError, "common-point residual 1.451566779676835 exceeds 1e-09"),
     ("success-gap",
      lambda: _antipodal_input(weights=(2.0, 0.0), directions=np.zeros((2, 3))),
      CertificateError, "POVM success 0.5 differs from p = 1.0"),

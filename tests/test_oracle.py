@@ -258,14 +258,19 @@ def test_all_active_equal_priors_certify_on_the_basis_alone(monkeypatch):
     ens = qsd.validate_ensemble(
         [(1.0 / n, tuple(row)) for row in sphere_points(rng, n)]
     )
-    rows = []
-    real = qsd.oracle._hull_weights
+    rows, solves = [], []
+    real, zero_weights = qsd.oracle._hull_weights, qsd.oracle._zero_weights
 
-    def spy(q, r, basis):
+    def spy(q, r, basis, support):
         rows.append(len(basis))
-        return real(q, r, basis)
+        return real(q, r, basis, support)
+
+    def counted(d):
+        solves.append(len(d))
+        return zero_weights(d)
 
     monkeypatch.setattr(qsd.oracle, "_hull_weights", spy)
+    monkeypatch.setattr(qsd.oracle, "_zero_weights", counted)
     sol = minimax_common_point(ens)
     assert sol.converged
     # every state attains the maximum at r_star
@@ -273,6 +278,8 @@ def test_all_active_equal_priors_certify_on_the_basis_alone(monkeypatch):
     assert f_vals.min() >= sol.p_star * (1.0 - 1e-7)
     assert sol.p_star == pytest.approx(2.0 / n, abs=1e-12)
     assert len(rows) <= 1 and all(m <= 5 for m in rows)
+    # the exit solves the last pivot's support once, and searches no other subset
+    assert len(solves) <= 1 and all(m <= 4 for m in solves)
 
 
 @pytest.mark.parametrize("n", [256, 1024])
@@ -393,17 +400,33 @@ def test_degenerate_geometry_at_large_n(geometry, n):
 
 
 def test_hull_test_skips_exactly_singular_supports():
-    # every triangle and the tetrahedron below are flat in exact arithmetic
+    # each refusal of the exit's weight solve; the flat triangle and
+    # tetrahedron hold 0 in exact arithmetic, so only the flatness test keeps
+    # their zero determinant out of a division
+    zero_weights = qsd.oracle._zero_weights
+    x, y, z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    square = [x, y, (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    assert zero_weights([x, x]) is None  # doubled rows
+    assert zero_weights([x, square[2], (2.0, 0.0, 0.0)]) is None  # flat triangle
+    assert zero_weights(square) is None  # flat tetrahedron
+    # a negative weight: 0 on the line, plane or in the space of the rows, outside their hull
+    assert zero_weights([x, (2.0, 0.0, 0.0)]) is None
+    assert zero_weights([x, y, (1.0, 1.0, 0.0)]) is None
+    assert zero_weights([x, y, z, (1.0, 1.0, 1.0)]) is None
+    # a residual above FEAS_TOL: 0 off the line or plane of the rows
+    assert zero_weights([x, y]) is None
+    assert zero_weights([(1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (-1.0, -1.0, 1.0)]) is None
+    assert zero_weights([x, square[2]]) == (0.5, 0.5)
+    assert zero_weights([x, y, z, (-1.0, -1.0, -1.0)]) == (0.25, 0.25, 0.25, 0.25)
+    # the exit reads the support it is given: the other antiparallel pair of
+    # the square certifies as well, and is not searched for
     hull = qsd.oracle._hull_weights
-    origin = np.zeros(3)
-    flat = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0], [2.0, 1.0, 0]])
-    assert hull(flat, origin, (0, 1, 2, 3)) is None
-    doubled = np.array([[1.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    assert hull(doubled, origin, (0, 1, 2)) is None
-    # two antiparallel pairs of equal norm: the first in enumeration order
-    square = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
-    assert hull(square, origin, (0, 1, 2, 3)) == (0.5, 0.0, 0.5, 0.0)
-    assert hull(square, square[1], (1, 0)) == (1.0, 0.0)
+    points = np.array(square)
+    assert hull(points, (0.0, 0.0, 0.0), (0, 1, 2, 3), (1, 3)) == (0.0, 0.5, 0.0, 0.5)
+    assert hull(points, (0.0, 0.0, 0.0), (0, 1, 2, 3), (0, 1, 2, 3)) is None
+    # a basis point at r certifies by itself, whatever the support
+    assert hull(points, square[1], (1, 0), (0, 1)) == (1.0, 0.0)
+    assert hull(points, square[1], (0, 1), (0, 1)) == (0.0, 1.0)
 
 
 def test_minimax_makes_no_linalg_call(monkeypatch):
@@ -447,9 +470,9 @@ def test_all_active_equal_priors_recover_from_the_basis(monkeypatch):
     rows = []
     real = qsd.oracle._hull_weights
 
-    def spy(q, r, basis):
+    def spy(q, r, basis, support):
         rows.append(len(basis))
-        return real(q, r, basis)
+        return real(q, r, basis, support)
 
     monkeypatch.setattr(qsd.oracle, "_hull_weights", spy)
     result = solve_oracle(ens)
@@ -512,15 +535,34 @@ def frozen_reference_inputs():
         [(float(p), tuple(row)) for p, row in zip(priors, ball_points(rng, 256))]
     )
     yield degenerate_ensemble(rng, 256, "ball", "tied")
+    # mirror triples near a right angle, whose last pivots tie within rounding
+    thetas = rng.uniform(math.radians(80.0), math.radians(90.0), 50)
+    for theta, p1 in zip(thetas.tolist(), rng.uniform(0.001, 0.2, 50).tolist()):
+        yield qsd.mirror_ensemble(theta, p1)
+    # rotated Platonic shells rounded to 8 significant digits, some of whose
+    # exits fail: the pivots leave states within rounding of the value out
+    for i in range(20):
+        kind = qsd.PLATONIC_KINDS[i % len(qsd.PLATONIC_KINDS)]
+        verts = rng.uniform(0.1, 1.0) * qsd.platonic_vertices(kind) @ random_rotation(rng).T
+        prior = float(f"{1.0 / len(verts):.8g}")
+        yield qsd.validate_ensemble(
+            [(prior, tuple(float(f"{x:.8g}") for x in row)) for row in verts.tolist()],
+            renormalize=True,
+        )
 
 
 def test_kernels_match_the_frozen_reference():
     # the straight-line kernels do the reference's float operations in its
-    # order, so every output agrees to the bit: compared by repr and bytes
+    # order, so every output agrees to the bit: compared by repr and bytes;
+    # an exit that fails fails on both, and no measurement is read off it
     for ens in frozen_reference_inputs():
         sol = minimax_common_point(ens)
         ref = reference_minimax(ens)
         assert sol == ref and repr(sol) == repr(ref)
+        if not ref.converged:
+            with pytest.raises(ConvergenceError):
+                solve_oracle(ens)
+            continue
         result = solve_oracle(ens)
         povm, cert = recover_povm(ens, ref)
         pairs = [

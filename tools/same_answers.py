@@ -31,6 +31,13 @@ child interpreter, on inputs drawn the same way for both:
   mirror                                 the mirror grid, theta = 1..89
                                          degrees and p1 = 0.01..0.49, through
                                          solve_auto and solve_mirror_symmetric
+  corner                                 CORNER_DRAWS seeded mirror triples
+                                         near a right angle, theta in [80, 90)
+                                         degrees and p1 in [0.001, 0.2],
+                                         through solve_auto and solve_oracle:
+                                         the oracle's exits there tie within
+                                         rounding, which the grid's whole
+                                         degrees reach only coarsely
   diagonal                               DIAGONAL_DRAWS seeded ensembles on the
                                          z axis, n = 3..40, with tied priors,
                                          z tied among +-1, +-0.5 and +-0.0,
@@ -98,6 +105,8 @@ BENCH_ROUNDS = (0, 1, 2)
 PLATONIC_SCALES = (0.3, 0.7, 1.0)
 CONE_DRAWS = 3000
 CONE_SEED = 2026
+CORNER_DRAWS = 3000
+CORNER_SEED = 99
 DIAGONAL_DRAWS = 400
 DIAGONAL_SEED = 2028
 DIAGONAL_Z = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
@@ -305,6 +314,13 @@ def collect() -> None:
             key = f"mirror/{degrees}/{hundredths}"
             run(key + "/auto", lambda: qsd.solve_auto(qsd.mirror_ensemble(theta, p1)))
             run(key + "/mirror", lambda: qsd.solve_mirror_symmetric(theta, p1))
+
+    rng = np.random.default_rng(CORNER_SEED)
+    thetas = rng.uniform(math.radians(80.0), math.radians(90.0), CORNER_DRAWS).tolist()
+    for i, (theta, p1) in enumerate(zip(thetas, rng.uniform(0.001, 0.2, CORNER_DRAWS).tolist())):
+        key = f"corner/{i}"
+        run(key + "/auto", lambda: qsd.solve_auto(qsd.mirror_ensemble(theta, p1)))
+        run(key + "/oracle", lambda: qsd.solve_oracle(qsd.mirror_ensemble(theta, p1)))
 
     rng = np.random.default_rng(ORACLE_SEED)
     for n in ORACLE_SIZES:
