@@ -42,8 +42,13 @@ operations as the vectorized code's, element by element. Every norm the
 package tests, screens with or prints is one rounding, sqrt((x*x + y*y) +
 z*z): row_norms on arrays, math.sqrt(x * x + y * y + z * z) on three
 floats, bit for bit, so a float norm test decides as the vectorized one
-does and a refusal prints the norm it tested. Sums of more terms than
-three are compared with FLOAT_MARGIN to spare, since numpy adds in its
+does and a refusal prints the norm it tested. The closed forms' squared
+distances between two weighted points (the two-state |q_2 - q_1|, the
+three-state gaps) are the fused squared norm, fma(z, z, fma(y, y, x*x)),
+as numpy's np.dot and np.linalg.norm of a 3-vector round it: the interior
+quadratic's roots move under a sum of rounded squares. fused_norm2 gives
+it on floats, exactly, whatever BLAS numpy was built with. Sums of more
+terms than three are compared with FLOAT_MARGIN to spare, since numpy adds in its
 own order. That order: a reduction of fewer than 8 terms adds them from
 the left, starting from 0.0; from 8 terms numpy sums pairwise, in 8 lanes
 joined as a tree. Where a stored value is such a sum (the shell's and the
@@ -206,6 +211,50 @@ def pairwise_sum(values) -> float:
     for x in values[end:]:
         total += x
     return total
+
+
+def fused_norm2(x: float, y: float, z: float) -> float:
+    """x*x + y*y + z*z of three floats as numpy rounds it, bit for bit: fma(z, z, fma(y, y, x*x)).
+
+    np.dot of a 3-vector with itself, the batched np.matmul and the 1-D
+    np.linalg.norm (the root of this) round so, with two fused steps, which
+    no sum of rounded squares repeats in every row. Each step is one
+    rounding of an exact value (_fma_square), so the result depends on no
+    BLAS build. Squares past the float range give inf, and NaN and inf
+    operands what the fused steps give.
+    """
+    return _fma_square(z, _fma_square(y, x * x))
+
+
+def _fma_square(a: float, s: float) -> float:
+    """a*a + s in one rounding, fma(a, a, s), for s a rounded square or a sum of them (s >= 0).
+
+    Dekker's exact square: Veltkamp's split of a by 2**27 + 1 gives halves
+    of 26 bits, whose products are exact, so a*a = h + l exactly, and
+    math.fsum rounds s + h + l once. The split is exact while l stays above
+    the subnormal range and the product by 2**27 + 1 below overflow; the
+    bounds on h, 2**-900 and 2**900, keep both with room to spare. Outside
+    them the step runs on integer ratios, whose one division rounds
+    correctly.
+    """
+    h = a * a
+    if 2.0 ** -900 < h < 2.0 ** 900:
+        c = 134217729.0 * a
+        hi = c - (c - a)
+        lo = a - hi
+        return math.fsum((s, h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo))
+    if not h:
+        # a*a rounds to 0, so it is below half the least subnormal, and s
+        # plus it rounds to s
+        return s
+    if not (math.isfinite(a) and math.isfinite(s)):
+        return h + s  # inf, or NaN: an fma propagates its product's NaN first
+    n, d = a.as_integer_ratio()
+    m, e = s.as_integer_ratio()
+    try:
+        return (m * d * d + n * n * e) / (e * d * d)
+    except OverflowError:  # both terms are >= 0: the sum rounds to inf
+        return math.inf
 
 
 def _fsum(values: list) -> float:

@@ -58,6 +58,7 @@ from .bloch import (
     ZERO_TOL,
     DiscriminationResult,
     WeightedEnsemble,
+    fused_norm2,
     pairwise_sum,
 )
 from .errors import (
@@ -109,8 +110,8 @@ def solve_two_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
     pr, _, (q0, (x1, y1, z1)) = ensemble.lists
     x0, y0, z0 = q0
     d = (x1 - x0, y1 - y0, z1 - z0)
-    # np.linalg.norm's root of np.dot, which no sum from the left matches
-    dn = math.sqrt(np.dot(d, d))
+    # np.linalg.norm's rounding, a fused chain that no sum from the left matches
+    dn = math.sqrt(fused_norm2(*d))
     p = 0.5 * (1.0 + dn)
 
     if dn <= TIED_POINT_TOL and _equiprobable(ensemble):
@@ -140,16 +141,16 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 def _three_state_floats(ensemble: WeightedEnsemble) -> tuple:
     """(priors, weighted points, squared gaps of _PAIRS) as Python floats.
 
-    Each gap is numpy's dot product of the pair's difference with itself,
-    the one np.linalg.norm takes the root of; the quadratic's roots are
-    sensitive enough that a differently rounded sum of squares moves them.
+    Each gap is the pair's difference dotted with itself in numpy's fused
+    rounding (bloch.fused_norm2), the one np.linalg.norm takes the root of;
+    the quadratic's roots are sensitive enough that a sum of rounded squares
+    moves them.
     """
     pr, _, q = ensemble.lists
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = q
-    # row (a, b) of _PAIRS is q_b - q_a
-    d = np.array([(x1 - x0, y1 - y0, z1 - z0), (x2 - x0, y2 - y0, z2 - z0),
-                  (x2 - x1, y2 - y1, z2 - z1)])
-    gaps = np.matmul(d[:, None, :], d[:, :, None]).ravel().tolist()
+    # gap (a, b) of _PAIRS is |q_b - q_a|^2
+    gaps = [fused_norm2(x1 - x0, y1 - y0, z1 - z0), fused_norm2(x2 - x0, y2 - y0, z2 - z0),
+            fused_norm2(x2 - x1, y2 - y1, z2 - z1)]
     return pr, q, gaps
 
 

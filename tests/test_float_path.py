@@ -12,6 +12,7 @@ bytes, flags and masks, or the same exception type and message.
 import io
 import math
 from contextlib import contextmanager, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,6 +219,55 @@ def test_row_norms_round_as_the_float_norm():
     rng = np.random.default_rng(29)
     rows = rng.standard_normal((3000, 3)) * 10.0 ** rng.uniform(-11.0, 11.0, (3000, 3))
     assert qsd.bloch.row_norms(rows).tolist() == [_sqrt(row) for row in rows.tolist()]
+
+
+def _fused_exactly(x, y, z):
+    """fma(z, z, fma(y, y, x*x)) of finite floats, each step rounded once from its exact value."""
+    s = x * x
+    for a in (y, z):
+        if s < _INF:
+            try:
+                s = float(Fraction(s) + Fraction(a) ** 2)
+            except OverflowError:
+                s = _INF
+    return s
+
+
+def _fused_rows():
+    """Rows for fused_norm2, finite ones first: 22 decades, the split's far ranges, subnormals."""
+    rng = np.random.default_rng(33)
+    wide = rng.standard_normal((3000, 3)) * 10.0 ** rng.uniform(-11.0, 11.0, (3000, 3))
+    extreme = rng.standard_normal((1000, 3)) * 10.0 ** rng.uniform(-323.0, 153.0, (1000, 3))
+    overflowing = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(150.0, 170.0, (300, 3))
+    subnormal = rng.integers(-2 ** 40, 2 ** 40, (300, 3)) * 5e-324
+    zeros = [(sx * 0.0, sy * 0.0, sz * a) for sx in (1.0, -1.0) for sy in (1.0, -1.0)
+             for sz in (1.0, -1.0) for a in (0.0, 0.7, 1e-200, 1e200)]
+    finite = np.concatenate([wide, extreme, overflowing, subnormal]).tolist() + zeros
+    specials = [_NAN, -_NAN, _INF, -_INF, 0.0, 2.0, 1e200]
+    special = [(x, y, z) for x in specials for y in specials for z in specials
+               if not all(map(math.isfinite, (x, y, z)))]
+    return finite, special
+
+
+def test_fused_norm2_rounds_as_numpys_dot():
+    # fma(z, z, fma(y, y, x*x)): against its exact evaluation, which no
+    # platform changes, and against this build's np.dot, the batched matmul
+    # the three-state gaps took and the 1-D norm; NaN compares as NaN
+    finite, special = _fused_rows()
+    fused = [qsd.bloch.fused_norm2(*row) for row in finite + special]
+    assert all(type(value) is float for value in fused)
+    assert [repr(v) for v in fused[:len(finite)]] == [repr(_fused_exactly(*r)) for r in finite]
+    assert _INF in fused[:len(finite)] and 0.0 < min(v for v in fused[:len(finite)] if v) < 1e-308
+    rows = np.array(finite + special)
+    with np.errstate(all="ignore"):
+        dots = [float(np.dot(row, row)) for row in rows]
+        batched = np.matmul(rows[:, None, :], rows[:, :, None]).ravel().tolist()
+        norms = [float(np.linalg.norm(row)) for row in rows]
+    assert list(map(repr, fused)) == list(map(repr, dots)) == list(map(repr, batched))
+    assert list(map(repr, map(math.sqrt, fused))) == list(map(repr, norms))
+    # a row whose sum of rounded squares from the left rounds otherwise
+    x, y, z = 0.1, 0.1, 0.8
+    assert qsd.bloch.fused_norm2(x, y, z) == 0.66 != x * x + y * y + z * z
 
 
 def test_state_norms_at_the_bound_alike():
@@ -856,6 +906,38 @@ def test_a_solve_builds_and_certifies_its_povm_in_one_pass(monkeypatch, method, 
     with vectorized():
         expected = solve(qsd.validate_ensemble(entries))
     assert fingerprint(result) == fingerprint(expected)
+
+
+class _NoNumpy:
+    """A stand-in numpy with only the type the held-form tests read: any call raises."""
+
+    ndarray = np.ndarray
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} on the float path")
+
+
+# (method, degenerate, entries): the triples' interior roots fail their
+# screens before the interior candidate's lstsq, which still runs in numpy
+_NO_NUMPY = [
+    ("two-state", False, _PAIR),
+    ("three-state-boundary", False,
+     [(0.3, (0.0, 0.0, 1.0)), (0.3, (0.0, 0.0, -1.0)), (0.4, (0.1, 0.0, 0.0))]),
+    ("three-state-boundary", True,
+     [(0.2, (0.1, 0.0, 0.1)), (0.2, (0.0, 0.1, 0.0)), (0.6, (0.0, 0.0, 0.2))]),
+]
+
+
+@pytest.mark.parametrize("method, degenerate, entries", _NO_NUMPY,
+                         ids=["two-state", "boundary", "guess"])
+def test_small_solves_call_no_numpy(monkeypatch, method, degenerate, entries):
+    expected = fingerprint(qsd.solve_auto(qsd.validate_ensemble(entries)))
+    with monkeypatch.context() as patched:
+        for module in (qsd.bloch, qsd.family, qsd.closed_form):
+            patched.setattr(module, "np", _NoNumpy())
+        result = qsd.solve_auto(qsd.validate_ensemble(entries))
+    assert (result.method, result.certificate.degenerate) == (method, degenerate)
+    assert fingerprint(result) == expected
 
 
 def test_integer_coordinates_take_the_float_path():
