@@ -44,10 +44,11 @@ z*z): row_norms on arrays, math.sqrt(x * x + y * y + z * z) on three
 floats, bit for bit, so a float norm test decides as the vectorized one
 does and a refusal prints the norm it tested. The closed forms' squared
 distances between two weighted points (the two-state |q_2 - q_1|, the
-three-state gaps) are the fused squared norm, fma(z, z, fma(y, y, x*x)),
-as numpy's np.dot and np.linalg.norm of a 3-vector round it: the interior
-quadratic's roots move under a sum of rounded squares. fused_norm2 gives
-it on floats, exactly, whatever BLAS numpy was built with. Sums of more
+three-state gaps) and the oracle's closing weight are the fused squared
+norm, fma(z, z, fma(y, y, x*x)), as numpy's np.dot and np.linalg.norm of
+a 3-vector round it: the interior quadratic's roots move under a sum of
+rounded squares. fused_norm2 gives it on floats, exactly, whatever BLAS
+numpy was built with. Sums of more
 terms than three are compared with FLOAT_MARGIN to spare, since numpy adds in its
 own order. That order: a reduction of fewer than 8 terms adds them from
 the left, starting from 0.0; from 8 terms numpy sums pairwise, in 8 lanes
@@ -61,6 +62,16 @@ as do n and Povm.elements, and pass floats from hand to hand without
 converting again; an array built on read holds those floats (np.fromiter
 of the rows, np.array of a vector), so its bytes, ==, hash and repr are
 the vectorized ones.
+
+numpy loads on the first array a solve needs. Every module binds its np to
+LazyNumpy(globals()), whose first attribute read imports numpy and rebinds
+that module's np to it, and the float path tests a value's form by its
+type being a tuple or list, never by reading np.ndarray. So importing qsd,
+and validate_ensemble and solve_auto on a record that keeps floats (two
+states, three on the boundary and guess paths, the diagonal and the
+oracle), load no numpy. A record of arrays, the interior candidate's and
+the weight sweep's least squares, result.kkt and the CLI's file parsing
+load it.
 
 The tolerance table. Every named tolerance of the package is a row here,
 and the other modules import the rows by name and define none of their
@@ -89,10 +100,32 @@ from dataclasses import FrozenInstanceError, dataclass, field, fields
 from itertools import chain
 from typing import Iterable, NamedTuple, TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from .kkt import KktReport
+
+
+class LazyNumpy:
+    """numpy, imported on its first attribute read: each module's np = LazyNumpy(globals()).
+
+    That read imports numpy and rebinds the np of the module whose globals
+    the loader holds to numpy itself, so every later read goes straight to
+    numpy. The float path reads no attribute of np, so importing qsd and a
+    solve on kept floats leave numpy unloaded.
+    """
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = LazyNumpy(globals())
 
 # ---------------------------------------------------------------------------
 # The tolerance table (module docstring). Each row's comment opens with its
@@ -318,7 +351,10 @@ def _rows(vectors, ok=None, check=_row) -> np.ndarray:
     return np.array([check(v) for v in vectors], dtype=float).reshape(-1, 3)
 
 
-_SEQUENCES = (list, tuple)
+# the types of a value held as Python floats: input rows and values as
+# lists or tuples, and a record's kept floats (ensemble.held), which the
+# solvers tell from arrays by type alone, reading nothing of numpy
+FLOAT_FORMS = (list, tuple)
 
 
 def _as_floats(values) -> tuple | None:
@@ -339,14 +375,16 @@ def float_rows(rows) -> tuple | None:
     for the vectorized checks. A float test of a row's norm takes
     sqrt(x*x + y*y + z*z), which rounds as row_norms does.
     """
-    if type(rows) is np.ndarray:
+    if type(rows) not in FLOAT_FORMS:
+        if type(rows) is not np.ndarray:
+            return None
         ok = rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == 3
         return tuple(map(tuple, rows.tolist())) if ok and len(rows) <= FLOAT_ROWS else None
-    if type(rows) not in _SEQUENCES or len(rows) > FLOAT_ROWS:
+    if len(rows) > FLOAT_ROWS:
         return None
     out = []
     for row in rows:
-        if type(row) not in _SEQUENCES or len(row) != 3:
+        if type(row) not in FLOAT_FORMS or len(row) != 3:
             return None
         x, y, z = row
         if not (type(x) is float and type(y) is float and type(z) is float):
@@ -359,10 +397,12 @@ def float_rows(rows) -> tuple | None:
 
 def float_values(values) -> tuple | None:
     """values as a tuple of at most FLOAT_ROWS floats (or ints): a list, tuple or float64 array; or None."""
-    if type(values) is np.ndarray:
+    if type(values) not in FLOAT_FORMS:
+        if type(values) is not np.ndarray:
+            return None
         ok = values.dtype == np.float64 and values.ndim == 1 and len(values) <= FLOAT_ROWS
         return tuple(values.tolist()) if ok else None
-    if type(values) not in _SEQUENCES or len(values) > FLOAT_ROWS:
+    if len(values) > FLOAT_ROWS:
         return None
     values = tuple(values)
     for x in values:
@@ -452,6 +492,9 @@ class _derived:
         return value
 
 
+_SCALARS = (float, bool)  # the records' scalar fields: p, max_prior, degenerate, residuals
+
+
 def _plain(value):
     return tuple(value.ravel().tolist()) if isinstance(value, np.ndarray) else value
 
@@ -479,6 +522,8 @@ class ArrayRecord:
         for name, value in values.items():
             if type(value) is tuple:
                 kept[name] = value
+            elif type(value) in _SCALARS:
+                continue
             elif isinstance(value, np.ndarray) and value.flags.writeable:
                 value.setflags(write=False)
         if kept:

@@ -17,8 +17,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .bloch import (
     BOUND_SLACK,
     COMPLETENESS_TOL,
@@ -30,6 +28,7 @@ from .bloch import (
     PURITY_TOL,
     SUCCESS_TOL,
     DiscriminationResult,
+    LazyNumpy,
     Povm,
     WeightedEnsemble,
     check_povm_elements,
@@ -57,6 +56,8 @@ from .platonic import (
     measured_edge_coefficient,
     platonic_ensemble,
 )
+
+np = LazyNumpy(globals())
 
 __all__ = ["main", "parse_ensemble_file", "parse_povm_file", "build_report"]
 

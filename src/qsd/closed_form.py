@@ -40,14 +40,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bloch import (
     AXIS_TOL,
     BALL_SLACK,
     DENOMINATOR_FLOOR,
     DOT_SLACK,
     EQUIPROBABLE_TOL,
+    FLOAT_FORMS,
     GRAM_AGREEMENT_TOL,
     LEADING_TOL,
     NEG_WEIGHT_TOL,
@@ -57,6 +56,7 @@ from .bloch import (
     TIED_POINT_TOL,
     ZERO_TOL,
     DiscriminationResult,
+    LazyNumpy,
     WeightedEnsemble,
     fused_norm2,
     pairwise_sum,
@@ -70,6 +70,8 @@ from .errors import (
 from .family import assemble_result, conjugates_at, guess_result
 from .oracle import solve_oracle
 from .weights import min_norm_nonneg_weights
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "ThreeStateCoefficients",
@@ -406,7 +408,7 @@ def solve_three_state(ensemble: WeightedEnsemble) -> DiscriminationResult:
 def _on_z_axis(ensemble: WeightedEnsemble) -> bool:
     """Every Bloch vector on the z axis: solve_diagonal's structure, tested first by solve_auto."""
     rows = ensemble.held[1]
-    if isinstance(rows, np.ndarray):
+    if type(rows) not in FLOAT_FORMS:
         return np.abs(rows[:, :2]).max() <= AXIS_TOL
     return all(abs(x) <= AXIS_TOL and abs(y) <= AXIS_TOL for x, y, _ in rows)
 
@@ -435,7 +437,7 @@ def _diagonal(ensemble: WeightedEnsemble) -> DiscriminationResult:
     """
     n = ensemble.n
     priors, rows, points = ensemble.held
-    if isinstance(rows, np.ndarray):
+    if type(rows) not in FLOAT_FORMS:
         u, d, best_val = _diagonal_pair(priors, rows[:, 2])
         qx, qy, qz = points[d].tolist()
     else:
@@ -505,7 +507,7 @@ def _diagonal_pair_floats(pr: tuple, z: list) -> tuple:
 def _equiprobable(ensemble: WeightedEnsemble) -> bool:
     n = ensemble.n
     priors = ensemble.held[0]
-    if isinstance(priors, np.ndarray):
+    if type(priors) not in FLOAT_FORMS:
         return np.abs(priors - 1.0 / n).max() <= EQUIPROBABLE_TOL
     return all(abs(x - 1.0 / n) <= EQUIPROBABLE_TOL for x in priors)  # prior by prior
 
@@ -521,7 +523,7 @@ def _common_norm(rows) -> float | None:
     rows are an (n, 3) array, or rows of three floats, on which the norms
     and their mean round as np.linalg.norm's and np.mean's.
     """
-    if isinstance(rows, np.ndarray):
+    if type(rows) not in FLOAT_FORMS:
         norms = np.linalg.norm(rows, axis=1)
         b = float(norms.mean())
         return b if np.abs(norms - b).max() <= SPREAD_TOL else None
@@ -547,7 +549,7 @@ def _equidistant(ensemble: WeightedEnsemble, offsets, rho: float, method: str):
     arbitrary planar conjugate fan.
     """
     n = ensemble.n
-    floats = not isinstance(offsets, np.ndarray)
+    floats = type(offsets) in FLOAT_FORMS
     p = (1.0 + rho) / n
     if rho <= NORM_FLOOR:
         phis = 2.0 * np.pi * np.arange(n) / n
@@ -615,7 +617,7 @@ def _cone_centre(ensemble: WeightedEnsemble, b: float | None) -> tuple | None:
     if b is None:
         return None
     rows = ensemble.held[1]
-    if isinstance(rows, np.ndarray):
+    if type(rows) not in FLOAT_FORMS:
         if rows[:, 2].max() - rows[:, 2].min() > SPREAD_TOL:
             return None
         offsets = np.column_stack([rows[:, :2], np.zeros(len(rows))])

@@ -54,13 +54,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .bloch import (
     BALL_SLACK,
     COMPLETENESS_TOL,
     DEGENERACY_TOL,
     FAMILY_TOL,
+    FLOAT_FORMS,
     FLOAT_MARGIN,
     NEG_WEIGHT_TOL,
     ORTHOGONALITY_TOL,
@@ -72,6 +71,7 @@ from .bloch import (
     ZERO_TOL,
     DiscriminationResult,
     HelstromCertificate,
+    LazyNumpy,
     Povm,
     WeightedEnsemble,
     check_finite,
@@ -80,6 +80,8 @@ from .bloch import (
     vector_matrix,
 )
 from .errors import CertificateError, DegenerateRatioError
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "verify_weak_family",
@@ -219,7 +221,7 @@ def conjugates_at(ensemble: WeightedEnsemble, p: float, r) -> list | np.ndarray:
     and division. Callers override the rows they fix themselves.
     """
     priors, _, q = ensemble.held
-    if isinstance(q, np.ndarray):
+    if type(q) not in FLOAT_FORMS:
         gap = p - priors
         return np.divide(np.subtract(r, q), gap[:, None],
                          out=np.zeros((ensemble.n, 3)), where=~(gap <= ZERO_TOL)[:, None])
@@ -301,10 +303,9 @@ def _gate(ensemble: WeightedEnsemble, p: float, r: np.ndarray, c_rows: np.ndarra
     return HelstromCertificate(*fields)  # which refuses what failed
 
 
-_SEQUENCES = (list, tuple)
-
-
 def _listed(value):
+    if type(value) in FLOAT_FORMS:
+        return value
     return value.tolist() if type(value) is np.ndarray else value
 
 
@@ -326,12 +327,12 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, common_point, conjugates,
     floats (bloch.ArrayRecord).
     """
     priors, bloch, q = ensemble.held
-    if isinstance(q, np.ndarray):
+    if type(q) not in FLOAT_FORMS:
         return None
     r, rows, dirs, weights = map(_listed, (common_point, conjugates, directions, weights))
     top = ensemble.max_prior
-    if not (type(r) in _SEQUENCES and type(rows) in _SEQUENCES and type(dirs) in _SEQUENCES
-            and type(weights) in _SEQUENCES and len(r) == 3
+    if not (type(r) in FLOAT_FORMS and type(rows) in FLOAT_FORMS and type(dirs) in FLOAT_FORMS
+            and type(weights) in FLOAT_FORMS and len(r) == 3
             and len(rows) == len(dirs) == len(weights) == len(priors)
             and top - RATIO_SLACK <= p <= 1.0 + RATIO_SLACK):
         return None
@@ -342,7 +343,7 @@ def _gate_floats(ensemble: WeightedEnsemble, p: float, common_point, conjugates,
     a, v, conj, scaled, lam = [], [], [], [], []
     sx = sy = sz = success = 0.0
     for pi, (qx, qy, qz), (bx, by, bz), c, d, w in zip(priors, q, bloch, rows, dirs, weights):
-        if not (type(c) in _SEQUENCES and type(d) in _SEQUENCES and len(c) == len(d) == 3):
+        if not (type(c) in FLOAT_FORMS and type(d) in FLOAT_FORMS and len(c) == len(d) == 3):
             return None
         (x, y, z), (dx, dy, dz) = c, d
         if not (type(x) is float and type(y) is float and type(z) is float
@@ -401,7 +402,7 @@ def guess_result(
     if not 0 <= k < n:
         raise ValueError(f"guess index {k} outside 0..{n - 1}")
     priors, _, q = ensemble.held
-    arrays = isinstance(q, np.ndarray)
+    arrays = type(q) not in FLOAT_FORMS
     p, r = (float(priors[k]), q[k].tolist()) if arrays else (priors[k], q[k])
     if value is not None:
         p = float(value)

@@ -44,8 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bloch import (
     DEGENERATE_RATIO_TOL,
     KKT_TOL,
@@ -53,11 +51,14 @@ from .bloch import (
     ZERO_TOL,
     ArrayRecord,
     HelstromCertificate,
+    LazyNumpy,
     Povm,
     WeightedEnsemble,
     vector_matrix,
 )
 from .family import max_pairwise_distance
+
+np = LazyNumpy(globals())
 
 __all__ = ["KktReport", "kkt_residuals"]
 

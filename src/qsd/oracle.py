@@ -62,7 +62,9 @@ yields the identity on its state. Its at most 4 support rows are worked on
 Python floats, rounded as the numpy reductions they replace round, and the
 n-length conjugate, weight and element rows are built once, in the held
 form: as lists of floats, which the gate takes as they are, with no array
-in between, or as arrays. The POVM's directions are the support's rows,
+in between, or as arrays. The closing weight is bloch.fused_norm2's root,
+np.linalg.norm's rounding, so an oracle solve on kept floats loads no
+numpy. The POVM's directions are the support's rows,
 zero elsewhere, not the conjugates.
 recover_povm and solve_oracle share one result, whose certificate comes
 from the gate, family.assemble_result.
@@ -75,12 +77,11 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .bloch import (
     AXIS_TOL,
     CONSISTENCY_TOL,
     FEAS_TOL,
+    FLOAT_FORMS,
     NEG_WEIGHT_TOL,
     NORM_FLOOR,
     PIVOT_WINDOW,
@@ -91,11 +92,15 @@ from .bloch import (
     SHRINK_MARGIN,
     ZERO_TOL,
     DiscriminationResult,
+    LazyNumpy,
     WeightedEnsemble,
+    fused_norm2,
     pairwise_sum,
 )
 from .errors import ConvergenceError
 from .family import assemble_result, conjugates_at
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "MinimaxSolution",
@@ -273,9 +278,9 @@ def _members(values, indices) -> list:
     its array: the one place the pivots and the hull test tell the two
     apart.
     """
-    if isinstance(values, np.ndarray):
-        return values[list(indices)].tolist()
-    return [values[i] for i in indices]
+    if type(values) in FLOAT_FORMS:
+        return [values[i] for i in indices]
+    return values[list(indices)].tolist()
 
 
 def _pivot(pr, q, basis: tuple, j: int) -> tuple:
@@ -426,7 +431,7 @@ def _farthest(pr, q, r: tuple) -> tuple:
     maxima. Over the kept floats, the same operations row by row: the
     difference, the 3-term sum from the left, the root, and a strict >.
     """
-    if isinstance(q, np.ndarray):
+    if type(q) not in FLOAT_FORMS:
         d = r - q
         f_vals = pr + np.sqrt((d * d).sum(axis=1))
         j = int(np.argmax(f_vals))
@@ -453,7 +458,7 @@ def minimax_common_point(ensemble: WeightedEnsemble) -> MinimaxSolution:
     n passes returns converged=False. Deterministic: ties break by index.
     """
     pr, _, q = ensemble.held
-    k = int(np.argmax(pr)) if isinstance(pr, np.ndarray) else pr.index(ensemble.max_prior)
+    k = pr.index(ensemble.max_prior) if type(pr) in FLOAT_FORMS else int(np.argmax(pr))
     basis, r, value, support = (k,), tuple(_members(q, (k,))[0]), float(pr[k]), (0,)
     mu = None
     for iterations in range(1, _PIVOTS_PER_STATE * ensemble.n + 1):
@@ -503,9 +508,10 @@ def _basis_measurement(
 
     The at most 4 support rows are worked on Python floats in numpy's
     rounding: norms and sums add left to right from 0.0, as numpy's
-    reductions over 3 or 4 terms do, and the closing weight is the norm of
-    np.dot, as np.linalg.norm takes it. The n-length rows are built once,
-    as lists on the kept floats and as arrays on arrays.
+    reductions over 3 or 4 terms do, and the closing weight is the root of
+    bloch.fused_norm2, the fused squared norm that np.linalg.norm of a
+    3-vector takes the root of. The n-length rows are built once, as lists
+    on the kept floats and as arrays on arrays.
     """
     if not solution.converged or not solution.basis_weights:
         raise ConvergenceError("cannot recover a POVM without a converged basis")
@@ -528,13 +534,13 @@ def _basis_measurement(
         weights = [m * d for m, d in zip(mu, dist)]
         others = [(w_i, d_i) for i, (w_i, d_i) in enumerate(zip(weights, dirs)) if i != k]
         closing = [-pairwise_sum([w_i * d_i[j] for w_i, d_i in others]) for j in range(3)]
-        weights[k] = math.sqrt(np.dot(closing, closing))
+        weights[k] = math.sqrt(fused_norm2(*closing))
         dirs[k] = tuple(y / weights[k] for y in closing)
         scale = 2.0 / pairwise_sum(weights)
         weights = [w_i * scale for w_i in weights]
 
     c = conjugates_at(ensemble, p, r)
-    if isinstance(q, np.ndarray):
+    if type(q) not in FLOAT_FORMS:
         w = np.zeros(n)
         w[support] = weights
         elements = np.zeros((n, 3))

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .bloch import DISTINCT_VERTEX_TOL, EDGE_COEFFICIENT_TOL, LazyNumpy, WeightedEnsemble
 
-from .bloch import DISTINCT_VERTEX_TOL, EDGE_COEFFICIENT_TOL, WeightedEnsemble
+np = LazyNumpy(globals())
 
 __all__ = [
     "PLATONIC_KINDS",

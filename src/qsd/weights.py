@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
-from .bloch import FEAS_TOL, NEG_WEIGHT_TOL, UNIQUE_TOL
+from .bloch import FEAS_TOL, NEG_WEIGHT_TOL, UNIQUE_TOL, LazyNumpy
 from .errors import WeightSystemInfeasible
+
+np = LazyNumpy(globals())
 
 __all__ = ["min_norm_nonneg_weights", "subset_support_weights"]
 

@@ -909,12 +909,20 @@ def test_a_solve_builds_and_certifies_its_povm_in_one_pass(monkeypatch, method, 
 
 
 class _NoNumpy:
-    """A stand-in numpy with only the type the held-form tests read: any call raises."""
-
-    ndarray = np.ndarray
+    """A stand-in numpy with no attribute: any read raises."""
 
     def __getattr__(self, name):
         raise AssertionError(f"numpy.{name} on the float path")
+
+
+def _seeded(n, seed, diagonal=False):
+    """n states with distinct priors, in the ball or on the z axis, as Python floats."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, size=n)
+    rows = ball_points(rng, n)
+    if diagonal:
+        rows[:, :2] = 0.0
+    return _entries(weights / weights.sum(), rows)
 
 
 # (method, degenerate, entries): the triples' interior roots fail their
@@ -925,19 +933,38 @@ _NO_NUMPY = [
      [(0.3, (0.0, 0.0, 1.0)), (0.3, (0.0, 0.0, -1.0)), (0.4, (0.1, 0.0, 0.0))]),
     ("three-state-boundary", True,
      [(0.2, (0.1, 0.0, 0.1)), (0.2, (0.0, 0.1, 0.0)), (0.6, (0.0, 0.0, 0.2))]),
+    ("diagonal", False, _seeded(FLOAT_ROWS, 34, diagonal=True)),
+    ("oracle", False, _seeded(FLOAT_ROWS, 34)),
 ]
 
 
 @pytest.mark.parametrize("method, degenerate, entries", _NO_NUMPY,
-                         ids=["two-state", "boundary", "guess"])
+                         ids=["two-state", "boundary", "guess", "diagonal", "general"])
 def test_small_solves_call_no_numpy(monkeypatch, method, degenerate, entries):
     expected = fingerprint(qsd.solve_auto(qsd.validate_ensemble(entries)))
     with monkeypatch.context() as patched:
-        for module in (qsd.bloch, qsd.family, qsd.closed_form):
+        for module in (qsd.bloch, qsd.family, qsd.closed_form, qsd.oracle):
             patched.setattr(module, "np", _NoNumpy())
         result = qsd.solve_auto(qsd.validate_ensemble(entries))
     assert (result.method, result.certificate.degenerate) == (method, degenerate)
     assert fingerprint(result) == expected
+
+
+class _Rows(tuple):
+    """A tuple subclass: its type is not list, tuple or ndarray, so the float path declines it."""
+
+
+def test_other_sequence_types_take_the_vectorized_checks():
+    # the float path tests a value's type against list and tuple, then
+    # against numpy's array; any other type, a tuple subclass among them,
+    # goes to the vectorized checks, which store the same bytes
+    entries = [(0.3, (0.5, 0.1, 0.2)), (0.7, (-0.4, 0.3, 0.1))]
+    priors, rows = [p for p, _ in entries], [row for _, row in entries]
+    assert qsd.bloch.float_rows(_Rows(rows)) is None
+    assert qsd.bloch.float_values(_Rows(priors)) is None
+    ens = WeightedEnsemble(_Rows(priors), _Rows(rows))
+    assert _stores_arrays(ens, _FIELDS["ensemble"])
+    assert fingerprint(ens) == fingerprint(qsd.validate_ensemble(entries))
 
 
 def test_integer_coordinates_take_the_float_path():

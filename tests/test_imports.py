@@ -295,3 +295,24 @@ def test_per_state_classes_stay_inside_bloch():
         or (isinstance(node, ast.Attribute) and node.attr in PER_STATE_CLASSES)
     ]
     assert offenders == []
+
+
+# numpy loads on the first array a solve needs: every module binds np to
+# bloch's LazyNumpy, whose first attribute read is the one import of numpy.
+# An import of numpy anywhere else would load it with qsd again.
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_numpy_is_imported_by_the_loader_alone():
+    # (module, the top-level statement's name) of every import of numpy
+    imports = [
+        (path.name, getattr(top, "name", f"line {top.lineno}"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if _imports_numpy(node)
+    ]
+    assert imports == [("bloch.py", "LazyNumpy")]
